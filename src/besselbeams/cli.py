@@ -23,8 +23,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -343,15 +344,21 @@ def cmd_field(args, cfg):
 SUITES = ("commutators", "basis", "quadrature", "spherical", "all")
 
 
-def cmd_verify(args, cfg):
-    if args.suite not in SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {SUITES}")
+def _with_lattice_flags(args, cfg):
+    """cfg with the --m-range, --kperp and --kz flag values applied."""
     if args.m_range is not None:
         cfg = replace(cfg, m_range=parse_m_range(args.m_range))
     if args.kperp is not None:
         cfg = replace(cfg, k_perp=parse_float_list(args.kperp))
     if args.kz is not None:
         cfg = replace(cfg, k_z=parse_float_list(args.kz))
+    return cfg
+
+
+def cmd_verify(args, cfg):
+    if args.suite not in SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; choose from {SUITES}")
+    cfg = _with_lattice_flags(args, cfg)
     if args.tol is not None:
         if args.tol <= 0:
             raise UsageError("--tol must be positive")
@@ -414,12 +421,7 @@ def parse_amplitude(text):
 
 
 def cmd_expect(args, cfg):
-    if args.m_range is not None:
-        cfg = replace(cfg, m_range=parse_m_range(args.m_range))
-    if args.kperp is not None:
-        cfg = replace(cfg, k_perp=parse_float_list(args.kperp))
-    if args.kz is not None:
-        cfg = replace(cfg, k_z=parse_float_list(args.kz))
+    cfg = _with_lattice_flags(args, cfg)
     lat = cfg.lattice()
     alpha = CoherentAmplitude()
     for text in args.amp or []:
@@ -514,6 +516,31 @@ def cmd_expand(args, cfg):
 # ---------------------------------------------------------------------------
 
 
+_LATTICE_FLAGS = ("--m-range", "--kperp", "--kz")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _add_lattice_flags(parser):
+    parser.add_argument("--m-range", dest="m_range", default=None, help="like -3..3")
+    parser.add_argument("--kperp", default=None, help="comma list, like 0.5,1.0")
+    parser.add_argument("--kz", default=None, help="comma list, like 1.0,2.0")
+
+
+def _attach_negative_values(argv):
+    """['--kz', '-1,2'] -> ['--kz=-1,2'] for the lattice flags.
+
+    argparse takes a separate token that starts with '-' and is not a
+    plain number (like -8..8 or -1.0,2.0) for an option, not a value.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _LATTICE_FLAGS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="besselbeams",
@@ -538,9 +565,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite (JSON report)")
     p_verify.add_argument("suite", help="commutators, basis, quadrature, spherical or all")
-    p_verify.add_argument("--m-range", dest="m_range", default=None, help="like -3..3")
-    p_verify.add_argument("--kperp", default=None, help="comma list, like 0.5,1.0")
-    p_verify.add_argument("--kz", default=None, help="comma list, like 1.0,2.0")
+    _add_lattice_flags(p_verify)
     p_verify.add_argument("--tol", type=float, default=None, help="algebra tolerance")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
@@ -548,9 +573,7 @@ def build_parser():
     p_expect = sub.add_parser("expect", help="coherent-state expectation table (CSV)")
     p_expect.add_argument("--amp", action="append", default=[],
                           help="family,m,ikp,ikz,re,im (repeatable)")
-    p_expect.add_argument("--m-range", dest="m_range", default=None)
-    p_expect.add_argument("--kperp", default=None)
-    p_expect.add_argument("--kz", default=None)
+    _add_lattice_flags(p_expect)
     p_expect.add_argument("--out", default=None)
     p_expect.set_defaults(func=cmd_expect)
 
@@ -568,8 +591,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         # argparse uses 2 for usage errors and 0 for --help/--version
         return int(exc.code or 0)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
+# commutator is unused here; perfbench/tracing.py wraps dynops.commutator by name.
+from .lattice import (  # noqa: F401
     BasisMap,
     LatticeError,
     ModeLattice,
@@ -173,7 +174,7 @@ def build_momentum(lat: ModeLattice):
 
 
 def build_energy_number(lat: ModeLattice, include_zero_point=True):
-    """(energy, total number, per-(family, m) number family).
+    """(energy, total number).
 
     energy = hbar sum_i,m int dk w(k) N_m; the zero point goes to the
     scalar part iff `include_zero_point`.
@@ -190,20 +191,7 @@ def build_energy_number(lat: ModeLattice, include_zero_point=True):
     number = QuadraticOperator.from_terms(
         lat, [(i, i, 1.0) for i in range(D)], s=0.5 * D if include_zero_point else 0.0
     )
-    per_mode = {}
-    for fam in lat.families:
-        for m in lat.m_values:
-            idxs = [
-                lat.index(fam, m, ip, iz)
-                for ip in range(len(lat.k_perp_nodes))
-                for iz in range(len(lat.k_z_nodes))
-            ]
-            per_mode[(fam, m)] = QuadraticOperator.from_terms(
-                lat,
-                [(i, i, 1.0) for i in idxs],
-                s=0.5 * len(idxs) if include_zero_point else 0.0,
-            )
-    return energy, number, per_mode
+    return energy, number
 
 
 def build_orbital(lat: ModeLattice):
@@ -254,7 +242,7 @@ def build_stokes(lat: ModeLattice, ip, iz, m):
 
 
 def build_observables(lat: ModeLattice, include_zero_point=True) -> ObservableSet:
-    energy, number, _ = build_energy_number(lat, include_zero_point)
+    energy, number = build_energy_number(lat, include_zero_point)
     P_plus, P_minus, P_3 = build_momentum(lat)
     L_plus, L_minus, L_3 = build_orbital(lat)
     S_plus, S_minus, S_3 = build_helicity(lat)
@@ -263,24 +251,33 @@ def build_observables(lat: ModeLattice, include_zero_point=True) -> ObservableSe
     )
 
 
-def make_pm_map(lat: ModeLattice) -> BasisMap:
-    """Unitary (+/-) map: b^(+/-)_m = (b^(TM)_m +/- i b^(TE)_m)/sqrt(2).
+def _pair_block_map(lat: ModeLattice, beta) -> BasisMap:
+    """BasisMap with one 2x2 block per (m, k-node) on the (TM, TE) pair.
 
-    The (+) combination occupies the TM slot and the (-) combination the
-    TE slot at the same (m, k) index.
+    new_TM = n (b^(TM)_m + i beta b^(TE)_m),  new_TE = n (b^(TM)_m - i beta b^(TE)_m),
+    n = 1/sqrt(1 + beta^2), where beta(kz, w) may vary by node.
     """
     _require_both_families(lat)
     D = lat.dim
     T = np.zeros((D, D), dtype=complex)
-    r = 1.0 / math.sqrt(2.0)
-    for m in lat.m_values:
-        for ip in range(len(lat.k_perp_nodes)):
-            for iz in range(len(lat.k_z_nodes)):
-                i1 = lat.index(TM, m, ip, iz)
-                i2 = lat.index(TE, m, ip, iz)
-                T[i1, i1], T[i1, i2] = r, 1j * r
-                T[i2, i1], T[i2, i2] = r, -1j * r
+    for ip, iz, kp, kz, w in _node_iter(lat):
+        b = beta(kz, w)
+        nrm = 1.0 / math.sqrt(1.0 + b**2)
+        for m in lat.m_values:
+            i1 = lat.index(TM, m, ip, iz)
+            i2 = lat.index(TE, m, ip, iz)
+            T[i1, i1], T[i1, i2] = nrm, 1j * b * nrm
+            T[i2, i1], T[i2, i2] = nrm, -1j * b * nrm
     return BasisMap(lat, T)
+
+
+def make_pm_map(lat: ModeLattice) -> BasisMap:
+    """Unitary (+/-) map: b^(+/-)_m = (b^(TM)_m +/- i b^(TE)_m)/sqrt(2).
+
+    The (+) combination occupies the TM slot and the (-) combination the
+    TE slot at the same (m, k) index; this is the beta = 1 pair block.
+    """
+    return _pair_block_map(lat, lambda kz, w: 1.0)
 
 
 def make_rl_map(lat: ModeLattice) -> BasisMap:
@@ -297,17 +294,7 @@ def make_rl_map(lat: ModeLattice) -> BasisMap:
     m_min, m_max = lat.m_range
     if m_max - m_min + 1 < 3:
         raise LatticeError("R/L map needs an m_range at least 3 wide")
-    D = lat.dim
-    T = np.zeros((D, D), dtype=complex)
-    for ip, iz, kp, kz, w in _node_iter(lat):
-        beta = lat.c * kz / w
-        nrm = 1.0 / math.sqrt(1.0 + beta**2)
-        for m in lat.m_values:
-            i1 = lat.index(TM, m, ip, iz)
-            i2 = lat.index(TE, m, ip, iz)
-            T[i1, i1], T[i1, i2] = nrm, 1j * beta * nrm
-            T[i2, i1], T[i2, i2] = nrm, -1j * beta * nrm
-    return BasisMap(lat, T)
+    return _pair_block_map(lat, lambda kz, w: lat.c * kz / w)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ provides an independent brute-force realization for small lattices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

@@ -6,23 +6,24 @@ B fields, the Hertz-potential assembly of the same fields (an independent
 cross-check path), the right/left circular combinations, and the
 plane-wave angular-spectrum quadrature representation of M and N.
 
-Phase convention is exp(-i w t + i k_z z + i m phi) throughout.  The
-rho = 0 axis is handled by small-argument series; results exactly on the
-axis are reported in the Cartesian frame, where they are single-valued.
+Phase convention is exp(-i w t + i k_z z + i m phi) throughout.  M and N
+are written down once, as a term table in the e_-, e_+, e_3 basis
+(`mode_terms`); every term is regular at rho = 0, so point values on the
+axis need no special case and come out in the Cartesian frame.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DomainError, bessel_j, bessel_j_prime, bessel_j_over_x
+# bessel_j_over_x is unused here; perfbench/tracing.py wraps modes.bessel_j_over_x by name.
+from .specfun import DomainError, bessel_j, bessel_j_over_x, bessel_j_prime  # noqa: F401
 
 TM, TE = "TM", "TE"
-
-AXIS_EPS = 1e-4  # below k_perp*rho = AXIS_EPS the axis series kicks in
 
 
 @dataclass(frozen=True)
@@ -162,54 +163,47 @@ def _phase(m, k_z, p: CylPoint, omega):
     return np.exp(1j * (-omega * p.t + m * p.phi + k_z * p.z))
 
 
-def eval_M(m, k_perp, k_z, p: CylPoint, c=1.0):
-    """Mode vector M: (w/(c k_z)) [ (m/(k_perp rho)) J_m e_rho + i J'_m e_phi ] * phase."""
-    omega = c * math.hypot(k_perp, k_z)
-    x = k_perp * p.rho
-    if p.rho == 0.0:
-        # Cylindrical unit vectors are undefined on the axis; use the
-        # duality c k_z M = w e3 x N with N from its Cartesian form.
-        n = eval_N(m, k_perp, k_z, p, c=c).cart
-        return ComplexVec3((omega / (c * k_z)) * np.cross(E3, n), CARTESIAN)
-    pref = omega / (c * k_z)
-    comp = pref * np.array(
-        [bessel_j_over_x(m, x), 1j * bessel_j_prime(m, x), 0.0], dtype=complex
-    )
-    return ComplexVec3(comp * _phase(m, k_z, p, omega), CYLINDRICAL, p.phi)
+_POL = {"-": E_MINUS, "+": E_PLUS, "3": E3}
 
 
-def eval_N(m, k_perp, k_z, p: CylPoint, c=1.0, path="auto"):
-    """Mode vector N.
+def mode_terms(which, m, k_perp, k_z, c=1.0):
+    """Term table of M or N: (polarization, Bessel order, coefficient) triples.
 
-    `path` selects the evaluation route: "cylindrical" uses the
-    (e_rho, e_phi, e_z) form, "cartesian" the equivalent e_+/e_-
-    expansion (well defined on the axis), "auto" picks by radius.
-    Both routes agree to 1e-12 away from the axis.
+    A table stands for  sum coeff J_order(k_perp rho) e^(i order phi) e_pol,
+    times e^(i k_z z - i w t), with e_-/+ = e1 -/+ i e2 and e_3 = e3:
+        M = (w/(2 c k_z)) (J_{m+1} e_- + J_{m-1} e_+),
+        N = -(i/2) (J_{m+1} e_- - J_{m-1} e_+) + (k_perp/k_z) J_m e_3,
+    i.e. M = (w/(c k_z)) [(m/(k_perp rho)) J_m e_rho + i J'_m e_phi] and
+    N = i J'_m e_rho - (m/(k_perp rho)) J_m e_phi + (k_perp/k_z) J_m e_z.
+    Coefficients broadcast over k_perp, k_z arrays.
     """
+    if which == "M":
+        w = c * np.hypot(k_perp, k_z)
+        half = 0.5 * w / (c * k_z)
+        return (("-", m + 1, half), ("+", m - 1, half))
+    if which == "N":
+        return (("-", m + 1, -0.5j), ("+", m - 1, 0.5j), ("3", m, k_perp / k_z))
+    raise ValueError("which must be 'M' or 'N'")
+
+
+def _eval_mode(which, m, k_perp, k_z, p: CylPoint, c):
     omega = c * math.hypot(k_perp, k_z)
     x = k_perp * p.rho
-    if path == "auto":
-        path = "cartesian" if p.rho == 0.0 else "cylindrical"
-    if path == "cylindrical":
-        if p.rho == 0.0:
-            raise DomainError("cylindrical N path undefined at rho = 0")
-        comp = np.array(
-            [
-                1j * bessel_j_prime(m, x),
-                -bessel_j_over_x(m, x),
-                (k_perp / k_z) * bessel_j(m, x),
-            ],
-            dtype=complex,
-        )
-        return ComplexVec3(comp * _phase(m, k_z, p, omega), CYLINDRICAL, p.phi)
-    if path == "cartesian":
-        ph0 = np.exp(1j * (-omega * p.t + k_z * p.z))
-        jp1 = bessel_j(m + 1, x) * np.exp(1j * (m + 1) * p.phi)
-        jm1 = bessel_j(m - 1, x) * np.exp(1j * (m - 1) * p.phi)
-        jm = bessel_j(m, x) * np.exp(1j * m * p.phi)
-        comp = (-0.5j) * (jp1 * E_MINUS - jm1 * E_PLUS) + (k_perp / k_z) * jm * E3
-        return ComplexVec3(comp * ph0, CARTESIAN)
-    raise ValueError(f"unknown path {path!r}")
+    comp = sum(
+        coeff * bessel_j(order, x) * cmath.exp(1j * order * p.phi) * _POL[pol]
+        for pol, order, coeff in mode_terms(which, m, k_perp, k_z, c)
+    )
+    return ComplexVec3(comp * cmath.exp(1j * (k_z * p.z - omega * p.t)), CARTESIAN)
+
+
+def eval_M(m, k_perp, k_z, p: CylPoint, c=1.0):
+    """Mode vector M at a point, Cartesian components (see mode_terms)."""
+    return _eval_mode("M", m, k_perp, k_z, p, c)
+
+
+def eval_N(m, k_perp, k_z, p: CylPoint, c=1.0):
+    """Mode vector N at a point, Cartesian components (see mode_terms)."""
+    return _eval_mode("N", m, k_perp, k_z, p, c)
 
 
 def eval_potential(K: ModeIndex, p: CylPoint, norm: NormalizationConvention):
@@ -304,31 +298,37 @@ def scalar_angular_spectrum(m, k_perp, rho, phi, n_nodes):
     return (-1j) ** m * np.mean(integrand)
 
 
-def angular_spectrum(which, m, k_perp, k_z, p: CylPoint, n_nodes=None, c=1.0):
-    """M or N via trapezoidal quadrature over the plane-wave cone azimuth.
+def cone_density(which, m, k_perp, k_z, phi_k, c=1.0):
+    """Plane-wave density of M or N on the wavevector cone, at azimuths phi_k.
 
-    M = -(w/(c k_z)) ((-i)^m/2pi) Int dphi_k e^(i m phi_k)
-        e^(i k_perp rho cos(phi - phi_k)) phihat_k  * e^(i k_z z - i w t),
-    and the same with thetahat_k for N.  The radial and axial delta
-    factors of the full 3D representation are collapsed analytically.
+    Each term J_n(k_perp rho) e^(i n phi) of mode_terms is replaced by its
+    ring integrand ((-i)^n / 2 pi) e^(i n phi_k), so that
+        F(r, t) = int dphi_k density(phi_k) e^(i k_perp rho cos(phi - phi_k))
+                  e^(i k_z z - i w t).
+    Returns an array shaped phi_k.shape + (3,), Cartesian components.
+    """
+    phi_k = np.asarray(phi_k, dtype=float)[..., None]
+    return sum(
+        coeff * ((-1j) ** order / (2.0 * math.pi)) * np.exp(1j * order * phi_k) * _POL[pol]
+        for pol, order, coeff in mode_terms(which, m, k_perp, k_z, c)
+    )
+
+
+def angular_spectrum(which, m, k_perp, k_z, p: CylPoint, n_nodes=None, c=1.0):
+    """M or N via trapezoidal quadrature of cone_density over the cone azimuth.
+
+    The radial and axial delta factors of the full 3D plane-wave
+    representation are collapsed analytically.
 
     Returns (ComplexVec3, meta) where meta flags insufficient nodes.
     """
-    if which not in ("M", "N"):
-        raise ValueError("which must be 'M' or 'N'")
     required = int(8 * (abs(m) + k_perp * p.rho + 8))
     if n_nodes is None:
         n_nodes = required
     meta = {"n_nodes": n_nodes, "recommended": required, "converged": n_nodes >= required}
     omega = c * math.hypot(k_perp, k_z)
-    ct = c * k_z / omega  # cos(theta_k)
-    st = c * k_perp / omega  # sin(theta_k)
     phik = np.linspace(0.0, 2.0 * math.pi, n_nodes, endpoint=False)
-    if which == "M":
-        unit = np.stack([-np.sin(phik), np.cos(phik), np.zeros_like(phik)])
-    else:
-        unit = np.stack([ct * np.cos(phik), ct * np.sin(phik), -st * np.ones_like(phik)])
-    weight = np.exp(1j * m * phik + 1j * k_perp * p.rho * np.cos(p.phi - phik))
-    comp = (unit * weight).mean(axis=1) * (-1j) ** m
-    pref = -(omega / (c * k_z)) * np.exp(1j * (k_z * p.z - omega * p.t))
-    return ComplexVec3(pref * comp, CARTESIAN), meta
+    wave = np.exp(1j * k_perp * p.rho * np.cos(p.phi - phik))
+    density = cone_density(which, m, k_perp, k_z, phik, c)
+    comp = 2.0 * math.pi * (density * wave[:, None]).mean(axis=0)
+    return ComplexVec3(comp * np.exp(1j * (k_z * p.z - omega * p.t)), CARTESIAN), meta

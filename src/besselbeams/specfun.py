@@ -13,7 +13,6 @@ package, and the closed forms scipy does not provide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv, lpmv, sph_harm_y
@@ -23,19 +22,6 @@ MAX_ORDER = 200
 
 class DomainError(ValueError):
     """Argument outside the supported domain of a special function."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy targets for iterative/truncated evaluations."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_terms: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.max_terms >= 1):
-            raise ValueError("invalid Tolerance: need rel_tol>0, abs_tol>0, max_terms>=1")
 
 
 def bessel_j(m, x):

@@ -25,7 +25,7 @@ All suites run with c = hbar = 1 unless the lattice says otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_legendre, sph_harm_y
@@ -51,15 +51,15 @@ from .dynops import (
     SphericalLattice,
 )
 from .modes import (
-    CARTESIAN,
     CylPoint,
-    ModeIndex,
     NormalizationConvention,
     TE,
     TM,
     angular_spectrum,
+    cone_density,
     eval_M,
     eval_N,
+    mode_terms,
     scalar_angular_spectrum,
 )
 
@@ -524,10 +524,9 @@ class QuadratureDomain:
     Z: float
     n_radial: int
     n_axial: int
-    n_azimuthal: int = 64  # azimuthal integrals are exact; kept for grid exports
 
     def __post_init__(self):
-        if min(self.R, self.Z) <= 0 or min(self.n_radial, self.n_axial, self.n_azimuthal) < 1:
+        if min(self.R, self.Z) <= 0 or min(self.n_radial, self.n_axial) < 1:
             raise ValueError("QuadratureDomain needs positive extents and counts")
 
     def scaled(self, factor):
@@ -536,7 +535,6 @@ class QuadratureDomain:
             self.Z * factor,
             int(self.n_radial * factor * factor),
             int(self.n_axial * factor * factor),
-            self.n_azimuthal,
         )
 
 
@@ -596,36 +594,20 @@ def smear_mode(which, wp: WavepacketSpec, n_kp=32, n_kz=32, c=1.0, hbar=1.0):
         wp.k_z_center - 5 * wp.k_z_width, wp.k_z_center + 5 * wp.k_z_width, n_kz
     )
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
-    W = c * np.hypot(KP, KZ)
     g = wp.envelope(KP, KZ)
-    m = wp.m
-
-    def comps_M(pref):
-        half = 0.5 * pref * W / (c * KZ)
-        return [
-            _Component("-", m + 1, m + 1, 0, 0, half * g),
-            _Component("+", m - 1, m - 1, 0, 0, half * g),
-        ]
-
-    def comps_N(pref):
-        return [
-            _Component("-", m + 1, m + 1, 0, 0, -0.5j * pref * g),
-            _Component("+", m - 1, m - 1, 0, 0, 0.5j * pref * g),
-            _Component("3", m, m, 0, 0, pref * (KP / KZ) * g),
-        ]
-
-    if which == "M":
-        comps = comps_M(np.ones_like(g))
-    elif which == "N":
-        comps = comps_N(np.ones_like(g))
+    if which in ("M", "N"):
+        vector, pref = which, 1.0
     elif which in ("E", "B"):
+        # E^(TM) = amp N, E^(TE) = -amp M, B^(TM) = amp M, B^(TE) = amp N
         amp = NormalizationConvention(hbar=hbar, c=c).amplitude_grid(KP, KZ)
-        if which == "E":
-            comps = comps_N(amp) if wp.family == TM else comps_M(-amp)
-        else:
-            comps = comps_M(amp) if wp.family == TM else comps_N(amp)
+        vector = "N" if (which == "E") == (wp.family == TM) else "M"
+        pref = -amp if (which, wp.family) == ("E", TE) else amp
     else:
         raise ValueError("which must be one of M, N, E, B")
+    comps = [
+        _Component(pol, order, order, 0, 0, coeff * pref * g)
+        for pol, order, coeff in mode_terms(vector, wp.m, KP, KZ, c)
+    ]
     return SmearedField(kp, wkp, kz, wkz, comps)
 
 
@@ -659,9 +641,10 @@ def apply_L_plus(F: SmearedField):
     return SmearedField(F.kp_nodes, F.kp_w, F.kz_nodes, F.kz_w, out)
 
 
-# e_pol pairing tables.  conj(e_-) = e_+ etc.; e_- . e_+ = 2, e_3 . e_3 = 1.
-_DOT = {("-", "+"): 2.0, ("+", "-"): 2.0, ("3", "3"): 1.0}
-# e_a x e_b expressed as (pol, coefficient)
+# e_pol pairing tables: (pol1, pol2) -> (e_pol of the product, coefficient).
+# conj(e_-) = e_+ etc.; e_- . e_+ = 2, e_3 . e_3 = 1; the dot product is the
+# scalar "" entry.
+_DOT = {("-", "+"): ("", 2.0), ("+", "-"): ("", 2.0), ("3", "3"): ("", 1.0)}
 _CROSS = {
     ("-", "+"): ("3", 2j),
     ("+", "-"): ("3", -2j),
@@ -707,40 +690,13 @@ def _panels(a, b, n_total, per_panel=24):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def volume_dot(F1, F2, quad: _CylinderQuadrature, conjugate=True):
-    """int F1 . F2(*) dV over the cylinder; azimuthal integral exact."""
-    total = 0.0 + 0.0j
+def _volume_integral(F1, F2, quad: _CylinderQuadrature, table, conjugate):
+    """int F1 (table product) F2(*) dV as {e_pol: coefficient}; azimuthal integral exact."""
+    out = {pol: 0.0 + 0.0j for pol, _ in table.values()}
     for c1 in F1.comps:
         for c2 in F2.comps:
             pol2 = _FLIP[c2.pol] if conjugate else c2.pol
-            pair = _DOT.get((c1.pol, pol2))
-            if pair is None:
-                continue
-            if conjugate:
-                if c1.azim != c2.azim:
-                    continue
-                G2 = np.conj(c2.coeff)
-                sign = -1.0
-            else:
-                if c1.azim + c2.azim != 0:
-                    continue
-                G2 = c2.coeff
-                sign = 1.0
-            rad = quad.radial(F1, F2, c1.order, c2.order, c1.rho_pow + c2.rho_pow)
-            ax = quad.axial(F1, F2, c1.z_pow + c2.z_pow, sign)
-            G1 = c1.coeff * F1.kp_w[:, None] * F1.kz_w[None, :]
-            G2 = G2 * F2.kp_w[:, None] * F2.kz_w[None, :]
-            total += 2 * math.pi * pair * np.einsum("ab,cd,ac,bd->", G1, G2, rad, ax, optimize=True)
-    return total
-
-
-def volume_cross(F1, F2, quad: _CylinderQuadrature, conjugate=True):
-    """int F1 x F2(*) dV as {'-': c-, '+': c+, '3': c3} e_pol coefficients."""
-    out = {"-": 0.0 + 0.0j, "+": 0.0 + 0.0j, "3": 0.0 + 0.0j}
-    for c1 in F1.comps:
-        for c2 in F2.comps:
-            pol2 = _FLIP[c2.pol] if conjugate else c2.pol
-            pair = _CROSS.get((c1.pol, pol2))
+            pair = table.get((c1.pol, pol2))
             if pair is None:
                 continue
             if conjugate:
@@ -759,6 +715,16 @@ def volume_cross(F1, F2, quad: _CylinderQuadrature, conjugate=True):
             G2 = G2 * F2.kp_w[:, None] * F2.kz_w[None, :]
             out[pair[0]] += 2 * math.pi * pair[1] * np.einsum("ab,cd,ac,bd->", G1, G2, rad, ax, optimize=True)
     return out
+
+
+def volume_dot(F1, F2, quad: _CylinderQuadrature, conjugate=True):
+    """int F1 . F2(*) dV over the cylinder."""
+    return _volume_integral(F1, F2, quad, _DOT, conjugate)[""]
+
+
+def volume_cross(F1, F2, quad: _CylinderQuadrature, conjugate=True):
+    """int F1 x F2(*) dV as {'-': c-, '+': c+, '3': c3} e_pol coefficients."""
+    return _volume_integral(F1, F2, quad, _CROSS, conjugate)
 
 
 def _pair_integral(wp1, wp2, weight, n=64):
@@ -1035,17 +1001,6 @@ def energy_per_photon_check(rel_width=0.02, tol=0.01, margin=2.0):
 # ---------------------------------------------------------------------------
 
 
-def _ring_density(which, m, k_perp, k_z, phi_k, c=1.0):
-    """Vector angular density of M or N on the plane-wave cone at azimuth phi_k."""
-    omega = c * math.hypot(k_perp, k_z)
-    ct, st = c * k_z / omega, c * k_perp / omega
-    if which == "M":
-        unit = np.array([-math.sin(phi_k), math.cos(phi_k), 0.0])
-    else:
-        unit = np.array([ct * math.cos(phi_k), ct * math.sin(phi_k), -st])
-    return -(omega / (c * k_z)) * ((-1j) ** m / (2 * math.pi)) * np.exp(1j * m * phi_k) * unit
-
-
 def _vsh_grid(j, m, theta, phi):
     """(Y^E, Y^M) transverse harmonics on broadcastable angle grids.
 
@@ -1083,7 +1038,7 @@ def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, n_phi=None):
 
     Defined by  F(r) = sum_j [alpha_E V^E_j + alpha_M V^M_j](r)  with
     V^(i)_j(r) = int dOmega Y^(i)_jm(n) e^{i k n . r}, obtained by
-    projecting the plane-wave ring density of M or N onto the transverse
+    projecting the plane-wave cone density of M or N onto the transverse
     harmonics (they are orthogonal with norm 1/(j(j+1))).
     """
     if j < max(1, abs(m)):
@@ -1093,7 +1048,7 @@ def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, n_phi=None):
     if n_phi is None:
         n_phi = 8 * (abs(m) + j + 4)
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
-    ring = np.stack([_ring_density(which, m, k_perp, k_z, p, c) for p in phis])
+    ring = cone_density(which, m, k_perp, k_z, phis, c)
     ye, ym = _vsh_grid(j, m, np.full(n_phi, theta0), phis)
     step = 2 * math.pi / n_phi
     accE = np.sum(ring * np.conj(ye))
@@ -1122,13 +1077,8 @@ def printed_uv(m, k_perp, k_z, j, m_j, c=1.0):
     return u, v
 
 
-def spherical_wave(kind, j, m, omega, point, n_theta=None, n_phi=None, c=1.0):
-    """V^(i)_j(r) = int dOmega Y^(i)_jm(n) e^{i (omega/c) n . r} by quadrature."""
-    ve, vm = _spherical_wave_pair(j, m, omega, point, n_theta, n_phi, c)
-    return ve if kind == "E" else vm
-
-
 def _spherical_wave_pair(j, m, omega, point, n_theta=None, n_phi=None, c=1.0):
+    """(V^E_j, V^M_j)(r), V^(i)_j = int dOmega Y^(i)_jm(n) e^{i (omega/c) n . r}, by quadrature."""
     x, y, z = point
     r = math.sqrt(x * x + y * y + z * z)
     if n_theta is None:

@@ -64,6 +64,23 @@ class TestExitCodes:
         assert report["metadata"]["unexpected_failures"] > 0
 
 
+@pytest.mark.parametrize("spaced", [True, False], ids=["spaced", "joined"])
+@pytest.mark.parametrize("command", [["verify", "basis"], ["expect"]], ids=["verify", "expect"])
+def test_negative_lattice_flag_values(command, spaced, capsys):
+    # '--m-range -2..2' and '--kz -1.0,2.0' mean the same as the '=' forms
+    values = [("--m-range", "-2..2"), ("--kperp", "1.0"), ("--kz", "-1.0,2.0")]
+    flags = [tok for f, v in values for tok in ([f, v] if spaced else [f"{f}={v}"])]
+    code, out, err = run(command + flags, capsys)
+    assert code == 0, err
+    if command[0] == "verify":
+        config = json.loads(out)["metadata"]["config"]
+        assert (config["lattice.m_range"], config["lattice.k_z"]) == ("-2..2", "-1,2")
+    else:
+        rows = {ln.split(",")[0]: float(ln.split(",")[1]) for ln in out.strip().split("\n")[1:]}
+        # zero-point P3: (1/2) hbar kz summed over 2 families x 5 m x kz in {-1, 2}
+        assert rows["P3"] == pytest.approx(5.0)
+
+
 class TestConfig:
     def test_env_var_config_honored(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.txt"

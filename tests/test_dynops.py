@@ -121,7 +121,7 @@ class TestExpectations:
 
     def test_zero_point_energy(self):
         lat = lattice_d6()
-        energy, number, _ = build_energy_number(lat, include_zero_point=True)
+        energy, number = build_energy_number(lat, include_zero_point=True)
         vac = coherent_expectation(energy, CoherentAmplitude())
         expected = 0.5 * sum(lat.omega(i) for i in range(lat.dim))
         assert vac.real == pytest.approx(expected, rel=1e-15)

@@ -60,22 +60,6 @@ class TestDuality:
             worst = max(worst, float(np.abs(lhs - rhs).max()))
         assert worst < 1e-12
 
-    def test_N_paths_agree(self):
-        worst = 0.0
-        for _ in range(1000):
-            m = int(RNG.integers(-4, 5))
-            kp = float(RNG.uniform(0.3, 2.5))
-            kz = float(RNG.uniform(0.5, 3.0))
-            p = CylPoint(
-                float(RNG.uniform(1e-3, 6.0)),
-                float(RNG.uniform(-math.pi, math.pi)),
-                float(RNG.uniform(-3.0, 3.0)),
-            )
-            a = eval_N(m, kp, kz, p, path="cylindrical").cart
-            b = eval_N(m, kp, kz, p, path="cartesian").cart
-            worst = max(worst, float(np.abs(a - b).max()))
-        assert worst < 1e-12
-
 
 class TestAxis:
     def test_tm_m0_axis_fields(self):
@@ -91,37 +75,49 @@ class TestAxis:
 
     def test_axis_continuity(self):
         # fields approach their on-axis value smoothly
-        for m in (-1, 0, 1, 2):
-            on = eval_N(m, 1.0, 2.0, CylPoint(0.0, 0.0, 0.0)).cart
-            near = eval_N(m, 1.0, 2.0, CylPoint(1e-9, 0.0, 0.0)).cart
-            assert np.abs(on - near).max() < 1e-7
+        for evaluator in (eval_M, eval_N):
+            for m in (-1, 0, 1, 2):
+                on = evaluator(m, 1.0, 2.0, CylPoint(0.0, 0.0, 0.0)).cart
+                near = evaluator(m, 1.0, 2.0, CylPoint(1e-9, 0.0, 0.0)).cart
+                assert np.abs(on - near).max() < 1e-7
 
     def test_axis_m_selection(self):
-        # only |m| = 1 has transverse weight on the axis, only m = 0 axial
-        for m in (-3, -2, 2, 3):
-            v = eval_N(m, 1.0, 2.0, CylPoint(0.0)).cart
-            assert np.abs(v).max() < 1e-15
-        v1 = eval_N(1, 1.0, 2.0, CylPoint(0.0)).cart
-        assert np.abs(v1[:2]).max() > 0.1
+        # only |m| = 1 has transverse weight on the axis, only N at m = 0 axial
+        for evaluator in (eval_M, eval_N):
+            for m in (-3, -2, 2, 3):
+                v = evaluator(m, 1.0, 2.0, CylPoint(0.0)).cart
+                assert np.abs(v).max() < 1e-15
+            for m in (-1, 1):
+                v1 = evaluator(m, 1.0, 2.0, CylPoint(0.0)).cart
+                assert np.abs(v1[:2]).max() > 0.1 and v1[2] == 0.0
+        assert np.abs(eval_M(0, 1.0, 2.0, CylPoint(0.0)).cart).max() == 0.0
+        n0 = eval_N(0, 1.0, 2.0, CylPoint(0.0)).cart
+        assert np.abs(n0[:2]).max() == 0.0 and abs(n0[2]) > 0.1
 
 
 class TestFieldAssembly:
     def test_hertz_path_matches_mode_path(self):
-        # the Hertz-potential fields are proportional to the mode fields
-        # with a single constant fixed by one component
-        for family in (TM, TE):
-            for p in random_points(50):
-                m, kp, kz = 2, 1.1, 1.7
+        # the Hertz-potential fields (cylindrical components, independent of
+        # the mode-vector term table) fix M and N with a closed-form constant:
+        # N = E_TM/(kp kz) = B_TE/(kp kz),  M = B_TM/(kp kz) = -E_TE/(kp kz)
+        worst = 0.0
+        for p in random_points(1000):
+            m = int(RNG.integers(-4, 5))
+            kp = float(RNG.uniform(0.3, 2.5))
+            kz = float(RNG.choice([-1.0, 1.0]) * RNG.uniform(0.5, 3.0))
+            E_tm, B_tm = (v.cart / (kp * kz) for v in hertz_fields(TM, m, kp, kz, p))
+            E_te, B_te = (v.cart / (kp * kz) for v in hertz_fields(TE, m, kp, kz, p))
+            M = eval_M(m, kp, kz, p).cart
+            N = eval_N(m, kp, kz, p).cart
+            worst = max(worst, *(float(np.abs(a - b).max()) for a, b in
+                                 ((N, E_tm), (N, B_te), (M, B_tm), (M, -E_te))))
+            # E and B carry the normalization amplitude on top
+            for family, (Eh, Bh) in ((TM, (E_tm, B_tm)), (TE, (E_te, B_te))):
                 K = ModeIndex(family, m, kp, kz)
-                Eh, Bh = hertz_fields(family, m, kp, kz, p)
-                Em = eval_E(K, p, NORM).cart
-                Bm = eval_B(K, p, NORM).cart
-                eh = Eh.cart
-                bh = Bh.cart
-                idx = int(np.argmax(np.abs(Em)))
-                ratio = Em[idx] / eh[idx]
-                assert np.abs(Em - ratio * eh).max() < 1e-12 * np.abs(Em).max()
-                assert np.abs(Bm - ratio * bh).max() < 1e-12 * np.abs(Bm).max()
+                amp = NORM.amplitude(K)
+                worst = max(worst, float(np.abs(eval_E(K, p, NORM).cart - amp * Eh).max()),
+                            float(np.abs(eval_B(K, p, NORM).cart - amp * Bh).max()))
+        assert worst < 1e-12
 
     def test_divergence_of_E_vanishes(self):
         # second-order central finite differences in Cartesian coordinates

@@ -11,7 +11,6 @@ from scipy.special import jv, lpmv
 from besselbeams import specfun
 from besselbeams.specfun import (
     DomainError,
-    Tolerance,
     assoc_legendre,
     assoc_legendre_dkz,
     assoc_legendre_prime,
@@ -220,10 +219,3 @@ class TestVectorSphericalHarmonic:
             vector_spherical_harmonic("Q", 2, 1, np.array([0.0, 0.0, 1.0]))
         with pytest.raises(DomainError):
             vector_spherical_harmonic("E", 0, 0, np.array([0.0, 0.0, 1.0]))
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rel_tol=-1.0)
-    t = Tolerance()
-    assert t.max_terms >= 1
