@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from besselbeams.modes import CylPoint, eval_N
-from besselbeams.verify import expansion_coefficients, reconstruct
+from besselbeams.verify import partial_sums
 
 m, k_perp, k_z = 2, 1.0, 2.0
 omega = math.hypot(k_perp, k_z)
@@ -26,12 +26,9 @@ print(f"N mode m={m}, k_perp={k_perp}, k_z={k_z}; sample at rho={rho} "
 print(f"{'j':>3s} {'|alpha_E|':>12s} {'|alpha_M|':>12s} {'recon rel err':>14s}")
 
 j_max = 24
-checkpoints = tuple(range(max(1, abs(m)), j_max + 1))
-rec, partial = reconstruct("N", m, k_perp, k_z, point, j_max, checkpoints=checkpoints)
-for j in checkpoints:
-    aE, aM = expansion_coefficients("N", m, k_perp, k_z, j)
-    err = float(np.abs(partial[j] - direct).max() / ref)
+for j, aE, aM, total in partial_sums("N", m, k_perp, k_z, point, j_max):
+    err = float(np.abs(total - direct).max() / ref)
     print(f"{j:3d} {abs(aE):12.4e} {abs(aM):12.4e} {err:14.4e}")
 
 print(f"final relative error at j_max={j_max}: "
-      f"{float(np.abs(rec - direct).max() / ref):.3e}")
+      f"{float(np.abs(total - direct).max() / ref):.3e}")

@@ -156,25 +156,42 @@ def spherical_harmonic(j, m, theta, phi):
     return sph_harm_y(j, m, theta, phi)
 
 
-def _dtheta_sph_harm(j, m, theta, phi):
-    """d/dtheta Y_jm via the ladder identity, regular at the poles."""
-    a = 0.0
+def vsh_grid(j, m, theta, phi):
+    """(Y^(E), Y^(M)) transverse vector spherical harmonics on angle grids.
+
+    Y^(E)_jm = grad_n Y_jm / (j(j+1)),  Y^(M)_jm = n x Y^(E)_jm, with theta
+    and phi broadcast against each other.  The theta derivative comes from
+    the ladder identity, so the values stay finite as long as the grid
+    avoids the exact poles.  Returns two complex arrays shaped
+    broadcast(theta, phi).shape + (3,), Cartesian components.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    st, ct = np.sin(theta), np.cos(theta)
+    dth = np.zeros(theta.shape, dtype=complex)
     if m + 1 <= j:
-        a = 0.5 * math.sqrt((j - m) * (j + m + 1)) * sph_harm_y(j, m + 1, theta, phi) * np.exp(
-            -1j * phi
-        )
-    b = 0.0
+        dth = dth + 0.5 * math.sqrt((j - m) * (j + m + 1)) * sph_harm_y(
+            j, m + 1, theta, phi
+        ) * np.exp(-1j * phi)
     if m - 1 >= -j:
-        b = 0.5 * math.sqrt((j + m) * (j - m + 1)) * sph_harm_y(j, m - 1, theta, phi) * np.exp(
-            1j * phi
-        )
-    return a - b
+        dth = dth - 0.5 * math.sqrt((j + m) * (j - m + 1)) * sph_harm_y(
+            j, m - 1, theta, phi
+        ) * np.exp(1j * phi)
+    if m == 0:
+        dphi_over_sin = np.zeros_like(dth)
+    else:
+        dphi_over_sin = 1j * m * sph_harm_y(j, m, theta, phi) / st
+    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=-1)
+    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(theta)], axis=-1)
+    ye = (dth[..., None] * that + dphi_over_sin[..., None] * phat) / (j * (j + 1))
+    n_hat = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
+    ym = np.cross(n_hat, ye)
+    return ye, ym
 
 
 def vector_spherical_harmonic(kind, j, m, direction):
     """Transverse vector spherical harmonic Y^(E) or Y^(M) at a unit direction.
 
-    Y^(E)_jm = grad_n Y_jm / (j(j+1)),  Y^(M)_jm = n x Y^(E)_jm.
+    One direction of :func:`vsh_grid`, with the argument checks.
     Returns a complex Cartesian 3-vector orthogonal to `direction`.
     """
     if kind not in ("E", "M"):
@@ -189,22 +206,8 @@ def vector_spherical_harmonic(kind, j, m, direction):
         raise DomainError("direction must be unit-normalized to 1e-12")
     theta = math.acos(np.clip(n[2], -1.0, 1.0))
     phi = math.atan2(n[1], n[0])
-    st = math.sin(theta)
-    that = np.array([math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -st])
-    phat = np.array([-math.sin(phi), math.cos(phi), 0.0])
-
-    if st < 1e-9:
+    if math.sin(theta) < 1e-9:
         # Y_jm / sin(theta) is 0/0 exactly at the poles; nudge off-axis.
         theta = 1e-9 if theta < 1.0 else math.pi - 1e-9
-        st = math.sin(theta)
-        that = np.array([math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -st])
-    dtheta = _dtheta_sph_harm(j, m, theta, phi)
-    if m == 0:
-        dphi_over_sin = 0.0
-    else:
-        dphi_over_sin = 1j * m * sph_harm_y(j, m, theta, phi) / st
-    grad = dtheta * that + dphi_over_sin * phat
-    ye = grad / (j * (j + 1))
-    if kind == "E":
-        return ye
-    return np.cross(n, ye)
+    ye, ym = vsh_grid(j, m, theta, phi)
+    return ye if kind == "E" else ym

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre, sph_harm_y
+from scipy.special import roots_legendre
 
 from . import specfun
 from .lattice import (
@@ -78,21 +78,17 @@ class RelationResult:
     tolerance: float
     passed: bool
     notes: str = ""
+    inconclusive: bool = False
 
     def __post_init__(self):
         # pass must mean exactly "norm within tolerance" (and conclusive)
-        conclusive = not self.notes.startswith("inconclusive")
-        if self.passed != (self.lhs_minus_rhs_norm <= self.tolerance and conclusive):
+        if self.passed != (self.lhs_minus_rhs_norm <= self.tolerance and not self.inconclusive):
             raise ValueError("RelationResult pass flag inconsistent with norm")
 
     @classmethod
-    def from_norm(cls, name, norm, tol, notes=""):
-        conclusive = not notes.startswith("inconclusive")
-        return cls(name, float(norm), float(tol), bool(norm <= tol) and conclusive, notes)
-
-    @property
-    def inconclusive(self):
-        return self.notes.startswith("inconclusive")
+    def from_norm(cls, name, norm, tol, notes="", inconclusive=False):
+        passed = bool(norm <= tol) and not inconclusive
+        return cls(name, float(norm), float(tol), passed, notes, inconclusive)
 
     def to_dict(self):
         return {
@@ -130,7 +126,7 @@ def _interior_indices(lat: ModeLattice, margin=2):
 
 
 def _relation_table(lat: ModeLattice, obs):
-    """(name, LHS, RHS, canonical, notes) rows for every printed relation.
+    """(name, A, B, RHS, canonical, notes) rows for every printed [A, B] = RHS.
 
     Observables are normal-ordered (no zero point) so both sides are pure
     quadratic forms; commutators never produce scalars anyway.
@@ -186,70 +182,70 @@ def _relation_table(lat: ModeLattice, obs):
     SLM_printed = node_sum(slm_terms)
 
     rows = [
-        ("[P+,P-] = 0", commutator(P_plus, P_minus), zero, True, "momentum components commute"),
-        ("[P+,P3] = 0", commutator(P_plus, P_3), zero, True, ""),
-        ("[P-,P3] = 0", commutator(P_minus, P_3), zero, True, ""),
-        ("[S+,S-] = 0", commutator(S_plus, S_minus), zero, True, "helicity components commute"),
-        ("[S+,S3] = 0", commutator(S_plus, S_3), zero, True, ""),
-        ("[S-,S3] = 0", commutator(S_minus, S_3), zero, True, ""),
-        ("[P+,S+] = 0", commutator(P_plus, S_plus), zero, True, "momentum commutes with helicity"),
-        ("[P+,S-] = 0", commutator(P_plus, S_minus), zero, True, ""),
-        ("[P+,S3] = 0", commutator(P_plus, S_3), zero, True, ""),
-        ("[P3,S+] = 0", commutator(P_3, S_plus), zero, True, ""),
-        ("[P3,S3] = 0", commutator(P_3, S_3), zero, True, ""),
-        ("[L3,P3] = 0", commutator(L_3, P_3), zero, True, ""),
-        ("[S3,L+] = 0", commutator(S_3, L_plus), zero, True, ""),
-        ("[S3,L-] = 0", commutator(S_3, L_minus), zero, True, ""),
-        ("[S3,L3] = 0", commutator(S_3, L_3), zero, True, ""),
-        ("[L+,L3] = hbar L+", commutator(L_plus, L_3), hbar * L_plus, True, ""),
-        ("[L-,L3] = -hbar L-", commutator(L_minus, L_3), (-hbar) * L_minus, True, ""),
+        ("[P+,P-] = 0", P_plus, P_minus, zero, True, "momentum components commute"),
+        ("[P+,P3] = 0", P_plus, P_3, zero, True, ""),
+        ("[P-,P3] = 0", P_minus, P_3, zero, True, ""),
+        ("[S+,S-] = 0", S_plus, S_minus, zero, True, "helicity components commute"),
+        ("[S+,S3] = 0", S_plus, S_3, zero, True, ""),
+        ("[S-,S3] = 0", S_minus, S_3, zero, True, ""),
+        ("[P+,S+] = 0", P_plus, S_plus, zero, True, "momentum commutes with helicity"),
+        ("[P+,S-] = 0", P_plus, S_minus, zero, True, ""),
+        ("[P+,S3] = 0", P_plus, S_3, zero, True, ""),
+        ("[P3,S+] = 0", P_3, S_plus, zero, True, ""),
+        ("[P3,S3] = 0", P_3, S_3, zero, True, ""),
+        ("[L3,P3] = 0", L_3, P_3, zero, True, ""),
+        ("[S3,L+] = 0", S_3, L_plus, zero, True, ""),
+        ("[S3,L-] = 0", S_3, L_minus, zero, True, ""),
+        ("[S3,L3] = 0", S_3, L_3, zero, True, ""),
+        ("[L+,L3] = hbar L+", L_plus, L_3, hbar * L_plus, True, ""),
+        ("[L-,L3] = -hbar L-", L_minus, L_3, (-hbar) * L_minus, True, ""),
         (
             "[L+,L-] = 2 hbar^2 sum (kz^2/kp^2) Lambda3",
-            commutator(L_plus, L_minus),
+            L_plus, L_minus,
             LL_rhs,
             False,
             "grid-factor RHS",
         ),
-        ("[L3,P-] = hbar P-", commutator(L_3, P_minus), hbar * _strip_scalar(P_minus), False, ""),
+        ("[L3,P-] = hbar P-", L_3, P_minus, hbar * _strip_scalar(P_minus), False, ""),
         (
             "[L+,P-] = hbar P3",
-            commutator(L_plus, P_minus),
+            L_plus, P_minus,
             hbar * _strip_scalar(P_3),
             False,
             "matrix parts; zero-point scalar excluded from both sides",
         ),
-        ("[L+,P3] = 0", commutator(L_plus, P_3), zero, False, ""),
+        ("[L+,P3] = 0", L_plus, P_3, zero, False, ""),
         (
             "[L+,P+] = hbar^2 sum kz a+_{m-1} a_{m+1}",
-            commutator(L_plus, P_plus),
+            L_plus, P_plus,
             LPP_rhs,
             False,
             "grid-factor RHS",
         ),
         (
             "[S+,L3] = -hbar^2 sum (c kp/omega) Sigma+",
-            commutator(S_plus, L_3),
+            S_plus, L_3,
             SL3_rhs,
             False,
             "grid-factor RHS",
         ),
         (
             "[S+,L+] = -hbar S3 (printed)",
-            commutator(S_plus, L_plus),
+            S_plus, L_plus,
             (-hbar) * _strip_scalar(S_3),
             False,
             "printed RHS does not match the computed algebra; see companion relation",
         ),
         (
             "[S+,L+] = +(hbar/2) S3 (computed)",
-            commutator(S_plus, L_plus),
+            S_plus, L_plus,
             (0.5 * hbar) * _strip_scalar(S_3),
             False,
             "computed normal form is -1/2 of the printed RHS",
         ),
         (
             "[S+,L-] = -i hbar^2 sum (c kz/omega)(a1_{m-1} a2+_{m+1} - a2_{m-1} a1+_{m+1}) (printed)",
-            commutator(S_plus, L_minus),
+            S_plus, L_minus,
             SLM_printed,
             False,
             "printed RHS (summed over m) does not match the computed algebra; "
@@ -257,7 +253,7 @@ def _relation_table(lat: ModeLattice, obs):
         ),
         (
             "[S+,L-] = -(1/2) x printed RHS (computed)",
-            commutator(S_plus, L_minus),
+            S_plus, L_minus,
             (-0.5) * SLM_printed,
             False,
             "computed normal form is exactly -1/2 of the printed combination",
@@ -285,14 +281,25 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL, fock_check=True):
     Canonical relations are expected to pass; relations whose printed
     form conflicts with the computed algebra stay in the list with
     pass=False and a companion entry giving the computed normal form.
+    A table row's residual is max|[A,B] - RHS| / (|A|max |B|max), so `tol`
+    is relative there; the Stokes and Fock rows stay absolute.
     """
     obs = build_observables(lat, include_zero_point=False)
     interior = _interior_indices(lat)
     results = []
-    for name, lhs, rhs, canonical, notes in _relation_table(lat, obs):
-        resid = (lhs - rhs).restrict(interior).max_abs()
-        tag = "canonical; " if canonical else ""
-        results.append(RelationResult.from_norm("commutator: " + name, resid, tol, tag + notes))
+    lhs = {}
+    for name, A, B, rhs, canonical, notes in _relation_table(lat, obs):
+        key = (id(A), id(B))
+        if key not in lhs:
+            lhs[key] = commutator(A, B)
+        # entries of [A, B] grow like |A|max |B|max with the lattice size
+        scale = _strip_scalar(A).max_abs() * _strip_scalar(B).max_abs()
+        resid = (lhs[key] - rhs).restrict(interior).max_abs() / scale
+        parts = (["canonical"] if canonical else []) + ([notes] if notes else [])
+        parts.append(f"residual relative to |A|max |B|max = {scale:.6g}")
+        results.append(
+            RelationResult.from_norm("commutator: " + name, resid, tol, "; ".join(parts))
+        )
 
     # Per-node Stokes su(2) algebra, worst case over all nodes and m
     worst = 0.0
@@ -830,13 +837,16 @@ def quadrature_suite(pairs=None, dom=None, rel_tol=QUAD_REL_TOL, margin=2.0):
         fine = numeric_fn(quad_fine, F_f)
         est = abs(fine - coarse) / scale
         resid = abs(fine - analytic) / scale
-        if est > rel_tol:
+        inconclusive = bool(est > rel_tol)
+        if inconclusive:
             notes = (
                 f"inconclusive: convergence estimate {est:.3e} above tolerance; " + notes
             )
         else:
             notes = f"convergence estimate {est:.3e}; " + notes
-        results.append(RelationResult.from_norm("quadrature: " + name, resid, rel_tol, notes))
+        results.append(
+            RelationResult.from_norm("quadrature: " + name, resid, rel_tol, notes, inconclusive)
+        )
         return fine
 
     scalar_weight = lambda KP, KZ: (KP**2 + KZ**2) / (KP * KZ**2)
@@ -1001,39 +1011,11 @@ def energy_per_photon_check(rel_width=0.02, tol=0.01, margin=2.0):
 # ---------------------------------------------------------------------------
 
 
-def _vsh_grid(j, m, theta, phi):
-    """(Y^E, Y^M) transverse harmonics on broadcastable angle grids.
-
-    Vectorized restatement of specfun.vector_spherical_harmonic: the
-    theta derivative comes from the ladder identity, so the expressions
-    stay finite as long as the grid avoids the exact poles.
-    Returns two arrays shaped theta.shape + (3,), Cartesian components.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    st, ct = np.sin(theta), np.cos(theta)
-    dth = np.zeros(np.broadcast(theta, phi).shape, dtype=complex)
-    if m + 1 <= j:
-        dth = dth + 0.5 * math.sqrt((j - m) * (j + m + 1)) * sph_harm_y(
-            j, m + 1, theta, phi
-        ) * np.exp(-1j * phi)
-    if m - 1 >= -j:
-        dth = dth - 0.5 * math.sqrt((j + m) * (j - m + 1)) * sph_harm_y(
-            j, m - 1, theta, phi
-        ) * np.exp(1j * phi)
-    if m == 0:
-        dphi_over_sin = np.zeros_like(dth)
-    else:
-        dphi_over_sin = 1j * m * sph_harm_y(j, m, theta, phi) / st
-    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=-1)
-    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi + theta)], axis=-1)
-    ye = (dth[..., None] * that + dphi_over_sin[..., None] * phat) / (j * (j + 1))
-    n_hat = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-    ym = np.cross(n_hat, ye)
-    return ye, ym
+# The VSH formula lives in specfun; perfbench's tracer wraps it here by this name.
+_vsh_grid = specfun.vsh_grid
 
 
-def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, n_phi=None):
+def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0):
     """(alpha_E, alpha_M): coefficients of the spherical angular profiles.
 
     Defined by  F(r) = sum_j [alpha_E V^E_j + alpha_M V^M_j](r)  with
@@ -1045,8 +1027,7 @@ def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, n_phi=None):
         return 0.0 + 0.0j, 0.0 + 0.0j
     omega = c * math.hypot(k_perp, k_z)
     theta0 = math.acos(c * k_z / omega)
-    if n_phi is None:
-        n_phi = 8 * (abs(m) + j + 4)
+    n_phi = 8 * (abs(m) + j + 4)
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     ring = cone_density(which, m, k_perp, k_z, phis, c)
     ye, ym = _vsh_grid(j, m, np.full(n_phi, theta0), phis)
@@ -1077,22 +1058,18 @@ def printed_uv(m, k_perp, k_z, j, m_j, c=1.0):
     return u, v
 
 
-def _spherical_wave_pair(j, m, omega, point, n_theta=None, n_phi=None, c=1.0):
+def _spherical_wave_pair(j, m, omega, point, c=1.0):
     """(V^E_j, V^M_j)(r), V^(i)_j = int dOmega Y^(i)_jm(n) e^{i (omega/c) n . r}, by quadrature."""
     x, y, z = point
     r = math.sqrt(x * x + y * y + z * z)
-    if n_theta is None:
-        n_theta = j + 40
-    if n_phi is None:
-        n_phi = int(8 * (abs(m) + omega * r / c + 4))
+    n_theta = j + 40
+    n_phi = int(8 * (abs(m) + omega * r / c + 4))
     ct, wt = roots_legendre(n_theta)
     st = np.sqrt(1.0 - ct * ct)
-    phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
-    TH = np.arccos(ct)[:, None] * np.ones((1, n_phi))
-    PH = np.ones((n_theta, 1)) * phis[None, :]
-    ye, ym = _vsh_grid(j, m, TH, PH)
+    phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)[None, :]
+    ye, ym = _vsh_grid(j, m, np.arccos(ct)[:, None], phis)
     kdotr = (omega / c) * (
-        st[:, None] * np.cos(PH) * x + st[:, None] * np.sin(PH) * y + ct[:, None] * z
+        st[:, None] * np.cos(phis) * x + st[:, None] * np.sin(phis) * y + ct[:, None] * z
     )
     wgt = (wt[:, None] * np.exp(1j * kdotr)) * (2 * math.pi / n_phi)
     ve = np.tensordot(wgt, ye, axes=([0, 1], [0, 1]))
@@ -1100,24 +1077,19 @@ def _spherical_wave_pair(j, m, omega, point, n_theta=None, n_phi=None, c=1.0):
     return ve, vm
 
 
-def reconstruct(which, m, k_perp, k_z, point, j_max, c=1.0, checkpoints=()):
-    """Truncated spherical reconstruction of M or N at a Cartesian point.
+def partial_sums(which, m, k_perp, k_z, point, j_max, c=1.0):
+    """Truncated spherical sums of M or N at a Cartesian point.
 
-    With `checkpoints`, also returns {j: partial sum after degree j}.
+    Yields (j, alpha_E, alpha_M, sum of the terms of degree <= j) for
+    j = max(1, |m|) .. j_max.
     """
     omega = c * math.hypot(k_perp, k_z)
     total = np.zeros(3, dtype=complex)
-    partial = {}
     for j in range(max(1, abs(m)), j_max + 1):
         aE, aM = expansion_coefficients(which, m, k_perp, k_z, j, c)
-        if max(abs(aE), abs(aM)) > 1e-300:
-            ve, vm = _spherical_wave_pair(j, m, omega, point, c=c)
-            total = total + aE * ve + aM * vm
-        if j in checkpoints:
-            partial[j] = total.copy()
-    if checkpoints:
-        return total, partial
-    return total
+        ve, vm = _spherical_wave_pair(j, m, omega, point, c=c)
+        total = total + aE * ve + aM * vm
+        yield j, aE, aM, total
 
 
 def spherical_suite(samples=None, j_max=60, m=2, k_perp=1.0, k_z=2.0, tol=1e-3):
@@ -1217,10 +1189,14 @@ def spherical_suite(samples=None, j_max=60, m=2, k_perp=1.0, k_z=2.0, tol=1e-3):
         point = (rho * math.cos(phi), rho * math.sin(phi), z)
         p = CylPoint(rho, phi, z, 0.0)
         for which, evaluator in (("N", eval_N), ("M", eval_M)):
-            rec, partial = reconstruct(which, m, k_perp, k_z, point, j_max, c, checkpoints)
+            partial = {
+                j: total
+                for j, _, _, total in partial_sums(which, m, k_perp, k_z, point, j_max, c)
+                if j in checkpoints
+            }
             direct = evaluator(m, k_perp, k_z, p, c=c).to_cartesian().components
             ref = float(np.abs(direct).max())
-            worst = max(worst, float(np.abs(rec - direct).max() / ref))
+            worst = max(worst, float(np.abs(partial[j_max] - direct).max() / ref))
             tail.append([float(np.abs(partial[j] - direct).max() / ref) for j in checkpoints])
     tail_max = np.max(tail, axis=0)
     monotone = bool(np.all(np.diff(tail_max) <= 0))

@@ -64,6 +64,28 @@ class TestExitCodes:
         assert report["metadata"]["unexpected_failures"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--m", "2", "--kperp", "1", "--kz", "2", "--rho-sample", "-1"],
+        ["expand", "--m", "300", "--kperp", "1", "--kz", "2"],
+        ["field", "--family", "tm", "--m", "500", "--kperp", "1", "--kz", "2", "--grid", "2x2"],
+        ["field", "--family", "tm", "--m", "1", "--kperp", "1", "--kz", "2", "--extent", "nan"],
+        ["verify", "basis", "--m-range=0..1"],
+        ["verify", "commutators", "--m-range=0..2"],
+        ["verify", "commutators", "--kperp", "0"],
+    ],
+    ids=["rho-sample", "expand-order", "field-order", "extent-nan", "basis-narrow",
+         "commutators-narrow", "kperp-zero"],
+)
+def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("besselbeams: error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spaced", [True, False], ids=["spaced", "joined"])
 @pytest.mark.parametrize("command", [["verify", "basis"], ["expect"]], ids=["verify", "expect"])
 def test_negative_lattice_flag_values(command, spaced, capsys):

@@ -22,6 +22,7 @@ from besselbeams.specfun import (
     lommel_overlap_equal,
     spherical_harmonic,
     vector_spherical_harmonic,
+    vsh_grid,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -158,6 +159,14 @@ class TestLegendre:
             assoc_legendre_prime(2, 1, 1.0)
 
 
+def _random_directions(n):
+    """(unit vectors (n, 3), theta, phi) away from the poles."""
+    theta = np.arccos(RNG.uniform(-0.99, 0.99, n))
+    phi = RNG.uniform(-math.pi, math.pi, n)
+    dirs = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], -1)
+    return dirs, theta, phi
+
+
 class TestVectorSphericalHarmonic:
     def test_transverse_to_direction(self):
         for j, m in [(1, 0), (2, 2), (3, -1), (4, 3)]:
@@ -167,30 +176,37 @@ class TestVectorSphericalHarmonic:
                 for kind in ("E", "M"):
                     y = vector_spherical_harmonic(kind, j, m, n)
                     assert abs(np.dot(n, y)) < 1e-10
+            # the whole array in one vsh_grid call, equal to the per-direction values
+            dirs, theta, phi = _random_directions(50)
+            for kind, y in zip("EM", vsh_grid(j, m, theta, phi)):
+                assert y.shape == (50, 3)
+                assert np.abs(np.einsum("ni,ni->n", dirs, y)).max() < 1e-10
+                single = [vector_spherical_harmonic(kind, j, m, n) for n in dirs]
+                assert np.allclose(y, single, rtol=0, atol=1e-14)
 
     def test_m_is_n_cross_e(self):
         n = np.array([0.3, -0.4, math.sqrt(1 - 0.25)])
         ye = vector_spherical_harmonic("E", 3, 1, n)
         ym = vector_spherical_harmonic("M", 3, 1, n)
         assert np.allclose(ym, np.cross(n, ye), atol=1e-14)
+        dirs, theta, phi = _random_directions(200)
+        for j, m in [(1, -1), (3, 1), (6, 0), (11, -7)]:
+            ye, ym = vsh_grid(j, m, theta, phi)
+            assert np.allclose(ym, np.cross(dirs, ye), rtol=0, atol=1e-14)
 
     def test_sphere_norm(self):
-        # int |Y^E|^2 dOmega = 1/(j(j+1)), by product quadrature
-        j, m = 3, 2
+        # int |Y^E|^2 dOmega = int |Y^M|^2 dOmega = 1/(j(j+1)), by product
+        # quadrature over one vsh_grid call
         nt, nph = 60, 80
         from scipy.special import roots_legendre
 
         ct, wt = roots_legendre(nt)
         phis = np.linspace(0, 2 * math.pi, nph, endpoint=False)
-        acc = 0.0
-        for cti, wti in zip(ct, wt):
-            theta = math.acos(cti)
-            st_ = math.sin(theta)
-            for ph in phis:
-                n = np.array([st_ * math.cos(ph), st_ * math.sin(ph), cti])
-                y = vector_spherical_harmonic("E", j, m, n)
-                acc += wti * (2 * math.pi / nph) * float(np.vdot(y, y).real)
-        assert acc == pytest.approx(1.0 / (j * (j + 1)), rel=1e-10)
+        w2d = wt[:, None] * (2 * math.pi / nph)
+        for j, m in [(3, 2), (1, 0), (7, -5)]:
+            for y in vsh_grid(j, m, np.arccos(ct)[:, None], phis[None, :]):
+                acc = np.sum(w2d * np.einsum("abi,abi->ab", y, y.conj()).real)
+                assert acc == pytest.approx(1.0 / (j * (j + 1)), rel=1e-10)
 
     def test_scalar_harmonic_orthonormality(self):
         from scipy.special import roots_legendre
