@@ -487,7 +487,7 @@ def cmd_expand(args, cfg):
 
     mags, rows = [], []
     for j, aE, aM, total in partial_sums(which, args.m, args.kperp, args.kz, point, args.jmax, c):
-        err = float(np.abs(total - direct).max() / ref)
+        err = float(np.abs(total - direct).max() / (ref or 1.0))
         mags.append(abs(aE))
         rows.append((j, aE, aM, err))
 
@@ -502,8 +502,10 @@ def cmd_expand(args, cfg):
         "# rows carry m_j = m only: coefficients vanish identically otherwise",
         f"# coefficient decay below 1e-3 of peak beyond j ~ omega*rho = {_fmt(omega * rho / c)}"
         + (f" (first such j: {decay_j})" if decay_j is not None else ""),
-        "j,u_re,u_im,v_re,v_im,recon_rel_err",
     ]
+    if ref == 0:  # on the axis for |m| >= 2, and for M at m = 0
+        lines.append("# the sampled field is zero: recon_rel_err holds the absolute error")
+    lines.append("j,u_re,u_im,v_re,v_im,recon_rel_err")
     for j, aE, aM, err in rows:
         lines.append(
             f"{j},{_fmt(aE.real)},{_fmt(aE.imag)},{_fmt(aM.real)},{_fmt(aM.imag)},{_fmt(err)}"

@@ -18,6 +18,8 @@ import numpy as np
 from scipy.special import jv, lpmv, sph_harm_y
 
 MAX_ORDER = 200
+# below this sin(theta), vsh_grid takes m Y_jm / sin(theta) from the ladder identity
+_POLE_SIN = 1e-8
 
 
 class DomainError(ValueError):
@@ -79,12 +81,39 @@ def bessel_j_over_x(m, x, eps=1e-4):
     return out[0] if scalar else out
 
 
+# Tables of bessel_j_outer, keyed on (|m|, k bytes, x bytes).  The quadrature
+# suite asks for each of its 15 distinct grids about 6 times over (98 calls,
+# coarse and fine grids interleaved), so the cap holds one whole suite: about
+# 100 MB at the default margin.
+_OUTER_CACHE = {}
+_OUTER_CACHE_SIZE = 16
+
+
 def bessel_j_outer(m, k, x):
-    """J_m(k_i x_j) on the outer product grid of scale factors and abscissas."""
+    """J_m(k_i x_j) on the outer product grid of scale factors and abscissas.
+
+    Tables are cached on |m| and the exact bytes of `k` and `x`, holding at
+    most ``_OUTER_CACHE_SIZE`` of them (oldest dropped first).  Negative
+    orders come from J_{-m} = (-1)^m J_m, which matches ``jv(-m, .)`` bit
+    for bit.  The returned array is read-only.
+    """
     m = int(m)
     if abs(m) > MAX_ORDER:
         raise DomainError(f"Bessel order |m|={abs(m)} exceeds {MAX_ORDER}")
-    return jv(m, np.outer(k, x))
+    k = np.asarray(k, dtype=float)
+    x = np.asarray(x, dtype=float)
+    key = (abs(m), k.tobytes(), x.tobytes())
+    table = _OUTER_CACHE.get(key)
+    if table is None:
+        table = jv(abs(m), np.outer(k, x))
+        table.setflags(write=False)
+        if len(_OUTER_CACHE) >= _OUTER_CACHE_SIZE:
+            del _OUTER_CACHE[next(iter(_OUTER_CACHE))]
+        _OUTER_CACHE[key] = table
+    if m < 0 and m % 2:
+        table = -table
+        table.setflags(write=False)
+    return table
 
 
 def lommel_overlap(m, k, k2, R):
@@ -161,25 +190,33 @@ def vsh_grid(j, m, theta, phi):
 
     Y^(E)_jm = grad_n Y_jm / (j(j+1)),  Y^(M)_jm = n x Y^(E)_jm, with theta
     and phi broadcast against each other.  The theta derivative comes from
-    the ladder identity, so the values stay finite as long as the grid
-    avoids the exact poles.  Returns two complex arrays shaped
+    the ladder identity.  So does the m Y_jm / sin(theta) term where
+    sin(theta) < _POLE_SIN, through m cot(theta) Y_jm; the values are finite
+    and exact on the poles too.  Returns two complex arrays shaped
     broadcast(theta, phi).shape + (3,), Cartesian components.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     st, ct = np.sin(theta), np.cos(theta)
-    dth = np.zeros(theta.shape, dtype=complex)
+    # dY/dtheta = up - dn and m cot(theta) Y_jm = -(up + dn)
+    up = dn = 0.0
     if m + 1 <= j:
-        dth = dth + 0.5 * math.sqrt((j - m) * (j + m + 1)) * sph_harm_y(
+        up = 0.5 * math.sqrt((j - m) * (j + m + 1)) * sph_harm_y(
             j, m + 1, theta, phi
         ) * np.exp(-1j * phi)
     if m - 1 >= -j:
-        dth = dth - 0.5 * math.sqrt((j + m) * (j - m + 1)) * sph_harm_y(
+        dn = 0.5 * math.sqrt((j + m) * (j - m + 1)) * sph_harm_y(
             j, m - 1, theta, phi
         ) * np.exp(1j * phi)
+    dth = np.zeros(theta.shape, dtype=complex) + up - dn
     if m == 0:
         dphi_over_sin = np.zeros_like(dth)
     else:
-        dphi_over_sin = 1j * m * sph_harm_y(j, m, theta, phi) / st
+        pole = st < _POLE_SIN
+        dphi_over_sin = np.where(
+            pole,
+            -1j * (up + dn) / np.where(pole, ct, 1.0),
+            1j * m * sph_harm_y(j, m, theta, phi) / np.where(pole, 1.0, st),
+        )
     that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=-1)
     phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(theta)], axis=-1)
     ye = (dth[..., None] * that + dphi_over_sin[..., None] * phat) / (j * (j + 1))
@@ -206,8 +243,5 @@ def vector_spherical_harmonic(kind, j, m, direction):
         raise DomainError("direction must be unit-normalized to 1e-12")
     theta = math.acos(np.clip(n[2], -1.0, 1.0))
     phi = math.atan2(n[1], n[0])
-    if math.sin(theta) < 1e-9:
-        # Y_jm / sin(theta) is 0/0 exactly at the poles; nudge off-axis.
-        theta = 1e-9 if theta < 1.0 else math.pi - 1e-9
     ye, ym = vsh_grid(j, m, theta, phi)
     return ye if kind == "E" else ym

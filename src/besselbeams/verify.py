@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import roots_legendre, spherical_jn
 
 from . import specfun
 from .lattice import (
@@ -1059,21 +1059,24 @@ def printed_uv(m, k_perp, k_z, j, m_j, c=1.0):
 
 
 def _spherical_wave_pair(j, m, omega, point, c=1.0):
-    """(V^E_j, V^M_j)(r), V^(i)_j = int dOmega Y^(i)_jm(n) e^{i (omega/c) n . r}, by quadrature."""
+    """(V^E_j, V^M_j)(r), V^(i)_j = int dOmega Y^(i)_jm(n) e^{i (omega/c) n . r}, closed form.
+
+    Rayleigh's plane-wave expansion (Jackson, Classical Electrodynamics,
+    ch. 9) gives, with k = omega/c, r > 0 and n = r/|r|,
+        V^M_j = 4 pi i^j j_j(kr) Y^M_jm(n),
+        V^E_j = 4 pi i^(j+3) [(j_j/kr) Y_jm(n) n + (j_j/kr + j_j') Y^E_jm(n)].
+    """
     x, y, z = point
     r = math.sqrt(x * x + y * y + z * z)
-    n_theta = j + 40
-    n_phi = int(8 * (abs(m) + omega * r / c + 4))
-    ct, wt = roots_legendre(n_theta)
-    st = np.sqrt(1.0 - ct * ct)
-    phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)[None, :]
-    ye, ym = _vsh_grid(j, m, np.arccos(ct)[:, None], phis)
-    kdotr = (omega / c) * (
-        st[:, None] * np.cos(phis) * x + st[:, None] * np.sin(phis) * y + ct[:, None] * z
+    kr = omega * r / c
+    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+    ye, ym = _vsh_grid(j, m, theta, phi)
+    jj, jp = spherical_jn(j, kr), spherical_jn(j, kr, derivative=True)
+    n_hat = np.array(point, dtype=float) / r
+    ve = 4 * math.pi * 1j ** (j + 3) * (
+        (jj / kr) * specfun.spherical_harmonic(j, m, theta, phi) * n_hat + (jj / kr + jp) * ye
     )
-    wgt = (wt[:, None] * np.exp(1j * kdotr)) * (2 * math.pi / n_phi)
-    ve = np.tensordot(wgt, ye, axes=([0, 1], [0, 1]))
-    vm = np.tensordot(wgt, ym, axes=([0, 1], [0, 1]))
+    vm = 4 * math.pi * 1j**j * jj * ym
     return ve, vm
 
 

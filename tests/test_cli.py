@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -257,3 +258,21 @@ class TestExpand:
         code, _, err = run(["expand", "--m", "2", "--kperp", "1.0", "--kz", "2.0",
                             "--jmax", "0"], capsys)
         assert code == 2
+
+    def test_on_axis_sample(self, capsys):
+        # on the axis M and N vanish for |m| >= 2: the column then holds the
+        # absolute error; for |m| <= 1 the reconstruction stays exact
+        for which in ("M", "N"):
+            for m in (-1, 0, 1, 2, -3):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, out, _ = run(["expand", "--m", str(m), "--kperp", "1.0", "--kz", "2.0",
+                                        "--which", which, "--jmax", "12", "--rho-sample", "0"],
+                                       capsys)
+                assert code == 0
+                errs = [float(ln.split(",")[-1]) for ln in out.strip().split("\n")
+                        if ln[0].isdigit()]
+                assert all(math.isfinite(e) for e in errs), (which, m)
+                zero_field = abs(m) >= 2 or (which, m) == ("M", 0)
+                assert ("# the sampled field is zero" in out) == zero_field, (which, m)
+                assert errs[-1] <= 1e-12, (which, m, errs[-1])

@@ -114,6 +114,43 @@ class TestBessel:
         assert out.shape == (2, 3)
         assert out[1, 2] == pytest.approx(jv(2, 6.0), abs=1e-15)
 
+    def test_outer_negative_orders_bitwise(self):
+        # J_{-m} = (-1)^m J_m folds negative orders onto the cached |m| table
+        k = np.array([0.0, 0.37, 1.0, 2.5])
+        x = np.linspace(0.0, 40.0, 301)
+        for m in range(-8, 9):
+            out = bessel_j_outer(m, k, x)
+            assert out.view(np.int64).tolist() == jv(m, np.outer(k, x)).view(np.int64).tolist(), m
+
+    def test_outer_tables_are_read_only(self):
+        for m in (3, -3, -4):
+            out = bessel_j_outer(m, np.array([0.5, 1.5]), np.array([0.1, 2.0]))
+            assert not out.flags.writeable
+            with pytest.raises(ValueError):
+                out[0, 0] = 1.0
+
+    def test_outer_cache_is_capped(self):
+        x = np.linspace(0.0, 5.0, 7)
+        scales = 1.0 + np.arange(specfun._OUTER_CACHE_SIZE + 5)
+        for s in scales:
+            bessel_j_outer(1, np.array([s]), x)
+        assert len(specfun._OUTER_CACHE) <= specfun._OUTER_CACHE_SIZE
+        # the newest table is kept, the oldest dropped
+        assert (1, scales[:1].tobytes(), x.tobytes()) not in specfun._OUTER_CACHE
+        assert (1, scales[-1:].tobytes(), x.tobytes()) in specfun._OUTER_CACHE
+
+    def test_cached_quadrature_suite_repeats(self):
+        from besselbeams.verify import quadrature_suite
+
+        specfun._OUTER_CACHE.clear()
+        first = [r.to_dict() for r in quadrature_suite(margin=0.25)]
+        cached = dict(specfun._OUTER_CACHE)
+        second = [r.to_dict() for r in quadrature_suite(margin=0.25)]
+        # every table came from the cache: same keys, same array objects
+        assert specfun._OUTER_CACHE.keys() == cached.keys()
+        assert all(specfun._OUTER_CACHE[key] is table for key, table in cached.items())
+        assert second == first
+
     def test_order_cap(self):
         with pytest.raises(DomainError):
             bessel_j(201, 1.0)
@@ -227,6 +264,20 @@ class TestVectorSphericalHarmonic:
         y = vector_spherical_harmonic("E", 2, 1, north)
         assert np.all(np.isfinite(y))
         assert np.linalg.norm(y) > 0
+        # exactly on either pole: finite, independent of phi, zero unless
+        # |m| = 1, and the limit of the values just off the pole
+        phis = np.linspace(-math.pi, math.pi, 9)
+        for j in range(1, 9):
+            for m in range(-j, j + 1):
+                for pole, near in ((0.0, 1e-7), (math.pi, math.pi - 1e-7)):
+                    for y, y_near in zip(vsh_grid(j, m, pole, phis), vsh_grid(j, m, near, phis)):
+                        assert np.all(np.isfinite(y))
+                        if abs(m) != 1:
+                            assert np.abs(y).max() < 1e-15, (j, m, pole)
+                            continue
+                        size = np.abs(y).max()
+                        assert np.abs(y - y[0]).max() <= 1e-14 * size, (j, m, pole)
+                        assert np.abs(y - y_near).max() <= 1e-6 * size, (j, m, pole)
 
     def test_rejects_unnormalized_direction(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import spherical_jn
+from scipy.special import roots_legendre
 
 from besselbeams import specfun
 from besselbeams.lattice import build_lattice
@@ -159,11 +159,39 @@ class TestSphericalSuite:
         assert abs(aE4 / u4) == pytest.approx(abs(aM4 / v4), rel=1e-10)
 
 
+def _spherical_wave_quadrature(j, m, omega, point, c=1.0):
+    """(V^E_j, V^M_j)(r) = int dOmega Y^(i)_jm(n) e^{i (omega/c) n . r} on a
+    (j+40)-node Gauss-Legendre x n_phi-point trapezoid rule over the sphere."""
+    x, y, z = point
+    r = math.sqrt(x * x + y * y + z * z)
+    n_theta = j + 40
+    n_phi = int(8 * (abs(m) + omega * r / c + 4))
+    ct, wt = roots_legendre(n_theta)
+    st = np.sqrt(1.0 - ct * ct)
+    phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)[None, :]
+    ye, ym = specfun.vsh_grid(j, m, np.arccos(ct)[:, None], phis)
+    kdotr = (omega / c) * (
+        st[:, None] * np.cos(phis) * x + st[:, None] * np.sin(phis) * y + ct[:, None] * z
+    )
+    wgt = (wt[:, None] * np.exp(1j * kdotr)) * (2 * math.pi / n_phi)
+    ve = np.tensordot(wgt, ye, axes=([0, 1], [0, 1]))
+    vm = np.tensordot(wgt, ym, axes=([0, 1], [0, 1]))
+    return ve, vm
+
+
+def _closed_form_and_oracle(j, m, omega, kr, theta, phi):
+    r_hat = np.array(
+        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    )
+    point = tuple(kr / omega * r_hat)
+    return _spherical_wave_pair(j, m, omega, point), _spherical_wave_quadrature(j, m, omega, point)
+
+
 class TestSphericalWaves:
     def test_rayleigh_closed_form(self):
-        # V^M_j = 4 pi i^j j_j(kr) Y^M_jm(r^) and V^E_j = -(1/ik) curl V^M_j
-        #       = 4 pi i^(j+3) [(j_j/kr) Y_jm r^ + (j_j/kr + j_j') Y^E_jm]
+        # the shipped closed form against the angular quadrature it replaced
         rng = np.random.default_rng(20261018)
+        cases = []
         for _ in range(24):
             j = int(rng.integers(1, 12))
             m = int(rng.integers(-j, j + 1))
@@ -173,15 +201,17 @@ class TestSphericalWaves:
             kr = rng.uniform(0.5 * j + 0.5, j + 4.0)
             theta = math.acos(rng.uniform(-0.95, 0.95))
             phi = rng.uniform(-math.pi, math.pi)
-            r_hat = np.array(
-                [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-            )
-            ve, vm = _spherical_wave_pair(j, m, omega, tuple(kr / omega * r_hat))
-            ye, ym = specfun.vsh_grid(j, m, theta, phi)
-            y = specfun.spherical_harmonic(j, m, theta, phi)
-            jj, jp = spherical_jn(j, kr), spherical_jn(j, kr, derivative=True)
-            vm_cf = 4 * math.pi * 1j**j * jj * ym
-            ve_cf = 4 * math.pi * 1j ** (j + 3) * ((jj / kr) * y * r_hat + (jj / kr + jp) * ye)
-            scale = max(np.abs(ve_cf).max(), np.abs(vm_cf).max())
-            assert np.abs(vm - vm_cf).max() <= 1e-10 * scale, (j, m, omega, kr)
-            assert np.abs(ve - ve_cf).max() <= 1e-10 * scale, (j, m, omega, kr)
+            cases.append((j, m, omega, kr, theta, phi))
+        # on the axis the transverse harmonics vanish unless |m| = 1, and the
+        # radial Y_jm term of V^E unless m = 0
+        axis = [(j, m, 1.3, j + 2.5, theta, 0.0)
+                for j in (1, 4, 8) for m in (-1, 0, 1) for theta in (0.0, math.pi)]
+        for case in cases + axis:
+            (ve, vm), (ve_q, vm_q) = _closed_form_and_oracle(*case)
+            scale = max(np.abs(ve_q).max(), np.abs(vm_q).max())
+            assert np.abs(vm - vm_q).max() <= 1e-10 * scale, case
+            assert np.abs(ve - ve_q).max() <= 1e-10 * scale, case
+        for j, m in ((2, 2), (4, -2), (8, 3)):
+            for theta in (0.0, math.pi):
+                waves = _closed_form_and_oracle(j, m, 1.3, j + 2.5, theta, 0.0)
+                assert max(np.abs(v).max() for pair in waves for v in pair) < 1e-14, (j, m, theta)
