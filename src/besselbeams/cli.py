@@ -124,6 +124,19 @@ class RunConfig:
     tol_spherical: float = 1e-3
     expected_fail: tuple = DEFAULT_EXPECTED_FAIL
 
+    def __post_init__(self):
+        # one check for file values and flag overrides (--tol) alike
+        for key, value in (
+            ("units.hbar", self.hbar),
+            ("units.c", self.c),
+            ("quadrature.margin", self.quad_margin),
+            ("tol.algebra", self.tol_algebra),
+            ("tol.quadrature", self.tol_quadrature),
+            ("tol.spherical", self.tol_spherical),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise UsageError(f"{key} must be positive and finite, got {_fmt(value)}")
+
     def lattice(self):
         return build_lattice(
             self.m_range,
@@ -306,6 +319,8 @@ def cmd_field(args, cfg):
     n_a, n_b = parse_grid(args.grid)
     if not (math.isfinite(args.extent) and args.extent > 0):
         raise UsageError("--extent must be positive and finite")
+    if not math.isfinite(args.t):
+        raise UsageError("--t must be finite")
     try:
         K = ModeIndex(family, args.m, args.kperp, args.kz)
     except ValueError as exc:
@@ -363,8 +378,6 @@ def cmd_verify(args, cfg):
         raise UsageError(f"unknown suite {args.suite!r}; choose from {SUITES}")
     cfg = _with_lattice_flags(args, cfg)
     if args.tol is not None:
-        if args.tol <= 0:
-            raise UsageError("--tol must be positive")
         cfg = replace(cfg, tol_algebra=args.tol)
 
     results = []

@@ -1,17 +1,19 @@
 """Dynamical observables as quadratic forms on a mode lattice.
 
 Builders for energy, total number, linear momentum, orbital angular
-momentum, helicity, per-node Stokes operators, the elementary Pi / Lambda
-/ Sigma families, the (+/-) and (R/L) ladder basis maps, and the
-spherical-basis su(2) angular momentum.
+momentum, helicity, per-node Stokes operators, the (+/-) and (R/L) ladder
+basis maps, and the spherical-basis su(2) angular momentum.
 
 Conventions
 -----------
 * Discretization: with a(K_j) -> b_j / sqrt(w_j) and int dk -> sum w_j,
   an integrated density  int dk f(k) a^dag a  becomes  sum_j f_j b_j^dag b_j;
-  the node weights cancel.  Elementary per-node operators (Pi, Lambda,
-  Sigma) are therefore exposed in unit-normalized discrete form, and the
-  integrated observables are weight-free sums of them times grid factors.
+  the node weights cancel.  Every integrated operator is therefore a
+  weight-free sum over nodes of a per-node bilinear (the Pi / Lambda /
+  Sigma families) times a grid factor.  `TERMS` lists these sums, one
+  table for the observables, the grid-factor right-hand sides of the
+  commutator table and the basis maps; `assemble` turns an entry into COO
+  triplets and builds its operator in one construction.
 * Vector components: a vector operator is stored through its e_- and e_+
   coefficients, V = V_plus e_- + V_minus e_+ + V_3 e_3 with
   e_+/- = e_1 +/- i e_2, so V_1 = V_plus + V_minus and
@@ -25,8 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 # commutator is unused here; perfbench/tracing.py wraps dynops.commutator by name.
 from .lattice import (  # noqa: F401
@@ -79,54 +83,129 @@ class ObservableSet:
         }
 
 
-def _node_iter(lat: ModeLattice):
-    for ip, (kp, _) in enumerate(lat.k_perp_nodes):
-        for iz, (kz, _) in enumerate(lat.k_z_nodes):
-            yield ip, iz, kp, kz, lat.c * math.hypot(kp, kz)
+class Node(NamedTuple):
+    """The numbers of one (k_perp, k_z) node that a node factor reads."""
+
+    hbar: float
+    c: float
+    kp: float
+    kz: float
+    w: float
 
 
-def elementary_pi(lat: ModeLattice, family, ip, iz):
-    """Per-node momentum ladder operators {+, -, 3} for one family.
+# Per-node bilinears: rows (row family, column family, m shift, coefficient in
+# m), each  sum_m coefficient(m) b^dag_{row family, m + shift} b_{column family, m}
+# over every m with both labels on the lattice.  EACH stands for every family
+# on the lattice, the same on both sides; 1 = TM and 2 = TE.
+EACH = None
+# Pi_+ = i sum_m b^dag_{m-1} b_m,  Pi_3 = sum_m N_m
+PI_PLUS = ((EACH, EACH, -1, 1j),)
+PI_3 = ((EACH, EACH, 0, 1.0),)
+# Lambda_+ = i sum_m (m - 1/2) b^dag_{m-1} b_m,  Lambda_3 = sum_m m N_m
+LAMBDA_PLUS = ((EACH, EACH, -1, lambda m: 1j * (m - 0.5)),)
+LAMBDA_3 = ((EACH, EACH, 0, lambda m: m),)
+# Sigma_+ = (1/2) sum_m (b2^dag_m b1_{m-1} - b1^dag_m b2_{m-1}),
+# Sigma_3 = i sum_m (b1^dag_m b2_m - b2^dag_m b1_m)
+SIGMA_PLUS = ((TE, TM, 1, 0.5), (TM, TE, 1, -0.5))
+SIGMA_3 = ((TM, TE, 0, 1j), (TE, TM, 0, -1j))
 
-    Pi_+ = i sum_m b^dag_{m-1} b_m,  Pi_- = Pi_+^dag,  Pi_3 = sum_m N_m
-    (symmetrized: zero point in the scalar part of Pi_3).
-    """
+
+def _pair_block(beta):
+    """new_TM = n (b^(TM)_m + i beta b^(TE)_m),  new_TE = n (b^(TM)_m - i beta b^(TE)_m),
+    n = 1/sqrt(1 + beta^2), with beta(node) read per node."""
+
+    def nrm(n):
+        return 1.0 / math.sqrt(1.0 + beta(n) ** 2)
+
+    return (
+        (((TM, TM, 0, 1.0), (TE, TM, 0, 1.0)), nrm),
+        (((TM, TE, 0, 1j), (TE, TE, 0, -1j)), lambda n: beta(n) * nrm(n)),
+    )
+
+
+# Every lattice operator as a sum of (per-node bilinear, node factor) terms.
+# A node factor is Python float arithmetic on one Node, so each coefficient
+# is rounded the same way whatever the lattice size.
+TERMS = {
+    # energy = hbar sum w N_m,  number = sum N_m
+    "energy": ((PI_3, lambda n: n.hbar * n.w),),
+    "number": ((PI_3, lambda n: 1.0),),
+    # P = hbar sum [k_perp Pi_+ e_- + k_perp Pi_- e_+ + k_z Pi_3 e_3]
+    "P+": ((PI_PLUS, lambda n: n.hbar * n.kp),),
+    "P3": ((PI_3, lambda n: n.hbar * n.kz),),
+    # L = hbar sum [(k_z/k_perp) Lambda_+ e_- + (k_z/k_perp) Lambda_- e_+ + Lambda_3 e_3]
+    "L+": ((LAMBDA_PLUS, lambda n: n.hbar * n.kz / n.kp),),
+    "L3": ((LAMBDA_3, lambda n: n.hbar),),
+    # S = hbar sum (c/w) [k_perp Sigma_+ e_- + k_perp Sigma_- e_+ + k_z Sigma_3 e_3]
+    "S+": ((SIGMA_PLUS, lambda n: n.hbar * n.c * n.kp / n.w),),
+    "S3": ((SIGMA_3, lambda n: n.hbar * n.c * n.kz / n.w),),
+    # grid-factor right-hand sides of the commutator table in verify
+    "[L+,L-]": ((LAMBDA_3, lambda n: 2.0 * n.hbar**2 * n.kz**2 / n.kp**2),),
+    "[L+,P+]": ((((EACH, EACH, -2, 1.0),), lambda n: n.hbar**2 * n.kz),),
+    "[S+,L3]": ((SIGMA_PLUS, lambda n: -(n.hbar**2) * n.c * n.kp / n.w),),
+    # printed: -i hbar^2 sum (c k_z/w) sum_m (b2^dag_{m+1} b1_{m-1} - b1^dag_{m+1} b2_{m-1})
+    "[S+,L-] printed": (
+        (((TE, TM, 2, -1j), (TM, TE, 2, 1j)), lambda n: n.hbar**2 * n.c * n.kz / n.w),
+    ),
+    # basis maps, one 2x2 block per (m, node) on the (TM, TE) pair
+    "(+/-) map": _pair_block(lambda n: 1.0),
+    "R/L map": _pair_block(lambda n: n.c * n.kz / n.w),
+}
+
+
+def _nodes(lat: ModeLattice):
+    """Node of every (k_perp, k_z) pair, k_perp-major as in the index layout."""
+    return [
+        Node(lat.hbar, lat.c, kp, kz, lat.c * math.hypot(kp, kz))
+        for kp, _ in lat.k_perp_nodes
+        for kz, _ in lat.k_z_nodes
+    ]
+
+
+def _coeff(coeff, m):
+    return coeff(m) if callable(coeff) else coeff
+
+
+def _triplets(lat: ModeLattice, name):
+    """COO (rows, cols, values) of TERMS[name] summed over every node of `lat`."""
     m_min, m_max = lat.m_range
-    plus = QuadraticOperator.from_terms(
-        lat,
-        [
-            (lat.index(family, m - 1, ip, iz), lat.index(family, m, ip, iz), 1j)
-            for m in range(m_min + 1, m_max + 1)
-        ],
-    )
-    three = QuadraticOperator.from_terms(
-        lat,
-        [(lat.index(family, m, ip, iz), lat.index(family, m, ip, iz), 1.0) for m in lat.m_values],
-        s=0.5 * len(list(lat.m_values)),
-    )
-    return {"+": plus, "-": plus.dagger(), "3": three}
+    shape = (len(lat.k_perp_nodes), len(lat.k_z_nodes))
+    nodes = _nodes(lat)
+    ip, iz = np.indices(shape)
+    rows, cols, vals = [], [], []
+    for bilinear, factor in TERMS[name]:
+        F = np.array([factor(n) for n in nodes]).reshape(shape)
+        for row_fam, col_fam, shift, coeff in bilinear:
+            m = np.arange(max(m_min, m_min - shift), min(m_max, m_max - shift) + 1)[:, None, None]
+            v = _coeff(coeff, m) * F
+            pairs = [(f, f) for f in lat.families] if row_fam is EACH else [(row_fam, col_fam)]
+            for rf, cf in pairs:
+                r = lat.index(rf, m + shift, ip, iz)
+                rows.append(r.ravel())
+                cols.append(lat.index(cf, m, ip, iz).ravel())
+                vals.append(np.broadcast_to(v, r.shape).ravel())
+    # + 0.0 turns the -0.0 parts of the complex products into +0.0
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals) + 0.0
 
 
-def elementary_lambda(lat: ModeLattice, family, ip, iz):
-    """Per-node OAM ladder operators {+, -, 3} for one family.
+def assemble(lat: ModeLattice, name, s=0.0) -> QuadraticOperator:
+    """TERMS[name] on `lat`, built from its COO triplets in one construction."""
+    rows, cols, vals = _triplets(lat, name)
+    D = lat.dim
+    return QuadraticOperator(lat, sp.coo_matrix((vals, (rows, cols)), shape=(D, D)), s)
 
-    Lambda_+ = i sum_m (m - 1/2) b^dag_{m-1} b_m,  Lambda_- = Lambda_+^dag,
-    Lambda_3 = sum_m m N_m.
-    """
-    m_min, m_max = lat.m_range
-    plus = QuadraticOperator.from_terms(
-        lat,
-        [
-            (lat.index(family, m - 1, ip, iz), lat.index(family, m, ip, iz), 1j * (m - 0.5))
-            for m in range(m_min + 1, m_max + 1)
-        ],
-    )
-    three = QuadraticOperator.from_terms(
-        lat,
-        [(lat.index(family, m, ip, iz), lat.index(family, m, ip, iz), float(m)) for m in lat.m_values],
-        s=0.5 * sum(lat.m_values),
-    )
-    return {"+": plus, "-": plus.dagger(), "3": three}
+
+def _zero_point(lat: ModeLattice, name):
+    """Symmetrization c-number of a diagonal TERMS entry: (1/2) sum_m of its
+    coefficients, added node by node and family by family."""
+    ms = np.array(lat.m_values)
+    s = 0.0
+    for ((_, _, _, coeff),), factor in TERMS[name]:
+        half = 0.5 * np.sum(np.broadcast_to(_coeff(coeff, ms), ms.shape))
+        for n in _nodes(lat):
+            for _ in lat.families:
+                s += half * factor(n)
+    return s
 
 
 def _require_both_families(lat):
@@ -134,98 +213,33 @@ def _require_both_families(lat):
         raise LatticeError("operator needs both TM and TE families on the lattice")
 
 
-def elementary_sigma(lat: ModeLattice, ip, iz):
-    """Per-node helicity ladder operators coupling the TM/TE families.
-
-    Sigma_+ = (1/2) sum_m (b2^dag_m b1_{m-1} - b1^dag_m b2_{m-1}),
-    Sigma_- = Sigma_+^dag,
-    Sigma_3 = i sum_m (b1^dag_m b2_m - b2^dag_m b1_m),
-    with 1 = TM and 2 = TE.
-    """
-    _require_both_families(lat)
-    m_min, m_max = lat.m_range
-    terms = []
-    for m in range(m_min + 1, m_max + 1):
-        terms.append((lat.index(TE, m, ip, iz), lat.index(TM, m - 1, ip, iz), 0.5))
-        terms.append((lat.index(TM, m, ip, iz), lat.index(TE, m - 1, ip, iz), -0.5))
-    plus = QuadraticOperator.from_terms(lat, terms)
-    terms3 = []
-    for m in lat.m_values:
-        terms3.append((lat.index(TM, m, ip, iz), lat.index(TE, m, ip, iz), 1j))
-        terms3.append((lat.index(TE, m, ip, iz), lat.index(TM, m, ip, iz), -1j))
-    three = QuadraticOperator.from_terms(lat, terms3)
-    return {"+": plus, "-": plus.dagger(), "3": three}
-
-
 def build_momentum(lat: ModeLattice):
-    """Integrated momentum components (P_plus, P_minus, P_3).
-
-    P = hbar sum_i int dk [k_perp Pi_+ e_- + k_perp Pi_- e_+ + k_z Pi_3 e_3].
-    """
-    hbar = lat.hbar
-    P_plus = QuadraticOperator(lat)
-    P_3 = QuadraticOperator(lat)
-    for ip, iz, kp, kz, _ in _node_iter(lat):
-        for fam in lat.families:
-            pi = elementary_pi(lat, fam, ip, iz)
-            P_plus = P_plus + (hbar * kp) * pi["+"]
-            P_3 = P_3 + (hbar * kz) * pi["3"]
-    return P_plus, P_plus.dagger(), P_3
+    """Integrated momentum components (P_plus, P_minus, P_3); P_3 is
+    symmetrized (zero point in its scalar part)."""
+    P_plus = assemble(lat, "P+")
+    return P_plus, P_plus.dagger(), assemble(lat, "P3", _zero_point(lat, "P3"))
 
 
 def build_energy_number(lat: ModeLattice, include_zero_point=True):
-    """(energy, total number).
-
-    energy = hbar sum_i,m int dk w(k) N_m; the zero point goes to the
-    scalar part iff `include_zero_point`.
-    """
-    hbar = lat.hbar
-    D = lat.dim
-    diag_E = np.zeros(D)
-    for idx in range(D):
-        diag_E[idx] = hbar * lat.omega(idx)
-    sE = 0.5 * diag_E.sum() if include_zero_point else 0.0
-    energy = QuadraticOperator.from_terms(
-        lat, [(i, i, diag_E[i]) for i in range(D)], s=sE
-    )
-    number = QuadraticOperator.from_terms(
-        lat, [(i, i, 1.0) for i in range(D)], s=0.5 * D if include_zero_point else 0.0
-    )
-    return energy, number
+    """(energy, total number); the zero points go to the scalar parts iff
+    `include_zero_point`."""
+    if not include_zero_point:
+        return assemble(lat, "energy"), assemble(lat, "number")
+    hbar_w = _triplets(lat, "energy")[2]  # the diagonal in index order
+    return assemble(lat, "energy", 0.5 * hbar_w.sum()), assemble(lat, "number", 0.5 * lat.dim)
 
 
 def build_orbital(lat: ModeLattice):
-    """Integrated OAM components (L_plus, L_minus, L_3).
-
-    L = hbar sum_i int dk [(k_z/k_perp) Lambda_+ e_- + (k_z/k_perp) Lambda_- e_+
-        + Lambda_3 e_3].
-    """
-    hbar = lat.hbar
-    L_plus = QuadraticOperator(lat)
-    L_3 = QuadraticOperator(lat)
-    for ip, iz, kp, kz, _ in _node_iter(lat):
-        for fam in lat.families:
-            lam = elementary_lambda(lat, fam, ip, iz)
-            L_plus = L_plus + (hbar * kz / kp) * lam["+"]
-            L_3 = L_3 + hbar * lam["3"]
-    return L_plus, L_plus.dagger(), L_3
+    """Integrated OAM components (L_plus, L_minus, L_3); L_3 is symmetrized."""
+    L_plus = assemble(lat, "L+")
+    return L_plus, L_plus.dagger(), assemble(lat, "L3", _zero_point(lat, "L3"))
 
 
 def build_helicity(lat: ModeLattice):
-    """Integrated helicity components (S_plus, S_minus, S_3).
-
-    S = hbar int dk (c/w) [k_perp Sigma_+ e_- + k_perp Sigma_- e_+
-        + k_z Sigma_3 e_3].
-    """
+    """Integrated helicity components (S_plus, S_minus, S_3)."""
     _require_both_families(lat)
-    hbar, c = lat.hbar, lat.c
-    S_plus = QuadraticOperator(lat)
-    S_3 = QuadraticOperator(lat)
-    for ip, iz, kp, kz, w in _node_iter(lat):
-        sig = elementary_sigma(lat, ip, iz)
-        S_plus = S_plus + (hbar * c * kp / w) * sig["+"]
-        S_3 = S_3 + (hbar * c * kz / w) * sig["3"]
-    return S_plus, S_plus.dagger(), S_3
+    S_plus = assemble(lat, "S+")
+    return S_plus, S_plus.dagger(), assemble(lat, "S3")
 
 
 def build_stokes(lat: ModeLattice, ip, iz, m):
@@ -251,23 +265,12 @@ def build_observables(lat: ModeLattice, include_zero_point=True) -> ObservableSe
     )
 
 
-def _pair_block_map(lat: ModeLattice, beta) -> BasisMap:
-    """BasisMap with one 2x2 block per (m, k-node) on the (TM, TE) pair.
-
-    new_TM = n (b^(TM)_m + i beta b^(TE)_m),  new_TE = n (b^(TM)_m - i beta b^(TE)_m),
-    n = 1/sqrt(1 + beta^2), where beta(kz, w) may vary by node.
-    """
+def _pair_block_map(lat: ModeLattice, name) -> BasisMap:
+    """BasisMap T of a pair-block TERMS entry (new index = row, old = column)."""
     _require_both_families(lat)
-    D = lat.dim
-    T = np.zeros((D, D), dtype=complex)
-    for ip, iz, kp, kz, w in _node_iter(lat):
-        b = beta(kz, w)
-        nrm = 1.0 / math.sqrt(1.0 + b**2)
-        for m in lat.m_values:
-            i1 = lat.index(TM, m, ip, iz)
-            i2 = lat.index(TE, m, ip, iz)
-            T[i1, i1], T[i1, i2] = nrm, 1j * b * nrm
-            T[i2, i1], T[i2, i2] = nrm, -1j * b * nrm
+    rows, cols, vals = _triplets(lat, name)
+    T = np.zeros((lat.dim, lat.dim), dtype=complex)
+    T[rows, cols] = vals
     return BasisMap(lat, T)
 
 
@@ -277,7 +280,7 @@ def make_pm_map(lat: ModeLattice) -> BasisMap:
     The (+) combination occupies the TM slot and the (-) combination the
     TE slot at the same (m, k) index; this is the beta = 1 pair block.
     """
-    return _pair_block_map(lat, lambda kz, w: 1.0)
+    return _pair_block_map(lat, "(+/-) map")
 
 
 def make_rl_map(lat: ModeLattice) -> BasisMap:
@@ -294,7 +297,7 @@ def make_rl_map(lat: ModeLattice) -> BasisMap:
     m_min, m_max = lat.m_range
     if m_max - m_min + 1 < 3:
         raise LatticeError("R/L map needs an m_range at least 3 wide")
-    return _pair_block_map(lat, lambda kz, w: lat.c * kz / w)
+    return _pair_block_map(lat, "R/L map")
 
 
 # --------------------------------------------------------------------------

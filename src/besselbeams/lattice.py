@@ -52,6 +52,9 @@ class ModeLattice:
         object.__setattr__(self, "k_perp_nodes", tuple((float(v), float(w)) for v, w in self.k_perp_nodes))
         object.__setattr__(self, "k_z_nodes", tuple((float(v), float(w)) for v, w in self.k_z_nodes))
         object.__setattr__(self, "families", tuple(self.families))
+        for v, w in self.k_perp_nodes + self.k_z_nodes:
+            if not (math.isfinite(v) and math.isfinite(w)):
+                raise LatticeError("lattice nodes need finite values and weights")
         for v, w in self.k_perp_nodes:
             if v <= 0 or w <= 0:
                 raise LatticeError("k_perp nodes need value > 0 and weight > 0")
@@ -76,10 +79,13 @@ class ModeLattice:
         )
 
     def index(self, family, m, ik_perp, ik_z):
-        """Flat single-particle index of (family, m, k_perp node, k_z node)."""
+        """Flat single-particle index of (family, m, k_perp node, k_z node).
+
+        m and the node numbers may be integer arrays; they broadcast together.
+        """
         fi = self.families.index(family)
         m_min, m_max = self.m_range
-        if not (m_min <= m <= m_max):
+        if np.any((m < m_min) | (m > m_max)):
             raise LatticeError(f"m={m} outside range {self.m_range}")
         nm = m_max - m_min + 1
         nkp = len(self.k_perp_nodes)

@@ -38,6 +38,8 @@ class ModeIndex:
     def __post_init__(self):
         if self.family not in (TM, TE):
             raise ValueError(f"family must be TM or TE, got {self.family!r}")
+        if not (math.isfinite(self.k_perp) and math.isfinite(self.k_z)):
+            raise ValueError("k_perp and k_z must be finite")
         if not self.k_perp > 0:
             raise ValueError("k_perp must be > 0")
         if self.k_z == 0:

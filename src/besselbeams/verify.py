@@ -41,11 +41,10 @@ from .lattice import (
     commutator,
 )
 from .dynops import (
+    assemble,
     build_L_spherical,
     build_observables,
     build_stokes,
-    elementary_lambda,
-    elementary_sigma,
     make_pm_map,
     make_rl_map,
     SphericalLattice,
@@ -131,55 +130,17 @@ def _relation_table(lat: ModeLattice, obs):
     Observables are normal-ordered (no zero point) so both sides are pure
     quadratic forms; commutators never produce scalars anyway.
     """
-    hbar, c = lat.hbar, lat.c
+    hbar = lat.hbar
     zero = QuadraticOperator(lat)
     P_plus, P_minus, P_3 = obs.P_plus, obs.P_minus, obs.P_3
     L_plus, L_minus, L_3 = obs.L_plus, obs.L_minus, obs.L_3
     S_plus, S_minus, S_3 = obs.S_plus, obs.S_minus, obs.S_3
 
-    def node_sum(make_terms):
-        out = QuadraticOperator(lat)
-        for ip, (kp, _) in enumerate(lat.k_perp_nodes):
-            for iz, (kz, _) in enumerate(lat.k_z_nodes):
-                out = out + make_terms(ip, iz, kp, kz, c * math.hypot(kp, kz))
-        return out
-
-    # [L+, L-] closes on Lambda_3 weighted by the grid factor kz^2/kp^2
-    LL_rhs = node_sum(
-        lambda ip, iz, kp, kz, w: (2.0 * hbar**2 * kz**2 / kp**2)
-        * _strip_scalar(_sum_families(lat, ip, iz, elementary_lambda, "3"))
-    )
-    # [L+, P+] couples m-1 <- m+1 with weight kz
-    def lpp_terms(ip, iz, kp, kz, w):
-        m_min, m_max = lat.m_range
-        terms = []
-        for fam in lat.families:
-            for m in range(m_min + 1, m_max):
-                terms.append(
-                    (lat.index(fam, m - 1, ip, iz), lat.index(fam, m + 1, ip, iz), hbar**2 * kz)
-                )
-        return QuadraticOperator.from_terms(lat, terms)
-
-    LPP_rhs = node_sum(lpp_terms)
-    # [S+, L3] closes on Sigma_+ weighted by c kp / omega
-    SL3_rhs = node_sum(
-        lambda ip, iz, kp, kz, w: (-(hbar**2) * c * kp / w) * elementary_sigma(lat, ip, iz)["+"]
-    )
-    # printed RHS of [S+, L-]: -i hbar^2 int (c kz / omega)
-    #   sum_m (a2+_{m+1} a1_{m-1} - a1+_{m+1} a2_{m-1})
-    def slm_terms(ip, iz, kp, kz, w):
-        m_min, m_max = lat.m_range
-        terms = []
-        for m in range(m_min + 1, m_max):
-            terms.append(
-                (lat.index(TE, m + 1, ip, iz), lat.index(TM, m - 1, ip, iz), -1j * hbar**2 * c * kz / w)
-            )
-            terms.append(
-                (lat.index(TM, m + 1, ip, iz), lat.index(TE, m - 1, ip, iz), 1j * hbar**2 * c * kz / w)
-            )
-        return QuadraticOperator.from_terms(lat, terms)
-
-    SLM_printed = node_sum(slm_terms)
+    # grid-factor right-hand sides, from the term table in dynops
+    LL_rhs = assemble(lat, "[L+,L-]")
+    LPP_rhs = assemble(lat, "[L+,P+]")
+    SL3_rhs = assemble(lat, "[S+,L3]")
+    SLM_printed = assemble(lat, "[S+,L-] printed")
 
     rows = [
         ("[P+,P-] = 0", P_plus, P_minus, zero, True, "momentum components commute"),
@@ -260,13 +221,6 @@ def _relation_table(lat: ModeLattice, obs):
         ),
     ]
     return rows
-
-
-def _sum_families(lat, ip, iz, builder, key):
-    out = QuadraticOperator(lat)
-    for fam in lat.families:
-        out = out + builder(lat, fam, ip, iz)[key]
-    return out
 
 
 def _strip_scalar(A: QuadraticOperator):
@@ -351,8 +305,8 @@ def _fock_cross_check(tol):
         A, B = named[na], named[nb]
         lhs = oracle.realize(commutator(A, B))
         rhs = oracle.realize(A) @ oracle.realize(B) - oracle.realize(B) @ oracle.realize(A)
-        diff = (lhs - rhs).toarray()[np.ix_(keep, keep)]
-        worst = max(worst, float(np.abs(diff).max()))
+        diff = (lhs - rhs)[keep][:, keep]
+        worst = max(worst, float(abs(diff).max()))
     return RelationResult.from_norm(
         "commutator: fock-oracle cross-check (15 pairs, cutoff 3)",
         worst,
@@ -581,11 +535,6 @@ class SmearedField:
         self.comps = comps
 
 
-def _gl(a, b, n):
-    x, w = roots_legendre(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
 def smear_mode(which, wp: WavepacketSpec, n_kp=32, n_kz=32, c=1.0, hbar=1.0):
     """Smeared M, N, E or B field of the carrier family/m of `wp`.
 
@@ -740,8 +689,8 @@ def _pair_integral(wp1, wp2, weight, n=64):
     hi_p = max(wp1.k_perp_center + 5 * wp1.k_perp_width, wp2.k_perp_center + 5 * wp2.k_perp_width)
     lo_z = min(wp1.k_z_center - 5 * wp1.k_z_width, wp2.k_z_center - 5 * wp2.k_z_width)
     hi_z = max(wp1.k_z_center + 5 * wp1.k_z_width, wp2.k_z_center + 5 * wp2.k_z_width)
-    kp, wkp = _gl(lo_p, hi_p, n)
-    kz, wkz = _gl(lo_z, hi_z, n)
+    kp, wkp = _panels(lo_p, hi_p, n, per_panel=n)
+    kz, wkz = _panels(lo_z, hi_z, n, per_panel=n)
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
     vals = wp1.envelope(KP, KZ) * np.conj(wp2.envelope(KP, KZ)) * weight(KP, KZ)
     return np.einsum("a,b,ab->", wkp, wkz, vals)
@@ -756,8 +705,12 @@ def _lplus_analytic(wp_m, wp_mp, n=64):
         I = i (2pi)^2 int dk conj(h) (w/kz) [ -d_kz(kp u) + d_kp(kz u) - m (kz/kp) u ].
     """
     m = wp_m.m
-    kp, wkp = _gl(wp_m.k_perp_center - 5 * wp_m.k_perp_width, wp_m.k_perp_center + 5 * wp_m.k_perp_width, n)
-    kz, wkz = _gl(wp_m.k_z_center - 5 * wp_m.k_z_width, wp_m.k_z_center + 5 * wp_m.k_z_width, n)
+    kp, wkp = _panels(
+        wp_m.k_perp_center - 5 * wp_m.k_perp_width, wp_m.k_perp_center + 5 * wp_m.k_perp_width, n, per_panel=n
+    )
+    kz, wkz = _panels(
+        wp_m.k_z_center - 5 * wp_m.k_z_width, wp_m.k_z_center + 5 * wp_m.k_z_width, n, per_panel=n
+    )
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
     W = np.hypot(KP, KZ)
     g = wp_m.envelope(KP, KZ)

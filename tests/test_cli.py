@@ -65,25 +65,49 @@ class TestExitCodes:
         assert report["metadata"]["unexpected_failures"] > 0
 
 
+FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, config",
     [
-        ["expand", "--m", "2", "--kperp", "1", "--kz", "2", "--rho-sample", "-1"],
-        ["expand", "--m", "300", "--kperp", "1", "--kz", "2"],
-        ["field", "--family", "tm", "--m", "500", "--kperp", "1", "--kz", "2", "--grid", "2x2"],
-        ["field", "--family", "tm", "--m", "1", "--kperp", "1", "--kz", "2", "--extent", "nan"],
-        ["verify", "basis", "--m-range=0..1"],
-        ["verify", "commutators", "--m-range=0..2"],
-        ["verify", "commutators", "--kperp", "0"],
+        (["expand", "--m", "2", "--kperp", "1", "--kz", "2", "--rho-sample", "-1"], None),
+        (["expand", "--m", "300", "--kperp", "1", "--kz", "2"], None),
+        (["field", "--family", "tm", "--m", "500", "--kperp", "1", "--kz", "2", "--grid", "2x2"], None),
+        (FIELD + ["--kz", "2", "--extent", "nan"], None),
+        (["verify", "basis", "--m-range=0..1"], None),
+        (["verify", "commutators", "--m-range=0..2"], None),
+        (["verify", "commutators", "--kperp", "0"], None),
+        (["verify", "commutators", "--kperp", "nan"], None),
+        (["verify", "commutators", "--tol", "nan"], None),
+        (["verify", "basis", "--kz", "inf"], None),
+        (FIELD + ["--kz", "nan", "--grid", "2x2"], None),
+        (FIELD + ["--kz", "inf", "--grid", "2x2"], None),
+        (FIELD + ["--kz", "2", "--grid", "2x2", "--t", "nan"], None),
+        (["expand", "--m", "1", "--kperp", "1", "--kz", "nan"], None),
+        (["expect", "--kz", "nan"], None),
+        (["verify", "commutators"], "units.hbar = nan"),
+        (["verify", "quadrature"], "quadrature.margin = nan"),
+        (FIELD + ["--kz", "2", "--grid", "2x2"], "units.c = inf"),
+        (["verify", "commutators"], "units.c = -1"),
+        (["verify", "quadrature"], "tol.quadrature = -1"),
     ],
     ids=["rho-sample", "expand-order", "field-order", "extent-nan", "basis-narrow",
-         "commutators-narrow", "kperp-zero"],
+         "commutators-narrow", "kperp-zero", "kperp-nan", "tol-nan", "basis-kz-inf",
+         "field-kz-nan", "field-kz-inf", "field-t-nan", "expand-kz-nan", "expect-kz-nan",
+         "config-hbar-nan", "config-margin-nan", "config-c-inf", "config-c-negative",
+         "config-tol-negative"],
 )
-def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config + "\n")
+        argv = ["--config", str(cfg)] + argv
     out = tmp_path / "out"
     code, _, err = run(argv + ["--out", str(out)], capsys)
     assert code == 2
     assert err.startswith("besselbeams: error: ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

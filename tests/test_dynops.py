@@ -7,14 +7,12 @@ import pytest
 
 from besselbeams.dynops import (
     SphericalLattice,
+    assemble,
     build_L_spherical,
     build_energy_number,
-    build_momentum,
+    build_helicity,
     build_observables,
     build_stokes,
-    elementary_lambda,
-    elementary_pi,
-    elementary_sigma,
     make_pm_map,
     make_rl_map,
 )
@@ -22,6 +20,7 @@ from besselbeams.lattice import (
     CoherentAmplitude,
     FockOracle,
     LatticeError,
+    QuadraticOperator,
     build_lattice,
     coherent_expectation,
     commutator,
@@ -62,21 +61,27 @@ class TestHermiticityAndAdjoints:
 
 
 class TestElementaryFamilies:
+    """The Pi / Lambda / Sigma families as they sit in the assembled observables."""
+
     def test_pi_ladder_structure(self):
-        lat = lattice_d6()
-        pi = elementary_pi(lat, TM, 0, 0)
-        X = pi["+"].dense()
-        # couples m-1 <- m with coefficient i, TM block only
-        assert X[lat.index(TM, -1, 0, 0), lat.index(TM, 0, 0, 0)] == 1j
-        assert np.abs(X[lat.index(TE, -1, 0, 0), :]).max() == 0.0
-        assert (pi["-"] - pi["+"].dagger()).max_abs() == 0.0
+        lat = lattice_d6()  # hbar = k_perp = 1: P_+ = sum of Pi_+
+        obs = build_observables(lat)
+        X = obs.P_plus.dense()
+        # couples m-1 <- m with coefficient i, within each family only
+        for fam in (TM, TE):
+            assert X[lat.index(fam, -1, 0, 0), lat.index(fam, 0, 0, 0)] == 1j
+        tm = [lat.index(TM, m, 0, 0) for m in lat.m_values]
+        te = [lat.index(TE, m, 0, 0) for m in lat.m_values]
+        assert np.abs(X[np.ix_(tm, te)]).max() == 0.0
+        assert np.abs(X[np.ix_(te, tm)]).max() == 0.0
+        assert (obs.P_minus - obs.P_plus.dagger()).max_abs() == 0.0
 
     def test_lambda_three_counts_m(self):
         lat = lattice_d6()
-        lam3 = elementary_lambda(lat, TE, 0, 0)["3"]
-        X = lam3.dense()
-        for m in lat.m_values:
-            assert X[lat.index(TE, m, 0, 0), lat.index(TE, m, 0, 0)] == m
+        X = build_observables(lat).L_3.dense()
+        for fam in (TM, TE):
+            for m in lat.m_values:
+                assert X[lat.index(fam, m, 0, 0), lat.index(fam, m, 0, 0)] == m
 
     def test_sigma_su2_per_node(self):
         lat = lattice_d6()
@@ -88,7 +93,137 @@ class TestElementaryFamilies:
     def test_sigma_requires_both_families(self):
         single = build_lattice((-1, 1), [(1.0, 1.0)], [(2.0, 1.0)], families=(TM,))
         with pytest.raises(LatticeError):
-            elementary_sigma(single, 0, 0)
+            build_helicity(single)
+        with pytest.raises(LatticeError):
+            build_observables(single)
+
+
+def _per_node(lat):
+    for ip, (kp, _) in enumerate(lat.k_perp_nodes):
+        for iz, (kz, _) in enumerate(lat.k_z_nodes):
+            yield ip, iz, kp, kz, lat.c * math.hypot(kp, kz)
+
+
+def _elementary(lat, ip, iz):
+    """Per-node Pi and Lambda (per family) and Sigma operators {+, 3}."""
+    m_lo, m_hi = lat.m_range
+    shifted = range(m_lo + 1, m_hi + 1)
+
+    def idx(fam, m):
+        return lat.index(fam, m, ip, iz)
+
+    def op(terms, s=0.0):
+        return QuadraticOperator.from_terms(lat, terms, s)
+
+    out = {}
+    for f in lat.families:
+        out["Pi+", f] = op([(idx(f, m - 1), idx(f, m), 1j) for m in shifted])
+        out["Pi3", f] = op([(idx(f, m), idx(f, m), 1.0) for m in lat.m_values],
+                           0.5 * len(lat.m_values))
+        out["Lambda+", f] = op([(idx(f, m - 1), idx(f, m), 1j * (m - 0.5)) for m in shifted])
+        out["Lambda3", f] = op([(idx(f, m), idx(f, m), float(m)) for m in lat.m_values],
+                               0.5 * sum(lat.m_values))
+    out["Sigma+"] = op([t for m in shifted for t in (
+        (idx(TE, m), idx(TM, m - 1), 0.5), (idx(TM, m), idx(TE, m - 1), -0.5))])
+    out["Sigma3"] = op([t for m in lat.m_values for t in (
+        (idx(TM, m), idx(TE, m), 1j), (idx(TE, m), idx(TM, m), -1j))])
+    return out
+
+
+def _reference_operators(lat, include_zero_point):
+    """Observables and commutator-table right-hand sides built node by node
+    from the elementary families with repeated sparse +, the construction
+    the term table replaced."""
+    hbar, c = lat.hbar, lat.c
+    m_lo, m_hi = lat.m_range
+    diag_E = np.array([hbar * lat.omega(i) for i in range(lat.dim)])
+    ref = {
+        "energy": QuadraticOperator.from_terms(
+            lat, [(i, i, diag_E[i]) for i in range(lat.dim)],
+            s=0.5 * diag_E.sum() if include_zero_point else 0.0),
+        "number": QuadraticOperator.from_terms(
+            lat, [(i, i, 1.0) for i in range(lat.dim)],
+            s=0.5 * lat.dim if include_zero_point else 0.0),
+    }
+    sums = ("P+", "P3", "L+", "L3", "S+", "S3", "[L+,L-]", "[L+,P+]", "[S+,L3]", "[S+,L-] printed")
+    ref.update((name, QuadraticOperator(lat)) for name in sums)
+    for ip, iz, kp, kz, w in _per_node(lat):
+        el = _elementary(lat, ip, iz)
+        lam3 = QuadraticOperator(lat)
+        for f in lat.families:
+            ref["P+"] = ref["P+"] + (hbar * kp) * el["Pi+", f]
+            ref["P3"] = ref["P3"] + (hbar * kz) * el["Pi3", f]
+            ref["L+"] = ref["L+"] + (hbar * kz / kp) * el["Lambda+", f]
+            ref["L3"] = ref["L3"] + hbar * el["Lambda3", f]
+            lam3 = lam3 + el["Lambda3", f]
+        ref["S+"] = ref["S+"] + (hbar * c * kp / w) * el["Sigma+"]
+        ref["S3"] = ref["S3"] + (hbar * c * kz / w) * el["Sigma3"]
+        ref["[L+,L-]"] = ref["[L+,L-]"] + (2.0 * hbar**2 * kz**2 / kp**2) * QuadraticOperator(
+            lat, lam3.X)
+        ref["[L+,P+]"] = ref["[L+,P+]"] + QuadraticOperator.from_terms(lat, [
+            (lat.index(f, m - 1, ip, iz), lat.index(f, m + 1, ip, iz), hbar**2 * kz)
+            for f in lat.families for m in range(m_lo + 1, m_hi)])
+        ref["[S+,L3]"] = ref["[S+,L3]"] + (-(hbar**2) * c * kp / w) * el["Sigma+"]
+        ref["[S+,L-] printed"] = ref["[S+,L-] printed"] + QuadraticOperator.from_terms(lat, [
+            t for m in range(m_lo + 1, m_hi) for t in (
+                (lat.index(TE, m + 1, ip, iz), lat.index(TM, m - 1, ip, iz),
+                 -1j * hbar**2 * c * kz / w),
+                (lat.index(TM, m + 1, ip, iz), lat.index(TE, m - 1, ip, iz),
+                 1j * hbar**2 * c * kz / w))])
+    for v in "PLS":
+        ref[f"{v}-"] = ref[f"{v}+"].dagger()
+    return ref
+
+
+def _reference_pair_block(lat, beta):
+    T = np.zeros((lat.dim, lat.dim), dtype=complex)
+    for ip, iz, kp, kz, w in _per_node(lat):
+        b = beta(kz, w)
+        nrm = 1.0 / math.sqrt(1.0 + b**2)
+        for m in lat.m_values:
+            i1 = lat.index(TM, m, ip, iz)
+            i2 = lat.index(TE, m, ip, iz)
+            T[i1, i1], T[i1, i2] = nrm, 1j * b * nrm
+            T[i2, i1], T[i2, i2] = nrm, -1j * b * nrm
+    return T
+
+
+def _bits(op):
+    X = op.X
+    return (X.indptr.tobytes(), X.indices.tobytes(), X.data.tobytes(),
+            np.array([op.s]).tobytes())
+
+
+ASSEMBLY_LATTICES = {
+    "asymmetric": build_lattice((-2, 5), [(0.37, 0.5), (1.1, 0.25)],
+                                [(-2.6, 1.0), (1.3, 0.75)], c=1.7, hbar=0.3),
+    "reference": build_lattice((-4, 4), [(v, 1.0) for v in (0.5, 1.0, 1.5)],
+                               [(v, 1.0) for v in (1.0, 2.0)]),
+    "negative-kz": build_lattice((-3, 1), [(v, 1.0) for v in (0.2, 0.9, 2.3)],
+                                 [(v, 1.0) for v in (-1.1, -0.4, 0.8, 3.3)], c=0.61, hbar=2.2),
+}
+
+
+class TestTermTableAssembly:
+    @pytest.mark.parametrize("include_zero_point", [True, False], ids=["zero-point", "normal"])
+    @pytest.mark.parametrize("name", list(ASSEMBLY_LATTICES))
+    def test_bitwise_equal_to_per_node_construction(self, name, include_zero_point):
+        lat = ASSEMBLY_LATTICES[name]
+        ref = _reference_operators(lat, include_zero_point)
+        named = build_observables(lat, include_zero_point).named()
+        assert len(named) == 11
+        for key, op in named.items():
+            assert _bits(op) == _bits(ref[key]), key
+        for key in ("[L+,L-]", "[L+,P+]", "[S+,L3]", "[S+,L-] printed"):
+            assert _bits(assemble(lat, key)) == _bits(ref[key]), key
+
+    @pytest.mark.parametrize("name", list(ASSEMBLY_LATTICES))
+    def test_pair_blocks_bitwise_equal_to_per_node_fill(self, name):
+        lat = ASSEMBLY_LATTICES[name]
+        pm = _reference_pair_block(lat, lambda kz, w: 1.0)
+        rl = _reference_pair_block(lat, lambda kz, w: lat.c * kz / w)
+        assert make_pm_map(lat).T.tobytes() == pm.tobytes()
+        assert make_rl_map(lat).T.tobytes() == rl.tobytes()
 
 
 class TestExpectations:
