@@ -108,6 +108,15 @@ LAMBDA_3 = ((EACH, EACH, 0, lambda m: m),)
 # Sigma_3 = i sum_m (b1^dag_m b2_m - b2^dag_m b1_m)
 SIGMA_PLUS = ((TE, TM, 1, 0.5), (TM, TE, 1, -0.5))
 SIGMA_3 = ((TM, TE, 0, 1j), (TE, TM, 0, -1j))
+# Stokes sigma_0..sigma_3 on the (TM, TE) pair of one m:
+# sigma_0 = N1 + N2, sigma_1 = b1^dag b2 + b2^dag b1,
+# sigma_2 = i (b2^dag b1 - b1^dag b2), sigma_3 = N1 - N2
+STOKES = (
+    ((TM, TM, 0, 1.0), (TE, TE, 0, 1.0)),
+    ((TM, TE, 0, 1.0), (TE, TM, 0, 1.0)),
+    ((TE, TM, 0, 1j), (TM, TE, 0, -1j)),
+    ((TM, TM, 0, 1.0), (TE, TE, 0, -1.0)),
+)
 
 
 def _pair_block(beta):
@@ -147,6 +156,10 @@ TERMS = {
     "[S+,L-] printed": (
         (((TE, TM, 2, -1j), (TM, TE, 2, 1j)), lambda n: n.hbar**2 * n.c * n.kz / n.w),
     ),
+    # Stokes sigma_1..3 summed over every (m, node); the pairs are disjoint
+    "sigma1": ((STOKES[1], lambda n: 1.0),),
+    "sigma2": ((STOKES[2], lambda n: 1.0),),
+    "sigma3": ((STOKES[3], lambda n: 1.0),),
     # basis maps, one 2x2 block per (m, node) on the (TM, TE) pair
     "(+/-) map": _pair_block(lambda n: 1.0),
     "R/L map": _pair_block(lambda n: n.c * n.kz / n.w),
@@ -246,13 +259,35 @@ def build_stokes(lat: ModeLattice, ip, iz, m):
     """Quantum Stokes operators (sigma_0..sigma_3) on the (TM, TE) pair
     at fixed (m, k_perp node, k_z node); no zero-point terms."""
     _require_both_families(lat)
-    i1 = lat.index(TM, m, ip, iz)
-    i2 = lat.index(TE, m, ip, iz)
-    s0 = QuadraticOperator.from_terms(lat, [(i1, i1, 1.0), (i2, i2, 1.0)])
-    s1 = QuadraticOperator.from_terms(lat, [(i1, i2, 1.0), (i2, i1, 1.0)])
-    s2 = QuadraticOperator.from_terms(lat, [(i2, i1, 1j), (i1, i2, -1j)])
-    s3 = QuadraticOperator.from_terms(lat, [(i1, i1, 1.0), (i2, i2, -1.0)])
-    return s0, s1, s2, s3
+    return tuple(
+        QuadraticOperator.from_terms(
+            lat, [(lat.index(r, m, ip, iz), lat.index(c, m, ip, iz), v) for r, c, _, v in rows]
+        )
+        for rows in STOKES
+    )
+
+
+def stokes_expectations(lat: ModeLattice, alpha):
+    """<sigma_1>, <sigma_2>, <sigma_3> of the coherent state `alpha` at every
+    (m, k_perp node, k_z node), as a (3, n_m, n_kp, n_kz) complex array.
+
+    Each value is conj(a) . (sigma a) on the pair a = (a_TM, a_TE), summed
+    the way the coefficient-matrix expectation conj(v) . (X v) sums it: the
+    real products xr yr, xi yi, xr yi and xi yr in four separate sums.
+    """
+    _require_both_families(lat)
+    m = np.array(lat.m_values)[:, None, None]
+    ip = np.arange(len(lat.k_perp_nodes))[:, None]
+    iz = np.arange(len(lat.k_z_nodes))
+    v = alpha.vector(lat)
+    a1, a2 = v[lat.index(TM, m, ip, iz)], v[lat.index(TE, m, ip, iz)]
+    x = np.stack([a1, a2])
+    out = []
+    for y in (np.stack([a2, a1]), np.stack([-1j * a2, 1j * a1]), np.stack([a1, -a2])):
+        re = (x.real * y.real).sum(0) + (x.imag * y.imag).sum(0)
+        im = (x.real * y.imag).sum(0) - (x.imag * y.real).sum(0)
+        out.append((re + 0.0) + 1j * (im + 0.0))
+    return np.stack(out)
 
 
 def build_observables(lat: ModeLattice, include_zero_point=True) -> ObservableSet:
@@ -269,9 +304,7 @@ def _pair_block_map(lat: ModeLattice, name) -> BasisMap:
     """BasisMap T of a pair-block TERMS entry (new index = row, old = column)."""
     _require_both_families(lat)
     rows, cols, vals = _triplets(lat, name)
-    T = np.zeros((lat.dim, lat.dim), dtype=complex)
-    T[rows, cols] = vals
-    return BasisMap(lat, T)
+    return BasisMap(lat, sp.csr_matrix((vals, (rows, cols)), shape=(lat.dim, lat.dim)))
 
 
 def make_pm_map(lat: ModeLattice) -> BasisMap:
@@ -319,8 +352,12 @@ class SphericalLattice:
             raise LatticeError("spherical lattice needs j >= 1")
         object.__setattr__(self, "omega_nodes", tuple((float(v), float(w)) for v, w in self.omega_nodes))
         for v, w in self.omega_nodes:
-            if v <= 0 or w <= 0:
-                raise LatticeError("omega nodes need value > 0 and weight > 0")
+            if not (math.isfinite(v) and v > 0 and math.isfinite(w) and w > 0):
+                raise LatticeError("omega nodes need finite value > 0 and weight > 0")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise LatticeError(
+                f"spherical lattice hbar must be positive and finite, got {self.hbar}"
+            )
 
     @property
     def dim(self):

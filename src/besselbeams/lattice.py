@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,6 +65,9 @@ class ModeLattice:
         for f in self.families:
             if f not in (TM, TE):
                 raise LatticeError(f"unknown family {f!r}")
+        for name, v in (("c", self.c), ("hbar", self.hbar)):
+            if not (math.isfinite(v) and v > 0):
+                raise LatticeError(f"lattice {name} must be positive and finite, got {v}")
 
     @property
     def m_values(self):
@@ -100,12 +104,6 @@ class ModeLattice:
         idx, ik_perp = divmod(idx, nkp)
         fi, mi = divmod(idx, nm)
         return self.families[fi], self.m_range[0] + mi, ik_perp, ik_z
-
-    def modes(self):
-        """Iterate (idx, family, m, (k_perp, w_perp), (k_z, w_z))."""
-        for idx in range(self.dim):
-            f, m, ip, iz = self.unpack(idx)
-            yield idx, f, m, self.k_perp_nodes[ip], self.k_z_nodes[iz]
 
     def weight(self, idx):
         _, _, ip, iz = self.unpack(idx)
@@ -218,36 +216,95 @@ def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
 
 @dataclass(frozen=True)
 class BasisMap:
-    """Invertible linear map b' = T b of the discrete ladder operators."""
+    """Invertible linear map b' = T b of the discrete ladder operators.
+
+    T is stored sparse.  Its sparsity pattern splits the indices into
+    connected components, so T is block diagonal up to a permutation; the
+    inverse and the condition number are computed block by block (a dense
+    T is a single D x D block).
+    """
 
     lattice: ModeLattice
-    T: np.ndarray
+    T: sp.csr_matrix
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=complex)
+        T = sp.csr_matrix(self.T, dtype=complex)
         object.__setattr__(self, "T", T)
         D = self.lattice.dim
         if T.shape != (D, D):
             raise LatticeError("BasisMap dimension mismatch")
 
+    @cached_property
+    def _blocks(self):
+        """[(indices, blocks)] per block size: indices (n, s) holds the
+        ascending indices of each component, blocks (n, s, s) its entries."""
+        coo = self.T.tocoo()
+        # label every index with the smallest index of its component: take
+        # the minimum over each stored entry's row and column, then jump
+        # to the label's own label, until nothing changes
+        root = np.arange(self.lattice.dim)
+        while True:
+            new = root.copy()
+            np.minimum.at(new, coo.row, root[coo.col])
+            np.minimum.at(new, coo.col, root[coo.row])
+            new = new[new]
+            if np.array_equal(new, root):
+                break
+            root = new
+        _, label = np.unique(root, return_inverse=True)
+        sizes = np.bincount(label)
+        order = np.argsort(label, kind="stable")
+        start = np.cumsum(sizes) - sizes
+        out = []
+        for s in np.unique(sizes):
+            idx = order[start[sizes == s][:, None] + np.arange(s)]
+            entries = self.T[np.repeat(idx, s, axis=1), np.tile(idx, (1, s))]
+            out.append((idx, entries.toarray().reshape(-1, s, s)))
+        return out
+
+    @cached_property
+    def inverse(self):
+        """T^-1 (sparse), inverted one batch of equal-size blocks at a time."""
+        rows, cols, vals = [], [], []
+        for idx, blocks in self._blocks:
+            try:
+                inv = np.linalg.inv(blocks)
+            except np.linalg.LinAlgError as exc:
+                raise LatticeError("singular basis map") from exc
+            if not np.all(np.isfinite(inv)):
+                raise LatticeError("singular basis map")
+            rows.append(np.broadcast_to(idx[:, :, None], inv.shape).ravel())
+            cols.append(np.broadcast_to(idx[:, None, :], inv.shape).ravel())
+            vals.append(inv.ravel())
+        D = self.lattice.dim
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(D, D)
+        )
+
     @property
     def condition_number(self):
-        return float(np.linalg.cond(self.T))
+        """max / min singular value of T: the singular values of T are
+        those of all its blocks together (not the largest per-block ratio)."""
+        sv = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for _, b in self._blocks])
+        return float(sv.max() / sv.min())
+
+    @property
+    def unitarity_residual(self):
+        """max |T^dag T - I| over the entries."""
+        R = (self.T.getH() @ self.T - sp.identity(self.lattice.dim, format="csr")).tocsr()
+        return float(abs(R.data).max()) if R.nnz else 0.0
 
     @property
     def is_unitary(self):
-        return bool(np.abs(self.T.conj().T @ self.T - np.eye(len(self.T))).max() <= 1e-12)
+        return self.unitarity_residual <= 1e-12
 
 
 def apply_basis(A: QuadraticOperator, bm: BasisMap) -> QuadraticOperator:
     """Re-express A in the mapped basis: X' = (T^-1)^dag X T^-1, same abstract operator."""
     if A.lattice != bm.lattice:
         raise LatticeError("basis map lattice mismatch")
-    Tinv = np.linalg.inv(bm.T)
-    if not np.all(np.isfinite(Tinv)):
-        raise LatticeError("singular basis map")
-    Xp = Tinv.conj().T @ A.dense() @ Tinv
-    return QuadraticOperator(A.lattice, sp.csr_matrix(Xp), A.s)
+    Tinv = bm.inverse
+    return QuadraticOperator(A.lattice, Tinv.getH() @ A.X @ Tinv, A.s)
 
 
 class CoherentAmplitude(dict):

@@ -111,6 +111,30 @@ def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["verify", "spherical", "--kz", "nan"], None),
+        (["verify", "quadrature", "--kperp", "nan"], None),
+        (["verify", "quadrature", "--kz", "0"], None),
+        (["verify", "spherical"], "lattice.k_perp = inf"),
+    ],
+    ids=["spherical-kz-nan", "quadrature-kperp-nan", "quadrature-kz-zero",
+         "spherical-config-kperp-inf"],
+)
+def test_every_suite_checks_the_lattice_flags(argv, config, tmp_path, capsys):
+    # quadrature and spherical never read the lattice, but still refuse bad input
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config + "\n")
+        argv = ["--config", str(cfg)] + argv
+    out = tmp_path / "out"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("besselbeams: error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spaced", [True, False], ids=["spaced", "joined"])
 @pytest.mark.parametrize("command", [["verify", "basis"], ["expect"]], ids=["verify", "expect"])
 def test_negative_lattice_flag_values(command, spaced, capsys):

@@ -15,6 +15,7 @@ from besselbeams.dynops import (
     build_stokes,
     make_pm_map,
     make_rl_map,
+    stokes_expectations,
 )
 from besselbeams.lattice import (
     CoherentAmplitude,
@@ -222,8 +223,8 @@ class TestTermTableAssembly:
         lat = ASSEMBLY_LATTICES[name]
         pm = _reference_pair_block(lat, lambda kz, w: 1.0)
         rl = _reference_pair_block(lat, lambda kz, w: lat.c * kz / w)
-        assert make_pm_map(lat).T.tobytes() == pm.tobytes()
-        assert make_rl_map(lat).T.tobytes() == rl.tobytes()
+        assert make_pm_map(lat).T.toarray().tobytes() == pm.tobytes()
+        assert make_rl_map(lat).T.toarray().tobytes() == rl.tobytes()
 
 
 class TestExpectations:
@@ -275,7 +276,7 @@ class TestExpectations:
         # basis; pull back to old-basis amplitudes via T^-1
         e = np.zeros(lat.dim, dtype=complex)
         e[idx] = 1.0
-        back = np.linalg.inv(pm.T) @ e
+        back = np.linalg.inv(pm.T.toarray()) @ e
         a_plus = CoherentAmplitude({i: back[i] for i in range(lat.dim) if abs(back[i]) > 0})
         E1 = coherent_expectation(obs.energy, a_tm)
         E2 = coherent_expectation(obs.energy, a_plus)
@@ -285,6 +286,24 @@ class TestExpectations:
         assert abs(S1) < 1e-14  # pure TM carries no mean helicity
         w = math.hypot(1.0, 2.0)
         assert S2.real == pytest.approx(2.0 / w, rel=1e-12)  # c kz / w per photon
+
+
+class TestStokes:
+    def test_pair_expectations_match_the_quadratic_forms(self):
+        lat = ASSEMBLY_LATTICES["asymmetric"]
+        rng = np.random.default_rng(3)
+        alpha = CoherentAmplitude(
+            {int(i): complex(*rng.normal(size=2)) for i in rng.choice(lat.dim, 12, replace=False)}
+        )
+        sigma = stokes_expectations(lat, alpha)
+        assert sigma.shape == (3, 8, 2, 2)
+        for im, m in enumerate(lat.m_values):
+            for ip in range(2):
+                for iz in range(2):
+                    ops = build_stokes(lat, ip, iz, m)[1:]
+                    for k in range(3):
+                        want = coherent_expectation(ops[k], alpha)
+                        assert sigma[k, im, ip, iz] == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 class TestBasisMaps:
@@ -297,6 +316,22 @@ class TestBasisMaps:
         rl = make_rl_map(lattice_d6())
         assert not rl.is_unitary
         assert 1.0 < rl.condition_number < 10.0
+
+    @pytest.mark.parametrize("make_map", [make_pm_map, make_rl_map], ids=["pm", "rl"])
+    def test_block_inverse_matches_dense_inverse(self, make_map):
+        lat = ASSEMBLY_LATTICES["negative-kz"]
+        bm = make_map(lat)
+        assert [b.shape[1:] for _, b in bm._blocks] == [(2, 2)]
+        dense = np.linalg.inv(bm.T.toarray())
+        assert np.abs(bm.inverse.toarray() - dense).max() <= 1e-12
+
+    def test_rl_condition_number_over_distinct_betas(self):
+        lat = ASSEMBLY_LATTICES["negative-kz"]
+        rl = make_rl_map(lat)
+        betas = {round(lat.c * kz / (lat.c * math.hypot(kp, kz)), 12)
+                 for kp, _ in lat.k_perp_nodes for kz, _ in lat.k_z_nodes}
+        assert len(betas) == 12
+        assert rl.condition_number == pytest.approx(np.linalg.cond(rl.T.toarray()), rel=1e-12)
 
     def test_rl_needs_wide_m_range(self):
         narrow = build_lattice((0, 1), [(1.0, 1.0)], [(2.0, 1.0)])
@@ -324,6 +359,16 @@ class TestSpherical:
         ms = sorted(diag.tolist())
         expected = sorted([m for _ in ("E", "M") for j in (1, 2) for m in range(-j, j + 1)])
         assert np.allclose(ms, expected)
+
+    @pytest.mark.parametrize(
+        "omega_nodes, hbar",
+        [(((float("nan"), 1.0),), 1.0), (((float("inf"), 1.0),), 1.0),
+         (((1.0, float("nan")),), 1.0), (((1.0, -1.0),), 1.0), (((1.0, 1.0),), float("nan"))],
+        ids=["omega-nan", "omega-inf", "weight-nan", "weight-negative", "hbar-nan"],
+    )
+    def test_nodes_and_hbar_must_be_positive_and_finite(self, omega_nodes, hbar):
+        with pytest.raises(LatticeError):
+            SphericalLattice(omega_nodes, (1, 2), hbar=hbar)
 
     def test_index_validation(self):
         s_lat = SphericalLattice(((1.0, 1.0),), (1, 2))

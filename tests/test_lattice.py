@@ -57,6 +57,16 @@ class TestLatticeIndexing:
             lat.index(TM, 5, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "c, hbar",
+    [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, -1.0), (0.0, 1.0)],
+    ids=["c-nan", "hbar-nan", "c-inf", "hbar-negative", "c-zero"],
+)
+def test_lattice_units_must_be_positive_and_finite(c, hbar):
+    with pytest.raises(LatticeError):
+        build_lattice((-1, 1), [(1.0, 1.0)], [(2.0, 1.0)], c=c, hbar=hbar)
+
+
 class TestQuadraticOperator:
     def test_hermiticity_and_dagger(self):
         lat = small_lattice()
@@ -231,3 +241,21 @@ class TestBasisMap:
     def test_shape_validation(self):
         with pytest.raises(LatticeError):
             BasisMap(small_lattice(), np.eye(3))
+
+    def test_singular_map_rejected(self):
+        lat = small_lattice()
+        T = np.eye(lat.dim)
+        T[0, 0] = 0.0
+        with pytest.raises(LatticeError):
+            apply_basis(random_op(lat, RNG), BasisMap(lat, T))
+
+    def test_condition_number_is_over_all_blocks(self):
+        # blocks diag(1, 2) and diag(10, 20) each have condition number 2;
+        # T as a whole has 20
+        lat = build_lattice((0, 1), [(1.0, 1.0)], [(2.0, 1.0)])
+        T = np.diag([1.0, 2.0, 10.0, 20.0])
+        T[0, 1] = T[2, 3] = 0.5
+        bm = BasisMap(lat, T)
+        assert [b.shape for _, b in bm._blocks] == [(2, 2, 2)]
+        assert bm.condition_number == pytest.approx(np.linalg.cond(T), rel=1e-12)
+        assert bm.condition_number > 5.0

@@ -1,12 +1,14 @@
 """Verification-suite behavior: outcomes, flags, and result invariants."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
 from besselbeams import specfun
+from besselbeams.dynops import assemble, build_stokes
 from besselbeams.lattice import build_lattice
 from besselbeams.modes import TM
 from besselbeams.verify import (
@@ -21,6 +23,7 @@ from besselbeams.verify import (
     printed_uv,
     spherical_suite,
     _spherical_wave_pair,
+    _su2_residual,
 )
 
 
@@ -94,9 +97,49 @@ class TestCommutatorSuite:
         assert not any("fock-oracle" in r.name for r in results2)
 
 
+class TestStokesResidual:
+    STOKES = "commutator: stokes [sigma_i,sigma_j] = 2i eps_ijk sigma_k"
+
+    @staticmethod
+    def pairs(lat):
+        return [(ip, iz, m) for ip in range(len(lat.k_perp_nodes))
+                for iz in range(len(lat.k_z_nodes)) for m in lat.m_values]
+
+    def test_suite_residual_is_the_per_pair_worst(self):
+        lat = build_lattice((-2, 2), [(0.5, 1.0), (1.5, 1.0)], [(1.0, 1.0), (-2.0, 1.0)])
+        worst = max(_su2_residual(*build_stokes(lat, *p)[1:]) for p in self.pairs(lat))
+        by_name = {r.name: r for r in commutator_suite(lat, fock_check=False)}
+        assert by_name[self.STOKES].lhs_minus_rhs_norm == worst
+        summed = _su2_residual(*(assemble(lat, f"sigma{k}") for k in (1, 2, 3)))
+        assert summed == worst
+
+    def test_disjoint_pairs_keep_each_pair_residual(self):
+        # scaled pairs f sigma_k break su(2) by |f^2 - f|; the sum over all
+        # pairs has the worst pair's residual, not a sum of them
+        lat = build_lattice((-2, 2), [(0.5, 1.0), (1.5, 1.0)], [(1.0, 1.0), (-2.0, 1.0)])
+        per_pair, summed = [], [0.0, 0.0, 0.0]
+        for n, p in enumerate(self.pairs(lat)):
+            scaled = [(1.0 + 0.1 * n) * s for s in build_stokes(lat, *p)[1:]]
+            per_pair.append(_su2_residual(*scaled))
+            summed = [a + b for a, b in zip(summed, scaled)]
+        assert max(per_pair) > 1.0
+        assert _su2_residual(*summed) == pytest.approx(max(per_pair), rel=1e-15)
+
+
 class TestBasisSuite:
     def test_all_pass(self):
         for r in basis_suite(make_lattice()):
+            assert r.passed, (r.name, r.lhs_minus_rhs_norm, r.notes)
+
+    def test_sparse_at_d2376(self):
+        # dense D x D basis maps took about a minute and 0.9 GB at this size
+        lat = build_lattice((-16, 16), [(0.3 + 0.2 * i, 1.0) for i in range(6)],
+                            [(1.0 + 0.3 * i, 1.0) for i in range(6)])
+        assert lat.dim == 2376
+        t0 = time.perf_counter()
+        results = basis_suite(lat)
+        assert time.perf_counter() - t0 < 15.0
+        for r in results:
             assert r.passed, (r.name, r.lhs_minus_rhs_norm, r.notes)
 
     def test_pythagorean_node_helicity(self):
