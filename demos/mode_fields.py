@@ -36,8 +36,8 @@ rng = np.random.default_rng(0)
 worst = 0.0
 for _ in range(200):
     p = CylPoint(rng.uniform(0.01, 5.0), rng.uniform(-math.pi, math.pi), rng.uniform(-2, 2))
-    lhs = k_z * eval_M(m, k_perp, k_z, p).cart
-    rhs = omega * np.cross(E3, eval_N(m, k_perp, k_z, p).cart)
+    lhs = k_z * eval_M(m, k_perp, k_z, p).components
+    rhs = omega * np.cross(E3, eval_N(m, k_perp, k_z, p).components)
     worst = max(worst, float(np.abs(lhs - rhs).max()))
 print(f"duality  c kz M = omega (e3 x N): max residual {worst:.3e}")
 
@@ -50,7 +50,7 @@ for axis in range(3):
         q = [x0, y0, z0]
         q[axis] += s * h
         p = CylPoint(math.hypot(q[0], q[1]), math.atan2(q[1], q[0]), q[2])
-        div += s * 0.5 / h * eval_E(K, p, norm).cart[axis]
+        div += s * 0.5 / h * eval_E(K, p, norm).components[axis]
 print(f"div E at ({x0},{y0},{z0}): {abs(div):.3e} (O(h^2) stencil, h={h})")
 
 # --- field map on the z = 0 plane ------------------------------------------
@@ -63,8 +63,8 @@ peak = 0.0
 for y in xs:
     for x in xs:
         p = CylPoint(math.hypot(x, y), math.atan2(y, x), 0.0, 0.0)
-        E = eval_E(K, p, norm).cart
-        B = eval_B(K, p, norm).cart
+        E = eval_E(K, p, norm).components
+        B = eval_B(K, p, norm).components
         peak = max(peak, float(np.abs(E).max()))
         row = [f"{x:.17g}", f"{y:.17g}", "0", "0"]
         for vec in (E, B):

@@ -18,7 +18,7 @@ m, k_perp, k_z = 2, 1.0, 2.0
 omega = math.hypot(k_perp, k_z)
 rho, phi, z = 1.5, 0.4, 0.2
 point = (rho * math.cos(phi), rho * math.sin(phi), z)
-direct = eval_N(m, k_perp, k_z, CylPoint(rho, phi, z)).to_cartesian().components
+direct = eval_N(m, k_perp, k_z, CylPoint(rho, phi, z)).components
 ref = float(np.abs(direct).max())
 
 print(f"N mode m={m}, k_perp={k_perp}, k_z={k_z}; sample at rho={rho} "

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -112,33 +113,54 @@ def parse_float_list(text):
     return vals
 
 
+def _key(name, default, parse, show, *, positive):
+    """One row of the config key table: a RunConfig field read from the
+    file key `name` with `parse` and echoed with `show`; a `positive`
+    value must be positive and finite."""
+    return field(default=default,
+                 metadata={"key": name, "parse": parse, "show": show, "positive": positive})
+
+
+def _show_number(value):
+    # cli._fmt is looked up at call time: perfbench's tracer wraps that name
+    return _fmt(value)
+
+
+def _show_list(values):
+    return ",".join(_fmt(v) for v in values)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration (file values with flag overrides)."""
+    """Resolved run configuration (file values with flag overrides).
 
-    hbar: float = 1.0
-    c: float = 1.0
-    m_range: tuple = (-4, 4)
-    k_perp: tuple = (0.5, 1.0, 1.5)
-    k_z: tuple = (1.0, 2.0)
-    quad_margin: float = 2.0
-    tol_algebra: float = 1e-12
-    tol_quadrature: float = 1e-3
-    tol_spherical: float = 1e-3
-    expected_fail: tuple = DEFAULT_EXPECTED_FAIL
+    The fields are the config key table, in report order: each names its
+    file key, parser, printed form and positivity check.
+    """
+
+    hbar: float = _key("units.hbar", 1.0, float, _show_number, positive=True)
+    c: float = _key("units.c", 1.0, float, _show_number, positive=True)
+    m_range: tuple = _key("lattice.m_range", (-4, 4), parse_m_range,
+                          lambda r: f"{r[0]}..{r[1]}", positive=False)
+    k_perp: tuple = _key("lattice.k_perp", (0.5, 1.0, 1.5), parse_float_list, _show_list,
+                         positive=False)
+    k_z: tuple = _key("lattice.k_z", (1.0, 2.0), parse_float_list, _show_list, positive=False)
+    quad_margin: float = _key("quadrature.margin", 2.0, float, _show_number, positive=True)
+    tol_algebra: float = _key("tol.algebra", 1e-12, float, _show_number, positive=True)
+    tol_quadrature: float = _key("tol.quadrature", 1e-3, float, _show_number, positive=True)
+    tol_spherical: float = _key("tol.spherical", 1e-3, float, _show_number, positive=True)
+    expected_fail: tuple = _key("verify.expected_fail", DEFAULT_EXPECTED_FAIL,
+                                lambda s: tuple(p for p in s.split(";") if p), ";".join,
+                                positive=False)
 
     def __post_init__(self):
         # one check for file values and flag overrides (--tol) alike
-        for key, value in (
-            ("units.hbar", self.hbar),
-            ("units.c", self.c),
-            ("quadrature.margin", self.quad_margin),
-            ("tol.algebra", self.tol_algebra),
-            ("tol.quadrature", self.tol_quadrature),
-            ("tol.spherical", self.tol_spherical),
-        ):
-            if not (math.isfinite(value) and value > 0):
-                raise UsageError(f"{key} must be positive and finite, got {_fmt(value)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata["positive"] and not (math.isfinite(value) and value > 0):
+                raise UsageError(
+                    f"{f.metadata['key']} must be positive and finite, got {_fmt(value)}"
+                )
 
     def lattice(self):
         return build_lattice(
@@ -151,18 +173,7 @@ class RunConfig:
 
     def echo(self):
         """Flat key -> printed-value mapping for report metadata."""
-        return {
-            "units.hbar": _fmt(self.hbar),
-            "units.c": _fmt(self.c),
-            "lattice.m_range": f"{self.m_range[0]}..{self.m_range[1]}",
-            "lattice.k_perp": ",".join(_fmt(v) for v in self.k_perp),
-            "lattice.k_z": ",".join(_fmt(v) for v in self.k_z),
-            "quadrature.margin": _fmt(self.quad_margin),
-            "tol.algebra": _fmt(self.tol_algebra),
-            "tol.quadrature": _fmt(self.tol_quadrature),
-            "tol.spherical": _fmt(self.tol_spherical),
-            "verify.expected_fail": ";".join(self.expected_fail),
-        }
+        return {f.metadata["key"]: f.metadata["show"](getattr(self, f.name)) for f in fields(self)}
 
 
 def read_config_file(path):
@@ -191,28 +202,14 @@ def build_run_config(config_path):
     if not config_path:
         return cfg
     pairs = read_config_file(config_path)
+    known = {f.metadata["key"]: f for f in fields(RunConfig)}
     updates = {}
-    known = {
-        "units.hbar": ("hbar", float),
-        "units.c": ("c", float),
-        "lattice.m_range": ("m_range", parse_m_range),
-        "lattice.k_perp": ("k_perp", parse_float_list),
-        "lattice.k_z": ("k_z", parse_float_list),
-        "quadrature.margin": ("quad_margin", float),
-        "tol.algebra": ("tol_algebra", float),
-        "tol.quadrature": ("tol_quadrature", float),
-        "tol.spherical": ("tol_spherical", float),
-        "verify.expected_fail": (
-            "expected_fail",
-            lambda s: tuple(p for p in s.split(";") if p),
-        ),
-    }
     for key, val in pairs.items():
         if key not in known:
             raise UsageError(f"unknown config key {key!r}")
-        name, conv = known[key]
+        f = known[key]
         try:
-            updates[name] = conv(val)
+            updates[f.name] = f.metadata["parse"](val)
         except UsageError:
             raise
         except ValueError as exc:
@@ -226,13 +223,15 @@ def build_run_config(config_path):
 
 
 def _json_text(obj, indent=0):
-    """Minimal JSON writer with 17-significant-digit floats."""
+    """Minimal JSON writer with 17-significant-digit floats; strings are
+    escaped by the json module, so any text gives valid JSON."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f'{pad}  "{k}": {_json_text(v, indent + 1)}' for k, v in obj.items()
+            f"{pad}  {json.dumps(k, ensure_ascii=False)}: {_json_text(v, indent + 1)}"
+            for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -245,8 +244,7 @@ def _json_text(obj, indent=0):
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     return _fmt(obj)
 
 
@@ -307,7 +305,7 @@ def _field_samples(which, K, norm, p):
             v = eval_N(K.m, K.k_perp, K.k_z, p, c=norm.c)
         else:
             v = eval_potential(K, p, norm)
-        out.append(v.to_cartesian().components)
+        out.append(v.components)
     return out
 
 
@@ -498,7 +496,7 @@ def cmd_expand(args, cfg):
     point = (rho * math.cos(phi), rho * math.sin(phi), z)
     p = CylPoint(rho, phi, z, 0.0)
     evaluator = eval_N if which == "N" else eval_M
-    direct = evaluator(args.m, args.kperp, args.kz, p, c=c).to_cartesian().components
+    direct = evaluator(args.m, args.kperp, args.kz, p, c=c).components
     ref = float(np.abs(direct).max())
 
     mags, rows = [], []

@@ -24,8 +24,6 @@ import scipy.sparse as sp
 
 from .modes import TE, TM
 
-SPARSE_DROP = 1e-15
-
 
 class LatticeError(ValueError):
     """Invalid lattice construction or mismatched-lattice operation."""
@@ -123,7 +121,9 @@ class QuadraticOperator:
     """O = sum_jk X_jk b_j^dag b_k + s on a fixed lattice.
 
     X is a sparse complex D x D coefficient matrix over unit-normalized
-    discrete ladder operators, s the c-number (zero-point) part.
+    discrete ladder operators, s the c-number (zero-point) part.  Only
+    exact zeros are dropped from X, so no coefficient is lost to its size
+    in the chosen units.
     """
 
     def __init__(self, lattice: ModeLattice, X=None, s=0.0):
@@ -133,7 +133,6 @@ class QuadraticOperator:
             X = sp.csr_matrix((D, D), dtype=complex)
         else:
             X = sp.csr_matrix(X, dtype=complex, shape=(D, D))
-            X.data[np.abs(X.data) < SPARSE_DROP] = 0.0
             X.eliminate_zeros()
         self.X = X
         self.s = complex(s)
@@ -196,17 +195,6 @@ class QuadraticOperator:
         P = sp.diags(mask)
         return QuadraticOperator(self.lattice, P @ self.X @ P, self.s)
 
-    def dump(self):
-        """Deterministic plain-text dump: 'row col re im' triplets plus scalar."""
-        coo = self.X.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        lines = [
-            f"{coo.row[i]} {coo.col[i]} {coo.data[i].real:.17g} {coo.data[i].imag:.17g}"
-            for i in order
-        ]
-        lines.append(f"scalar {self.s.real:.17g} {self.s.imag:.17g}")
-        return "\n".join(lines)
-
 
 def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
     """[A, B] via the quadratic-form identity [b*Xb, b*Yb] = b*(XY - YX)b."""
@@ -214,14 +202,15 @@ def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
     return QuadraticOperator(A.lattice, (A.X @ B.X - B.X @ A.X).tocsr(), 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisMap:
     """Invertible linear map b' = T b of the discrete ladder operators.
 
     T is stored sparse.  Its sparsity pattern splits the indices into
     connected components, so T is block diagonal up to a permutation; the
     inverse and the condition number are computed block by block (a dense
-    T is a single D x D block).
+    T is a single D x D block).  Maps compare by identity: a sparse T has
+    no elementwise truth value.
     """
 
     lattice: ModeLattice

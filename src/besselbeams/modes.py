@@ -89,69 +89,22 @@ class NormalizationConvention:
         return k_z * self.c * np.sqrt(self.hbar * k_perp / (2.0 * math.pi * w))
 
 
-CYLINDRICAL = "cylindrical"
-CARTESIAN = "cartesian"
-
-
 @dataclass(frozen=True)
 class ComplexVec3:
-    """Complex 3-vector sample with an explicit frame tag.
-
-    Cylindrical components are (rho, phi, z) at azimuth `phi0`; Cartesian
-    components are (x, y, z).  Conversion at a given azimuth is exact.
-    """
+    """Complex 3-vector sample with Cartesian (x, y, z) components."""
 
     components: np.ndarray
-    frame: str = CARTESIAN
-    phi0: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "components", np.asarray(self.components, dtype=complex))
-        if self.frame not in (CYLINDRICAL, CARTESIAN):
-            raise ValueError("frame must be 'cylindrical' or 'cartesian'")
-
-    def to_cartesian(self):
-        if self.frame == CARTESIAN:
-            return self
-        cr, cp, cz = self.components
-        cphi, sphi = math.cos(self.phi0), math.sin(self.phi0)
-        return ComplexVec3(
-            np.array([cr * cphi - cp * sphi, cr * sphi + cp * cphi, cz]), CARTESIAN
-        )
-
-    def to_cylindrical(self, phi0):
-        v = self.to_cartesian().components
-        cphi, sphi = math.cos(phi0), math.sin(phi0)
-        return ComplexVec3(
-            np.array([v[0] * cphi + v[1] * sphi, -v[0] * sphi + v[1] * cphi, v[2]]),
-            CYLINDRICAL,
-            phi0,
-        )
-
-    @property
-    def cart(self):
-        return self.to_cartesian().components
 
     def __add__(self, other):
-        return ComplexVec3(self.cart + other.cart, CARTESIAN)
-
-    def __sub__(self, other):
-        return ComplexVec3(self.cart - other.cart, CARTESIAN)
+        return ComplexVec3(self.components + other.components)
 
     def __mul__(self, s):
-        return ComplexVec3(self.components * s, self.frame, self.phi0)
+        return ComplexVec3(self.components * s)
 
     __rmul__ = __mul__
-
-    def dot(self, other):
-        """Bilinear (unconjugated) dot product."""
-        return np.dot(self.cart, other.cart)
-
-    def cross(self, other):
-        return ComplexVec3(np.cross(self.cart, other.cart), CARTESIAN)
-
-    def norm(self):
-        return float(np.linalg.norm(self.cart))
 
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -195,7 +148,7 @@ def _eval_mode(which, m, k_perp, k_z, p: CylPoint, c):
         coeff * bessel_j(order, x) * cmath.exp(1j * order * p.phi) * _POL[pol]
         for pol, order, coeff in mode_terms(which, m, k_perp, k_z, c)
     )
-    return ComplexVec3(comp * cmath.exp(1j * (k_z * p.z - omega * p.t)), CARTESIAN)
+    return ComplexVec3(comp * cmath.exp(1j * (k_z * p.z - omega * p.t)))
 
 
 def eval_M(m, k_perp, k_z, p: CylPoint, c=1.0):
@@ -235,12 +188,13 @@ def eval_B(K: ModeIndex, p: CylPoint, norm: NormalizationConvention):
     return amp * eval_N(K.m, K.k_perp, K.k_z, p, c=norm.c)
 
 
-def hertz_fields(family, m, k_perp, k_z, p: CylPoint, c=1.0, constant=1.0):
+def hertz_fields(family, m, k_perp, k_z, p: CylPoint, c=1.0):
     """(E, B) assembled from analytic derivatives of the Hertz potential.
 
-    Theta = C J_m(k_perp rho) exp(-i w t + i k_z z + i m phi) sources the
+    Theta = J_m(k_perp rho) exp(-i w t + i k_z z + i m phi) sources the
     TM fields (Theta_1) or the TE fields (Theta_2).  Independent of the
-    mode-vector path up to the single constant C; requires rho > 0.
+    mode-vector path up to a constant factor; requires rho > 0.  The
+    (rho, phi, z) components are rotated to Cartesian at azimuth p.phi.
     """
     if family not in (TM, TE):
         raise ValueError("family must be TM or TE")
@@ -250,7 +204,7 @@ def hertz_fields(family, m, k_perp, k_z, p: CylPoint, c=1.0, constant=1.0):
     x = k_perp * p.rho
     J = bessel_j(m, x)
     Jp = bessel_j_prime(m, x)
-    ph = constant * _phase(m, k_z, p, omega)
+    ph = _phase(m, k_z, p, omega)
     # Derivative factors: d/dz -> i k_z, d/(c dt) -> -i w/c, d/dphi -> i m,
     # d/drho -> k_perp J'.
     if family == TM:
@@ -267,17 +221,20 @@ def hertz_fields(family, m, k_perp, k_z, p: CylPoint, c=1.0, constant=1.0):
         b_rho = 1j * k_z * k_perp * Jp
         b_phi = -(k_z * m / p.rho) * J
         b_z = (omega**2 / c**2 - k_z**2) * J
-    E = ComplexVec3(np.array([e_rho, e_phi, e_z]) * ph, CYLINDRICAL, p.phi)
-    B = ComplexVec3(np.array([b_rho, b_phi, b_z]) * ph, CYLINDRICAL, p.phi)
-    return E, B
+    cphi, sphi = math.cos(p.phi), math.sin(p.phi)
+
+    def cartesian(v_rho, v_phi, v_z):
+        v_rho, v_phi, v_z = np.array([v_rho, v_phi, v_z]) * ph
+        return ComplexVec3([v_rho * cphi - v_phi * sphi, v_rho * sphi + v_phi * cphi, v_z])
+
+    return cartesian(e_rho, e_phi, e_z), cartesian(b_rho, b_phi, b_z)
 
 
-def eval_circular(handedness, m, k_perp, k_z, p: CylPoint, norm: NormalizationConvention,
-                  a0_prime=1.0):
+def eval_circular(handedness, m, k_perp, k_z, p: CylPoint, norm: NormalizationConvention):
     """Right/left circular potential mode as a TE/TM combination.
 
-    A^(R)_m = a0' (A^(TM)_{m-1} + i (c k_z/w) A^(TE)_{m-1}),
-    A^(L)_m = a0' (A^(TM)_{m+1} - i (c k_z/w) A^(TE)_{m+1}).
+    A^(R)_m = A^(TM)_{m-1} + i (c k_z/w) A^(TE)_{m-1},
+    A^(L)_m = A^(TM)_{m+1} - i (c k_z/w) A^(TE)_{m+1}.
     """
     if handedness not in ("R", "L"):
         raise ValueError("handedness must be 'R' or 'L'")
@@ -290,7 +247,7 @@ def eval_circular(handedness, m, k_perp, k_z, p: CylPoint, norm: NormalizationCo
     beta = norm.c * k_z / omega
     a_tm = eval_potential(k_tm, p, norm)
     a_te = eval_potential(k_te, p, norm)
-    return a0_prime * (a_tm + (sign * 1j * beta) * a_te)
+    return a_tm + (sign * 1j * beta) * a_te
 
 
 def scalar_angular_spectrum(m, k_perp, rho, phi, n_nodes):
@@ -333,4 +290,4 @@ def angular_spectrum(which, m, k_perp, k_z, p: CylPoint, n_nodes=None, c=1.0):
     wave = np.exp(1j * k_perp * p.rho * np.cos(p.phi - phik))
     density = cone_density(which, m, k_perp, k_z, phik, c)
     comp = 2.0 * math.pi * (density * wave[:, None]).mean(axis=0)
-    return ComplexVec3(comp * np.exp(1j * (k_z * p.z - omega * p.t)), CARTESIAN), meta
+    return ComplexVec3(comp * np.exp(1j * (k_z * p.z - omega * p.t))), meta

@@ -51,12 +51,12 @@ def bessel_j_prime(m, x):
     return 0.5 * (jv(m - 1, x) - jv(m + 1, x))
 
 
-def bessel_j_over_x(m, x, eps=1e-4):
+def bessel_j_over_x(m, x):
     """m * J_m(x) / x, with the x -> 0 limit taken by series.
 
     The combination appears in the rho-component of the mode vectors and
     is finite at the axis: it tends to 1/2 for m = +/-1 and 0 otherwise.
-    Below `eps` a 4-term ascending series keeps full accuracy.
+    Below x = 1e-4 a 4-term ascending series keeps full accuracy.
     """
     m = int(m)
     x = np.asarray(x, dtype=float)
@@ -64,7 +64,7 @@ def bessel_j_over_x(m, x, eps=1e-4):
     x = np.atleast_1d(x).astype(float)
     out = np.zeros_like(x)
     if m != 0:
-        small = x < eps
+        small = x < 1e-4
         big = ~small
         if np.any(big):
             out[big] = m * jv(m, x[big]) / x[big]
@@ -165,16 +165,6 @@ def assoc_legendre_prime(j, m, x):
     pj = lpmv(m, j, x)
     pjm1 = lpmv(m, j - 1, x) if j - 1 >= m else np.zeros_like(x)
     return (j * x * pj - (j + m) * pjm1) / (x**2 - 1.0)
-
-
-def assoc_legendre_dkz(j, m, k_z, omega, c=1.0):
-    """d/dk_z of P_j^m(c k_z / omega) at fixed omega: (c/omega) P_j^m'(x)."""
-    if omega <= 0:
-        raise DomainError("omega must be positive")
-    x = c * k_z / omega
-    if abs(x) >= 1:
-        raise DomainError("requires |c k_z| < omega")
-    return (c / omega) * float(assoc_legendre_prime(j, m, x))
 
 
 def spherical_harmonic(j, m, theta, phi):

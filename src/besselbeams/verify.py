@@ -108,18 +108,18 @@ def _sorted(results):
 # ---------------------------------------------------------------------------
 
 
-def _interior_indices(lat: ModeLattice, margin=2):
-    """Indices whose m is at least `margin` away from the truncation edge.
+def _interior_indices(lat: ModeLattice):
+    """Indices whose m is at least 2 away from the truncation edge.
 
     m-shifting bilinears develop O(1) boundary defects on a truncated
     m-window; all operator relations hold exactly on the interior block.
     """
     m_min, m_max = lat.m_range
-    if m_max - m_min + 1 < 2 * margin + 1:
+    if m_max - m_min + 1 < 5:
         raise LatticeError("lattice m_range too small for interior comparison")
     per_m = len(lat.k_perp_nodes) * len(lat.k_z_nodes)
     m = m_min + (np.arange(lat.dim) // per_m) % (m_max - m_min + 1)
-    return np.flatnonzero((m_min + margin <= m) & (m <= m_max - margin))
+    return np.flatnonzero((m_min + 2 <= m) & (m <= m_max - 2))
 
 
 def _relation_table(lat: ModeLattice, obs):
@@ -225,7 +225,7 @@ def _strip_scalar(A: QuadraticOperator):
     return QuadraticOperator(A.lattice, A.X, 0.0)
 
 
-def commutator_suite(lat: ModeLattice, tol=ALG_TOL, fock_check=True):
+def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     """Evaluate every printed commutation relation on the lattice.
 
     Comparisons are restricted to the interior m-block (margin 2 from the
@@ -234,7 +234,8 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL, fock_check=True):
     form conflicts with the computed algebra stay in the list with
     pass=False and a companion entry giving the computed normal form.
     A table row's residual is max|[A,B] - RHS| / (|A|max |B|max), so `tol`
-    is relative there; the Stokes and Fock rows stay absolute.
+    is relative there; the Stokes and Fock rows stay absolute.  The
+    brute-force Fock cross-check closes the list.
     """
     obs = build_observables(lat, include_zero_point=False)
     interior = _interior_indices(lat)
@@ -275,8 +276,7 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL, fock_check=True):
         )
     )
 
-    if fock_check:
-        results.append(_fock_cross_check(tol))
+    results.append(_fock_cross_check(tol))
     return _sorted(results)
 
 
@@ -352,6 +352,9 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
         (1/4)[1+(c kz/w)^2][1-(w/(c kz))^2] * hbar*omega;
     (d) that off-diagonal energy scales like (kp/kz)^2 in the paraxial
         regime (log-log slope 2 over two decades).
+    Each residual is relative to the scale its note states (max-abs
+    entries of the operands), so `tol` is relative and the verdicts do
+    not depend on the units of hbar and c.
     """
     hbar, c = lat.hbar, lat.c
     obs = build_observables(lat, include_zero_point=False)
@@ -361,14 +364,25 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     worst = 0.0
     for i in range(len(quartet)):
         for j in range(i + 1, len(quartet)):
-            worst = max(worst, commutator(quartet[i][1], quartet[j][1]).max_abs())
+            A, B = quartet[i][1], quartet[j][1]
+            worst = max(worst, commutator(A, B).max_abs() / (A.max_abs() * B.max_abs()))
     results.append(
-        RelationResult.from_norm("basis: {E,P3,L3,S3} mutually commute", worst, tol, "")
+        RelationResult.from_norm(
+            "basis: {E,P3,L3,S3} mutually commute",
+            worst,
+            tol,
+            "residual relative to |A|max |B|max of each pair",
+        )
     )
 
     pm = make_pm_map(lat)
     results.append(
-        RelationResult.from_norm("basis: (+/-) map is unitary", pm.unitarity_residual, tol, "")
+        RelationResult.from_norm(
+            "basis: (+/-) map is unitary",
+            pm.unitarity_residual,
+            tol,
+            "max |T^dag T - I|; T is dimensionless, scale 1",
+        )
     )
     # (m, k_perp node, k_z node) grids; the (TM, TE) pair of each sits at
     # lat.index(family, m, ip, iz)
@@ -381,8 +395,8 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     diag = {}
     for name, A in quartet:
         Ap = apply_basis(A, pm)
-        worst_off = max(worst_off, _offdiag_norm(Ap))
-        diag[name] = np.real(Ap.X.diagonal())
+        worst_off = max(worst_off, _offdiag_norm(Ap) / A.max_abs())
+        diag[name] = (np.real(Ap.X.diagonal()), A.max_abs())
     worst_eig = 0.0
     for fam in lat.families:
         idx = lat.index(fam, m, ip, iz)
@@ -394,10 +408,14 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
             "S3": hel * hbar * c * kz / w,
         }
         for name, want in expected.items():
-            worst_eig = max(worst_eig, float(np.abs(diag[name][idx] - want).max()))
+            values, scale = diag[name]
+            worst_eig = max(worst_eig, float(np.abs(values[idx] - want).max()) / scale)
     results.append(
         RelationResult.from_norm(
-            "basis: {E,P3,L3,S3} diagonal in (+/-) basis", worst_off, tol, ""
+            "basis: {E,P3,L3,S3} diagonal in (+/-) basis",
+            worst_off,
+            tol,
+            "off-diagonal residual relative to |A|max of each operator",
         )
     )
     results.append(
@@ -405,22 +423,26 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
             "basis: (+/-) eigenvalues {hbar w, hbar kz, hbar m, +/-hbar c kz/w}",
             worst_eig,
             tol,
-            "per-mode eigenvalue table",
+            "per-mode eigenvalue table; residual relative to |A|max of each operator",
         )
     )
 
     rl = make_rl_map(lat)
     S3_rl = apply_basis(obs.S_3, rl)
+    scale = obs.S_3.max_abs()
     results.append(
         RelationResult.from_norm(
             "basis: S3 diagonal under R/L map",
-            _offdiag_norm(S3_rl),
+            _offdiag_norm(S3_rl) / scale,
             tol,
-            f"map condition number {rl.condition_number:.6g} (non-unitary)",
+            f"map condition number {rl.condition_number:.6g} (non-unitary); "
+            f"residual relative to |S3|max = {scale:.6g}",
         )
     )
 
-    E_rl = apply_basis(obs.energy, rl).X
+    E_rl = apply_basis(obs.energy, rl)
+    scale = E_rl.max_abs()
+    E_rl = E_rl.X
     coeff = np.array(
         [[_rl_cross_coeff(c, hbar, kp, v) for v, _ in lat.k_z_nodes] for kp, _ in lat.k_perp_nodes]
     )
@@ -433,9 +455,10 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     results.append(
         RelationResult.from_norm(
             "basis: R/L energy cross-term = (1/4)(1+beta^2)(1-1/beta^2) hbar w",
-            worst_cross,
+            worst_cross / scale,
             tol,
-            "beta = c kz/omega per node; symmetric (Hermitian) cross term",
+            "beta = c kz/omega per node; symmetric (Hermitian) cross term; "
+            f"residual relative to |E in R/L|max = {scale:.6g}",
         )
     )
 
@@ -451,7 +474,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
             "basis: paraxial off-diagonal energy ~ (kp/kz)^2",
             abs(slope - 2.0),
             0.05,
-            f"log-log slope {slope:.6f} over kp/kz in [1e-3, 1e-1]",
+            f"log-log slope {slope:.6f} over kp/kz in [1e-3, 1e-1]; the slope is dimensionless",
         )
     )
     return _sorted(results)
@@ -514,10 +537,11 @@ class QuadratureDomain:
         )
 
 
-def default_domain(wp: WavepacketSpec, spread=8.0):
-    """Cylinder sized to the Gaussian spatial decay of the wavepacket."""
-    R = spread / wp.k_perp_width
-    Z = spread / wp.k_z_width
+def default_domain(wp: WavepacketSpec):
+    """Cylinder sized to the Gaussian spatial decay of the wavepacket:
+    8 decay lengths radially and axially."""
+    R = 8.0 / wp.k_perp_width
+    Z = 8.0 / wp.k_z_width
     kp_max = wp.k_perp_center + 5 * wp.k_perp_width
     n_rad = int(24 * max(8, math.ceil(kp_max * R / (2 * math.pi))))
     n_ax = int(24 * max(8, math.ceil(10 * wp.k_z_width * Z / (2 * math.pi))))
@@ -550,8 +574,8 @@ class SmearedField:
         self.comps = comps
 
 
-def smear_mode(which, wp: WavepacketSpec, n_kp=32, n_kz=32, c=1.0, hbar=1.0):
-    """Smeared M, N, E or B field of the carrier family/m of `wp`.
+def smear_mode(which, wp: WavepacketSpec, n_kp, n_kz):
+    """Smeared M, N, E or B field of the carrier family/m of `wp`, c = hbar = 1.
 
     E and B carry the normalization amplitude; M and N are bare.
     The k-grids are composite Gauss-Legendre: when the field feeds a
@@ -570,14 +594,14 @@ def smear_mode(which, wp: WavepacketSpec, n_kp=32, n_kz=32, c=1.0, hbar=1.0):
         vector, pref = which, 1.0
     elif which in ("E", "B"):
         # E^(TM) = amp N, E^(TE) = -amp M, B^(TM) = amp M, B^(TE) = amp N
-        amp = NormalizationConvention(hbar=hbar, c=c).amplitude_grid(KP, KZ)
+        amp = NormalizationConvention().amplitude_grid(KP, KZ)
         vector = "N" if (which == "E") == (wp.family == TM) else "M"
         pref = -amp if (which, wp.family) == ("E", TE) else amp
     else:
         raise ValueError("which must be one of M, N, E, B")
     comps = [
         _Component(pol, order, order, 0, 0, coeff * pref * g)
-        for pol, order, coeff in mode_terms(vector, wp.m, KP, KZ, c)
+        for pol, order, coeff in mode_terms(vector, wp.m, KP, KZ)
     ]
     return SmearedField(kp, wkp, kz, wkz, comps)
 
@@ -698,35 +722,36 @@ def volume_cross(F1, F2, quad: _CylinderQuadrature, conjugate=True):
     return _volume_integral(F1, F2, quad, _CROSS, conjugate)
 
 
-def _pair_integral(wp1, wp2, weight, n=64):
-    """int dkp dkz g1(k) conj(g2)(k) weight(kp, kz) on the joint support."""
-    lo_p = min(wp1.k_perp_center - 5 * wp1.k_perp_width, wp2.k_perp_center - 5 * wp2.k_perp_width)
-    hi_p = max(wp1.k_perp_center + 5 * wp1.k_perp_width, wp2.k_perp_center + 5 * wp2.k_perp_width)
-    lo_z = min(wp1.k_z_center - 5 * wp1.k_z_width, wp2.k_z_center - 5 * wp2.k_z_width)
-    hi_z = max(wp1.k_z_center + 5 * wp1.k_z_width, wp2.k_z_center + 5 * wp2.k_z_width)
-    kp, wkp = _panels(lo_p, hi_p, n, per_panel=n)
-    kz, wkz = _panels(lo_z, hi_z, n, per_panel=n)
+def _envelope_nodes(wp):
+    """(KP, KZ, wkp, wkz): a 64 x 64 Gauss-Legendre grid over the support of `wp`."""
+    kp, wkp = _panels(
+        wp.k_perp_center - 5 * wp.k_perp_width, wp.k_perp_center + 5 * wp.k_perp_width, 64, per_panel=64
+    )
+    kz, wkz = _panels(
+        wp.k_z_center - 5 * wp.k_z_width, wp.k_z_center + 5 * wp.k_z_width, 64, per_panel=64
+    )
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
-    vals = wp1.envelope(KP, KZ) * np.conj(wp2.envelope(KP, KZ)) * weight(KP, KZ)
-    return np.einsum("a,b,ab->", wkp, wkz, vals)
+    return KP, KZ, wkp, wkz
 
 
-def _lplus_analytic(wp_m, wp_mp, n=64):
+def _pair_integral(wp, weight):
+    """int dkp dkz |g(k)|^2 weight(kp, kz) over the support of `wp`."""
+    KP, KZ, wkp, wkz = _envelope_nodes(wp)
+    g = wp.envelope(KP, KZ)
+    return np.einsum("a,b,ab->", wkp, wkz, g * np.conj(g) * weight(KP, KZ))
+
+
+def _lplus_analytic(wp_m, wp_mp):
     """Envelope form of the L+ matrix element int M'* . (L+ M) dV.
 
     The distributional identity (with m' = m+1)
         i (2pi)^2 (w w'/(kp kz kz')) [kp d_kz - kz d_kp - m kz/kp] delta delta
     is integrated by parts against the envelopes: with u = g w/(kp kz),
-        I = i (2pi)^2 int dk conj(h) (w/kz) [ -d_kz(kp u) + d_kp(kz u) - m (kz/kp) u ].
+        I = i (2pi)^2 int dk conj(h) (w/kz) [ -d_kz(kp u) + d_kp(kz u) - m (kz/kp) u ]
+    over the support of `wp_m`.
     """
     m = wp_m.m
-    kp, wkp = _panels(
-        wp_m.k_perp_center - 5 * wp_m.k_perp_width, wp_m.k_perp_center + 5 * wp_m.k_perp_width, n, per_panel=n
-    )
-    kz, wkz = _panels(
-        wp_m.k_z_center - 5 * wp_m.k_z_width, wp_m.k_z_center + 5 * wp_m.k_z_width, n, per_panel=n
-    )
-    KP, KZ = np.meshgrid(kp, kz, indexing="ij")
+    KP, KZ, wkp, wkz = _envelope_nodes(wp_m)
     W = np.hypot(KP, KZ)
     g = wp_m.envelope(KP, KZ)
     h = wp_mp.envelope(KP, KZ)
@@ -742,24 +767,21 @@ def _lplus_analytic(wp_m, wp_mp, n=64):
     return 1j * (2 * math.pi) ** 2 * np.einsum("a,b,ab->", wkp, wkz, integrand)
 
 
-def quadrature_suite(pairs=None, dom=None, rel_tol=QUAD_REL_TOL, margin=2.0):
+def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
     """Wavepacket-smeared volume integrals over a finite cylinder.
 
-    Each relation compares a direct volume integral (exact azimuthally,
-    composite Gauss-Legendre radially and axially) with the analytic
+    The carrier packet is TM, m = 2, centered at (k_perp, k_z) = (1, 2)
+    with widths (0.08, 0.12).  Each relation compares a direct volume
+    integral (exact azimuthally, composite Gauss-Legendre radially and
+    axially) with the analytic
     value obtained by applying the delta-normalized product formulas to
     the Gaussian envelopes.  A refinement pass (domain scaled by 1.5,
     with every k-grid rebuilt to match via k_counts) provides the
     convergence estimate; relations whose estimate exceeds the tolerance
     are reported inconclusive.
     """
-    if pairs is None:
-        base = WavepacketSpec(TM, 2, 1.0, 0.08, 2.0, 0.12)
-        mate = WavepacketSpec(TE, 3, 1.0, 0.08, 2.0, 0.12)
-        pairs = (base, mate)
-    wp1, wp2 = pairs
-    if dom is None:
-        dom = default_domain(wp1)
+    wp1 = WavepacketSpec(TM, 2, 1.0, 0.08, 2.0, 0.12)
+    dom = default_domain(wp1)
     dom_fine = dom.scaled(1.5)
     quad = _CylinderQuadrature(dom)
     quad_fine = _CylinderQuadrature(dom_fine)
@@ -818,7 +840,7 @@ def quadrature_suite(pairs=None, dom=None, rel_tol=QUAD_REL_TOL, margin=2.0):
         return fine
 
     scalar_weight = lambda KP, KZ: (KP**2 + KZ**2) / (KP * KZ**2)
-    ana_diag = (2 * math.pi) ** 2 * _pair_integral(wp1, wp1, scalar_weight)
+    ana_diag = (2 * math.pi) ** 2 * _pair_integral(wp1, scalar_weight)
     scale = abs(ana_diag)
 
     # (a) scalar orthonormality, same m
@@ -857,10 +879,8 @@ def quadrature_suite(pairs=None, dom=None, rel_tol=QUAD_REL_TOL, margin=2.0):
 
     # (c) vector products: int N x M'* with m' = m, m+1, m-1 picks e3, e-, e+
     vec_weight = lambda KP, KZ: np.hypot(KP, KZ) / KZ**2
-    ana_vec = (2 * math.pi) ** 2 * _pair_integral(wp1, wp1, vec_weight)
-    ana_vec3 = (2 * math.pi) ** 2 * _pair_integral(
-        wp1, wp1, lambda KP, KZ: np.hypot(KP, KZ) / (KP * KZ)
-    )
+    ana_vec = (2 * math.pi) ** 2 * _pair_integral(wp1, vec_weight)
+    ana_vec3 = (2 * math.pi) ** 2 * _pair_integral(wp1, lambda KP, KZ: np.hypot(KP, KZ) / (KP * KZ))
     vscale = abs(ana_vec)
     check(
         "int N x M'* dV, m'=m: e3 coefficient = (2pi)^2 int g g'* w/(kp kz)",
@@ -945,18 +965,19 @@ def quadrature_suite(pairs=None, dom=None, rel_tol=QUAD_REL_TOL, margin=2.0):
     )
 
     # (g) energy per photon of a narrow wavepacket
-    results.append(energy_per_photon_check(rel_width=0.02, margin=margin))
+    results.append(energy_per_photon_check(margin))
     return _sorted(results)
 
 
-def energy_per_photon_check(rel_width=0.02, tol=0.01, margin=2.0):
-    """(1/4pi) int (|E|^2 + |B|^2) dV = hbar * mean(omega) for a unit packet."""
-    wp = WavepacketSpec(TM, 1, 1.0, rel_width * 1.0, 2.0, rel_width * 2.0)
+def energy_per_photon_check(margin=2.0):
+    """(1/4pi) int (|E|^2 + |B|^2) dV = hbar * mean(omega) for a unit packet,
+    to 1% for a TM, m = 1 packet of relative width 0.02 at (1, 2)."""
+    wp = WavepacketSpec(TM, 1, 1.0, 0.02, 2.0, 0.04)
     dom = default_domain(wp)
     quad = _CylinderQuadrature(dom)
     # envelope normalization int |g|^2 dk = 1
-    nrm = _pair_integral(wp, wp, lambda KP, KZ: np.ones_like(KP))
-    omega_bar = _pair_integral(wp, wp, lambda KP, KZ: np.hypot(KP, KZ)) / nrm
+    nrm = _pair_integral(wp, lambda KP, KZ: np.ones_like(KP))
+    omega_bar = _pair_integral(wp, lambda KP, KZ: np.hypot(KP, KZ)) / nrm
     scale = 1.0 / math.sqrt(abs(nrm))
     n_kp, n_kz = k_counts(wp, dom, margin)
     E = smear_mode("E", wp, n_kp, n_kz)
@@ -969,8 +990,8 @@ def energy_per_photon_check(rel_width=0.02, tol=0.01, margin=2.0):
     return RelationResult.from_norm(
         "quadrature: energy per photon = hbar * mean omega",
         resid,
-        tol,
-        f"relative width {rel_width}; measured {energy:.6f} vs mean omega {omega_bar.real:.6f}",
+        0.01,
+        f"relative width 0.02; measured {energy:.6f} vs mean omega {omega_bar.real:.6f}",
     )
 
 
@@ -1063,8 +1084,9 @@ def partial_sums(which, m, k_perp, k_z, point, j_max, c=1.0):
         yield j, aE, aM, total
 
 
-def spherical_suite(samples=None, j_max=60, m=2, k_perp=1.0, k_z=2.0, tol=1e-3):
-    """Angular-spectrum and spherical-expansion checks.
+def spherical_suite(tol=1e-3):
+    """Angular-spectrum and spherical-expansion checks on the m = 2 mode at
+    (k_perp, k_z) = (1, 2), with spherical sums up to j = 60.
 
     (a) scalar and vector plane-wave angular spectra reproduce the
         closed-form modes; (b) the printed u, v closed forms are compared
@@ -1073,6 +1095,7 @@ def spherical_suite(samples=None, j_max=60, m=2, k_perp=1.0, k_z=2.0, tol=1e-3):
         spherical-basis angular momentum satisfies su(2).
     """
     c = 1.0
+    j_max, m, k_perp, k_z = 60, 2, 1.0, 2.0
     results = []
     omega = math.hypot(k_perp, k_z)
 
@@ -1092,7 +1115,7 @@ def spherical_suite(samples=None, j_max=60, m=2, k_perp=1.0, k_z=2.0, tol=1e-3):
         p = CylPoint(rho, phi, z, 0.13)
         for which, evaluator in (("M", eval_M), ("N", eval_N)):
             spec, _ = angular_spectrum(which, m, k_perp, k_z, p, c=c)
-            direct = evaluator(m, k_perp, k_z, p, c=c).to_cartesian()
+            direct = evaluator(m, k_perp, k_z, p, c=c)
             worst = max(worst, float(np.abs(spec.components - direct.components).max()))
     results.append(
         RelationResult.from_norm(
@@ -1151,8 +1174,7 @@ def spherical_suite(samples=None, j_max=60, m=2, k_perp=1.0, k_z=2.0, tol=1e-3):
     )
 
     # (c) truncated reconstruction at sample points with k_perp * rho <= 2
-    if samples is None:
-        samples = [(0.5 / k_perp, 0.2, 0.3), (1.5 / k_perp, -0.4, 0.1), (2.0 / k_perp, 1.0, -0.5)]
+    samples = [(0.5 / k_perp, 0.2, 0.3), (1.5 / k_perp, -0.4, 0.1), (2.0 / k_perp, 1.0, -0.5)]
     worst = 0.0
     checkpoints = tuple(sorted({j_max // 2, 3 * j_max // 4, j_max}))
     tail = []
@@ -1165,7 +1187,7 @@ def spherical_suite(samples=None, j_max=60, m=2, k_perp=1.0, k_z=2.0, tol=1e-3):
                 for j, _, _, total in partial_sums(which, m, k_perp, k_z, point, j_max, c)
                 if j in checkpoints
             }
-            direct = evaluator(m, k_perp, k_z, p, c=c).to_cartesian().components
+            direct = evaluator(m, k_perp, k_z, p, c=c).components
             ref = float(np.abs(direct).max())
             worst = max(worst, float(np.abs(partial[j_max] - direct).max() / ref))
             tail.append([float(np.abs(partial[j] - direct).max() / ref) for j in checkpoints])

@@ -181,6 +181,33 @@ class TestConfig:
         assert code == 0
         assert json.loads(out)["metadata"]["config"]["lattice.m_range"] == "-3..3"
 
+    def test_report_is_valid_json_for_any_string(self, tmp_path, capsys):
+        # a tab is a control character that JSON strings must escape
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("verify.expected_fail = a\tb;\u00e9\n", encoding="utf-8")
+        code, out, _ = run(["--config", str(cfg)] + SMALL_VERIFY, capsys)
+        assert code == 1  # the flagged relations are no longer expected
+        assert json.loads(out)["metadata"]["config"]["verify.expected_fail"] == "a\tb;\u00e9"
+
+
+@pytest.mark.parametrize("config,factor", [
+    ("units.hbar = 1e-16", 1e-16),
+    ("units.hbar = 1e16", 1e16),
+    ("units.c = 1e8", 1e8),
+])
+def test_verdicts_and_expectations_do_not_depend_on_units(config, factor, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config + "\n")
+    for suite in ("commutators", "basis"):
+        code, out, _ = run(["--config", str(cfg), "verify", suite], capsys)
+        assert code == 0, [r for r in json.loads(out)["results"] if not r["pass"]]
+    amp = ["expect", "--amp", "tm,0,0,0,1,0"]
+    _, unit, _ = run(amp, capsys)
+    _, scaled, _ = run(["--config", str(cfg)] + amp, capsys)
+    energy = [float(out.split("\n")[1].split(",")[1]) for out in (unit, scaled)]
+    # the energy is hbar w (|alpha|^2 + zero point); both scale with hbar and with c
+    assert energy[1] == pytest.approx(factor * energy[0], rel=1e-14)
+
 
 class TestField:
     ARGS = [

@@ -4,12 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from besselbeams.modes import (
-    CARTESIAN,
-    CYLINDRICAL,
-    ComplexVec3,
     CylPoint,
     E3,
     ModeIndex,
@@ -55,8 +51,8 @@ class TestDuality:
                 float(RNG.uniform(-3.0, 3.0)),
             )
             w = math.hypot(kp, kz)
-            lhs = kz * eval_M(m, kp, kz, p).cart
-            rhs = w * np.cross(E3, eval_N(m, kp, kz, p).cart)
+            lhs = kz * eval_M(m, kp, kz, p).components
+            rhs = w * np.cross(E3, eval_N(m, kp, kz, p).components)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
         assert worst < 1e-12
 
@@ -66,7 +62,7 @@ class TestAxis:
         # m = 0 on axis: TM electric field purely axial
         K = ModeIndex(TM, 0, 1.0, 2.0)
         p = CylPoint(0.0, 0.0, 0.3, 0.1)
-        E = eval_E(K, p, NORM).to_cartesian().components
+        E = eval_E(K, p, NORM).components
         assert abs(E[0]) == 0.0 and abs(E[1]) == 0.0
         # axial value: amplitude * (k_perp/k_z) J_0(0) * phase
         w = K.omega()
@@ -77,46 +73,47 @@ class TestAxis:
         # fields approach their on-axis value smoothly
         for evaluator in (eval_M, eval_N):
             for m in (-1, 0, 1, 2):
-                on = evaluator(m, 1.0, 2.0, CylPoint(0.0, 0.0, 0.0)).cart
-                near = evaluator(m, 1.0, 2.0, CylPoint(1e-9, 0.0, 0.0)).cart
+                on = evaluator(m, 1.0, 2.0, CylPoint(0.0, 0.0, 0.0)).components
+                near = evaluator(m, 1.0, 2.0, CylPoint(1e-9, 0.0, 0.0)).components
                 assert np.abs(on - near).max() < 1e-7
 
     def test_axis_m_selection(self):
         # only |m| = 1 has transverse weight on the axis, only N at m = 0 axial
         for evaluator in (eval_M, eval_N):
             for m in (-3, -2, 2, 3):
-                v = evaluator(m, 1.0, 2.0, CylPoint(0.0)).cart
+                v = evaluator(m, 1.0, 2.0, CylPoint(0.0)).components
                 assert np.abs(v).max() < 1e-15
             for m in (-1, 1):
-                v1 = evaluator(m, 1.0, 2.0, CylPoint(0.0)).cart
+                v1 = evaluator(m, 1.0, 2.0, CylPoint(0.0)).components
                 assert np.abs(v1[:2]).max() > 0.1 and v1[2] == 0.0
-        assert np.abs(eval_M(0, 1.0, 2.0, CylPoint(0.0)).cart).max() == 0.0
-        n0 = eval_N(0, 1.0, 2.0, CylPoint(0.0)).cart
+        assert np.abs(eval_M(0, 1.0, 2.0, CylPoint(0.0)).components).max() == 0.0
+        n0 = eval_N(0, 1.0, 2.0, CylPoint(0.0)).components
         assert np.abs(n0[:2]).max() == 0.0 and abs(n0[2]) > 0.1
 
 
 class TestFieldAssembly:
     def test_hertz_path_matches_mode_path(self):
-        # the Hertz-potential fields (cylindrical components, independent of
-        # the mode-vector term table) fix M and N with a closed-form constant:
+        # the Hertz-potential fields (built in cylindrical components and
+        # rotated to Cartesian, independent of the mode-vector term table)
+        # fix M and N with a closed-form constant:
         # N = E_TM/(kp kz) = B_TE/(kp kz),  M = B_TM/(kp kz) = -E_TE/(kp kz)
         worst = 0.0
         for p in random_points(1000):
             m = int(RNG.integers(-4, 5))
             kp = float(RNG.uniform(0.3, 2.5))
             kz = float(RNG.choice([-1.0, 1.0]) * RNG.uniform(0.5, 3.0))
-            E_tm, B_tm = (v.cart / (kp * kz) for v in hertz_fields(TM, m, kp, kz, p))
-            E_te, B_te = (v.cart / (kp * kz) for v in hertz_fields(TE, m, kp, kz, p))
-            M = eval_M(m, kp, kz, p).cart
-            N = eval_N(m, kp, kz, p).cart
+            E_tm, B_tm = (v.components / (kp * kz) for v in hertz_fields(TM, m, kp, kz, p))
+            E_te, B_te = (v.components / (kp * kz) for v in hertz_fields(TE, m, kp, kz, p))
+            M = eval_M(m, kp, kz, p).components
+            N = eval_N(m, kp, kz, p).components
             worst = max(worst, *(float(np.abs(a - b).max()) for a, b in
                                  ((N, E_tm), (N, B_te), (M, B_tm), (M, -E_te))))
             # E and B carry the normalization amplitude on top
             for family, (Eh, Bh) in ((TM, (E_tm, B_tm)), (TE, (E_te, B_te))):
                 K = ModeIndex(family, m, kp, kz)
                 amp = NORM.amplitude(K)
-                worst = max(worst, float(np.abs(eval_E(K, p, NORM).cart - amp * Eh).max()),
-                            float(np.abs(eval_B(K, p, NORM).cart - amp * Bh).max()))
+                worst = max(worst, float(np.abs(eval_E(K, p, NORM).components - amp * Eh).max()),
+                            float(np.abs(eval_B(K, p, NORM).components - amp * Bh).max()))
         assert worst < 1e-12
 
     def test_divergence_of_E_vanishes(self):
@@ -131,9 +128,9 @@ class TestFieldAssembly:
                         q = [x0, y0, z0]
                         q[axis] += s * h
                         rho, phi = math.hypot(q[0], q[1]), math.atan2(q[1], q[0])
-                        v = eval_E(K, CylPoint(rho, phi, q[2], 0.0), NORM).cart
+                        v = eval_E(K, CylPoint(rho, phi, q[2], 0.0), NORM).components
                         div += coeff * v[axis]
-                scale = np.abs(eval_E(K, CylPoint(math.hypot(x0, y0), math.atan2(y0, x0), z0), NORM).cart).max()
+                scale = np.abs(eval_E(K, CylPoint(math.hypot(x0, y0), math.atan2(y0, x0), z0), NORM).components).max()
                 assert abs(div) < 1e-5 * scale  # O(h^2) stencil accuracy
 
     def test_divergence_of_B_vanishes(self):
@@ -146,7 +143,7 @@ class TestFieldAssembly:
                 q = [x0, y0, z0]
                 q[axis] += s * h
                 rho, phi = math.hypot(q[0], q[1]), math.atan2(q[1], q[0])
-                div += coeff * eval_B(K, CylPoint(rho, phi, q[2], 0.0), NORM).cart[axis]
+                div += coeff * eval_B(K, CylPoint(rho, phi, q[2], 0.0), NORM).components[axis]
         assert abs(div) < 1e-5
 
     def test_faraday_law(self):
@@ -158,7 +155,7 @@ class TestFieldAssembly:
 
         def E_at(q):
             rho, phi = math.hypot(q[0], q[1]), math.atan2(q[1], q[0])
-            return eval_E(K, CylPoint(rho, phi, q[2], 0.0), NORM).cart
+            return eval_E(K, CylPoint(rho, phi, q[2], 0.0), NORM).components
 
         curl = np.zeros(3, dtype=complex)
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -173,7 +170,7 @@ class TestFieldAssembly:
             qm[k] -= h
             dk_Ej = (E_at(qp)[j] - E_at(qm)[j]) / (2 * h)
             curl[i] = dj_Ek - dk_Ej
-        B = eval_B(K, CylPoint(math.hypot(x0, y0), math.atan2(y0, x0), z0, 0.0), NORM).cart
+        B = eval_B(K, CylPoint(math.hypot(x0, y0), math.atan2(y0, x0), z0, 0.0), NORM).components
         assert np.abs(curl - 1j * w * B).max() < 1e-5
 
     def test_potential_field_relation(self):
@@ -182,8 +179,8 @@ class TestFieldAssembly:
             K = ModeIndex(family, 1, 0.8, 1.5)
             w = K.omega()
             p = CylPoint(1.4, 0.6, -0.3, 0.2)
-            A = eval_potential(K, p, NORM).cart
-            E = eval_E(K, p, NORM).cart
+            A = eval_potential(K, p, NORM).components
+            E = eval_E(K, p, NORM).components
             assert np.abs(E - 1j * w * A).max() < 1e-14
 
 
@@ -195,9 +192,9 @@ class TestCircular:
         w = math.hypot(kp, kz)
         beta = kz / w
         for hand, shift, sign in (("R", -1, 1.0), ("L", +1, -1.0)):
-            got = eval_circular(hand, m, kp, kz, p, NORM).cart
-            a_tm = eval_potential(ModeIndex(TM, m + shift, kp, kz), p, NORM).cart
-            a_te = eval_potential(ModeIndex(TE, m + shift, kp, kz), p, NORM).cart
+            got = eval_circular(hand, m, kp, kz, p, NORM).components
+            a_tm = eval_potential(ModeIndex(TM, m + shift, kp, kz), p, NORM).components
+            a_te = eval_potential(ModeIndex(TE, m + shift, kp, kz), p, NORM).components
             want = a_tm + sign * 1j * beta * a_te
             assert np.abs(got - want).max() < 1e-14
 
@@ -220,8 +217,8 @@ class TestAngularSpectrum:
         for which, evaluator in (("M", eval_M), ("N", eval_N)):
             spec, meta = angular_spectrum(which, 2, 1.0, 2.0, p)
             assert meta["converged"]
-            direct = evaluator(2, 1.0, 2.0, p).cart
-            assert np.abs(spec.cart - direct).max() < 1e-10
+            direct = evaluator(2, 1.0, 2.0, p).components
+            assert np.abs(spec.components - direct).max() < 1e-10
 
     def test_insufficient_nodes_flagged(self):
         p = CylPoint(10.0, 0.0, 0.0)
@@ -239,24 +236,6 @@ class TestTypesAndFrames:
             ModeIndex(TM, 0, 1.0, 0.0)
         with pytest.raises(ValueError):
             CylPoint(-0.1)
-
-    @given(
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-        st.floats(-math.pi, math.pi),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_frame_roundtrip(self, a, b, c, phi0):
-        v = ComplexVec3(np.array([a + 1j * b, b - 1j * c, c], dtype=complex), CARTESIAN)
-        back = v.to_cylindrical(phi0).to_cartesian()
-        assert np.abs(back.components - v.components).max() < 1e-12
-
-    def test_cross_and_dot_are_cartesian(self):
-        u = ComplexVec3(np.array([1.0, 2.0, 3.0]), CYLINDRICAL, 0.5)
-        w = ComplexVec3(np.array([0.0, 1.0, 0.0]), CARTESIAN)
-        assert u.cross(w).frame == CARTESIAN
-        assert abs(u.dot(w) - u.cart[1]) < 1e-15
 
     def test_amplitude_positive_and_scaling(self):
         K = ModeIndex(TM, 0, 1.0, 2.0)

@@ -12,7 +12,6 @@ from besselbeams import specfun
 from besselbeams.specfun import (
     DomainError,
     assoc_legendre,
-    assoc_legendre_dkz,
     assoc_legendre_prime,
     bessel_j,
     bessel_j_outer,
@@ -179,13 +178,6 @@ class TestLegendre:
             for x in (-0.6, 0.1, 0.85):
                 fd = (lpmv(m, j, x + h) - lpmv(m, j, x - h)) / (2 * h)
                 assert abs(float(assoc_legendre_prime(j, m, x)) - fd) < 1e-7
-
-    def test_dkz_chain_rule(self):
-        # d/dkz P(c kz / w) at fixed w
-        j, m, kz, w, c = 4, 2, 1.2, 2.5, 1.0
-        h = 1e-6
-        fd = (lpmv(m, j, c * (kz + h) / w) - lpmv(m, j, c * (kz - h) / w)) / (2 * h)
-        assert assoc_legendre_dkz(j, m, kz, w, c) == pytest.approx(fd, abs=1e-7)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -82,7 +82,7 @@ class TestCommutatorSuite:
         # D = 66, |m| <= 16, kz/kp = 8.3: [L+,L-] has entries of 1.7e4 and an
         # absolute residual of 3e-12; relative to |L+|max |L-|max it is ~2e-16
         lat = build_lattice((-16, 16), [(0.3, 1.0)], [(2.5, 1.0)])
-        by_name = {r.name: r for r in commutator_suite(lat, fock_check=False)}
+        by_name = {r.name: r for r in commutator_suite(lat)}
         failing = {n for n, r in by_name.items() if not r.passed}
         assert failing == {n for n in by_name if n.endswith("(printed)")}
         ll = by_name["commutator: [L+,L-] = 2 hbar^2 sum (kz^2/kp^2) Lambda3"]
@@ -90,11 +90,9 @@ class TestCommutatorSuite:
         assert "|A|max |B|max = 16684" in ll.notes
 
     def test_fock_cross_check_included(self):
-        results = commutator_suite(make_lattice(), fock_check=True)
+        results = commutator_suite(make_lattice())
         names = [r.name for r in results]
         assert any("fock-oracle" in n for n in names)
-        results2 = commutator_suite(make_lattice(), fock_check=False)
-        assert not any("fock-oracle" in r.name for r in results2)
 
 
 class TestStokesResidual:
@@ -108,7 +106,7 @@ class TestStokesResidual:
     def test_suite_residual_is_the_per_pair_worst(self):
         lat = build_lattice((-2, 2), [(0.5, 1.0), (1.5, 1.0)], [(1.0, 1.0), (-2.0, 1.0)])
         worst = max(_su2_residual(*build_stokes(lat, *p)[1:]) for p in self.pairs(lat))
-        by_name = {r.name: r for r in commutator_suite(lat, fock_check=False)}
+        by_name = {r.name: r for r in commutator_suite(lat)}
         assert by_name[self.STOKES].lhs_minus_rhs_norm == worst
         summed = _su2_residual(*(assemble(lat, f"sigma{k}") for k in (1, 2, 3)))
         assert summed == worst
@@ -180,7 +178,7 @@ class TestWavepacketAndDomain:
 
 class TestSphericalSuite:
     def test_outcomes(self):
-        results = spherical_suite(j_max=40)
+        results = spherical_suite()
         by_name = {r.name: r for r in results}
         flagged = "spherical: printed u phase matches projection coefficient (flagged)"
         assert not by_name[flagged].passed
