@@ -21,7 +21,7 @@ from besselbeams import (
 from besselbeams.dynops import build_stokes
 
 lat = build_lattice((-3, 3), [(1.0, 1.0)], [(2.0, 1.0)])
-obs = build_observables(lat, include_zero_point=False)
+obs = build_observables(lat)
 print(f"lattice: m in [-3,3], k_perp=1, k_z=2, dim={lat.dim}")
 
 # --- algebra spot checks ----------------------------------------------------

@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
 import math
@@ -277,6 +278,8 @@ def parse_plane(text):
         raise UsageError(f"malformed plane {text!r}; expected like z=0") from exc
     if axis not in ("x", "y", "z"):
         raise UsageError(f"plane axis must be x, y or z, got {axis!r}")
+    if not math.isfinite(val):
+        raise UsageError(f"plane value must be finite, got {text!r}")
     return axis, val
 
 
@@ -436,6 +439,8 @@ def parse_amplitude(text):
         val = complex(float(parts[4]), float(parts[5]))
     except ValueError as exc:
         raise UsageError(f"malformed amplitude {text!r}") from exc
+    if not cmath.isfinite(val):
+        raise UsageError(f"amplitude must be finite, got {text!r}")
     return fam, m, ikp, ikz, val
 
 

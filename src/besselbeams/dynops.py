@@ -19,8 +19,12 @@ Conventions
   e_+/- = e_1 +/- i e_2, so V_1 = V_plus + V_minus and
   V_2 = i (V_minus - V_plus).  This dual pairing is used identically for
   P, L and S.
-* The symmetrized number operator contributes its zero-point c-number to
-  the scalar part; scalars never enter commutators.
+* Families: every lattice carries TM and TE (`lattice.FAMILIES`), so the
+  Sigma and Stokes bilinears and the pair-block maps exist on any lattice.
+* Zero points: energy, number, P_3 and L_3 are symmetrized forms; with
+  `include_zero_point` their zero-point c-numbers go to the scalar parts,
+  without it every observable is normal-ordered.  Scalars never enter
+  commutators.
 """
 
 from __future__ import annotations
@@ -32,14 +36,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-# commutator is unused here; perfbench/tracing.py wraps dynops.commutator by name.
-from .lattice import (  # noqa: F401
-    BasisMap,
-    LatticeError,
-    ModeLattice,
-    QuadraticOperator,
-    commutator,
-)
+from .lattice import FAMILIES, BasisMap, LatticeError, ModeLattice, QuadraticOperator
+# Unused here: perfbench/tracing.py wraps dynops.commutator by name.
+from .lattice import commutator  # noqa: F401
 from .modes import TE, TM
 
 
@@ -95,8 +94,8 @@ class Node(NamedTuple):
 
 # Per-node bilinears: rows (row family, column family, m shift, coefficient in
 # m), each  sum_m coefficient(m) b^dag_{row family, m + shift} b_{column family, m}
-# over every m with both labels on the lattice.  EACH stands for every family
-# on the lattice, the same on both sides; 1 = TM and 2 = TE.
+# over every m with both labels on the lattice.  EACH stands for each of the
+# two families, the same on both sides; 1 = TM and 2 = TE.
 EACH = None
 # Pi_+ = i sum_m b^dag_{m-1} b_m,  Pi_3 = sum_m N_m
 PI_PLUS = ((EACH, EACH, -1, 1j),)
@@ -191,7 +190,7 @@ def _triplets(lat: ModeLattice, name):
         for row_fam, col_fam, shift, coeff in bilinear:
             m = np.arange(max(m_min, m_min - shift), min(m_max, m_max - shift) + 1)[:, None, None]
             v = _coeff(coeff, m) * F
-            pairs = [(f, f) for f in lat.families] if row_fam is EACH else [(row_fam, col_fam)]
+            pairs = [(f, f) for f in FAMILIES] if row_fam is EACH else [(row_fam, col_fam)]
             for rf, cf in pairs:
                 r = lat.index(rf, m + shift, ip, iz)
                 rows.append(r.ravel())
@@ -216,49 +215,14 @@ def _zero_point(lat: ModeLattice, name):
     for ((_, _, _, coeff),), factor in TERMS[name]:
         half = 0.5 * np.sum(np.broadcast_to(_coeff(coeff, ms), ms.shape))
         for n in _nodes(lat):
-            for _ in lat.families:
+            for _ in FAMILIES:
                 s += half * factor(n)
     return s
-
-
-def _require_both_families(lat):
-    if TM not in lat.families or TE not in lat.families:
-        raise LatticeError("operator needs both TM and TE families on the lattice")
-
-
-def build_momentum(lat: ModeLattice):
-    """Integrated momentum components (P_plus, P_minus, P_3); P_3 is
-    symmetrized (zero point in its scalar part)."""
-    P_plus = assemble(lat, "P+")
-    return P_plus, P_plus.dagger(), assemble(lat, "P3", _zero_point(lat, "P3"))
-
-
-def build_energy_number(lat: ModeLattice, include_zero_point=True):
-    """(energy, total number); the zero points go to the scalar parts iff
-    `include_zero_point`."""
-    if not include_zero_point:
-        return assemble(lat, "energy"), assemble(lat, "number")
-    hbar_w = _triplets(lat, "energy")[2]  # the diagonal in index order
-    return assemble(lat, "energy", 0.5 * hbar_w.sum()), assemble(lat, "number", 0.5 * lat.dim)
-
-
-def build_orbital(lat: ModeLattice):
-    """Integrated OAM components (L_plus, L_minus, L_3); L_3 is symmetrized."""
-    L_plus = assemble(lat, "L+")
-    return L_plus, L_plus.dagger(), assemble(lat, "L3", _zero_point(lat, "L3"))
-
-
-def build_helicity(lat: ModeLattice):
-    """Integrated helicity components (S_plus, S_minus, S_3)."""
-    _require_both_families(lat)
-    S_plus = assemble(lat, "S+")
-    return S_plus, S_plus.dagger(), assemble(lat, "S3")
 
 
 def build_stokes(lat: ModeLattice, ip, iz, m):
     """Quantum Stokes operators (sigma_0..sigma_3) on the (TM, TE) pair
     at fixed (m, k_perp node, k_z node); no zero-point terms."""
-    _require_both_families(lat)
     return tuple(
         QuadraticOperator.from_terms(
             lat, [(lat.index(r, m, ip, iz), lat.index(c, m, ip, iz), v) for r, c, _, v in rows]
@@ -275,7 +239,6 @@ def stokes_expectations(lat: ModeLattice, alpha):
     the way the coefficient-matrix expectation conj(v) . (X v) sums it: the
     real products xr yr, xi yi, xr yi and xi yr in four separate sums.
     """
-    _require_both_families(lat)
     m = np.array(lat.m_values)[:, None, None]
     ip = np.arange(len(lat.k_perp_nodes))[:, None]
     iz = np.arange(len(lat.k_z_nodes))
@@ -291,18 +254,26 @@ def stokes_expectations(lat: ModeLattice, alpha):
 
 
 def build_observables(lat: ModeLattice, include_zero_point=True) -> ObservableSet:
-    energy, number = build_energy_number(lat, include_zero_point)
-    P_plus, P_minus, P_3 = build_momentum(lat)
-    L_plus, L_minus, L_3 = build_orbital(lat)
-    S_plus, S_minus, S_3 = build_helicity(lat)
+    """The 11 integrated observables; P_-, L_- and S_- are the adjoints of
+    P_+, L_+ and S_+.  Energy, number, P_3 and L_3 carry their zero points
+    in the scalar parts iff `include_zero_point`; no other observable has one."""
+    zero = {}
+    if include_zero_point:
+        hbar_w = _triplets(lat, "energy")[2]  # the diagonal in index order
+        zero = {"energy": 0.5 * hbar_w.sum(), "number": 0.5 * lat.dim,
+                "P3": _zero_point(lat, "P3"), "L3": _zero_point(lat, "L3")}
+    op = {name: assemble(lat, name, zero.get(name, 0.0))
+          for name in ("energy", "number", "P+", "P3", "L+", "L3", "S+", "S3")}
     return ObservableSet(
-        lat, energy, number, P_plus, P_minus, P_3, L_plus, L_minus, L_3, S_plus, S_minus, S_3
+        lat, op["energy"], op["number"],
+        op["P+"], op["P+"].dagger(), op["P3"],
+        op["L+"], op["L+"].dagger(), op["L3"],
+        op["S+"], op["S+"].dagger(), op["S3"],
     )
 
 
 def _pair_block_map(lat: ModeLattice, name) -> BasisMap:
     """BasisMap T of a pair-block TERMS entry (new index = row, old = column)."""
-    _require_both_families(lat)
     rows, cols, vals = _triplets(lat, name)
     return BasisMap(lat, sp.csr_matrix((vals, (rows, cols)), shape=(lat.dim, lat.dim)))
 
@@ -326,7 +297,6 @@ def make_rl_map(lat: ModeLattice) -> BasisMap:
     +/-1 label shift is bookkeeping on the new-mode names, which is why a
     usable m_range must be at least 3 wide.
     """
-    _require_both_families(lat)
     m_min, m_max = lat.m_range
     if m_max - m_min + 1 < 3:
         raise LatticeError("R/L map needs an m_range at least 3 wide")
@@ -338,13 +308,16 @@ def make_rl_map(lat: ModeLattice) -> BasisMap:
 # --------------------------------------------------------------------------
 
 
+SPHERICAL_FAMILIES = ("E", "M")
+
+
 @dataclass(frozen=True)
 class SphericalLattice:
-    """Discrete (family, omega, j, m) index set for spherical vector modes."""
+    """Discrete (family, omega, j, m) index set for spherical vector modes;
+    the families are `SPHERICAL_FAMILIES`, E before M."""
 
     omega_nodes: tuple  # ((value, weight), ...)
     j_range: tuple      # (j_min >= 1, j_max)
-    families: tuple = ("E", "M")
     hbar: float = 1.0
 
     def __post_init__(self):
@@ -362,12 +335,12 @@ class SphericalLattice:
     @property
     def dim(self):
         nj = sum(2 * j + 1 for j in range(self.j_range[0], self.j_range[1] + 1))
-        return len(self.families) * len(self.omega_nodes) * nj
+        return len(SPHERICAL_FAMILIES) * len(self.omega_nodes) * nj
 
     def index(self, family, iw, j, m):
         if abs(m) > j or not (self.j_range[0] <= j <= self.j_range[1]):
             raise LatticeError("index outside spherical lattice")
-        fi = self.families.index(family)
+        fi = SPHERICAL_FAMILIES.index(family)
         nj = sum(2 * jj + 1 for jj in range(self.j_range[0], self.j_range[1] + 1))
         off_j = sum(2 * jj + 1 for jj in range(self.j_range[0], j))
         return (fi * len(self.omega_nodes) + iw) * nj + off_j + (m + j)
@@ -379,24 +352,23 @@ def build_L_spherical(s_lat: SphericalLattice):
     Per (family, omega, j) block the e_- coefficient carries
     (1/2) sqrt((j - m)(j + m + 1)) b^dag_{m+1} b_m, so that
     L_x = L_plus + L_minus and L_y = i (L_minus - L_plus) satisfy
-    [L_x, L_y] = i hbar L_z.
+    [L_x, L_y] = i hbar L_z.  L_3 has no scalar part: the symmetrization
+    c-number (1/2) hbar sum_m m of a complete j multiplet is zero.
     """
     hbar = s_lat.hbar
     # QuadraticOperator is generic over any object exposing .dim; reuse it
     # by duck-typing the spherical lattice.
     terms_p, terms_3 = [], []
-    s3 = 0.0
-    for fam in s_lat.families:
+    for fam in SPHERICAL_FAMILIES:
         for iw in range(len(s_lat.omega_nodes)):
             for j in range(s_lat.j_range[0], s_lat.j_range[1] + 1):
                 for m in range(-j, j + 1):
                     terms_3.append((s_lat.index(fam, iw, j, m), s_lat.index(fam, iw, j, m), hbar * m))
-                    s3 += 0.5 * hbar * m
                     if m + 1 <= j:
                         coeff = 0.5 * hbar * math.sqrt((j - m) * (j + m + 1))
                         terms_p.append(
                             (s_lat.index(fam, iw, j, m + 1), s_lat.index(fam, iw, j, m), coeff)
                         )
     L_plus = QuadraticOperator.from_terms(s_lat, terms_p)
-    L_3 = QuadraticOperator.from_terms(s_lat, terms_3, s=s3)
+    L_3 = QuadraticOperator.from_terms(s_lat, terms_3)
     return L_plus, L_plus.dagger(), L_3

@@ -24,6 +24,9 @@ import scipy.sparse as sp
 
 from .modes import TE, TM
 
+# Every lattice carries both mode families, TM before TE in the index layout.
+FAMILIES = (TM, TE)
+
 
 class LatticeError(ValueError):
     """Invalid lattice construction or mismatched-lattice operation."""
@@ -33,14 +36,14 @@ class LatticeError(ValueError):
 class ModeLattice:
     """Finite discretization of the Bessel-mode continuum.
 
-    Index layout is family-major, then m, then k_perp node, then k_z node.
+    Index layout is family-major (`FAMILIES`), then m, then k_perp node,
+    then k_z node.
     Node weights carry the 2D quadrature measure dk_perp dk_z.
     """
 
     m_range: tuple          # (m_min, m_max), inclusive
     k_perp_nodes: tuple     # ((value, weight), ...)
     k_z_nodes: tuple        # ((value, weight), ...)
-    families: tuple = (TM, TE)
     c: float = 1.0
     hbar: float = 1.0
 
@@ -50,7 +53,6 @@ class ModeLattice:
             raise LatticeError("empty m_range")
         object.__setattr__(self, "k_perp_nodes", tuple((float(v), float(w)) for v, w in self.k_perp_nodes))
         object.__setattr__(self, "k_z_nodes", tuple((float(v), float(w)) for v, w in self.k_z_nodes))
-        object.__setattr__(self, "families", tuple(self.families))
         for v, w in self.k_perp_nodes + self.k_z_nodes:
             if not (math.isfinite(v) and math.isfinite(w)):
                 raise LatticeError("lattice nodes need finite values and weights")
@@ -60,9 +62,6 @@ class ModeLattice:
         for v, w in self.k_z_nodes:
             if v == 0 or w <= 0:
                 raise LatticeError("k_z nodes need value != 0 and weight > 0")
-        for f in self.families:
-            if f not in (TM, TE):
-                raise LatticeError(f"unknown family {f!r}")
         for name, v in (("c", self.c), ("hbar", self.hbar)):
             if not (math.isfinite(v) and v > 0):
                 raise LatticeError(f"lattice {name} must be positive and finite, got {v}")
@@ -74,7 +73,7 @@ class ModeLattice:
     @property
     def dim(self):
         return (
-            len(self.families)
+            len(FAMILIES)
             * (self.m_range[1] - self.m_range[0] + 1)
             * len(self.k_perp_nodes)
             * len(self.k_z_nodes)
@@ -85,7 +84,7 @@ class ModeLattice:
 
         m and the node numbers may be integer arrays; they broadcast together.
         """
-        fi = self.families.index(family)
+        fi = FAMILIES.index(family)
         m_min, m_max = self.m_range
         if np.any((m < m_min) | (m > m_max)):
             raise LatticeError(f"m={m} outside range {self.m_range}")
@@ -101,20 +100,15 @@ class ModeLattice:
         idx, ik_z = divmod(idx, nkz)
         idx, ik_perp = divmod(idx, nkp)
         fi, mi = divmod(idx, nm)
-        return self.families[fi], self.m_range[0] + mi, ik_perp, ik_z
-
-    def weight(self, idx):
-        _, _, ip, iz = self.unpack(idx)
-        return self.k_perp_nodes[ip][1] * self.k_z_nodes[iz][1]
+        return FAMILIES[fi], self.m_range[0] + mi, ik_perp, ik_z
 
     def omega(self, idx):
         _, _, ip, iz = self.unpack(idx)
         return self.c * math.hypot(self.k_perp_nodes[ip][0], self.k_z_nodes[iz][0])
 
 
-def build_lattice(m_range, k_perp_nodes, k_z_nodes, families=(TM, TE), c=1.0, hbar=1.0):
-    return ModeLattice(tuple(m_range), tuple(k_perp_nodes), tuple(k_z_nodes),
-                       tuple(families), c, hbar)
+def build_lattice(m_range, k_perp_nodes, k_z_nodes, c=1.0, hbar=1.0):
+    return ModeLattice(tuple(m_range), tuple(k_perp_nodes), tuple(k_z_nodes), c, hbar)
 
 
 class QuadraticOperator:
@@ -148,16 +142,6 @@ class QuadraticOperator:
         D = lattice.dim
         X = sp.coo_matrix((vals, (rows, cols)), shape=(D, D), dtype=complex)
         return cls(lattice, X.tocsr(), s)
-
-    def dense(self):
-        return self.X.toarray()
-
-    @property
-    def is_hermitian(self):
-        if abs(self.s.imag) > 1e-14:
-            return False
-        diff = (self.X - self.X.getH()).tocoo()
-        return (abs(diff.data).max() if diff.nnz else 0.0) <= 1e-14
 
     def dagger(self):
         return QuadraticOperator(self.lattice, self.X.getH(), np.conj(self.s))

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# bessel_j_over_x is unused here; perfbench/tracing.py wraps modes.bessel_j_over_x by name.
-from .specfun import DomainError, bessel_j, bessel_j_over_x, bessel_j_prime  # noqa: F401
+from .specfun import DomainError, bessel_j, bessel_j_prime
+# Unused here: perfbench/tracing.py wraps modes.bessel_j_over_x by name.
+from .specfun import bessel_j_over_x  # noqa: F401
 
 TM, TE = "TM", "TE"
 

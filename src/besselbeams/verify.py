@@ -32,6 +32,7 @@ from scipy.special import roots_legendre, spherical_jn
 
 from . import specfun
 from .lattice import (
+    FAMILIES,
     FockOracle,
     LatticeError,
     ModeLattice,
@@ -126,7 +127,7 @@ def _relation_table(lat: ModeLattice, obs):
     """(name, A, B, RHS, canonical, notes) rows for every printed [A, B] = RHS.
 
     Observables are normal-ordered (no zero point) so both sides are pure
-    quadratic forms; commutators never produce scalars anyway.
+    quadratic forms, as every commutator is.
     """
     hbar = lat.hbar
     zero = QuadraticOperator(lat)
@@ -165,11 +166,11 @@ def _relation_table(lat: ModeLattice, obs):
             False,
             "grid-factor RHS",
         ),
-        ("[L3,P-] = hbar P-", L_3, P_minus, hbar * _strip_scalar(P_minus), False, ""),
+        ("[L3,P-] = hbar P-", L_3, P_minus, hbar * P_minus, False, ""),
         (
             "[L+,P-] = hbar P3",
             L_plus, P_minus,
-            hbar * _strip_scalar(P_3),
+            hbar * P_3,
             False,
             "matrix parts; zero-point scalar excluded from both sides",
         ),
@@ -191,14 +192,14 @@ def _relation_table(lat: ModeLattice, obs):
         (
             "[S+,L+] = -hbar S3 (printed)",
             S_plus, L_plus,
-            (-hbar) * _strip_scalar(S_3),
+            (-hbar) * S_3,
             False,
             "printed RHS does not match the computed algebra; see companion relation",
         ),
         (
             "[S+,L+] = +(hbar/2) S3 (computed)",
             S_plus, L_plus,
-            (0.5 * hbar) * _strip_scalar(S_3),
+            (0.5 * hbar) * S_3,
             False,
             "computed normal form is -1/2 of the printed RHS",
         ),
@@ -219,10 +220,6 @@ def _relation_table(lat: ModeLattice, obs):
         ),
     ]
     return rows
-
-
-def _strip_scalar(A: QuadraticOperator):
-    return QuadraticOperator(A.lattice, A.X, 0.0)
 
 
 def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
@@ -246,7 +243,7 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
         if key not in lhs:
             lhs[key] = commutator(A, B)
         # entries of [A, B] grow like |A|max |B|max with the lattice size
-        scale = _strip_scalar(A).max_abs() * _strip_scalar(B).max_abs()
+        scale = A.max_abs() * B.max_abs()
         resid = (lhs[key] - rhs).restrict(interior).max_abs() / scale
         parts = (["canonical"] if canonical else []) + ([notes] if notes else [])
         parts.append(f"residual relative to |A|max |B|max = {scale:.6g}")
@@ -398,7 +395,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
         worst_off = max(worst_off, _offdiag_norm(Ap) / A.max_abs())
         diag[name] = (np.real(Ap.X.diagonal()), A.max_abs())
     worst_eig = 0.0
-    for fam in lat.families:
+    for fam in FAMILIES:
         idx = lat.index(fam, m, ip, iz)
         hel = 1.0 if fam == TM else -1.0  # (+) combination sits in the TM slot
         expected = {
@@ -466,7 +463,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     mags = []
     for r in ratios:
         one = build_lattice((-2, 2), [(r, 1.0)], [(1.0, 1.0)], c=c, hbar=hbar)
-        E_one = apply_basis(build_observables(one, include_zero_point=False).energy, make_rl_map(one))
+        E_one = apply_basis(assemble(one, "energy"), make_rl_map(one))
         mags.append(_offdiag_norm(E_one))
     slope = np.polyfit(np.log(ratios), np.log(mags), 1)[0]
     results.append(
@@ -1210,9 +1207,9 @@ def spherical_suite(tol=1e-3):
     Lx = L_plus + L_minus
     Ly = 1j * (L_minus - L_plus)
     resid = max(
-        (commutator(Lx, Ly) - 1j * _strip_scalar(L_3)).max_abs(),
-        (commutator(Ly, _strip_scalar(L_3)) - 1j * Lx).max_abs(),
-        (commutator(_strip_scalar(L_3), Lx) - 1j * Ly).max_abs(),
+        (commutator(Lx, Ly) - 1j * L_3).max_abs(),
+        (commutator(Ly, L_3) - 1j * Lx).max_abs(),
+        (commutator(L_3, Lx) - 1j * Ly).max_abs(),
     )
     results.append(
         RelationResult.from_norm(

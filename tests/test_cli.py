@@ -86,6 +86,10 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
         (FIELD + ["--kz", "2", "--grid", "2x2", "--t", "nan"], None),
         (["expand", "--m", "1", "--kperp", "1", "--kz", "nan"], None),
         (["expect", "--kz", "nan"], None),
+        (["expect", "--amp", "tm,0,0,0,nan,0"], None),
+        (["expect", "--amp", "te,1,0,1,0.5,inf"], None),
+        (FIELD + ["--kz", "2", "--grid", "2x2", "--plane", "z=nan"], None),
+        (FIELD + ["--kz", "2", "--grid", "2x2", "--plane", "z=inf"], None),
         (["verify", "commutators"], "units.hbar = nan"),
         (["verify", "quadrature"], "quadrature.margin = nan"),
         (FIELD + ["--kz", "2", "--grid", "2x2"], "units.c = inf"),
@@ -95,6 +99,7 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
     ids=["rho-sample", "expand-order", "field-order", "extent-nan", "basis-narrow",
          "commutators-narrow", "kperp-zero", "kperp-nan", "tol-nan", "basis-kz-inf",
          "field-kz-nan", "field-kz-inf", "field-t-nan", "expand-kz-nan", "expect-kz-nan",
+         "expect-amp-nan", "expect-amp-inf", "field-plane-nan", "field-plane-inf",
          "config-hbar-nan", "config-margin-nan", "config-c-inf", "config-c-negative",
          "config-tol-negative"],
 )

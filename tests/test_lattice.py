@@ -16,7 +16,7 @@ from besselbeams.lattice import (
     coherent_expectation,
     commutator,
 )
-from besselbeams.modes import TE, TM
+from besselbeams.modes import TM
 
 RNG = np.random.default_rng(42)
 
@@ -42,7 +42,7 @@ class TestLatticeIndexing:
     def test_weights_and_omega(self):
         lat = build_lattice((-1, 1), [(3.0, 0.25)], [(4.0, 0.5)])
         idx = lat.index(TM, 0, 0, 0)
-        assert lat.weight(idx) == pytest.approx(0.125)
+        assert (lat.k_perp_nodes, lat.k_z_nodes) == (((3.0, 0.25),), ((4.0, 0.5),))
         assert lat.omega(idx) == pytest.approx(5.0)
 
     def test_validation(self):
@@ -71,17 +71,17 @@ class TestQuadraticOperator:
     def test_hermiticity_and_dagger(self):
         lat = small_lattice()
         A = random_op(lat, RNG, hermitian=True)
-        assert A.is_hermitian
+        assert (A - A.dagger()).max_abs() <= 1e-14 * A.max_abs()
         B = random_op(lat, RNG)
-        assert not B.is_hermitian
-        assert np.allclose(B.dagger().dense(), B.dense().conj().T)
+        assert (B - B.dagger()).max_abs() > 1e-14 * B.max_abs()
+        assert np.allclose(B.dagger().X.toarray(), B.X.toarray().conj().T)
 
     def test_arithmetic(self):
         lat = small_lattice()
         A, B = random_op(lat, RNG), random_op(lat, RNG)
-        assert np.allclose((A + B).dense(), A.dense() + B.dense())
-        assert np.allclose((A - B).dense(), A.dense() - B.dense())
-        assert np.allclose((2.5 * A).dense(), 2.5 * A.dense())
+        assert np.allclose((A + B).X.toarray(), A.X.toarray() + B.X.toarray())
+        assert np.allclose((A - B).X.toarray(), A.X.toarray() - B.X.toarray())
+        assert np.allclose((2.5 * A).X.toarray(), 2.5 * A.X.toarray())
         assert (A + 1.5).s == pytest.approx(A.s + 1.5)
 
     def test_restrict_is_projection(self):
@@ -89,11 +89,11 @@ class TestQuadraticOperator:
         A = random_op(lat, RNG)
         sub = [0, 2, 3]
         P = A.restrict(sub)
-        D = P.dense()
+        D = P.X.toarray()
         off = [i for i in range(lat.dim) if i not in sub]
         assert np.abs(D[off, :]).max() == 0.0
         assert np.abs(D[:, off]).max() == 0.0
-        assert np.allclose(D[np.ix_(sub, sub)], A.dense()[np.ix_(sub, sub)])
+        assert np.allclose(D[np.ix_(sub, sub)], A.X.toarray()[np.ix_(sub, sub)])
 
     def test_mismatched_lattices_rejected(self):
         A = random_op(small_lattice(), RNG)
@@ -210,7 +210,7 @@ class TestBasisMap:
     def test_nonunitary_map_invariance_with_transformed_ladders(self):
         # X' = (T^-1)+ X T^-1 represents the same abstract operator when
         # the ladders transform as b' = T b; realize both on a Fock space
-        lat = build_lattice((-1, 0), [(1.0, 1.0)], [(2.0, 1.0)], families=(TM,))
+        lat = build_lattice((-1, 0), [(1.0, 1.0)], [(2.0, 1.0)])  # D = 4, 625 Fock states
         rng = np.random.default_rng(9)
         T = np.eye(lat.dim) + 0.2 * rng.normal(size=(lat.dim, lat.dim))
         bm = BasisMap(lat, T)
@@ -237,7 +237,7 @@ class TestBasisMap:
         T = np.eye(lat.dim) + 0.3 * rng.normal(size=(lat.dim, lat.dim))
         A = random_op(lat, rng)
         back = apply_basis(apply_basis(A, BasisMap(lat, T)), BasisMap(lat, np.linalg.inv(T)))
-        assert np.abs(back.dense() - A.dense()).max() < 1e-10
+        assert np.abs(back.X.toarray() - A.X.toarray()).max() < 1e-10
 
     def test_shape_validation(self):
         with pytest.raises(LatticeError):
