@@ -460,11 +460,16 @@ def cmd_expect(args, cfg):
     for which in ("P", "L", "S"):
         v1, v2, v3 = obs.cartesian(which)
         rows += [(f"{which}1", v1), (f"{which}2", v2), (f"{which}3", v3)]
+    # amplitudes that are finite one by one can still overflow a quadratic
+    # form; refuse them before writing anything
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [(name, coherent_expectation(op, alpha)) for name, op in rows]
+        sigma = stokes_expectations(lat, alpha)
+    if not (all(cmath.isfinite(v) for _, v in values) and np.all(np.isfinite(sigma))):
+        raise UsageError("amplitudes too large: an expectation value overflows")
     lines = ["observable,re,im"]
-    for name, op in rows:
-        val = coherent_expectation(op, alpha)
+    for name, val in values:
         lines.append(f"{name},{_fmt(val.real)},{_fmt(val.imag)}")
-    sigma = stokes_expectations(lat, alpha)
     for (im, m), ikp, ikz in itertools.product(
         enumerate(lat.m_values), range(len(cfg.k_perp)), range(len(cfg.k_z))
     ):

@@ -11,9 +11,12 @@ Conventions
   the node weights cancel.  Every integrated operator is therefore a
   weight-free sum over nodes of a per-node bilinear (the Pi / Lambda /
   Sigma families) times a grid factor.  `TERMS` lists these sums, one
-  table for the observables, the grid-factor right-hand sides of the
-  commutator table and the basis maps; `assemble` turns an entry into COO
-  triplets and builds its operator in one construction.
+  table for the observables, the summed Stokes operators and the
+  grid-factor right-hand sides of the commutator table; `assemble` turns
+  an entry into COO triplets and builds its operator in one construction.
+* Basis maps: the (+/-) and (R/L) maps mix only the (TM, TE) pair of one
+  (m, node), so each is a `BasisMap` of per-pair 2 x 2 blocks, built
+  node by node.
 * Vector components: a vector operator is stored through its e_- and e_+
   coefficients, V = V_plus e_- + V_minus e_+ + V_3 e_3 with
   e_+/- = e_1 +/- i e_2, so V_1 = V_plus + V_minus and
@@ -118,19 +121,6 @@ STOKES = (
 )
 
 
-def _pair_block(beta):
-    """new_TM = n (b^(TM)_m + i beta b^(TE)_m),  new_TE = n (b^(TM)_m - i beta b^(TE)_m),
-    n = 1/sqrt(1 + beta^2), with beta(node) read per node."""
-
-    def nrm(n):
-        return 1.0 / math.sqrt(1.0 + beta(n) ** 2)
-
-    return (
-        (((TM, TM, 0, 1.0), (TE, TM, 0, 1.0)), nrm),
-        (((TM, TE, 0, 1j), (TE, TE, 0, -1j)), lambda n: beta(n) * nrm(n)),
-    )
-
-
 # Every lattice operator as a sum of (per-node bilinear, node factor) terms.
 # A node factor is Python float arithmetic on one Node, so each coefficient
 # is rounded the same way whatever the lattice size.
@@ -159,9 +149,6 @@ TERMS = {
     "sigma1": ((STOKES[1], lambda n: 1.0),),
     "sigma2": ((STOKES[2], lambda n: 1.0),),
     "sigma3": ((STOKES[3], lambda n: 1.0),),
-    # basis maps, one 2x2 block per (m, node) on the (TM, TE) pair
-    "(+/-) map": _pair_block(lambda n: 1.0),
-    "R/L map": _pair_block(lambda n: n.c * n.kz / n.w),
 }
 
 
@@ -239,11 +226,8 @@ def stokes_expectations(lat: ModeLattice, alpha):
     the way the coefficient-matrix expectation conj(v) . (X v) sums it: the
     real products xr yr, xi yi, xr yi and xi yr in four separate sums.
     """
-    m = np.array(lat.m_values)[:, None, None]
-    ip = np.arange(len(lat.k_perp_nodes))[:, None]
-    iz = np.arange(len(lat.k_z_nodes))
-    v = alpha.vector(lat)
-    a1, a2 = v[lat.index(TM, m, ip, iz)], v[lat.index(TE, m, ip, iz)]
+    pair = alpha.vector(lat)[lat.pairs()]
+    a1, a2 = pair[..., 0], pair[..., 1]
     x = np.stack([a1, a2])
     out = []
     for y in (np.stack([a2, a1]), np.stack([-1j * a2, 1j * a1]), np.stack([a1, -a2])):
@@ -272,10 +256,18 @@ def build_observables(lat: ModeLattice, include_zero_point=True) -> ObservableSe
     )
 
 
-def _pair_block_map(lat: ModeLattice, name) -> BasisMap:
-    """BasisMap T of a pair-block TERMS entry (new index = row, old = column)."""
-    rows, cols, vals = _triplets(lat, name)
-    return BasisMap(lat, sp.csr_matrix((vals, (rows, cols)), shape=(lat.dim, lat.dim)))
+def _pair_blocks(lat: ModeLattice, beta):
+    """BasisMap blocks: at every (m, node), new_TM = n (b^(TM)_m + i beta b^(TE)_m)
+    and new_TE = n (b^(TM)_m - i beta b^(TE)_m), n = 1/sqrt(1 + beta^2),
+    beta(node) read per node in Python float arithmetic."""
+    blocks = []
+    for node in _nodes(lat):
+        b = beta(node)
+        n = 1.0 / math.sqrt(1.0 + b**2)
+        blocks.append(((n, 1j * (b * n)), (n, -1j * (b * n))))
+    shape = lat.pairs().shape + (2,)
+    # + 0.0 turns the -0.0 real parts of the +/-i entries into +0.0
+    return np.broadcast_to(np.reshape(blocks, shape[1:]), shape) + 0.0
 
 
 def make_pm_map(lat: ModeLattice) -> BasisMap:
@@ -284,7 +276,7 @@ def make_pm_map(lat: ModeLattice) -> BasisMap:
     The (+) combination occupies the TM slot and the (-) combination the
     TE slot at the same (m, k) index; this is the beta = 1 pair block.
     """
-    return _pair_block_map(lat, "(+/-) map")
+    return BasisMap(lat, _pair_blocks(lat, lambda n: 1.0))
 
 
 def make_rl_map(lat: ModeLattice) -> BasisMap:
@@ -300,7 +292,7 @@ def make_rl_map(lat: ModeLattice) -> BasisMap:
     m_min, m_max = lat.m_range
     if m_max - m_min + 1 < 3:
         raise LatticeError("R/L map needs an m_range at least 3 wide")
-    return _pair_block_map(lat, "R/L map")
+    return BasisMap(lat, _pair_blocks(lat, lambda n: n.c * n.kz / n.w))
 
 
 # --------------------------------------------------------------------------

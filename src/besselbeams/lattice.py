@@ -102,6 +102,14 @@ class ModeLattice:
         fi, mi = divmod(idx, nm)
         return FAMILIES[fi], self.m_range[0] + mi, ik_perp, ik_z
 
+    def pairs(self):
+        """Flat (TM, TE) indices of every (m, k_perp node, k_z node), shaped
+        (n_m, n_kp, n_kz, 2)."""
+        m = np.array(self.m_values)[:, None, None]
+        ip = np.arange(len(self.k_perp_nodes))[:, None]
+        iz = np.arange(len(self.k_z_nodes))
+        return np.stack([self.index(f, m, ip, iz) for f in FAMILIES], axis=-1)
+
     def omega(self, idx):
         _, _, ip, iz = self.unpack(idx)
         return self.c * math.hypot(self.k_perp_nodes[ip][0], self.k_z_nodes[iz][0])
@@ -188,77 +196,52 @@ def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
 
 @dataclass(frozen=True, eq=False)
 class BasisMap:
-    """Invertible linear map b' = T b of the discrete ladder operators.
+    """Invertible linear map b' = T b of the discrete ladder operators that
+    mixes only the (TM, TE) pair of each (m, k_perp node, k_z node).
 
-    T is stored sparse.  Its sparsity pattern splits the indices into
-    connected components, so T is block diagonal up to a permutation; the
-    inverse and the condition number are computed block by block (a dense
-    T is a single D x D block).  Maps compare by identity: a sparse T has
-    no elementwise truth value.
+    `blocks` holds one 2 x 2 block per pair, shaped like `lattice.pairs()`
+    plus a last axis of 2: rows are new ladders and columns old ones, both
+    in `FAMILIES` order.  T, its inverse and its condition number all come
+    from the blocks.  Maps compare by identity.
     """
 
     lattice: ModeLattice
-    T: sp.csr_matrix
+    blocks: np.ndarray
 
     def __post_init__(self):
-        T = sp.csr_matrix(self.T, dtype=complex)
-        object.__setattr__(self, "T", T)
+        blocks = np.asarray(self.blocks, dtype=complex)
+        object.__setattr__(self, "blocks", blocks)
+        if blocks.shape != self.lattice.pairs().shape + (2,):
+            raise LatticeError("BasisMap needs one 2 x 2 block per (TM, TE) pair")
+
+    def _scatter(self, blocks):
+        """Sparse D x D matrix with `blocks` placed on the (TM, TE) pairs."""
+        pairs = self.lattice.pairs()
+        rows = np.broadcast_to(pairs[..., :, None], blocks.shape)
+        cols = np.broadcast_to(pairs[..., None, :], blocks.shape)
         D = self.lattice.dim
-        if T.shape != (D, D):
-            raise LatticeError("BasisMap dimension mismatch")
+        return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(D, D))
 
     @cached_property
-    def _blocks(self):
-        """[(indices, blocks)] per block size: indices (n, s) holds the
-        ascending indices of each component, blocks (n, s, s) its entries."""
-        coo = self.T.tocoo()
-        # label every index with the smallest index of its component: take
-        # the minimum over each stored entry's row and column, then jump
-        # to the label's own label, until nothing changes
-        root = np.arange(self.lattice.dim)
-        while True:
-            new = root.copy()
-            np.minimum.at(new, coo.row, root[coo.col])
-            np.minimum.at(new, coo.col, root[coo.row])
-            new = new[new]
-            if np.array_equal(new, root):
-                break
-            root = new
-        _, label = np.unique(root, return_inverse=True)
-        sizes = np.bincount(label)
-        order = np.argsort(label, kind="stable")
-        start = np.cumsum(sizes) - sizes
-        out = []
-        for s in np.unique(sizes):
-            idx = order[start[sizes == s][:, None] + np.arange(s)]
-            entries = self.T[np.repeat(idx, s, axis=1), np.tile(idx, (1, s))]
-            out.append((idx, entries.toarray().reshape(-1, s, s)))
-        return out
+    def T(self):
+        return self._scatter(self.blocks)
 
     @cached_property
     def inverse(self):
-        """T^-1 (sparse), inverted one batch of equal-size blocks at a time."""
-        rows, cols, vals = [], [], []
-        for idx, blocks in self._blocks:
-            try:
-                inv = np.linalg.inv(blocks)
-            except np.linalg.LinAlgError as exc:
-                raise LatticeError("singular basis map") from exc
-            if not np.all(np.isfinite(inv)):
-                raise LatticeError("singular basis map")
-            rows.append(np.broadcast_to(idx[:, :, None], inv.shape).ravel())
-            cols.append(np.broadcast_to(idx[:, None, :], inv.shape).ravel())
-            vals.append(inv.ravel())
-        D = self.lattice.dim
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(D, D)
-        )
+        """T^-1 (sparse), every block inverted in one batch."""
+        try:
+            inv = np.linalg.inv(self.blocks)
+        except np.linalg.LinAlgError as exc:
+            raise LatticeError("singular basis map") from exc
+        if not np.all(np.isfinite(inv)):
+            raise LatticeError("singular basis map")
+        return self._scatter(inv)
 
     @property
     def condition_number(self):
         """max / min singular value of T: the singular values of T are
         those of all its blocks together (not the largest per-block ratio)."""
-        sv = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for _, b in self._blocks])
+        sv = np.linalg.svd(self.blocks, compute_uv=False)
         return float(sv.max() / sv.min())
 
     @property

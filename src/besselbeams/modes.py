@@ -3,8 +3,8 @@
 Evaluates the transverse vector mode functions M and N, the TE/TM vector
 potentials with the physical normalization amplitude, the resulting E and
 B fields, the Hertz-potential assembly of the same fields (an independent
-cross-check path), the right/left circular combinations, and the
-plane-wave angular-spectrum quadrature representation of M and N.
+cross-check path), and the plane-wave angular-spectrum quadrature
+representation of M and N.
 
 Phase convention is exp(-i w t + i k_z z + i m phi) throughout.  M and N
 are written down once, as a term table in the e_-, e_+, e_3 basis
@@ -98,9 +98,6 @@ class ComplexVec3:
 
     def __post_init__(self):
         object.__setattr__(self, "components", np.asarray(self.components, dtype=complex))
-
-    def __add__(self, other):
-        return ComplexVec3(self.components + other.components)
 
     def __mul__(self, s):
         return ComplexVec3(self.components * s)
@@ -229,26 +226,6 @@ def hertz_fields(family, m, k_perp, k_z, p: CylPoint, c=1.0):
         return ComplexVec3([v_rho * cphi - v_phi * sphi, v_rho * sphi + v_phi * cphi, v_z])
 
     return cartesian(e_rho, e_phi, e_z), cartesian(b_rho, b_phi, b_z)
-
-
-def eval_circular(handedness, m, k_perp, k_z, p: CylPoint, norm: NormalizationConvention):
-    """Right/left circular potential mode as a TE/TM combination.
-
-    A^(R)_m = A^(TM)_{m-1} + i (c k_z/w) A^(TE)_{m-1},
-    A^(L)_m = A^(TM)_{m+1} - i (c k_z/w) A^(TE)_{m+1}.
-    """
-    if handedness not in ("R", "L"):
-        raise ValueError("handedness must be 'R' or 'L'")
-    shift = -1 if handedness == "R" else +1
-    sign = 1.0 if handedness == "R" else -1.0
-    mm = m + shift
-    k_tm = ModeIndex(TM, mm, k_perp, k_z)
-    k_te = ModeIndex(TE, mm, k_perp, k_z)
-    omega = k_tm.omega(norm.c)
-    beta = norm.c * k_z / omega
-    a_tm = eval_potential(k_tm, p, norm)
-    a_te = eval_potential(k_te, p, norm)
-    return a_tm + (sign * 1j * beta) * a_te
 
 
 def scalar_angular_spectrum(m, k_perp, rho, phi, n_nodes):

@@ -213,25 +213,3 @@ def vsh_grid(j, m, theta, phi):
     n_hat = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
     ym = np.cross(n_hat, ye)
     return ye, ym
-
-
-def vector_spherical_harmonic(kind, j, m, direction):
-    """Transverse vector spherical harmonic Y^(E) or Y^(M) at a unit direction.
-
-    One direction of :func:`vsh_grid`, with the argument checks.
-    Returns a complex Cartesian 3-vector orthogonal to `direction`.
-    """
-    if kind not in ("E", "M"):
-        raise DomainError("kind must be 'E' or 'M'")
-    j, m = int(j), int(m)
-    if j < 1:
-        raise DomainError("no transverse j = 0 harmonic")
-    if abs(m) > j:
-        raise DomainError("|m| <= j required")
-    n = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise DomainError("direction must be unit-normalized to 1e-12")
-    theta = math.acos(np.clip(n[2], -1.0, 1.0))
-    phi = math.atan2(n[1], n[0])
-    ye, ym = vsh_grid(j, m, theta, phi)
-    return ye if kind == "E" else ym

@@ -255,7 +255,7 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     # on disjoint index pairs, so each summed residual's max-abs is the
     # worst case over all (node, m).  Per-pair operators at the corner
     # (m, node) labels check the same algebra at full size.
-    worst = _su2_residual(*(assemble(lat, name) for name in ("sigma1", "sigma2", "sigma3")))
+    worst = _su2_residual(*(assemble(lat, name) for name in ("sigma1", "sigma2", "sigma3")), 2j)
     corners = {
         (ip, iz, m)
         for ip in (0, len(lat.k_perp_nodes) - 1)
@@ -263,7 +263,7 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
         for m in lat.m_range
     }
     for ip, iz, m in sorted(corners):
-        worst = max(worst, _su2_residual(*build_stokes(lat, ip, iz, m)[1:]))
+        worst = max(worst, _su2_residual(*build_stokes(lat, ip, iz, m)[1:], 2j))
     results.append(
         RelationResult.from_norm(
             "commutator: stokes [sigma_i,sigma_j] = 2i eps_ijk sigma_k",
@@ -277,12 +277,13 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     return _sorted(results)
 
 
-def _su2_residual(s1, s2, s3):
-    """max-abs of [s_i, s_j] - 2i eps_ijk s_k over the three cyclic pairs."""
+def _su2_residual(s1, s2, s3, unit):
+    """max-abs of [s_i, s_j] - unit eps_ijk s_k over the three cyclic pairs:
+    unit is 2i for the Stokes operators and i (hbar = 1) for L."""
     return max(
-        (commutator(s1, s2) - 2j * s3).max_abs(),
-        (commutator(s2, s3) - 2j * s1).max_abs(),
-        (commutator(s3, s1) - 2j * s2).max_abs(),
+        (commutator(s1, s2) - unit * s3).max_abs(),
+        (commutator(s2, s3) - unit * s1).max_abs(),
+        (commutator(s3, s1) - unit * s2).max_abs(),
     )
 
 
@@ -382,10 +383,9 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
         )
     )
     # (m, k_perp node, k_z node) grids; the (TM, TE) pair of each sits at
-    # lat.index(family, m, ip, iz)
+    # pairs[..., 0] and pairs[..., 1]
+    pairs = lat.pairs()
     m = np.array(lat.m_values)[:, None, None]
-    ip = np.arange(len(lat.k_perp_nodes))[:, None]
-    iz = np.arange(len(lat.k_z_nodes))
     kz = np.array([v for v, _ in lat.k_z_nodes])
     w = np.array([[c * math.hypot(kp, v) for v, _ in lat.k_z_nodes] for kp, _ in lat.k_perp_nodes])
     worst_off = 0.0
@@ -395,8 +395,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
         worst_off = max(worst_off, _offdiag_norm(Ap) / A.max_abs())
         diag[name] = (np.real(Ap.X.diagonal()), A.max_abs())
     worst_eig = 0.0
-    for fam in FAMILIES:
-        idx = lat.index(fam, m, ip, iz)
+    for fam, idx in zip(FAMILIES, np.moveaxis(pairs, -1, 0)):
         hel = 1.0 if fam == TM else -1.0  # (+) combination sits in the TM slot
         expected = {
             "energy": hbar * w,
@@ -444,8 +443,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
         [[_rl_cross_coeff(c, hbar, kp, v) for v, _ in lat.k_z_nodes] for kp, _ in lat.k_perp_nodes]
     )
     coeff = np.broadcast_to(coeff, (len(lat.m_values),) + coeff.shape).ravel()
-    i1 = lat.index(TM, m, ip, iz).ravel()
-    i2 = lat.index(TE, m, ip, iz).ravel()
+    i1, i2 = pairs.reshape(-1, 2).T
     worst_cross = max(
         float(np.abs(np.asarray(E_rl[a, b]).ravel() - coeff).max()) for a, b in ((i1, i2), (i2, i1))
     )
@@ -1206,11 +1204,7 @@ def spherical_suite(tol=1e-3):
     L_plus, L_minus, L_3 = build_L_spherical(s_lat)
     Lx = L_plus + L_minus
     Ly = 1j * (L_minus - L_plus)
-    resid = max(
-        (commutator(Lx, Ly) - 1j * L_3).max_abs(),
-        (commutator(Ly, L_3) - 1j * Lx).max_abs(),
-        (commutator(L_3, Lx) - 1j * Ly).max_abs(),
-    )
+    resid = _su2_residual(Lx, Ly, L_3, 1j)
     results.append(
         RelationResult.from_norm(
             "spherical: [L_x, L_y] = i hbar L_z (spherical basis, j <= 4)",

@@ -88,6 +88,7 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
         (["expect", "--kz", "nan"], None),
         (["expect", "--amp", "tm,0,0,0,nan,0"], None),
         (["expect", "--amp", "te,1,0,1,0.5,inf"], None),
+        (["expect", "--amp", "tm,0,0,0,1e200,0"], None),
         (FIELD + ["--kz", "2", "--grid", "2x2", "--plane", "z=nan"], None),
         (FIELD + ["--kz", "2", "--grid", "2x2", "--plane", "z=inf"], None),
         (["verify", "commutators"], "units.hbar = nan"),
@@ -99,7 +100,7 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
     ids=["rho-sample", "expand-order", "field-order", "extent-nan", "basis-narrow",
          "commutators-narrow", "kperp-zero", "kperp-nan", "tol-nan", "basis-kz-inf",
          "field-kz-nan", "field-kz-inf", "field-t-nan", "expand-kz-nan", "expect-kz-nan",
-         "expect-amp-nan", "expect-amp-inf", "field-plane-nan", "field-plane-inf",
+         "expect-amp-nan", "expect-amp-inf", "expect-amp-overflow", "field-plane-nan", "field-plane-inf",
          "config-hbar-nan", "config-margin-nan", "config-c-inf", "config-c-negative",
          "config-tol-negative"],
 )
@@ -109,7 +110,9 @@ def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
         cfg.write_text(config + "\n")
         argv = ["--config", str(cfg)] + argv
     out = tmp_path / "out"
-    code, _, err = run(argv + ["--out", str(out)], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not computed with numpy warnings
+        code, _, err = run(argv + ["--out", str(out)], capsys)
     assert code == 2
     assert err.startswith("besselbeams: error: ")
     assert err.count("\n") == 1

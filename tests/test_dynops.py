@@ -17,6 +17,7 @@ from besselbeams.dynops import (
 )
 from besselbeams.lattice import (
     FAMILIES,
+    BasisMap,
     CoherentAmplitude,
     FockOracle,
     LatticeError,
@@ -319,6 +320,13 @@ class TestStokes:
                         assert sigma[k, im, ip, iz] == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
+def _random_map(lat):
+    """BasisMap of random complex per-pair blocks near the identity."""
+    rng = np.random.default_rng(21)
+    shape = lat.pairs().shape + (2,)
+    return BasisMap(lat, np.eye(2) + 0.5 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+
+
 class TestBasisMaps:
     def test_pm_unitary(self):
         pm = make_pm_map(lattice_d6())
@@ -330,11 +338,12 @@ class TestBasisMaps:
         assert not rl.is_unitary
         assert 1.0 < rl.condition_number < 10.0
 
-    @pytest.mark.parametrize("make_map", [make_pm_map, make_rl_map], ids=["pm", "rl"])
+    @pytest.mark.parametrize("make_map", [make_pm_map, make_rl_map, _random_map],
+                             ids=["pm", "rl", "random"])
     def test_block_inverse_matches_dense_inverse(self, make_map):
         lat = ASSEMBLY_LATTICES["negative-kz"]
         bm = make_map(lat)
-        assert [b.shape[1:] for _, b in bm._blocks] == [(2, 2)]
+        assert bm.blocks.shape == lat.pairs().shape + (2,)
         dense = np.linalg.inv(bm.T.toarray())
         assert np.abs(bm.inverse.toarray() - dense).max() <= 1e-12
 

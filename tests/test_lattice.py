@@ -16,7 +16,7 @@ from besselbeams.lattice import (
     coherent_expectation,
     commutator,
 )
-from besselbeams.modes import TM
+from besselbeams.modes import TE, TM
 
 RNG = np.random.default_rng(42)
 
@@ -181,21 +181,52 @@ class TestFockOracle:
             FockOracle(lat, n_max=3)
 
 
+def pair_blocks(lat, rng, noise=1.0, eye=0.0):
+    """Random BasisMap blocks, eye * I + noise * (real normal noise)."""
+    shape = lat.pairs().shape + (2,)
+    return eye * np.eye(2) + noise * rng.normal(size=shape)
+
+
+def dense_map(lat, blocks):
+    """T as a dense D x D array, filled one (TM, TE) pair at a time."""
+    T = np.zeros((lat.dim, lat.dim), dtype=complex)
+    for p, b in zip(lat.pairs().reshape(-1, 2), np.reshape(blocks, (-1, 2, 2))):
+        T[np.ix_(p, p)] = b
+    return T
+
+
 class TestBasisMap:
+    def test_pairs_are_the_tm_te_indices(self):
+        lat = build_lattice((-2, 1), [(1.0, 1.0), (2.0, 0.5)], [(1.5, 1.0)])
+        pairs = lat.pairs()
+        assert pairs.shape == (4, 2, 1, 2)
+        for im, m in enumerate(lat.m_values):
+            for ip in range(2):
+                assert [lat.unpack(i) for i in pairs[im, ip, 0]] == [(TM, m, ip, 0), (TE, m, ip, 0)]
+
     def test_maps_compare_by_identity(self):
         lat = small_lattice()
-        bm = BasisMap(lat, np.eye(lat.dim))
+        blocks = np.broadcast_to(np.eye(2), lat.pairs().shape + (2,))
+        bm = BasisMap(lat, blocks)
         assert bm == bm
-        assert bm != BasisMap(lat, np.eye(lat.dim))
+        assert bm != BasisMap(lat, blocks)
         assert len({bm, bm}) == 1
+
+    def test_blocks_sit_on_their_pairs(self):
+        lat = build_lattice((-1, 1), [(1.0, 1.0), (2.0, 1.0)], [(2.0, 1.0)])
+        rng = np.random.default_rng(17)
+        blocks = pair_blocks(lat, rng, eye=1.0, noise=0.3) + 1j * pair_blocks(lat, rng, noise=0.3)
+        bm = BasisMap(lat, blocks)
+        T = dense_map(lat, blocks)
+        assert bm.T.toarray().tobytes() == T.tobytes()
 
     def test_unitary_map_preserves_expectations(self):
         lat = small_lattice()
         rng = np.random.default_rng(5)
-        M = rng.normal(size=(lat.dim, lat.dim)) + 1j * rng.normal(size=(lat.dim, lat.dim))
-        T, _ = np.linalg.qr(M)
-        bm = BasisMap(lat, T)
+        Q, _ = np.linalg.qr(pair_blocks(lat, rng) + 1j * pair_blocks(lat, rng))
+        bm = BasisMap(lat, Q)
         assert bm.is_unitary
+        T = dense_map(lat, Q)
         A = random_op(lat, rng, hermitian=True)
         Ap = apply_basis(A, bm)
         # b' = T b with |alpha'> = T alpha: expectations agree
@@ -212,9 +243,10 @@ class TestBasisMap:
         # the ladders transform as b' = T b; realize both on a Fock space
         lat = build_lattice((-1, 0), [(1.0, 1.0)], [(2.0, 1.0)])  # D = 4, 625 Fock states
         rng = np.random.default_rng(9)
-        T = np.eye(lat.dim) + 0.2 * rng.normal(size=(lat.dim, lat.dim))
-        bm = BasisMap(lat, T)
+        blocks = pair_blocks(lat, rng, eye=1.0, noise=0.2)
+        bm = BasisMap(lat, blocks)
         assert not bm.is_unitary
+        T = dense_map(lat, blocks)
         A = random_op(lat, rng, hermitian=True)
         Ap = apply_basis(A, bm)
         oracle = FockOracle(lat, n_max=4)
@@ -234,29 +266,34 @@ class TestBasisMap:
     def test_inverse_roundtrip(self):
         lat = small_lattice()
         rng = np.random.default_rng(13)
-        T = np.eye(lat.dim) + 0.3 * rng.normal(size=(lat.dim, lat.dim))
+        blocks = pair_blocks(lat, rng, eye=1.0, noise=0.3)
         A = random_op(lat, rng)
-        back = apply_basis(apply_basis(A, BasisMap(lat, T)), BasisMap(lat, np.linalg.inv(T)))
+        back = apply_basis(
+            apply_basis(A, BasisMap(lat, blocks)), BasisMap(lat, np.linalg.inv(blocks))
+        )
         assert np.abs(back.X.toarray() - A.X.toarray()).max() < 1e-10
 
     def test_shape_validation(self):
-        with pytest.raises(LatticeError):
-            BasisMap(small_lattice(), np.eye(3))
+        lat = small_lattice()  # three (TM, TE) pairs
+        for shape in [(2, 2), (lat.dim, lat.dim), (2, 1, 1, 2, 2), (3, 1, 1, 2, 3)]:
+            with pytest.raises(LatticeError):
+                BasisMap(lat, np.ones(shape))
 
     def test_singular_map_rejected(self):
         lat = small_lattice()
-        T = np.eye(lat.dim)
-        T[0, 0] = 0.0
+        blocks = np.zeros(lat.pairs().shape + (2,)) + np.eye(2)
+        blocks[1, 0, 0] = [[1.0, 2.0], [2.0, 4.0]]
         with pytest.raises(LatticeError):
-            apply_basis(random_op(lat, RNG), BasisMap(lat, T))
+            apply_basis(random_op(lat, RNG), BasisMap(lat, blocks))
 
     def test_condition_number_is_over_all_blocks(self):
-        # blocks diag(1, 2) and diag(10, 20) each have condition number 2;
+        # rotated diag(1, 2) and diag(10, 20) each have condition number 2;
         # T as a whole has 20
         lat = build_lattice((0, 1), [(1.0, 1.0)], [(2.0, 1.0)])
-        T = np.diag([1.0, 2.0, 10.0, 20.0])
-        T[0, 1] = T[2, 3] = 0.5
-        bm = BasisMap(lat, T)
-        assert [b.shape for _, b in bm._blocks] == [(2, 2, 2)]
-        assert bm.condition_number == pytest.approx(np.linalg.cond(T), rel=1e-12)
-        assert bm.condition_number > 5.0
+        c, s = np.cos(0.3), np.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        blocks = np.stack([R @ np.diag(d) @ R.T for d in ([1.0, 2.0], [10.0, 20.0])])
+        assert np.linalg.cond(blocks) == pytest.approx([2.0, 2.0], rel=1e-12)
+        bm = BasisMap(lat, blocks.reshape(2, 1, 1, 2, 2))
+        assert bm.condition_number == pytest.approx(20.0, rel=1e-12)
+        assert bm.condition_number == pytest.approx(np.linalg.cond(bm.T.toarray()), rel=1e-12)

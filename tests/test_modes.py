@@ -17,7 +17,6 @@ from besselbeams.modes import (
     eval_E,
     eval_M,
     eval_N,
-    eval_circular,
     eval_potential,
     hertz_fields,
     scalar_angular_spectrum,
@@ -182,25 +181,6 @@ class TestFieldAssembly:
             A = eval_potential(K, p, NORM).components
             E = eval_E(K, p, NORM).components
             assert np.abs(E - 1j * w * A).max() < 1e-14
-
-
-class TestCircular:
-    def test_circular_combination(self):
-        # R/L potentials are the stated TM/TE combinations
-        p = CylPoint(1.2, 0.4, 0.1, 0.0)
-        m, kp, kz = 2, 1.0, 2.0
-        w = math.hypot(kp, kz)
-        beta = kz / w
-        for hand, shift, sign in (("R", -1, 1.0), ("L", +1, -1.0)):
-            got = eval_circular(hand, m, kp, kz, p, NORM).components
-            a_tm = eval_potential(ModeIndex(TM, m + shift, kp, kz), p, NORM).components
-            a_te = eval_potential(ModeIndex(TE, m + shift, kp, kz), p, NORM).components
-            want = a_tm + sign * 1j * beta * a_te
-            assert np.abs(got - want).max() < 1e-14
-
-    def test_handedness_validation(self):
-        with pytest.raises(ValueError):
-            eval_circular("X", 1, 1.0, 2.0, CylPoint(1.0), NORM)
 
 
 class TestAngularSpectrum:

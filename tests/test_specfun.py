@@ -20,7 +20,6 @@ from besselbeams.specfun import (
     lommel_overlap,
     lommel_overlap_equal,
     spherical_harmonic,
-    vector_spherical_harmonic,
     vsh_grid,
 )
 
@@ -199,24 +198,22 @@ def _random_directions(n):
 class TestVectorSphericalHarmonic:
     def test_transverse_to_direction(self):
         for j, m in [(1, 0), (2, 2), (3, -1), (4, 3)]:
-            for _ in range(5):
-                v = RNG.normal(size=3)
-                n = v / np.linalg.norm(v)
-                for kind in ("E", "M"):
-                    y = vector_spherical_harmonic(kind, j, m, n)
-                    assert abs(np.dot(n, y)) < 1e-10
-            # the whole array in one vsh_grid call, equal to the per-direction values
+            # one direction at a time (scalar angles), then the whole array
+            # in one call, equal to the per-direction values
             dirs, theta, phi = _random_directions(50)
-            for kind, y in zip("EM", vsh_grid(j, m, theta, phi)):
+            single = [vsh_grid(j, m, th, ph) for th, ph in zip(theta, phi)]
+            for n, pair in zip(dirs[:5], single):
+                for y in pair:
+                    assert y.shape == (3,)
+                    assert abs(np.dot(n, y)) < 1e-10
+            for k, y in enumerate(vsh_grid(j, m, theta, phi)):
                 assert y.shape == (50, 3)
                 assert np.abs(np.einsum("ni,ni->n", dirs, y)).max() < 1e-10
-                single = [vector_spherical_harmonic(kind, j, m, n) for n in dirs]
-                assert np.allclose(y, single, rtol=0, atol=1e-14)
+                assert np.allclose(y, [pair[k] for pair in single], rtol=0, atol=1e-14)
 
     def test_m_is_n_cross_e(self):
         n = np.array([0.3, -0.4, math.sqrt(1 - 0.25)])
-        ye = vector_spherical_harmonic("E", 3, 1, n)
-        ym = vector_spherical_harmonic("M", 3, 1, n)
+        ye, ym = vsh_grid(3, 1, math.acos(n[2]), math.atan2(n[1], n[0]))
         assert np.allclose(ym, np.cross(n, ye), atol=1e-14)
         dirs, theta, phi = _random_directions(200)
         for j, m in [(1, -1), (3, 1), (6, 0), (11, -7)]:
@@ -252,8 +249,7 @@ class TestVectorSphericalHarmonic:
         assert abs(np.sum(w2d * y1 * np.conj(y2))) < 1e-12
 
     def test_pole_regularity(self):
-        north = np.array([0.0, 0.0, 1.0])
-        y = vector_spherical_harmonic("E", 2, 1, north)
+        y, _ = vsh_grid(2, 1, 0.0, 0.0)  # the north pole
         assert np.all(np.isfinite(y))
         assert np.linalg.norm(y) > 0
         # exactly on either pole: finite, independent of phi, zero unless
@@ -270,11 +266,3 @@ class TestVectorSphericalHarmonic:
                         size = np.abs(y).max()
                         assert np.abs(y - y[0]).max() <= 1e-14 * size, (j, m, pole)
                         assert np.abs(y - y_near).max() <= 1e-6 * size, (j, m, pole)
-
-    def test_rejects_unnormalized_direction(self):
-        with pytest.raises(DomainError):
-            vector_spherical_harmonic("E", 2, 1, np.array([0.0, 0.0, 2.0]))
-        with pytest.raises(DomainError):
-            vector_spherical_harmonic("Q", 2, 1, np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(DomainError):
-            vector_spherical_harmonic("E", 0, 0, np.array([0.0, 0.0, 1.0]))

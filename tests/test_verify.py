@@ -105,10 +105,10 @@ class TestStokesResidual:
 
     def test_suite_residual_is_the_per_pair_worst(self):
         lat = build_lattice((-2, 2), [(0.5, 1.0), (1.5, 1.0)], [(1.0, 1.0), (-2.0, 1.0)])
-        worst = max(_su2_residual(*build_stokes(lat, *p)[1:]) for p in self.pairs(lat))
+        worst = max(_su2_residual(*build_stokes(lat, *p)[1:], 2j) for p in self.pairs(lat))
         by_name = {r.name: r for r in commutator_suite(lat)}
         assert by_name[self.STOKES].lhs_minus_rhs_norm == worst
-        summed = _su2_residual(*(assemble(lat, f"sigma{k}") for k in (1, 2, 3)))
+        summed = _su2_residual(*(assemble(lat, f"sigma{k}") for k in (1, 2, 3)), 2j)
         assert summed == worst
 
     def test_disjoint_pairs_keep_each_pair_residual(self):
@@ -118,10 +118,10 @@ class TestStokesResidual:
         per_pair, summed = [], [0.0, 0.0, 0.0]
         for n, p in enumerate(self.pairs(lat)):
             scaled = [(1.0 + 0.1 * n) * s for s in build_stokes(lat, *p)[1:]]
-            per_pair.append(_su2_residual(*scaled))
+            per_pair.append(_su2_residual(*scaled, 2j))
             summed = [a + b for a, b in zip(summed, scaled)]
         assert max(per_pair) > 1.0
-        assert _su2_residual(*summed) == pytest.approx(max(per_pair), rel=1e-15)
+        assert _su2_residual(*summed, 2j) == pytest.approx(max(per_pair), rel=1e-15)
 
 
 class TestBasisSuite:
