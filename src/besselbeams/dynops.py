@@ -1,8 +1,9 @@
 """Dynamical observables as quadratic forms on a mode lattice.
 
 Builders for energy, total number, linear momentum, orbital angular
-momentum, helicity, per-node Stokes operators, the (+/-) and (R/L) ladder
-basis maps, and the spherical-basis su(2) angular momentum.
+momentum, helicity, per-node Stokes operators and the (+/-) and (R/L)
+ladder basis maps, all on a `ModeLattice`, and the coefficient matrices
+of the spherical-basis su(2) angular momentum.
 
 Conventions
 -----------
@@ -14,6 +15,8 @@ Conventions
   table for the observables, the summed Stokes operators and the
   grid-factor right-hand sides of the commutator table; `assemble` turns
   an entry into COO triplets and builds its operator in one construction.
+  Every builder hands its triplets to `QuadraticOperator` as
+  (vals, (rows, cols)).
 * Basis maps: the (+/-) and (R/L) maps mix only the (TM, TE) pair of one
   (m, node), so each is a `BasisMap` of per-pair 2 x 2 blocks, built
   node by node.
@@ -28,6 +31,10 @@ Conventions
   `include_zero_point` their zero-point c-numbers go to the scalar parts,
   without it every observable is normal-ordered.  Scalars never enter
   commutators.
+* Spherical basis: L mixes only the m of one j multiplet, so
+  `build_L_spherical` returns bare coefficient matrices on one (j, m)
+  ladder; [b^dag X b, b^dag Y b] = b^dag [X, Y] b makes su(2) on them
+  su(2) of the quadratic forms.
 """
 
 from __future__ import annotations
@@ -190,8 +197,7 @@ def _triplets(lat: ModeLattice, name):
 def assemble(lat: ModeLattice, name, s=0.0) -> QuadraticOperator:
     """TERMS[name] on `lat`, built from its COO triplets in one construction."""
     rows, cols, vals = _triplets(lat, name)
-    D = lat.dim
-    return QuadraticOperator(lat, sp.coo_matrix((vals, (rows, cols)), shape=(D, D)), s)
+    return QuadraticOperator(lat, (vals, (rows, cols)), s)
 
 
 def _zero_point(lat: ModeLattice, name):
@@ -210,12 +216,13 @@ def _zero_point(lat: ModeLattice, name):
 def build_stokes(lat: ModeLattice, ip, iz, m):
     """Quantum Stokes operators (sigma_0..sigma_3) on the (TM, TE) pair
     at fixed (m, k_perp node, k_z node); no zero-point terms."""
-    return tuple(
-        QuadraticOperator.from_terms(
-            lat, [(lat.index(r, m, ip, iz), lat.index(c, m, ip, iz), v) for r, c, _, v in rows]
-        )
-        for rows in STOKES
-    )
+    idx = {f: lat.index(f, m, ip, iz) for f in FAMILIES}
+    ops = []
+    for rows in STOKES:
+        row_fams, col_fams, _, vals = zip(*rows)
+        ij = ([idx[f] for f in row_fams], [idx[f] for f in col_fams])
+        ops.append(QuadraticOperator(lat, (vals, ij)))
+    return tuple(ops)
 
 
 def stokes_expectations(lat: ModeLattice, alpha):
@@ -300,67 +307,18 @@ def make_rl_map(lat: ModeLattice) -> BasisMap:
 # --------------------------------------------------------------------------
 
 
-SPHERICAL_FAMILIES = ("E", "M")
+def build_L_spherical(j_max):
+    """(L_plus, L_minus, L_3) coefficient matrices of the spherical-basis
+    angular momentum on the (j, m) ladder j = 1..j_max, hbar = 1.
 
-
-@dataclass(frozen=True)
-class SphericalLattice:
-    """Discrete (family, omega, j, m) index set for spherical vector modes;
-    the families are `SPHERICAL_FAMILIES`, E before M."""
-
-    omega_nodes: tuple  # ((value, weight), ...)
-    j_range: tuple      # (j_min >= 1, j_max)
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if self.j_range[0] < 1:
-            raise LatticeError("spherical lattice needs j >= 1")
-        object.__setattr__(self, "omega_nodes", tuple((float(v), float(w)) for v, w in self.omega_nodes))
-        for v, w in self.omega_nodes:
-            if not (math.isfinite(v) and v > 0 and math.isfinite(w) and w > 0):
-                raise LatticeError("omega nodes need finite value > 0 and weight > 0")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise LatticeError(
-                f"spherical lattice hbar must be positive and finite, got {self.hbar}"
-            )
-
-    @property
-    def dim(self):
-        nj = sum(2 * j + 1 for j in range(self.j_range[0], self.j_range[1] + 1))
-        return len(SPHERICAL_FAMILIES) * len(self.omega_nodes) * nj
-
-    def index(self, family, iw, j, m):
-        if abs(m) > j or not (self.j_range[0] <= j <= self.j_range[1]):
-            raise LatticeError("index outside spherical lattice")
-        fi = SPHERICAL_FAMILIES.index(family)
-        nj = sum(2 * jj + 1 for jj in range(self.j_range[0], self.j_range[1] + 1))
-        off_j = sum(2 * jj + 1 for jj in range(self.j_range[0], j))
-        return (fi * len(self.omega_nodes) + iw) * nj + off_j + (m + j)
-
-
-def build_L_spherical(s_lat: SphericalLattice):
-    """(L_plus, L_minus, L_3) for the spherical vector basis.
-
-    Per (family, omega, j) block the e_- coefficient carries
-    (1/2) sqrt((j - m)(j + m + 1)) b^dag_{m+1} b_m, so that
-    L_x = L_plus + L_minus and L_y = i (L_minus - L_plus) satisfy
-    [L_x, L_y] = i hbar L_z.  L_3 has no scalar part: the symmetrization
-    c-number (1/2) hbar sum_m m of a complete j multiplet is zero.
+    (j, m) sits at index j^2 - 1 + (j + m): j-major, m ascending.  L_plus
+    carries (1/2) sqrt((j - m)(j + m + 1)) at (m + 1, m), on the
+    subdiagonal, so that L_x = L_plus + L_minus and L_y = i (L_minus - L_plus)
+    satisfy [L_x, L_y] = i L_z; the entry at each multiplet top is zero and
+    is dropped.
     """
-    hbar = s_lat.hbar
-    # QuadraticOperator is generic over any object exposing .dim; reuse it
-    # by duck-typing the spherical lattice.
-    terms_p, terms_3 = [], []
-    for fam in SPHERICAL_FAMILIES:
-        for iw in range(len(s_lat.omega_nodes)):
-            for j in range(s_lat.j_range[0], s_lat.j_range[1] + 1):
-                for m in range(-j, j + 1):
-                    terms_3.append((s_lat.index(fam, iw, j, m), s_lat.index(fam, iw, j, m), hbar * m))
-                    if m + 1 <= j:
-                        coeff = 0.5 * hbar * math.sqrt((j - m) * (j + m + 1))
-                        terms_p.append(
-                            (s_lat.index(fam, iw, j, m + 1), s_lat.index(fam, iw, j, m), coeff)
-                        )
-    L_plus = QuadraticOperator.from_terms(s_lat, terms_p)
-    L_3 = QuadraticOperator.from_terms(s_lat, terms_3)
-    return L_plus, L_plus.dagger(), L_3
+    j = np.repeat(np.arange(1, j_max + 1), 2 * np.arange(1, j_max + 1) + 1)
+    m = np.arange(j.size) - j * (j + 1) + 1
+    up = 0.5 * np.sqrt((j - m) * (j + m + 1))
+    L_plus = sp.diags(up[:-1], -1, format="csr", dtype=complex)
+    return L_plus, L_plus.getH().tocsr(), sp.diags(m, format="csr", dtype=complex)

@@ -110,10 +110,6 @@ class ModeLattice:
         iz = np.arange(len(self.k_z_nodes))
         return np.stack([self.index(f, m, ip, iz) for f in FAMILIES], axis=-1)
 
-    def omega(self, idx):
-        _, _, ip, iz = self.unpack(idx)
-        return self.c * math.hypot(self.k_perp_nodes[ip][0], self.k_z_nodes[iz][0])
-
 
 def build_lattice(m_range, k_perp_nodes, k_z_nodes, c=1.0, hbar=1.0):
     return ModeLattice(tuple(m_range), tuple(k_perp_nodes), tuple(k_z_nodes), c, hbar)
@@ -123,9 +119,10 @@ class QuadraticOperator:
     """O = sum_jk X_jk b_j^dag b_k + s on a fixed lattice.
 
     X is a sparse complex D x D coefficient matrix over unit-normalized
-    discrete ladder operators, s the c-number (zero-point) part.  Only
-    exact zeros are dropped from X, so no coefficient is lost to its size
-    in the chosen units.
+    discrete ladder operators, s the c-number (zero-point) part.  X may be
+    a matrix or COO triplets (vals, (rows, cols)), whose duplicates add up.
+    Only exact zeros are dropped from X, so no coefficient is lost to its
+    size in the chosen units.
     """
 
     def __init__(self, lattice: ModeLattice, X=None, s=0.0):
@@ -138,18 +135,6 @@ class QuadraticOperator:
             X.eliminate_zeros()
         self.X = X
         self.s = complex(s)
-
-    @classmethod
-    def from_terms(cls, lattice, terms, s=0.0):
-        """Build from an iterable of (row_idx, col_idx, coeff)."""
-        rows, cols, vals = [], [], []
-        for r, c, v in terms:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        D = lattice.dim
-        X = sp.coo_matrix((vals, (rows, cols)), shape=(D, D), dtype=complex)
-        return cls(lattice, X.tocsr(), s)
 
     def dagger(self):
         return QuadraticOperator(self.lattice, self.X.getH(), np.conj(self.s))
@@ -324,19 +309,3 @@ class FockOracle:
             idx, n = divmod(idx, self.n_max + 1)
             ok &= n <= limit
         return ok
-
-    def coherent_vector(self, alpha: CoherentAmplitude):
-        """Normalized truncated coherent product state."""
-        n = np.arange(self.n_max + 1)
-        fact = np.array([math.factorial(k) for k in n], dtype=float)
-        v = None
-        amps = alpha.vector(self.lattice)
-        for a in amps:
-            comp = a**n / np.sqrt(fact)
-            comp = comp / np.linalg.norm(comp)
-            v = comp if v is None else np.kron(v, comp)
-        return v
-
-    def expectation(self, A: QuadraticOperator, alpha: CoherentAmplitude):
-        v = self.coherent_vector(alpha)
-        return complex(np.vdot(v, self.realize(A) @ v))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,31 +160,37 @@ def eval_N(m, k_perp, k_z, p: CylPoint, c=1.0):
     return _eval_mode("N", m, k_perp, k_z, p, c)
 
 
+# The field rule, (field, family) -> (mode vector, sign):
+# E^(TM) = amp N, E^(TE) = -amp M, B^(TM) = amp M, B^(TE) = amp N.
+# A sign is a negation, not a product with -1.0, so a complex prefactor
+# keeps the signed zero of its real part.
+FIELD_RULE = {
+    ("E", TM): ("N", operator.pos),
+    ("E", TE): ("M", operator.neg),
+    ("B", TM): ("M", operator.pos),
+    ("B", TE): ("N", operator.pos),
+}
+
+
+def _eval_field(which, K: ModeIndex, p: CylPoint, norm: NormalizationConvention, pref=1.0):
+    """pref times the `which` field of mode K at a point (FIELD_RULE)."""
+    vector, sign = FIELD_RULE[which, K.family]
+    return (sign(pref) * norm.amplitude(K)) * _eval_mode(vector, K.m, K.k_perp, K.k_z, p, norm.c)
+
+
 def eval_potential(K: ModeIndex, p: CylPoint, norm: NormalizationConvention):
-    """Vector potential mode: A^(TM) = (c/(i w)) E N,  A^(TE) = -(c/(i w)) E M."""
-    c = norm.c
-    omega = K.omega(c)
-    amp = norm.amplitude(K)
-    pref = c / (1j * omega)
-    if K.family == TM:
-        return (pref * amp) * eval_N(K.m, K.k_perp, K.k_z, p, c=c)
-    return (-pref * amp) * eval_M(K.m, K.k_perp, K.k_z, p, c=c)
+    """Vector potential mode A = (c/(i w)) E, E by FIELD_RULE."""
+    return _eval_field("E", K, p, norm, norm.c / (1j * K.omega(norm.c)))
 
 
 def eval_E(K: ModeIndex, p: CylPoint, norm: NormalizationConvention):
-    """Electric field mode: E = (i w / c) A, i.e. E^(TM) = E N, E^(TE) = -E M."""
-    amp = norm.amplitude(K)
-    if K.family == TM:
-        return amp * eval_N(K.m, K.k_perp, K.k_z, p, c=norm.c)
-    return (-amp) * eval_M(K.m, K.k_perp, K.k_z, p, c=norm.c)
+    """Electric field mode: E^(TM) = E N, E^(TE) = -E M (FIELD_RULE)."""
+    return _eval_field("E", K, p, norm)
 
 
 def eval_B(K: ModeIndex, p: CylPoint, norm: NormalizationConvention):
-    """Magnetic field mode: B^(TM) = E M,  B^(TE) = E N."""
-    amp = norm.amplitude(K)
-    if K.family == TM:
-        return amp * eval_M(K.m, K.k_perp, K.k_z, p, c=norm.c)
-    return amp * eval_N(K.m, K.k_perp, K.k_z, p, c=norm.c)
+    """Magnetic field mode: B^(TM) = E M,  B^(TE) = E N (FIELD_RULE)."""
+    return _eval_field("B", K, p, norm)
 
 
 def hertz_fields(family, m, k_perp, k_z, p: CylPoint, c=1.0):

@@ -48,9 +48,9 @@ from .dynops import (
     build_stokes,
     make_pm_map,
     make_rl_map,
-    SphericalLattice,
 )
 from .modes import (
+    FIELD_RULE,
     CylPoint,
     NormalizationConvention,
     TE,
@@ -118,9 +118,7 @@ def _interior_indices(lat: ModeLattice):
     m_min, m_max = lat.m_range
     if m_max - m_min + 1 < 5:
         raise LatticeError("lattice m_range too small for interior comparison")
-    per_m = len(lat.k_perp_nodes) * len(lat.k_z_nodes)
-    m = m_min + (np.arange(lat.dim) // per_m) % (m_max - m_min + 1)
-    return np.flatnonzero((m_min + 2 <= m) & (m <= m_max - 2))
+    return lat.pairs()[2:-2].ravel()
 
 
 def _relation_table(lat: ModeLattice, obs):
@@ -255,7 +253,7 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     # on disjoint index pairs, so each summed residual's max-abs is the
     # worst case over all (node, m).  Per-pair operators at the corner
     # (m, node) labels check the same algebra at full size.
-    worst = _su2_residual(*(assemble(lat, name) for name in ("sigma1", "sigma2", "sigma3")), 2j)
+    worst = _su2_residual(*(assemble(lat, name).X for name in ("sigma1", "sigma2", "sigma3")), 2j)
     corners = {
         (ip, iz, m)
         for ip in (0, len(lat.k_perp_nodes) - 1)
@@ -263,7 +261,7 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
         for m in lat.m_range
     }
     for ip, iz, m in sorted(corners):
-        worst = max(worst, _su2_residual(*build_stokes(lat, ip, iz, m)[1:], 2j))
+        worst = max(worst, _su2_residual(*(s.X for s in build_stokes(lat, ip, iz, m)[1:]), 2j))
     results.append(
         RelationResult.from_norm(
             "commutator: stokes [sigma_i,sigma_j] = 2i eps_ijk sigma_k",
@@ -277,14 +275,13 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     return _sorted(results)
 
 
-def _su2_residual(s1, s2, s3, unit):
-    """max-abs of [s_i, s_j] - unit eps_ijk s_k over the three cyclic pairs:
-    unit is 2i for the Stokes operators and i (hbar = 1) for L."""
-    return max(
-        (commutator(s1, s2) - unit * s3).max_abs(),
-        (commutator(s2, s3) - unit * s1).max_abs(),
-        (commutator(s3, s1) - unit * s2).max_abs(),
-    )
+def _su2_residual(X1, X2, X3, unit):
+    """max-abs of [X_i, X_j] - unit eps_ijk X_k over the three cyclic pairs
+    of sparse coefficient matrices: unit is 2i for the Stokes operators and
+    i (hbar = 1) for L.  [b^dag X b, b^dag Y b] = b^dag [X, Y] b, so this is
+    the residual of the quadratic forms too."""
+    cyclic = ((X1, X2, X3), (X2, X3, X1), (X3, X1, X2))
+    return max(abs(A @ B - B @ A - unit * C).max() for A, B, C in cyclic)
 
 
 def _fock_cross_check(tol):
@@ -588,10 +585,8 @@ def smear_mode(which, wp: WavepacketSpec, n_kp, n_kz):
     if which in ("M", "N"):
         vector, pref = which, 1.0
     elif which in ("E", "B"):
-        # E^(TM) = amp N, E^(TE) = -amp M, B^(TM) = amp M, B^(TE) = amp N
-        amp = NormalizationConvention().amplitude_grid(KP, KZ)
-        vector = "N" if (which == "E") == (wp.family == TM) else "M"
-        pref = -amp if (which, wp.family) == ("E", TE) else amp
+        vector, sign = FIELD_RULE[which, wp.family]
+        pref = sign(NormalizationConvention().amplitude_grid(KP, KZ))
     else:
         raise ValueError("which must be one of M, N, E, B")
     comps = [
@@ -1092,7 +1087,6 @@ def spherical_suite(tol=1e-3):
     c = 1.0
     j_max, m, k_perp, k_z = 60, 2, 1.0, 2.0
     results = []
-    omega = math.hypot(k_perp, k_z)
 
     # (a) scalar identity
     worst = 0.0
@@ -1200,8 +1194,7 @@ def spherical_suite(tol=1e-3):
     )
 
     # (d) su(2) algebra of the spherical-basis angular momentum
-    s_lat = SphericalLattice(((omega, 1.0),), (1, 4))
-    L_plus, L_minus, L_3 = build_L_spherical(s_lat)
+    L_plus, L_minus, L_3 = build_L_spherical(4)
     Lx = L_plus + L_minus
     Ly = 1j * (L_minus - L_plus)
     resid = _su2_residual(Lx, Ly, L_3, 1j)

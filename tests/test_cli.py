@@ -96,13 +96,15 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
         (FIELD + ["--kz", "2", "--grid", "2x2"], "units.c = inf"),
         (["verify", "commutators"], "units.c = -1"),
         (["verify", "quadrature"], "tol.quadrature = -1"),
+        (["verify", "quadrature"], "quadrature.margin = 1e300"),
+        (["expand", "--m", "5", "--kperp", "1", "--kz", "2", "--jmax", "3"], None),
     ],
     ids=["rho-sample", "expand-order", "field-order", "extent-nan", "basis-narrow",
          "commutators-narrow", "kperp-zero", "kperp-nan", "tol-nan", "basis-kz-inf",
          "field-kz-nan", "field-kz-inf", "field-t-nan", "expand-kz-nan", "expect-kz-nan",
          "expect-amp-nan", "expect-amp-inf", "expect-amp-overflow", "field-plane-nan", "field-plane-inf",
          "config-hbar-nan", "config-margin-nan", "config-c-inf", "config-c-negative",
-         "config-tol-negative"],
+         "config-tol-negative", "config-margin-huge", "expand-jmax-below-m"],
 )
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     if config is not None:

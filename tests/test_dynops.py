@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from besselbeams.dynops import (
-    SphericalLattice,
     assemble,
     build_L_spherical,
     build_observables,
@@ -28,6 +27,7 @@ from besselbeams.lattice import (
     commutator,
 )
 from besselbeams.modes import TE, TM
+from test_lattice import fock_expectation
 
 
 def lattice_d6(hbar=1.0):
@@ -98,6 +98,19 @@ class TestElementaryFamilies:
         assert (commutator(s3, s1) - 2j * s2).max_abs() < 1e-14
 
 
+def _from_triplets(lat, terms, s=0.0):
+    """Operator from (row, col, coeff) triplets; duplicates add up."""
+    rows = [r for r, _, _ in terms]
+    cols = [c for _, c, _ in terms]
+    return QuadraticOperator(lat, ([v for _, _, v in terms], (rows, cols)), s)
+
+
+def _omega(lat, idx):
+    """c |k| of the node of flat index idx."""
+    _, _, ip, iz = lat.unpack(idx)
+    return lat.c * math.hypot(lat.k_perp_nodes[ip][0], lat.k_z_nodes[iz][0])
+
+
 def _per_node(lat):
     for ip, (kp, _) in enumerate(lat.k_perp_nodes):
         for iz, (kz, _) in enumerate(lat.k_z_nodes):
@@ -113,7 +126,7 @@ def _elementary(lat, ip, iz):
         return lat.index(fam, m, ip, iz)
 
     def op(terms, s=0.0):
-        return QuadraticOperator.from_terms(lat, terms, s)
+        return _from_triplets(lat, terms, s)
 
     out = {}
     for f in FAMILIES:
@@ -136,12 +149,12 @@ def _reference_operators(lat, include_zero_point):
     the term table replaced."""
     hbar, c = lat.hbar, lat.c
     m_lo, m_hi = lat.m_range
-    diag_E = np.array([hbar * lat.omega(i) for i in range(lat.dim)])
+    diag_E = np.array([hbar * _omega(lat, i) for i in range(lat.dim)])
     ref = {
-        "energy": QuadraticOperator.from_terms(
+        "energy": _from_triplets(
             lat, [(i, i, diag_E[i]) for i in range(lat.dim)],
             s=0.5 * diag_E.sum() if include_zero_point else 0.0),
-        "number": QuadraticOperator.from_terms(
+        "number": _from_triplets(
             lat, [(i, i, 1.0) for i in range(lat.dim)],
             s=0.5 * lat.dim if include_zero_point else 0.0),
     }
@@ -160,11 +173,11 @@ def _reference_operators(lat, include_zero_point):
         ref["S3"] = ref["S3"] + (hbar * c * kz / w) * el["Sigma3"]
         ref["[L+,L-]"] = ref["[L+,L-]"] + (2.0 * hbar**2 * kz**2 / kp**2) * QuadraticOperator(
             lat, lam3.X)
-        ref["[L+,P+]"] = ref["[L+,P+]"] + QuadraticOperator.from_terms(lat, [
+        ref["[L+,P+]"] = ref["[L+,P+]"] + _from_triplets(lat, [
             (lat.index(f, m - 1, ip, iz), lat.index(f, m + 1, ip, iz), hbar**2 * kz)
             for f in FAMILIES for m in range(m_lo + 1, m_hi)])
         ref["[S+,L3]"] = ref["[S+,L3]"] + (-(hbar**2) * c * kp / w) * el["Sigma+"]
-        ref["[S+,L-] printed"] = ref["[S+,L-] printed"] + QuadraticOperator.from_terms(lat, [
+        ref["[S+,L-] printed"] = ref["[S+,L-] printed"] + _from_triplets(lat, [
             t for m in range(m_lo + 1, m_hi) for t in (
                 (lat.index(TE, m + 1, ip, iz), lat.index(TM, m - 1, ip, iz),
                  -1j * hbar**2 * c * kz / w),
@@ -264,7 +277,7 @@ class TestExpectations:
         obs_small = build_observables(small, include_zero_point=False)
         alpha_small = CoherentAmplitude({small.index(TM, 0, 0, 0): a, small.index(TM, 1, 0, 0): a})
         _, P2s, _ = obs_small.cartesian("P")
-        assert oracle.expectation(P2s, alpha_small).real == pytest.approx(
+        assert fock_expectation(oracle, P2s, alpha_small).real == pytest.approx(
             2 * kp * a**2, abs=1e-6
         )
 
@@ -273,7 +286,7 @@ class TestExpectations:
         obs = build_observables(lat)
         energy, number = obs.energy, obs.number
         vac = coherent_expectation(energy, CoherentAmplitude())
-        expected = 0.5 * sum(lat.omega(i) for i in range(lat.dim))
+        expected = 0.5 * sum(_omega(lat, i) for i in range(lat.dim))
         assert vac.real == pytest.approx(expected, rel=1e-15)
         assert coherent_expectation(number, CoherentAmplitude()).real == pytest.approx(
             0.5 * lat.dim
@@ -363,38 +376,24 @@ class TestBasisMaps:
 
 class TestSpherical:
     def test_su2_closure(self):
-        s_lat = SphericalLattice(((2.0, 1.0),), (1, 4))
-        L_plus, L_minus, L_3 = build_L_spherical(s_lat)
+        L_plus, L_minus, L_3 = build_L_spherical(4)
         Lx = L_plus + L_minus
         Ly = 1j * (L_minus - L_plus)
-        assert L_3.s == 0.0  # complete j multiplets: the zero point is zero
-        assert (commutator(Lx, Ly) - 1j * L_3).max_abs() < 1e-13
+        assert L_3.diagonal().sum() == 0.0  # complete j multiplets: no zero point
+        assert abs(Lx @ Ly - Ly @ Lx - 1j * L_3).max() < 1e-13
         # with the halved ladder coefficients, [L+, L-] = (hbar/2) L3
-        assert (commutator(L_plus, L_minus) - 0.5 * L_3).max_abs() < 1e-13
+        assert abs(L_plus @ L_minus - L_minus @ L_plus - 0.5 * L_3).max() < 1e-13
 
     def test_l3_spectrum(self):
-        s_lat = SphericalLattice(((1.0, 1.0),), (1, 2))
-        _, _, L_3 = build_L_spherical(s_lat)
-        diag = np.real(np.diag(L_3.X.toarray()))
-        ms = sorted(diag.tolist())
-        expected = sorted([m for _ in ("E", "M") for j in (1, 2) for m in range(-j, j + 1)])
-        assert np.allclose(ms, expected)
+        _, _, L_3 = build_L_spherical(2)
+        diag = np.real(L_3.diagonal())
+        assert diag.tolist() == [m for j in (1, 2) for m in range(-j, j + 1)]
 
-    @pytest.mark.parametrize(
-        "omega_nodes, hbar",
-        [(((float("nan"), 1.0),), 1.0), (((float("inf"), 1.0),), 1.0),
-         (((1.0, float("nan")),), 1.0), (((1.0, -1.0),), 1.0), (((1.0, 1.0),), float("nan"))],
-        ids=["omega-nan", "omega-inf", "weight-nan", "weight-negative", "hbar-nan"],
-    )
-    def test_nodes_and_hbar_must_be_positive_and_finite(self, omega_nodes, hbar):
-        with pytest.raises(LatticeError):
-            SphericalLattice(omega_nodes, (1, 2), hbar=hbar)
-
-    def test_index_validation(self):
-        s_lat = SphericalLattice(((1.0, 1.0),), (1, 2))
-        with pytest.raises(LatticeError):
-            s_lat.index("E", 0, 3, 0)
-        with pytest.raises(LatticeError):
-            s_lat.index("E", 0, 2, 3)
-        with pytest.raises(LatticeError):
-            SphericalLattice(((1.0, 1.0),), (0, 2))
+    def test_ladder_layout(self):
+        L_plus, L_minus, _ = build_L_spherical(2)
+        # L+ raises m by one inside each multiplet; the tops carry no entry
+        assert L_plus.nnz == 2 * 1 + 2 * 2
+        rows, cols = L_plus.nonzero()
+        assert np.all(rows == cols + 1)
+        assert L_plus[1, 0] == 0.5 * math.sqrt(2)  # j = 1, m = -1 -> 0
+        assert abs(L_minus - L_plus.getH()).max() == 0.0

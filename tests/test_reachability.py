@@ -22,9 +22,6 @@ ALLOWED = {
     # the closed-form radial kernel kept for the radial-integral work on the roadmap
     "lommel_overlap",
     "lommel_overlap_equal",
-    # FockOracle's truncated coherent-state expectation: the brute-force reference
-    # that coherent_expectation is tested against
-    "expectation",
 }
 
 

@@ -95,6 +95,11 @@ class TestCommutatorSuite:
         assert any("fock-oracle" in n for n in names)
 
 
+def stokes_matrices(lat, pair):
+    """Coefficient matrices of sigma_1..3 on one (ip, iz, m) pair."""
+    return [s.X for s in build_stokes(lat, *pair)[1:]]
+
+
 class TestStokesResidual:
     STOKES = "commutator: stokes [sigma_i,sigma_j] = 2i eps_ijk sigma_k"
 
@@ -105,10 +110,10 @@ class TestStokesResidual:
 
     def test_suite_residual_is_the_per_pair_worst(self):
         lat = build_lattice((-2, 2), [(0.5, 1.0), (1.5, 1.0)], [(1.0, 1.0), (-2.0, 1.0)])
-        worst = max(_su2_residual(*build_stokes(lat, *p)[1:], 2j) for p in self.pairs(lat))
+        worst = max(_su2_residual(*stokes_matrices(lat, p), 2j) for p in self.pairs(lat))
         by_name = {r.name: r for r in commutator_suite(lat)}
         assert by_name[self.STOKES].lhs_minus_rhs_norm == worst
-        summed = _su2_residual(*(assemble(lat, f"sigma{k}") for k in (1, 2, 3)), 2j)
+        summed = _su2_residual(*(assemble(lat, f"sigma{k}").X for k in (1, 2, 3)), 2j)
         assert summed == worst
 
     def test_disjoint_pairs_keep_each_pair_residual(self):
@@ -117,7 +122,7 @@ class TestStokesResidual:
         lat = build_lattice((-2, 2), [(0.5, 1.0), (1.5, 1.0)], [(1.0, 1.0), (-2.0, 1.0)])
         per_pair, summed = [], [0.0, 0.0, 0.0]
         for n, p in enumerate(self.pairs(lat)):
-            scaled = [(1.0 + 0.1 * n) * s for s in build_stokes(lat, *p)[1:]]
+            scaled = [(1.0 + 0.1 * n) * X for X in stokes_matrices(lat, p)]
             per_pair.append(_su2_residual(*scaled, 2j))
             summed = [a + b for a, b in zip(summed, scaled)]
         assert max(per_pair) > 1.0
