@@ -18,19 +18,18 @@ from besselbeams import (
     commutator,
     make_pm_map,
 )
-from besselbeams.dynops import build_stokes
+from besselbeams.dynops import build_stokes, cartesian
 
-lat = build_lattice((-3, 3), [(1.0, 1.0)], [(2.0, 1.0)])
+lat = build_lattice((-3, 3), [1.0], [2.0])
 obs = build_observables(lat)
 print(f"lattice: m in [-3,3], k_perp=1, k_z=2, dim={lat.dim}")
 
 # --- algebra spot checks ----------------------------------------------------
 interior = [i for i in range(lat.dim) if abs(lat.unpack(i)[1]) <= 1]
-named = obs.named()
 checks = [
-    ("[L3, P-] = hbar P-", commutator(named["L3"], named["P-"]) - named["P-"]),
-    ("[L3, S3] = 0", commutator(named["L3"], named["S3"])),
-    ("[S+, S-] = 0", commutator(named["S+"], named["S-"])),
+    ("[L3, P-] = hbar P-", commutator(obs["L3"], obs["P-"]) - obs["P-"]),
+    ("[L3, S3] = 0", commutator(obs["L3"], obs["S3"])),
+    ("[S+, S-] = 0", commutator(obs["S+"], obs["S-"])),
 ]
 for label, diff in checks:
     resid = diff.restrict(interior).max_abs()
@@ -47,7 +46,7 @@ alpha = CoherentAmplitude({
     lat.index(TM, 0, 0, 0): a,
     lat.index(TM, 1, 0, 0): a,
 })
-P1, P2, P3 = obs.cartesian("P")
+P1, P2, P3 = cartesian(obs, "P")
 print(f"<P1> = {coherent_expectation(P1, alpha).real:+.6f}")
 print(f"<P2> = {coherent_expectation(P2, alpha).real:+.6f}  (analytic {2 * 1.0 * a**2})")
 # P3 is symmetrized, so its scalar part carries (1/2) hbar kz per mode
@@ -55,7 +54,7 @@ vac3 = coherent_expectation(P3, CoherentAmplitude()).real
 p3 = coherent_expectation(P3, alpha).real
 print(f"<P3> = {p3:+.6f}  (photon part {p3 - vac3:+.6f} = 2 kz |a|^2; "
       f"symmetrization offset {vac3:.1f})")
-print(f"<L3> = {coherent_expectation(obs.L_3, alpha).real:+.6f}  (mean m = 1/2 per photon)")
+print(f"<L3> = {coherent_expectation(obs['L3'], alpha).real:+.6f}  (mean m = 1/2 per photon)")
 
 # --- helicity basis -----------------------------------------------------------
 pm = make_pm_map(lat)

@@ -2,9 +2,10 @@
 
 Projects the N mode onto vector spherical harmonics, prints the
 coefficient magnitudes, and reconstructs the field at a sample point
-from truncated sums.  Coefficients start to decay once j exceeds
-omega * rho at the evaluation radius, the usual angular-momentum
-barrier for multipole sums.
+from truncated sums.  The coefficients do not decay with j; the partial
+sums converge once j exceeds omega * r at the sample radius r, where the
+spherical Bessel factor of each term decays (the angular-momentum
+barrier of multipole sums).
 """
 
 import math

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .lattice import CoherentAmplitude, LatticeError, coherent_expectation, build_lattice
-from .dynops import build_observables, stokes_expectations
+from .dynops import build_observables, cartesian, stokes_expectations
 # Unused here: perfbench's tracer wraps this name in cli.__dict__.
 from .dynops import build_stokes  # noqa: F401
 from .modes import (
@@ -168,13 +168,7 @@ class RunConfig:
             raise UsageError(f"quadrature.margin must be at most 4, got {_fmt(self.quad_margin)}")
 
     def lattice(self):
-        return build_lattice(
-            self.m_range,
-            [(v, 1.0) for v in self.k_perp],
-            [(v, 1.0) for v in self.k_z],
-            c=self.c,
-            hbar=self.hbar,
-        )
+        return build_lattice(self.m_range, self.k_perp, self.k_z, c=self.c, hbar=self.hbar)
 
     def echo(self):
         """Flat key -> printed-value mapping for report metadata."""
@@ -460,9 +454,9 @@ def cmd_expect(args, cfg):
         alpha[lat.index(fam, m, ikp, ikz)] = alpha.get(lat.index(fam, m, ikp, ikz), 0) + val
 
     obs = build_observables(lat, include_zero_point=True)
-    rows = [("energy", obs.energy), ("number", obs.number)]
+    rows = [("energy", obs["energy"]), ("number", obs["number"])]
     for which in ("P", "L", "S"):
-        v1, v2, v3 = obs.cartesian(which)
+        v1, v2, v3 = cartesian(obs, which)
         rows += [(f"{which}1", v1), (f"{which}2", v2), (f"{which}3", v3)]
     # amplitudes that are finite one by one can still overflow a quadratic
     # form; refuse them before writing anything
@@ -513,23 +507,17 @@ def cmd_expand(args, cfg):
     if args.jmax < max(1, abs(args.m)):
         raise UsageError(f"--jmax must be >= max(1, |m|), got {args.jmax} for m = {args.m}")
 
-    mags, rows = [], []
+    rows = []
     for j, aE, aM, total in partial_sums(which, args.m, args.kperp, args.kz, point, args.jmax, c):
         err = float(np.abs(total - direct).max() / (ref or 1.0))
-        mags.append(abs(aE))
         rows.append((j, aE, aM, err))
 
-    peak = max(mags)
-    decay_j = next(
-        (row[0] for row, mag in zip(rows, mags) if row[0] > omega * rho / c and mag < 1e-3 * peak),
-        None,
-    )
     lines = [
         f"# mode {which}, m={args.m}, k_perp={_fmt(args.kperp)}, k_z={_fmt(args.kz)}",
         f"# sample point rho={_fmt(rho)}, phi={_fmt(phi)}, z={_fmt(z)}",
         "# rows carry m_j = m only: coefficients vanish identically otherwise",
-        f"# coefficient decay below 1e-3 of peak beyond j ~ omega*rho = {_fmt(omega * rho / c)}"
-        + (f" (first such j: {decay_j})" if decay_j is not None else ""),
+        f"# partial sums converge once j exceeds omega*r/c = {_fmt(omega * math.hypot(rho, z) / c)}"
+        " (r = |sample point|): the spherical Bessel factor decays there, the coefficients do not",
     ]
     if ref == 0:  # on the axis for |m| >= 2, and for M at m = 0
         lines.append("# the sampled field is zero: recon_rel_err holds the absolute error")

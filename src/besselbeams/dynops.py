@@ -9,25 +9,28 @@ Conventions
 -----------
 * Discretization: with a(K_j) -> b_j / sqrt(w_j) and int dk -> sum w_j,
   an integrated density  int dk f(k) a^dag a  becomes  sum_j f_j b_j^dag b_j;
-  the node weights cancel.  Every integrated operator is therefore a
-  weight-free sum over nodes of a per-node bilinear (the Pi / Lambda /
-  Sigma families) times a grid factor.  `TERMS` lists these sums, one
-  table for the observables, the summed Stokes operators and the
-  grid-factor right-hand sides of the commutator table; `assemble` turns
-  an entry into COO triplets and builds its operator in one construction.
-  Every builder hands its triplets to `QuadraticOperator` as
-  (vals, (rows, cols)).
+  the node weights cancel, and a lattice node is a bare wavenumber.  Every
+  integrated operator is therefore a weight-free sum over nodes of a
+  per-node bilinear (the Pi / Lambda / Sigma families) times a grid
+  factor.  `TERMS` lists these sums, one table for the observables, the
+  summed Stokes operators and the grid-factor right-hand sides of the
+  commutator table; `assemble` turns an entry into COO triplets and
+  builds its operator in one construction.  Every builder hands its
+  triplets to `QuadraticOperator` as (vals, (rows, cols)).
 * Basis maps: the (+/-) and (R/L) maps mix only the (TM, TE) pair of one
   (m, node), so each is a `BasisMap` of per-pair 2 x 2 blocks, built
   node by node.
+* Observables: `build_observables` returns the 11 observables as one
+  mapping keyed by name (energy, number, P+, P-, P3, L+, L-, L3, S+, S-,
+  S3); the names are those of `TERMS`, and P-, L-, S- are the adjoints
+  of P+, L+, S+.  Callers and the commutator table index this mapping.
 * Vector components: a vector operator is stored through its e_- and e_+
-  coefficients, V = V_plus e_- + V_minus e_+ + V_3 e_3 with
-  e_+/- = e_1 +/- i e_2, so V_1 = V_plus + V_minus and
-  V_2 = i (V_minus - V_plus).  This dual pairing is used identically for
-  P, L and S.
+  coefficients, V = V+ e_- + V- e_+ + V3 e_3 with e_+/- = e_1 +/- i e_2,
+  so V_1 = V+ + V- and V_2 = i (V- - V+); `cartesian` forms
+  (V_1, V_2, V_3).  This dual pairing is used identically for P, L and S.
 * Families: every lattice carries TM and TE (`lattice.FAMILIES`), so the
   Sigma and Stokes bilinears and the pair-block maps exist on any lattice.
-* Zero points: energy, number, P_3 and L_3 are symmetrized forms; with
+* Zero points: energy, number, P3 and L3 are symmetrized forms; with
   `include_zero_point` their zero-point c-numbers go to the scalar parts,
   without it every observable is normal-ordered.  Scalars never enter
   commutators.
@@ -40,7 +43,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,46 +52,6 @@ from .lattice import FAMILIES, BasisMap, LatticeError, ModeLattice, QuadraticOpe
 # Unused here: perfbench/tracing.py wraps dynops.commutator by name.
 from .lattice import commutator  # noqa: F401
 from .modes import TE, TM
-
-
-@dataclass
-class ObservableSet:
-    """Named collection of the integrated observables on one lattice."""
-
-    lattice: ModeLattice
-    energy: QuadraticOperator
-    number: QuadraticOperator
-    P_plus: QuadraticOperator
-    P_minus: QuadraticOperator
-    P_3: QuadraticOperator
-    L_plus: QuadraticOperator
-    L_minus: QuadraticOperator
-    L_3: QuadraticOperator
-    S_plus: QuadraticOperator
-    S_minus: QuadraticOperator
-    S_3: QuadraticOperator
-
-    def cartesian(self, which):
-        """(V_1, V_2, V_3) from the e_+/- coefficient pair of P, L or S."""
-        plus = getattr(self, f"{which}_plus")
-        minus = getattr(self, f"{which}_minus")
-        v3 = getattr(self, f"{which}_3")
-        return plus + minus, 1j * (minus - plus), v3
-
-    def named(self):
-        return {
-            "energy": self.energy,
-            "number": self.number,
-            "P+": self.P_plus,
-            "P-": self.P_minus,
-            "P3": self.P_3,
-            "L+": self.L_plus,
-            "L-": self.L_minus,
-            "L3": self.L_3,
-            "S+": self.S_plus,
-            "S-": self.S_minus,
-            "S3": self.S_3,
-        }
 
 
 class Node(NamedTuple):
@@ -163,8 +125,8 @@ def _nodes(lat: ModeLattice):
     """Node of every (k_perp, k_z) pair, k_perp-major as in the index layout."""
     return [
         Node(lat.hbar, lat.c, kp, kz, lat.c * math.hypot(kp, kz))
-        for kp, _ in lat.k_perp_nodes
-        for kz, _ in lat.k_z_nodes
+        for kp in lat.k_perp_nodes
+        for kz in lat.k_z_nodes
     ]
 
 
@@ -233,34 +195,42 @@ def stokes_expectations(lat: ModeLattice, alpha):
     the way the coefficient-matrix expectation conj(v) . (X v) sums it: the
     real products xr yr, xi yi, xr yi and xi yr in four separate sums.
     """
-    pair = alpha.vector(lat)[lat.pairs()]
-    a1, a2 = pair[..., 0], pair[..., 1]
-    x = np.stack([a1, a2])
+    x = np.moveaxis(alpha.vector(lat)[lat.pairs()], -1, 0)  # x[i]: family FAMILIES[i]
     out = []
-    for y in (np.stack([a2, a1]), np.stack([-1j * a2, 1j * a1]), np.stack([a1, -a2])):
+    for rows in STOKES[1:]:
+        y = np.zeros_like(x)  # sigma_k a
+        for row_fam, col_fam, _, coeff in rows:
+            y[FAMILIES.index(row_fam)] += coeff * x[FAMILIES.index(col_fam)]
         re = (x.real * y.real).sum(0) + (x.imag * y.imag).sum(0)
         im = (x.real * y.imag).sum(0) - (x.imag * y.real).sum(0)
         out.append((re + 0.0) + 1j * (im + 0.0))
     return np.stack(out)
 
 
-def build_observables(lat: ModeLattice, include_zero_point=True) -> ObservableSet:
-    """The 11 integrated observables; P_-, L_- and S_- are the adjoints of
-    P_+, L_+ and S_+.  Energy, number, P_3 and L_3 carry their zero points
-    in the scalar parts iff `include_zero_point`; no other observable has one."""
+def build_observables(lat: ModeLattice, include_zero_point=True):
+    """The 11 integrated observables by name: energy, number, P+, P-, P3,
+    L+, L-, L3, S+, S-, S3 in this order.  P-, L- and S- are the adjoints of
+    P+, L+ and S+.  Energy, number, P3 and L3 carry their zero points in the
+    scalar parts iff `include_zero_point`; no other observable has one."""
     zero = {}
     if include_zero_point:
         hbar_w = _triplets(lat, "energy")[2]  # the diagonal in index order
         zero = {"energy": 0.5 * hbar_w.sum(), "number": 0.5 * lat.dim,
                 "P3": _zero_point(lat, "P3"), "L3": _zero_point(lat, "L3")}
-    op = {name: assemble(lat, name, zero.get(name, 0.0))
-          for name in ("energy", "number", "P+", "P3", "L+", "L3", "S+", "S3")}
-    return ObservableSet(
-        lat, op["energy"], op["number"],
-        op["P+"], op["P+"].dagger(), op["P3"],
-        op["L+"], op["L+"].dagger(), op["L3"],
-        op["S+"], op["S+"].dagger(), op["S3"],
-    )
+    obs = {}
+    for name in ("energy", "number", "P+", "P-", "P3", "L+", "L-", "L3", "S+", "S-", "S3"):
+        if name.endswith("-"):
+            obs[name] = obs[name[0] + "+"].dagger()
+        else:
+            obs[name] = assemble(lat, name, zero.get(name, 0.0))
+    return obs
+
+
+def cartesian(obs, which):
+    """(V_1, V_2, V_3) of P, L or S (`which`) from the e_+/- coefficient pair
+    in the `build_observables` mapping `obs`."""
+    plus, minus = obs[which + "+"], obs[which + "-"]
+    return plus + minus, 1j * (minus - plus), obs[which + "3"]
 
 
 def _pair_blocks(lat: ModeLattice, beta):

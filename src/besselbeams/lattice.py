@@ -1,13 +1,15 @@
 """Discretized mode lattice and number-conserving quadratic operator algebra.
 
 The mode continuum (family, m, k_perp, k_z) is replaced by a finite grid
-with quadrature weights.  Continuum ladder operators map onto
-unit-normalized discrete ones via
+of wavenumbers.  Continuum ladder operators map onto unit-normalized
+discrete ones via
 
     delta(k - k') -> delta_jk / w_j,   int dk -> sum_j w_j,
     a(K_j)        -> b_j / sqrt(w_j),
 
-so every bilinear observable becomes an exact finite quadratic form
+where w_j is the measure of node j.  The w_j cancel in every integrated
+bilinear, so a lattice node is its wavenumber alone, and every bilinear
+observable becomes an exact finite quadratic form
 O = sum_jk X_jk b_j^dag b_k + s, and every commutator reduces to a matrix
 commutator of the coefficient matrices.  A truncated-Fock dense oracle
 provides an independent brute-force realization for small lattices.
@@ -38,12 +40,13 @@ class ModeLattice:
 
     Index layout is family-major (`FAMILIES`), then m, then k_perp node,
     then k_z node.
-    Node weights carry the 2D quadrature measure dk_perp dk_z.
+    A node is a bare wavenumber; the module docstring says why no weight
+    is stored.
     """
 
     m_range: tuple          # (m_min, m_max), inclusive
-    k_perp_nodes: tuple     # ((value, weight), ...)
-    k_z_nodes: tuple        # ((value, weight), ...)
+    k_perp_nodes: tuple     # (k_perp, ...)
+    k_z_nodes: tuple        # (k_z, ...)
     c: float = 1.0
     hbar: float = 1.0
 
@@ -51,17 +54,14 @@ class ModeLattice:
         m_min, m_max = self.m_range
         if m_min > m_max:
             raise LatticeError("empty m_range")
-        object.__setattr__(self, "k_perp_nodes", tuple((float(v), float(w)) for v, w in self.k_perp_nodes))
-        object.__setattr__(self, "k_z_nodes", tuple((float(v), float(w)) for v, w in self.k_z_nodes))
-        for v, w in self.k_perp_nodes + self.k_z_nodes:
-            if not (math.isfinite(v) and math.isfinite(w)):
-                raise LatticeError("lattice nodes need finite values and weights")
-        for v, w in self.k_perp_nodes:
-            if v <= 0 or w <= 0:
-                raise LatticeError("k_perp nodes need value > 0 and weight > 0")
-        for v, w in self.k_z_nodes:
-            if v == 0 or w <= 0:
-                raise LatticeError("k_z nodes need value != 0 and weight > 0")
+        object.__setattr__(self, "k_perp_nodes", tuple(float(v) for v in self.k_perp_nodes))
+        object.__setattr__(self, "k_z_nodes", tuple(float(v) for v in self.k_z_nodes))
+        if not all(math.isfinite(v) for v in self.k_perp_nodes + self.k_z_nodes):
+            raise LatticeError("lattice nodes need finite values")
+        if any(v <= 0 for v in self.k_perp_nodes):
+            raise LatticeError("k_perp nodes need value > 0")
+        if any(v == 0 for v in self.k_z_nodes):
+            raise LatticeError("k_z nodes need value != 0")
         for name, v in (("c", self.c), ("hbar", self.hbar)):
             if not (math.isfinite(v) and v > 0):
                 raise LatticeError(f"lattice {name} must be positive and finite, got {v}")

@@ -122,16 +122,14 @@ def _interior_indices(lat: ModeLattice):
 
 
 def _relation_table(lat: ModeLattice, obs):
-    """(name, A, B, RHS, canonical, notes) rows for every printed [A, B] = RHS.
+    """(name, A, B, RHS, canonical, notes) rows for every printed [A, B] = RHS;
+    A and B are `build_observables` names, RHS an operator.
 
     Observables are normal-ordered (no zero point) so both sides are pure
     quadratic forms, as every commutator is.
     """
     hbar = lat.hbar
     zero = QuadraticOperator(lat)
-    P_plus, P_minus, P_3 = obs.P_plus, obs.P_minus, obs.P_3
-    L_plus, L_minus, L_3 = obs.L_plus, obs.L_minus, obs.L_3
-    S_plus, S_minus, S_3 = obs.S_plus, obs.S_minus, obs.S_3
 
     # grid-factor right-hand sides, from the term table in dynops
     LL_rhs = assemble(lat, "[L+,L-]")
@@ -140,70 +138,70 @@ def _relation_table(lat: ModeLattice, obs):
     SLM_printed = assemble(lat, "[S+,L-] printed")
 
     rows = [
-        ("[P+,P-] = 0", P_plus, P_minus, zero, True, "momentum components commute"),
-        ("[P+,P3] = 0", P_plus, P_3, zero, True, ""),
-        ("[P-,P3] = 0", P_minus, P_3, zero, True, ""),
-        ("[S+,S-] = 0", S_plus, S_minus, zero, True, "helicity components commute"),
-        ("[S+,S3] = 0", S_plus, S_3, zero, True, ""),
-        ("[S-,S3] = 0", S_minus, S_3, zero, True, ""),
-        ("[P+,S+] = 0", P_plus, S_plus, zero, True, "momentum commutes with helicity"),
-        ("[P+,S-] = 0", P_plus, S_minus, zero, True, ""),
-        ("[P+,S3] = 0", P_plus, S_3, zero, True, ""),
-        ("[P3,S+] = 0", P_3, S_plus, zero, True, ""),
-        ("[P3,S3] = 0", P_3, S_3, zero, True, ""),
-        ("[L3,P3] = 0", L_3, P_3, zero, True, ""),
-        ("[S3,L+] = 0", S_3, L_plus, zero, True, ""),
-        ("[S3,L-] = 0", S_3, L_minus, zero, True, ""),
-        ("[S3,L3] = 0", S_3, L_3, zero, True, ""),
-        ("[L+,L3] = hbar L+", L_plus, L_3, hbar * L_plus, True, ""),
-        ("[L-,L3] = -hbar L-", L_minus, L_3, (-hbar) * L_minus, True, ""),
+        ("[P+,P-] = 0", "P+", "P-", zero, True, "momentum components commute"),
+        ("[P+,P3] = 0", "P+", "P3", zero, True, ""),
+        ("[P-,P3] = 0", "P-", "P3", zero, True, ""),
+        ("[S+,S-] = 0", "S+", "S-", zero, True, "helicity components commute"),
+        ("[S+,S3] = 0", "S+", "S3", zero, True, ""),
+        ("[S-,S3] = 0", "S-", "S3", zero, True, ""),
+        ("[P+,S+] = 0", "P+", "S+", zero, True, "momentum commutes with helicity"),
+        ("[P+,S-] = 0", "P+", "S-", zero, True, ""),
+        ("[P+,S3] = 0", "P+", "S3", zero, True, ""),
+        ("[P3,S+] = 0", "P3", "S+", zero, True, ""),
+        ("[P3,S3] = 0", "P3", "S3", zero, True, ""),
+        ("[L3,P3] = 0", "L3", "P3", zero, True, ""),
+        ("[S3,L+] = 0", "S3", "L+", zero, True, ""),
+        ("[S3,L-] = 0", "S3", "L-", zero, True, ""),
+        ("[S3,L3] = 0", "S3", "L3", zero, True, ""),
+        ("[L+,L3] = hbar L+", "L+", "L3", hbar * obs["L+"], True, ""),
+        ("[L-,L3] = -hbar L-", "L-", "L3", (-hbar) * obs["L-"], True, ""),
         (
             "[L+,L-] = 2 hbar^2 sum (kz^2/kp^2) Lambda3",
-            L_plus, L_minus,
+            "L+", "L-",
             LL_rhs,
             False,
             "grid-factor RHS",
         ),
-        ("[L3,P-] = hbar P-", L_3, P_minus, hbar * P_minus, False, ""),
+        ("[L3,P-] = hbar P-", "L3", "P-", hbar * obs["P-"], False, ""),
         (
             "[L+,P-] = hbar P3",
-            L_plus, P_minus,
-            hbar * P_3,
+            "L+", "P-",
+            hbar * obs["P3"],
             False,
             "matrix parts; zero-point scalar excluded from both sides",
         ),
-        ("[L+,P3] = 0", L_plus, P_3, zero, False, ""),
+        ("[L+,P3] = 0", "L+", "P3", zero, False, ""),
         (
             "[L+,P+] = hbar^2 sum kz a+_{m-1} a_{m+1}",
-            L_plus, P_plus,
+            "L+", "P+",
             LPP_rhs,
             False,
             "grid-factor RHS",
         ),
         (
             "[S+,L3] = -hbar^2 sum (c kp/omega) Sigma+",
-            S_plus, L_3,
+            "S+", "L3",
             SL3_rhs,
             False,
             "grid-factor RHS",
         ),
         (
             "[S+,L+] = -hbar S3 (printed)",
-            S_plus, L_plus,
-            (-hbar) * S_3,
+            "S+", "L+",
+            (-hbar) * obs["S3"],
             False,
             "printed RHS does not match the computed algebra; see companion relation",
         ),
         (
             "[S+,L+] = +(hbar/2) S3 (computed)",
-            S_plus, L_plus,
-            (0.5 * hbar) * S_3,
+            "S+", "L+",
+            (0.5 * hbar) * obs["S3"],
             False,
             "computed normal form is -1/2 of the printed RHS",
         ),
         (
             "[S+,L-] = -i hbar^2 sum (c kz/omega)(a1_{m-1} a2+_{m+1} - a2_{m-1} a1+_{m+1}) (printed)",
-            S_plus, L_minus,
+            "S+", "L-",
             SLM_printed,
             False,
             "printed RHS (summed over m) does not match the computed algebra; "
@@ -211,7 +209,7 @@ def _relation_table(lat: ModeLattice, obs):
         ),
         (
             "[S+,L-] = -(1/2) x printed RHS (computed)",
-            S_plus, L_minus,
+            "S+", "L-",
             (-0.5) * SLM_printed,
             False,
             "computed normal form is exactly -1/2 of the printed combination",
@@ -236,13 +234,13 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     interior = _interior_indices(lat)
     results = []
     lhs = {}
-    for name, A, B, rhs, canonical, notes in _relation_table(lat, obs):
-        key = (id(A), id(B))
-        if key not in lhs:
-            lhs[key] = commutator(A, B)
+    for name, a, b, rhs, canonical, notes in _relation_table(lat, obs):
+        A, B = obs[a], obs[b]
+        if (a, b) not in lhs:
+            lhs[a, b] = commutator(A, B)
         # entries of [A, B] grow like |A|max |B|max with the lattice size
         scale = A.max_abs() * B.max_abs()
-        resid = (lhs[key] - rhs).restrict(interior).max_abs() / scale
+        resid = (lhs[a, b] - rhs).restrict(interior).max_abs() / scale
         parts = (["canonical"] if canonical else []) + ([notes] if notes else [])
         parts.append(f"residual relative to |A|max |B|max = {scale:.6g}")
         results.append(
@@ -292,21 +290,20 @@ def _fock_cross_check(tol):
     commutator of the realized observables.  Agreement is exact on the
     subspace that never touches the truncation level.
     """
-    lat = build_lattice((-1, 1), [(1.0, 1.0)], [(2.0, 1.0)])
+    lat = build_lattice((-1, 1), [1.0], [2.0])
     obs = build_observables(lat, include_zero_point=False)
     oracle = FockOracle(lat, n_max=3)
     keep = np.flatnonzero(oracle.occupancy_mask(oracle.n_max - 1))
-    named = obs.named()
     pairs = [
         ("P+", "P-"), ("P+", "P3"), ("S+", "S-"), ("P+", "S+"),
         ("L3", "P3"), ("S3", "L+"), ("L+", "L3"), ("L+", "L-"),
         ("L3", "P-"), ("L+", "P-"), ("L+", "P3"), ("L+", "P+"),
         ("S+", "L3"), ("S+", "L+"), ("S+", "L-"),
     ]
-    realized = {n: oracle.realize(named[n]) for n in sorted({n for pair in pairs for n in pair})}
+    realized = {n: oracle.realize(obs[n]) for n in sorted({n for pair in pairs for n in pair})}
     worst = 0.0
     for na, nb in pairs:
-        lhs = oracle.realize(commutator(named[na], named[nb]))
+        lhs = oracle.realize(commutator(obs[na], obs[nb]))
         rhs = realized[na] @ realized[nb] - realized[nb] @ realized[na]
         diff = (lhs - rhs)[keep][:, keep]
         worst = max(worst, float(abs(diff).max()))
@@ -355,11 +352,11 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     obs = build_observables(lat, include_zero_point=False)
     results = []
 
-    quartet = [("energy", obs.energy), ("P3", obs.P_3), ("L3", obs.L_3), ("S3", obs.S_3)]
+    quartet = ("energy", "P3", "L3", "S3")
     worst = 0.0
     for i in range(len(quartet)):
         for j in range(i + 1, len(quartet)):
-            A, B = quartet[i][1], quartet[j][1]
+            A, B = obs[quartet[i]], obs[quartet[j]]
             worst = max(worst, commutator(A, B).max_abs() / (A.max_abs() * B.max_abs()))
     results.append(
         RelationResult.from_norm(
@@ -383,11 +380,12 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     # pairs[..., 0] and pairs[..., 1]
     pairs = lat.pairs()
     m = np.array(lat.m_values)[:, None, None]
-    kz = np.array([v for v, _ in lat.k_z_nodes])
-    w = np.array([[c * math.hypot(kp, v) for v, _ in lat.k_z_nodes] for kp, _ in lat.k_perp_nodes])
+    kz = np.array(lat.k_z_nodes)
+    w = np.array([[c * math.hypot(kp, v) for v in lat.k_z_nodes] for kp in lat.k_perp_nodes])
     worst_off = 0.0
     diag = {}
-    for name, A in quartet:
+    for name in quartet:
+        A = obs[name]
         Ap = apply_basis(A, pm)
         worst_off = max(worst_off, _offdiag_norm(Ap) / A.max_abs())
         diag[name] = (np.real(Ap.X.diagonal()), A.max_abs())
@@ -421,8 +419,8 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     )
 
     rl = make_rl_map(lat)
-    S3_rl = apply_basis(obs.S_3, rl)
-    scale = obs.S_3.max_abs()
+    S3_rl = apply_basis(obs["S3"], rl)
+    scale = obs["S3"].max_abs()
     results.append(
         RelationResult.from_norm(
             "basis: S3 diagonal under R/L map",
@@ -433,11 +431,11 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
         )
     )
 
-    E_rl = apply_basis(obs.energy, rl)
+    E_rl = apply_basis(obs["energy"], rl)
     scale = E_rl.max_abs()
     E_rl = E_rl.X
     coeff = np.array(
-        [[_rl_cross_coeff(c, hbar, kp, v) for v, _ in lat.k_z_nodes] for kp, _ in lat.k_perp_nodes]
+        [[_rl_cross_coeff(c, hbar, kp, v) for v in lat.k_z_nodes] for kp in lat.k_perp_nodes]
     )
     coeff = np.broadcast_to(coeff, (len(lat.m_values),) + coeff.shape).ravel()
     i1, i2 = pairs.reshape(-1, 2).T
@@ -457,7 +455,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     ratios = np.logspace(-3, -1, 9)
     mags = []
     for r in ratios:
-        one = build_lattice((-2, 2), [(r, 1.0)], [(1.0, 1.0)], c=c, hbar=hbar)
+        one = build_lattice((-2, 2), [r], [1.0], c=c, hbar=hbar)
         E_one = apply_basis(assemble(one, "energy"), make_rl_map(one))
         mags.append(_offdiag_norm(E_one))
     slope = np.polyfit(np.log(ratios), np.log(mags), 1)[0]
@@ -491,14 +489,21 @@ class WavepacketSpec:
     def __post_init__(self):
         if self.k_perp_width <= 0 or self.k_z_width <= 0:
             raise ValueError("widths must be positive")
-        if self.k_perp_center - 5 * self.k_perp_width <= 0:
+        (kp_lo, _), (kz_lo, kz_hi) = self.support()
+        if kp_lo <= 0:
             raise ValueError("k_perp support (+/-5 widths) must stay positive")
-        lo = self.k_z_center - 5 * self.k_z_width
-        hi = self.k_z_center + 5 * self.k_z_width
-        if lo <= 0 <= hi:
+        if kz_lo <= 0 <= kz_hi:
             raise ValueError("k_z support (+/-5 widths) must not cross zero")
         if self.family not in (TM, TE):
             raise ValueError("unknown family")
+
+    def support(self):
+        """((k_perp lo, hi), (k_z lo, hi)): +/-5 widths around the centre,
+        the k-range every quadrature over the envelope covers."""
+        return (
+            (self.k_perp_center - 5 * self.k_perp_width, self.k_perp_center + 5 * self.k_perp_width),
+            (self.k_z_center - 5 * self.k_z_width, self.k_z_center + 5 * self.k_z_width),
+        )
 
     def envelope(self, kp, kz):
         return np.exp(
@@ -534,7 +539,7 @@ def default_domain(wp: WavepacketSpec):
     8 decay lengths radially and axially."""
     R = 8.0 / wp.k_perp_width
     Z = 8.0 / wp.k_z_width
-    kp_max = wp.k_perp_center + 5 * wp.k_perp_width
+    kp_max = wp.support()[0][1]
     n_rad = int(24 * max(8, math.ceil(kp_max * R / (2 * math.pi))))
     n_ax = int(24 * max(8, math.ceil(10 * wp.k_z_width * Z / (2 * math.pi))))
     return QuadratureDomain(R, Z, n_rad, n_ax)
@@ -574,12 +579,9 @@ def smear_mode(which, wp: WavepacketSpec, n_kp, n_kz):
     finite-volume integral the node counts must resolve the sin(dk R)/dk
     structure of the truncated overlap kernels (see k_counts).
     """
-    kp, wkp = _panels(
-        wp.k_perp_center - 5 * wp.k_perp_width, wp.k_perp_center + 5 * wp.k_perp_width, n_kp
-    )
-    kz, wkz = _panels(
-        wp.k_z_center - 5 * wp.k_z_width, wp.k_z_center + 5 * wp.k_z_width, n_kz
-    )
+    kp_support, kz_support = wp.support()
+    kp, wkp = _panels(*kp_support, n_kp)
+    kz, wkz = _panels(*kz_support, n_kz)
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
     g = wp.envelope(KP, KZ)
     if which in ("M", "N"):
@@ -714,12 +716,9 @@ def volume_cross(F1, F2, quad: _CylinderQuadrature, conjugate=True):
 
 def _envelope_nodes(wp):
     """(KP, KZ, wkp, wkz): a 64 x 64 Gauss-Legendre grid over the support of `wp`."""
-    kp, wkp = _panels(
-        wp.k_perp_center - 5 * wp.k_perp_width, wp.k_perp_center + 5 * wp.k_perp_width, 64, per_panel=64
-    )
-    kz, wkz = _panels(
-        wp.k_z_center - 5 * wp.k_z_width, wp.k_z_center + 5 * wp.k_z_width, 64, per_panel=64
-    )
+    kp_support, kz_support = wp.support()
+    kp, wkp = _panels(*kp_support, 64, per_panel=64)
+    kz, wkz = _panels(*kz_support, 64, per_panel=64)
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
     return KP, KZ, wkp, wkz
 

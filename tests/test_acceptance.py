@@ -51,8 +51,8 @@ def _report(number, label, ok):
 def reference_lattice():
     return build_lattice(
         (-4, 4),
-        [(0.5, 1.0), (1.0, 1.0), (1.5, 1.0)],
-        [(1.0, 1.0), (2.0, 1.0)],
+        [0.5, 1.0, 1.5],
+        [1.0, 2.0],
     )
 
 
@@ -80,11 +80,10 @@ def test_01_commutator_table():
 
 def test_02_fock_oracle_equivalence():
     t0 = time.monotonic()
-    lat = build_lattice((-1, 1), [(1.0, 1.0)], [(2.0, 1.0)])  # D = 6
+    lat = build_lattice((-1, 1), [1.0], [2.0])  # D = 6
     obs = build_observables(lat, include_zero_point=False)
     oracle = FockOracle(lat, n_max=3)
     keep = np.flatnonzero(oracle.occupancy_mask(oracle.n_max - 1))
-    named = obs.named()
     worst = 0.0
 
     def block_max(S):
@@ -95,18 +94,18 @@ def test_02_fock_oracle_equivalence():
 
     eye = identity(oracle.dim, dtype=complex, format="csr")
     # every observable: coefficient realization vs literal ladder assembly
-    for op in named.values():
+    for op in obs.values():
         direct = op.s * eye
         coo = op.X.tocoo()
         for r, c, v in zip(coo.row, coo.col, coo.data):
             direct = direct + v * (oracle.bdag[r] @ oracle.b[c])
         worst = max(worst, block_max(oracle.realize(op) - direct))
-    # every commutator of named observables: algebraic vs matrix commutator
-    realized = {n: oracle.realize(op).tocsr() for n, op in named.items()}
-    names = sorted(named)
+    # every commutator of the observables: algebraic vs matrix commutator
+    realized = {n: oracle.realize(op).tocsr() for n, op in obs.items()}
+    names = sorted(obs)
     for i, na in enumerate(names):
         for nb in names[i + 1:]:
-            lhs = oracle.realize(commutator(named[na], named[nb]))
+            lhs = oracle.realize(commutator(obs[na], obs[nb]))
             Am, Bm = realized[na], realized[nb]
             worst = max(worst, block_max(lhs - (Am @ Bm - Bm @ Am)))
     elapsed = time.monotonic() - t0
@@ -124,7 +123,7 @@ def test_03_simultaneous_diagonalization():
         ].passed
     )
     # Pythagorean node: S3 eigenvalues exactly +/- 0.8 hbar
-    pyth = build_lattice((-2, 2), [(3.0, 1.0)], [(4.0, 1.0)])
+    pyth = build_lattice((-2, 2), [3.0], [4.0])
     eig = {r.name: r for r in basis_suite(pyth)}[
         "basis: (+/-) eigenvalues {hbar w, hbar kz, hbar m, +/-hbar c kz/w}"
     ]

@@ -339,6 +339,16 @@ class TestExpand:
         assert cli.main(self.ARGS + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_header_does_not_depend_on_jmax(self, capsys):
+        # |u_j| grows with j for a Bessel beam, so a header read off the
+        # printed coefficients would change with the truncation
+        headers = []
+        for jmax in ("40", "150"):
+            code, out, _ = run(self.ARGS[:-1] + [jmax], capsys)
+            assert code == 0
+            headers.append([ln for ln in out.split("\n") if ln.startswith("#")])
+        assert headers[0] == headers[1]
+
     def test_bad_jmax(self, capsys):
         code, _, err = run(["expand", "--m", "2", "--kperp", "1.0", "--kz", "2.0",
                             "--jmax", "0"], capsys)

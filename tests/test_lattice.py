@@ -38,7 +38,7 @@ def fock_expectation(oracle, A, alpha):
 
 
 def small_lattice():
-    return build_lattice((-1, 1), [(1.0, 1.0)], [(2.0, 1.0)])
+    return build_lattice((-1, 1), [1.0], [2.0])
 
 
 def random_op(lat, rng, hermitian=False):
@@ -50,22 +50,28 @@ def random_op(lat, rng, hermitian=False):
 
 class TestLatticeIndexing:
     def test_roundtrip(self):
-        lat = build_lattice((-2, 3), [(0.5, 0.1), (1.5, 0.2)], [(1.0, 0.3), (2.0, 0.4)])
+        lat = build_lattice((-2, 3), [0.5, 1.5], [1.0, 2.0])
         for idx in range(lat.dim):
             f, m, ip, iz = lat.unpack(idx)
             assert lat.index(f, m, ip, iz) == idx
 
-    def test_weights_and_omega(self):
-        lat = build_lattice((-1, 1), [(3.0, 0.25)], [(4.0, 0.5)])
-        assert (lat.k_perp_nodes, lat.k_z_nodes) == (((3.0, 0.25),), ((4.0, 0.5),))
+    def test_nodes_are_stored_as_float_values(self):
+        lat = build_lattice((-1, 1), [3, 0.5], [-4])
+        assert (lat.k_perp_nodes, lat.k_z_nodes) == ((3.0, 0.5), (-4.0,))
+        assert all(type(v) is float for v in lat.k_perp_nodes + lat.k_z_nodes)
 
     def test_validation(self):
         with pytest.raises(LatticeError):
-            build_lattice((1, -1), [(1.0, 1.0)], [(1.0, 1.0)])
+            build_lattice((1, -1), [1.0], [1.0])
         with pytest.raises(LatticeError):
-            build_lattice((-1, 1), [(-1.0, 1.0)], [(1.0, 1.0)])
+            build_lattice((-1, 1), [-1.0], [1.0])
         with pytest.raises(LatticeError):
-            build_lattice((-1, 1), [(1.0, 1.0)], [(0.0, 1.0)])
+            build_lattice((-1, 1), [1.0], [0.0])
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(LatticeError):
+                build_lattice((-1, 1), [1.0], [bad])
+            with pytest.raises(LatticeError):
+                build_lattice((-1, 1), [abs(bad)], [1.0])
         lat = small_lattice()
         with pytest.raises(LatticeError):
             lat.index(TM, 5, 0, 0)
@@ -78,7 +84,7 @@ class TestLatticeIndexing:
 )
 def test_lattice_units_must_be_positive_and_finite(c, hbar):
     with pytest.raises(LatticeError):
-        build_lattice((-1, 1), [(1.0, 1.0)], [(2.0, 1.0)], c=c, hbar=hbar)
+        build_lattice((-1, 1), [1.0], [2.0], c=c, hbar=hbar)
 
 
 class TestQuadraticOperator:
@@ -111,7 +117,7 @@ class TestQuadraticOperator:
 
     def test_mismatched_lattices_rejected(self):
         A = random_op(small_lattice(), RNG)
-        B = random_op(build_lattice((-2, 2), [(1.0, 1.0)], [(2.0, 1.0)]), RNG)
+        B = random_op(build_lattice((-2, 2), [1.0], [2.0]), RNG)
         with pytest.raises(LatticeError):
             commutator(A, B)
 
@@ -150,7 +156,7 @@ class TestCommutatorAlgebra:
 
 class TestFockOracle:
     def test_canonical_commutators_on_interior_block(self):
-        lat = build_lattice((-1, 0), [(1.0, 1.0)], [(2.0, 1.0)])  # D = 4
+        lat = build_lattice((-1, 0), [1.0], [2.0])  # D = 4
         oracle = FockOracle(lat, n_max=3)
         keep = np.flatnonzero(oracle.occupancy_mask(oracle.n_max - 1))
         eye = np.eye(oracle.dim)[np.ix_(keep, keep)]
@@ -174,7 +180,7 @@ class TestFockOracle:
         assert np.abs((lhs - rhs)[np.ix_(keep, keep)]).max() < 1e-12
 
     def test_coherent_expectation_matches_oracle(self):
-        lat = build_lattice((0, 0), [(1.0, 1.0)], [(2.0, 1.0)])  # D = 2
+        lat = build_lattice((0, 0), [1.0], [2.0])  # D = 2
         oracle = FockOracle(lat, n_max=6)
         alpha = CoherentAmplitude({0: 0.2 + 0.1j, 1: -0.15j})
         A = random_op(lat, np.random.default_rng(11), hermitian=True)
@@ -190,7 +196,7 @@ class TestFockOracle:
         )
 
     def test_dimension_cap(self):
-        lat = build_lattice((-4, 4), [(1.0, 1.0)], [(2.0, 1.0)])  # D = 18
+        lat = build_lattice((-4, 4), [1.0], [2.0])  # D = 18
         with pytest.raises(LatticeError):
             FockOracle(lat, n_max=3)
 
@@ -211,7 +217,7 @@ def dense_map(lat, blocks):
 
 class TestBasisMap:
     def test_pairs_are_the_tm_te_indices(self):
-        lat = build_lattice((-2, 1), [(1.0, 1.0), (2.0, 0.5)], [(1.5, 1.0)])
+        lat = build_lattice((-2, 1), [1.0, 2.0], [1.5])
         pairs = lat.pairs()
         assert pairs.shape == (4, 2, 1, 2)
         for im, m in enumerate(lat.m_values):
@@ -227,7 +233,7 @@ class TestBasisMap:
         assert len({bm, bm}) == 1
 
     def test_blocks_sit_on_their_pairs(self):
-        lat = build_lattice((-1, 1), [(1.0, 1.0), (2.0, 1.0)], [(2.0, 1.0)])
+        lat = build_lattice((-1, 1), [1.0, 2.0], [2.0])
         rng = np.random.default_rng(17)
         blocks = pair_blocks(lat, rng, eye=1.0, noise=0.3) + 1j * pair_blocks(lat, rng, noise=0.3)
         bm = BasisMap(lat, blocks)
@@ -255,7 +261,7 @@ class TestBasisMap:
     def test_nonunitary_map_invariance_with_transformed_ladders(self):
         # X' = (T^-1)+ X T^-1 represents the same abstract operator when
         # the ladders transform as b' = T b; realize both on a Fock space
-        lat = build_lattice((-1, 0), [(1.0, 1.0)], [(2.0, 1.0)])  # D = 4, 625 Fock states
+        lat = build_lattice((-1, 0), [1.0], [2.0])  # D = 4, 625 Fock states
         rng = np.random.default_rng(9)
         blocks = pair_blocks(lat, rng, eye=1.0, noise=0.2)
         bm = BasisMap(lat, blocks)
@@ -303,7 +309,7 @@ class TestBasisMap:
     def test_condition_number_is_over_all_blocks(self):
         # rotated diag(1, 2) and diag(10, 20) each have condition number 2;
         # T as a whole has 20
-        lat = build_lattice((0, 1), [(1.0, 1.0)], [(2.0, 1.0)])
+        lat = build_lattice((0, 1), [1.0], [2.0])
         c, s = np.cos(0.3), np.sin(0.3)
         R = np.array([[c, -s], [s, c]])
         blocks = np.stack([R @ np.diag(d) @ R.T for d in ([1.0, 2.0], [10.0, 20.0])])

@@ -30,8 +30,8 @@ from besselbeams.verify import (
 def make_lattice():
     return build_lattice(
         (-4, 4),
-        [(0.5, 1.0), (1.5, 1.0)],
-        [(1.0, 1.0), (2.0, 1.0)],
+        [0.5, 1.5],
+        [1.0, 2.0],
     )
 
 
@@ -81,7 +81,7 @@ class TestCommutatorSuite:
     def test_residuals_scale_with_the_operands(self):
         # D = 66, |m| <= 16, kz/kp = 8.3: [L+,L-] has entries of 1.7e4 and an
         # absolute residual of 3e-12; relative to |L+|max |L-|max it is ~2e-16
-        lat = build_lattice((-16, 16), [(0.3, 1.0)], [(2.5, 1.0)])
+        lat = build_lattice((-16, 16), [0.3], [2.5])
         by_name = {r.name: r for r in commutator_suite(lat)}
         failing = {n for n, r in by_name.items() if not r.passed}
         assert failing == {n for n in by_name if n.endswith("(printed)")}
@@ -109,7 +109,7 @@ class TestStokesResidual:
                 for iz in range(len(lat.k_z_nodes)) for m in lat.m_values]
 
     def test_suite_residual_is_the_per_pair_worst(self):
-        lat = build_lattice((-2, 2), [(0.5, 1.0), (1.5, 1.0)], [(1.0, 1.0), (-2.0, 1.0)])
+        lat = build_lattice((-2, 2), [0.5, 1.5], [1.0, -2.0])
         worst = max(_su2_residual(*stokes_matrices(lat, p), 2j) for p in self.pairs(lat))
         by_name = {r.name: r for r in commutator_suite(lat)}
         assert by_name[self.STOKES].lhs_minus_rhs_norm == worst
@@ -119,7 +119,7 @@ class TestStokesResidual:
     def test_disjoint_pairs_keep_each_pair_residual(self):
         # scaled pairs f sigma_k break su(2) by |f^2 - f|; the sum over all
         # pairs has the worst pair's residual, not a sum of them
-        lat = build_lattice((-2, 2), [(0.5, 1.0), (1.5, 1.0)], [(1.0, 1.0), (-2.0, 1.0)])
+        lat = build_lattice((-2, 2), [0.5, 1.5], [1.0, -2.0])
         per_pair, summed = [], [0.0, 0.0, 0.0]
         for n, p in enumerate(self.pairs(lat)):
             scaled = [(1.0 + 0.1 * n) * X for X in stokes_matrices(lat, p)]
@@ -136,8 +136,8 @@ class TestBasisSuite:
 
     def test_sparse_at_d2376(self):
         # dense D x D basis maps took about a minute and 0.9 GB at this size
-        lat = build_lattice((-16, 16), [(0.3 + 0.2 * i, 1.0) for i in range(6)],
-                            [(1.0 + 0.3 * i, 1.0) for i in range(6)])
+        lat = build_lattice((-16, 16), [0.3 + 0.2 * i for i in range(6)],
+                            [1.0 + 0.3 * i for i in range(6)])
         assert lat.dim == 2376
         t0 = time.perf_counter()
         results = basis_suite(lat)
@@ -147,7 +147,7 @@ class TestBasisSuite:
 
     def test_pythagorean_node_helicity(self):
         # on the (3, 4) node the (+/-) helicity eigenvalues are +/- 0.8
-        lat = build_lattice((-2, 2), [(3.0, 1.0)], [(4.0, 1.0)])
+        lat = build_lattice((-2, 2), [3.0], [4.0])
         results = basis_suite(lat)
         eig = next(r for r in results if "eigenvalues" in r.name)
         assert eig.passed
