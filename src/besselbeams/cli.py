@@ -341,6 +341,8 @@ def cmd_field(args, cfg):
         for comp in "xyz":
             header += [f"{nm}{comp}_re", f"{nm}{comp}_im"]
     lines = [",".join(header)]
+    # every column is a float, so one template renders a row as _fmt would
+    row = ",".join(["%.17g"] * len(header))
     # row order: z-major, then y, then x
     for z in coords["z"]:
         for y in coords["y"]:
@@ -348,11 +350,8 @@ def cmd_field(args, cfg):
                 rho = math.hypot(x, y)
                 phi = math.atan2(y, x)
                 p = CylPoint(rho, phi, float(z), args.t)
-                row = [_fmt(x), _fmt(y), _fmt(z), _fmt(args.t)]
-                for vec in _field_samples(which, K, norm, p):
-                    for comp in vec:
-                        row += [_fmt(comp.real), _fmt(comp.imag)]
-                lines.append(",".join(row))
+                values = np.concatenate(_field_samples(which, K, norm, p)).view(float)
+                lines.append(row % (x, y, z, args.t, *values.tolist()))
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 

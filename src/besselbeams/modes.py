@@ -118,6 +118,8 @@ def _phase(m, k_z, p: CylPoint, omega):
 
 
 _POL = {"-": E_MINUS, "+": E_PLUS, "3": E3}
+# the same vectors as (x, y, z) complex constants, for the point path
+_POL_COMPLEX = {pol: tuple(complex(v) for v in vec) for pol, vec in _POL.items()}
 
 
 def mode_terms(which, m, k_perp, k_z, c=1.0):
@@ -143,11 +145,20 @@ def mode_terms(which, m, k_perp, k_z, c=1.0):
 def _eval_mode(which, m, k_perp, k_z, p: CylPoint, c):
     omega = c * math.hypot(k_perp, k_z)
     x = k_perp * p.rho
-    comp = sum(
-        coeff * bessel_j(order, x) * cmath.exp(1j * order * p.phi) * _POL[pol]
-        for pol, order, coeff in mode_terms(which, m, k_perp, k_z, c)
-    )
-    return ComplexVec3(comp * cmath.exp(1j * (k_z * p.z - omega * p.t)))
+    # Sum term * e_pol per Cartesian component in complex scalars.  Each
+    # product with a component of e_pol is by exact 0 or +/-1, and the sums
+    # start from +0, so they equal elementwise array sums bit for bit.
+    cx = cy = cz = 0j
+    for pol, order, coeff in mode_terms(which, m, k_perp, k_z, c):
+        term = complex(coeff * bessel_j(order, x) * cmath.exp(1j * order * p.phi))
+        ex, ey, ez = _POL_COMPLEX[pol]
+        cx += term * ex
+        cy += term * ey
+        cz += term * ez
+    # The phase product stays an array operation: numpy's complex array
+    # multiply may round differently from a scalar one (an FMA in its SIMD
+    # loop), and field values are defined by the array product.
+    return ComplexVec3(np.array((cx, cy, cz)) * cmath.exp(1j * (k_z * p.z - omega * p.t)))
 
 
 def eval_M(m, k_perp, k_z, p: CylPoint, c=1.0):

@@ -26,28 +26,33 @@ class DomainError(ValueError):
     """Argument outside the supported domain of a special function."""
 
 
-def bessel_j(m, x):
-    """Cylindrical Bessel function J_m(x) for integer m, x >= 0.
+def _checked_order_and_argument(name, m, x):
+    """(int m, float array x) for the scalar Bessel functions, or DomainError.
 
-    Negative orders follow J_{-m}(x) = (-1)^m J_m(x).
+    One fused reduction checks x: NaN fails both comparisons, so it is
+    refused along with +/-inf and negative values.
     """
     m = int(m)
     if abs(m) > MAX_ORDER:
         raise DomainError(f"Bessel order |m|={abs(m)} exceeds {MAX_ORDER}")
     x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x < 0):
-        raise DomainError("bessel_j requires finite x >= 0")
+    if not ((x >= 0) & (x < np.inf)).all():
+        raise DomainError(f"{name} requires finite x >= 0")
+    return m, x
+
+
+def bessel_j(m, x):
+    """Cylindrical Bessel function J_m(x) for integer m, x >= 0.
+
+    Negative orders follow J_{-m}(x) = (-1)^m J_m(x).
+    """
+    m, x = _checked_order_and_argument("bessel_j", m, x)
     return jv(m, x)
 
 
 def bessel_j_prime(m, x):
     """dJ_m/dx via the recurrence J'_m = (J_{m-1} - J_{m+1})/2."""
-    m = int(m)
-    if abs(m) > MAX_ORDER:
-        raise DomainError(f"Bessel order |m|={abs(m)} exceeds {MAX_ORDER}")
-    x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x < 0):
-        raise DomainError("bessel_j_prime requires finite x >= 0")
+    m, x = _checked_order_and_argument("bessel_j_prime", m, x)
     return 0.5 * (jv(m - 1, x) - jv(m + 1, x))
 
 

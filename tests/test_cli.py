@@ -4,9 +4,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from besselbeams import cli
+from besselbeams.modes import CylPoint, ModeIndex, NormalizationConvention
 
 
 def run(argv, capsys):
@@ -255,6 +257,28 @@ class TestField:
         code, _, err = run(self.ARGS + ["--which", "Q"], capsys)
         assert code == 2
         assert "--which" in err
+
+    @pytest.mark.parametrize("family,m", [("te", 0), ("tm", 1), ("tm", -1)])
+    def test_rows_match_formatting_each_number(self, family, m, capsys):
+        # odd sides put grid points on the axis of the x = 0 plane
+        code, out, _ = run(["field", "--family", family, "--m", str(m), "--kperp", "1.1",
+                            "--kz", "-0.7", "--plane", "x=0", "--grid", "9x7",
+                            "--extent", "3", "--t", "0.3"], capsys)
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        K = ModeIndex(family.upper(), m, 1.1, -0.7)
+        norm = NormalizationConvention()
+        expected = []
+        for z in np.linspace(-3.0, 3.0, 7):
+            for y in np.linspace(-3.0, 3.0, 9):
+                p = CylPoint(math.hypot(0.0, y), math.atan2(y, 0.0), float(z), 0.3)
+                values = [0.0, y, z, 0.3]
+                for vec in (cli.eval_E(K, p, norm), cli.eval_B(K, p, norm)):
+                    for comp in vec.components:
+                        values += [comp.real, comp.imag]
+                expected.append(",".join(cli._fmt(v) for v in values))
+        assert rows == expected
+        assert any("-0" in row.split(",") for row in rows)  # signed zeros are printed
 
 
 class TestVerifyReport:

@@ -1,11 +1,14 @@
 """Mode-vector identities, field assembly paths, and angular spectra."""
 
+import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from besselbeams.modes import (
+    _POL,
     CylPoint,
     E3,
     ModeIndex,
@@ -19,8 +22,10 @@ from besselbeams.modes import (
     eval_N,
     eval_potential,
     hertz_fields,
+    mode_terms,
     scalar_angular_spectrum,
 )
+from besselbeams.specfun import bessel_j
 
 RNG = np.random.default_rng(7)
 NORM = NormalizationConvention()
@@ -88,6 +93,47 @@ class TestAxis:
         assert np.abs(eval_M(0, 1.0, 2.0, CylPoint(0.0)).components).max() == 0.0
         n0 = eval_N(0, 1.0, 2.0, CylPoint(0.0)).components
         assert np.abs(n0[:2]).max() == 0.0 and abs(n0[2]) > 0.1
+
+
+def sum_of_arrays(which, m, k_perp, k_z, p, c=1.0):
+    """M or N at a point as a sum of term-times-e_pol arrays: the reference
+    the scalar term sums of the point path must match bit for bit."""
+    omega = c * math.hypot(k_perp, k_z)
+    x = k_perp * p.rho
+    comp = sum(
+        coeff * bessel_j(order, x) * cmath.exp(1j * order * p.phi) * _POL[pol]
+        for pol, order, coeff in mode_terms(which, m, k_perp, k_z, c)
+    )
+    return comp * cmath.exp(1j * (k_z * p.z - omega * p.t))
+
+
+def same_bits(a, b):
+    """Equal values with equal signs of zero, component by component."""
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+class TestPointPath:
+    def test_scalar_sums_match_the_sum_of_arrays_bitwise(self):
+        # 13 orders x 2 signs of k_z x 8 points: the axis, phi = +/-pi, and
+        # random points, each through M and N
+        rng = np.random.default_rng(14)
+        for m, sign in itertools.product(range(-6, 7), (1.0, -1.0)):
+            kp = float(rng.uniform(0.2, 3.0))
+            kz = sign * float(rng.uniform(0.2, 3.0))
+            z, t, rho = (float(v) for v in rng.uniform(-3.0, 3.0, 3))
+            points = [CylPoint(0.0, 0.0, z, t), CylPoint(0.0, math.pi, z, t),
+                      CylPoint(0.0, -math.pi, -z, t), CylPoint(abs(rho), math.pi, z, t),
+                      CylPoint(abs(rho), -math.pi, z, -t)]
+            points += [
+                CylPoint(float(rng.uniform(0.0, 8.0)), float(rng.uniform(-math.pi, math.pi)),
+                         float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, 2.0)))
+                for _ in range(3)]
+            for p in points:
+                for which, evaluator in (("M", eval_M), ("N", eval_N)):
+                    got = evaluator(m, kp, kz, p).components
+                    assert same_bits(got, sum_of_arrays(which, m, kp, kz, p)), (which, m, kz, p)
 
 
 class TestFieldAssembly:

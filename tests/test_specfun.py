@@ -155,6 +155,24 @@ class TestBessel:
         with pytest.raises(DomainError):
             bessel_j(2, -1.0)
 
+    @pytest.mark.parametrize("fn", [bessel_j, bessel_j_prime], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300],
+                             ids=["nan", "inf", "-inf", "-1e-300"])
+    def test_argument_check_refuses_nonfinite_and_negative(self, fn, bad):
+        message = f"^{fn.__name__} requires finite x >= 0$"
+        with pytest.raises(DomainError, match=message):
+            fn(2, bad)
+        with pytest.raises(DomainError, match=message):
+            fn(2, np.array([0.0, 0.5, bad, 7.0]))
+
+    def test_argument_check_accepts_zero_and_finite_arrays(self):
+        x = np.array([0.0, 1e-300, 0.5, 3.0, 40.0])
+        for m in (-3, 0, 1, 4):
+            assert bessel_j(m, 0.0) == jv(m, 0.0)
+            assert np.array_equal(bessel_j(m, x), jv(m, x))
+            assert bessel_j_prime(m, 0.0) == 0.5 * (jv(m - 1, 0.0) - jv(m + 1, 0.0))
+            assert np.array_equal(bessel_j_prime(m, x), 0.5 * (jv(m - 1, x) - jv(m + 1, x)))
+
     @given(st.integers(-8, 8), st.floats(0.0, 30.0, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_over_x_consistency_property(self, m, x):
