@@ -519,7 +519,7 @@ class QuadratureDomain:
     R: float
     Z: float
     n_radial: int
-    n_axial: int
+    n_axial: int  # sizes nothing (the axial kernel is exact); perfbench's self-test passes it
 
     def __post_init__(self):
         if min(self.R, self.Z) <= 0 or min(self.n_radial, self.n_axial) < 1:
@@ -644,12 +644,11 @@ _FLIP = {"-": "+", "+": "-", "3": "3"}
 
 
 class _CylinderQuadrature:
-    """Composite Gauss-Legendre product rule on the finite cylinder."""
+    """Kernels on the finite cylinder: Gauss-Legendre radially, closed form axially."""
 
     def __init__(self, dom: QuadratureDomain):
         self.dom = dom
         self.rho, self.w_rho = _panels(0.0, dom.R, dom.n_radial)
-        self.z, self.w_z = _panels(-dom.Z, dom.Z, dom.n_axial)
 
     def radial(self, F1, F2, o1, o2, p):
         """int_0^R J_o1(kp rho) J_o2(kp' rho) rho^(1+p) drho as a matrix."""
@@ -659,11 +658,19 @@ class _CylinderQuadrature:
         return (K1 * wt) @ K2.T
 
     def axial(self, F1, F2, q, sign):
-        """int_-Z^Z z^q e^{i(kz + sign kz') z} dz as a matrix."""
-        E1 = np.exp(1j * np.outer(F1.kz_nodes, self.z))
-        E2 = np.exp(1j * sign * np.outer(F2.kz_nodes, self.z))
-        wt = self.w_z * self.z**q
-        return (E1 * wt) @ E2.T
+        """int_-Z^Z z^q e^{i kappa z} dz with kappa = kz + sign kz', exactly, as a matrix.
+
+        int_-1^1 P_n(t) e^{ixt} dt = 2 i^n j_n(x) (DLMF 10.54.2) gives 2Z j_0(kappa Z)
+        for q = 0 and 2i Z^2 j_1(kappa Z) for q = 1.  scipy's spherical_jn stays
+        accurate as kappa Z -> 0, so no series branch is needed.
+        """
+        Z = self.dom.Z
+        x = np.add.outer(F1.kz_nodes, sign * F2.kz_nodes) * Z
+        if q == 0:
+            return 2 * Z * spherical_jn(0, x)
+        if q == 1:
+            return 2j * Z * Z * spherical_jn(1, x)
+        raise ValueError(f"the axial kernel is closed-form for z powers 0 and 1, got {q}")
 
 
 def _panels(a, b, n_total, per_panel=24):
@@ -761,10 +768,9 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
 
     The carrier packet is TM, m = 2, centered at (k_perp, k_z) = (1, 2)
     with widths (0.08, 0.12).  Each relation compares a direct volume
-    integral (exact azimuthally, composite Gauss-Legendre radially and
-    axially) with the analytic
-    value obtained by applying the delta-normalized product formulas to
-    the Gaussian envelopes.  A refinement pass (domain scaled by 1.5,
+    integral (exact azimuthally, Gauss-Legendre radially, closed form
+    axially) with the analytic value obtained by applying the
+    delta-normalized product formulas to the Gaussian envelopes.  A refinement pass (domain scaled by 1.5,
     with every k-grid rebuilt to match via k_counts) provides the
     convergence estimate; relations whose estimate exceeds the tolerance
     are reported inconclusive.
@@ -1036,39 +1042,47 @@ def printed_uv(m, k_perp, k_z, j, m_j, c=1.0):
     return u, v
 
 
-def _spherical_wave_pair(j, m, omega, point, c=1.0):
+def _spherical_wave_pair(j, m, omega, points, c=1.0):
     """(V^E_j, V^M_j)(r), V^(i)_j = int dOmega Y^(i)_jm(n) e^{i (omega/c) n . r}, closed form.
 
     Rayleigh's plane-wave expansion (Jackson, Classical Electrodynamics,
     ch. 9) gives, with k = omega/c, r > 0 and n = r/|r|,
         V^M_j = 4 pi i^j j_j(kr) Y^M_jm(n),
         V^E_j = 4 pi i^(j+3) [(j_j/kr) Y_jm(n) n + (j_j/kr + j_j') Y^E_jm(n)].
+    `points` is one Cartesian point or an array of them, shaped (..., 3);
+    both returned arrays have that shape.
     """
-    x, y, z = point
-    r = math.sqrt(x * x + y * y + z * z)
+    points = np.asarray(points, dtype=float)
+    # libm scalar calls per point keep r, theta, phi bit-identical however many points come
+    r, theta, phi = np.array([
+        (math.sqrt(x * x + y * y + z * z), math.atan2(math.hypot(x, y), z), math.atan2(y, x))
+        for x, y, z in points.reshape(-1, 3).tolist()
+    ]).T.reshape((3,) + points.shape[:-1])
     kr = omega * r / c
-    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
     ye, ym = _vsh_grid(j, m, theta, phi)
     jj, jp = spherical_jn(j, kr), spherical_jn(j, kr, derivative=True)
-    n_hat = np.array(point, dtype=float) / r
-    ve = 4 * math.pi * 1j ** (j + 3) * (
-        (jj / kr) * specfun.spherical_harmonic(j, m, theta, phi) * n_hat + (jj / kr + jp) * ye
-    )
-    vm = 4 * math.pi * 1j**j * jj * ym
+    n_hat = points / r[..., None]
+    radial = ((jj / kr) * specfun.spherical_harmonic(j, m, theta, phi))[..., None]
+    ve = 4 * math.pi * 1j ** (j + 3) * (radial * n_hat + (jj / kr + jp)[..., None] * ye)
+    vm = 4 * math.pi * 1j**j * jj[..., None] * ym
     return ve, vm
 
 
-def partial_sums(which, m, k_perp, k_z, point, j_max, c=1.0):
-    """Truncated spherical sums of M or N at a Cartesian point.
+def partial_sums(which, m, k_perp, k_z, points, j_max, c=1.0):
+    """Truncated spherical sums of M or N at Cartesian points.
 
+    `points` is one point (x, y, z) or an array of them, shaped (..., 3).
     Yields (j, alpha_E, alpha_M, sum of the terms of degree <= j) for
-    j = max(1, |m|) .. j_max.
+    j = max(1, |m|) .. j_max; the sum has the shape of `points`.  The
+    coefficients do not depend on the point, so each degree computes them once.
+    A bare point's sums may differ in the last bit from its sums inside an
+    array, since numpy rounds scalar and array complex products apart (README).
     """
     omega = c * math.hypot(k_perp, k_z)
-    total = np.zeros(3, dtype=complex)
+    total = np.zeros(np.shape(points), dtype=complex)
     for j in range(max(1, abs(m)), j_max + 1):
         aE, aM = expansion_coefficients(which, m, k_perp, k_z, j, c)
-        ve, vm = _spherical_wave_pair(j, m, omega, point, c=c)
+        ve, vm = _spherical_wave_pair(j, m, omega, points, c=c)
         total = total + aE * ve + aM * vm
         yield j, aE, aM, total
 
@@ -1163,22 +1177,21 @@ def spherical_suite(tol=1e-3):
 
     # (c) truncated reconstruction at sample points with k_perp * rho <= 2
     samples = [(0.5 / k_perp, 0.2, 0.3), (1.5 / k_perp, -0.4, 0.1), (2.0 / k_perp, 1.0, -0.5)]
+    points = [(rho * math.cos(phi), rho * math.sin(phi), z) for rho, phi, z in samples]
     worst = 0.0
     checkpoints = tuple(sorted({j_max // 2, 3 * j_max // 4, j_max}))
     tail = []
-    for rho, phi, z in samples:
-        point = (rho * math.cos(phi), rho * math.sin(phi), z)
-        p = CylPoint(rho, phi, z, 0.0)
-        for which, evaluator in (("N", eval_N), ("M", eval_M)):
-            partial = {
-                j: total
-                for j, _, _, total in partial_sums(which, m, k_perp, k_z, point, j_max, c)
-                if j in checkpoints
-            }
-            direct = evaluator(m, k_perp, k_z, p, c=c).components
+    for which, evaluator in (("N", eval_N), ("M", eval_M)):
+        partial = {
+            j: total
+            for j, _, _, total in partial_sums(which, m, k_perp, k_z, points, j_max, c)
+            if j in checkpoints
+        }
+        for i, (rho, phi, z) in enumerate(samples):
+            direct = evaluator(m, k_perp, k_z, CylPoint(rho, phi, z, 0.0), c=c).components
             ref = float(np.abs(direct).max())
-            worst = max(worst, float(np.abs(partial[j_max] - direct).max() / ref))
-            tail.append([float(np.abs(partial[j] - direct).max() / ref) for j in checkpoints])
+            worst = max(worst, float(np.abs(partial[j_max][i] - direct).max() / ref))
+            tail.append([float(np.abs(partial[j][i] - direct).max() / ref) for j in checkpoints])
     tail_max = np.max(tail, axis=0)
     monotone = bool(np.all(np.diff(tail_max) <= 0))
     results.append(

@@ -2,12 +2,13 @@
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from besselbeams import specfun
+from besselbeams import specfun, verify
 from besselbeams.dynops import assemble, build_stokes
 from besselbeams.lattice import build_lattice
 from besselbeams.modes import TM
@@ -20,8 +21,11 @@ from besselbeams.verify import (
     default_domain,
     expansion_coefficients,
     k_counts,
+    partial_sums,
     printed_uv,
     spherical_suite,
+    _CylinderQuadrature,
+    _panels,
     _spherical_wave_pair,
     _su2_residual,
 )
@@ -181,6 +185,65 @@ class TestWavepacketAndDomain:
         assert n2[1] >= 2 * n1[1] - 24
 
 
+def _axial_quadrature(kz1, kz2, Z, q, sign):
+    """int_-Z^Z z^q e^{i(kz + sign kz') z} dz as a matrix on 64 panels of 24
+    Gauss-Legendre nodes: the exp-table kernel the closed form replaced."""
+    z, w_z = _panels(-Z, Z, 64 * 24)
+    E1 = np.exp(1j * np.outer(kz1, z))
+    E2 = np.exp(1j * sign * np.outer(kz2, z))
+    return (E1 * (w_z * z**q)) @ E2.T
+
+
+def _j1_series(x):
+    """j_1(x) = x sum_k (-x^2/2)^k / (k! (2k+3)!!), summed to rounding for |x| <= 0.1."""
+    term, total, k = x / 3.0, 0.0, 0
+    while term != 0.0 and k < 12:
+        total += term
+        k += 1
+        term *= -x * x / (2 * k * (2 * k + 3))
+    return total
+
+
+class TestAxialKernel:
+    Z = 6.5
+    X = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 7.5, 33.0, 100.0])
+
+    def quad(self):
+        return _CylinderQuadrature(QuadratureDomain(3.0, self.Z, 24, 24))
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_closed_form_matches_the_quadrature(self, q, sign):
+        # kappa Z = +/-X; the X = 0 entry is exact: kz' = kz for the conjugated
+        # product (sign -1), kz' = -kz for the non-conjugated one (sign +1)
+        base = 1.7
+        kz1 = np.concatenate([base + self.X / self.Z, base - self.X[1:] / self.Z])
+        kz2 = np.array([-sign * base])
+        got = self.quad().axial(SimpleNamespace(kz_nodes=kz1), SimpleNamespace(kz_nodes=kz2), q, sign)
+        want = _axial_quadrature(kz1, kz2, self.Z, q, sign)
+        assert got.shape == want.shape == (len(kz1), 1)
+        assert (kz1 + sign * kz2)[0] == 0.0
+        scale = 2 * self.Z if q == 0 else self.Z**2
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_small_argument_needs_no_series_branch(self, sign):
+        kz1 = self.X[1:6] / self.Z  # kappa Z from 1e-12 to 0.1, against kz' = 0
+        F1, F2 = SimpleNamespace(kz_nodes=kz1), SimpleNamespace(kz_nodes=np.zeros(1))
+        quad = self.quad()
+        x = kz1 * self.Z
+        j0 = quad.axial(F1, F2, 0, sign)[:, 0] / (2 * self.Z)
+        j1 = quad.axial(F1, F2, 1, sign)[:, 0] / (2j * self.Z**2)
+        assert np.abs(j0 - np.sin(x) / x).max() <= 1e-15
+        j1_ref = np.array([_j1_series(v) for v in x])
+        assert np.all(np.abs(j1 - j1_ref) <= 1e-14 * np.abs(j1_ref))
+
+    def test_only_z_powers_zero_and_one(self):
+        F = SimpleNamespace(kz_nodes=np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            self.quad().axial(F, F, 2, -1.0)
+
+
 class TestSphericalSuite:
     def test_outcomes(self):
         results = spherical_suite()
@@ -261,3 +324,42 @@ class TestSphericalWaves:
             for theta in (0.0, math.pi):
                 waves = _closed_form_and_oracle(j, m, 1.3, j + 2.5, theta, 0.0)
                 assert max(np.abs(v).max() for pair in waves for v in pair) < 1e-14, (j, m, theta)
+
+
+class TestSharedCoefficients:
+    @pytest.mark.parametrize("which", ["M", "N"])
+    @pytest.mark.parametrize("m", [-3, 0, 2])
+    def test_batched_points_match_single_point_runs(self, which, m):
+        rng = np.random.default_rng(20261018)
+        points = rng.uniform(-2.0, 2.0, size=(3, 3, 3))
+        points[1, 1] = (0.0, 0.0, 0.7)  # on the axis, not the origin
+        batch = list(partial_sums(which, m, 1.0, 2.0, points, 14))
+        assert [j for j, *_ in batch] == list(range(max(1, abs(m)), 15))
+        for idx in np.ndindex(3, 3):
+            one = list(partial_sums(which, m, 1.0, 2.0, points[idx][None], 14))
+            bare = list(partial_sums(which, m, 1.0, 2.0, tuple(points[idx].tolist()), 14))
+            coeff_sum = 0.0
+            for (j, aE, aM, total), (j1, aE1, aM1, t1), (j2, aE2, aM2, t2) in zip(batch, one, bare):
+                assert j == j1 == j2 and aE == aE1 == aE2 and aM == aM1 == aM2
+                assert t1.shape == (1, 3) and t2.shape == (3,)
+                assert np.array_equal(total[idx], t1[0]), (idx, j)
+                # a bare point takes numpy's scalar complex products inside
+                # vsh_grid, which may round apart from the array loop (README);
+                # the terms are at most 4 pi (|aE| + |aM|) in size
+                coeff_sum += abs(aE) + abs(aM)
+                gap = np.abs(total[idx] - t2).max()
+                assert gap <= 4 * np.finfo(float).eps * coeff_sum, (idx, j)
+
+    def test_one_coefficient_per_degree_in_the_suite(self, monkeypatch):
+        calls = []
+        original = verify.expansion_coefficients
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "expansion_coefficients", counted)
+        spherical_suite()
+        # 10 for the printed u, v; 59 degrees (j = 2..60) for each of N and M,
+        # shared by the 3 sample points
+        assert len(calls) == 10 + 2 * 59 == 128
