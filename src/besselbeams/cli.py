@@ -51,6 +51,9 @@ from .modes import (
 )
 from .specfun import DomainError
 from .verify import (
+    ALG_TOL,
+    QUAD_REL_TOL,
+    SPHERICAL_TOL,
     basis_suite,
     commutator_suite,
     partial_sums,
@@ -72,6 +75,11 @@ DEFAULT_EXPECTED_FAIL = (
     "quadrature: int M' . (L+ M) dV = 0 (printed)",
     "spherical: printed u phase matches projection coefficient (flagged)",
 )
+
+
+# hbar and c enter the algebra squared: at hbar = 1e-160 hbar^2 is subnormal
+# and the commutator table fails falsely, and at 1e160 hbar^2 overflows
+UNITS_RANGE = (1e-100, 1e100)
 
 
 class UsageError(Exception):
@@ -147,9 +155,9 @@ class RunConfig:
                          positive=False)
     k_z: tuple = _key("lattice.k_z", (1.0, 2.0), parse_float_list, _show_list, positive=False)
     quad_margin: float = _key("quadrature.margin", 2.0, float, _show_number, positive=True)
-    tol_algebra: float = _key("tol.algebra", 1e-12, float, _show_number, positive=True)
-    tol_quadrature: float = _key("tol.quadrature", 1e-3, float, _show_number, positive=True)
-    tol_spherical: float = _key("tol.spherical", 1e-3, float, _show_number, positive=True)
+    tol_algebra: float = _key("tol.algebra", ALG_TOL, float, _show_number, positive=True)
+    tol_quadrature: float = _key("tol.quadrature", QUAD_REL_TOL, float, _show_number, positive=True)
+    tol_spherical: float = _key("tol.spherical", SPHERICAL_TOL, float, _show_number, positive=True)
     expected_fail: tuple = _key("verify.expected_fail", DEFAULT_EXPECTED_FAIL,
                                 lambda s: tuple(p for p in s.split(";") if p), ";".join,
                                 positive=False)
@@ -162,6 +170,10 @@ class RunConfig:
                 raise UsageError(
                     f"{f.metadata['key']} must be positive and finite, got {_fmt(value)}"
                 )
+        lo, hi = UNITS_RANGE
+        for key, value in (("units.hbar", self.hbar), ("units.c", self.c)):
+            if not lo <= value <= hi:
+                raise UsageError(f"{key} must lie in [{lo:g}, {hi:g}], got {_fmt(value)}")
         # the quadrature suite's time and memory grow about as the margin
         # squared: 22 s and 0.6 GB at the default 2, 75 s and 1.9 GB at 4
         if self.quad_margin > 4.0:

@@ -25,7 +25,8 @@ All suites run with c = hbar = 1 unless the lattice says otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_legendre, spherical_jn
@@ -66,6 +67,7 @@ from .modes import (
 ALG_TOL = 1e-12
 STOKES_TOL = 1e-13
 QUAD_REL_TOL = 1e-3
+SPHERICAL_TOL = 1e-3
 AZIMUTHAL_TOL = 1e-6
 
 
@@ -519,19 +521,14 @@ class QuadratureDomain:
     R: float
     Z: float
     n_radial: int
-    n_axial: int  # sizes nothing (the axial kernel is exact); perfbench's self-test passes it
+    n_axial: int = 0  # sizes nothing (the axial kernel is exact); perfbench's self-test passes it
 
     def __post_init__(self):
-        if min(self.R, self.Z) <= 0 or min(self.n_radial, self.n_axial) < 1:
+        if min(self.R, self.Z) <= 0 or self.n_radial < 1:
             raise ValueError("QuadratureDomain needs positive extents and counts")
 
     def scaled(self, factor):
-        return QuadratureDomain(
-            self.R * factor,
-            self.Z * factor,
-            int(self.n_radial * factor * factor),
-            int(self.n_axial * factor * factor),
-        )
+        return QuadratureDomain(self.R * factor, self.Z * factor, int(self.n_radial * factor * factor))
 
 
 def default_domain(wp: WavepacketSpec):
@@ -541,34 +538,35 @@ def default_domain(wp: WavepacketSpec):
     Z = 8.0 / wp.k_z_width
     kp_max = wp.support()[0][1]
     n_rad = int(24 * max(8, math.ceil(kp_max * R / (2 * math.pi))))
-    n_ax = int(24 * max(8, math.ceil(10 * wp.k_z_width * Z / (2 * math.pi))))
-    return QuadratureDomain(R, Z, n_rad, n_ax)
+    return QuadratureDomain(R, Z, n_rad)
 
 
-class _Component:
+class _Component(NamedTuple):
     """One e_pol component of a smeared field: coeff(k) J_order(kp rho)
     rho^rho_pow z^z_pow e^{i kz z} e^{i azim phi}."""
 
-    __slots__ = ("pol", "azim", "order", "rho_pow", "z_pow", "coeff")
-
-    def __init__(self, pol, azim, order, rho_pow, z_pow, coeff):
-        self.pol = pol
-        self.azim = azim
-        self.order = order
-        self.rho_pow = rho_pow
-        self.z_pow = z_pow
-        self.coeff = coeff
+    pol: str
+    azim: int
+    order: int
+    rho_pow: int
+    z_pow: int
+    coeff: np.ndarray
 
 
-class SmearedField:
+class SmearedField(NamedTuple):
     """Wavepacket superposition of Bessel modes on a Gauss-Legendre k-grid."""
 
-    def __init__(self, kp_nodes, kp_w, kz_nodes, kz_w, comps):
-        self.kp_nodes = kp_nodes
-        self.kp_w = kp_w
-        self.kz_nodes = kz_nodes
-        self.kz_w = kz_w
-        self.comps = comps
+    kp_nodes: np.ndarray
+    kp_w: np.ndarray
+    kz_nodes: np.ndarray
+    kz_w: np.ndarray
+    comps: tuple
+
+    def conj(self):
+        """The complex-conjugate field: J is real, so e_pol flips, azim, kz and the
+        phase of coeff change sign; kp_nodes and the weights are the same arrays."""
+        comps = tuple(c._replace(pol=_FLIP[c.pol], azim=-c.azim, coeff=np.conj(c.coeff)) for c in self.comps)
+        return self._replace(kz_nodes=-self.kz_nodes, comps=comps)
 
 
 def smear_mode(which, wp: WavepacketSpec, n_kp, n_kz):
@@ -591,10 +589,10 @@ def smear_mode(which, wp: WavepacketSpec, n_kp, n_kz):
         pref = sign(NormalizationConvention().amplitude_grid(KP, KZ))
     else:
         raise ValueError("which must be one of M, N, E, B")
-    comps = [
+    comps = tuple(
         _Component(pol, order, order, 0, 0, coeff * pref * g)
         for pol, order, coeff in mode_terms(vector, wp.m, KP, KZ)
-    ]
+    )
     return SmearedField(kp, wkp, kz, wkz, comps)
 
 
@@ -625,7 +623,7 @@ def apply_L_plus(F: SmearedField):
         a = comp.order
         out.append(_Component(comp.pol, a + 1, a + 1, 0, 1, -KP * comp.coeff))
         out.append(_Component(comp.pol, a + 1, a, 1, 0, -1j * KZ * comp.coeff))
-    return SmearedField(F.kp_nodes, F.kp_w, F.kz_nodes, F.kz_w, out)
+    return F._replace(comps=tuple(out))
 
 
 # e_pol pairing tables: (pol1, pol2) -> (e_pol of the product, coefficient).
@@ -657,15 +655,15 @@ class _CylinderQuadrature:
         wt = self.w_rho * self.rho ** (1 + p)
         return (K1 * wt) @ K2.T
 
-    def axial(self, F1, F2, q, sign):
-        """int_-Z^Z z^q e^{i kappa z} dz with kappa = kz + sign kz', exactly, as a matrix.
+    def axial(self, F1, F2, q):
+        """int_-Z^Z z^q e^{i kappa z} dz with kappa = kz + kz', exactly, as a matrix.
 
         int_-1^1 P_n(t) e^{ixt} dt = 2 i^n j_n(x) (DLMF 10.54.2) gives 2Z j_0(kappa Z)
         for q = 0 and 2i Z^2 j_1(kappa Z) for q = 1.  scipy's spherical_jn stays
         accurate as kappa Z -> 0, so no series branch is needed.
         """
         Z = self.dom.Z
-        x = np.add.outer(F1.kz_nodes, sign * F2.kz_nodes) * Z
+        x = np.add.outer(F1.kz_nodes, F2.kz_nodes) * Z
         if q == 0:
             return 2 * Z * spherical_jn(0, x)
         if q == 1:
@@ -684,41 +682,31 @@ def _panels(a, b, n_total, per_panel=24):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _volume_integral(F1, F2, quad: _CylinderQuadrature, table, conjugate):
-    """int F1 (table product) F2(*) dV as {e_pol: coefficient}; azimuthal integral exact."""
+def _volume_integral(F1, F2, quad: _CylinderQuadrature, table):
+    """int F1 (table product) F2 dV as {e_pol: coefficient}; azimuthal integral exact."""
     out = {pol: 0.0 + 0.0j for pol, _ in table.values()}
     for c1 in F1.comps:
         for c2 in F2.comps:
-            pol2 = _FLIP[c2.pol] if conjugate else c2.pol
-            pair = table.get((c1.pol, pol2))
-            if pair is None:
+            pair = table.get((c1.pol, c2.pol))
+            if pair is None or c1.azim + c2.azim != 0:
                 continue
-            if conjugate:
-                if c1.azim != c2.azim:
-                    continue
-                G2 = np.conj(c2.coeff)
-                sign = -1.0
-            else:
-                if c1.azim + c2.azim != 0:
-                    continue
-                G2 = c2.coeff
-                sign = 1.0
             rad = quad.radial(F1, F2, c1.order, c2.order, c1.rho_pow + c2.rho_pow)
-            ax = quad.axial(F1, F2, c1.z_pow + c2.z_pow, sign)
+            ax = quad.axial(F1, F2, c1.z_pow + c2.z_pow)
             G1 = c1.coeff * F1.kp_w[:, None] * F1.kz_w[None, :]
-            G2 = G2 * F2.kp_w[:, None] * F2.kz_w[None, :]
+            G2 = c2.coeff * F2.kp_w[:, None] * F2.kz_w[None, :]
             out[pair[0]] += 2 * math.pi * pair[1] * np.einsum("ab,cd,ac,bd->", G1, G2, rad, ax, optimize=True)
     return out
 
 
 def volume_dot(F1, F2, quad: _CylinderQuadrature, conjugate=True):
-    """int F1 . F2(*) dV over the cylinder."""
-    return _volume_integral(F1, F2, quad, _DOT, conjugate)[""]
+    """int F1 . F2* dV over the cylinder (F1 . F2 with conjugate=False)."""
+    return _volume_integral(F1, F2.conj() if conjugate else F2, quad, _DOT)[""]
 
 
 def volume_cross(F1, F2, quad: _CylinderQuadrature, conjugate=True):
-    """int F1 x F2(*) dV as {'-': c-, '+': c+, '3': c3} e_pol coefficients."""
-    return _volume_integral(F1, F2, quad, _CROSS, conjugate)
+    """int F1 x F2* dV (F1 x F2 with conjugate=False) as {'-': c-, '+': c+, '3': c3}
+    e_pol coefficients."""
+    return _volume_integral(F1, F2.conj() if conjugate else F2, quad, _CROSS)
 
 
 def _envelope_nodes(wp):
@@ -781,18 +769,8 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
     quad = _CylinderQuadrature(dom)
     quad_fine = _CylinderQuadrature(dom_fine)
     results = []
-
-    def shifted(m, kp0=None, kz0=None):
-        return WavepacketSpec(
-            wp1.family,
-            m,
-            wp1.k_perp_center if kp0 is None else kp0,
-            wp1.k_perp_width,
-            wp1.k_z_center if kz0 is None else kz0,
-            wp1.k_z_width,
-        )
-
-    wp_up = shifted(wp1.m + 1, 1.05 * wp1.k_perp_center, 0.95 * wp1.k_z_center)
+    wp_up = replace(wp1, m=wp1.m + 1, k_perp_center=1.05 * wp1.k_perp_center,
+                    k_z_center=0.95 * wp1.k_z_center)
 
     def make_fields(dom_):
         """Every smeared field rebuilt with k-grids resolving this domain."""
@@ -803,13 +781,13 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
         F = {
             "M1": mk("M", wp1),
             "N1": mk("N", wp1),
-            "M_up": mk("M", shifted(wp1.m + 1)),
-            "M_dn": mk("M", shifted(wp1.m - 1)),
-            "N_up": mk("N", shifted(wp1.m + 1)),
-            "M_rev": mk("M", shifted(-wp1.m, kz0=-wp1.k_z_center)),
-            "N_rev": mk("N", shifted(-wp1.m, kz0=-wp1.k_z_center)),
+            "M_up": mk("M", replace(wp1, m=wp1.m + 1)),
+            "M_dn": mk("M", replace(wp1, m=wp1.m - 1)),
+            "N_up": mk("N", replace(wp1, m=wp1.m + 1)),
+            "M_rev": mk("M", replace(wp1, m=-wp1.m, k_z_center=-wp1.k_z_center)),
+            "N_rev": mk("N", replace(wp1, m=-wp1.m, k_z_center=-wp1.k_z_center)),
             "Mp": mk("M", wp_up),
-            "Mf": mk("M", shifted(-wp1.m - 1, kz0=-wp1.k_z_center)),
+            "Mf": mk("M", replace(wp1, m=-wp1.m - 1, k_z_center=-wp1.k_z_center)),
         }
         F["LM"] = apply_L_plus(F["M1"])
         return F
@@ -947,7 +925,7 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
     # computed companion: M*_{m,kz} = (-1)^m M_{-m,-kz} maps the
     # non-conjugated product onto the conjugated matrix element of the
     # kz-reflected partner packet.
-    wp_refl = shifted(wp1.m + 1)
+    wp_refl = replace(wp1, m=wp1.m + 1)
     ana_refl = (-1.0) ** (wp1.m + 1) * _lplus_analytic(wp1, wp_refl)
     results.append(
         RelationResult.from_norm(
@@ -975,11 +953,10 @@ def energy_per_photon_check(margin=2.0):
     omega_bar = _pair_integral(wp, lambda KP, KZ: np.hypot(KP, KZ)) / nrm
     scale = 1.0 / math.sqrt(abs(nrm))
     n_kp, n_kz = k_counts(wp, dom, margin)
-    E = smear_mode("E", wp, n_kp, n_kz)
-    B = smear_mode("B", wp, n_kp, n_kz)
-    for F in (E, B):
-        for comp in F.comps:
-            comp.coeff = comp.coeff * scale
+    E, B = (
+        F._replace(comps=tuple(c._replace(coeff=c.coeff * scale) for c in F.comps))
+        for F in (smear_mode(which, wp, n_kp, n_kz) for which in ("E", "B"))
+    )
     energy = (volume_dot(E, E, quad) + volume_dot(B, B, quad)).real / (4 * math.pi)
     resid = abs(energy - omega_bar.real) / omega_bar.real
     return RelationResult.from_norm(
@@ -1087,7 +1064,7 @@ def partial_sums(which, m, k_perp, k_z, points, j_max, c=1.0):
         yield j, aE, aM, total
 
 
-def spherical_suite(tol=1e-3):
+def spherical_suite(tol=SPHERICAL_TOL):
     """Angular-spectrum and spherical-expansion checks on the m = 2 mode at
     (k_perp, k_z) = (1, 2), with spherical sums up to j = 60.
 

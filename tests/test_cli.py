@@ -100,13 +100,22 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
         (["verify", "quadrature"], "tol.quadrature = -1"),
         (["verify", "quadrature"], "quadrature.margin = 1e300"),
         (["expand", "--m", "5", "--kperp", "1", "--kz", "2", "--jmax", "3"], None),
+        # NaN residuals (invalid JSON), false failures, and an OverflowError
+        # from hbar^2 at the parent; refused now
+        (["verify", "commutators"], "units.hbar = 1e-200"),
+        (["verify", "commutators"], "units.hbar = 1e-160"),
+        (["verify", "commutators"], "units.hbar = 1e160"),
+        (["verify", "commutators"], "units.hbar = 1e200"),
+        (["verify", "basis"], "units.c = 1e200"),
     ],
     ids=["rho-sample", "expand-order", "field-order", "extent-nan", "basis-narrow",
          "commutators-narrow", "kperp-zero", "kperp-nan", "tol-nan", "basis-kz-inf",
          "field-kz-nan", "field-kz-inf", "field-t-nan", "expand-kz-nan", "expect-kz-nan",
          "expect-amp-nan", "expect-amp-inf", "expect-amp-overflow", "field-plane-nan", "field-plane-inf",
          "config-hbar-nan", "config-margin-nan", "config-c-inf", "config-c-negative",
-         "config-tol-negative", "config-margin-huge", "expand-jmax-below-m"],
+         "config-tol-negative", "config-margin-huge", "expand-jmax-below-m",
+         "config-hbar-1e-200", "config-hbar-1e-160", "config-hbar-1e160", "config-hbar-1e200",
+         "config-c-1e200"],
 )
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     if config is not None:
@@ -200,6 +209,28 @@ class TestConfig:
         code, out, _ = run(["--config", str(cfg)] + SMALL_VERIFY, capsys)
         assert code == 1  # the flagged relations are no longer expected
         assert json.loads(out)["metadata"]["config"]["verify.expected_fail"] == "a\tb;\u00e9"
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("config", [
+    "units.hbar = 1e-100",
+    "units.hbar = 1e100",
+    "units.c = 1e-100",
+    "units.c = 1e100",
+    "units.hbar = 1e-100\nunits.c = 1e100",
+    "units.hbar = 1e100\nunits.c = 1e-100",
+])
+def test_units_at_the_ends_of_their_range(config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config + "\n")
+    for suite in ("commutators", "basis"):
+        code, out, err = run(["--config", str(cfg), "verify", suite], capsys)
+        assert code == 0, err
+        report = json.loads(out, parse_constant=_no_constant)
+        assert report["metadata"]["unexpected_failures"] == 0
 
 
 @pytest.mark.parametrize("config,factor", [

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.special import roots_legendre, spherical_jn
 
 from besselbeams import specfun, verify
 from besselbeams.dynops import assemble, build_stokes
@@ -16,6 +16,7 @@ from besselbeams.verify import (
     RelationResult,
     WavepacketSpec,
     QuadratureDomain,
+    apply_L_plus,
     basis_suite,
     commutator_suite,
     default_domain,
@@ -23,6 +24,7 @@ from besselbeams.verify import (
     k_counts,
     partial_sums,
     printed_uv,
+    smear_mode,
     spherical_suite,
     _CylinderQuadrature,
     _panels,
@@ -215,11 +217,14 @@ class TestAxialKernel:
     @pytest.mark.parametrize("q", [0, 1])
     def test_closed_form_matches_the_quadrature(self, q, sign):
         # kappa Z = +/-X; the X = 0 entry is exact: kz' = kz for the conjugated
-        # product (sign -1), kz' = -kz for the non-conjugated one (sign +1)
+        # product (sign -1, a conjugated field carries -kz'), kz' = -kz for the
+        # non-conjugated one (sign +1)
         base = 1.7
         kz1 = np.concatenate([base + self.X / self.Z, base - self.X[1:] / self.Z])
         kz2 = np.array([-sign * base])
-        got = self.quad().axial(SimpleNamespace(kz_nodes=kz1), SimpleNamespace(kz_nodes=kz2), q, sign)
+        got = self.quad().axial(
+            SimpleNamespace(kz_nodes=kz1), SimpleNamespace(kz_nodes=sign * kz2), q
+        )
         want = _axial_quadrature(kz1, kz2, self.Z, q, sign)
         assert got.shape == want.shape == (len(kz1), 1)
         assert (kz1 + sign * kz2)[0] == 0.0
@@ -229,11 +234,11 @@ class TestAxialKernel:
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_small_argument_needs_no_series_branch(self, sign):
         kz1 = self.X[1:6] / self.Z  # kappa Z from 1e-12 to 0.1, against kz' = 0
-        F1, F2 = SimpleNamespace(kz_nodes=kz1), SimpleNamespace(kz_nodes=np.zeros(1))
+        F1, F2 = SimpleNamespace(kz_nodes=kz1), SimpleNamespace(kz_nodes=sign * np.zeros(1))
         quad = self.quad()
         x = kz1 * self.Z
-        j0 = quad.axial(F1, F2, 0, sign)[:, 0] / (2 * self.Z)
-        j1 = quad.axial(F1, F2, 1, sign)[:, 0] / (2j * self.Z**2)
+        j0 = quad.axial(F1, F2, 0)[:, 0] / (2 * self.Z)
+        j1 = quad.axial(F1, F2, 1)[:, 0] / (2j * self.Z**2)
         assert np.abs(j0 - np.sin(x) / x).max() <= 1e-15
         j1_ref = np.array([_j1_series(v) for v in x])
         assert np.all(np.abs(j1 - j1_ref) <= 1e-14 * np.abs(j1_ref))
@@ -241,7 +246,92 @@ class TestAxialKernel:
     def test_only_z_powers_zero_and_one(self):
         F = SimpleNamespace(kz_nodes=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            self.quad().axial(F, F, 2, -1.0)
+            self.quad().axial(F, F, 2)
+
+
+def _branching_volume_integral(F1, F2, quad, table, conjugate):
+    """int F1 (table product) F2(*) dV as one loop that branches on `conjugate`
+    for the e_pol flip, the azimuthal selection rule, the conjugated
+    coefficients and the sign of kz' in the axial kernel: the contraction
+    that SmearedField.conj() replaced."""
+    Z = quad.dom.Z
+    out = {pol: 0.0 + 0.0j for pol, _ in table.values()}
+    for c1 in F1.comps:
+        for c2 in F2.comps:
+            pol2 = verify._FLIP[c2.pol] if conjugate else c2.pol
+            pair = table.get((c1.pol, pol2))
+            if pair is None:
+                continue
+            if conjugate:
+                if c1.azim != c2.azim:
+                    continue
+                G2 = np.conj(c2.coeff)
+                sign = -1.0
+            else:
+                if c1.azim + c2.azim != 0:
+                    continue
+                G2 = c2.coeff
+                sign = 1.0
+            rad = quad.radial(F1, F2, c1.order, c2.order, c1.rho_pow + c2.rho_pow)
+            x = np.add.outer(F1.kz_nodes, sign * F2.kz_nodes) * Z
+            q = c1.z_pow + c2.z_pow
+            ax = 2 * Z * spherical_jn(0, x) if q == 0 else 2j * Z * Z * spherical_jn(1, x)
+            G1 = c1.coeff * F1.kp_w[:, None] * F1.kz_w[None, :]
+            G2 = G2 * F2.kp_w[:, None] * F2.kz_w[None, :]
+            out[pair[0]] += 2 * math.pi * pair[1] * np.einsum("ab,cd,ac,bd->", G1, G2, rad, ax, optimize=True)
+    return out
+
+
+class TestOneContractionPath:
+    @pytest.fixture(scope="class")
+    def contracted(self):
+        """(F1, F2, quad) of every contraction quadrature_suite makes at margin 0.25."""
+        seen = {}
+
+        def recording(fn):
+            def wrapped(F1, F2, quad, conjugate=True):
+                seen.setdefault((id(F1), id(F2), id(quad)), (F1, F2, quad))
+                return fn(F1, F2, quad, conjugate)
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "volume_dot", recording(verify.volume_dot))
+            mp.setattr(verify, "volume_cross", recording(verify.volume_cross))
+            verify.quadrature_suite(margin=0.25)
+        return list(seen.values())
+
+    def test_equals_the_branching_contraction_exactly(self, contracted):
+        # 8 pairs on both the coarse and the fine pass, 4 more on the coarse
+        # one, and E.E*, B.B* for the energy per photon
+        assert len(contracted) == 22
+        nonzero = set()
+        for F1, F2, quad in contracted:
+            for conjugate in (True, False):
+                dot = verify.volume_dot(F1, F2, quad, conjugate)
+                cross = verify.volume_cross(F1, F2, quad, conjugate)
+                assert dot == _branching_volume_integral(F1, F2, quad, verify._DOT, conjugate)[""]
+                assert cross == _branching_volume_integral(F1, F2, quad, verify._CROSS, conjugate)
+                if dot != 0 or any(cross.values()):
+                    nonzero.add(conjugate)
+        assert nonzero == {True, False}
+
+    def test_conj_is_an_involution_on_shared_k_perp_nodes(self):
+        wp = WavepacketSpec(TM, 2, 1.0, 0.08, 2.0, 0.12)
+        F = apply_L_plus(smear_mode("N", wp, 48, 48))
+        Fc, Fcc = F.conj(), F.conj().conj()
+        assert Fc.kp_nodes is F.kp_nodes and Fcc.kp_nodes is F.kp_nodes
+        assert np.array_equal(Fc.kz_nodes, -F.kz_nodes)
+        assert [(c.pol, c.azim) for c in Fc.comps] == [
+            (verify._FLIP[c.pol], -c.azim) for c in F.comps
+        ]
+        for name in ("kp_nodes", "kp_w", "kz_nodes", "kz_w"):
+            assert np.array_equal(getattr(Fcc, name), getattr(F, name)), name
+        assert len(Fcc.comps) == len(F.comps) == 6
+        for c, cc in zip(F.comps, Fcc.comps):
+            assert cc[:5] == c[:5]
+            assert np.array_equal(cc.coeff, c.coeff)
+        with pytest.raises(AttributeError):
+            F.comps[0].coeff = 2 * F.comps[0].coeff
 
 
 class TestSphericalSuite:
