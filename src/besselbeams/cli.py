@@ -305,21 +305,12 @@ def parse_grid(text):
 
 
 def _field_samples(which, K, norm, p):
-    """Cartesian complex vectors for the requested field selector."""
-    out = []
-    for kind in _FIELD_COLUMNS[which]:
-        if kind == "E":
-            v = eval_E(K, p, norm)
-        elif kind == "B":
-            v = eval_B(K, p, norm)
-        elif kind == "M":
-            v = eval_M(K.m, K.k_perp, K.k_z, p, c=norm.c)
-        elif kind == "N":
-            v = eval_N(K.m, K.k_perp, K.k_z, p, c=norm.c)
-        else:
-            v = eval_potential(K, p, norm)
-        out.append(v.components)
-    return out
+    """Cartesian (3,) complex vectors for the columns of `which`."""
+    if which == "EB":
+        return [eval_E(K, p, norm), eval_B(K, p, norm)]
+    if which == "A":
+        return [eval_potential(K, p, norm)]
+    return [(eval_M if which == "M" else eval_N)(K.m, K.k_perp, K.k_z, p, c=norm.c)]
 
 
 def cmd_field(args, cfg):
@@ -331,8 +322,9 @@ def cmd_field(args, cfg):
         raise UsageError(f"--which must be one of EB, M, N, A, got {args.which!r}")
     axis, axis_val = parse_plane(args.plane)
     n_a, n_b = parse_grid(args.grid)
-    if not (math.isfinite(args.extent) and args.extent > 0):
-        raise UsageError("--extent must be positive and finite")
+    # the grid spans 2 * extent, so that must be finite too
+    if not (math.isfinite(2.0 * args.extent) and args.extent > 0):
+        raise UsageError("--extent must be positive, with 2 * extent finite")
     if not math.isfinite(args.t):
         raise UsageError("--t must be finite")
     try:
@@ -355,15 +347,17 @@ def cmd_field(args, cfg):
     lines = [",".join(header)]
     # every column is a float, so one template renders a row as _fmt would
     row = ",".join(["%.17g"] * len(header))
-    # row order: z-major, then y, then x
-    for z in coords["z"]:
-        for y in coords["y"]:
-            for x in coords["x"]:
-                rho = math.hypot(x, y)
-                phi = math.atan2(y, x)
-                p = CylPoint(rho, phi, float(z), args.t)
-                values = np.concatenate(_field_samples(which, K, norm, p)).view(float)
-                lines.append(row % (x, y, z, args.t, *values.tolist()))
+    samples = np.empty((n_a * n_b, len(header) - 4))
+    # finite inputs can overflow a phase or k_perp/k_z: one check, after the loop
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # row order: z-major, then y, then x
+        for i, (z, y, x) in enumerate(itertools.product(coords["z"], coords["y"], coords["x"])):
+            p = CylPoint(math.hypot(x, y), math.atan2(y, x), float(z), args.t)
+            samples[i] = np.concatenate(_field_samples(which, K, norm, p)).view(float)
+            lines.append(row % (x, y, z, args.t, *samples[i].tolist()))
+    if not np.isfinite(samples).all():
+        raise UsageError("inputs too large: a sampled field value is not finite")
+    del samples  # joining the rows below sets the command's peak memory
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -513,7 +507,7 @@ def cmd_expand(args, cfg):
     point = (rho * math.cos(phi), rho * math.sin(phi), z)
     p = CylPoint(rho, phi, z, 0.0)
     evaluator = eval_N if which == "N" else eval_M
-    direct = evaluator(args.m, args.kperp, args.kz, p, c=c).components
+    direct = evaluator(args.m, args.kperp, args.kz, p, c=c)
     ref = float(np.abs(direct).max())
     if args.jmax < max(1, abs(args.m)):
         raise UsageError(f"--jmax must be >= max(1, |m|), got {args.jmax} for m = {args.m}")

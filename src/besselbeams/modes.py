@@ -91,19 +91,12 @@ class NormalizationConvention:
         return k_z * self.c * np.sqrt(self.hbar * k_perp / (2.0 * math.pi * w))
 
 
+# Only angular_spectrum returns this wrapper: perfbench/checks.py reads its .components.
 @dataclass(frozen=True)
 class ComplexVec3:
     """Complex 3-vector sample with Cartesian (x, y, z) components."""
 
     components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=complex))
-
-    def __mul__(self, s):
-        return ComplexVec3(self.components * s)
-
-    __rmul__ = __mul__
 
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -158,16 +151,16 @@ def _eval_mode(which, m, k_perp, k_z, p: CylPoint, c):
     # The phase product stays an array operation: numpy's complex array
     # multiply may round differently from a scalar one (an FMA in its SIMD
     # loop), and field values are defined by the array product.
-    return ComplexVec3(np.array((cx, cy, cz)) * cmath.exp(1j * (k_z * p.z - omega * p.t)))
+    return np.array((cx, cy, cz)) * cmath.exp(1j * (k_z * p.z - omega * p.t))
 
 
 def eval_M(m, k_perp, k_z, p: CylPoint, c=1.0):
-    """Mode vector M at a point, Cartesian components (see mode_terms)."""
+    """Mode vector M at a point: a (3,) complex array, Cartesian (see mode_terms)."""
     return _eval_mode("M", m, k_perp, k_z, p, c)
 
 
 def eval_N(m, k_perp, k_z, p: CylPoint, c=1.0):
-    """Mode vector N at a point, Cartesian components (see mode_terms)."""
+    """Mode vector N at a point: a (3,) complex array, Cartesian (see mode_terms)."""
     return _eval_mode("N", m, k_perp, k_z, p, c)
 
 
@@ -184,9 +177,10 @@ FIELD_RULE = {
 
 
 def _eval_field(which, K: ModeIndex, p: CylPoint, norm: NormalizationConvention, pref=1.0):
-    """pref times the `which` field of mode K at a point (FIELD_RULE)."""
+    """pref times the `which` field of mode K at a point (FIELD_RULE), as a
+    (3,) complex array; the product is array times scalar, elementwise."""
     vector, sign = FIELD_RULE[which, K.family]
-    return (sign(pref) * norm.amplitude(K)) * _eval_mode(vector, K.m, K.k_perp, K.k_z, p, norm.c)
+    return _eval_mode(vector, K.m, K.k_perp, K.k_z, p, norm.c) * (sign(pref) * norm.amplitude(K))
 
 
 def eval_potential(K: ModeIndex, p: CylPoint, norm: NormalizationConvention):
@@ -210,7 +204,8 @@ def hertz_fields(family, m, k_perp, k_z, p: CylPoint, c=1.0):
     Theta = J_m(k_perp rho) exp(-i w t + i k_z z + i m phi) sources the
     TM fields (Theta_1) or the TE fields (Theta_2).  Independent of the
     mode-vector path up to a constant factor; requires rho > 0.  The
-    (rho, phi, z) components are rotated to Cartesian at azimuth p.phi.
+    (rho, phi, z) components are rotated to Cartesian at azimuth p.phi, and
+    each field is a (3,) complex array.
     """
     if family not in (TM, TE):
         raise ValueError("family must be TM or TE")
@@ -241,7 +236,7 @@ def hertz_fields(family, m, k_perp, k_z, p: CylPoint, c=1.0):
 
     def cartesian(v_rho, v_phi, v_z):
         v_rho, v_phi, v_z = np.array([v_rho, v_phi, v_z]) * ph
-        return ComplexVec3([v_rho * cphi - v_phi * sphi, v_rho * sphi + v_phi * cphi, v_z])
+        return np.array([v_rho * cphi - v_phi * sphi, v_rho * sphi + v_phi * cphi, v_z])
 
     return cartesian(e_rho, e_phi, e_z), cartesian(b_rho, b_phi, b_z)
 

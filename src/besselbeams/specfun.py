@@ -27,22 +27,22 @@ class DomainError(ValueError):
 
 
 def _checked_order_and_argument(name, m, x):
-    """(int m, float array x) for the scalar Bessel functions, or DomainError.
+    """(int m, float x) for the scalar Bessel functions, or DomainError.
 
-    One fused reduction checks x: NaN fails both comparisons, so it is
-    refused along with +/-inf and negative values.
+    One chained comparison checks x: NaN fails it, so it is refused along
+    with +/-inf and negative values.
     """
     m = int(m)
     if abs(m) > MAX_ORDER:
         raise DomainError(f"Bessel order |m|={abs(m)} exceeds {MAX_ORDER}")
-    x = np.asarray(x, dtype=float)
-    if not ((x >= 0) & (x < np.inf)).all():
+    x = float(x)
+    if not 0.0 <= x < math.inf:
         raise DomainError(f"{name} requires finite x >= 0")
     return m, x
 
 
 def bessel_j(m, x):
-    """Cylindrical Bessel function J_m(x) for integer m, x >= 0.
+    """Cylindrical Bessel function J_m(x) for integer m and one real x >= 0.
 
     Negative orders follow J_{-m}(x) = (-1)^m J_m(x).
     """
@@ -51,39 +51,31 @@ def bessel_j(m, x):
 
 
 def bessel_j_prime(m, x):
-    """dJ_m/dx via the recurrence J'_m = (J_{m-1} - J_{m+1})/2."""
+    """dJ_m/dx via the recurrence J'_m = (J_{m-1} - J_{m+1})/2, for one real x."""
     m, x = _checked_order_and_argument("bessel_j_prime", m, x)
     return 0.5 * (jv(m - 1, x) - jv(m + 1, x))
 
 
 def bessel_j_over_x(m, x):
-    """m * J_m(x) / x, with the x -> 0 limit taken by series.
+    """m * J_m(x) / x for one real x, with the x -> 0 limit taken by series.
 
     The combination appears in the rho-component of the mode vectors and
     is finite at the axis: it tends to 1/2 for m = +/-1 and 0 otherwise.
     Below x = 1e-4 a 4-term ascending series keeps full accuracy.
     """
-    m = int(m)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
-    out = np.zeros_like(x)
-    if m != 0:
-        small = x < 1e-4
-        big = ~small
-        if np.any(big):
-            out[big] = m * jv(m, x[big]) / x[big]
-        if np.any(small):
-            # J_m(x)/x = sum_s (-1)^s x^(|m|-1+2s) / (2^(|m|+2s) s! (|m|+s)!)
-            am = abs(m)
-            sign = m * (1.0 if m > 0 else (-1.0) ** am)  # m * J_m sign rule
-            xs = x[small]
-            acc = np.zeros_like(xs)
-            for s in range(4):
-                c = (-1.0) ** s / (2.0 ** (am + 2 * s) * math.factorial(s) * math.factorial(am + s))
-                acc += c * xs ** (am - 1 + 2 * s)
-            out[small] = sign * acc
-    return out[0] if scalar else out
+    m, x = int(m), float(x)
+    if m == 0:
+        return 0.0
+    if not x < 1e-4:
+        return m * jv(m, x) / x
+    # J_m(x)/x = sum_s (-1)^s x^(|m|-1+2s) / (2^(|m|+2s) s! (|m|+s)!)
+    am = abs(m)
+    sign = m * (1.0 if m > 0 else (-1.0) ** am)  # m * J_m sign rule
+    acc = 0.0
+    for s in range(4):
+        c = (-1.0) ** s / (2.0 ** (am + 2 * s) * math.factorial(s) * math.factorial(am + s))
+        acc += c * x ** (am - 1 + 2 * s)
+    return sign * acc
 
 
 # Tables of bessel_j_outer, keyed on (|m|, k bytes, x bytes).  The quadrature
@@ -145,31 +137,30 @@ def lommel_overlap_equal(m, k, R):
 
 
 def assoc_legendre(j, m, x):
-    """Associated Legendre P_j^m(x) with Condon-Shortley phase, 0 <= m <= j."""
+    """Associated Legendre P_j^m(x), Condon-Shortley phase, 0 <= m <= j, one real x."""
     j, m = int(j), int(m)
     if m < 0 or j < 0 or m > j:
         raise DomainError("assoc_legendre requires 0 <= m <= j")
     if j > MAX_ORDER:
         raise DomainError(f"degree j={j} exceeds {MAX_ORDER}")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1):
+    x = float(x)
+    if abs(x) > 1:
         raise DomainError("assoc_legendre requires |x| <= 1")
     return lpmv(m, j, x)
 
 
 def assoc_legendre_prime(j, m, x):
-    """dP_j^m/dx on (-1, 1), via (x^2-1) P' = j x P_j^m - (j+m) P_{j-1}^m."""
+    """dP_j^m/dx at one real x in (-1, 1), via (x^2-1) P' = j x P_j^m - (j+m) P_{j-1}^m."""
     j, m = int(j), int(m)
     if m < 0 or m > j:
         raise DomainError("assoc_legendre_prime requires 0 <= m <= j")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) >= 1):
+    x = float(x)
+    if abs(x) >= 1:
         raise DomainError("assoc_legendre_prime requires |x| < 1")
     if j == 0:
-        return np.zeros_like(x)
-    pj = lpmv(m, j, x)
-    pjm1 = lpmv(m, j - 1, x) if j - 1 >= m else np.zeros_like(x)
-    return (j * x * pj - (j + m) * pjm1) / (x**2 - 1.0)
+        return 0.0
+    pjm1 = lpmv(m, j - 1, x) if j - 1 >= m else 0.0
+    return (j * x * lpmv(m, j, x) - (j + m) * pjm1) / (x * x - 1.0)
 
 
 def spherical_harmonic(j, m, theta, phi):

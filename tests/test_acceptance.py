@@ -219,7 +219,7 @@ def test_08_spherical_expansion():
     ok = (
         scalar.passed and scalar.tolerance <= 1e-10
         and recon.passed and recon.lhs_minus_rhs_norm < 1e-3
-        and select.passed and select.lhs_minus_rhs_norm == 0.0
+        and select.passed and select.tolerance <= 1e-12
         and not flagged.passed  # printed phase conflict stays flagged
         and all(r.passed for r in results if r.name not in FLAGGED)
     )
@@ -241,16 +241,16 @@ def test_09_field_identities():
         w = math.hypot(kp, kz)
         # c kz M = w N x e3 with the orientation fixed by the computed
         # algebra: e3 x N (the mirrored order flips the transverse sign)
-        lhs = kz * eval_M(m, kp, kz, p).components
-        rhs = w * np.cross(E3, eval_N(m, kp, kz, p).components)
+        lhs = kz * eval_M(m, kp, kz, p)
+        rhs = w * np.cross(E3, eval_N(m, kp, kz, p))
         worst_dual = max(worst_dual, float(np.abs(lhs - rhs).max()))
         # independent Hertz-potential fields: N = E_TM/(kp kz), M = -E_TE/(kp kz)
         E_tm, _ = hertz_fields(TM, m, kp, kz, p)
         E_te, _ = hertz_fields(TE, m, kp, kz, p)
         worst_hertz = max(
             worst_hertz,
-            float(np.abs(eval_N(m, kp, kz, p).components - E_tm.components / (kp * kz)).max()),
-            float(np.abs(eval_M(m, kp, kz, p).components + E_te.components / (kp * kz)).max()),
+            float(np.abs(eval_N(m, kp, kz, p) - E_tm / (kp * kz)).max()),
+            float(np.abs(eval_M(m, kp, kz, p) + E_te / (kp * kz)).max()),
         )
     # finite-difference divergence of E at second-order stencil accuracy
     norm = NormalizationConvention()
@@ -265,9 +265,9 @@ def test_09_field_identities():
                     q = [x0, y0, z0]
                     q[axis] += s * h
                     rho, phi = math.hypot(q[0], q[1]), math.atan2(q[1], q[0])
-                    div += s * 0.5 / h * eval_E(K, CylPoint(rho, phi, q[2]), norm).components[axis]
+                    div += s * 0.5 / h * eval_E(K, CylPoint(rho, phi, q[2]), norm)[axis]
             scale = np.abs(
-                eval_E(K, CylPoint(math.hypot(x0, y0), math.atan2(y0, x0), z0), norm).components
+                eval_E(K, CylPoint(math.hypot(x0, y0), math.atan2(y0, x0), z0), norm)
             ).max()
             worst_div = max(worst_div, abs(div) / scale)
     _report(9, "duality, M and N against the Hertz fields, and div E = 0",

@@ -107,6 +107,12 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
         (["verify", "commutators"], "units.hbar = 1e160"),
         (["verify", "commutators"], "units.hbar = 1e200"),
         (["verify", "basis"], "units.c = 1e200"),
+        # finite inputs whose phase, k_perp/k_z factor or grid overflow:
+        # all-NaN rows with exit 0, or a misleading bessel_j error, before
+        (FIELD + ["--kz", "2", "--grid", "2x2", "--plane", "z=1e308"], None),
+        (FIELD + ["--kz", "2", "--grid", "2x2", "--t", "1e308"], None),
+        (FIELD + ["--kz", "1e-320", "--grid", "2x2"], None),
+        (FIELD + ["--kz", "2", "--grid", "2x2", "--extent", "1e308"], None),
     ],
     ids=["rho-sample", "expand-order", "field-order", "extent-nan", "basis-narrow",
          "commutators-narrow", "kperp-zero", "kperp-nan", "tol-nan", "basis-kz-inf",
@@ -115,7 +121,8 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
          "config-hbar-nan", "config-margin-nan", "config-c-inf", "config-c-negative",
          "config-tol-negative", "config-margin-huge", "expand-jmax-below-m",
          "config-hbar-1e-200", "config-hbar-1e-160", "config-hbar-1e160", "config-hbar-1e200",
-         "config-c-1e200"],
+         "config-c-1e200", "field-plane-1e308", "field-t-1e308", "field-kz-1e-320",
+         "field-extent-1e308"],
 )
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     if config is not None:
@@ -305,7 +312,7 @@ class TestField:
                 p = CylPoint(math.hypot(0.0, y), math.atan2(y, 0.0), float(z), 0.3)
                 values = [0.0, y, z, 0.3]
                 for vec in (cli.eval_E(K, p, norm), cli.eval_B(K, p, norm)):
-                    for comp in vec.components:
+                    for comp in vec:
                         values += [comp.real, comp.imag]
                 expected.append(",".join(cli._fmt(v) for v in values))
         assert rows == expected

@@ -55,8 +55,8 @@ class TestDuality:
                 float(RNG.uniform(-3.0, 3.0)),
             )
             w = math.hypot(kp, kz)
-            lhs = kz * eval_M(m, kp, kz, p).components
-            rhs = w * np.cross(E3, eval_N(m, kp, kz, p).components)
+            lhs = kz * eval_M(m, kp, kz, p)
+            rhs = w * np.cross(E3, eval_N(m, kp, kz, p))
             worst = max(worst, float(np.abs(lhs - rhs).max()))
         assert worst < 1e-12
 
@@ -66,7 +66,7 @@ class TestAxis:
         # m = 0 on axis: TM electric field purely axial
         K = ModeIndex(TM, 0, 1.0, 2.0)
         p = CylPoint(0.0, 0.0, 0.3, 0.1)
-        E = eval_E(K, p, NORM).components
+        E = eval_E(K, p, NORM)
         assert abs(E[0]) == 0.0 and abs(E[1]) == 0.0
         # axial value: amplitude * (k_perp/k_z) J_0(0) * phase
         w = K.omega()
@@ -77,21 +77,21 @@ class TestAxis:
         # fields approach their on-axis value smoothly
         for evaluator in (eval_M, eval_N):
             for m in (-1, 0, 1, 2):
-                on = evaluator(m, 1.0, 2.0, CylPoint(0.0, 0.0, 0.0)).components
-                near = evaluator(m, 1.0, 2.0, CylPoint(1e-9, 0.0, 0.0)).components
+                on = evaluator(m, 1.0, 2.0, CylPoint(0.0, 0.0, 0.0))
+                near = evaluator(m, 1.0, 2.0, CylPoint(1e-9, 0.0, 0.0))
                 assert np.abs(on - near).max() < 1e-7
 
     def test_axis_m_selection(self):
         # only |m| = 1 has transverse weight on the axis, only N at m = 0 axial
         for evaluator in (eval_M, eval_N):
             for m in (-3, -2, 2, 3):
-                v = evaluator(m, 1.0, 2.0, CylPoint(0.0)).components
+                v = evaluator(m, 1.0, 2.0, CylPoint(0.0))
                 assert np.abs(v).max() < 1e-15
             for m in (-1, 1):
-                v1 = evaluator(m, 1.0, 2.0, CylPoint(0.0)).components
+                v1 = evaluator(m, 1.0, 2.0, CylPoint(0.0))
                 assert np.abs(v1[:2]).max() > 0.1 and v1[2] == 0.0
-        assert np.abs(eval_M(0, 1.0, 2.0, CylPoint(0.0)).components).max() == 0.0
-        n0 = eval_N(0, 1.0, 2.0, CylPoint(0.0)).components
+        assert np.abs(eval_M(0, 1.0, 2.0, CylPoint(0.0))).max() == 0.0
+        n0 = eval_N(0, 1.0, 2.0, CylPoint(0.0))
         assert np.abs(n0[:2]).max() == 0.0 and abs(n0[2]) > 0.1
 
 
@@ -114,10 +114,27 @@ def same_bits(a, b):
             and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
 
 
+def field_of_arrays(kind, K, p, norm=NORM):
+    """E, B or A = (c/(i w)) E at a point: the mode array times the signed
+    amplitude, with E^(TM) = amp N, E^(TE) = -amp M, B^(TM) = amp M and
+    B^(TE) = amp N.  A sign negates the prefactor, as in the field rule."""
+    rule = {("E", TM): ("N", False), ("E", TE): ("M", True),
+            ("B", TM): ("M", False), ("B", TE): ("N", False)}
+    vector, negate = rule["B" if kind == "B" else "E", K.family]
+    pref = norm.c / (1j * K.omega(norm.c)) if kind == "A" else 1.0
+    mode = sum_of_arrays(vector, K.m, K.k_perp, K.k_z, p, norm.c)
+    return mode * ((-pref if negate else pref) * norm.amplitude(K))
+
+
+def is_point_field(v):
+    return isinstance(v, np.ndarray) and v.shape == (3,) and v.dtype == np.complex128
+
+
 class TestPointPath:
     def test_scalar_sums_match_the_sum_of_arrays_bitwise(self):
         # 13 orders x 2 signs of k_z x 8 points: the axis, phi = +/-pi, and
-        # random points, each through M and N
+        # random points, each through M and N, and through E, B and A of
+        # both families; every value is a (3,) complex128 array
         rng = np.random.default_rng(14)
         for m, sign in itertools.product(range(-6, 7), (1.0, -1.0)):
             kp = float(rng.uniform(0.2, 3.0))
@@ -132,8 +149,15 @@ class TestPointPath:
                 for _ in range(3)]
             for p in points:
                 for which, evaluator in (("M", eval_M), ("N", eval_N)):
-                    got = evaluator(m, kp, kz, p).components
+                    got = evaluator(m, kp, kz, p)
+                    assert is_point_field(got)
                     assert same_bits(got, sum_of_arrays(which, m, kp, kz, p)), (which, m, kz, p)
+                for family in (TM, TE):
+                    K = ModeIndex(family, m, kp, kz)
+                    for kind, evaluator in (("E", eval_E), ("B", eval_B), ("A", eval_potential)):
+                        got = evaluator(K, p, NORM)
+                        assert is_point_field(got)
+                        assert same_bits(got, field_of_arrays(kind, K, p)), (kind, K, p)
 
 
 class TestFieldAssembly:
@@ -147,18 +171,18 @@ class TestFieldAssembly:
             m = int(RNG.integers(-4, 5))
             kp = float(RNG.uniform(0.3, 2.5))
             kz = float(RNG.choice([-1.0, 1.0]) * RNG.uniform(0.5, 3.0))
-            E_tm, B_tm = (v.components / (kp * kz) for v in hertz_fields(TM, m, kp, kz, p))
-            E_te, B_te = (v.components / (kp * kz) for v in hertz_fields(TE, m, kp, kz, p))
-            M = eval_M(m, kp, kz, p).components
-            N = eval_N(m, kp, kz, p).components
+            E_tm, B_tm = (v / (kp * kz) for v in hertz_fields(TM, m, kp, kz, p))
+            E_te, B_te = (v / (kp * kz) for v in hertz_fields(TE, m, kp, kz, p))
+            M = eval_M(m, kp, kz, p)
+            N = eval_N(m, kp, kz, p)
             worst = max(worst, *(float(np.abs(a - b).max()) for a, b in
                                  ((N, E_tm), (N, B_te), (M, B_tm), (M, -E_te))))
             # E and B carry the normalization amplitude on top
             for family, (Eh, Bh) in ((TM, (E_tm, B_tm)), (TE, (E_te, B_te))):
                 K = ModeIndex(family, m, kp, kz)
                 amp = NORM.amplitude(K)
-                worst = max(worst, float(np.abs(eval_E(K, p, NORM).components - amp * Eh).max()),
-                            float(np.abs(eval_B(K, p, NORM).components - amp * Bh).max()))
+                worst = max(worst, float(np.abs(eval_E(K, p, NORM) - amp * Eh).max()),
+                            float(np.abs(eval_B(K, p, NORM) - amp * Bh).max()))
         assert worst < 1e-12
 
     def test_divergence_of_E_vanishes(self):
@@ -173,9 +197,9 @@ class TestFieldAssembly:
                         q = [x0, y0, z0]
                         q[axis] += s * h
                         rho, phi = math.hypot(q[0], q[1]), math.atan2(q[1], q[0])
-                        v = eval_E(K, CylPoint(rho, phi, q[2], 0.0), NORM).components
+                        v = eval_E(K, CylPoint(rho, phi, q[2], 0.0), NORM)
                         div += coeff * v[axis]
-                scale = np.abs(eval_E(K, CylPoint(math.hypot(x0, y0), math.atan2(y0, x0), z0), NORM).components).max()
+                scale = np.abs(eval_E(K, CylPoint(math.hypot(x0, y0), math.atan2(y0, x0), z0), NORM)).max()
                 assert abs(div) < 1e-5 * scale  # O(h^2) stencil accuracy
 
     def test_divergence_of_B_vanishes(self):
@@ -188,7 +212,7 @@ class TestFieldAssembly:
                 q = [x0, y0, z0]
                 q[axis] += s * h
                 rho, phi = math.hypot(q[0], q[1]), math.atan2(q[1], q[0])
-                div += coeff * eval_B(K, CylPoint(rho, phi, q[2], 0.0), NORM).components[axis]
+                div += coeff * eval_B(K, CylPoint(rho, phi, q[2], 0.0), NORM)[axis]
         assert abs(div) < 1e-5
 
     def test_faraday_law(self):
@@ -200,7 +224,7 @@ class TestFieldAssembly:
 
         def E_at(q):
             rho, phi = math.hypot(q[0], q[1]), math.atan2(q[1], q[0])
-            return eval_E(K, CylPoint(rho, phi, q[2], 0.0), NORM).components
+            return eval_E(K, CylPoint(rho, phi, q[2], 0.0), NORM)
 
         curl = np.zeros(3, dtype=complex)
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -215,7 +239,7 @@ class TestFieldAssembly:
             qm[k] -= h
             dk_Ej = (E_at(qp)[j] - E_at(qm)[j]) / (2 * h)
             curl[i] = dj_Ek - dk_Ej
-        B = eval_B(K, CylPoint(math.hypot(x0, y0), math.atan2(y0, x0), z0, 0.0), NORM).components
+        B = eval_B(K, CylPoint(math.hypot(x0, y0), math.atan2(y0, x0), z0, 0.0), NORM)
         assert np.abs(curl - 1j * w * B).max() < 1e-5
 
     def test_potential_field_relation(self):
@@ -224,8 +248,8 @@ class TestFieldAssembly:
             K = ModeIndex(family, 1, 0.8, 1.5)
             w = K.omega()
             p = CylPoint(1.4, 0.6, -0.3, 0.2)
-            A = eval_potential(K, p, NORM).components
-            E = eval_E(K, p, NORM).components
+            A = eval_potential(K, p, NORM)
+            E = eval_E(K, p, NORM)
             assert np.abs(E - 1j * w * A).max() < 1e-14
 
 
@@ -243,7 +267,7 @@ class TestAngularSpectrum:
         for which, evaluator in (("M", eval_M), ("N", eval_N)):
             spec, meta = angular_spectrum(which, 2, 1.0, 2.0, p)
             assert meta["converged"]
-            direct = evaluator(2, 1.0, 2.0, p).components
+            direct = evaluator(2, 1.0, 2.0, p)
             assert np.abs(spec.components - direct).max() < 1e-10
 
     def test_insufficient_nodes_flagged(self):

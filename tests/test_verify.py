@@ -345,17 +345,35 @@ class TestSphericalSuite:
                 assert r.passed, (name, r.lhs_minus_rhs_norm)
 
     def test_selection_rule_and_ratio(self):
-        # coefficients with m_j != m vanish identically; printed magnitude
-        # tracks the projection magnitude with a constant ratio
-        u1, v1 = printed_uv(2, 1.0, 2.0, 5, 3)
-        assert u1 == 0.0 and v1 == 0.0
+        # projections onto m_j = m +/- 1 vanish to rounding, and there is no
+        # Y_(2,3); printed magnitude tracks the projection magnitude with a
+        # constant ratio
         aE4, aM4 = expansion_coefficients("N", 2, 1.0, 2.0, 4)
+        for mj in (1, 3):
+            off_E, off_M = expansion_coefficients("N", 2, 1.0, 2.0, 4, m_j=mj)
+            assert max(abs(off_E), abs(off_M)) <= 1e-12 * max(abs(aE4), abs(aM4))
+        assert expansion_coefficients("N", 2, 1.0, 2.0, 2, m_j=3) == (0.0, 0.0)
         aE5, aM5 = expansion_coefficients("N", 2, 1.0, 2.0, 5)
-        u4, v4 = printed_uv(2, 1.0, 2.0, 4, 2)
-        u5, v5 = printed_uv(2, 1.0, 2.0, 5, 2)
+        u4, v4 = printed_uv(2, 1.0, 2.0, 4)
+        u5, v5 = printed_uv(2, 1.0, 2.0, 5)
         assert abs(aE4 / u4) == pytest.approx(abs(aE5 / u5), rel=1e-10)
         assert abs(aM4 / v4) == pytest.approx(abs(aM5 / v5), rel=1e-10)
         assert abs(aE4 / u4) == pytest.approx(abs(aM4 / v4), rel=1e-10)
+
+    def test_selection_rule_fails_on_a_wrong_azimuthal_factor(self, monkeypatch):
+        # a part 1e-6 of the cone density carrying e^(i (m+1) phi_k) in place
+        # of e^(i m phi_k) projects onto Y_(j,m+1), so the selection rule fails
+        cone_density = verify.cone_density
+
+        def shifted(which, m, k_perp, k_z, phi_k, c=1.0):
+            twist = 1.0 + 1e-6 * np.exp(1j * np.asarray(phi_k))[..., None]
+            return cone_density(which, m, k_perp, k_z, phi_k, c) * twist
+
+        monkeypatch.setattr(verify, "cone_density", shifted)
+        by_name = {r.name: r for r in spherical_suite()}
+        rule = by_name["spherical: u, v selection rule m_j = m"]
+        assert not rule.passed
+        assert rule.lhs_minus_rhs_norm > 1e-8
 
 
 def _spherical_wave_quadrature(j, m, omega, point, c=1.0):
@@ -450,6 +468,7 @@ class TestSharedCoefficients:
 
         monkeypatch.setattr(verify, "expansion_coefficients", counted)
         spherical_suite()
-        # 10 for the printed u, v; 59 degrees (j = 2..60) for each of N and M,
-        # shared by the 3 sample points
-        assert len(calls) == 10 + 2 * 59 == 128
+        # 10 degrees for the printed u, v, each projected at m_j = m, m - 1 and
+        # m + 1; 59 degrees (j = 2..60) for each of N and M, shared by the 3
+        # sample points
+        assert len(calls) == 3 * 10 + 2 * 59 == 148
