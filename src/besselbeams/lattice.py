@@ -65,6 +65,10 @@ class ModeLattice:
         for name, v in (("c", self.c), ("hbar", self.hbar)):
             if not (math.isfinite(v) and v > 0):
                 raise LatticeError(f"lattice {name} must be positive and finite, got {v}")
+        # omega = c hypot(k_perp, k_z) divides throughout, so its smallest
+        # value on the lattice must not underflow
+        if self.c * math.hypot(min(self.k_perp_nodes), min(map(abs, self.k_z_nodes))) == 0:
+            raise LatticeError("omega = c hypot(k_perp, k_z) underflows to 0 at a lattice node")
 
     @property
     def m_values(self):
@@ -92,15 +96,6 @@ class ModeLattice:
         nkp = len(self.k_perp_nodes)
         nkz = len(self.k_z_nodes)
         return ((fi * nm + (m - m_min)) * nkp + ik_perp) * nkz + ik_z
-
-    def unpack(self, idx):
-        nkz = len(self.k_z_nodes)
-        nkp = len(self.k_perp_nodes)
-        nm = self.m_range[1] - self.m_range[0] + 1
-        idx, ik_z = divmod(idx, nkz)
-        idx, ik_perp = divmod(idx, nkp)
-        fi, mi = divmod(idx, nm)
-        return FAMILIES[fi], self.m_range[0] + mi, ik_perp, ik_z
 
     def pairs(self):
         """Flat (TM, TE) indices of every (m, k_perp node, k_z node), shaped
@@ -234,10 +229,6 @@ class BasisMap:
         """max |T^dag T - I| over the entries."""
         R = (self.T.getH() @ self.T - sp.identity(self.lattice.dim, format="csr")).tocsr()
         return float(abs(R.data).max()) if R.nnz else 0.0
-
-    @property
-    def is_unitary(self):
-        return self.unitarity_residual <= 1e-12
 
 
 def apply_basis(A: QuadraticOperator, bm: BasisMap) -> QuadraticOperator:

@@ -71,34 +71,29 @@ SPHERICAL_TOL = 1e-3
 AZIMUTHAL_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationResult:
-    """Outcome of one checked relation."""
+    """Outcome of one checked relation; the verdict follows from the residual."""
 
     name: str
-    lhs_minus_rhs_norm: float
+    residual: float
     tolerance: float
-    passed: bool
     notes: str = ""
     inconclusive: bool = False
 
-    def __post_init__(self):
-        # pass must mean exactly "norm within tolerance" (and conclusive)
-        if self.passed != (self.lhs_minus_rhs_norm <= self.tolerance and not self.inconclusive):
-            raise ValueError("RelationResult pass flag inconsistent with norm")
-
-    @classmethod
-    def from_norm(cls, name, norm, tol, notes="", inconclusive=False):
-        passed = bool(norm <= tol) and not inconclusive
-        return cls(name, float(norm), float(tol), passed, notes, inconclusive)
+    @property
+    def passed(self):
+        """Residual within tolerance, and the check conclusive (a Python bool)."""
+        return bool(self.residual <= self.tolerance) and not self.inconclusive
 
     def to_dict(self):
         return {
             "name": self.name,
-            "residual": self.lhs_minus_rhs_norm,
+            "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
             "notes": self.notes,
+            "inconclusive": self.inconclusive,
         }
 
 
@@ -245,9 +240,7 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
         resid = (lhs[a, b] - rhs).restrict(interior).max_abs() / scale
         parts = (["canonical"] if canonical else []) + ([notes] if notes else [])
         parts.append(f"residual relative to |A|max |B|max = {scale:.6g}")
-        results.append(
-            RelationResult.from_norm("commutator: " + name, resid, tol, "; ".join(parts))
-        )
+        results.append(RelationResult("commutator: " + name, resid, tol, "; ".join(parts)))
 
     # Stokes su(2) on every (TM, TE) pair at once: the summed operators sit
     # on disjoint index pairs, so each summed residual's max-abs is the
@@ -263,7 +256,7 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     for ip, iz, m in sorted(corners):
         worst = max(worst, _su2_residual(*(s.X for s in build_stokes(lat, ip, iz, m)[1:]), 2j))
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "commutator: stokes [sigma_i,sigma_j] = 2i eps_ijk sigma_k",
             worst,
             STOKES_TOL,
@@ -309,7 +302,7 @@ def _fock_cross_check(tol):
         rhs = realized[na] @ realized[nb] - realized[nb] @ realized[na]
         diff = (lhs - rhs)[keep][:, keep]
         worst = max(worst, float(abs(diff).max()))
-    return RelationResult.from_norm(
+    return RelationResult(
         "commutator: fock-oracle cross-check (15 pairs, cutoff 3)",
         worst,
         tol,
@@ -326,13 +319,6 @@ def _offdiag_norm(A: QuadraticOperator):
     X = A.X.tocoo()
     off = np.abs(X.data[X.row != X.col])
     return float(off.max()) if off.size else 0.0
-
-
-def _rl_cross_coeff(c, hbar, kp, kz):
-    """(1/4)(1 + beta^2)(1 - 1/beta^2) hbar w at one node, beta = c kz/w."""
-    w = c * math.hypot(kp, kz)
-    beta = c * kz / w
-    return 0.25 * (1.0 + beta**2) * (1.0 - 1.0 / beta**2) * hbar * w
 
 
 def basis_suite(lat: ModeLattice, tol=ALG_TOL):
@@ -361,7 +347,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
             A, B = obs[quartet[i]], obs[quartet[j]]
             worst = max(worst, commutator(A, B).max_abs() / (A.max_abs() * B.max_abs()))
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "basis: {E,P3,L3,S3} mutually commute",
             worst,
             tol,
@@ -371,7 +357,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
 
     pm = make_pm_map(lat)
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "basis: (+/-) map is unitary",
             pm.unitarity_residual,
             tol,
@@ -404,7 +390,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
             values, scale = diag[name]
             worst_eig = max(worst_eig, float(np.abs(values[idx] - want).max()) / scale)
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "basis: {E,P3,L3,S3} diagonal in (+/-) basis",
             worst_off,
             tol,
@@ -412,7 +398,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
         )
     )
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "basis: (+/-) eigenvalues {hbar w, hbar kz, hbar m, +/-hbar c kz/w}",
             worst_eig,
             tol,
@@ -424,7 +410,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     S3_rl = apply_basis(obs["S3"], rl)
     scale = obs["S3"].max_abs()
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "basis: S3 diagonal under R/L map",
             _offdiag_norm(S3_rl) / scale,
             tol,
@@ -436,16 +422,16 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     E_rl = apply_basis(obs["energy"], rl)
     scale = E_rl.max_abs()
     E_rl = E_rl.X
-    coeff = np.array(
-        [[_rl_cross_coeff(c, hbar, kp, v) for v in lat.k_z_nodes] for kp in lat.k_perp_nodes]
-    )
+    # in numpy floats, an underflowed beta^2 gives an infinite residual, not an exception
+    beta2 = (c * kz / w) ** 2
+    coeff = 0.25 * (1.0 + beta2) * (1.0 - 1.0 / beta2) * hbar * w
     coeff = np.broadcast_to(coeff, (len(lat.m_values),) + coeff.shape).ravel()
     i1, i2 = pairs.reshape(-1, 2).T
     worst_cross = max(
         float(np.abs(np.asarray(E_rl[a, b]).ravel() - coeff).max()) for a, b in ((i1, i2), (i2, i1))
     )
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "basis: R/L energy cross-term = (1/4)(1+beta^2)(1-1/beta^2) hbar w",
             worst_cross / scale,
             tol,
@@ -462,7 +448,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
         mags.append(_offdiag_norm(E_one))
     slope = np.polyfit(np.log(ratios), np.log(mags), 1)[0]
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "basis: paraxial off-diagonal energy ~ (kp/kz)^2",
             abs(slope - 2.0),
             0.05,
@@ -800,15 +786,10 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
         fine = numeric_fn(quad_fine, F_f)
         est = abs(fine - coarse) / scale
         resid = abs(fine - analytic) / scale
-        inconclusive = bool(est > rel_tol)
-        if inconclusive:
-            notes = (
-                f"inconclusive: convergence estimate {est:.3e} above tolerance; " + notes
-            )
-        else:
-            notes = f"convergence estimate {est:.3e}; " + notes
         results.append(
-            RelationResult.from_norm("quadrature: " + name, resid, rel_tol, notes, inconclusive)
+            RelationResult("quadrature: " + name, resid, rel_tol,
+                           f"convergence estimate {est:.3e}; " + notes,
+                           inconclusive=bool(est > rel_tol))
         )
         return fine
 
@@ -834,7 +815,7 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
     # (a') m != m' is azimuthally exact zero
     off = abs(volume_dot(F_c["M1"], F_c["M_up"], quad)) / scale
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "quadrature: int M.M'* dV = 0 for m != m'",
             off,
             AZIMUTHAL_TOL,
@@ -883,7 +864,7 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
         vals = volume_cross(F_c[ka], F_c[kb], quad)
         worst = max(abs(v) for v in vals.values()) / vscale
         results.append(
-            RelationResult.from_norm("quadrature: " + nm, worst, rel_tol, "all e_pol coefficients")
+            RelationResult("quadrature: " + nm, worst, rel_tol, "all e_pol coefficients")
         )
 
     # symmetric non-conjugated combination, counter-propagating partner
@@ -893,7 +874,7 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
         return max(abs(a[k] - b[k]) for k in a)
 
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "quadrature: int (M x N' - N x M') dV = 0",
             sym_combo(quad, F_c) / vscale,
             rel_tol,
@@ -928,7 +909,7 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
     wp_refl = replace(wp1, m=wp1.m + 1)
     ana_refl = (-1.0) ** (wp1.m + 1) * _lplus_analytic(wp1, wp_refl)
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "quadrature: int M' . (L+ M) dV = (-1)^(m+1) x reflected conjugated"
             " element (computed)",
             abs(nonconj - ana_refl) / max(abs(ana_refl), scale),
@@ -959,7 +940,7 @@ def energy_per_photon_check(margin=2.0):
     )
     energy = (volume_dot(E, E, quad) + volume_dot(B, B, quad)).real / (4 * math.pi)
     resid = abs(energy - omega_bar.real) / omega_bar.real
-    return RelationResult.from_norm(
+    return RelationResult(
         "quadrature: energy per photon = hbar * mean omega",
         resid,
         0.01,
@@ -1086,7 +1067,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
         rhs = specfun.bessel_j(m, k_perp * rho) * np.exp(1j * m * phi)
         worst = max(worst, abs(lhs - rhs))
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "spherical: scalar angular-spectrum identity", worst, 1e-10, "4 sample radii"
         )
     )
@@ -1098,7 +1079,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
             direct = evaluator(m, k_perp, k_z, p, c=c)
             worst = max(worst, float(np.abs(spec.components - direct).max()))
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "spherical: vector angular-spectrum identity", worst, 1e-10, "M and N, 2 points"
         )
     )
@@ -1119,7 +1100,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
         if abs(v) > 1e-12:
             ratio_v.append(aM / v)
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "spherical: u, v selection rule m_j = m",
             sel_worst / coeff_max,
             1e-12,
@@ -1130,7 +1111,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
     mag_u = np.array([abs(r) for r in ratio_u])
     mag_v = np.array([abs(r) for r in ratio_v])
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "spherical: |u_j| proportional to |projection E-coefficient|",
             float(mag_u.std() / mag_u.mean()),
             1e-10,
@@ -1138,7 +1119,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
         )
     )
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "spherical: |v_j| proportional to |projection M-coefficient|",
             float(mag_v.std() / mag_v.mean()),
             1e-10,
@@ -1148,7 +1129,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
     phase_u = np.array(ratio_u) / ratio_u[0]
     drift = float(np.abs(phase_u[1:] * 1j ** np.arange(1, len(phase_u)) - 1.0).max())
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "spherical: printed u phase matches projection coefficient (flagged)",
             float(np.abs(phase_u[1:] - 1.0).max()),
             1e-10,
@@ -1179,7 +1160,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
     tail_max = np.max(tail, axis=0)
     monotone = bool(np.all(np.diff(tail_max) <= 0))
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             f"spherical: M, N reconstruction from spherical modes (j_max={j_max})",
             worst,
             tol,
@@ -1195,7 +1176,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
     Ly = 1j * (L_minus - L_plus)
     resid = _su2_residual(Lx, Ly, L_3, 1j)
     results.append(
-        RelationResult.from_norm(
+        RelationResult(
             "spherical: [L_x, L_y] = i hbar L_z (spherical basis, j <= 4)",
             resid,
             STOKES_TOL,

@@ -65,14 +65,14 @@ def test_01_commutator_table():
         if r.name in FLAGGED:
             # printed-form conflicts stay flagged with their residual and
             # must have a passing computed companion
-            ok = ok and not r.passed and r.lhs_minus_rhs_norm > r.tolerance
+            ok = ok and not r.passed and r.residual > r.tolerance
             companion = [
                 s for s in results if s.name.endswith("(computed)")
                 and s.name.split(" = ")[0] == r.name.split(" = ")[0]
             ]
             ok = ok and companion and all(s.passed for s in companion)
         elif r.notes.startswith("canonical"):
-            ok = ok and r.passed and r.lhs_minus_rhs_norm < 1e-12
+            ok = ok and r.passed and r.residual < 1e-12
         else:
             ok = ok and r.passed
     _report(1, "commutator table on the reference lattice", ok)
@@ -163,9 +163,9 @@ def test_05_rl_basis_claims():
     cross = by_name["basis: R/L energy cross-term = (1/4)(1+beta^2)(1-1/beta^2) hbar w"]
     slope = by_name["basis: paraxial off-diagonal energy ~ (kp/kz)^2"]
     ok = (
-        s3.passed and s3.lhs_minus_rhs_norm < 1e-12
-        and cross.passed and cross.lhs_minus_rhs_norm < 1e-12
-        and slope.passed and slope.lhs_minus_rhs_norm <= 0.05
+        s3.passed and s3.residual < 1e-12
+        and cross.passed and cross.residual < 1e-12
+        and slope.passed and slope.residual <= 0.05
     )
     _report(5, "R/L basis: S3 diagonal, cross-term coefficient, paraxial slope", ok)
 
@@ -186,7 +186,7 @@ def test_06_wavepacket_quadrature():
     for name in ("quadrature: int M.M'* dV = 0 for m != m'",
                  "quadrature: int M.N'* dV = 0"):
         r = next(s for s in results if s.name == name)
-        ok = ok and r.lhs_minus_rhs_norm < 1e-6
+        ok = ok and r.residual < 1e-6
     # finite-radius radial overlaps against the closed form, 100 tuples
     rng = np.random.default_rng(1234)
     worst = 0.0
@@ -206,7 +206,7 @@ def test_06_wavepacket_quadrature():
 def test_07_energy_per_photon():
     r = energy_per_photon_check()
     _report(7, "narrow-wavepacket energy per photon within 1%",
-            r.passed and r.lhs_minus_rhs_norm < 0.01)
+            r.passed and r.residual < 0.01)
 
 
 def test_08_spherical_expansion():
@@ -218,7 +218,7 @@ def test_08_spherical_expansion():
     flagged = by_name["spherical: printed u phase matches projection coefficient (flagged)"]
     ok = (
         scalar.passed and scalar.tolerance <= 1e-10
-        and recon.passed and recon.lhs_minus_rhs_norm < 1e-3
+        and recon.passed and recon.residual < 1e-3
         and select.passed and select.tolerance <= 1e-12
         and not flagged.passed  # printed phase conflict stays flagged
         and all(r.passed for r in results if r.name not in FLAGGED)

@@ -9,6 +9,7 @@ import pytest
 
 from besselbeams import cli
 from besselbeams.modes import CylPoint, ModeIndex, NormalizationConvention
+from besselbeams.verify import RelationResult
 
 
 def run(argv, capsys):
@@ -113,6 +114,17 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
         (FIELD + ["--kz", "2", "--grid", "2x2", "--t", "1e308"], None),
         (FIELD + ["--kz", "1e-320", "--grid", "2x2"], None),
         (FIELD + ["--kz", "2", "--grid", "2x2", "--extent", "1e308"], None),
+        # a NaN residual (invalid JSON) and a ZeroDivisionError from an
+        # underflowed beta^2 at unit hbar and c, before
+        (["verify", "commutators", "--kperp", "1e-100", "--kz", "1e100"], None),
+        (["verify", "basis", "--kperp", "1e100", "--kz", "1e-100"], None),
+        # omega = c hypot(k_perp, k_z) underflows to 0: a ZeroDivisionError, before
+        (["field", "--family", "tm", "--m", "1", "--kperp", "1e-300", "--kz", "1e-300",
+          "--grid", "2x2"], "units.c = 1e-100"),
+        (["expand", "--m", "1", "--kperp", "1e-300", "--kz", "1e-300"], "units.c = 1e-100"),
+        (["expect", "--kperp", "1e-300", "--kz", "1e-300"], "units.c = 1e-100"),
+        (["verify", "commutators", "--kperp", "1e-300", "--kz", "1e-300"], "units.c = 1e-100"),
+        (["verify", "basis", "--kperp", "1e-300", "--kz", "1e-300"], "units.c = 1e-100"),
     ],
     ids=["rho-sample", "expand-order", "field-order", "extent-nan", "basis-narrow",
          "commutators-narrow", "kperp-zero", "kperp-nan", "tol-nan", "basis-kz-inf",
@@ -122,7 +134,9 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
          "config-tol-negative", "config-margin-huge", "expand-jmax-below-m",
          "config-hbar-1e-200", "config-hbar-1e-160", "config-hbar-1e160", "config-hbar-1e200",
          "config-c-1e200", "field-plane-1e308", "field-t-1e308", "field-kz-1e-320",
-         "field-extent-1e308"],
+         "field-extent-1e308", "commutators-residual-nan", "basis-beta-underflow",
+         "field-omega-underflow", "expand-omega-underflow", "expect-omega-underflow",
+         "commutators-omega-underflow", "basis-omega-underflow"],
 )
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     if config is not None:
@@ -208,6 +222,14 @@ class TestConfig:
         )
         assert code == 0
         assert json.loads(out)["metadata"]["config"]["lattice.m_range"] == "-3..3"
+
+    def test_expected_fail_names_are_trimmed(self, tmp_path, capsys):
+        a, b = cli.DEFAULT_EXPECTED_FAIL[:2]  # the two flagged commutator rows
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"verify.expected_fail = {a};  {b} \n")
+        code, out, _ = run(["--config", str(cfg)] + SMALL_VERIFY, capsys)
+        assert code == 0
+        assert json.loads(out)["metadata"]["config"]["verify.expected_fail"] == f"{a};{b}"
 
     def test_report_is_valid_json_for_any_string(self, tmp_path, capsys):
         # a tab is a control character that JSON strings must escape
@@ -330,7 +352,18 @@ class TestVerifyReport:
             assert key in meta
         assert meta["relations"] == len(report["results"])
         for r in report["results"]:
-            assert set(r) == {"name", "residual", "tolerance", "pass", "notes"}
+            assert list(r) == ["name", "residual", "tolerance", "pass", "notes", "inconclusive"]
+            assert isinstance(r["pass"], bool) and r["inconclusive"] is False
+
+    def test_inconclusive_result_exits_three(self, monkeypatch, capsys):
+        undecided = RelationResult("quadrature: x", 1e-6, 1e-3, "convergence estimate 2e-3; ",
+                                   inconclusive=True)
+        monkeypatch.setattr(cli, "spherical_suite", lambda tol: [undecided])
+        code, out, _ = run(["verify", "spherical"], capsys)
+        assert code == 3
+        meta, (result,) = json.loads(out).values()
+        assert (meta["inconclusive"], meta["unexpected_failures"]) == (1, 0)
+        assert (result["inconclusive"], result["pass"]) == (True, False)
 
     def test_report_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

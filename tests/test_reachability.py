@@ -4,10 +4,10 @@ the tests.
 A top-level function or class, or a non-dunder method, of
 ``src/besselbeams`` counts as reached when its name appears elsewhere: in
 ``src/`` as an AST ``Name`` or ``Attribute`` (its own ``def`` or ``class``
-line is neither), or in ``demos/`` or ``perfbench/`` as a ``Name``, an
-``Attribute``, an imported name or a string constant (the benchmark's
-tracer looks names up by string).  Code that only tests reach is deleted,
-or listed in ``ALLOWED`` with its reason.
+line is neither), or in ``perfbench/`` as a ``Name``, an ``Attribute``, an
+imported name or a string constant (the benchmark's tracer looks names up
+by string).  Demos are examples, not callers: code that only tests or
+demos reach is deleted, or listed in ``ALLOWED`` with its reason.
 """
 
 import ast
@@ -58,8 +58,7 @@ def _uses(tree, *, outside):
 def test_every_definition_is_named_outside_the_tests():
     package = _trees(PACKAGE)
     used = {name for tree in package for name in _uses(tree, outside=False)}
-    for directory in (ROOT / "demos", ROOT / "perfbench"):
-        used |= {name for tree in _trees(directory) for name in _uses(tree, outside=True)}
+    used |= {name for tree in _trees(ROOT / "perfbench") for name in _uses(tree, outside=True)}
     defined = {name for tree in package for name in _definitions(tree)}
     assert sorted(defined - used - ALLOWED) == []
     assert sorted(ALLOWED - defined) == []
