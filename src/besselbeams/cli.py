@@ -49,7 +49,7 @@ from .modes import (
     eval_N,
     eval_potential,
 )
-from .specfun import DomainError
+from .specfun import MAX_ORDER, DomainError
 from .verify import (
     ALG_TOL,
     QUAD_REL_TOL,
@@ -514,14 +514,16 @@ def cmd_expand(args, cfg):
     rho = args.rho_sample if args.rho_sample is not None else 1.5 / args.kperp
     if rho < 0:
         raise UsageError("--rho-sample must be >= 0")
+    if args.jmax < max(1, abs(args.m)):
+        raise UsageError(f"--jmax must be >= max(1, |m|), got {args.jmax} for m = {args.m}")
+    if args.jmax > MAX_ORDER:
+        raise UsageError(f"--jmax must be at most {MAX_ORDER}, got {args.jmax}")
     phi, z = 0.4, 0.2
     point = (rho * math.cos(phi), rho * math.sin(phi), z)
     p = CylPoint(rho, phi, z, 0.0)
     evaluator = eval_N if which == "N" else eval_M
     direct = evaluator(args.m, args.kperp, args.kz, p, c=c)
     ref = float(np.abs(direct).max())
-    if args.jmax < max(1, abs(args.m)):
-        raise UsageError(f"--jmax must be >= max(1, |m|), got {args.jmax} for m = {args.m}")
 
     rows = []
     for j, aE, aM, total in partial_sums(which, args.m, args.kperp, args.kz, point, args.jmax, c):

@@ -29,6 +29,11 @@ from .modes import TE, TM
 # Every lattice carries both mode families, TM before TE in the index layout.
 FAMILIES = (TM, TE)
 
+# |k| bounds of a node, as cli.UNITS_RANGE bounds hbar and c: k^2 stays in
+# [1e-200, 1e200], so no node factor raises, and a product that over- or
+# underflows reaches the verify suites' non-finite check
+NODE_RANGE = (1e-100, 1e100)
+
 
 class LatticeError(ValueError):
     """Invalid lattice construction or mismatched-lattice operation."""
@@ -56,12 +61,11 @@ class ModeLattice:
             raise LatticeError("empty m_range")
         object.__setattr__(self, "k_perp_nodes", tuple(float(v) for v in self.k_perp_nodes))
         object.__setattr__(self, "k_z_nodes", tuple(float(v) for v in self.k_z_nodes))
-        if not all(math.isfinite(v) for v in self.k_perp_nodes + self.k_z_nodes):
-            raise LatticeError("lattice nodes need finite values")
+        lo, hi = NODE_RANGE
+        if not all(lo <= abs(v) <= hi for v in self.k_perp_nodes + self.k_z_nodes):
+            raise LatticeError(f"lattice nodes need |k| in [{lo:g}, {hi:g}]")
         if any(v <= 0 for v in self.k_perp_nodes):
             raise LatticeError("k_perp nodes need value > 0")
-        if any(v == 0 for v in self.k_z_nodes):
-            raise LatticeError("k_z nodes need value != 0")
         for name, v in (("c", self.c), ("hbar", self.hbar)):
             if not (math.isfinite(v) and v > 0):
                 raise LatticeError(f"lattice {name} must be positive and finite, got {v}")

@@ -79,9 +79,9 @@ def bessel_j_over_x(m, x):
 
 
 # Tables of bessel_j_outer, keyed on (|m|, k bytes, x bytes).  The quadrature
-# suite asks for each of its 15 distinct grids about 6 times over (98 calls,
-# coarse and fine grids interleaved), so the cap holds one whole suite: about
-# 100 MB at the default margin.
+# suite makes 98 calls over 15 distinct grids: 50 calls over 6 on its coarse
+# pass, then 38 over 6 on its fine pass and 10 over 3 for the energy per
+# photon.  The cap holds one whole suite: about 100 MB at the default margin.
 _OUTER_CACHE = {}
 _OUTER_CACHE_SIZE = 16
 
@@ -136,13 +136,19 @@ def lommel_overlap_equal(m, k, R):
     return 0.5 * R**2 * (bessel_j_prime(m, x) ** 2 + (1.0 - m**2 / x**2) * bessel_j(m, x) ** 2)
 
 
+def _check_degree(j):
+    """DomainError for a degree above MAX_ORDER; scipy's sph_harm_y returns
+    NaN from degree 646 on."""
+    if j > MAX_ORDER:
+        raise DomainError(f"degree j={j} exceeds {MAX_ORDER}")
+
+
 def assoc_legendre(j, m, x):
     """Associated Legendre P_j^m(x), Condon-Shortley phase, 0 <= m <= j, one real x."""
     j, m = int(j), int(m)
     if m < 0 or j < 0 or m > j:
         raise DomainError("assoc_legendre requires 0 <= m <= j")
-    if j > MAX_ORDER:
-        raise DomainError(f"degree j={j} exceeds {MAX_ORDER}")
+    _check_degree(j)
     x = float(x)
     if abs(x) > 1:
         raise DomainError("assoc_legendre requires |x| <= 1")
@@ -168,6 +174,7 @@ def spherical_harmonic(j, m, theta, phi):
     j, m = int(j), int(m)
     if abs(m) > j:
         raise DomainError("spherical_harmonic requires |m| <= j")
+    _check_degree(j)
     return sph_harm_y(j, m, theta, phi)
 
 
@@ -181,6 +188,7 @@ def vsh_grid(j, m, theta, phi):
     and exact on the poles too.  Returns two complex arrays shaped
     broadcast(theta, phi).shape + (3,), Cartesian components.
     """
+    _check_degree(j)
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     st, ct = np.sin(theta), np.cos(theta)
     # dY/dtheta = up - dn and m cot(theta) Y_jm = -(up + dn)

@@ -125,6 +125,17 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
         (["expect", "--kperp", "1e-300", "--kz", "1e-300"], "units.c = 1e-100"),
         (["verify", "commutators", "--kperp", "1e-300", "--kz", "1e-300"], "units.c = 1e-100"),
         (["verify", "basis", "--kperp", "1e-300", "--kz", "1e-300"], "units.c = 1e-100"),
+        # a NaN residual dropped by max(): exit 0 with residual 0, before
+        (["verify", "basis", "--kperp", "1e-100", "--kz", "1e-100"], "units.hbar = 1e-100"),
+        (["verify", "basis", "--kz", "1e100"], "units.hbar = 1e100"),
+        # nodes outside [1e-100, 1e100]: an OverflowError or ZeroDivisionError
+        # from a node factor, before
+        (["verify", "commutators", "--kperp", "1e160", "--kz", "1"], None),
+        (["verify", "commutators", "--kz", "1e160"], None),
+        (["verify", "commutators", "--kperp", "1e-200", "--kz", "1e-200"], None),
+        (["verify", "commutators", "--kperp", "1e-170", "--kz", "1"], None),
+        # NaN rows from degree 646 on, with exit 0, before
+        (["expand", "--m", "2", "--kperp", "1", "--kz", "2", "--jmax", "201"], None),
     ],
     ids=["rho-sample", "expand-order", "field-order", "extent-nan", "basis-narrow",
          "commutators-narrow", "kperp-zero", "kperp-nan", "tol-nan", "basis-kz-inf",
@@ -136,7 +147,9 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
          "config-c-1e200", "field-plane-1e308", "field-t-1e308", "field-kz-1e-320",
          "field-extent-1e308", "commutators-residual-nan", "basis-beta-underflow",
          "field-omega-underflow", "expand-omega-underflow", "expect-omega-underflow",
-         "commutators-omega-underflow", "basis-omega-underflow"],
+         "commutators-omega-underflow", "basis-omega-underflow", "basis-nan-hbar-1e-100",
+         "basis-nan-hbar-1e100", "kperp-1e160", "kz-1e160", "nodes-1e-200", "kperp-1e-170",
+         "expand-jmax-above-max-order"],
 )
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     if config is not None:
@@ -364,6 +377,16 @@ class TestVerifyReport:
         meta, (result,) = json.loads(out).values()
         assert (meta["inconclusive"], meta["unexpected_failures"]) == (1, 0)
         assert (result["inconclusive"], result["pass"]) == (True, False)
+
+    def test_ill_conditioned_rl_map_exits_three(self, capsys):
+        # at k_perp/k_z = 1e6, rounding in the inverse R/L map alone leaves a
+        # residual of 5.6e-11: above tol.algebra, within eps cond(T) = 2.2e-10
+        code, out, _ = run(["verify", "basis", "--kperp", "1e6", "--kz", "1"], capsys)
+        assert code == 3
+        meta, results = json.loads(out).values()
+        assert (meta["inconclusive"], meta["unexpected_failures"]) == (1, 0)
+        (rl,) = [r for r in results if r["inconclusive"]]
+        assert (rl["name"], rl["pass"]) == ("basis: S3 diagonal under R/L map", False)
 
     def test_report_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
