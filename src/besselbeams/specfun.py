@@ -1,9 +1,10 @@
 """Special functions for cylindrical and spherical mode evaluation.
 
-Cylindrical Bessel functions J_m and derivatives, associated Legendre
-functions P_j^m (Condon-Shortley phase), transverse vector spherical
-harmonics, and the closed-form finite-radius Bessel overlap used as an
-independent quadrature oracle.
+Cylindrical Bessel functions J_m and derivatives, outer-product J_m tables
+memoized in a dict the caller owns, associated Legendre functions P_j^m
+(Condon-Shortley phase), transverse vector spherical harmonics, and the
+closed-form finite-radius Bessel overlap used as an independent
+quadrature oracle.
 
 Evaluation is delegated to scipy.special; this module adds the domain
 checks, the negative-order/negative-m conventions used throughout the
@@ -78,21 +79,13 @@ def bessel_j_over_x(m, x):
     return sign * acc
 
 
-# Tables of bessel_j_outer, keyed on (|m|, k bytes, x bytes).  The quadrature
-# suite makes 98 calls over 15 distinct grids: 50 calls over 6 on its coarse
-# pass, then 38 over 6 on its fine pass and 10 over 3 for the energy per
-# photon.  The cap holds one whole suite: about 100 MB at the default margin.
-_OUTER_CACHE = {}
-_OUTER_CACHE_SIZE = 16
-
-
-def bessel_j_outer(m, k, x):
+def bessel_j_outer(m, k, x, tables):
     """J_m(k_i x_j) on the outer product grid of scale factors and abscissas.
 
-    Tables are cached on |m| and the exact bytes of `k` and `x`, holding at
-    most ``_OUTER_CACHE_SIZE`` of them (oldest dropped first).  Negative
-    orders come from J_{-m} = (-1)^m J_m, which matches ``jv(-m, .)`` bit
-    for bit.  The returned array is read-only.
+    Tables are memoized in the caller's dict `tables`, keyed on |m| and the
+    exact bytes of `k` and `x`.  Negative orders come from
+    J_{-m} = (-1)^m J_m, which matches ``jv(-m, .)`` bit for bit.  The
+    returned array is read-only.
     """
     m = int(m)
     if abs(m) > MAX_ORDER:
@@ -100,13 +93,10 @@ def bessel_j_outer(m, k, x):
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
     key = (abs(m), k.tobytes(), x.tobytes())
-    table = _OUTER_CACHE.get(key)
+    table = tables.get(key)
     if table is None:
-        table = jv(abs(m), np.outer(k, x))
+        table = tables[key] = jv(abs(m), np.outer(k, x))
         table.setflags(write=False)
-        if len(_OUTER_CACHE) >= _OUTER_CACHE_SIZE:
-            del _OUTER_CACHE[next(iter(_OUTER_CACHE))]
-        _OUTER_CACHE[key] = table
     if m < 0 and m % 2:
         table = -table
         table.setflags(write=False)

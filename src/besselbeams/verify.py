@@ -638,16 +638,20 @@ _FLIP = {"-": "+", "+": "-", "3": "3"}
 
 
 class _CylinderQuadrature:
-    """Kernels on the finite cylinder: Gauss-Legendre radially, closed form axially."""
+    """Kernels on the finite cylinder: Gauss-Legendre radially, closed form axially.
+
+    The radial kernel's Bessel tables live in `tables` and die with the quadrature.
+    """
 
     def __init__(self, dom: QuadratureDomain):
         self.dom = dom
         self.rho, self.w_rho = _panels(0.0, dom.R, dom.n_radial)
+        self.tables = {}
 
     def radial(self, F1, F2, o1, o2, p):
         """int_0^R J_o1(kp rho) J_o2(kp' rho) rho^(1+p) drho as a matrix."""
-        K1 = specfun.bessel_j_outer(o1, F1.kp_nodes, self.rho)
-        K2 = specfun.bessel_j_outer(o2, F2.kp_nodes, self.rho)
+        K1 = specfun.bessel_j_outer(o1, F1.kp_nodes, self.rho, self.tables)
+        K2 = specfun.bessel_j_outer(o2, F2.kp_nodes, self.rho, self.tables)
         wt = self.w_rho * self.rho ** (1 + p)
         return (K1 * wt) @ K2.T
 
@@ -873,7 +877,8 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
     results = []
     coarse, fine = {}, {}
     for values, dom_ in ((coarse, dom), (fine, dom.scaled(1.5))):
-        # rebinding F drops the previous pass's fields before this pass smears any
+        # rebinding F drops the previous pass's fields and Bessel tables before
+        # this pass smears any
         F = _PassFields(packets, _CylinderQuadrature(dom_), margin)
         for name, (f1, f2, product, pol, conjugate), *_ in table:
             values[name] = _contract(F, f1, f2, product, conjugate)[pol]
@@ -882,7 +887,7 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
                 first, *others = (_contract(F, *c) for c in contractions)
                 resid = max(abs(v - sum(o[k] for o in others)) for k, v in first.items()) / sc
                 results.append(RelationResult("quadrature: " + name, resid, tol, notes))
-    del F  # the energy check below runs without the fine pass's fields
+    del F  # the energy check below runs without the fine pass's fields and tables
     for name, _, analytic, sc, notes in table:
         est = abs(fine[name] - coarse[name]) / sc
         results.append(

@@ -29,7 +29,6 @@ from besselbeams.specfun import lommel_overlap
 from besselbeams.verify import (
     basis_suite,
     commutator_suite,
-    energy_per_photon_check,
     quadrature_suite,
     spherical_suite,
 )
@@ -170,10 +169,16 @@ def test_05_rl_basis_claims():
     _report(5, "R/L basis: S3 diagonal, cross-term coefficient, paraxial slope", ok)
 
 
-def test_06_wavepacket_quadrature():
+@pytest.fixture(scope="module")
+def default_quadrature():
+    """(results, seconds) of one quadrature_suite() run at the default margin 2."""
     t0 = time.monotonic()
     results = quadrature_suite()
-    elapsed = time.monotonic() - t0
+    return results, time.monotonic() - t0
+
+
+def test_06_wavepacket_quadrature(default_quadrature):
+    results, elapsed = default_quadrature
     ok = elapsed < 180.0
     for r in results:
         if r.name in FLAGGED:
@@ -203,8 +208,10 @@ def test_06_wavepacket_quadrature():
     _report(6, "wavepacket-smeared volume quadrature and radial overlaps", ok)
 
 
-def test_07_energy_per_photon():
-    r = energy_per_photon_check()
+def test_07_energy_per_photon(default_quadrature):
+    # quadrature_suite() ends with energy_per_photon_check() at the same margin
+    results, _ = default_quadrature
+    (r,) = [s for s in results if s.name == "quadrature: energy per photon = hbar * mean omega"]
     _report(7, "narrow-wavepacket energy per photon within 1%",
             r.passed and r.residual < 0.01)
 

@@ -71,6 +71,10 @@ class TestExitCodes:
 FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
 
 
+class EnvConfig(bytes):
+    """Config file contents passed through BESSELBEAMS_CONFIG, not --config."""
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -136,6 +140,9 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
         (["verify", "commutators", "--kperp", "1e-170", "--kz", "1"], None),
         # NaN rows from degree 646 on, with exit 0, before
         (["expand", "--m", "2", "--kperp", "1", "--kz", "2", "--jmax", "201"], None),
+        # a config that is not UTF-8: a UnicodeDecodeError traceback, before
+        (["verify", "basis"], b"units.hbar = \xff"),
+        (["verify", "basis"], EnvConfig(b"units.hbar = \xff")),
     ],
     ids=["rho-sample", "expand-order", "field-order", "extent-nan", "basis-narrow",
          "commutators-narrow", "kperp-zero", "kperp-nan", "tol-nan", "basis-kz-inf",
@@ -149,13 +156,16 @@ FIELD = ["field", "--family", "tm", "--m", "1", "--kperp", "1"]
          "field-omega-underflow", "expand-omega-underflow", "expect-omega-underflow",
          "commutators-omega-underflow", "basis-omega-underflow", "basis-nan-hbar-1e-100",
          "basis-nan-hbar-1e100", "kperp-1e160", "kz-1e160", "nodes-1e-200", "kperp-1e-170",
-         "expand-jmax-above-max-order"],
+         "expand-jmax-above-max-order", "config-not-utf8", "env-config-not-utf8"],
 )
-def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
+def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.txt"
     if config is not None:
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(config + "\n")
-        argv = ["--config", str(cfg)] + argv
+        cfg.write_bytes((config if isinstance(config, bytes) else config.encode()) + b"\n")
+        if isinstance(config, EnvConfig):
+            monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+        else:
+            argv = ["--config", str(cfg)] + argv
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused, not computed with numpy warnings
@@ -164,6 +174,29 @@ def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     assert err.startswith("besselbeams: error: ")
     assert err.count("\n") == 1
     assert not out.exists()
+    if isinstance(config, bytes):
+        assert f"cannot read config {cfg}: " in err
+
+
+OUT_COMMANDS = {
+    "field": FIELD + ["--kz", "2", "--grid", "2x2"],
+    "verify": ["verify", "basis"],
+    "expect": ["expect"],
+    "expand": ["expand", "--m", "1", "--kperp", "1", "--kz", "2", "--jmax", "4"],
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_unwritable_out_is_a_usage_error(command, where, tmp_path, capsys):
+    # an IsADirectoryError or FileNotFoundError traceback with exit 1, before
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    code, stdout, err = run(OUT_COMMANDS[command] + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"besselbeams: error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert stdout == ""
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize(

@@ -108,46 +108,44 @@ class TestBessel:
     def test_outer_grid(self):
         k = np.array([0.5, 2.0])
         x = np.array([0.1, 1.0, 3.0])
-        out = bessel_j_outer(2, k, x)
+        out = bessel_j_outer(2, k, x, {})
         assert out.shape == (2, 3)
         assert out[1, 2] == pytest.approx(jv(2, 6.0), abs=1e-15)
 
     def test_outer_negative_orders_bitwise(self):
-        # J_{-m} = (-1)^m J_m folds negative orders onto the cached |m| table
+        # J_{-m} = (-1)^m J_m folds negative orders onto the memoized |m| table
         k = np.array([0.0, 0.37, 1.0, 2.5])
         x = np.linspace(0.0, 40.0, 301)
+        tables = {}
         for m in range(-8, 9):
-            out = bessel_j_outer(m, k, x)
+            out = bessel_j_outer(m, k, x, tables)
             assert out.view(np.int64).tolist() == jv(m, np.outer(k, x)).view(np.int64).tolist(), m
+        assert len(tables) == 9
 
     def test_outer_tables_are_read_only(self):
+        tables = {}
         for m in (3, -3, -4):
-            out = bessel_j_outer(m, np.array([0.5, 1.5]), np.array([0.1, 2.0]))
+            out = bessel_j_outer(m, np.array([0.5, 1.5]), np.array([0.1, 2.0]), tables)
             assert not out.flags.writeable
             with pytest.raises(ValueError):
                 out[0, 0] = 1.0
 
-    def test_outer_cache_is_capped(self):
-        x = np.linspace(0.0, 5.0, 7)
-        scales = 1.0 + np.arange(specfun._OUTER_CACHE_SIZE + 5)
-        for s in scales:
-            bessel_j_outer(1, np.array([s]), x)
-        assert len(specfun._OUTER_CACHE) <= specfun._OUTER_CACHE_SIZE
-        # the newest table is kept, the oldest dropped
-        assert (1, scales[:1].tobytes(), x.tobytes()) not in specfun._OUTER_CACHE
-        assert (1, scales[-1:].tobytes(), x.tobytes()) in specfun._OUTER_CACHE
-
-    def test_cached_quadrature_suite_repeats(self):
-        from besselbeams.verify import quadrature_suite
-
-        specfun._OUTER_CACHE.clear()
-        first = [r.to_dict() for r in quadrature_suite(margin=0.25)]
-        cached = dict(specfun._OUTER_CACHE)
-        second = [r.to_dict() for r in quadrature_suite(margin=0.25)]
-        # every table came from the cache: same keys, same array objects
-        assert specfun._OUTER_CACHE.keys() == cached.keys()
-        assert all(specfun._OUTER_CACHE[key] is table for key, table in cached.items())
-        assert second == first
+    def test_outer_tables_live_in_the_callers_dict(self):
+        k, x = np.array([0.5, 1.5]), np.linspace(0.0, 5.0, 7)
+        tables = {}
+        first = bessel_j_outer(1, k, x, tables)
+        key = (1, k.tobytes(), x.tobytes())
+        assert list(tables) == [key] and tables[key] is first
+        assert bessel_j_outer(-1, k, x, tables) is not first and len(tables) == 1
+        assert bessel_j_outer(1, k, x, tables) is first
+        assert bessel_j_outer(1, k + 1.0, x, tables) is not first  # keyed on the k bytes
+        other = {}
+        assert bessel_j_outer(1, k, x, other) is not first
+        assert np.array_equal(other[key], first)
+        # nothing is memoized in the module itself
+        mutable = [name for name, v in vars(specfun).items()
+                   if isinstance(v, (dict, list, set)) and not name.startswith("__")]
+        assert not mutable
 
     def test_order_cap(self):
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ import json
 import math
 import time
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -305,30 +306,75 @@ def _branching_volume_integral(F1, F2, quad, table, conjugate):
     return out
 
 
+def _copy_field(F):
+    """F with copied coefficient arrays, so a record does not keep F's own alive."""
+    return F._replace(comps=tuple(c._replace(coeff=c.coeff.copy()) for c in F.comps))
+
+
+@pytest.fixture(scope="module")
+def recorded_suite():
+    """One quadrature_suite(rel_tol=1e-14, margin=0.25) run, recorded.
+
+    The contractions and smears do not depend on rel_tol, so the run serves
+    every test below.  Returns a namespace of: the results; the fields each
+    pass smears, by (n_kp, n_kz); whether each coarse-pass coefficient array
+    and Bessel table was alive when the fine pass smeared its first field;
+    the Bessel tables specfun.jv computed, as (phase, |m|, grid digest); the
+    liveness of every table once the suite returned; and a copy of the
+    fields and the domain of each volume_dot/volume_cross call.
+    """
+    smear, jv, originals = verify.smear_mode, specfun.jv, (verify.volume_dot, verify.volume_cross)
+    rec = SimpleNamespace(passes={}, coeffs_alive_at_fine=[], tables_alive_at_fine=[],
+                          tables=[], contractions=[], phase="coarse")
+    coarse_coeffs, table_refs = [], []
+
+    def smearing(which, wp, n_kp, n_kz):
+        if which in ("M", "N"):  # E and B belong to the energy-per-photon packet
+            if rec.passes and (n_kp, n_kz) not in rec.passes:  # the fine pass's first field
+                rec.phase = "fine"
+                rec.coeffs_alive_at_fine.extend(ref() is not None for ref in coarse_coeffs)
+                rec.tables_alive_at_fine.extend(ref() is not None for ref in table_refs)
+            rec.passes.setdefault((n_kp, n_kz), []).append((which, wp.m, wp.k_z_center))
+        else:
+            rec.phase = "energy"
+        F = smear(which, wp, n_kp, n_kz)
+        if len(rec.passes) == 1 and which in ("M", "N"):
+            # a SmearedField is a tuple, which takes no weakref
+            coarse_coeffs.extend(weakref.ref(c.coeff) for c in F.comps)
+        return F
+
+    def computing(order, arg):
+        out = jv(order, arg)
+        if np.ndim(arg) == 2:  # a bessel_j_outer table
+            rec.tables.append((rec.phase, order, hash(arg.tobytes())))
+            table_refs.append(weakref.ref(out))
+        return out
+
+    def recording(fn):
+        def wrapped(F1, F2, quad, conjugate=True):
+            rec.contractions.append((_copy_field(F1), _copy_field(F2), quad.dom))
+            return fn(F1, F2, quad, conjugate)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "smear_mode", smearing)
+        mp.setattr(specfun, "jv", computing)
+        for fn in originals:
+            mp.setattr(verify, fn.__name__, recording(fn))
+        rec.results = verify.quadrature_suite(rel_tol=1e-14, margin=0.25)
+        rec.tables_alive_after = [ref() is not None for ref in table_refs]
+    return rec
+
+
 class TestOneContractionPath:
-    @pytest.fixture(scope="class")
-    def contracted(self):
-        """(F1, F2, quad) of every contraction quadrature_suite makes at margin 0.25."""
-        seen = {}
-
-        def recording(fn):
-            def wrapped(F1, F2, quad, conjugate=True):
-                seen.setdefault((id(F1), id(F2), id(quad)), (F1, F2, quad))
-                return fn(F1, F2, quad, conjugate)
-            return wrapped
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, "volume_dot", recording(verify.volume_dot))
-            mp.setattr(verify, "volume_cross", recording(verify.volume_cross))
-            verify.quadrature_suite(margin=0.25)
-        return list(seen.values())
-
-    def test_equals_the_branching_contraction_exactly(self, contracted):
-        # 8 pairs on both the coarse and the fine pass, 4 more on the coarse
-        # one, and E.E*, B.B* for the energy per photon
-        assert len(contracted) == 22
-        nonzero = set()
-        for F1, F2, quad in contracted:
+    def test_equals_the_branching_contraction_exactly(self, recorded_suite):
+        # 8 contractions on both the coarse and the fine pass, 5 more on the
+        # coarse one (M1 and M_up both dotted and crossed), and E.E*, B.B* for
+        # the energy per photon
+        assert len(recorded_suite.contractions) == 23
+        quads, nonzero = {}, set()
+        for F1, F2, dom in recorded_suite.contractions:
+            quad = quads.setdefault(dom, _CylinderQuadrature(dom))
             for conjugate in (True, False):
                 dot = verify.volume_dot(F1, F2, quad, conjugate)
                 cross = verify.volume_cross(F1, F2, quad, conjugate)
@@ -337,6 +383,7 @@ class TestOneContractionPath:
                 if dot != 0 or any(cross.values()):
                     nonzero.add(conjugate)
         assert nonzero == {True, False}
+        assert len(quads) == 3  # coarse, fine, energy per photon
 
     def test_conj_is_an_involution_on_shared_k_perp_nodes(self):
         wp = WavepacketSpec(TM, 2, 1.0, 0.08, 2.0, 0.12)
@@ -358,10 +405,10 @@ class TestOneContractionPath:
 
 
 class TestQuadratureInconclusive:
-    def test_unconverged_relations_are_inconclusive(self):
+    def test_unconverged_relations_are_inconclusive(self, recorded_suite):
         # at margin 0.25 the refined relations converge to 2e-16..7.2e-13,
         # so a 1e-14 tolerance cannot decide seven of them
-        results = verify.quadrature_suite(rel_tol=1e-14, margin=0.25)
+        results = recorded_suite.results
         inconclusive = [r for r in results if r.inconclusive]
         assert (len(results), len(inconclusive)) == (14, 7)
         for r in inconclusive:
@@ -371,30 +418,55 @@ class TestQuadratureInconclusive:
 
 
 class TestQuadraturePasses:
-    def test_each_pass_smears_what_it_reads_and_drops_the_coarse_fields(self, monkeypatch):
-        smear = verify.smear_mode
-        passes = {}  # (n_kp, n_kz) -> (vector, m, k_z centre) of each smeared field
-        coarse_coeffs, alive_at_fine = [], []
-
-        def recording(which, wp, n_kp, n_kz):
-            if which in ("M", "N"):  # E and B belong to the energy-per-photon packet
-                if passes and (n_kp, n_kz) not in passes:  # the fine pass's first field
-                    alive_at_fine.extend(ref() is not None for ref in coarse_coeffs)
-                passes.setdefault((n_kp, n_kz), []).append((which, wp.m, wp.k_z_center))
-            F = smear(which, wp, n_kp, n_kz)
-            if len(passes) == 1 and which in ("M", "N"):
-                # a SmearedField is a tuple, which takes no weakref
-                coarse_coeffs.extend(weakref.ref(c.coeff) for c in F.comps)
-            return F
-
-        monkeypatch.setattr(verify, "smear_mode", recording)
-        verify.quadrature_suite(margin=0.25)
-        coarse, fine = passes.values()
+    def test_each_pass_smears_what_it_reads_and_drops_the_coarse_fields(self, recorded_suite):
+        coarse, fine = recorded_suite.passes.values()
         assert (len(coarse), len(fine)) == (9, 6)
         # N_up, M_rev and N_rev are read by the structural zeros alone
         assert set(coarse) - set(fine) == {("N", 3, 2.0), ("M", -2, -2.0), ("N", -2, -2.0)}
-        assert len(alive_at_fine) == len(coarse_coeffs) > 0
-        assert not any(alive_at_fine)
+        alive = recorded_suite.coeffs_alive_at_fine
+        assert len(alive) > 0 and not any(alive)
+
+    def test_each_bessel_table_is_computed_once(self, recorded_suite):
+        tables = recorded_suite.tables
+        # the three quadratures' radial grids differ, so they share no table
+        assert len(set(tables)) == len(tables) == 15
+        assert [phase for phase, *_ in tables] == ["coarse"] * 6 + ["fine"] * 6 + ["energy"] * 3
+
+    def test_coarse_tables_die_before_the_fine_pass_smears(self, recorded_suite):
+        alive = recorded_suite.tables_alive_at_fine
+        assert len(alive) == 6 and not any(alive)
+
+    def test_no_table_outlives_the_suite(self, recorded_suite):
+        alive = recorded_suite.tables_alive_after
+        assert len(alive) == 15 and not any(alive)
+
+    def test_a_second_run_gives_the_same_results(self, recorded_suite):
+        # it computes every table afresh; rel_tol moves only the verdicts
+        again = verify.quadrature_suite(margin=0.25)
+        assert [(r.name, r.residual, r.notes) for r in again] == [
+            (r.name, r.residual, r.notes) for r in recorded_suite.results
+        ]
+        assert sum(r.inconclusive for r in again) == 0
+
+
+class TestRadialKernel:
+    @pytest.mark.parametrize("a", [-3, -1, 0, 1, 3])
+    def test_matches_the_lommel_closed_form(self, a):
+        # two k_perp grids in one quadrature: a table memo that ignored the
+        # k bytes would hand F1's table to F2
+        wp = WavepacketSpec(TM, 2, 1.0, 0.08, 2.0, 0.12)
+        dom = default_domain(wp)
+        F1, F2 = (smear_mode("M", replace(wp, k_perp_center=kc), 24, 24) for kc in (1.0, 1.05))
+        quad = _CylinderQuadrature(dom)
+        for G in (F1, F2):
+            got = quad.radial(F1, G, a, a, 0)
+            want = np.array([
+                [specfun.lommel_overlap_equal(a, k, dom.R) if k == k2
+                 else specfun.lommel_overlap(a, k, k2, dom.R) for k2 in G.kp_nodes]
+                for k in F1.kp_nodes
+            ])
+            assert got.shape == want.shape == (24, 24)
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
 class TestSphericalSuite:
