@@ -318,6 +318,8 @@ def _field_samples(which, K, norm, p):
 def _mode_index(family, args, c):
     """ModeIndex of the --m, --kperp and --kz flags, refused when it is
     invalid or its omega = c hypot(k_perp, k_z) underflows to 0."""
+    if abs(args.m) >= MAX_ORDER:  # M and N read J_(m+/-1)
+        raise UsageError(f"--m must lie in [{1 - MAX_ORDER}, {MAX_ORDER - 1}], got {args.m}")
     try:
         K = ModeIndex(family, args.m, args.kperp, args.kz)
     except ValueError as exc:
@@ -517,10 +519,8 @@ def cmd_expand(args, cfg):
     rho = args.rho_sample if args.rho_sample is not None else 1.5 / args.kperp
     if rho < 0:
         raise UsageError("--rho-sample must be >= 0")
-    if args.jmax < max(1, abs(args.m)):
-        raise UsageError(f"--jmax must be >= max(1, |m|), got {args.jmax} for m = {args.m}")
-    if args.jmax > MAX_ORDER:
-        raise UsageError(f"--jmax must be at most {MAX_ORDER}, got {args.jmax}")
+    if not max(1, abs(args.m)) <= args.jmax <= MAX_ORDER:
+        raise UsageError(f"--jmax must lie in [max(1, |m|), {MAX_ORDER}], got {args.jmax} for m = {args.m}")
     phi, z = 0.4, 0.2
     point = (rho * math.cos(phi), rho * math.sin(phi), z)
     p = CylPoint(rho, phi, z, 0.0)
@@ -639,6 +639,10 @@ def main(argv=None):
         # argparse uses 2 for usage errors and 0 for --help/--version
         return int(exc.code or 0)
     try:
+        # a bad --out costs no work; _write_output still maps a later OSError
+        out = args.out
+        if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise UsageError(f"cannot write {out}: it is a directory or its directory is missing")
         cfg = build_run_config(args.config)
         return args.func(args, cfg)
     except (UsageError, DomainError, LatticeError) as exc:

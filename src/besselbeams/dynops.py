@@ -11,12 +11,12 @@ Conventions
   an integrated density  int dk f(k) a^dag a  becomes  sum_j f_j b_j^dag b_j;
   the node weights cancel, and a lattice node is a bare wavenumber.  Every
   integrated operator is therefore a weight-free sum over nodes of a
-  per-node bilinear (the Pi / Lambda / Sigma families) times a grid
-  factor.  `TERMS` lists these sums, one table for the observables, the
-  summed Stokes operators and the grid-factor right-hand sides of the
-  commutator table; `assemble` turns an entry into COO triplets and
-  builds its operator in one construction.  Every builder hands its
-  triplets to `QuadraticOperator` as (vals, (rows, cols)).
+  per-node bilinear (Pi / Lambda / Sigma: rows of plain numbers, with an
+  m-coefficient c0 + c1 m) times a grid factor.  `TERMS` lists these sums,
+  one table for the observables, the summed Stokes operators and the
+  grid-factor right-hand sides of the commutator table; `assemble` turns an
+  entry into COO triplets and builds its operator in one construction.
+  Every builder hands `QuadraticOperator` its triplets as (vals, (rows, cols)).
 * Basis maps: the (+/-) and (R/L) maps mix only the (TM, TE) pair of one
   (m, node), so each is a `BasisMap` of per-pair 2 x 2 blocks, built
   node by node.
@@ -64,35 +64,35 @@ class Node(NamedTuple):
     w: float
 
 
-# Per-node bilinears: rows (row family, column family, m shift, coefficient in
-# m), each  sum_m coefficient(m) b^dag_{row family, m + shift} b_{column family, m}
-# over every m with both labels on the lattice.  EACH stands for each of the
-# two families, the same on both sides; 1 = TM and 2 = TE.
-EACH = None
+# Per-node bilinears: rows (row family, column family, m shift, c0, c1), each
+#   sum_m (c0 + c1 m) b^dag_{row family, m + shift} b_{column family, m}
+# over every m with both labels on the lattice; 1 = TM and 2 = TE.  A row is
+# plain numbers, so rows can be compared, shifted and multiplied exactly.
 # Pi_+ = i sum_m b^dag_{m-1} b_m,  Pi_3 = sum_m N_m
-PI_PLUS = ((EACH, EACH, -1, 1j),)
-PI_3 = ((EACH, EACH, 0, 1.0),)
+PI_PLUS = ((TM, TM, -1, 1j, 0), (TE, TE, -1, 1j, 0))
+PI_3 = ((TM, TM, 0, 1.0, 0), (TE, TE, 0, 1.0, 0))
 # Lambda_+ = i sum_m (m - 1/2) b^dag_{m-1} b_m,  Lambda_3 = sum_m m N_m
-LAMBDA_PLUS = ((EACH, EACH, -1, lambda m: 1j * (m - 0.5)),)
-LAMBDA_3 = ((EACH, EACH, 0, lambda m: m),)
+LAMBDA_PLUS = ((TM, TM, -1, -0.5j, 1j), (TE, TE, -1, -0.5j, 1j))
+LAMBDA_3 = ((TM, TM, 0, 0, 1), (TE, TE, 0, 0, 1))
 # Sigma_+ = (1/2) sum_m (b2^dag_m b1_{m-1} - b1^dag_m b2_{m-1}),
 # Sigma_3 = i sum_m (b1^dag_m b2_m - b2^dag_m b1_m)
-SIGMA_PLUS = ((TE, TM, 1, 0.5), (TM, TE, 1, -0.5))
-SIGMA_3 = ((TM, TE, 0, 1j), (TE, TM, 0, -1j))
+SIGMA_PLUS = ((TE, TM, 1, 0.5, 0), (TM, TE, 1, -0.5, 0))
+SIGMA_3 = ((TM, TE, 0, 1j, 0), (TE, TM, 0, -1j, 0))
 # Stokes sigma_0..sigma_3 on the (TM, TE) pair of one m:
 # sigma_0 = N1 + N2, sigma_1 = b1^dag b2 + b2^dag b1,
 # sigma_2 = i (b2^dag b1 - b1^dag b2), sigma_3 = N1 - N2
 STOKES = (
-    ((TM, TM, 0, 1.0), (TE, TE, 0, 1.0)),
-    ((TM, TE, 0, 1.0), (TE, TM, 0, 1.0)),
-    ((TE, TM, 0, 1j), (TM, TE, 0, -1j)),
-    ((TM, TM, 0, 1.0), (TE, TE, 0, -1.0)),
+    ((TM, TM, 0, 1.0, 0), (TE, TE, 0, 1.0, 0)),
+    ((TM, TE, 0, 1.0, 0), (TE, TM, 0, 1.0, 0)),
+    ((TE, TM, 0, 1j, 0), (TM, TE, 0, -1j, 0)),
+    ((TM, TM, 0, 1.0, 0), (TE, TE, 0, -1.0, 0)),
 )
 
 
-# Every lattice operator as a sum of (per-node bilinear, node factor) terms.
-# A node factor is Python float arithmetic on one Node, so each coefficient
-# is rounded the same way whatever the lattice size.
+# Every lattice operator as a sum of (per-node bilinear, node factor) terms,
+# with entry (c0 + c1 m) * factor at (m, node).  A node factor is Python float
+# arithmetic on one Node, so each coefficient is rounded the same way
+# whatever the lattice size.
 TERMS = {
     # energy = hbar sum w N_m,  number = sum N_m
     "energy": ((PI_3, lambda n: n.hbar * n.w),),
@@ -108,11 +108,11 @@ TERMS = {
     "S3": ((SIGMA_3, lambda n: n.hbar * n.c * n.kz / n.w),),
     # grid-factor right-hand sides of the commutator table in verify
     "[L+,L-]": ((LAMBDA_3, lambda n: 2.0 * n.hbar**2 * n.kz**2 / n.kp**2),),
-    "[L+,P+]": ((((EACH, EACH, -2, 1.0),), lambda n: n.hbar**2 * n.kz),),
+    "[L+,P+]": ((((TM, TM, -2, 1.0, 0), (TE, TE, -2, 1.0, 0)), lambda n: n.hbar**2 * n.kz),),
     "[S+,L3]": ((SIGMA_PLUS, lambda n: -(n.hbar**2) * n.c * n.kp / n.w),),
     # printed: -i hbar^2 sum (c k_z/w) sum_m (b2^dag_{m+1} b1_{m-1} - b1^dag_{m+1} b2_{m-1})
     "[S+,L-] printed": (
-        (((TE, TM, 2, -1j), (TM, TE, 2, 1j)), lambda n: n.hbar**2 * n.c * n.kz / n.w),
+        (((TE, TM, 2, -1j, 0), (TM, TE, 2, 1j, 0)), lambda n: n.hbar**2 * n.c * n.kz / n.w),
     ),
     # Stokes sigma_1..3 summed over every (m, node); the pairs are disjoint
     "sigma1": ((STOKES[1], lambda n: 1.0),),
@@ -130,10 +130,6 @@ def _nodes(lat: ModeLattice):
     ]
 
 
-def _coeff(coeff, m):
-    return coeff(m) if callable(coeff) else coeff
-
-
 def _triplets(lat: ModeLattice, name):
     """COO (rows, cols, values) of TERMS[name] summed over every node of `lat`."""
     m_min, m_max = lat.m_range
@@ -143,15 +139,11 @@ def _triplets(lat: ModeLattice, name):
     rows, cols, vals = [], [], []
     for bilinear, factor in TERMS[name]:
         F = np.array([factor(n) for n in nodes]).reshape(shape)
-        for row_fam, col_fam, shift, coeff in bilinear:
+        for row_fam, col_fam, shift, c0, c1 in bilinear:
             m = np.arange(max(m_min, m_min - shift), min(m_max, m_max - shift) + 1)[:, None, None]
-            v = _coeff(coeff, m) * F
-            pairs = [(f, f) for f in FAMILIES] if row_fam is EACH else [(row_fam, col_fam)]
-            for rf, cf in pairs:
-                r = lat.index(rf, m + shift, ip, iz)
-                rows.append(r.ravel())
-                cols.append(lat.index(cf, m, ip, iz).ravel())
-                vals.append(np.broadcast_to(v, r.shape).ravel())
+            rows.append(lat.index(row_fam, m + shift, ip, iz).ravel())
+            cols.append(lat.index(col_fam, m, ip, iz).ravel())
+            vals.append(((c0 + c1 * m) * F).ravel())
     # + 0.0 turns the -0.0 parts of the complex products into +0.0
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals) + 0.0
 
@@ -163,14 +155,14 @@ def assemble(lat: ModeLattice, name, s=0.0) -> QuadraticOperator:
 
 
 def _zero_point(lat: ModeLattice, name):
-    """Symmetrization c-number of a diagonal TERMS entry: (1/2) sum_m of its
-    coefficients, added node by node and family by family."""
+    """Symmetrization c-number of a diagonal TERMS entry: (1/2) sum_m of each
+    row's coefficients, added node by node and row (family) by row."""
     ms = np.array(lat.m_values)
     s = 0.0
-    for ((_, _, _, coeff),), factor in TERMS[name]:
-        half = 0.5 * np.sum(np.broadcast_to(_coeff(coeff, ms), ms.shape))
+    for bilinear, factor in TERMS[name]:
+        halves = [0.5 * np.sum(c0 + c1 * ms) for *_, c0, c1 in bilinear]
         for n in _nodes(lat):
-            for _ in FAMILIES:
+            for half in halves:
                 s += half * factor(n)
     return s
 
@@ -181,7 +173,7 @@ def build_stokes(lat: ModeLattice, ip, iz, m):
     idx = {f: lat.index(f, m, ip, iz) for f in FAMILIES}
     ops = []
     for rows in STOKES:
-        row_fams, col_fams, _, vals = zip(*rows)
+        row_fams, col_fams, _, vals, _ = zip(*rows)
         ij = ([idx[f] for f in row_fams], [idx[f] for f in col_fams])
         ops.append(QuadraticOperator(lat, (vals, ij)))
     return tuple(ops)
@@ -199,8 +191,8 @@ def stokes_expectations(lat: ModeLattice, alpha):
     out = []
     for rows in STOKES[1:]:
         y = np.zeros_like(x)  # sigma_k a
-        for row_fam, col_fam, _, coeff in rows:
-            y[FAMILIES.index(row_fam)] += coeff * x[FAMILIES.index(col_fam)]
+        for row_fam, col_fam, _, c0, _ in rows:
+            y[FAMILIES.index(row_fam)] += c0 * x[FAMILIES.index(col_fam)]
         re = (x.real * y.real).sum(0) + (x.imag * y.imag).sum(0)
         im = (x.real * y.imag).sum(0) - (x.imag * y.real).sum(0)
         out.append((re + 0.0) + 1j * (im + 0.0))

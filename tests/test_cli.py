@@ -180,16 +180,29 @@ def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys, monkeypatch)
 
 OUT_COMMANDS = {
     "field": FIELD + ["--kz", "2", "--grid", "2x2"],
-    "verify": ["verify", "basis"],
+    "verify": ["verify", "all"],
     "expect": ["expect"],
     "expand": ["expand", "--m", "1", "--kperp", "1", "--kz", "2", "--jmax", "4"],
+}
+# the work each command does before it writes: none may run when --out is bad
+OUT_WORK = {
+    "field": ("_field_samples",),
+    "verify": ("commutator_suite", "basis_suite", "quadrature_suite", "spherical_suite"),
+    "expect": ("build_observables", "stokes_expectations"),
+    "expand": ("partial_sums",),
 }
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 @pytest.mark.parametrize("command", list(OUT_COMMANDS))
-def test_unwritable_out_is_a_usage_error(command, where, tmp_path, capsys):
-    # an IsADirectoryError or FileNotFoundError traceback with exit 1, before
+def test_unwritable_out_is_a_usage_error(command, where, tmp_path, capsys, monkeypatch):
+    # an IsADirectoryError or FileNotFoundError traceback with exit 1, and
+    # later exit 2 only after the work (13 s for verify all), before
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    for name in OUT_WORK[command]:
+        monkeypatch.setattr(cli, name, not_reached)
     out = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
     code, stdout, err = run(OUT_COMMANDS[command] + ["--out", str(out)], capsys)
     assert code == 2
@@ -197,6 +210,31 @@ def test_unwritable_out_is_a_usage_error(command, where, tmp_path, capsys):
     assert err.count("\n") == 1
     assert stdout == ""
     assert not (tmp_path / "missing").exists()
+
+
+MODE_COMMANDS = {
+    "field": ["field", "--family", "te", "--kperp", "1", "--kz", "2", "--grid", "2x2"],
+    "expand": ["expand", "--kperp", "1", "--kz", "2", "--jmax", "199"],
+}
+
+
+@pytest.mark.parametrize("m", [199, -199])
+@pytest.mark.parametrize("command", list(MODE_COMMANDS))
+def test_largest_order_is_accepted(command, m, capsys):
+    code, out, err = run(MODE_COMMANDS[command] + ["--m", str(m)], capsys)
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("m", [200, -200])
+@pytest.mark.parametrize("command", list(MODE_COMMANDS))
+def test_order_past_the_largest_names_the_flag(command, m, tmp_path, capsys):
+    # "Bessel order |m|=201 exceeds 200", an order never given, before
+    out = tmp_path / "out"
+    code, _, err = run(MODE_COMMANDS[command] + ["--m", str(m), "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"besselbeams: error: --m must lie in [-199, 199], got {m}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
