@@ -52,6 +52,7 @@ from .modes import (
 from .specfun import MAX_ORDER, DomainError
 from .verify import (
     ALG_TOL,
+    QUAD_MARGIN,
     QUAD_REL_TOL,
     SPHERICAL_TOL,
     basis_suite,
@@ -152,7 +153,7 @@ class RunConfig:
     k_perp: tuple = _key("lattice.k_perp", (0.5, 1.0, 1.5), parse_float_list, _show_list,
                          positive=False)
     k_z: tuple = _key("lattice.k_z", (1.0, 2.0), parse_float_list, _show_list, positive=False)
-    quad_margin: float = _key("quadrature.margin", 2.0, float, _show_number, positive=True)
+    quad_margin: float = _key("quadrature.margin", QUAD_MARGIN, float, _show_number, positive=True)
     tol_algebra: float = _key("tol.algebra", ALG_TOL, float, _show_number, positive=True)
     tol_quadrature: float = _key("tol.quadrature", QUAD_REL_TOL, float, _show_number, positive=True)
     tol_spherical: float = _key("tol.spherical", SPHERICAL_TOL, float, _show_number, positive=True)
@@ -162,7 +163,7 @@ class RunConfig:
                                 ";".join, positive=False)
 
     def __post_init__(self):
-        # one check for file values and flag overrides (--tol) alike
+        # one check for file values and flag overrides alike
         for f in fields(self):
             value = getattr(self, f.name)
             if f.metadata["positive"] and not (math.isfinite(value) and value > 0):
@@ -173,8 +174,8 @@ class RunConfig:
         for key, value in (("units.hbar", self.hbar), ("units.c", self.c)):
             if not lo <= value <= hi:
                 raise UsageError(f"{key} must lie in [{lo:g}, {hi:g}], got {_fmt(value)}")
-        # the quadrature suite's time and memory grow about as the margin
-        # squared: 16 s and 0.36 GB at the default 2, 68 s and 1.1 GB at 4
+        # `verify all` takes 1.5 s and 80 MB at the default 0.25, 17 s and
+        # 0.37 GB at 2, 66 s and 1.1 GB at 4 (one BLAS thread, 2-core host)
         if self.quad_margin > 4.0:
             raise UsageError(f"quadrature.margin must be at most 4, got {_fmt(self.quad_margin)}")
 
@@ -399,8 +400,6 @@ def cmd_verify(args, cfg):
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {SUITES}")
     cfg, lat = _with_lattice_flags(args, cfg)
-    if args.tol is not None:
-        cfg = replace(cfg, tol_algebra=args.tol)
 
     results = []
     # units and wavenumbers at the ends of their ranges can overflow a
@@ -606,7 +605,6 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run a verification suite (JSON report)")
     p_verify.add_argument("suite", help="commutators, basis, quadrature, spherical or all")
     _add_lattice_flags(p_verify)
-    p_verify.add_argument("--tol", type=float, default=None, help="algebra tolerance")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -68,6 +68,7 @@ from .modes import (
 ALG_TOL = 1e-12
 STOKES_TOL = 1e-13
 QUAD_REL_TOL = 1e-3
+QUAD_MARGIN = 0.25  # k_counts margin; a larger one buys k-resolution for a tighter QUAD_REL_TOL
 SPHERICAL_TOL = 1e-3
 AZIMUTHAL_TOL = 1e-6
 
@@ -592,7 +593,7 @@ def smear_mode(which, wp: WavepacketSpec, n_kp, n_kz):
     return SmearedField(kp, wkp, kz, wkz, comps)
 
 
-def k_counts(wp: WavepacketSpec, dom: QuadratureDomain, margin=2.0):
+def k_counts(wp: WavepacketSpec, dom: QuadratureDomain, margin=QUAD_MARGIN):
     """Composite k-node counts resolving the finite-domain overlap kernels.
 
     The truncated radial/axial overlaps oscillate in the difference
@@ -781,7 +782,7 @@ def _contract(F: _PassFields, f1, f2, product, conjugate):
     return volume_cross(F[f1], F[f2], F.quad, conjugate)
 
 
-def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
+def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=QUAD_MARGIN):
     """Wavepacket-smeared volume integrals over a finite cylinder.
 
     The carrier packet is TM, m = 2, centered at (k_perp, k_z) = (1, 2)
@@ -915,7 +916,7 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=2.0):
     return _sorted(results)
 
 
-def energy_per_photon_check(margin=2.0):
+def energy_per_photon_check(margin=QUAD_MARGIN):
     """(1/4pi) int (|E|^2 + |B|^2) dV = hbar * mean(omega) for a unit packet,
     to 1% for a TM, m = 1 packet of relative width 0.02 at (1, 2)."""
     wp = WavepacketSpec(TM, 1, 1.0, 0.02, 2.0, 0.04)

@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
@@ -29,7 +28,6 @@ from besselbeams.specfun import lommel_overlap
 from besselbeams.verify import (
     basis_suite,
     commutator_suite,
-    quadrature_suite,
     spherical_suite,
 )
 
@@ -167,14 +165,6 @@ def test_05_rl_basis_claims():
         and slope.passed and slope.residual <= 0.05
     )
     _report(5, "R/L basis: S3 diagonal, cross-term coefficient, paraxial slope", ok)
-
-
-@pytest.fixture(scope="module")
-def default_quadrature():
-    """(results, seconds) of one quadrature_suite() run at the default margin 2."""
-    t0 = time.monotonic()
-    results = quadrature_suite()
-    return results, time.monotonic() - t0
 
 
 def test_06_wavepacket_quadrature(default_quadrature):

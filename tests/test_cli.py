@@ -86,7 +86,7 @@ class EnvConfig(bytes):
         (["verify", "commutators", "--m-range=0..2"], None),
         (["verify", "commutators", "--kperp", "0"], None),
         (["verify", "commutators", "--kperp", "nan"], None),
-        (["verify", "commutators", "--tol", "nan"], None),
+        (["verify", "commutators"], "tol.algebra = nan"),
         (["verify", "basis", "--kz", "inf"], None),
         (FIELD + ["--kz", "nan", "--grid", "2x2"], None),
         (FIELD + ["--kz", "inf", "--grid", "2x2"], None),

@@ -1,25 +1,34 @@
-"""Mutants of the term table: each must make the algebra suites fail.
+"""Mutants of the tables and formulas that the suites check: each must make
+a suite fail.
 
-Every mutant replaces one `dynops.TERMS` entry for the length of a test, by
-monkeypatching the table; nothing in the package knows about mutants.  A
-mutant is killed when `commutator_suite` plus `basis_suite` on the default
-lattice report at least one unexpected failure: a relation that neither
-passes, nor is inconclusive, nor is flagged in `cli.DEFAULT_EXPECTED_FAIL`.
+Every mutant replaces one table entry or function for the length of a test,
+by monkeypatching; nothing in the package knows about mutants.  A mutant is
+killed when the suites it reaches report at least one unexpected failure: a
+relation that neither passes, nor is inconclusive, nor is flagged in
+`cli.DEFAULT_EXPECTED_FAIL`.
 """
+
+import operator
 
 import pytest
 
-from besselbeams import cli, dynops
-from besselbeams.verify import basis_suite, commutator_suite
+from besselbeams import cli, dynops, modes, verify
+from besselbeams.modes import TE
+from besselbeams.verify import (
+    basis_suite, commutator_suite, energy_per_photon_check, quadrature_suite, spherical_suite,
+)
 
 
-def _unexpected_failures():
-    lat = cli.RunConfig().lattice()
-    results = commutator_suite(lat) + basis_suite(lat)
+def _unexpected(results):
     return [
         r.name for r in results
         if not r.passed and not r.inconclusive and r.name not in cli.DEFAULT_EXPECTED_FAIL
     ]
+
+
+def _unexpected_failures():
+    lat = cli.RunConfig().lattice()
+    return _unexpected(commutator_suite(lat) + basis_suite(lat))
 
 
 def _factor(name, mutate):
@@ -69,3 +78,108 @@ def test_mutant_is_killed(mutant, monkeypatch):
     assert entry != dynops.TERMS[name]
     monkeypatch.setitem(dynops.TERMS, name, entry)
     assert _unexpected_failures(), f"{mutant} survives the algebra suites"
+
+
+# Mutants of the mode vectors, basis maps, spherical harmonics and envelope
+# formulas.  Each applies itself to a monkeypatch and names suites to run:
+# for a killed mutant the cheapest suite that kills it, for a survivor every
+# suite that reads what it changes.
+
+_mode_terms, _pair_blocks = modes.mode_terms, dynops._pair_blocks
+_vsh_grid, _lplus_analytic = verify._vsh_grid, verify._lplus_analytic
+
+SUITES = {
+    "basis": lambda: basis_suite(cli.RunConfig().lattice()),
+    "quadrature": quadrature_suite,
+    # the one relation of the quadrature suite that reads FIELD_RULE
+    "energy per photon": lambda: [energy_per_photon_check()],
+    "spherical": spherical_suite,
+}
+
+
+def _term(vector, index, mutate):
+    """Patch mode_terms, in modes and in verify, so that term `index` of the
+    `vector` table ("M" or "N") becomes mutate(pol, order, coeff)."""
+    def mutated(which, *args, **kwargs):
+        table = _mode_terms(which, *args, **kwargs)
+        if which != vector:
+            return table
+        return table[:index] + (mutate(*table[index]),) + table[index + 1:]
+
+    def apply(mp):
+        mp.setattr(modes, "mode_terms", mutated)
+        mp.setattr(verify, "mode_terms", mutated)
+    return apply
+
+
+def _field_rule(key, value):
+    return lambda mp: mp.setitem(modes.FIELD_RULE, key, value)
+
+
+def _attr(owner, name, replacement):
+    return lambda mp: mp.setattr(owner, name, replacement)
+
+
+KILLED = {
+    "M e- coefficient x 1.001": (
+        _term("M", 0, lambda p, o, c: (p, o, 1.001 * c)), ("quadrature",)),
+    "M e- order m+1 -> m+2": (
+        _term("M", 0, lambda p, o, c: (p, o + 1, c)), ("spherical",)),  # and 5 quadrature rows
+    "N e- coefficient x 1.001": (
+        _term("N", 0, lambda p, o, c: (p, o, 1.001 * c)), ("spherical",)),
+    "N e- sign flipped": (
+        _term("N", 0, lambda p, o, c: (p, o, -c)), ("spherical",)),
+    "_pair_blocks beta x 1.001": (
+        _attr(dynops, "_pair_blocks",
+              lambda lat, beta: _pair_blocks(lat, lambda n: 1.001 * beta(n))), ("basis",)),
+    "Y^E x 1.001 in _vsh_grid": (
+        _attr(verify, "_vsh_grid",
+              lambda *args: (lambda ye, ym: (1.001 * ye, ym))(*_vsh_grid(*args))), ("spherical",)),
+    # Flipping the sign of Y^M is an equivalent mutant, so it is not listed:
+    # the sign cancels between the projection onto Y^M and the reconstruction
+    # from it.
+}
+
+# Survivors, with the residuals each leaves.  No relation reads the TE rows
+# of FIELD_RULE, because the energy-per-photon packet is TM.
+SURVIVORS = {
+    "N e3 coefficient x 1.001": (
+        _term("N", 2, lambda p, o, c: (p, o, 1.001 * c)), ("quadrature", "spherical"),
+        "residuals up to 5.0e-4 (int N x M'* e-/e+ rows) and 4.4e-4 (spherical "
+        "reconstruction), under tol.quadrature = tol.spherical = 1e-3"),
+    "FIELD_RULE E TE sign flipped": (
+        _field_rule(("E", TE), ("M", operator.pos)), ("energy per photon",),
+        "the TM packet reads no TE row; the residual stays 1.1e-12"),
+    "FIELD_RULE B TE set to M": (
+        _field_rule(("B", TE), ("M", operator.pos)), ("energy per photon",),
+        "the TM packet reads no TE row; the residual stays 1.1e-12"),
+    "_lplus_analytic x 1.001": (
+        _attr(verify, "_lplus_analytic", lambda *args: 1.001 * _lplus_analytic(*args)),
+        ("quadrature",),
+        "the L+ element and its reflected companion move to 9.99e-4, under tol.quadrature = 1e-3"),
+}
+
+
+def _suite_failures(apply, suites, monkeypatch):
+    apply(monkeypatch)
+    return [name for suite in suites for name in _unexpected(SUITES[suite]())]
+
+
+def test_unmutated_fields_have_no_unexpected_failure(default_quadrature):
+    results, _ = default_quadrature
+    assert _unexpected(results + spherical_suite()) == []
+
+
+@pytest.mark.parametrize("mutant", list(KILLED))
+def test_field_mutant_is_killed(mutant, monkeypatch):
+    apply, suites = KILLED[mutant]
+    assert _suite_failures(apply, suites, monkeypatch), f"{mutant} survives {suites}"
+
+
+@pytest.mark.parametrize("mutant", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=f"survives: {reason}"))
+    for name, (_, _, reason) in SURVIVORS.items()
+])
+def test_surviving_field_mutant_is_killed(mutant, monkeypatch):
+    apply, suites, _ = SURVIVORS[mutant]
+    assert _suite_failures(apply, suites, monkeypatch), f"{mutant} survives {suites}"

@@ -313,7 +313,7 @@ def _copy_field(F):
 
 @pytest.fixture(scope="module")
 def recorded_suite():
-    """One quadrature_suite(rel_tol=1e-14, margin=0.25) run, recorded.
+    """One quadrature_suite(rel_tol=1e-14) run, recorded.
 
     The contractions and smears do not depend on rel_tol, so the run serves
     every test below.  Returns a namespace of: the results; the fields each
@@ -361,7 +361,7 @@ def recorded_suite():
         mp.setattr(specfun, "jv", computing)
         for fn in originals:
             mp.setattr(verify, fn.__name__, recording(fn))
-        rec.results = verify.quadrature_suite(rel_tol=1e-14, margin=0.25)
+        rec.results = verify.quadrature_suite(rel_tol=1e-14)
         rec.tables_alive_after = [ref() is not None for ref in table_refs]
     return rec
 
@@ -406,7 +406,7 @@ class TestOneContractionPath:
 
 class TestQuadratureInconclusive:
     def test_unconverged_relations_are_inconclusive(self, recorded_suite):
-        # at margin 0.25 the refined relations converge to 2e-16..7.2e-13,
+        # at the default margin the refined relations converge to 2e-16..7.2e-13,
         # so a 1e-14 tolerance cannot decide seven of them
         results = recorded_suite.results
         inconclusive = [r for r in results if r.inconclusive]
@@ -440,9 +440,9 @@ class TestQuadraturePasses:
         alive = recorded_suite.tables_alive_after
         assert len(alive) == 15 and not any(alive)
 
-    def test_a_second_run_gives_the_same_results(self, recorded_suite):
+    def test_a_second_run_gives_the_same_results(self, recorded_suite, default_quadrature):
         # it computes every table afresh; rel_tol moves only the verdicts
-        again = verify.quadrature_suite(margin=0.25)
+        again, _ = default_quadrature
         assert [(r.name, r.residual, r.notes) for r in again] == [
             (r.name, r.residual, r.notes) for r in recorded_suite.results
         ]
