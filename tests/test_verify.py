@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -321,11 +325,16 @@ def recorded_suite():
     and Bessel table was alive when the fine pass smeared its first field;
     the Bessel tables specfun.jv computed, as (phase, |m|, grid digest); the
     liveness of every table once the suite returned; and a copy of the
-    fields and the domain of each volume_dot/volume_cross call.
+    fields and the domain of each volume_dot/volume_cross call; every radial
+    kernel call, as (phase, domain, k_perp grids, orders, rho power); and the
+    number of radial calls each suite contraction made, by its (field, field,
+    product, conjugate).
     """
     smear, jv, originals = verify.smear_mode, specfun.jv, (verify.volume_dot, verify.volume_cross)
+    radial, contract = _CylinderQuadrature.radial, verify._contract
     rec = SimpleNamespace(passes={}, coeffs_alive_at_fine=[], tables_alive_at_fine=[],
-                          tables=[], contractions=[], phase="coarse")
+                          tables=[], contractions=[], radial=[], contraction_radial=[],
+                          phase="coarse")
     coarse_coeffs, table_refs = [], []
 
     def smearing(which, wp, n_kp, n_kz):
@@ -356,9 +365,21 @@ def recorded_suite():
             return fn(F1, F2, quad, conjugate)
         return wrapped
 
+    def radial_recording(quad, F1, F2, o1, o2, p):
+        rec.radial.append((rec.phase, quad.dom, F1.kp_nodes, F2.kp_nodes, o1, o2, p))
+        return radial(quad, F1, F2, o1, o2, p)
+
+    def contracting(F, f1, f2, product, conjugate):
+        before = len(rec.radial)
+        out = contract(F, f1, f2, product, conjugate)
+        rec.contraction_radial.append(((f1, f2, product, conjugate), len(rec.radial) - before))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "smear_mode", smearing)
         mp.setattr(specfun, "jv", computing)
+        mp.setattr(_CylinderQuadrature, "radial", radial_recording)
+        mp.setattr(verify, "_contract", contracting)
         for fn in originals:
             mp.setattr(verify, fn.__name__, recording(fn))
         rec.results = verify.quadrature_suite(rel_tol=1e-14)
@@ -449,6 +470,68 @@ class TestQuadraturePasses:
         assert sum(r.inconclusive for r in again) == 0
 
 
+class TestLegendreRule:
+    def test_one_read_only_rule_per_size(self):
+        for n in (24, 64):
+            x, w = verify._legendre_rule(n)
+            assert verify._legendre_rule(n)[0] is x
+            assert not (x.flags.writeable or w.flags.writeable)
+            rx, rw = roots_legendre(n)
+            assert np.abs(x - rx).max() <= np.spacing(1.0)
+            assert np.abs(w - rw).max() <= 5e-15
+
+    def test_a_fresh_quadrature_run_never_imports_scipy_linalg(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        code = ("import sys; from besselbeams.cli import main; "
+                "rc = main(['verify', 'quadrature', '--out', 'q.json']); "
+                "print(rc, 'scipy.linalg' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+# the contractions behind each quadrature row, as (field, field, product, conjugate);
+# the computed companion reads the printed row's value, and the energy per
+# photon contracts its own packet outside the table
+PRINTED_LPLUS = ("Mf", "LM", "dot", False)
+ROW_CONTRACTIONS = {
+    "int M.M'* dV = (2pi)^2 int g g'* w^2/(kp kz^2)": [("M1", "M1", "dot", True)],
+    "int N.N'* dV = (2pi)^2 int g g'* w^2/(kp kz^2)": [("N1", "N1", "dot", True)],
+    "int M.N'* dV = 0": [("M1", "N1", "dot", True)],
+    "int N x M'* dV, m'=m: e3 coefficient = (2pi)^2 int g g'* w/(kp kz)": [("N1", "M1", "cross", True)],
+    "int N x M'* dV, m'=m+1: e- coefficient = (i/2)(2pi)^2 int g g'* w/kz^2": [("N1", "M_up", "cross", True)],
+    "int N x M'* dV, m'=m-1: e+ coefficient = -(i/2)(2pi)^2 int g g'* w/kz^2": [("N1", "M_dn", "cross", True)],
+    "int M'* . (L+ M) dV = envelope-derivative form, m' = m+1": [("LM", "Mp", "dot", True)],
+    "int M' . (L+ M) dV = 0 (printed)": [PRINTED_LPLUS],
+    "int M' . (L+ M) dV = (-1)^(m+1) x reflected conjugated element (computed)": [PRINTED_LPLUS],
+    "int M.M'* dV = 0 for m != m'": [("M1", "M_up", "dot", True)],
+    "int M x M'* dV = 0": [("M1", "M_up", "cross", True)],
+    "int N x N'* dV = 0": [("N1", "N_up", "cross", True)],
+    "int (M x N' - N x M') dV = 0": [("M1", "N_rev", "cross", False), ("N1", "M_rev", "cross", False)],
+}
+
+
+class TestQuadratureRows:
+    def test_exactly_the_two_rows_that_say_so_contract_nothing(self, recorded_suite):
+        per_contraction = {}
+        for key, n in recorded_suite.contraction_radial:
+            per_contraction[key] = per_contraction.get(key, 0) + n
+        assert set(per_contraction) == {c for cs in ROW_CONTRACTIONS.values() for c in cs}
+        counts = {"quadrature: " + name: sum(per_contraction[c] for c in cs)
+                  for name, cs in ROW_CONTRACTIONS.items()}
+        energy = "quadrature: energy per photon = hbar * mean omega"
+        counts[energy] = sum(phase == "energy" for phase, *_ in recorded_suite.radial)
+        results = {r.name: r for r in recorded_suite.results}
+        assert set(counts) == set(results)
+        empty = {"quadrature: int M.M'* dV = 0 for m != m'", "quadrature: int M x M'* dV = 0"}
+        assert {name for name, n in counts.items() if n == 0} == empty
+        for name in empty:
+            assert results[name].residual == 0
+            assert "contracts nothing" in results[name].notes
+        assert not any("contracts nothing" in results[name].notes for name in set(results) - empty)
+
+
 class TestRadialKernel:
     @pytest.mark.parametrize("a", [-3, -1, 0, 1, 3])
     def test_matches_the_lommel_closed_form(self, a):
@@ -466,7 +549,26 @@ class TestRadialKernel:
                 for k in F1.kp_nodes
             ])
             assert got.shape == want.shape == (24, 24)
-            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_the_suite_grids_match_four_times_the_nodes(self, recorded_suite):
+        # every (k_perp grids, orders, rho power) the suite reads, on each of its
+        # three radial grids, against the same kernel on 4x the nodes
+        carrier = default_domain(WavepacketSpec(TM, 2, 1.0, 0.08, 2.0, 0.12))
+        energy = default_domain(WavepacketSpec(TM, 1, 1.0, 0.02, 2.0, 0.04))
+        calls = {}
+        for _, dom, kp1, kp2, o1, o2, p in recorded_suite.radial:
+            calls.setdefault(dom, {})[kp1.tobytes(), kp2.tobytes(), o1, o2, p] = (kp1, kp2)
+        assert list(calls) == [carrier, carrier.scaled(1.5), energy]
+        assert [dom.n_radial for dom in calls] == [288, 648, 864]
+        for dom, kernels in calls.items():
+            quad = _CylinderQuadrature(dom)
+            ref = _CylinderQuadrature(replace(dom, n_radial=4 * dom.n_radial))
+            for (*_, o1, o2, p), (kp1, kp2) in kernels.items():
+                F1, F2 = SimpleNamespace(kp_nodes=kp1), SimpleNamespace(kp_nodes=kp2)
+                want = ref.radial(F1, F2, o1, o2, p)
+                err = np.abs(quad.radial(F1, F2, o1, o2, p) - want).max()
+                assert err <= 1e-14 * np.abs(want).max(), (dom, o1, o2, p)
 
 
 class TestSphericalSuite:
