@@ -174,8 +174,8 @@ class RunConfig:
         for key, value in (("units.hbar", self.hbar), ("units.c", self.c)):
             if not lo <= value <= hi:
                 raise UsageError(f"{key} must lie in [{lo:g}, {hi:g}], got {_fmt(value)}")
-        # `verify all` takes 1.1 s and 71 MB at the default 0.25, 12 s and
-        # 0.33 GB at 2, 60 s and 1.0 GB at 4 (one BLAS thread, 2-core host)
+        # `verify all` takes 1.4-1.7 s and 69 MB at the default 0.25, 10-14 s
+        # and 0.31 GB at 2, 48 s and 0.99 GB at 4 (one BLAS thread, 2-core host)
         if self.quad_margin > 4.0:
             raise UsageError(f"quadrature.margin must be at most 4, got {_fmt(self.quad_margin)}")
 

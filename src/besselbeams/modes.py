@@ -241,9 +241,14 @@ def hertz_fields(family, m, k_perp, k_z, p: CylPoint, c=1.0):
     return cartesian(e_rho, e_phi, e_z), cartesian(b_rho, b_phi, b_z)
 
 
-def scalar_angular_spectrum(m, k_perp, rho, phi, n_nodes):
+def _ring_nodes(m, k_perp, rho):
+    """Trapezoid nodes on the cone-azimuth ring that resolve J_m(k_perp rho) e^(i m phi)."""
+    return int(8 * (abs(m) + k_perp * rho + 8))
+
+
+def scalar_angular_spectrum(m, k_perp, rho, phi):
     """((-i)^m / 2 pi) closed contour quadrature reproducing J_m(k_perp rho) e^(i m phi)."""
-    phik = np.linspace(0.0, 2.0 * math.pi, n_nodes, endpoint=False)
+    phik = np.linspace(0.0, 2.0 * math.pi, _ring_nodes(m, k_perp, rho), endpoint=False)
     integrand = np.exp(1j * m * phik + 1j * k_perp * rho * np.cos(phi - phik))
     return (-1j) ** m * np.mean(integrand)
 
@@ -272,7 +277,7 @@ def angular_spectrum(which, m, k_perp, k_z, p: CylPoint, n_nodes=None, c=1.0):
 
     Returns (ComplexVec3, meta) where meta flags insufficient nodes.
     """
-    required = int(8 * (abs(m) + k_perp * p.rho + 8))
+    required = _ring_nodes(m, k_perp, p.rho)
     if n_nodes is None:
         n_nodes = required
     meta = {"n_nodes": n_nodes, "recommended": required, "converged": n_nodes >= required}

@@ -526,23 +526,20 @@ class QuadratureDomain:
         if min(self.R, self.Z) <= 0 or self.n_radial < 1:
             raise ValueError("QuadratureDomain needs positive extents and counts")
 
-    def scaled(self, factor):
-        return QuadratureDomain(self.R * factor, self.Z * factor, int(self.n_radial * factor * factor))
 
-
-def default_domain(wp: WavepacketSpec):
+def default_domain(wp: WavepacketSpec, scale=1.0):
     """Cylinder sized to the Gaussian spatial decay of the wavepacket:
-    8 decay lengths radially and axially.
+    8 decay lengths radially and axially, times `scale`.
 
     The radial rule is one 24-node Gauss-Legendre panel per two periods
     of J(k_perp,max rho), at least 8 panels.  On the suite's three domains
-    (this one for the carrier packet, its scaled(1.5), and the energy
-    packet's) every radial kernel matches a grid of 4x the nodes to
-    5e-15 of its largest entry; one panel per four periods misses by
-    4.8e-12 on the energy packet's domain.
+    (the carrier packet's at scale 1 and 1.5, and the energy packet's)
+    every radial kernel matches a grid of 4x the nodes to 4e-15 of its
+    largest entry; one panel per four periods misses by 4.8e-12 on the
+    energy packet's domain.
     """
-    R = 8.0 / wp.k_perp_width
-    Z = 8.0 / wp.k_z_width
+    R = 8.0 / wp.k_perp_width * scale
+    Z = 8.0 / wp.k_z_width * scale
     kp_max = wp.support()[0][1]
     n_rad = int(24 * max(8, math.ceil(kp_max * R / (4 * math.pi))))
     return QuadratureDomain(R, Z, n_rad)
@@ -607,8 +604,9 @@ def k_counts(wp: WavepacketSpec, dom: QuadratureDomain, margin=QUAD_MARGIN):
     """Composite k-node counts resolving the finite-domain overlap kernels.
 
     The truncated radial/axial overlaps oscillate in the difference
-    variable with period 2 pi / extent, so the k grids need roughly
-    (support width) x (extent) / (2 pi) panels.
+    variable with period 2 pi / extent, so each k grid gets
+    margin x (support width) x (extent) / (2 pi) panels of 24 nodes,
+    rounded up, and at least 4 panels.
     """
     n_kp = 24 * max(4, math.ceil(margin * 10 * wp.k_perp_width * dom.R / (2 * math.pi)))
     n_kz = 24 * max(4, math.ceil(margin * 10 * wp.k_z_width * dom.Z / (2 * math.pi)))
@@ -777,8 +775,8 @@ def _lplus_analytic(wp_m, wp_mp):
 class _PassFields(dict):
     """One pass's smeared fields by name, each smeared when first read.
 
-    `packets` maps a name to its (mode vector, packet); "LM" is L+ applied
-    to this pass's "M1".  The k-grids resolve the domain of `quad`.
+    `packets` maps a name to the (which, packet) that smear_mode takes; "LM"
+    is L+ applied to this pass's "M1".  The k-grids resolve the domain of `quad`.
     """
 
     def __init__(self, packets, quad: _CylinderQuadrature, margin):
@@ -814,10 +812,10 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=QUAD_MARGIN):
     delta-normalized product formulas to the Gaussian envelopes.
 
     The relations are one table, evaluated one pass at a time: a coarse
-    pass on the default domain, then a refinement pass (domain scaled by
-    1.5, with every k-grid rebuilt to match via k_counts).  A pass smears
-    a field when a relation first reads it and drops its fields before
-    the next pass starts.  A table relation reports its fine value, and
+    pass on the default domain, then a refinement pass (default_domain at
+    scale 1.5, with every k-grid rebuilt to match via k_counts).  A pass
+    smears a field when a relation first reads it and drops its fields
+    before the next pass starts.  A table relation reports its fine value, and
     |fine - coarse| is its convergence estimate; relations whose estimate
     exceeds the tolerance are reported inconclusive.  The structural
     zeros (the m != m' scalar product, M x M'*, N x N'* and the symmetric
@@ -827,7 +825,6 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=QUAD_MARGIN):
     them and they carry no estimate.
     """
     wp1 = WavepacketSpec(TM, 2, 1.0, 0.08, 2.0, 0.12)
-    dom = default_domain(wp1)
     wp_up = replace(wp1, m=wp1.m + 1, k_perp_center=1.05 * wp1.k_perp_center,
                     k_z_center=0.95 * wp1.k_z_center)
     up = replace(wp1, m=wp1.m + 1)
@@ -900,10 +897,10 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=QUAD_MARGIN):
 
     results = []
     coarse, fine = {}, {}
-    for values, dom_ in ((coarse, dom), (fine, dom.scaled(1.5))):
+    for values, size in ((coarse, 1.0), (fine, 1.5)):
         # rebinding F drops the previous pass's fields and Bessel tables before
         # this pass smears any
-        F = _PassFields(packets, _CylinderQuadrature(dom_), margin)
+        F = _PassFields(packets, _CylinderQuadrature(default_domain(wp1, size)), margin)
         for name, (f1, f2, product, pol, conjugate), *_ in table:
             values[name] = _contract(F, f1, f2, product, conjugate)[pol]
         if values is coarse:
@@ -943,18 +940,12 @@ def energy_per_photon_check(margin=QUAD_MARGIN):
     """(1/4pi) int (|E|^2 + |B|^2) dV = hbar * mean(omega) for a unit packet,
     to 1% for a TM, m = 1 packet of relative width 0.02 at (1, 2)."""
     wp = WavepacketSpec(TM, 1, 1.0, 0.02, 2.0, 0.04)
-    dom = default_domain(wp)
-    quad = _CylinderQuadrature(dom)
-    # envelope normalization int |g|^2 dk = 1
+    F = _PassFields({"E": ("E", wp), "B": ("B", wp)}, _CylinderQuadrature(default_domain(wp)), margin)
+    # a unit packet: the energy is divided by the envelope norm int |g|^2 dk
     nrm = _pair_integral(wp, lambda KP, KZ: np.ones_like(KP))
     omega_bar = _pair_integral(wp, lambda KP, KZ: np.hypot(KP, KZ)) / nrm
-    scale = 1.0 / math.sqrt(abs(nrm))
-    n_kp, n_kz = k_counts(wp, dom, margin)
-    E, B = (
-        F._replace(comps=tuple(c._replace(coeff=c.coeff * scale) for c in F.comps))
-        for F in (smear_mode(which, wp, n_kp, n_kz) for which in ("E", "B"))
-    )
-    energy = (volume_dot(E, E, quad) + volume_dot(B, B, quad)).real / (4 * math.pi)
+    field_sq = _contract(F, "E", "E", "dot", True)[""] + _contract(F, "B", "B", "dot", True)[""]
+    energy = field_sq.real / (4 * math.pi * abs(nrm))
     resid = abs(energy - omega_bar.real) / omega_bar.real
     return RelationResult(
         "quadrature: energy per photon = hbar * mean omega",
@@ -1079,7 +1070,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
     # (a) scalar identity
     worst = 0.0
     for rho, phi in [(0.3, 0.0), (1.1, 0.7), (2.4, -1.9), (5.0, 2.2)]:
-        lhs = scalar_angular_spectrum(m, k_perp, rho, phi, n_nodes=int(8 * (abs(m) + k_perp * rho + 8)))
+        lhs = scalar_angular_spectrum(m, k_perp, rho, phi)
         rhs = specfun.bessel_j(m, k_perp * rho) * np.exp(1j * m * phi)
         worst = max(worst, abs(lhs - rhs))
     results.append(

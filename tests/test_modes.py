@@ -258,7 +258,7 @@ class TestAngularSpectrum:
         from besselbeams.specfun import bessel_j
 
         for m, rho, phi in [(0, 0.5, 0.1), (2, 2.0, -0.8), (-3, 4.0, 2.5)]:
-            val = scalar_angular_spectrum(m, 1.3, rho, phi, n_nodes=8 * (abs(m) + int(1.3 * rho) + 8))
+            val = scalar_angular_spectrum(m, 1.3, rho, phi)
             ref = bessel_j(m, 1.3 * rho) * np.exp(1j * m * phi)
             assert abs(val - ref) < 1e-10
 

@@ -198,19 +198,25 @@ class TestWavepacketAndDomain:
         assert g[0] == pytest.approx(1.0)
 
     def test_domain_scaling(self):
-        wp = WavepacketSpec(TM, 1, 1.0, 0.1, 2.0, 0.1)
+        # one rule at every scale: the extents grow with it, and the radial
+        # grid keeps one 24-node panel per two periods of J(k_perp,max rho)
+        wp = WavepacketSpec(TM, 2, 1.0, 0.08, 2.0, 0.12)
+        kp_max = wp.support()[0][1]
         dom = default_domain(wp)
-        fine = dom.scaled(1.5)
-        assert fine.R == pytest.approx(1.5 * dom.R)
-        assert fine.n_radial >= 2 * dom.n_radial
+        for s in (1.0, 1.5, 2.0):
+            scaled = default_domain(wp, s)
+            # bit for bit, so the fine pass's cylinder is exactly (150, 100)
+            assert (scaled.R, scaled.Z) == (s * dom.R, s * dom.Z)
+            assert scaled.n_radial == 24 * max(8, math.ceil(kp_max * scaled.R / (4 * math.pi)))
+        fine = default_domain(wp, 1.5)
+        assert (fine.R, fine.Z, fine.n_radial) == (150.0, 100.0, 408)
         with pytest.raises(ValueError):
             QuadratureDomain(-1.0, 1.0, 8, 8)
 
     def test_k_counts_scale_with_domain(self):
         wp = WavepacketSpec(TM, 1, 1.0, 0.1, 2.0, 0.1)
-        dom = default_domain(wp)
-        n1 = k_counts(wp, dom)
-        n2 = k_counts(wp, dom.scaled(2.0))
+        n1 = k_counts(wp, default_domain(wp))
+        n2 = k_counts(wp, default_domain(wp, 2.0))
         assert n2[0] >= 2 * n1[0] - 24
         assert n2[1] >= 2 * n1[1] - 24
 
@@ -493,7 +499,7 @@ class TestLegendreRule:
 
 # the contractions behind each quadrature row, as (field, field, product, conjugate);
 # the computed companion reads the printed row's value, and the energy per
-# photon contracts its own packet outside the table
+# photon contracts its own packet's E and B
 PRINTED_LPLUS = ("Mf", "LM", "dot", False)
 ROW_CONTRACTIONS = {
     "int M.M'* dV = (2pi)^2 int g g'* w^2/(kp kz^2)": [("M1", "M1", "dot", True)],
@@ -509,6 +515,7 @@ ROW_CONTRACTIONS = {
     "int M x M'* dV = 0": [("M1", "M_up", "cross", True)],
     "int N x N'* dV = 0": [("N1", "N_up", "cross", True)],
     "int (M x N' - N x M') dV = 0": [("M1", "N_rev", "cross", False), ("N1", "M_rev", "cross", False)],
+    "energy per photon = hbar * mean omega": [("E", "E", "dot", True), ("B", "B", "dot", True)],
 }
 
 
@@ -520,8 +527,6 @@ class TestQuadratureRows:
         assert set(per_contraction) == {c for cs in ROW_CONTRACTIONS.values() for c in cs}
         counts = {"quadrature: " + name: sum(per_contraction[c] for c in cs)
                   for name, cs in ROW_CONTRACTIONS.items()}
-        energy = "quadrature: energy per photon = hbar * mean omega"
-        counts[energy] = sum(phase == "energy" for phase, *_ in recorded_suite.radial)
         results = {r.name: r for r in recorded_suite.results}
         assert set(counts) == set(results)
         empty = {"quadrature: int M.M'* dV = 0 for m != m'", "quadrature: int M x M'* dV = 0"}
@@ -554,13 +559,14 @@ class TestRadialKernel:
     def test_the_suite_grids_match_four_times_the_nodes(self, recorded_suite):
         # every (k_perp grids, orders, rho power) the suite reads, on each of its
         # three radial grids, against the same kernel on 4x the nodes
-        carrier = default_domain(WavepacketSpec(TM, 2, 1.0, 0.08, 2.0, 0.12))
+        carrier_wp = WavepacketSpec(TM, 2, 1.0, 0.08, 2.0, 0.12)
+        carrier = default_domain(carrier_wp)
         energy = default_domain(WavepacketSpec(TM, 1, 1.0, 0.02, 2.0, 0.04))
         calls = {}
         for _, dom, kp1, kp2, o1, o2, p in recorded_suite.radial:
             calls.setdefault(dom, {})[kp1.tobytes(), kp2.tobytes(), o1, o2, p] = (kp1, kp2)
-        assert list(calls) == [carrier, carrier.scaled(1.5), energy]
-        assert [dom.n_radial for dom in calls] == [288, 648, 864]
+        assert list(calls) == [carrier, default_domain(carrier_wp, 1.5), energy]
+        assert [dom.n_radial for dom in calls] == [288, 408, 864]
         for dom, kernels in calls.items():
             quad = _CylinderQuadrature(dom)
             ref = _CylinderQuadrature(replace(dom, n_radial=4 * dom.n_radial))
