@@ -52,6 +52,7 @@ from .modes import (
 from .specfun import MAX_ORDER, DomainError
 from .verify import (
     ALG_TOL,
+    FLAGGED,
     QUAD_MARGIN,
     QUAD_REL_TOL,
     SPHERICAL_TOL,
@@ -67,15 +68,8 @@ from .verify import expansion_coefficients, _spherical_wave_pair  # noqa: F401
 
 CONFIG_ENV = "BESSELBEAMS_CONFIG"
 
-# Relations whose printed form is known to disagree with the computed
-# algebra; they are reported pass=False by the suites and are expected.
-DEFAULT_EXPECTED_FAIL = (
-    "commutator: [S+,L+] = -hbar S3 (printed)",
-    "commutator: [S+,L-] = -i hbar^2 sum (c kz/omega)"
-    "(a1_{m-1} a2+_{m+1} - a2_{m-1} a1+_{m+1}) (printed)",
-    "quadrature: int M' . (L+ M) dV = 0 (printed)",
-    "spherical: printed u phase matches projection coefficient (flagged)",
-)
+# the flagged relations: reported pass=False by the suites, and expected
+DEFAULT_EXPECTED_FAIL = tuple(FLAGGED)
 
 
 # hbar and c enter the algebra squared: at hbar = 1e-160 hbar^2 is subnormal

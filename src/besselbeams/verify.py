@@ -16,8 +16,9 @@ Four suites, each returning a deterministic list of RelationResult:
   su(2) algebra.
 
 Relations whose commonly printed form disagrees with the computed
-algebra are reported with pass=False and the computed normal form in
-the notes; the suite checks, it does not patch.
+algebra are reported with pass=False, each beside a computed companion
+relation; FLAGGED maps one name to the other.  The suites check, they do
+not patch.
 
 All suites run with c = hbar = 1 unless the lattice says otherwise.
 """
@@ -105,6 +106,27 @@ def _sorted(results):
     return sorted(results, key=lambda r: r.name)
 
 
+# Relations whose printed form the computed algebra contradicts, each mapped to
+# the computed relation reported beside it.  The suites report a flagged
+# relation with pass=False; cli.DEFAULT_EXPECTED_FAIL is these names, in order.
+FLAGGED = {
+    "commutator: [S+,L+] = -hbar S3 (printed)":
+        "commutator: [S+,L+] = +(hbar/2) S3 (computed)",
+    "commutator: [S+,L-] = -i hbar^2 sum (c kz/omega)(a1_{m-1} a2+_{m+1} - a2_{m-1} a1+_{m+1}) (printed)":
+        "commutator: [S+,L-] = -(1/2) x printed RHS (computed)",
+    "quadrature: int M' . (L+ M) dV = 0 (printed)":
+        "quadrature: int M' . (L+ M) dV = (-1)^(m+1) x reflected conjugated element (computed)",
+    "spherical: printed u phase matches projection coefficient (flagged)":
+        "spherical: u phase without i^j matches projection coefficient (computed)",
+}
+
+
+def _flagged(suite):
+    """(flagged name, companion name) of the one FLAGGED relation of `suite`."""
+    (pair,) = [item for item in FLAGGED.items() if item[0].startswith(suite + ": ")]
+    return pair
+
+
 # ---------------------------------------------------------------------------
 # Commutator suite
 # ---------------------------------------------------------------------------
@@ -115,134 +137,95 @@ def _interior_indices(lat: ModeLattice):
 
     m-shifting bilinears develop O(1) boundary defects on a truncated
     m-window; all operator relations hold exactly on the interior block.
+    Below width 7 that block holds no two m values 2 apart, so a relation
+    whose sides shift m by 2 would restrict to nothing and pass vacuously.
     """
     m_min, m_max = lat.m_range
-    if m_max - m_min + 1 < 5:
-        raise LatticeError("lattice m_range too small for interior comparison")
+    if m_max - m_min + 1 < 7:
+        raise LatticeError(
+            f"commutators need an m_range at least 7 wide, got {m_min}..{m_max}: "
+            "a narrower interior block holds no two m values 2 apart"
+        )
     return lat.pairs()[2:-2].ravel()
 
 
-def _relation_table(lat: ModeLattice, obs):
-    """(name, A, B, RHS, canonical, notes) rows for every printed [A, B] = RHS;
-    A and B are `build_observables` names, RHS an operator.
-
-    Observables are normal-ordered (no zero point) so both sides are pure
-    quadratic forms, as every commutator is.
-    """
-    hbar = lat.hbar
-    zero = QuadraticOperator(lat)
-
-    # grid-factor right-hand sides, from the term table in dynops
-    LL_rhs = assemble(lat, "[L+,L-]")
-    LPP_rhs = assemble(lat, "[L+,P+]")
-    SL3_rhs = assemble(lat, "[S+,L3]")
-    SLM_printed = assemble(lat, "[S+,L-] printed")
-
-    rows = [
-        ("[P+,P-] = 0", "P+", "P-", zero, True, "momentum components commute"),
-        ("[P+,P3] = 0", "P+", "P3", zero, True, ""),
-        ("[P-,P3] = 0", "P-", "P3", zero, True, ""),
-        ("[S+,S-] = 0", "S+", "S-", zero, True, "helicity components commute"),
-        ("[S+,S3] = 0", "S+", "S3", zero, True, ""),
-        ("[S-,S3] = 0", "S-", "S3", zero, True, ""),
-        ("[P+,S+] = 0", "P+", "S+", zero, True, "momentum commutes with helicity"),
-        ("[P+,S-] = 0", "P+", "S-", zero, True, ""),
-        ("[P+,S3] = 0", "P+", "S3", zero, True, ""),
-        ("[P3,S+] = 0", "P3", "S+", zero, True, ""),
-        ("[P3,S3] = 0", "P3", "S3", zero, True, ""),
-        ("[L3,P3] = 0", "L3", "P3", zero, True, ""),
-        ("[S3,L+] = 0", "S3", "L+", zero, True, ""),
-        ("[S3,L-] = 0", "S3", "L-", zero, True, ""),
-        ("[S3,L3] = 0", "S3", "L3", zero, True, ""),
-        ("[L+,L3] = hbar L+", "L+", "L3", hbar * obs["L+"], True, ""),
-        ("[L-,L3] = -hbar L-", "L-", "L3", (-hbar) * obs["L-"], True, ""),
-        (
-            "[L+,L-] = 2 hbar^2 sum (kz^2/kp^2) Lambda3",
-            "L+", "L-",
-            LL_rhs,
-            False,
-            "grid-factor RHS",
-        ),
-        ("[L3,P-] = hbar P-", "L3", "P-", hbar * obs["P-"], False, ""),
-        (
-            "[L+,P-] = hbar P3",
-            "L+", "P-",
-            hbar * obs["P3"],
-            False,
-            "matrix parts; zero-point scalar excluded from both sides",
-        ),
-        ("[L+,P3] = 0", "L+", "P3", zero, False, ""),
-        (
-            "[L+,P+] = hbar^2 sum kz a+_{m-1} a_{m+1}",
-            "L+", "P+",
-            LPP_rhs,
-            False,
-            "grid-factor RHS",
-        ),
-        (
-            "[S+,L3] = -hbar^2 sum (c kp/omega) Sigma+",
-            "S+", "L3",
-            SL3_rhs,
-            False,
-            "grid-factor RHS",
-        ),
-        (
-            "[S+,L+] = -hbar S3 (printed)",
-            "S+", "L+",
-            (-hbar) * obs["S3"],
-            False,
-            "printed RHS does not match the computed algebra; see companion relation",
-        ),
-        (
-            "[S+,L+] = +(hbar/2) S3 (computed)",
-            "S+", "L+",
-            (0.5 * hbar) * obs["S3"],
-            False,
-            "computed normal form is -1/2 of the printed RHS",
-        ),
-        (
-            "[S+,L-] = -i hbar^2 sum (c kz/omega)(a1_{m-1} a2+_{m+1} - a2_{m-1} a1+_{m+1}) (printed)",
-            "S+", "L-",
-            SLM_printed,
-            False,
-            "printed RHS (summed over m) does not match the computed algebra; "
-            "see companion relation",
-        ),
-        (
-            "[S+,L-] = -(1/2) x printed RHS (computed)",
-            "S+", "L-",
-            (-0.5) * SLM_printed,
-            False,
-            "computed normal form is exactly -1/2 of the printed combination",
-        ),
-    ]
-    return rows
+# Every printed [A, B] = RHS as (name, A, B, RHS, provenance, notes), with A
+# and B `build_observables` names.  RHS is None for 0, (x, observable) for
+# x hbar times that observable, or (x, TERMS entry) for x times its grid-factor
+# operator.  Provenance is canonical, printed (the source's own form) or
+# computed (the normal form beside a flagged printed row).  Observables are
+# normal-ordered (no zero point), so both sides are pure quadratic forms, as
+# every commutator is.
+COMMUTATOR_TABLE = (
+    ("[P+,P-] = 0", "P+", "P-", None, "canonical", "momentum components commute"),
+    ("[P+,P3] = 0", "P+", "P3", None, "canonical", ""),
+    ("[P-,P3] = 0", "P-", "P3", None, "canonical", ""),
+    ("[S+,S-] = 0", "S+", "S-", None, "canonical", "helicity components commute"),
+    ("[S+,S3] = 0", "S+", "S3", None, "canonical", ""),
+    ("[S-,S3] = 0", "S-", "S3", None, "canonical", ""),
+    ("[P+,S+] = 0", "P+", "S+", None, "canonical", "momentum commutes with helicity"),
+    ("[P+,S-] = 0", "P+", "S-", None, "canonical", ""),
+    ("[P+,S3] = 0", "P+", "S3", None, "canonical", ""),
+    ("[P3,S+] = 0", "P3", "S+", None, "canonical", ""),
+    ("[P3,S3] = 0", "P3", "S3", None, "canonical", ""),
+    ("[L3,P3] = 0", "L3", "P3", None, "canonical", ""),
+    ("[S3,L+] = 0", "S3", "L+", None, "canonical", ""),
+    ("[S3,L-] = 0", "S3", "L-", None, "canonical", ""),
+    ("[S3,L3] = 0", "S3", "L3", None, "canonical", ""),
+    ("[L+,L3] = hbar L+", "L+", "L3", (1, "L+"), "canonical", ""),
+    ("[L-,L3] = -hbar L-", "L-", "L3", (-1, "L-"), "canonical", ""),
+    ("[L+,L-] = 2 hbar^2 sum (kz^2/kp^2) Lambda3", "L+", "L-", (1, "[L+,L-]"), "printed",
+     "grid-factor RHS"),
+    ("[L3,P-] = hbar P-", "L3", "P-", (1, "P-"), "printed", ""),
+    ("[L+,P-] = hbar P3", "L+", "P-", (1, "P3"), "printed",
+     "matrix parts; zero-point scalar excluded from both sides"),
+    ("[L+,P3] = 0", "L+", "P3", None, "printed", ""),
+    ("[L+,P+] = hbar^2 sum kz a+_{m-1} a_{m+1}", "L+", "P+", (1, "[L+,P+]"), "printed",
+     "grid-factor RHS"),
+    ("[S+,L3] = -hbar^2 sum (c kp/omega) Sigma+", "S+", "L3", (1, "[S+,L3]"), "printed",
+     "grid-factor RHS"),
+    ("[S+,L+] = -hbar S3 (printed)", "S+", "L+", (-1, "S3"), "printed",
+     "printed RHS does not match the computed algebra; see companion relation"),
+    ("[S+,L+] = +(hbar/2) S3 (computed)", "S+", "L+", (0.5, "S3"), "computed",
+     "computed normal form is -1/2 of the printed RHS"),
+    ("[S+,L-] = -i hbar^2 sum (c kz/omega)(a1_{m-1} a2+_{m+1} - a2_{m-1} a1+_{m+1}) (printed)",
+     "S+", "L-", (1, "[S+,L-] printed"), "printed",
+     "printed RHS (summed over m) does not match the computed algebra; see companion relation"),
+    ("[S+,L-] = -(1/2) x printed RHS (computed)", "S+", "L-", (-0.5, "[S+,L-] printed"), "computed",
+     "computed normal form is exactly -1/2 of the printed combination"),
+)
 
 
 def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
-    """Evaluate every printed commutation relation on the lattice.
+    """Evaluate COMMUTATOR_TABLE on the lattice, then the Stokes algebra and
+    the brute-force Fock cross-check.
 
-    Comparisons are restricted to the interior m-block (margin 2 from the
-    truncation edge), where the relations are free of window artifacts.
-    Canonical relations are expected to pass; relations whose printed
-    form conflicts with the computed algebra stay in the list with
-    pass=False and a companion entry giving the computed normal form.
+    The table is plain data: the suite builds each row's operands and
+    right-hand side on `lat` and compares them on the interior m-block
+    (margin 2 from the truncation edge), where the relations are free of
+    window artifacts; a window narrower than 7 is refused.  Canonical rows
+    are expected to pass; a printed row that the computed algebra
+    contradicts fails, and is in FLAGGED with its computed companion row.
     A table row's residual is max|[A,B] - RHS| / (|A|max |B|max), so `tol`
-    is relative there; the Stokes and Fock rows stay absolute.  The
-    brute-force Fock cross-check closes the list.
+    is relative there; the Stokes and Fock rows stay absolute.
     """
-    obs = build_observables(lat, include_zero_point=False)
     interior = _interior_indices(lat)
+    obs = build_observables(lat, include_zero_point=False)
     results = []
     lhs = {}
-    for name, a, b, rhs, canonical, notes in _relation_table(lat, obs):
+    for name, a, b, rhs, provenance, notes in COMMUTATOR_TABLE:
         A, B = obs[a], obs[b]
         if (a, b) not in lhs:
             lhs[a, b] = commutator(A, B)
+        diff = lhs[a, b]
+        if rhs is not None:
+            x, term = rhs
+            diff = diff - (x * lat.hbar * obs[term] if term in obs else x * assemble(lat, term))
         # entries of [A, B] grow like |A|max |B|max with the lattice size
         scale = A.max_abs() * B.max_abs()
-        resid = (lhs[a, b] - rhs).restrict(interior).max_abs() / scale
-        parts = (["canonical"] if canonical else []) + ([notes] if notes else [])
+        resid = diff.restrict(interior).max_abs() / scale
+        # a canonical row says so in its notes, as reports always have
+        parts = ([provenance] if provenance == "canonical" else []) + ([notes] if notes else [])
         parts.append(f"residual relative to |A|max |B|max = {scale:.6g}")
         results.append(RelationResult("commutator: " + name, resid, tol, "; ".join(parts)))
 
@@ -850,7 +833,8 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=QUAD_MARGIN):
     vscale = abs(ana_vec)
     ana_L = _lplus_analytic(wp1, wp_up)
     lscale = max(abs(ana_L), scale)
-    printed = "int M' . (L+ M) dV = 0 (printed)"
+    flagged, companion = _flagged("quadrature")
+    printed = flagged.removeprefix("quadrature: ")
 
     # (name, (field, field, product, e_pol, conjugate), analytic value, scale, notes)
     table = [
@@ -923,8 +907,7 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=QUAD_MARGIN):
     ana_refl = (-1.0) ** (wp1.m + 1) * _lplus_analytic(wp1, up)
     results.append(
         RelationResult(
-            "quadrature: int M' . (L+ M) dV = (-1)^(m+1) x reflected conjugated"
-            " element (computed)",
+            companion,
             abs(fine[printed] - ana_refl) / max(abs(ana_refl), scale),
             rel_tol,
             "reflection identity M*_{m,kz} = (-1)^m M_{-m,-kz}",
@@ -1135,15 +1118,25 @@ def spherical_suite(tol=SPHERICAL_TOL):
     )
     phase_u = np.array(ratio_u) / ratio_u[0]
     drift = float(np.abs(phase_u[1:] * 1j ** np.arange(1, len(phase_u)) - 1.0).max())
+    flagged, companion = _flagged("spherical")
     results.append(
         RelationResult(
-            "spherical: printed u phase matches projection coefficient (flagged)",
+            flagged,
             float(np.abs(phase_u[1:] - 1.0).max()),
             1e-10,
             "printed phase factor i^(m+j) drifts by a factor i per j against the "
             f"projection value; removing i^j leaves residual {drift:.3e}, and the "
             "u and v magnitude ratios agree, so the j-dependent phase is the only "
             "discrepancy",
+        )
+    )
+    results.append(
+        RelationResult(
+            companion,
+            drift,
+            1e-10,
+            "the printed phase factor i^(m+j) with i^j removed: projection over printed u, "
+            f"j = {j_range[0]}..{j_range[-1]}, relative to its value at j = {j_range[0]}",
         )
     )
 

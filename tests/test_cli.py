@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from besselbeams import cli
+from besselbeams import cli, verify
 from besselbeams.modes import CylPoint, ModeIndex, NormalizationConvention
 from besselbeams.verify import RelationResult
 
@@ -52,12 +52,43 @@ class TestExitCodes:
         assert cli.main([]) == 2
 
     def test_expected_failures_exit_zero(self, capsys):
+        # width 7, the narrowest window the commutators accept
         code, out, _ = run(SMALL_VERIFY, capsys)
         assert code == 0
         report = json.loads(out)
-        flagged = [r for r in report["results"] if not r["pass"]]
-        assert flagged  # printed-form conflicts are present but expected
-        assert all(r["name"] in cli.DEFAULT_EXPECTED_FAIL for r in flagged)
+        failing = {r["name"] for r in report["results"] if not r["pass"]}
+        # printed-form conflicts are present but expected
+        assert failing == set(cli.DEFAULT_EXPECTED_FAIL[:2])
+
+    @pytest.mark.parametrize("m_range", ["0..0", "-1..0", "-1..1", "0..3", "-2..2",
+                                         "-3..2", "-2..3", "0..5"])
+    def test_commutator_windows_narrower_than_7_are_refused(self, m_range, tmp_path, capsys):
+        # below width 7 the interior block holds no two m values 2 apart, and
+        # the flagged [S+,L-] row passed with residual 0 at widths 5 and 6
+        out = tmp_path / "w.json"
+        for suite in ("commutators", "all"):
+            code, _, err = run(["verify", suite, f"--m-range={m_range}", "--out", str(out)], capsys)
+            assert code == 2
+            assert err.startswith("besselbeams: error: commutators need an m_range at least 7 wide")
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+    def test_default_expected_fail_is_the_flag_list(self):
+        # the names and their order that configs and the benchmark's checks read
+        assert cli.DEFAULT_EXPECTED_FAIL == (
+            "commutator: [S+,L+] = -hbar S3 (printed)",
+            "commutator: [S+,L-] = -i hbar^2 sum (c kz/omega)"
+            "(a1_{m-1} a2+_{m+1} - a2_{m-1} a1+_{m+1}) (printed)",
+            "quadrature: int M' . (L+ M) dV = 0 (printed)",
+            "spherical: printed u phase matches projection coefficient (flagged)",
+        )
+
+    def test_every_flagged_relation_fails_beside_its_passing_companion(self, tmp_path):
+        out = tmp_path / "a.json"
+        assert cli.main(["verify", "all", "--out", str(out)]) == 0
+        passed = {r["name"]: r["pass"] for r in json.loads(out.read_text())["results"]}
+        for flagged, companion in verify.FLAGGED.items():
+            assert (passed[flagged], passed[companion]) == (False, True), flagged
 
     def test_emptied_expected_fail_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -119,6 +119,48 @@ class TestCommutatorSuite:
         names = [r.name for r in results]
         assert any("fock-oracle" in n for n in names)
 
+    def test_table_provenance_matches_the_flags(self):
+        rows = {"commutator: " + row[0]: row for row in verify.COMMUTATOR_TABLE}
+        assert {row[4] for row in rows.values()} == {"canonical", "printed", "computed"}
+        flagged = {f: c for f, c in verify.FLAGGED.items() if f in rows}
+        assert len(flagged) == 2
+        for name, companion in flagged.items():
+            assert (rows[name][4], rows[companion][4]) == ("printed", "computed")
+            assert rows[name][1:3] == rows[companion][1:3]  # the same [A, B]
+        assert {n for n, row in rows.items() if row[4] == "computed"} == set(flagged.values())
+
+
+NODES = ([0.5, 1.0, 1.5], [1.0, 2.0])
+
+
+def _probe():
+    """(m_range, k_perp nodes, k_z nodes, c, hbar) of each seeded probe case."""
+    rng = np.random.default_rng(20261019)
+    cases = {f"width-{2 * h + 1}": ((-h, h), *NODES, 1.0, 1.0) for h in (3, 4, 8)}
+    cases["m-nonnegative"] = ((0, 8), *NODES, 1.0, 1.0)
+    cases["negative-kz-reordered"] = ((-4, 4), [1.5, 0.5, 1.0], [2.0, -1.0], 1.0, 1.0)
+    for i in range(3):
+        kp = rng.uniform(0.05, 20.0, size=3)
+        # k_z in [-20, 20], at least 0.05 away from 0
+        kz = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.05, 20.0, size=2)
+        cases[f"random-nodes-{i}"] = ((-4, 4), kp.tolist(), kz.tolist(), 1.0, 1.0)
+    for hbar, c in ((1.0545718e-27, 2.99792458e10), (1e-30, 1e6), (3.7, 0.02)):
+        cases[f"hbar={hbar:g},c={c:g}"] = ((-4, 4), *NODES, c, hbar)
+    return cases
+
+
+PROBE = _probe()
+
+
+@pytest.mark.parametrize("case", list(PROBE))
+def test_algebra_verdicts_do_not_depend_on_the_lattice(case):
+    m_range, kp, kz, c, hbar = PROBE[case]
+    lat = build_lattice(m_range, kp, kz, c=c, hbar=hbar)
+    results = commutator_suite(lat) + basis_suite(lat)
+    failing = {r.name for r in results if not r.passed}
+    assert failing == {n for n in verify.FLAGGED if n.startswith("commutator: ")}
+    assert not any(r.inconclusive for r in results)
+
 
 def stokes_matrices(lat, pair):
     """Coefficient matrices of sigma_1..3 on one (ip, iz, m) pair."""
@@ -134,7 +176,7 @@ class TestStokesResidual:
                 for iz in range(len(lat.k_z_nodes)) for m in lat.m_values]
 
     def test_suite_residual_is_the_per_pair_worst(self):
-        lat = build_lattice((-2, 2), [0.5, 1.5], [1.0, -2.0])
+        lat = build_lattice((-3, 3), [0.5, 1.5], [1.0, -2.0])
         worst = max(_su2_residual(*stokes_matrices(lat, p), 2j) for p in self.pairs(lat))
         by_name = {r.name: r for r in commutator_suite(lat)}
         assert by_name[self.STOKES].residual == worst
