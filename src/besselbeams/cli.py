@@ -416,7 +416,9 @@ def cmd_verify(args, cfg):
         if not r.passed and not r.inconclusive and r.name not in cfg.expected_fail
     ]
     inconclusive = [r for r in results if r.inconclusive]
-    code = 1 if unexpected else (3 if inconclusive else 0)
+    # a flagged relation that passes did not show its printed form wrong
+    unexpected_passes = [r.name for r in results if r.passed and r.name in cfg.expected_fail]
+    code = 1 if unexpected or unexpected_passes else (3 if inconclusive else 0)
 
     report = {
         "metadata": {
@@ -428,6 +430,8 @@ def cmd_verify(args, cfg):
             "relations": len(results),
             "unexpected_failures": len(unexpected),
             "inconclusive": len(inconclusive),
+            "unexpected_passes": len(unexpected_passes),
+            "unexpected_pass_names": unexpected_passes,
         },
         "results": [r.to_dict() for r in results],
     }

@@ -86,9 +86,11 @@ class TestExitCodes:
     def test_every_flagged_relation_fails_beside_its_passing_companion(self, tmp_path):
         out = tmp_path / "a.json"
         assert cli.main(["verify", "all", "--out", str(out)]) == 0
-        passed = {r["name"]: r["pass"] for r in json.loads(out.read_text())["results"]}
+        meta, results = json.loads(out.read_text()).values()
+        passed = {r["name"]: r["pass"] for r in results}
         for flagged, companion in verify.FLAGGED.items():
             assert (passed[flagged], passed[companion]) == (False, True), flagged
+        assert (meta["unexpected_passes"], meta["unexpected_pass_names"]) == (0, [])
 
     def test_emptied_expected_fail_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -396,6 +398,27 @@ def test_verdicts_and_expectations_do_not_depend_on_units(config, factor, tmp_pa
     assert energy[1] == pytest.approx(factor * energy[0], rel=1e-14)
 
 
+@pytest.fixture(scope="module")
+def default_spherical():
+    return verify.spherical_suite()
+
+
+@pytest.mark.parametrize("hbar,c", [(1.054571817e-34, 299792458.0), (1e16, 1e-8), (0.5, 3.0)],
+                         ids=["si", "large-hbar-small-c", "half-hbar-triple-c"])
+def test_quadrature_and_spherical_read_no_units(hbar, c, default_quadrature, default_spherical,
+                                                tmp_path, capsys):
+    """Both suites run at hbar = c = 1 and read no units: every residual and
+    verdict under (units.hbar, units.c) equals its hbar = c = 1 value."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"units.hbar = {hbar!r}\nunits.c = {c!r}\n")
+    for suite, unit in (("quadrature", default_quadrature[0]), ("spherical", default_spherical)):
+        code, out, _ = run(["--config", str(cfg), "verify", suite], capsys)
+        assert code == 0
+        got = {r["name"]: (r["residual"], r["pass"], r["inconclusive"])
+               for r in json.loads(out)["results"]}
+        assert got == {r.name: (r.residual, r.passed, r.inconclusive) for r in unit}, suite
+
+
 class TestField:
     ARGS = [
         "field", "--family", "tm", "--m", "0", "--kperp", "1.0", "--kz", "2.0",
@@ -463,9 +486,12 @@ class TestVerifyReport:
         assert set(report) == {"metadata", "results"}
         meta = report["metadata"]
         for key in ("tool", "version", "command", "suite", "config",
-                    "relations", "unexpected_failures", "inconclusive"):
+                    "relations", "unexpected_failures", "inconclusive",
+                    "unexpected_passes", "unexpected_pass_names"):
             assert key in meta
+        assert list(meta)[-3:] == ["inconclusive", "unexpected_passes", "unexpected_pass_names"]
         assert meta["relations"] == len(report["results"])
+        assert (meta["unexpected_passes"], meta["unexpected_pass_names"]) == (0, [])
         for r in report["results"]:
             assert list(r) == ["name", "residual", "tolerance", "pass", "notes", "inconclusive"]
             assert isinstance(r["pass"], bool) and r["inconclusive"] is False
@@ -479,6 +505,19 @@ class TestVerifyReport:
         meta, (result,) = json.loads(out).values()
         assert (meta["inconclusive"], meta["unexpected_failures"]) == (1, 0)
         assert (result["inconclusive"], result["pass"]) == (True, False)
+
+    def test_flagged_relation_that_passes_exits_one(self, monkeypatch, capsys):
+        # the printed form was not shown wrong, so the run cannot succeed
+        flagged = "spherical: printed u phase matches projection coefficient (flagged)"
+        assert flagged in cli.DEFAULT_EXPECTED_FAIL
+        held = RelationResult(flagged, 0.0, 1e-3)
+        monkeypatch.setattr(cli, "spherical_suite", lambda tol: [held])
+        code, out, _ = run(["verify", "spherical"], capsys)
+        assert code == 1
+        meta, (result,) = json.loads(out).values()
+        assert (meta["unexpected_failures"], meta["inconclusive"]) == (0, 0)
+        assert (meta["unexpected_passes"], meta["unexpected_pass_names"]) == (1, [flagged])
+        assert result["pass"] is True
 
     def test_ill_conditioned_rl_map_exits_three(self, capsys):
         # at k_perp/k_z = 1e6, rounding in the inverse R/L map alone leaves a

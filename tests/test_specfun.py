@@ -10,6 +10,7 @@ from scipy.special import jv, lpmv
 
 from besselbeams import specfun
 from besselbeams.specfun import (
+    MAX_ORDER,
     DomainError,
     assoc_legendre,
     assoc_legendre_prime,
@@ -183,6 +184,54 @@ class TestBessel:
         if x > 1e-3:
             assert val == pytest.approx(m * jv(m, x) / x, abs=1e-12)
         assert np.isfinite(val)
+
+
+def _bits(values):
+    """int64 views of float64 values, so that +0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestScalarKernels:
+    """Point functions against the scipy ufuncs, bit for bit, as Python floats."""
+
+    ORDERS = np.arange(-MAX_ORDER, MAX_ORDER + 1)
+    ARGS = np.array([0.0, 5e-324, 1e-300, 1e-4, *np.linspace(0.37, 600.0, 23), 1e6])
+
+    def test_bessel_j_and_prime_equal_the_ufunc(self):
+        m, x = self.ORDERS[:, None], self.ARGS[None, :]
+        pairs = [(int(a), float(b)) for a in self.ORDERS for b in self.ARGS]
+        got = [bessel_j(a, b) for a, b in pairs]
+        assert np.array_equal(_bits(got), _bits(jv(m, x)).ravel())
+        got = [bessel_j_prime(a, b) for a, b in pairs]
+        assert np.array_equal(_bits(got), _bits(0.5 * (jv(m - 1, x) - jv(m + 1, x))).ravel())
+
+    def test_assoc_legendre_and_prime_equal_the_ufunc(self):
+        xs = [-1.0, -0.999, -0.5, -0.0, 0.0, 1e-300, 0.3, 0.97, 1.0]
+        inner = [x for x in xs if abs(x) < 1]
+        for j in range(MAX_ORDER + 1):
+            # a call costs O(j): seven orders per degree, the ends included
+            orders = sorted({a for a in (0, 1, 2, j // 3, j // 2, j - 1, j) if 0 <= a <= j})
+            m = np.array(orders)[:, None]
+            got = [assoc_legendre(j, a, x) for a in orders for x in xs]
+            assert np.array_equal(_bits(got), _bits(lpmv(m, j, np.array(xs))).ravel()), j
+            x = np.array(inner)
+            below = np.where(m <= j - 1, lpmv(m, j - 1, x), 0.0)
+            # P_j^m near m = j overflows to inf (from j = 86 at x = 0.3), and
+            # +/-0 x inf is NaN on both paths
+            with np.errstate(invalid="ignore"):
+                want = (j * x * lpmv(m, j, x) - (j + m) * below) / (x * x - 1.0)
+            if j == 0:
+                want = np.zeros_like(want)  # the constant's derivative, +0.0
+            got = [assoc_legendre_prime(j, a, x) for a in orders for x in inner]
+            assert np.array_equal(_bits(got), _bits(want).ravel()), j
+
+    def test_point_values_are_python_floats(self):
+        for fn, args in ((bessel_j, (3, 1.5)), (bessel_j_prime, (-3, 1.5)),
+                         (bessel_j_over_x, (2, 1.5)), (bessel_j_over_x, (2, 1e-6)),
+                         (bessel_j_over_x, (0, 1.5)), (assoc_legendre, (4, 2, 0.3)),
+                         (assoc_legendre_prime, (4, 2, 0.3)), (assoc_legendre_prime, (0, 0, 0.3))):
+            assert type(fn(*args)) is float, (fn.__name__, args)
+            assert type(fn(*(np.float64(a) if isinstance(a, float) else a for a in args))) is float
 
 
 class TestLegendre:
