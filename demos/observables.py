@@ -18,7 +18,7 @@ from besselbeams import (
     commutator,
     make_pm_map,
 )
-from besselbeams.dynops import build_stokes, cartesian
+from besselbeams.dynops import build_stokes, cartesian, zero_points
 
 lat = build_lattice((-3, 3), [1.0], [2.0])
 obs = build_observables(lat)
@@ -50,9 +50,9 @@ alpha = CoherentAmplitude({
 P1, P2, P3 = cartesian(obs, "P")
 print(f"<P1> = {coherent_expectation(P1, alpha).real:+.6f}")
 print(f"<P2> = {coherent_expectation(P2, alpha).real:+.6f}  (analytic {2 * 1.0 * a**2})")
-# P3 is symmetrized, so its scalar part carries (1/2) hbar kz per mode
-vac3 = coherent_expectation(P3, CoherentAmplitude()).real
-p3 = coherent_expectation(P3, alpha).real
+# P3 is symmetrized, so its zero point carries (1/2) hbar kz per mode
+vac3 = zero_points(lat)["P3"]
+p3 = coherent_expectation(P3, alpha).real + vac3
 print(f"<P3> = {p3:+.6f}  (photon part {p3 - vac3:+.6f} = 2 kz |a|^2; "
       f"symmetrization offset {vac3:.1f})")
 print(f"<L3> = {coherent_expectation(obs['L3'], alpha).real:+.6f}  (mean m = 1/2 per photon)")

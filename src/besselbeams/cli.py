@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .lattice import CoherentAmplitude, LatticeError, coherent_expectation, build_lattice
-from .dynops import build_observables, cartesian, stokes_expectations
+from .dynops import build_observables, cartesian, stokes_expectations, zero_points
 # Unused here: perfbench's tracer wraps this name in cli.__dict__.
 from .dynops import build_stokes  # noqa: F401
 from .modes import (
@@ -168,7 +168,7 @@ class RunConfig:
         for key, value in (("units.hbar", self.hbar), ("units.c", self.c)):
             if not lo <= value <= hi:
                 raise UsageError(f"{key} must lie in [{lo:g}, {hi:g}], got {_fmt(value)}")
-        # `verify all` takes 1.4-1.7 s and 69 MB at the default 0.25, 10-14 s
+        # `verify all` takes 1.0-1.1 s and 70 MB at the default 0.25, 10-14 s
         # and 0.31 GB at 2, 48 s and 0.99 GB at 4 (one BLAS thread, 2-core host)
         if self.quad_margin > 4.0:
             raise UsageError(f"quadrature.margin must be at most 4, got {_fmt(self.quad_margin)}")
@@ -215,8 +215,6 @@ def build_run_config(config_path):
         f = known[key]
         try:
             updates[f.name] = f.metadata["parse"](val)
-        except UsageError:
-            raise
         except ValueError as exc:
             raise UsageError(f"bad value for {key}: {val!r}") from exc
     return replace(cfg, **updates)
@@ -474,7 +472,7 @@ def cmd_expect(args, cfg):
             raise UsageError(f"amplitude node ({ikp},{ikz}) outside the lattice")
         alpha[lat.index(fam, m, ikp, ikz)] = alpha.get(lat.index(fam, m, ikp, ikz), 0) + val
 
-    obs = build_observables(lat, include_zero_point=True)
+    obs = build_observables(lat)
     rows = [("energy", obs["energy"]), ("number", obs["number"])]
     for which in ("P", "L", "S"):
         v1, v2, v3 = cartesian(obs, which)
@@ -482,7 +480,9 @@ def cmd_expect(args, cfg):
     # amplitudes that are finite one by one can still overflow a quadratic
     # form; refuse them before writing anything
     with np.errstate(over="ignore", invalid="ignore"):
-        values = [(name, coherent_expectation(op, alpha)) for name, op in rows]
+        zero = zero_points(lat)  # + 0.0 on the other rows turns a -0.0 part into +0.0
+        values = [(name, coherent_expectation(op, alpha) + complex(zero.get(name, 0.0)))
+                  for name, op in rows]
         sigma = stokes_expectations(lat, alpha)
     if not (all(cmath.isfinite(v) for _, v in values) and np.all(np.isfinite(sigma))):
         raise UsageError("amplitudes too large: an expectation value overflows")

@@ -30,10 +30,9 @@ Conventions
   (V_1, V_2, V_3).  This dual pairing is used identically for P, L and S.
 * Families: every lattice carries TM and TE (`lattice.FAMILIES`), so the
   Sigma and Stokes bilinears and the pair-block maps exist on any lattice.
-* Zero points: energy, number, P3 and L3 are symmetrized forms; with
-  `include_zero_point` their zero-point c-numbers go to the scalar parts,
-  without it every observable is normal-ordered.  Scalars never enter
-  commutators.
+* Zero points: every observable is normal-ordered.  `zero_points` holds the
+  c-numbers that symmetrizing energy, number, P3 and L3 adds; they never
+  enter commutators, so only a printed expectation reads them.
 * Spherical basis: L mixes only the m of one j multiplet, so
   `build_L_spherical` returns bare coefficient matrices on one (j, m)
   ladder; [b^dag X b, b^dag Y b] = b^dag [X, Y] b makes su(2) on them
@@ -148,23 +147,27 @@ def _triplets(lat: ModeLattice, name):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals) + 0.0
 
 
-def assemble(lat: ModeLattice, name, s=0.0) -> QuadraticOperator:
+def assemble(lat: ModeLattice, name) -> QuadraticOperator:
     """TERMS[name] on `lat`, built from its COO triplets in one construction."""
     rows, cols, vals = _triplets(lat, name)
-    return QuadraticOperator(lat, (vals, (rows, cols)), s)
+    return QuadraticOperator(lat, (vals, (rows, cols)))
 
 
-def _zero_point(lat: ModeLattice, name):
-    """Symmetrization c-number of a diagonal TERMS entry: (1/2) sum_m of each
-    row's coefficients, added node by node and row (family) by row."""
+def zero_points(lat: ModeLattice):
+    """Zero points of energy, number, P3 and L3 by name (0 for the others);
+    P3's and L3's are (1/2) sum_m of each TERMS row's coefficients, added
+    node by node and row (family) by row."""
+    hbar_w = _triplets(lat, "energy")[2]  # the diagonal in index order
+    zero = {"energy": 0.5 * hbar_w.sum(), "number": 0.5 * lat.dim}
     ms = np.array(lat.m_values)
-    s = 0.0
-    for bilinear, factor in TERMS[name]:
-        halves = [0.5 * np.sum(c0 + c1 * ms) for *_, c0, c1 in bilinear]
-        for n in _nodes(lat):
-            for half in halves:
-                s += half * factor(n)
-    return s
+    for name in ("P3", "L3"):
+        zero[name] = 0.0
+        for bilinear, factor in TERMS[name]:
+            halves = [0.5 * np.sum(c0 + c1 * ms) for *_, c0, c1 in bilinear]
+            for n in _nodes(lat):
+                for half in halves:
+                    zero[name] += half * factor(n)
+    return zero
 
 
 def build_stokes(lat: ModeLattice, ip, iz, m):
@@ -199,22 +202,16 @@ def stokes_expectations(lat: ModeLattice, alpha):
     return np.stack(out)
 
 
-def build_observables(lat: ModeLattice, include_zero_point=True):
-    """The 11 integrated observables by name: energy, number, P+, P-, P3,
-    L+, L-, L3, S+, S-, S3 in this order.  P-, L- and S- are the adjoints of
-    P+, L+ and S+.  Energy, number, P3 and L3 carry their zero points in the
-    scalar parts iff `include_zero_point`; no other observable has one."""
-    zero = {}
-    if include_zero_point:
-        hbar_w = _triplets(lat, "energy")[2]  # the diagonal in index order
-        zero = {"energy": 0.5 * hbar_w.sum(), "number": 0.5 * lat.dim,
-                "P3": _zero_point(lat, "P3"), "L3": _zero_point(lat, "L3")}
+def build_observables(lat: ModeLattice):
+    """The 11 normal-ordered integrated observables by name: energy, number,
+    P+, P-, P3, L+, L-, L3, S+, S-, S3 in this order.  P-, L- and S- are the
+    adjoints of P+, L+ and S+."""
     obs = {}
     for name in ("energy", "number", "P+", "P-", "P3", "L+", "L-", "L3", "S+", "S-", "S3"):
         if name.endswith("-"):
             obs[name] = obs[name[0] + "+"].dagger()
         else:
-            obs[name] = assemble(lat, name, zero.get(name, 0.0))
+            obs[name] = assemble(lat, name)
     return obs
 
 

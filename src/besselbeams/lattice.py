@@ -9,10 +9,11 @@ discrete ones via
 
 where w_j is the measure of node j.  The w_j cancel in every integrated
 bilinear, so a lattice node is its wavenumber alone, and every bilinear
-observable becomes an exact finite quadratic form
-O = sum_jk X_jk b_j^dag b_k + s, and every commutator reduces to a matrix
-commutator of the coefficient matrices.  A truncated-Fock dense oracle
-provides an independent brute-force realization for small lattices.
+observable becomes an exact finite normal-ordered quadratic form
+O = sum_jk X_jk b_j^dag b_k (`dynops.zero_points` holds the c-numbers), and
+every commutator reduces to a matrix commutator of the coefficient matrices.
+A truncated-Fock dense oracle provides an independent brute-force
+realization for small lattices.
 """
 
 from __future__ import annotations
@@ -115,38 +116,33 @@ def build_lattice(m_range, k_perp_nodes, k_z_nodes, c=1.0, hbar=1.0):
 
 
 class QuadraticOperator:
-    """O = sum_jk X_jk b_j^dag b_k + s on a fixed lattice.
+    """Normal-ordered O = sum_jk X_jk b_j^dag b_k on a fixed lattice.
 
     X is a sparse complex D x D coefficient matrix over unit-normalized
-    discrete ladder operators, s the c-number (zero-point) part.  X may be
-    a matrix or COO triplets (vals, (rows, cols)), whose duplicates add up.
+    discrete ladder operators.  X may be a matrix or COO triplets
+    (vals, (rows, cols)), whose duplicates add up.
     Only exact zeros are dropped from X, so no coefficient is lost to its
     size in the chosen units.
     """
 
-    def __init__(self, lattice: ModeLattice, X=None, s=0.0):
+    def __init__(self, lattice: ModeLattice, X):
         self.lattice = lattice
         D = lattice.dim
-        if X is None:
-            X = sp.csr_matrix((D, D), dtype=complex)
-        else:
-            X = sp.csr_matrix(X, dtype=complex, shape=(D, D))
-            X.eliminate_zeros()
-        self.X = X
-        self.s = complex(s)
+        self.X = sp.csr_matrix(X, dtype=complex, shape=(D, D))
+        self.X.eliminate_zeros()
 
     def dagger(self):
-        return QuadraticOperator(self.lattice, self.X.getH(), np.conj(self.s))
+        return QuadraticOperator(self.lattice, self.X.getH())
 
     def _check(self, other):
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeError("operators live on different lattices")
 
     def __add__(self, other):
-        if isinstance(other, QuadraticOperator):
-            self._check(other)
-            return QuadraticOperator(self.lattice, self.X + other.X, self.s + other.s)
-        return QuadraticOperator(self.lattice, self.X, self.s + other)
+        if not isinstance(other, QuadraticOperator):
+            return NotImplemented
+        self._check(other)
+        return QuadraticOperator(self.lattice, self.X + other.X)
 
     __radd__ = __add__
 
@@ -154,28 +150,26 @@ class QuadraticOperator:
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        return QuadraticOperator(self.lattice, self.X * scalar, self.s * scalar)
+        return QuadraticOperator(self.lattice, self.X * scalar)
 
     __rmul__ = __mul__
 
     def max_abs(self):
-        """Max-abs over coefficient entries and the scalar part."""
-        m = abs(self.X.data).max() if self.X.nnz else 0.0
-        return max(m, abs(self.s))
+        """Max-abs over the coefficient entries."""
+        return abs(self.X.data).max() if self.X.nnz else 0.0
 
     def restrict(self, indices):
         """Projection P O P onto a subset of single-particle indices."""
-        D = self.lattice.dim
-        mask = np.zeros(D)
+        mask = np.zeros(self.lattice.dim)
         mask[list(indices)] = 1.0
         P = sp.diags(mask)
-        return QuadraticOperator(self.lattice, P @ self.X @ P, self.s)
+        return QuadraticOperator(self.lattice, P @ self.X @ P)
 
 
 def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
     """[A, B] via the quadratic-form identity [b*Xb, b*Yb] = b*(XY - YX)b."""
     A._check(B)
-    return QuadraticOperator(A.lattice, (A.X @ B.X - B.X @ A.X).tocsr(), 0.0)
+    return QuadraticOperator(A.lattice, (A.X @ B.X - B.X @ A.X).tocsr())
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +234,7 @@ def apply_basis(A: QuadraticOperator, bm: BasisMap) -> QuadraticOperator:
     if A.lattice != bm.lattice:
         raise LatticeError("basis map lattice mismatch")
     Tinv = bm.inverse
-    return QuadraticOperator(A.lattice, Tinv.getH() @ A.X @ Tinv, A.s)
+    return QuadraticOperator(A.lattice, Tinv.getH() @ A.X @ Tinv)
 
 
 class CoherentAmplitude(dict):
@@ -248,15 +242,14 @@ class CoherentAmplitude(dict):
 
     def vector(self, lattice):
         v = np.zeros(lattice.dim, dtype=complex)
-        for idx, a in self.items():
-            v[idx] = a
+        v[list(self)] = list(self.values())
         return v
 
 
 def coherent_expectation(A: QuadraticOperator, alpha: CoherentAmplitude) -> complex:
-    """<alpha| A |alpha> = conj(alpha) . X . alpha + s."""
+    """<alpha| A |alpha> = conj(alpha) . X . alpha."""
     v = alpha.vector(A.lattice)
-    return complex(np.vdot(v, A.X @ v) + A.s)
+    return complex(np.vdot(v, A.X @ v))
 
 
 class FockOracle:
@@ -289,8 +282,8 @@ class FockOracle:
         self.bdag = [M.conj().T.tocsr() for M in self.b]
 
     def realize(self, A: QuadraticOperator):
-        """Sparse matrix of sum X_jk b_j^dag b_k + s on the truncated space."""
-        out = A.s * sp.identity(self.dim, format="csr", dtype=complex)
+        """Sparse matrix of sum X_jk b_j^dag b_k on the truncated space."""
+        out = sp.csr_matrix((self.dim, self.dim), dtype=complex)
         coo = A.X.tocoo()
         for r, c, v in zip(coo.row, coo.col, coo.data):
             out = out + v * (self.bdag[r] @ self.b[c])

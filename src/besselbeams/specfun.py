@@ -139,30 +139,37 @@ def _check_degree(j):
         raise DomainError(f"degree j={j} exceeds {MAX_ORDER}")
 
 
+def _finite(value, name, *args):
+    """`value`, or DomainError where the kernel overflows to inf or NaN (P_j^m near m = j)."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name}{args} is not finite: the kernel gives {value}")
+    return value
+
+
 def assoc_legendre(j, m, x):
     """Associated Legendre P_j^m(x), Condon-Shortley phase, 0 <= m <= j, one real x."""
-    j, m = int(j), int(m)
+    j, m, x = int(j), int(m), float(x)
     if m < 0 or j < 0 or m > j:
         raise DomainError("assoc_legendre requires 0 <= m <= j")
     _check_degree(j)
-    x = float(x)
     if abs(x) > 1:
         raise DomainError("assoc_legendre requires |x| <= 1")
-    return lpmv_point(m, j, x)
+    return _finite(lpmv_point(m, j, x), "assoc_legendre", j, m, x)
 
 
 def assoc_legendre_prime(j, m, x):
     """dP_j^m/dx at one real x in (-1, 1), via (x^2-1) P' = j x P_j^m - (j+m) P_{j-1}^m."""
-    j, m = int(j), int(m)
+    j, m, x = int(j), int(m), float(x)
     if m < 0 or m > j:
         raise DomainError("assoc_legendre_prime requires 0 <= m <= j")
-    x = float(x)
+    _check_degree(j)
     if abs(x) >= 1:
         raise DomainError("assoc_legendre_prime requires |x| < 1")
     if j == 0:
         return 0.0
     pjm1 = lpmv_point(m, j - 1, x) if j - 1 >= m else 0.0
-    return (j * x * lpmv_point(m, j, x) - (j + m) * pjm1) / (x * x - 1.0)
+    dp = (j * x * lpmv_point(m, j, x) - (j + m) * pjm1) / (x * x - 1.0)
+    return _finite(dp, "assoc_legendre_prime", j, m, x)
 
 
 def spherical_harmonic(j, m, theta, phi):

@@ -72,6 +72,7 @@ ALG_TOL = 1e-12
 STOKES_TOL = 1e-13
 QUAD_REL_TOL = 1e-3
 QUAD_MARGIN = 0.25  # k_counts margin; a larger one buys k-resolution for a tighter QUAD_REL_TOL
+ENVELOPE_CUT = 5  # WavepacketSpec.support: +/- this many widths around the centre
 SPHERICAL_TOL = 1e-3
 AZIMUTHAL_TOL = 1e-6
 
@@ -153,9 +154,7 @@ def _interior_indices(lat: ModeLattice):
 # and B `build_observables` names.  RHS is None for 0, (x, observable) for
 # x hbar times that observable, or (x, TERMS entry) for x times its grid-factor
 # operator.  Provenance is canonical, printed (the source's own form) or
-# computed (the normal form beside a flagged printed row).  Observables are
-# normal-ordered (no zero point), so both sides are pure quadratic forms, as
-# every commutator is.
+# computed (the normal form beside a flagged printed row).
 COMMUTATOR_TABLE = (
     ("[P+,P-] = 0", "P+", "P-", None, "canonical", "momentum components commute"),
     ("[P+,P3] = 0", "P+", "P3", None, "canonical", ""),
@@ -210,7 +209,7 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     is relative there; the Stokes and Fock rows stay absolute.
     """
     interior = _interior_indices(lat)
-    obs = build_observables(lat, include_zero_point=False)
+    obs = build_observables(lat)
     results = []
     lhs = {}
     for name, a, b, rhs, provenance, notes in COMMUTATOR_TABLE:
@@ -272,8 +271,15 @@ def _fock_cross_check(tol):
     commutator of the realized observables.  Agreement is exact on the
     subspace that never touches the truncation level.
     """
+    return RelationResult("commutator: fock-oracle cross-check (15 pairs, cutoff 3)", _fock_residual(),
+                          tol, "element-wise on the occupation<=2 block of a D=6 lattice")
+
+
+@functools.cache
+def _fock_residual():
+    """The cross-check's worst element; it reads no input, so once per process."""
     lat = build_lattice((-1, 1), [1.0], [2.0])
-    obs = build_observables(lat, include_zero_point=False)
+    obs = build_observables(lat)
     oracle = FockOracle(lat, n_max=3)
     keep = np.flatnonzero(oracle.occupancy_mask(oracle.n_max - 1))
     pairs = [
@@ -289,12 +295,7 @@ def _fock_cross_check(tol):
         rhs = realized[na] @ realized[nb] - realized[nb] @ realized[na]
         diff = (lhs - rhs)[keep][:, keep]
         worst = max(worst, float(abs(diff).max()))
-    return RelationResult(
-        "commutator: fock-oracle cross-check (15 pairs, cutoff 3)",
-        worst,
-        tol,
-        "element-wise on the occupation<=2 block of a D=6 lattice",
-    )
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     eps cond(T); one above `tol` but within that bound is inconclusive.
     """
     hbar, c = lat.hbar, lat.c
-    obs = build_observables(lat, include_zero_point=False)
+    obs = build_observables(lat)
     results = []
 
     quartet = ("energy", "P3", "L3", "S3")
@@ -475,18 +476,19 @@ class WavepacketSpec:
             raise ValueError("widths must be positive")
         (kp_lo, _), (kz_lo, kz_hi) = self.support()
         if kp_lo <= 0:
-            raise ValueError("k_perp support (+/-5 widths) must stay positive")
+            raise ValueError(f"k_perp support (+/-{ENVELOPE_CUT} widths) must stay positive")
         if kz_lo <= 0 <= kz_hi:
-            raise ValueError("k_z support (+/-5 widths) must not cross zero")
+            raise ValueError(f"k_z support (+/-{ENVELOPE_CUT} widths) must not cross zero")
         if self.family not in (TM, TE):
             raise ValueError("unknown family")
 
     def support(self):
-        """((k_perp lo, hi), (k_z lo, hi)): +/-5 widths around the centre,
-        the k-range every quadrature over the envelope covers."""
+        """((k_perp lo, hi), (k_z lo, hi)): +/-ENVELOPE_CUT widths around the
+        centre, the k-range every quadrature over the envelope covers."""
+        dp, dz = ENVELOPE_CUT * self.k_perp_width, ENVELOPE_CUT * self.k_z_width
         return (
-            (self.k_perp_center - 5 * self.k_perp_width, self.k_perp_center + 5 * self.k_perp_width),
-            (self.k_z_center - 5 * self.k_z_width, self.k_z_center + 5 * self.k_z_width),
+            (self.k_perp_center - dp, self.k_perp_center + dp),
+            (self.k_z_center - dz, self.k_z_center + dz),
         )
 
     def envelope(self, kp, kz):

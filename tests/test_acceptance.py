@@ -19,6 +19,7 @@ from besselbeams.dynops import (
     build_L_spherical,
     build_observables,
     build_stokes,
+    zero_points,
 )
 from besselbeams.lattice import FockOracle, build_lattice, commutator
 from besselbeams.modes import (
@@ -78,7 +79,7 @@ def test_01_commutator_table():
 def test_02_fock_oracle_equivalence():
     t0 = time.monotonic()
     lat = build_lattice((-1, 1), [1.0], [2.0])  # D = 6
-    obs = build_observables(lat, include_zero_point=False)
+    obs = build_observables(lat)
     oracle = FockOracle(lat, n_max=3)
     keep = np.flatnonzero(oracle.occupancy_mask(oracle.n_max - 1))
     worst = 0.0
@@ -92,11 +93,17 @@ def test_02_fock_oracle_equivalence():
     eye = identity(oracle.dim, dtype=complex, format="csr")
     # every observable: coefficient realization vs literal ladder assembly
     for op in obs.values():
-        direct = op.s * eye
+        direct = 0 * eye
         coo = op.X.tocoo()
         for r, c, v in zip(coo.row, coo.col, coo.data):
             direct = direct + v * (oracle.bdag[r] @ oracle.b[c])
         worst = max(worst, block_max(oracle.realize(op) - direct))
+    # symmetrizing a diagonal observable adds (1/2) sum_j X_jj [b_j, b_j^dag],
+    # its zero point times 1 on the block
+    for name, zero in zero_points(lat).items():
+        sym = sum(0.5 * x * (oracle.bdag[j] @ oracle.b[j] + oracle.b[j] @ oracle.bdag[j])
+                  for j, x in enumerate(obs[name].X.diagonal()))
+        worst = max(worst, block_max(sym - oracle.realize(obs[name]) - zero * eye))
     # every commutator of the observables: algebraic vs matrix commutator
     realized = {n: oracle.realize(op).tocsr() for n, op in obs.items()}
     names = sorted(obs)

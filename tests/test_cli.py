@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -578,6 +579,33 @@ class TestExpect:
         names = [ln.split(",")[0] for ln in out.strip().split("\n")[1:]]
         sig = [n for n in names if n.startswith("sigma")]
         assert len(sig) == 3 * 2 * 2 * 1  # 3 components x 2 m x 2 ikp x 1 ikz
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# TM and TE amplitudes, a repeated mode, -0.0 parts, and a negative k_z node
+GOLDEN_AMPS = [
+    "--kz=-1.5,2.0",
+    "--amp", "tm,0,0,0,0.5,-0.0", "--amp", "te,1,1,0,-0.0,0.4",
+    "--amp", "te,-2,2,1,0.7,-0.0", "--amp", "tm,0,0,0,0.25,0.1",
+    "--amp", "tm,1,1,0,-0.3,0.2", "--amp", "tm,1,0,0,-0.3,0.2",
+    "--amp", "te,2,1,0,0.1,-0.0",
+]
+GOLDEN_RUNS = {
+    "expect_vacuum.csv": ["expect"],
+    "expect_amplitudes.csv": ["expect"] + GOLDEN_AMPS,
+    # units.hbar = 0.37, units.c = 2.9
+    "expect_units.csv": ["--config", str(GOLDEN / "units.cfg"), "expect"] + GOLDEN_AMPS,
+    "verify_commutators.json": ["verify", "commutators", "--m-range=-8..8"],
+    "verify_basis.json": ["verify", "basis", "--m-range=-8..8"],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_output_equals_its_golden_file_byte_for_byte(name, tmp_path):
+    # the golden files fix every printed digit, signed zeros included
+    out = tmp_path / name
+    assert cli.main(GOLDEN_RUNS[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 class TestExpand:

@@ -14,6 +14,7 @@ from besselbeams.dynops import (
     make_pm_map,
     make_rl_map,
     stokes_expectations,
+    zero_points,
 )
 from besselbeams.lattice import (
     FAMILIES,
@@ -99,11 +100,11 @@ class TestElementaryFamilies:
         assert (commutator(s3, s1) - 2j * s2).max_abs() < 1e-14
 
 
-def _from_triplets(lat, terms, s=0.0):
+def _from_triplets(lat, terms):
     """Operator from (row, col, coeff) triplets; duplicates add up."""
     rows = [r for r, _, _ in terms]
     cols = [c for _, c, _ in terms]
-    return QuadraticOperator(lat, ([v for _, _, v in terms], (rows, cols)), s)
+    return QuadraticOperator(lat, ([v for _, _, v in terms], (rows, cols)))
 
 
 def _omega(lat, idx):
@@ -127,17 +128,15 @@ def _elementary(lat, ip, iz):
     def idx(fam, m):
         return lat.index(fam, m, ip, iz)
 
-    def op(terms, s=0.0):
-        return _from_triplets(lat, terms, s)
+    def op(terms):
+        return _from_triplets(lat, terms)
 
     out = {}
     for f in FAMILIES:
         out["Pi+", f] = op([(idx(f, m - 1), idx(f, m), 1j) for m in shifted])
-        out["Pi3", f] = op([(idx(f, m), idx(f, m), 1.0) for m in lat.m_values],
-                           0.5 * len(lat.m_values))
+        out["Pi3", f] = op([(idx(f, m), idx(f, m), 1.0) for m in lat.m_values])
         out["Lambda+", f] = op([(idx(f, m - 1), idx(f, m), 1j * (m - 0.5)) for m in shifted])
-        out["Lambda3", f] = op([(idx(f, m), idx(f, m), float(m)) for m in lat.m_values],
-                               0.5 * sum(lat.m_values))
+        out["Lambda3", f] = op([(idx(f, m), idx(f, m), float(m)) for m in lat.m_values])
     out["Sigma+"] = op([t for m in shifted for t in (
         (idx(TE, m), idx(TM, m - 1), 0.5), (idx(TM, m), idx(TE, m - 1), -0.5))])
     out["Sigma3"] = op([t for m in lat.m_values for t in (
@@ -145,26 +144,30 @@ def _elementary(lat, ip, iz):
     return out
 
 
-def _reference_operators(lat, include_zero_point):
+def _diag_E(lat):
+    return np.array([lat.hbar * _omega(lat, i) for i in range(lat.dim)])
+
+
+def _empty(lat):
+    return QuadraticOperator(lat, np.zeros((lat.dim, lat.dim)))
+
+
+def _reference_operators(lat):
     """Observables and commutator-table right-hand sides built node by node
     from the elementary families with repeated sparse +, the construction
     the term table replaced."""
     hbar, c = lat.hbar, lat.c
     m_lo, m_hi = lat.m_range
-    diag_E = np.array([hbar * _omega(lat, i) for i in range(lat.dim)])
+    diag_E = _diag_E(lat)
     ref = {
-        "energy": _from_triplets(
-            lat, [(i, i, diag_E[i]) for i in range(lat.dim)],
-            s=0.5 * diag_E.sum() if include_zero_point else 0.0),
-        "number": _from_triplets(
-            lat, [(i, i, 1.0) for i in range(lat.dim)],
-            s=0.5 * lat.dim if include_zero_point else 0.0),
+        "energy": _from_triplets(lat, [(i, i, diag_E[i]) for i in range(lat.dim)]),
+        "number": _from_triplets(lat, [(i, i, 1.0) for i in range(lat.dim)]),
     }
     sums = ("P+", "P3", "L+", "L3", "S+", "S3", "[L+,L-]", "[L+,P+]", "[S+,L3]", "[S+,L-] printed")
-    ref.update((name, QuadraticOperator(lat)) for name in sums)
+    ref.update((name, _empty(lat)) for name in sums)
     for ip, iz, kp, kz, w in _per_node(lat):
         el = _elementary(lat, ip, iz)
-        lam3 = QuadraticOperator(lat)
+        lam3 = _empty(lat)
         for f in FAMILIES:
             ref["P+"] = ref["P+"] + (hbar * kp) * el["Pi+", f]
             ref["P3"] = ref["P3"] + (hbar * kz) * el["Pi3", f]
@@ -173,8 +176,7 @@ def _reference_operators(lat, include_zero_point):
             lam3 = lam3 + el["Lambda3", f]
         ref["S+"] = ref["S+"] + (hbar * c * kp / w) * el["Sigma+"]
         ref["S3"] = ref["S3"] + (hbar * c * kz / w) * el["Sigma3"]
-        ref["[L+,L-]"] = ref["[L+,L-]"] + (2.0 * hbar**2 * kz**2 / kp**2) * QuadraticOperator(
-            lat, lam3.X)
+        ref["[L+,L-]"] = ref["[L+,L-]"] + (2.0 * hbar**2 * kz**2 / kp**2) * lam3
         ref["[L+,P+]"] = ref["[L+,P+]"] + _from_triplets(lat, [
             (lat.index(f, m - 1, ip, iz), lat.index(f, m + 1, ip, iz), hbar**2 * kz)
             for f in FAMILIES for m in range(m_lo + 1, m_hi)])
@@ -187,9 +189,19 @@ def _reference_operators(lat, include_zero_point):
                  1j * hbar**2 * c * kz / w))])
     for v in "PLS":
         ref[f"{v}-"] = ref[f"{v}+"].dagger()
-    if not include_zero_point:
-        for key in ("P3", "L3"):
-            ref[key] = QuadraticOperator(lat, ref[key].X)
+    return ref
+
+
+def _reference_zero_points(lat):
+    """Zero points of the symmetrized observables, each node's and family's
+    (1/2) sum_m of the diagonal added in turn, as the per-node construction
+    added its scalar parts."""
+    diag_E = _diag_E(lat)
+    ref = {"energy": 0.5 * diag_E.sum(), "number": 0.5 * lat.dim, "P3": 0.0, "L3": 0.0}
+    for _, _, _, kz, _ in _per_node(lat):
+        for _ in FAMILIES:
+            ref["P3"] += (lat.hbar * kz) * (0.5 * len(lat.m_values))
+            ref["L3"] += lat.hbar * (0.5 * sum(lat.m_values))
     return ref
 
 
@@ -208,8 +220,7 @@ def _reference_pair_block(lat, beta):
 
 def _bits(op):
     X = op.X
-    return (X.indptr.tobytes(), X.indices.tobytes(), X.data.tobytes(),
-            np.array([op.s]).tobytes())
+    return X.indptr.tobytes(), X.indices.tobytes(), X.data.tobytes()
 
 
 ASSEMBLY_LATTICES = {
@@ -221,12 +232,19 @@ ASSEMBLY_LATTICES = {
 
 
 class TestTermTableAssembly:
-    @pytest.mark.parametrize("include_zero_point", [True, False], ids=["zero-point", "normal"])
+    @pytest.mark.parametrize("part", ["zero-point", "normal"])
     @pytest.mark.parametrize("name", list(ASSEMBLY_LATTICES))
-    def test_bitwise_equal_to_per_node_construction(self, name, include_zero_point):
+    def test_bitwise_equal_to_per_node_construction(self, name, part):
         lat = ASSEMBLY_LATTICES[name]
-        ref = _reference_operators(lat, include_zero_point)
-        obs = build_observables(lat, include_zero_point)
+        if part == "zero-point":
+            ref = _reference_zero_points(lat)
+            zero = zero_points(lat)
+            assert zero.keys() == ref.keys()
+            for key, z in zero.items():
+                assert np.float64(z).tobytes() == np.float64(ref[key]).tobytes(), key
+            return
+        ref = _reference_operators(lat)
+        obs = build_observables(lat)
         assert len(obs) == 11
         for key, op in obs.items():
             assert _bits(op) == _bits(ref[key]), key
@@ -240,9 +258,14 @@ class TestTermTableAssembly:
     )
     def test_normal_ordered_observables_have_no_scalar(self, lat):
         # P3 and L3 zero points do not cancel on these lattices (kz or m
-        # not symmetric), so this covers all four symmetrized observables
-        obs = build_observables(lat, include_zero_point=False)
-        assert {key: op.s for key, op in obs.items()} == dict.fromkeys(obs, 0.0)
+        # not symmetric), so this covers all four symmetrized observables:
+        # their zero points are apart, and every observable is 0 on the vacuum
+        obs = build_observables(lat)
+        vacuum = {key: coherent_expectation(op, CoherentAmplitude()) for key, op in obs.items()}
+        assert vacuum == dict.fromkeys(obs, 0.0)
+        assert all(set(vars(op)) == {"lattice", "X"} for op in obs.values())
+        zero = zero_points(lat)
+        assert set(zero) == {"energy", "number", "P3", "L3"} and all(zero.values())
 
     @pytest.mark.parametrize("name", list(ASSEMBLY_LATTICES))
     def test_pair_blocks_bitwise_equal_to_per_node_fill(self, name):
@@ -258,7 +281,7 @@ class TestExpectations:
         # equal real amplitudes on neighbors (m, m+1) carry transverse
         # momentum 2 hbar k_perp |alpha|^2 w along axis 2 and none along 1
         lat = build_lattice((-2, 2), [1.3], [2.0])
-        obs = build_observables(lat, include_zero_point=False)
+        obs = build_observables(lat)
         a = 0.6
         alpha = CoherentAmplitude({
             lat.index(TM, 0, 0, 0): a,
@@ -274,7 +297,7 @@ class TestExpectations:
         # independent Fock-oracle value
         small = build_lattice((0, 1), [1.3], [2.0])
         oracle = FockOracle(small, n_max=8)
-        obs_small = build_observables(small, include_zero_point=False)
+        obs_small = build_observables(small)
         alpha_small = CoherentAmplitude({small.index(TM, 0, 0, 0): a, small.index(TM, 1, 0, 0): a})
         _, P2s, _ = cartesian(obs_small, "P")
         assert fock_expectation(oracle, P2s, alpha_small).real == pytest.approx(
@@ -283,19 +306,19 @@ class TestExpectations:
 
     def test_zero_point_energy(self):
         lat = lattice_d6()
-        obs = build_observables(lat)
-        energy, number = obs["energy"], obs["number"]
-        vac = coherent_expectation(energy, CoherentAmplitude())
+        zero = zero_points(lat)
         expected = 0.5 * sum(_omega(lat, i) for i in range(lat.dim))
-        assert vac.real == pytest.approx(expected, rel=1e-15)
-        assert coherent_expectation(number, CoherentAmplitude()).real == pytest.approx(
-            0.5 * lat.dim
-        )
+        assert zero["energy"] == pytest.approx(expected, rel=1e-15)
+        assert zero["number"] == 0.5 * lat.dim
+        # the normal-ordered forms carry none of it
+        obs = build_observables(lat)
+        for name in ("energy", "number"):
+            assert coherent_expectation(obs[name], CoherentAmplitude()) == 0
 
     def test_pm_basis_changes_helicity_not_energy(self):
         # one TM photon vs one (+) photon: same energy, different S3
         lat = lattice_d6()
-        obs = build_observables(lat, include_zero_point=False)
+        obs = build_observables(lat)
         pm = make_pm_map(lat)
         idx = lat.index(TM, 0, 0, 0)
         a_tm = CoherentAmplitude({idx: 1.0})

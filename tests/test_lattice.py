@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from besselbeams.dynops import build_observables, zero_points
 from besselbeams.lattice import (
     BasisMap,
     CoherentAmplitude,
@@ -103,7 +104,11 @@ class TestQuadraticOperator:
         assert np.allclose((A + B).X.toarray(), A.X.toarray() + B.X.toarray())
         assert np.allclose((A - B).X.toarray(), A.X.toarray() - B.X.toarray())
         assert np.allclose((2.5 * A).X.toarray(), 2.5 * A.X.toarray())
-        assert (A + 1.5).s == pytest.approx(A.s + 1.5)
+        # operators are normal-ordered: a c-number is no summand
+        with pytest.raises(TypeError):
+            A + 1.5
+        with pytest.raises(TypeError):
+            1.5 + A
 
     def test_restrict_is_projection(self):
         lat = small_lattice()
@@ -149,10 +154,12 @@ class TestCommutatorAlgebra:
         assert J.max_abs() < 1e-10
 
     def test_scalar_part_never_enters(self):
+        # a commutator is a coefficient matrix alone: no c-number part, so
+        # its vacuum value is exactly 0
         lat = small_lattice()
-        A = random_op(lat, RNG) + 3.7
-        B = random_op(lat, RNG) + (1.0 - 2.0j)
-        assert commutator(A, B).s == 0.0
+        C = commutator(random_op(lat, RNG), random_op(lat, RNG))
+        assert set(vars(C)) == {"lattice", "X"}
+        assert coherent_expectation(C, CoherentAmplitude()) == 0
 
 
 class TestFockOracle:
@@ -190,11 +197,21 @@ class TestFockOracle:
         assert abs(exact - truncated) < 1e-6  # truncation error at |alpha| ~ 0.2
 
     def test_vacuum_expectation_is_scalar_part(self):
-        lat = small_lattice()
-        A = random_op(lat, RNG) + 2.25
-        assert coherent_expectation(A, CoherentAmplitude()) == pytest.approx(
-            A.s, abs=1e-15
-        )
+        # the normal-ordered observables vanish on the vacuum; symmetrizing a
+        # diagonal one, sum_j X_jj (b_j^dag b_j + b_j b_j^dag) / 2, adds its
+        # zero point, which the Fock vacuum reads
+        lat = build_lattice((-1, 0), [0.7], [-1.3, 2.0], c=1.3, hbar=0.6)  # D = 8
+        oracle = FockOracle(lat, n_max=2)
+        obs, zero = build_observables(lat), zero_points(lat)
+        assert set(zero) == {"energy", "number", "P3", "L3"}
+        for name, op in obs.items():
+            assert coherent_expectation(op, CoherentAmplitude()) == 0, name
+        for name, z in zero.items():
+            X = obs[name].X
+            assert abs(X - X.diagonal() * np.eye(lat.dim)).max() == 0, name
+            sym = sum(0.5 * x * (oracle.bdag[j] @ oracle.b[j] + oracle.b[j] @ oracle.bdag[j])
+                      for j, x in enumerate(X.diagonal()))
+            assert z != 0 and sym[0, 0] == pytest.approx(z, rel=1e-14), name
 
     def test_dimension_cap(self):
         lat = build_lattice((-4, 4), [1.0], [2.0])  # D = 18
@@ -275,11 +292,11 @@ class TestBasisMap:
         # primed ladder matrices
         bp = [sum(T[i, j] * oracle.b[j] for j in range(lat.dim)) for i in range(lat.dim)]
         bpd = [M.conj().T for M in bp]
-        direct = A.s * np.eye(oracle.dim, dtype=complex)
+        direct = np.zeros((oracle.dim, oracle.dim), dtype=complex)
         coo = A.X.tocoo()
         for r, c, v in zip(coo.row, coo.col, coo.data):
             direct = direct + v * (oracle.bdag[r] @ oracle.b[c]).toarray()
-        primed = Ap.s * np.eye(oracle.dim, dtype=complex)
+        primed = np.zeros((oracle.dim, oracle.dim), dtype=complex)
         coo = Ap.X.tocoo()
         for r, c, v in zip(coo.row, coo.col, coo.data):
             primed = primed + v * (bpd[r] @ bp[c]).toarray()

@@ -212,18 +212,16 @@ class TestScalarKernels:
             # a call costs O(j): seven orders per degree, the ends included
             orders = sorted({a for a in (0, 1, 2, j // 3, j // 2, j - 1, j) if 0 <= a <= j})
             m = np.array(orders)[:, None]
-            got = [assoc_legendre(j, a, x) for a in orders for x in xs]
-            assert np.array_equal(_bits(got), _bits(lpmv(m, j, np.array(xs))).ravel()), j
+            _assert_bitwise_or_refused(assoc_legendre, j, orders, xs, lpmv(m, j, np.array(xs)))
             x = np.array(inner)
             below = np.where(m <= j - 1, lpmv(m, j - 1, x), 0.0)
             # P_j^m near m = j overflows to inf (from j = 86 at x = 0.3), and
-            # +/-0 x inf is NaN on both paths
+            # +/-0 x inf is NaN
             with np.errstate(invalid="ignore"):
                 want = (j * x * lpmv(m, j, x) - (j + m) * below) / (x * x - 1.0)
             if j == 0:
                 want = np.zeros_like(want)  # the constant's derivative, +0.0
-            got = [assoc_legendre_prime(j, a, x) for a in orders for x in inner]
-            assert np.array_equal(_bits(got), _bits(want).ravel()), j
+            _assert_bitwise_or_refused(assoc_legendre_prime, j, orders, inner, want)
 
     def test_point_values_are_python_floats(self):
         for fn, args in ((bessel_j, (3, 1.5)), (bessel_j_prime, (-3, 1.5)),
@@ -232,6 +230,18 @@ class TestScalarKernels:
                          (assoc_legendre_prime, (4, 2, 0.3)), (assoc_legendre_prime, (0, 0, 0.3))):
             assert type(fn(*args)) is float, (fn.__name__, args)
             assert type(fn(*(np.float64(a) if isinstance(a, float) else a for a in args))) is float
+
+
+def _assert_bitwise_or_refused(fn, j, orders, xs, want):
+    """fn(j, a, x) equals `want` (orders x xs) bit for bit where that is
+    finite, and raises DomainError where it is not."""
+    for a, row in zip(orders, want):
+        for x, w in zip(xs, row):
+            if np.isfinite(w):
+                assert _bits(fn(j, a, x)) == _bits(w), (j, a, x)
+            else:
+                with pytest.raises(DomainError):
+                    fn(j, a, x)
 
 
 class TestLegendre:
@@ -261,6 +271,16 @@ class TestLegendre:
             assoc_legendre(2, 1, np.array([0.1, 0.2]))
         with pytest.raises(TypeError):
             assoc_legendre_prime(2, 1, np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("fn, args", [
+        (assoc_legendre, (86, 85, 0.3)),         # the kernel gives -inf
+        (assoc_legendre, (200, 199, 0.0995)),    # NaN
+        (assoc_legendre_prime, (86, 85, 0.3)),   # +inf
+        (assoc_legendre_prime, (MAX_ORDER + 1, 1, 0.3)),
+    ])
+    def test_no_infinite_or_nan_value_inside_the_domain(self, fn, args):
+        with pytest.raises(DomainError):
+            fn(*args)
 
 
 def _random_directions(n):

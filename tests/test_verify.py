@@ -119,6 +119,26 @@ class TestCommutatorSuite:
         names = [r.name for r in results]
         assert any("fock-oracle" in n for n in names)
 
+    def test_fock_cross_check_computed_once_per_process(self, monkeypatch):
+        # the check reads no input but tol: every suite run calls it, and
+        # the first builds the oracle
+        built, calls = [], []
+
+        class CountingOracle(verify.FockOracle):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        check = verify._fock_cross_check
+        monkeypatch.setattr(verify, "FockOracle", CountingOracle)
+        monkeypatch.setattr(verify, "_fock_cross_check", lambda tol: calls.append(tol) or check(tol))
+        verify._fock_residual.cache_clear()
+        runs = [[r for r in commutator_suite(make_lattice()) if "fock-oracle" in r.name]
+                for _ in range(2)]
+        assert len(built) == 1 and len(calls) == 2
+        assert runs[0] == runs[1] and len(runs[0]) == 1
+        assert runs[0][0].passed
+
     def test_table_provenance_matches_the_flags(self):
         rows = {"commutator: " + row[0]: row for row in verify.COMMUTATOR_TABLE}
         assert {row[4] for row in rows.values()} == {"canonical", "printed", "computed"}
