@@ -24,7 +24,6 @@ from .modes import (
     eval_N,
 )
 from .lattice import (
-    CoherentAmplitude,
     ModeLattice,
     QuadraticOperator,
     build_lattice,
@@ -50,7 +49,6 @@ __all__ = [
     "eval_E",
     "eval_M",
     "eval_N",
-    "CoherentAmplitude",
     "ModeLattice",
     "QuadraticOperator",
     "build_lattice",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .lattice import CoherentAmplitude, LatticeError, coherent_expectation, build_lattice
+from .lattice import LatticeError, coherent_expectation, build_lattice
 from .dynops import build_observables, cartesian, stokes_expectations, zero_points
 # Unused here: perfbench's tracer wraps this name in cli.__dict__.
 from .dynops import build_stokes  # noqa: F401
@@ -463,14 +463,14 @@ def parse_amplitude(text):
 
 def cmd_expect(args, cfg):
     cfg, lat = _with_lattice_flags(args, cfg)
-    alpha = CoherentAmplitude()
+    alpha = np.zeros(lat.dim, dtype=complex)
     for text in args.amp or []:
         fam, m, ikp, ikz, val = parse_amplitude(text)
         if not (cfg.m_range[0] <= m <= cfg.m_range[1]):
             raise UsageError(f"amplitude m={m} outside lattice range {cfg.m_range}")
         if not (0 <= ikp < len(cfg.k_perp)) or not (0 <= ikz < len(cfg.k_z)):
             raise UsageError(f"amplitude node ({ikp},{ikz}) outside the lattice")
-        alpha[lat.index(fam, m, ikp, ikz)] = alpha.get(lat.index(fam, m, ikp, ikz), 0) + val
+        alpha[lat.index(fam, m, ikp, ikz)] += val
 
     obs = build_observables(lat)
     rows = [("energy", obs["energy"]), ("number", obs["number"])]

@@ -190,7 +190,7 @@ def stokes_expectations(lat: ModeLattice, alpha):
     the way the coefficient-matrix expectation conj(v) . (X v) sums it: the
     real products xr yr, xi yi, xr yi and xi yr in four separate sums.
     """
-    x = np.moveaxis(alpha.vector(lat)[lat.pairs()], -1, 0)  # x[i]: family FAMILIES[i]
+    x = np.moveaxis(alpha[lat.pairs()], -1, 0)  # x[i]: family FAMILIES[i]
     out = []
     for rows in STOKES[1:]:
         y = np.zeros_like(x)  # sigma_k a
@@ -217,7 +217,8 @@ def build_observables(lat: ModeLattice):
 
 def cartesian(obs, which):
     """(V_1, V_2, V_3) of P, L or S (`which`) from the e_+/- coefficient pair
-    in the `build_observables` mapping `obs`."""
+    in `obs`: a `build_observables` mapping, or any mapping of those three
+    keys to operators or matrices."""
     plus, minus = obs[which + "+"], obs[which + "-"]
     return plus + minus, 1j * (minus - plus), obs[which + "3"]
 
@@ -272,7 +273,7 @@ def build_L_spherical(j_max):
 
     (j, m) sits at index j^2 - 1 + (j + m): j-major, m ascending.  L_plus
     carries (1/2) sqrt((j - m)(j + m + 1)) at (m + 1, m), on the
-    subdiagonal, so that L_x = L_plus + L_minus and L_y = i (L_minus - L_plus)
+    subdiagonal, so that the L_x, L_y that `cartesian` pairs from them
     satisfy [L_x, L_y] = i L_z; the entry at each multiplet top is zero and
     is dropped.
     """

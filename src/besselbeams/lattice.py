@@ -158,13 +158,6 @@ class QuadraticOperator:
         """Max-abs over the coefficient entries."""
         return abs(self.X.data).max() if self.X.nnz else 0.0
 
-    def restrict(self, indices):
-        """Projection P O P onto a subset of single-particle indices."""
-        mask = np.zeros(self.lattice.dim)
-        mask[list(indices)] = 1.0
-        P = sp.diags(mask)
-        return QuadraticOperator(self.lattice, P @ self.X @ P)
-
 
 def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
     """[A, B] via the quadratic-form identity [b*Xb, b*Yb] = b*(XY - YX)b."""
@@ -237,19 +230,10 @@ def apply_basis(A: QuadraticOperator, bm: BasisMap) -> QuadraticOperator:
     return QuadraticOperator(A.lattice, Tinv.getH() @ A.X @ Tinv)
 
 
-class CoherentAmplitude(dict):
-    """Map lattice index -> complex amplitude; missing indices are vacuum."""
-
-    def vector(self, lattice):
-        v = np.zeros(lattice.dim, dtype=complex)
-        v[list(self)] = list(self.values())
-        return v
-
-
-def coherent_expectation(A: QuadraticOperator, alpha: CoherentAmplitude) -> complex:
-    """<alpha| A |alpha> = conj(alpha) . X . alpha."""
-    v = alpha.vector(A.lattice)
-    return complex(np.vdot(v, A.X @ v))
+def coherent_expectation(A: QuadraticOperator, alpha: np.ndarray) -> complex:
+    """<alpha| A |alpha> = conj(alpha) . X . alpha, for a complex amplitude
+    vector alpha of length lattice.dim in the flat index layout."""
+    return complex(np.vdot(alpha, A.X @ alpha))
 
 
 class FockOracle:

@@ -269,21 +269,18 @@ def cone_density(which, m, k_perp, k_z, phi_k, c=1.0):
     )
 
 
-def angular_spectrum(which, m, k_perp, k_z, p: CylPoint, n_nodes=None, c=1.0):
+def angular_spectrum(which, m, k_perp, k_z, p: CylPoint, c=1.0):
     """M or N via trapezoidal quadrature of cone_density over the cone azimuth.
 
     The radial and axial delta factors of the full 3D plane-wave
     representation are collapsed analytically.
 
-    Returns (ComplexVec3, meta) where meta flags insufficient nodes.
+    Returns (ComplexVec3, n_nodes), with the `_ring_nodes` count of nodes.
     """
-    required = _ring_nodes(m, k_perp, p.rho)
-    if n_nodes is None:
-        n_nodes = required
-    meta = {"n_nodes": n_nodes, "recommended": required, "converged": n_nodes >= required}
+    n_nodes = _ring_nodes(m, k_perp, p.rho)
     omega = c * math.hypot(k_perp, k_z)
     phik = np.linspace(0.0, 2.0 * math.pi, n_nodes, endpoint=False)
     wave = np.exp(1j * k_perp * p.rho * np.cos(p.phi - phik))
     density = cone_density(which, m, k_perp, k_z, phik, c)
     comp = 2.0 * math.pi * (density * wave[:, None]).mean(axis=0)
-    return ComplexVec3(comp * np.exp(1j * (k_z * p.z - omega * p.t))), meta
+    return ComplexVec3(comp * np.exp(1j * (k_z * p.z - omega * p.t))), n_nodes

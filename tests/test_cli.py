@@ -597,6 +597,13 @@ GOLDEN_RUNS = {
     "expect_units.csv": ["--config", str(GOLDEN / "units.cfg"), "expect"] + GOLDEN_AMPS,
     "verify_commutators.json": ["verify", "commutators", "--m-range=-8..8"],
     "verify_basis.json": ["verify", "basis", "--m-range=-8..8"],
+    # the narrowest accepted window: the interior block is m in {-1, 0, 1}
+    "verify_commutators_width7.json": ["verify", "commutators", "--m-range=-3..3",
+                                       "--kperp", "0.3,0.9,1.4", "--kz=-1.1,2.4"],
+    # three k_perp nodes, a repeated mode with an exact zero part, and negative parts
+    "expect_window.csv": ["expect", "--m-range=-6..6", "--kperp", "0.3,0.9,1.4", "--kz=-1.1,2.4",
+                          "--amp", "te,-3,1,0,-0.7,-0.2", "--amp", "tm,5,2,1,0.3,-0.9",
+                          "--amp", "tm,5,2,1,0.1,0.0"],
 }
 
 

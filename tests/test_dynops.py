@@ -19,7 +19,6 @@ from besselbeams.dynops import (
 from besselbeams.lattice import (
     FAMILIES,
     BasisMap,
-    CoherentAmplitude,
     FockOracle,
     LatticeError,
     QuadraticOperator,
@@ -261,7 +260,8 @@ class TestTermTableAssembly:
         # not symmetric), so this covers all four symmetrized observables:
         # their zero points are apart, and every observable is 0 on the vacuum
         obs = build_observables(lat)
-        vacuum = {key: coherent_expectation(op, CoherentAmplitude()) for key, op in obs.items()}
+        empty = np.zeros(lat.dim, dtype=complex)
+        vacuum = {key: coherent_expectation(op, empty) for key, op in obs.items()}
         assert vacuum == dict.fromkeys(obs, 0.0)
         assert all(set(vars(op)) == {"lattice", "X"} for op in obs.values())
         zero = zero_points(lat)
@@ -283,10 +283,8 @@ class TestExpectations:
         lat = build_lattice((-2, 2), [1.3], [2.0])
         obs = build_observables(lat)
         a = 0.6
-        alpha = CoherentAmplitude({
-            lat.index(TM, 0, 0, 0): a,
-            lat.index(TM, 1, 0, 0): a,
-        })
+        alpha = np.zeros(lat.dim, dtype=complex)
+        alpha[[lat.index(TM, 0, 0, 0), lat.index(TM, 1, 0, 0)]] = a
         P1, P2, P3 = cartesian(obs, "P")
         p1 = coherent_expectation(P1, alpha)
         p2 = coherent_expectation(P2, alpha)
@@ -298,7 +296,8 @@ class TestExpectations:
         small = build_lattice((0, 1), [1.3], [2.0])
         oracle = FockOracle(small, n_max=8)
         obs_small = build_observables(small)
-        alpha_small = CoherentAmplitude({small.index(TM, 0, 0, 0): a, small.index(TM, 1, 0, 0): a})
+        alpha_small = np.zeros(small.dim, dtype=complex)
+        alpha_small[[small.index(TM, 0, 0, 0), small.index(TM, 1, 0, 0)]] = a
         _, P2s, _ = cartesian(obs_small, "P")
         assert fock_expectation(oracle, P2s, alpha_small).real == pytest.approx(
             2 * kp * a**2, abs=1e-6
@@ -313,7 +312,7 @@ class TestExpectations:
         # the normal-ordered forms carry none of it
         obs = build_observables(lat)
         for name in ("energy", "number"):
-            assert coherent_expectation(obs[name], CoherentAmplitude()) == 0
+            assert coherent_expectation(obs[name], np.zeros(lat.dim, dtype=complex)) == 0
 
     def test_pm_basis_changes_helicity_not_energy(self):
         # one TM photon vs one (+) photon: same energy, different S3
@@ -321,13 +320,11 @@ class TestExpectations:
         obs = build_observables(lat)
         pm = make_pm_map(lat)
         idx = lat.index(TM, 0, 0, 0)
-        a_tm = CoherentAmplitude({idx: 1.0})
+        a_tm = np.zeros(lat.dim, dtype=complex)
+        a_tm[idx] = 1.0
         # (+) coherent state: alpha' has support on the TM slot in the new
         # basis; pull back to old-basis amplitudes via T^-1
-        e = np.zeros(lat.dim, dtype=complex)
-        e[idx] = 1.0
-        back = np.linalg.inv(pm.T.toarray()) @ e
-        a_plus = CoherentAmplitude({i: back[i] for i in range(lat.dim) if abs(back[i]) > 0})
+        a_plus = np.linalg.inv(pm.T.toarray()) @ a_tm
         E1 = coherent_expectation(obs["energy"], a_tm)
         E2 = coherent_expectation(obs["energy"], a_plus)
         S1 = coherent_expectation(obs["S3"], a_tm)
@@ -342,9 +339,9 @@ class TestStokes:
     def test_pair_expectations_match_the_quadratic_forms(self):
         lat = ASSEMBLY_LATTICES["asymmetric"]
         rng = np.random.default_rng(3)
-        alpha = CoherentAmplitude(
-            {int(i): complex(*rng.normal(size=2)) for i in rng.choice(lat.dim, 12, replace=False)}
-        )
+        alpha = np.zeros(lat.dim, dtype=complex)
+        for i in rng.choice(lat.dim, 12, replace=False):
+            alpha[i] = complex(*rng.normal(size=2))
         sigma = stokes_expectations(lat, alpha)
         assert sigma.shape == (3, 8, 2, 2)
         for im, m in enumerate(lat.m_values):
