@@ -300,7 +300,8 @@ def parse_grid(text):
 
 
 def _field_samples(which, K, norm, p):
-    """Cartesian (3,) complex vectors for the columns of `which`."""
+    """Cartesian complex vectors for the columns of `which`: (3,) each, or
+    (n_z, 3) when p.z is a sequence of n_z values."""
     if which == "EB":
         return [eval_E(K, p, norm), eval_B(K, p, norm)]
     if which == "A":
@@ -354,16 +355,21 @@ def cmd_field(args, cfg):
     # every column is a float, so one template renders a row as _fmt would
     row = ",".join(["%.17g"] * len(header))
     samples = np.empty((n_a * n_b, len(header) - 4))
+    grid = samples.reshape(coords["z"].size, coords["y"].size, coords["x"].size, -1)
+    # the profile does not change along z: one call per transverse (x, y)
+    # point takes every z of the plane, or the one z of a z plane
+    axial = axis_val if axis == "z" else coords["z"].tolist()
     # finite inputs can overflow a phase or k_perp/k_z: one check, after the loop
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # row order: z-major, then y, then x
-        for i, (z, y, x) in enumerate(itertools.product(coords["z"], coords["y"], coords["x"])):
-            p = CylPoint(math.hypot(x, y), math.atan2(y, x), float(z), args.t)
-            samples[i] = np.concatenate(_field_samples(which, K, norm, p)).view(float)
-            lines.append(row % (x, y, z, args.t, *samples[i].tolist()))
+        for (j, y), (i, x) in itertools.product(enumerate(coords["y"]), enumerate(coords["x"])):
+            p = CylPoint(math.hypot(x, y), math.atan2(y, x), axial, args.t)
+            grid[:, j, i] = np.concatenate(_field_samples(which, K, norm, p), axis=-1).view(float)
     if not np.isfinite(samples).all():
         raise UsageError("inputs too large: a sampled field value is not finite")
-    del samples  # joining the rows below sets the command's peak memory
+    # row order: z-major, then y, then x
+    points = itertools.product(coords["z"], coords["y"], coords["x"])
+    lines += [row % (x, y, z, args.t, *samples[i].tolist()) for i, (z, y, x) in enumerate(points)]
+    del samples, grid  # joining the rows below sets the command's peak memory
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 

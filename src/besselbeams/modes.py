@@ -2,14 +2,15 @@
 
 Evaluates the transverse vector mode functions M and N, the TE/TM vector
 potentials with the physical normalization amplitude, the resulting E and
-B fields, the Hertz-potential assembly of the same fields (an independent
-cross-check path), and the plane-wave angular-spectrum quadrature
-representation of M and N.
+B fields, and the plane-wave angular-spectrum quadrature representation of
+M and N.
 
 Phase convention is exp(-i w t + i k_z z + i m phi) throughout.  M and N
 are written down once, as a term table in the e_-, e_+, e_3 basis
 (`mode_terms`); every term is regular at rho = 0, so point values on the
-axis need no special case and come out in the Cartesian frame.
+axis need no special case and come out in the Cartesian frame.  The
+transverse profile does not depend on z, so a point whose z is a 1-D
+sequence evaluates the profile once and takes one axial phase per z.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DomainError, bessel_j, bessel_j_prime
-# Unused here: perfbench/tracing.py wraps modes.bessel_j_over_x by name.
-from .specfun import bessel_j_over_x  # noqa: F401
+from .specfun import bessel_j
+# Unused here: perfbench/tracing.py wraps these names in modes.__dict__.
+from .specfun import bessel_j_over_x, bessel_j_prime  # noqa: F401
 
 TM, TE = "TM", "TE"
 
@@ -53,7 +54,11 @@ class ModeIndex:
 
 @dataclass(frozen=True)
 class CylPoint:
-    """Cylindrical sample point (rho, phi, z) at time t."""
+    """Cylindrical sample point (rho, phi, z) at time t.
+
+    z is one value or a 1-D sequence of values: the latter stands for the
+    points (rho, phi, z_k) on one line parallel to the beam axis.
+    """
 
     rho: float
     phi: float = 0.0
@@ -106,10 +111,6 @@ E_PLUS = E1 + 1j * E2
 E_MINUS = E1 - 1j * E2
 
 
-def _phase(m, k_z, p: CylPoint, omega):
-    return np.exp(1j * (-omega * p.t + m * p.phi + k_z * p.z))
-
-
 _POL = {"-": E_MINUS, "+": E_PLUS, "3": E3}
 # the same vectors as (x, y, z) complex constants, for the point path
 _POL_COMPLEX = {pol: tuple(complex(v) for v in vec) for pol, vec in _POL.items()}
@@ -150,17 +151,30 @@ def _eval_mode(which, m, k_perp, k_z, p: CylPoint, c):
         cz += term * ez
     # The phase product stays an array operation: numpy's complex array
     # multiply may round differently from a scalar one (an FMA in its SIMD
-    # loop), and field values are defined by the array product.
-    return np.array((cx, cy, cz)) * cmath.exp(1j * (k_z * p.z - omega * p.t))
+    # loop), and field values are defined by the array product.  A z
+    # sequence multiplies each row by its own phase, the same loop as the
+    # one-z product, so row k equals the value at z_k bit for bit.
+    profile = np.array((cx, cy, cz))
+    wt = omega * p.t
+    # np.ndim of a Python float costs about as much as a bessel_j call, so
+    # isinstance settles the common case first
+    if isinstance(p.z, (float, int)) or np.ndim(p.z) == 0:
+        return profile * cmath.exp(1j * (k_z * p.z - wt))
+    zs = np.asarray(p.z, dtype=float)
+    if zs.ndim != 1:
+        raise ValueError("z must be one value or a 1-D sequence")
+    return profile * np.array([cmath.exp(1j * (k_z * z - wt)) for z in zs.tolist()])[:, None]
 
 
 def eval_M(m, k_perp, k_z, p: CylPoint, c=1.0):
-    """Mode vector M at a point: a (3,) complex array, Cartesian (see mode_terms)."""
+    """Mode vector M at a point, Cartesian (see mode_terms): a (3,) complex
+    array, or (n_z, 3) when p.z is a sequence of n_z values."""
     return _eval_mode("M", m, k_perp, k_z, p, c)
 
 
 def eval_N(m, k_perp, k_z, p: CylPoint, c=1.0):
-    """Mode vector N at a point: a (3,) complex array, Cartesian (see mode_terms)."""
+    """Mode vector N at a point, Cartesian (see mode_terms): a (3,) complex
+    array, or (n_z, 3) when p.z is a sequence of n_z values."""
     return _eval_mode("N", m, k_perp, k_z, p, c)
 
 
@@ -178,67 +192,25 @@ FIELD_RULE = {
 
 def _eval_field(which, K: ModeIndex, p: CylPoint, norm: NormalizationConvention, pref=1.0):
     """pref times the `which` field of mode K at a point (FIELD_RULE), as a
-    (3,) complex array; the product is array times scalar, elementwise."""
+    (3,) or (n_z, 3) complex array (see eval_M); the product is array times
+    scalar, elementwise."""
     vector, sign = FIELD_RULE[which, K.family]
     return _eval_mode(vector, K.m, K.k_perp, K.k_z, p, norm.c) * (sign(pref) * norm.amplitude(K))
 
 
 def eval_potential(K: ModeIndex, p: CylPoint, norm: NormalizationConvention):
-    """Vector potential mode A = (c/(i w)) E, E by FIELD_RULE."""
+    """Vector potential mode A = (c/(i w)) E, E by FIELD_RULE; shaped as eval_M."""
     return _eval_field("E", K, p, norm, norm.c / (1j * K.omega(norm.c)))
 
 
 def eval_E(K: ModeIndex, p: CylPoint, norm: NormalizationConvention):
-    """Electric field mode: E^(TM) = E N, E^(TE) = -E M (FIELD_RULE)."""
+    """Electric field mode: E^(TM) = E N, E^(TE) = -E M (FIELD_RULE); shaped as eval_M."""
     return _eval_field("E", K, p, norm)
 
 
 def eval_B(K: ModeIndex, p: CylPoint, norm: NormalizationConvention):
-    """Magnetic field mode: B^(TM) = E M,  B^(TE) = E N (FIELD_RULE)."""
+    """Magnetic field mode: B^(TM) = E M,  B^(TE) = E N (FIELD_RULE); shaped as eval_M."""
     return _eval_field("B", K, p, norm)
-
-
-def hertz_fields(family, m, k_perp, k_z, p: CylPoint, c=1.0):
-    """(E, B) assembled from analytic derivatives of the Hertz potential.
-
-    Theta = J_m(k_perp rho) exp(-i w t + i k_z z + i m phi) sources the
-    TM fields (Theta_1) or the TE fields (Theta_2).  Independent of the
-    mode-vector path up to a constant factor; requires rho > 0.  The
-    (rho, phi, z) components are rotated to Cartesian at azimuth p.phi, and
-    each field is a (3,) complex array.
-    """
-    if family not in (TM, TE):
-        raise ValueError("family must be TM or TE")
-    if p.rho <= 0:
-        raise DomainError("hertz_fields requires rho > 0; use the mode path on the axis")
-    omega = c * math.hypot(k_perp, k_z)
-    x = k_perp * p.rho
-    J = bessel_j(m, x)
-    Jp = bessel_j_prime(m, x)
-    ph = _phase(m, k_z, p, omega)
-    # Derivative factors: d/dz -> i k_z, d/(c dt) -> -i w/c, d/dphi -> i m,
-    # d/drho -> k_perp J'.
-    if family == TM:
-        e_rho = 1j * k_z * k_perp * Jp
-        e_phi = -(k_z * m / p.rho) * J
-        e_z = (omega**2 / c**2 - k_z**2) * J
-        b_rho = (m * omega / (c * p.rho)) * J
-        b_phi = 1j * (omega / c) * k_perp * Jp
-        b_z = 0.0
-    else:
-        e_rho = -(m * omega / (c * p.rho)) * J
-        e_phi = -1j * (omega / c) * k_perp * Jp
-        e_z = 0.0
-        b_rho = 1j * k_z * k_perp * Jp
-        b_phi = -(k_z * m / p.rho) * J
-        b_z = (omega**2 / c**2 - k_z**2) * J
-    cphi, sphi = math.cos(p.phi), math.sin(p.phi)
-
-    def cartesian(v_rho, v_phi, v_z):
-        v_rho, v_phi, v_z = np.array([v_rho, v_phi, v_z]) * ph
-        return np.array([v_rho * cphi - v_phi * sphi, v_rho * sphi + v_phi * cphi, v_z])
-
-    return cartesian(e_rho, e_phi, e_z), cartesian(b_rho, b_phi, b_z)
 
 
 def _ring_nodes(m, k_perp, rho):

@@ -23,7 +23,7 @@ from besselbeams.dynops import (
 )
 from besselbeams.lattice import FockOracle, build_lattice, commutator
 from besselbeams.modes import (
-    E3, CylPoint, ModeIndex, NormalizationConvention, TE, TM, eval_E, eval_M, eval_N, hertz_fields,
+    E3, CylPoint, ModeIndex, NormalizationConvention, TE, TM, eval_E, eval_M, eval_N,
 )
 from besselbeams.specfun import lommel_overlap
 from besselbeams.verify import (
@@ -31,6 +31,7 @@ from besselbeams.verify import (
     commutator_suite,
     spherical_suite,
 )
+from hertz import hertz_fields
 
 FLAGGED = {
     "commutator: [S+,L+] = -hbar S3 (printed)",

@@ -479,6 +479,24 @@ class TestField:
         assert rows == expected
         assert any("-0" in row.split(",") for row in rows)  # signed zeros are printed
 
+    @pytest.mark.parametrize("plane,grid,calls", [
+        ("z=0", "3x3", 9),    # one per point, as the benchmark's tracer pins
+        ("x=0.4", "5x4", 5),  # one per y: the 4 z values go in one call
+        ("y=0", "3x4", 3),    # one per x
+    ])
+    def test_one_call_per_transverse_point_and_field(self, plane, grid, calls, monkeypatch,
+                                                     capsys):
+        seen = []
+        for name in ("eval_E", "eval_B"):
+            f = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _f=f, _n=name: seen.append(_n) or _f(*a))
+        code, out, _ = run(["field", "--family", "te", "--m", "1", "--kperp", "1", "--kz", "2",
+                            "--plane", plane, "--grid", grid], capsys)
+        assert code == 0
+        n_a, n_b = map(int, grid.split("x"))
+        assert len(out.strip().split("\n")) == 1 + n_a * n_b
+        assert sorted(seen) == ["eval_B"] * calls + ["eval_E"] * calls
+
 
 class TestVerifyReport:
     def test_schema(self, capsys):
@@ -604,6 +622,22 @@ GOLDEN_RUNS = {
     "expect_window.csv": ["expect", "--m-range=-6..6", "--kperp", "0.3,0.9,1.4", "--kz=-1.1,2.4",
                           "--amp", "te,-3,1,0,-0.7,-0.2", "--amp", "tm,5,2,1,0.3,-0.9",
                           "--amp", "tm,5,2,1,0.1,0.0"],
+    # field planes: a z plane, odd planes through the axis, a y plane off the
+    # axis with a negative k_z and t != 0, and the largest order; an x or y
+    # plane takes all its z values in one call per transverse point
+    "field_tm_eb.csv": ["field", "--family", "tm", "--m", "2", "--kperp", "1.0", "--kz", "2.0",
+                        "--grid", "9x7"],
+    "field_te_m_axis.csv": ["field", "--family", "te", "--m", "-3", "--which", "M",
+                            "--kperp", "1.1", "--kz", "0.7", "--plane", "x=0", "--grid", "9x7",
+                            "--extent", "3"],
+    "field_tm_n_y.csv": ["field", "--family", "tm", "--m", "4", "--which", "N", "--kperp", "0.8",
+                         "--kz=-1.3", "--plane", "y=0.7", "--grid", "7x9", "--t", "0.3"],
+    "field_te_a_z.csv": ["field", "--family", "te", "--m", "1", "--which", "A", "--kperp", "1.3",
+                         "--kz", "0.9", "--plane", "z=0.5", "--grid", "7x5", "--extent", "2.5",
+                         "--t", "0.3"],
+    "field_te_eb_m199.csv": ["field", "--family", "te", "--m", "199", "--kperp", "1.0",
+                             "--kz=-2.0", "--plane", "y=0", "--grid", "9x5", "--extent", "240",
+                             "--t", "0.3"],
 }
 
 

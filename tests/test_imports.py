@@ -19,6 +19,7 @@ PERFBENCH_PINS = {
     ("cli", "_spherical_wave_pair"),
     ("dynops", "commutator"),
     ("modes", "bessel_j_over_x"),
+    ("modes", "bessel_j_prime"),
 }
 
 

@@ -23,11 +23,11 @@ from besselbeams.modes import (
     eval_M,
     eval_N,
     eval_potential,
-    hertz_fields,
     mode_terms,
     scalar_angular_spectrum,
 )
 from besselbeams.specfun import bessel_j
+from hertz import hertz_fields
 
 RNG = np.random.default_rng(7)
 NORM = NormalizationConvention()
@@ -184,6 +184,42 @@ class TestPointPath:
         want = fields()
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.count_nonzero(got) > got.size // 2  # not a comparison of zeros
+
+    @pytest.mark.parametrize("bessel", ["kernel", "jv"])
+    def test_z_sequence_equals_the_stacked_one_z_values_bitwise(self, bessel, monkeypatch):
+        # a point whose z is a sequence evaluates the transverse profile once:
+        # row k must carry the bits of the same point at z_k, through the
+        # compiled kernels and through the jv ufunc alike
+        if bessel == "jv":
+            monkeypatch.setattr(modes, "bessel_j", jv)
+        zs = [-0.0, 0.0, 1e3, -1e3, 0.37, -2.9]
+        kp = 1.3
+        evaluated = []
+        for m, kz, (rho, phi) in itertools.product(
+                (-199, -6, 0, 1, 199), (0.7, -0.7), ((0.0, 0.0), (0.0, -math.pi), (2.4, 0.9),
+                                                     (170.0, -1.2))):
+            for z_seq in (zs, tuple(zs), np.array(zs)):
+                line = CylPoint(rho, phi, z_seq, 0.3)
+                points = [CylPoint(rho, phi, z, 0.3) for z in zs]
+                calls = [lambda q: eval_M(m, kp, kz, q), lambda q: eval_N(m, kp, kz, q)]
+                for family in (TM, TE):
+                    K = ModeIndex(family, m, kp, kz)
+                    calls += [lambda q, f=f, K=K: f(K, q, NORM)
+                              for f in (eval_E, eval_B, eval_potential)]
+                for call in calls:
+                    got = call(line)
+                    want = np.array([call(q) for q in points])
+                    assert got.shape == (len(zs), 3) and got.dtype == np.complex128
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (m, kz, rho)
+                    evaluated.append(got)
+        # not a comparison of zeros: on the axis and at rho = 2.4 with |m| = 199
+        # the values are zero or underflow, and TE has no E_z nor TM a B_z
+        evaluated = np.array(evaluated)
+        assert np.count_nonzero(evaluated) > evaluated.size // 3
+
+    def test_z_of_two_dimensions_refused(self):
+        with pytest.raises(ValueError, match="1-D"):
+            eval_M(1, 1.0, 2.0, CylPoint(0.5, 0.0, [[0.0, 1.0]], 0.0))
 
 
 class TestFieldAssembly:

@@ -17,8 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "besselbeams"
 
 ALLOWED = {
-    # the independent Hertz-potential reference that the mode path is tested against
-    "hertz_fields",
     # the closed-form radial kernel kept for the radial-integral work on the roadmap
     "lommel_overlap",
     "lommel_overlap_equal",
