@@ -12,18 +12,18 @@ Conventions
   the node weights cancel, and a lattice node is a bare wavenumber.  Every
   integrated operator is therefore a weight-free sum over nodes of a
   per-node bilinear (Pi / Lambda / Sigma: rows of plain numbers, with an
-  m-coefficient c0 + c1 m) times a grid factor.  `TERMS` lists these sums,
-  one table for the observables, the summed Stokes operators and the
+  m-coefficient c0 + c1 m) times a node factor: a monomial
+  q hbar^a c^b k_perp^d k_z^e w^f, stored as the numbers (q, (a, b, d, e, f))
+  and evaluated by `node_factors` alone.  `TERMS` lists these sums, one
+  table for the observables, the summed Stokes operators and the
   grid-factor right-hand sides of the commutator table; `assemble` turns an
   entry into COO triplets and builds its operator in one construction.
   Every builder hands `QuadraticOperator` its triplets as (vals, (rows, cols)).
 * Basis maps: the (+/-) and (R/L) maps mix only the (TM, TE) pair of one
   (m, node), so each is a `BasisMap` of per-pair 2 x 2 blocks, built
-  node by node.
-* Observables: `build_observables` returns the 11 observables as one
-  mapping keyed by name (energy, number, P+, P-, P3, L+, L-, L3, S+, S-,
-  S3); the names are those of `TERMS`, and P-, L-, S- are the adjoints
-  of P+, L+, S+.  Callers and the commutator table index this mapping.
+  node by node from a `PAIR_BETA` monomial.
+* Observables: `build_observables` maps the 11 names to operators: the
+  `TERMS` observables and P-, L-, S-, the adjoints of P+, L+, S+.
 * Vector components: a vector operator is stored through its e_- and e_+
   coefficients, V = V+ e_- + V- e_+ + V3 e_3 with e_+/- = e_1 +/- i e_2,
   so V_1 = V+ + V- and V_2 = i (V- - V+); `cartesian` forms
@@ -42,7 +42,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,16 +50,6 @@ from .lattice import FAMILIES, BasisMap, LatticeError, ModeLattice, QuadraticOpe
 # Unused here: perfbench/tracing.py wraps dynops.commutator by name.
 from .lattice import commutator  # noqa: F401
 from .modes import TE, TM
-
-
-class Node(NamedTuple):
-    """The numbers of one (k_perp, k_z) node that a node factor reads."""
-
-    hbar: float
-    c: float
-    kp: float
-    kz: float
-    w: float
 
 
 # Per-node bilinears: rows (row family, column family, m shift, c0, c1), each
@@ -89,55 +78,66 @@ STOKES = (
 
 
 # Every lattice operator as a sum of (per-node bilinear, node factor) terms,
-# with entry (c0 + c1 m) * factor at (m, node).  A node factor is Python float
-# arithmetic on one Node, so each coefficient is rounded the same way
-# whatever the lattice size.
+# with entry (c0 + c1 m) * factor at (m, node).  A node factor is a monomial
+# (q, (a, b, d, e, f)) = q hbar^a c^b k_perp^d k_z^e w^f, plain numbers like
+# the rows beside it; `node_factors` evaluates it.
 TERMS = {
     # energy = hbar sum w N_m,  number = sum N_m
-    "energy": ((PI_3, lambda n: n.hbar * n.w),),
-    "number": ((PI_3, lambda n: 1.0),),
+    "energy": ((PI_3, (1.0, (1, 0, 0, 0, 1))),),
+    "number": ((PI_3, (1.0, (0, 0, 0, 0, 0))),),
     # P = hbar sum [k_perp Pi_+ e_- + k_perp Pi_- e_+ + k_z Pi_3 e_3]
-    "P+": ((PI_PLUS, lambda n: n.hbar * n.kp),),
-    "P3": ((PI_3, lambda n: n.hbar * n.kz),),
+    "P+": ((PI_PLUS, (1.0, (1, 0, 1, 0, 0))),),
+    "P3": ((PI_3, (1.0, (1, 0, 0, 1, 0))),),
     # L = hbar sum [(k_z/k_perp) Lambda_+ e_- + (k_z/k_perp) Lambda_- e_+ + Lambda_3 e_3]
-    "L+": ((LAMBDA_PLUS, lambda n: n.hbar * n.kz / n.kp),),
-    "L3": ((LAMBDA_3, lambda n: n.hbar),),
+    "L+": ((LAMBDA_PLUS, (1.0, (1, 0, -1, 1, 0))),),
+    "L3": ((LAMBDA_3, (1.0, (1, 0, 0, 0, 0))),),
     # S = hbar sum (c/w) [k_perp Sigma_+ e_- + k_perp Sigma_- e_+ + k_z Sigma_3 e_3]
-    "S+": ((SIGMA_PLUS, lambda n: n.hbar * n.c * n.kp / n.w),),
-    "S3": ((SIGMA_3, lambda n: n.hbar * n.c * n.kz / n.w),),
+    "S+": ((SIGMA_PLUS, (1.0, (1, 1, 1, 0, -1))),),
+    "S3": ((SIGMA_3, (1.0, (1, 1, 0, 1, -1))),),
     # grid-factor right-hand sides of the commutator table in verify
-    "[L+,L-]": ((LAMBDA_3, lambda n: 2.0 * n.hbar**2 * n.kz**2 / n.kp**2),),
-    "[L+,P+]": ((((TM, TM, -2, 1.0, 0), (TE, TE, -2, 1.0, 0)), lambda n: n.hbar**2 * n.kz),),
-    "[S+,L3]": ((SIGMA_PLUS, lambda n: -(n.hbar**2) * n.c * n.kp / n.w),),
+    "[L+,L-]": ((LAMBDA_3, (2.0, (2, 0, -2, 2, 0))),),
+    "[L+,P+]": ((((TM, TM, -2, 1.0, 0), (TE, TE, -2, 1.0, 0)), (1.0, (2, 0, 0, 1, 0))),),
+    "[S+,L3]": ((SIGMA_PLUS, (-1.0, (2, 1, 1, 0, -1))),),
     # printed: -i hbar^2 sum (c k_z/w) sum_m (b2^dag_{m+1} b1_{m-1} - b1^dag_{m+1} b2_{m-1})
-    "[S+,L-] printed": (
-        (((TE, TM, 2, -1j, 0), (TM, TE, 2, 1j, 0)), lambda n: n.hbar**2 * n.c * n.kz / n.w),
-    ),
+    "[S+,L-] printed": ((((TE, TM, 2, -1j, 0), (TM, TE, 2, 1j, 0)), (1.0, (2, 1, 0, 1, -1))),),
     # Stokes sigma_1..3 summed over every (m, node); the pairs are disjoint
-    "sigma1": ((STOKES[1], lambda n: 1.0),),
-    "sigma2": ((STOKES[2], lambda n: 1.0),),
-    "sigma3": ((STOKES[3], lambda n: 1.0),),
+    **{f"sigma{k}": ((STOKES[k], (1.0, (0, 0, 0, 0, 0))),) for k in (1, 2, 3)},
 }
 
+# the beta monomials of the (+/-) and (R/L) pair blocks: 1 and c k_z / w
+PAIR_BETA = {"pm": (1.0, (0, 0, 0, 0, 0)), "R/L": (1.0, (0, 1, 0, 1, -1))}
 
-def _nodes(lat: ModeLattice):
-    """Node of every (k_perp, k_z) pair, k_perp-major as in the index layout."""
-    return [
-        Node(lat.hbar, lat.c, kp, kz, lat.c * math.hypot(kp, kz))
-        for kp in lat.k_perp_nodes
-        for kz in lat.k_z_nodes
-    ]
+
+def node_factors(lat: ModeLattice, monomial):
+    """q hbar^a c^b k_perp^d k_z^e w^f of `monomial` (q, (a, b, d, e, f)) at
+    every node, k_perp-major as in the index layout.  Python floats: q times
+    the positive powers in (hbar, c, k_perp, k_z, w) order, then divided by
+    the negative ones in that order; a power of +/-1 is the bare value and
+    any other x**n, so a factor rounds the same whatever the lattice size."""
+    q, powers = monomial
+    out = []
+    for kp in lat.k_perp_nodes:
+        for kz in lat.k_z_nodes:
+            node = (lat.hbar, lat.c, kp, kz, lat.c * math.hypot(kp, kz))
+            v = q
+            for x, n in zip(node, powers):
+                if n > 0:
+                    v *= x if n == 1 else x**n
+            for x, n in zip(node, powers):
+                if n < 0:
+                    v /= x if n == -1 else x**-n
+            out.append(v)
+    return out
 
 
 def _triplets(lat: ModeLattice, name):
     """COO (rows, cols, values) of TERMS[name] summed over every node of `lat`."""
     m_min, m_max = lat.m_range
     shape = (len(lat.k_perp_nodes), len(lat.k_z_nodes))
-    nodes = _nodes(lat)
     ip, iz = np.indices(shape)
     rows, cols, vals = [], [], []
     for bilinear, factor in TERMS[name]:
-        F = np.array([factor(n) for n in nodes]).reshape(shape)
+        F = np.array(node_factors(lat, factor)).reshape(shape)
         for row_fam, col_fam, shift, c0, c1 in bilinear:
             m = np.arange(max(m_min, m_min - shift), min(m_max, m_max - shift) + 1)[:, None, None]
             rows.append(lat.index(row_fam, m + shift, ip, iz).ravel())
@@ -164,9 +164,9 @@ def zero_points(lat: ModeLattice):
         zero[name] = 0.0
         for bilinear, factor in TERMS[name]:
             halves = [0.5 * np.sum(c0 + c1 * ms) for *_, c0, c1 in bilinear]
-            for n in _nodes(lat):
+            for f in node_factors(lat, factor):
                 for half in halves:
-                    zero[name] += half * factor(n)
+                    zero[name] += half * f
     return zero
 
 
@@ -225,11 +225,10 @@ def cartesian(obs, which):
 
 def _pair_blocks(lat: ModeLattice, beta):
     """BasisMap blocks: at every (m, node), new_TM = n (b^(TM)_m + i beta b^(TE)_m)
-    and new_TE = n (b^(TM)_m - i beta b^(TE)_m), n = 1/sqrt(1 + beta^2),
-    beta(node) read per node in Python float arithmetic."""
+    and new_TE = n (b^(TM)_m - i beta b^(TE)_m), n = 1/sqrt(1 + beta^2), where
+    beta is a `PAIR_BETA` monomial, read per node by `node_factors`."""
     blocks = []
-    for node in _nodes(lat):
-        b = beta(node)
+    for b in node_factors(lat, beta):
         n = 1.0 / math.sqrt(1.0 + b**2)
         blocks.append(((n, 1j * (b * n)), (n, -1j * (b * n))))
     shape = lat.pairs().shape + (2,)
@@ -243,7 +242,7 @@ def make_pm_map(lat: ModeLattice) -> BasisMap:
     The (+) combination occupies the TM slot and the (-) combination the
     TE slot at the same (m, k) index; this is the beta = 1 pair block.
     """
-    return BasisMap(lat, _pair_blocks(lat, lambda n: 1.0))
+    return BasisMap(lat, _pair_blocks(lat, PAIR_BETA["pm"]))
 
 
 def make_rl_map(lat: ModeLattice) -> BasisMap:
@@ -259,7 +258,7 @@ def make_rl_map(lat: ModeLattice) -> BasisMap:
     m_min, m_max = lat.m_range
     if m_max - m_min + 1 < 3:
         raise LatticeError("R/L map needs an m_range at least 3 wide")
-    return BasisMap(lat, _pair_blocks(lat, lambda n: n.c * n.kz / n.w))
+    return BasisMap(lat, _pair_blocks(lat, PAIR_BETA["R/L"]))
 
 
 # --------------------------------------------------------------------------

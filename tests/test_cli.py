@@ -615,6 +615,12 @@ GOLDEN_RUNS = {
     "expect_units.csv": ["--config", str(GOLDEN / "units.cfg"), "expect"] + GOLDEN_AMPS,
     "verify_commutators.json": ["verify", "commutators", "--m-range=-8..8"],
     "verify_basis.json": ["verify", "basis", "--m-range=-8..8"],
+    # the same under units.hbar = 0.37, units.c = 2.9, where a power of hbar
+    # or c in a node factor or a right-hand side shows
+    "verify_commutators_units.json": ["--config", str(GOLDEN / "units.cfg"), "verify",
+                                      "commutators", "--m-range=-8..8"],
+    "verify_basis_units.json": ["--config", str(GOLDEN / "units.cfg"), "verify", "basis",
+                                "--m-range=-8..8"],
     # the narrowest accepted window: the interior block is m in {-1, 0, 1}
     "verify_commutators_width7.json": ["verify", "commutators", "--m-range=-3..3",
                                        "--kperp", "0.3,0.9,1.4", "--kz=-1.1,2.4"],

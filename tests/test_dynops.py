@@ -227,6 +227,9 @@ ASSEMBLY_LATTICES = {
     "reference": build_lattice((-4, 4), [0.5, 1.0, 1.5], [1.0, 2.0]),
     "negative-kz": build_lattice((-3, 1), [0.2, 0.9, 2.3], [-1.1, -0.4, 0.8, 3.3],
                                  c=0.61, hbar=2.2),
+    # node factors far from 1: hbar near 1e-28, c near 1e27, |k| from 1e-4 to 2e4
+    "extreme-units": build_lattice((-3, 4), [3.1e-4, 0.7, 2.2e4], [-5.3e3, -1.9e-4, 0.8],
+                                   c=2.9e27, hbar=3.7e-29),
 }
 
 

@@ -13,6 +13,7 @@ import operator
 import pytest
 
 from besselbeams import cli, dynops, modes, verify
+from besselbeams.lattice import build_lattice
 from besselbeams.modes import TE
 from besselbeams.verify import (
     basis_suite, commutator_suite, energy_per_photon_check, quadrature_suite, spherical_suite,
@@ -31,13 +32,16 @@ def _unexpected_failures():
     return _unexpected(commutator_suite(lat) + basis_suite(lat))
 
 
-def _factor(name, mutate):
-    """TERMS[name] with every node factor f replaced by mutate(f)."""
-    return tuple((bilinear, mutate(factor)) for bilinear, factor in dynops.TERMS[name])
+def _edited(monomial, scale=1.0, shifts=(0, 0, 0, 0, 0)):
+    """The node-factor monomial (q, powers) as (scale q, powers + shifts)."""
+    q, powers = monomial
+    return scale * q, tuple(map(operator.add, powers, shifts))
 
 
-def _scaled(name, x):
-    return _factor(name, lambda f: lambda n: x * f(n))
+def _factor(name, scale=1.0, shifts=(0, 0, 0, 0, 0)):
+    """TERMS[name] with every node factor edited by `_edited`."""
+    return tuple((bilinear, _edited(factor, scale, shifts))
+                 for bilinear, factor in dynops.TERMS[name])
 
 
 def _rows(name, mutate):
@@ -50,21 +54,19 @@ def _each_row(mutate):
 
 
 MUTANTS = {
-    **{f"{name} x 1.001": (name, _scaled(name, 1.001))
+    **{f"{name} x 1.001": (name, _factor(name, 1.001))
        for name in ("energy", "P+", "P3", "L+", "L3", "S+", "S3")},
-    **{f"{name} x -1": (name, _scaled(name, -1.0)) for name in ("P+", "S+", "S3")},
+    **{f"{name} x -1": (name, _factor(name, -1.0)) for name in ("P+", "S+", "S3")},
     "Lambda+ without its -1/2": (
         "L+", _rows("L+", _each_row(lambda r, c, s, c0, c1: (r, c, s, 0, c1)))),
     "Lambda+ slope negated": (
         "L+", _rows("L+", _each_row(lambda r, c, s, c0, c1: (r, c, s, c0, -c1)))),
     "Sigma+ first row sign flipped": (
         "S+", _rows("S+", lambda rows: ((*rows[0][:3], -rows[0][3], rows[0][4]),) + rows[1:])),
-    "S+ k_perp swapped for k_z": (
-        "S+", _factor("S+", lambda f: lambda n: f(n) * n.kz / n.kp)),
-    "L+ k_z/k_perp inverted": (
-        "L+", _factor("L+", lambda f: lambda n: n.hbar * n.kp / n.kz)),
-    "S3 k_z swapped for k_perp": (
-        "S3", _factor("S3", lambda f: lambda n: f(n) * n.kp / n.kz)),
+    # exponent shifts in (hbar, c, k_perp, k_z, w) order
+    "S+ k_perp swapped for k_z": ("S+", _factor("S+", shifts=(0, 0, -1, 1, 0))),
+    "L+ k_z/k_perp inverted": ("L+", _factor("L+", shifts=(0, 0, 2, -2, 0))),
+    "S3 k_z swapped for k_perp": ("S3", _factor("S3", shifts=(0, 0, 1, -1, 0))),
 }
 
 
@@ -85,7 +87,7 @@ def test_mutant_is_killed(mutant, monkeypatch):
 # for a killed mutant the cheapest suite that kills it, for a survivor every
 # suite that reads what it changes.
 
-_mode_terms, _pair_blocks = modes.mode_terms, dynops._pair_blocks
+_mode_terms = modes.mode_terms
 _vsh_grid, _lplus_analytic = verify._vsh_grid, verify._lplus_analytic
 
 SUITES = {
@@ -130,8 +132,8 @@ KILLED = {
     "N e- sign flipped": (
         _term("N", 0, lambda p, o, c: (p, o, -c)), ("spherical",)),
     "_pair_blocks beta x 1.001": (
-        _attr(dynops, "_pair_blocks",
-              lambda lat, beta: _pair_blocks(lat, lambda n: 1.001 * beta(n))), ("basis",)),
+        lambda mp: mp.setitem(dynops.PAIR_BETA, "R/L", _edited(dynops.PAIR_BETA["R/L"], 1.001)),
+        ("basis",)),
     "Y^E x 1.001 in _vsh_grid": (
         _attr(verify, "_vsh_grid",
               lambda *args: (lambda ye, ym: (1.001 * ye, ym))(*_vsh_grid(*args))), ("spherical",)),
@@ -183,3 +185,46 @@ def test_field_mutant_is_killed(mutant, monkeypatch):
 def test_surviving_field_mutant_is_killed(mutant, monkeypatch):
     apply, suites, _ = SURVIVORS[mutant]
     assert _suite_failures(apply, suites, monkeypatch), f"{mutant} survives {suites}"
+
+
+# Node-factor census: every node-factor monomial with each exponent moved by
+# +/-1, its q negated and its q doubled, as (q scale, exponent shifts) by
+# label.  It runs at hbar = 0.37, c = 2.9 (tests/golden/units.cfg): at
+# hbar = c = 1 a power of hbar or c is 1 and every such mutant survives.
+_POWERS = ("hbar", "c", "k_perp", "k_z", "w")
+CENSUS_EDITS = {
+    **{f"{sym}^{d:+d}": (1.0, tuple(d * (j == i) for j in range(len(_POWERS))))
+       for i, sym in enumerate(_POWERS) for d in (1, -1)},
+    "q x -1": (-1.0, (0, 0, 0, 0, 0)),
+    "q x 2": (2.0, (0, 0, 0, 0, 0)),
+}
+UNITS_LATTICE = build_lattice((-4, 4), [0.5, 1.0, 1.5], [1.0, 2.0], c=2.9, hbar=0.37)
+
+# Each census mutant as (table, key, mutated value, suite that must kill it):
+# every TERMS entry but energy, number and sigma1..3 through the commutator
+# suite, and the (+/-) and (R/L) beta monomials through the basis suite.
+CENSUS = {
+    **{f"{name} {label}": (dynops.TERMS, name, _factor(name, *edit), commutator_suite)
+       for name in ("P+", "P3", "L+", "L3", "S+", "S3",
+                    "[L+,L-]", "[L+,P+]", "[S+,L3]", "[S+,L-] printed")
+       for label, edit in CENSUS_EDITS.items()},
+    **{f"{key} beta {label}": (dynops.PAIR_BETA, key, _edited(beta, *edit), basis_suite)
+       for key, beta in dynops.PAIR_BETA.items()
+       for label, edit in CENSUS_EDITS.items()},
+}
+# R/L with q negated swaps the R and L slots: S3 stays diagonal and the energy
+# cross-term is even in beta, so no basis relation sees it.
+# test_dynops.py::test_pair_blocks_bitwise_equal_to_per_node_fill kills it.
+del CENSUS["R/L beta q x -1"]
+
+
+def test_unmutated_suites_at_units_have_no_unexpected_failure():
+    assert _unexpected(commutator_suite(UNITS_LATTICE) + basis_suite(UNITS_LATTICE)) == []
+
+
+@pytest.mark.parametrize("mutant", list(CENSUS))
+def test_census_mutant_is_killed(mutant, monkeypatch):
+    table, key, value, suite = CENSUS[mutant]
+    assert value != table[key]
+    monkeypatch.setitem(table, key, value)
+    assert _unexpected(suite(UNITS_LATTICE)), f"{mutant} survives {suite.__name__}"
