@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -340,36 +341,33 @@ def cmd_field(args, cfg):
     K = _mode_index(family, args, cfg.c)
     norm = NormalizationConvention(hbar=cfg.hbar, c=cfg.c)
 
-    free = [ax for ax in "xyz" if ax != axis]
-    coords = {
-        free[0]: np.linspace(-args.extent, args.extent, n_a),
-        free[1]: np.linspace(-args.extent, args.extent, n_b),
-        axis: np.array([axis_val]),
-    }
+    side = {axis: [axis_val]}  # the free axes, in xyz order, take n_a and n_b points
+    for ax, n in zip([ax for ax in "xyz" if ax != axis], (n_a, n_b)):
+        side[ax] = np.linspace(-args.extent, args.extent, n).tolist()
+    xs, ys, zs = (side[ax] for ax in "xyz")
     names = _FIELD_COLUMNS[which]
-    header = ["x", "y", "z", "t"]
-    for nm in names:
-        for comp in "xyz":
-            header += [f"{nm}{comp}_re", f"{nm}{comp}_im"]
-    lines = [",".join(header)]
-    # every column is a float, so one template renders a row as _fmt would
-    row = ",".join(["%.17g"] * len(header))
-    samples = np.empty((n_a * n_b, len(header) - 4))
-    grid = samples.reshape(coords["z"].size, coords["y"].size, coords["x"].size, -1)
+    header = ["x", "y", "z", "t"] + [f"{nm}{comp}_{part}" for nm in names for comp in "xyz"
+                                     for part in ("re", "im")]
+    samples = np.empty((len(zs), len(ys), len(xs), len(names), 3), dtype=complex)
     # the profile does not change along z: one call per transverse (x, y)
     # point takes every z of the plane, or the one z of a z plane
-    axial = axis_val if axis == "z" else coords["z"].tolist()
+    axial = axis_val if axis == "z" else zs
     # finite inputs can overflow a phase or k_perp/k_z: one check, after the loop
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for (j, y), (i, x) in itertools.product(enumerate(coords["y"]), enumerate(coords["x"])):
+        for (j, y), (i, x) in itertools.product(enumerate(ys), enumerate(xs)):
             p = CylPoint(math.hypot(x, y), math.atan2(y, x), axial, args.t)
-            grid[:, j, i] = np.concatenate(_field_samples(which, K, norm, p), axis=-1).view(float)
+            for f, vec in enumerate(_field_samples(which, K, norm, p)):
+                samples[:, j, i, f] = vec
     if not np.isfinite(samples).all():
         raise UsageError("inputs too large: a sampled field value is not finite")
-    # row order: z-major, then y, then x
-    points = itertools.product(coords["z"], coords["y"], coords["x"])
-    lines += [row % (x, y, z, args.t, *samples[i].tolist()) for i, (z, y, x) in enumerate(points)]
-    del samples, grid  # joining the rows below sets the command's peak memory
+    # row order: z-major, then y, then x.  Each coordinate is rendered once;
+    # the values go through one template, which renders a float as _fmt does
+    fx, fy, fz, (ft,) = ([_fmt(v) for v in vals] for vals in (xs, ys, zs, [args.t]))
+    prefixes = (f"{x},{y},{z},{ft}," for z, y, x in itertools.product(fz, fy, fx))
+    values = ",".join(["%.17g"] * (len(header) - 4))
+    rows = zip(prefixes, samples.view(float).reshape(-1, len(header) - 4))
+    lines = [",".join(header)] + [pre + values % tuple(row.tolist()) for pre, row in rows]
+    del samples, rows  # joining the rows below sets the command's peak memory
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -520,8 +518,8 @@ def cmd_expand(args, cfg):
     c = cfg.c
     omega = K.omega(c)
     rho = args.rho_sample if args.rho_sample is not None else 1.5 / args.kperp
-    if rho < 0:
-        raise UsageError("--rho-sample must be >= 0")
+    if not 0 <= rho < math.inf:  # NaN fails the comparison too
+        raise UsageError(f"--rho-sample must be finite and >= 0, got {_fmt(rho)}")
     if not max(1, abs(args.m)) <= args.jmax <= MAX_ORDER:
         raise UsageError(f"--jmax must lie in [max(1, |m|), {MAX_ORDER}], got {args.jmax} for m = {args.m}")
     phi, z = 0.4, 0.2
@@ -584,6 +582,7 @@ def _attach_negative_values(argv):
     return out
 
 
+@functools.cache  # one parser per process: building it costs about as much as a small run
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="besselbeams",

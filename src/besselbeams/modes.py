@@ -125,11 +125,12 @@ def mode_terms(which, m, k_perp, k_z, c=1.0):
         N = -(i/2) (J_{m+1} e_- - J_{m-1} e_+) + (k_perp/k_z) J_m e_3,
     i.e. M = (w/(c k_z)) [(m/(k_perp rho)) J_m e_rho + i J'_m e_phi] and
     N = i J'_m e_rho - (m/(k_perp rho)) J_m e_phi + (k_perp/k_z) J_m e_z.
-    Coefficients broadcast over k_perp, k_z arrays.
+    Coefficients broadcast over k_perp, k_z arrays and are Python numbers for one node.
     """
     if which == "M":
-        w = c * np.hypot(k_perp, k_z)
-        half = 0.5 * w / (c * k_z)
+        # np.hypot: math.hypot differs from it in the last bit now and then
+        half = 0.5 * (c * np.hypot(k_perp, k_z)) / (c * k_z)
+        half = half if half.ndim else float(half)
         return (("-", m + 1, half), ("+", m - 1, half))
     if which == "N":
         return (("-", m + 1, -0.5j), ("+", m - 1, 0.5j), ("3", m, k_perp / k_z))

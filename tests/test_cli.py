@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, deterministic output, schemas."""
 
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -457,27 +461,56 @@ class TestField:
         assert code == 2
         assert "--which" in err
 
-    @pytest.mark.parametrize("family,m", [("te", 0), ("tm", 1), ("tm", -1)])
-    def test_rows_match_formatting_each_number(self, family, m, capsys):
+    @pytest.mark.parametrize("family,m,which,plane,grid,extent,t,columns", [
         # odd sides put grid points on the axis of the x = 0 plane
-        code, out, _ = run(["field", "--family", family, "--m", str(m), "--kperp", "1.1",
-                            "--kz", "-0.7", "--plane", "x=0", "--grid", "9x7",
-                            "--extent", "3", "--t", "0.3"], capsys)
+        ("te", 0, "EB", "x=0", "9x7", 3.0, 0.3, {}),
+        ("tm", 1, "EB", "x=0", "9x7", 3.0, 0.3, {}),
+        ("tm", -1, "EB", "x=0", "9x7", 3.0, 0.3, {}),
+        # a z plane whose odd grid goes through the axis, at a negative zero
+        ("te", -2, "M", "z=-0", "7x5", 3.0, 0.2,
+         {"z": {"-0"}, "y": {"-3", "-1.5", "0", "1.5", "3"}}),
+        # coordinates in exponent form, and a negative-zero time
+        ("tm", 3, "N", "y=0.5", "5x3", 1e17, -0.0,
+         {"x": {"-1e+17", "-50000000000000000", "0", "50000000000000000", "1e+17"},
+          "z": {"-1e+17", "0", "1e+17"}, "t": {"-0"}}),
+        ("te", 2, "A", "z=1.25", "3x5", 2.0, 0.1, {"z": {"1.25"}, "t": {"0.10000000000000001"}}),
+    ], ids=["te-0", "tm-1", "tm--1", "te--2-M-z-negative-zero", "tm-3-N-exponent-form",
+            "te-2-A-z-plane"])
+    def test_rows_match_formatting_each_number(self, family, m, which, plane, grid, extent, t,
+                                               columns, capsys):
+        code, out, _ = run(["field", "--family", family, "--m", str(m), "--which", which,
+                            "--kperp", "1.1", "--kz", "-0.7", "--plane", plane, "--grid", grid,
+                            "--extent", repr(extent), "--t", repr(t)], capsys)
         assert code == 0
-        rows = out.strip().split("\n")[1:]
+        header, *rows = out.strip().split("\n")
         K = ModeIndex(family.upper(), m, 1.1, -0.7)
         norm = NormalizationConvention()
+        evaluators = {
+            "EB": (cli.eval_E, cli.eval_B),
+            "M": (lambda K, p, norm: cli.eval_M(K.m, K.k_perp, K.k_z, p, c=norm.c),),
+            "N": (lambda K, p, norm: cli.eval_N(K.m, K.k_perp, K.k_z, p, c=norm.c),),
+            "A": (cli.eval_potential,),
+        }[which]
+        axis, offset = cli.parse_plane(plane)
+        n_a, n_b = cli.parse_grid(grid)
+        free = [ax for ax in "xyz" if ax != axis]
+        side = {free[0]: np.linspace(-extent, extent, n_a),
+                free[1]: np.linspace(-extent, extent, n_b), axis: [offset]}
         expected = []
-        for z in np.linspace(-3.0, 3.0, 7):
-            for y in np.linspace(-3.0, 3.0, 9):
-                p = CylPoint(math.hypot(0.0, y), math.atan2(y, 0.0), float(z), 0.3)
-                values = [0.0, y, z, 0.3]
-                for vec in (cli.eval_E(K, p, norm), cli.eval_B(K, p, norm)):
-                    for comp in vec:
-                        values += [comp.real, comp.imag]
-                expected.append(",".join(cli._fmt(v) for v in values))
+        for z, y, x in itertools.product(side["z"], side["y"], side["x"]):
+            p = CylPoint(math.hypot(x, y), math.atan2(y, x), float(z), t)
+            values = [x, y, z, t]
+            for evaluate in evaluators:
+                for comp in evaluate(K, p, norm):
+                    values += [comp.real, comp.imag]
+            expected.append(",".join(cli._fmt(v) for v in values))
         assert rows == expected
-        assert any("-0" in row.split(",") for row in rows)  # signed zeros are printed
+        assert len(header.split(",")) == 4 + 6 * len(evaluators)
+        for name, rendered in columns.items():
+            i = "xyzt".index(name)
+            assert {row.split(",")[i] for row in rows} == rendered
+        if plane == "x=0":  # signed zeros of the axial components are printed
+            assert any("-0" in row.split(",")[4:] for row in rows)
 
     @pytest.mark.parametrize("plane,grid,calls", [
         ("z=0", "3x3", 9),    # one per point, as the benchmark's tracer pins
@@ -655,6 +688,28 @@ def test_output_equals_its_golden_file_byte_for_byte(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_one_parser_per_process_writes_what_fresh_processes_write(tmp_path, capsys):
+    # the parser is built once per process: a usage error and --version
+    # before a run must leave it as a fresh process has it
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["field", "--no-such-flag"]) == 2
+    assert cli.main(["--version"]) == 0
+    capsys.readouterr()
+    runs = {
+        "field.csv": ["field", "--family", "te", "--m", "-2", "--which", "M", "--kperp", "0.9",
+                      "--kz", "1.7", "--plane", "z=-0", "--grid", "8x9", "--t", "0.2"],
+        "expect.csv": ["expect", "--kz=-1.5,2.0", "--amp", "te,1,0,0,-0.0,0.4"],
+    }
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for name, argv in runs.items():
+        here, fresh = tmp_path / f"here-{name}", tmp_path / f"fresh-{name}"
+        assert cli.main(argv + ["--out", str(here)]) == 0
+        subprocess.run([sys.executable, "-m", "besselbeams.cli", *argv, "--out", str(fresh)],
+                       check=True, env=env, timeout=120)
+        assert here.read_bytes() == fresh.read_bytes(), name
+
+
 class TestExpand:
     ARGS = ["expand", "--m", "2", "--kperp", "1.0", "--kz", "2.0", "--jmax", "12"]
 
@@ -687,6 +742,15 @@ class TestExpand:
         code, _, err = run(["expand", "--m", "2", "--kperp", "1.0", "--kz", "2.0",
                             "--jmax", "0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("rho", ["nan", "inf", "-inf", "-1"])
+    def test_rho_sample_must_be_finite_and_not_negative(self, rho, tmp_path, capsys):
+        # the error names the flag, not the Bessel function the radius reaches
+        out = tmp_path / "e.csv"
+        code, _, err = run(self.ARGS + [f"--rho-sample={rho}", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == f"besselbeams: error: --rho-sample must be finite and >= 0, got {rho}\n"
+        assert not out.exists()
 
     def test_on_axis_sample(self, capsys):
         # on the axis M and N vanish for |m| >= 2: the column then holds the

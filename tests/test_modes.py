@@ -185,6 +185,49 @@ class TestPointPath:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.count_nonzero(got) > got.size // 2  # not a comparison of zeros
 
+    def test_mode_terms_are_python_numbers_for_one_node_and_arrays_for_grids(self):
+        for which in "MN":
+            assert all(type(coeff) in (float, complex)
+                       for _, _, coeff in mode_terms(which, 3, 1.1, -0.7, c=2.9))
+        kp, kz = np.array([0.5, 1.0, 1.5]), np.array([-1.0, 2.0, 2.5])
+        assert all(isinstance(coeff, np.ndarray) and coeff.shape == (3,)
+                   for _, _, coeff in mode_terms("M", 3, kp, kz, c=2.9))
+        assert isinstance(mode_terms("N", 3, kp, kz)[2][2], np.ndarray)
+
+    def test_python_coefficients_match_numpy_scalar_coefficients_bitwise(self, monkeypatch):
+        # the M coefficient is a Python float for one node; the same
+        # coefficient as an np.float64 must give every field value the same bits
+        def numpy_scalar_terms(which, m, k_perp, k_z, c=1.0):
+            if which == "M":
+                half = 0.5 * (c * np.hypot(k_perp, k_z)) / (c * k_z)
+                return (("-", m + 1, half), ("+", m - 1, half))
+            return python_terms(which, m, k_perp, k_z, c)
+
+        python_terms = modes.mode_terms
+        rng = np.random.default_rng(36)
+        cases = []
+        for i in range(1000):
+            m = int(rng.integers(-199, 200))
+            kp = float(rng.uniform(0.1, 3.0))
+            kz = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0))
+            rho = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 40.0))
+            p = CylPoint(rho, float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-5, 5)),
+                         float(rng.uniform(-2, 2)))
+            norm = NormalizationConvention(c=(1.0, 2.9)[i % 2], hbar=(1.0, 0.37)[i % 3 == 0])
+            cases.append((ModeIndex((TM, TE)[i % 2], m, kp, kz), p, norm))
+
+        def fields():
+            return np.array([[eval_M(K.m, K.k_perp, K.k_z, p, c=norm.c),
+                              eval_N(K.m, K.k_perp, K.k_z, p, c=norm.c),
+                              eval_E(K, p, norm), eval_B(K, p, norm)] for K, p, norm in cases])
+
+        got = fields()
+        monkeypatch.setattr(modes, "mode_terms", numpy_scalar_terms)
+        assert type(modes.mode_terms("M", 1, 1.0, 2.0)[0][2]) is np.float64
+        want = fields()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.count_nonzero(got) > got.size // 3  # not a comparison of zeros
+
     @pytest.mark.parametrize("bessel", ["kernel", "jv"])
     def test_z_sequence_equals_the_stacked_one_z_values_bitwise(self, bessel, monkeypatch):
         # a point whose z is a sequence evaluates the transverse profile once:
