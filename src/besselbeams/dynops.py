@@ -172,13 +172,19 @@ def zero_points(lat: ModeLattice):
 
 def build_stokes(lat: ModeLattice, ip, iz, m):
     """Quantum Stokes operators (sigma_0..sigma_3) on the (TM, TE) pair
-    at fixed (m, k_perp node, k_z node); no zero-point terms."""
-    idx = {f: lat.index(f, m, ip, iz) for f in FAMILIES}
+    at fixed (m, k_perp node, k_z node); no zero-point terms.
+
+    ip, iz and m may be integer arrays that broadcast together, as in
+    `ModeLattice.index`.  Each operator is then the sum of the per-pair
+    operators over every broadcast (ip, iz, m): a label named twice counts
+    twice, so the result equals the sum of the scalar calls.
+    """
+    idx = {f: np.ravel(lat.index(f, m, ip, iz)) for f in FAMILIES}
     ops = []
     for rows in STOKES:
         row_fams, col_fams, _, vals, _ = zip(*rows)
-        ij = ([idx[f] for f in row_fams], [idx[f] for f in col_fams])
-        ops.append(QuadraticOperator(lat, (vals, ij)))
+        ij = (np.concatenate([idx[f] for f in row_fams]), np.concatenate([idx[f] for f in col_fams]))
+        ops.append(QuadraticOperator(lat, (np.repeat(vals, idx[TM].size), ij)))
     return tuple(ops)
 
 

@@ -92,15 +92,25 @@ class ModeLattice:
         """Flat single-particle index of (family, m, k_perp node, k_z node).
 
         m and the node numbers may be integer arrays; they broadcast together.
+        The layout is the C-order ravel of (family, m, k_perp node, k_z node),
+        so numpy both computes and bounds-checks it.  A label outside the
+        lattice raises, naming the first offending value: unchecked, a node
+        number would alias another (m, node) index.
         """
-        fi = FAMILIES.index(family)
         m_min, m_max = self.m_range
-        if np.any((m < m_min) | (m > m_max)):
-            raise LatticeError(f"m={m} outside range {self.m_range}")
-        nm = m_max - m_min + 1
-        nkp = len(self.k_perp_nodes)
-        nkz = len(self.k_z_nodes)
-        return ((fi * nm + (m - m_min)) * nkp + ik_perp) * nkz + ik_z
+        labels = (("m", m, m_min, m_max), ("ik_perp", ik_perp, 0, len(self.k_perp_nodes) - 1),
+                  ("ik_z", ik_z, 0, len(self.k_z_nodes) - 1))
+        shape = (len(FAMILIES),) + tuple(hi - lo + 1 for *_, lo, hi in labels)
+        try:
+            return np.ravel_multi_index((FAMILIES.index(family), m - m_min, ik_perp, ik_z), shape)
+        except ValueError:
+            for name, v, lo, hi in labels:
+                bad = np.asarray((v < lo) | (v > hi))
+                if bad.any():
+                    raise LatticeError(
+                        f"{name}={np.asarray(v)[bad].flat[0]} outside range ({lo}, {hi})"
+                    ) from None
+            raise
 
     def pairs(self):
         """Flat (TM, TE) indices of every (m, k_perp node, k_z node), shaped

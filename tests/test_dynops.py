@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from besselbeams.dynops import (
+    STOKES,
     assemble,
     build_L_spherical,
     build_observables,
@@ -354,6 +355,27 @@ class TestStokes:
                     for k in range(3):
                         want = coherent_expectation(ops[k], alpha)
                         assert sigma[k, im, ip, iz] == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    def test_scalar_call_is_the_pair_rows(self):
+        lat = ASSEMBLY_LATTICES["asymmetric"]
+        for ip, iz, m in ((0, 0, -2), (1, 0, 3), (1, 1, 5)):
+            i = {f: lat.index(f, m, ip, iz) for f in FAMILIES}
+            for op, rows in zip(build_stokes(lat, ip, iz, m), STOKES):
+                ref = _from_triplets(lat, [(i[r], i[c], c0) for r, c, _, c0, _ in rows])
+                assert _bits(op) == _bits(ref)
+
+    @pytest.mark.parametrize("lat", [ASSEMBLY_LATTICES["reference"], lattice_d6()],
+                             ids=["default-corners", "one-node"])
+    def test_array_call_is_the_sum_of_scalar_calls(self, lat):
+        # every corner label, repeats kept: on one node the four node corners coincide
+        corners = [(ip, iz, m) for ip in (0, len(lat.k_perp_nodes) - 1)
+                   for iz in (0, len(lat.k_z_nodes) - 1) for m in lat.m_range]
+        ip, iz, m = np.array(corners).T
+        summed = [sum(ops[1:], ops[0]) for ops in zip(*(build_stokes(lat, *c) for c in corners))]
+        for op, want in zip(build_stokes(lat, ip, iz, m), summed):
+            assert op.X.dtype == want.X.dtype == complex
+            assert (op.X != want.X).nnz == 0
+            assert op.X.nnz == want.X.nnz
 
 
 def _random_map(lat):

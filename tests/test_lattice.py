@@ -77,6 +77,23 @@ class TestLatticeIndexing:
         with pytest.raises(LatticeError):
             lat.index(TM, 5, 0, 0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((5, 0, 0), "m=5"),
+        ((np.array([0, 1, -2]), 0, 0), "m=-2"),
+        ((0, 2, 0), "ik_perp=2"),
+        ((0, -1, 0), "ik_perp=-1"),
+        ((0, np.array([[0], [1], [3]]), 0), "ik_perp=3"),
+        ((0, 0, 1), "ik_z=1"),
+        ((0, 0, -1), "ik_z=-1"),
+        ((np.array([0, 1]), 0, np.array([0, -2])), "ik_z=-2"),
+    ])
+    def test_labels_outside_the_lattice_are_refused(self, args, message):
+        # on a 2 x 1-node lattice an unchecked (TM, 0, ik_perp=2, 0) is 6,
+        # the index of (TM, 1, 0, 0); the error names the offending value
+        lat = build_lattice((-1, 1), [1.0, 2.0], [3.0])
+        with pytest.raises(LatticeError, match=f"^{message} outside range"):
+            lat.index(TM, *args)
+
 
 @pytest.mark.parametrize(
     "c, hbar",

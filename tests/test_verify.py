@@ -16,8 +16,8 @@ import pytest
 from scipy.special import roots_legendre, spherical_jn
 
 from besselbeams import cli, specfun, verify
-from besselbeams.dynops import assemble, build_stokes
-from besselbeams.lattice import build_lattice
+from besselbeams.dynops import assemble, build_stokes, make_rl_map
+from besselbeams.lattice import apply_basis, build_lattice
 from besselbeams.modes import TM
 from besselbeams.verify import (
     RelationResult,
@@ -238,6 +238,22 @@ class TestBasisSuite:
         results = basis_suite(lat)
         eig = next(r for r in results if "eigenvalues" in r.name)
         assert eig.passed
+
+    @pytest.mark.parametrize("hbar, c", [(1.0, 1.0), (0.37, 2.9), (3.7e-29, 2.9e8), (1e5, 1e-5)])
+    def test_paraxial_law_equals_nine_one_node_lattices_bitwise(self, hbar, c):
+        # the reference: nine one-node lattices, one per ratio
+        mags = []
+        for r in verify.PARAXIAL_RATIOS:
+            one = build_lattice((-2, 2), [r], [1.0], c=c, hbar=hbar)
+            mags.append(verify._offdiag_norm(apply_basis(assemble(one, "energy"), make_rl_map(one))))
+        mags = np.array(mags)
+        got = verify._paraxial_offdiag(hbar, c)
+        assert got.view(np.int64).tolist() == mags.view(np.int64).tolist()
+        slope = np.polyfit(np.log(verify.PARAXIAL_RATIOS), np.log(mags), 1)[0]
+        lat = build_lattice((-2, 2), [0.5], [1.0], c=c, hbar=hbar)
+        row = next(r for r in basis_suite(lat) if r.name.startswith("basis: paraxial"))
+        assert np.float64(row.residual).view(np.int64) == np.float64(abs(slope - 2.0)).view(np.int64)
+        assert f"log-log slope {slope:.6f} " in row.notes
 
     @pytest.mark.parametrize("ratio, inconclusive", [(1e4, False), (1e6, True)])
     def test_rl_residual_within_rounding_is_inconclusive(self, ratio, inconclusive):
