@@ -250,10 +250,12 @@ class FockOracle:
     """Truncated-Fock realization of the lattice ladder algebra.
 
     Modes are cut at occupation n_max; the state space has (n_max+1)^D
-    dimensions.  Ladder matrices are kept sparse (each is a kron chain of
-    diagonals).  Used only as an independent brute-force check; the
-    truncation makes [b, b^dag] = 1 fail on states touching level n_max,
-    so comparisons should be restricted with :meth:`occupancy_mask`.
+    dimensions, and state s holds occupation n_j(s) in base-(n_max+1)
+    digit j of s, mode 0 the most significant (the order of the kron
+    chain b_j = 1 x .. x a x .. x 1).  Every matrix is read off those
+    digits and kept sparse.  Used only as an independent brute-force check;
+    the truncation makes [b, b^dag] = 1 fail on states touching level
+    n_max, so comparisons should be restricted with :meth:`occupancy_mask`.
     """
 
     def __init__(self, lattice: ModeLattice, n_max=3):
@@ -264,30 +266,48 @@ class FockOracle:
         self.lattice = lattice
         self.n_max = n_max
         self.dim = dim
-        a1 = sp.diags(np.sqrt(np.arange(1, n_max + 1)), offsets=1)
-        eye = sp.identity(n_max + 1, format="csr")
+        # stride[j] = e_j, the index step of one photon in mode j; occ[j, s] = n_j(s)
+        self._stride = (n_max + 1) ** np.arange(D - 1, -1, -1)
+        self._occ = (np.arange(dim) // self._stride[:, None] % (n_max + 1)).astype(np.min_scalar_type(n_max))
+        self._sqrt = np.sqrt(np.arange(n_max + 1))
+        # b_j has sqrt(n_j(s)) at (s - e_j, s)
         self.b = []
-        for j in range(D):
-            M = None
-            for i in range(D):
-                o = a1 if i == j else eye
-                M = o if M is None else sp.kron(M, o, format="csr")
-            self.b.append(M.tocsr())
-        self.bdag = [M.conj().T.tocsr() for M in self.b]
+        for n, e in zip(self._occ, self._stride):
+            src = np.flatnonzero(n)
+            self.b.append(sp.csr_matrix((self._sqrt[n[src]], (src - e, src)), shape=(dim, dim)))
+        self.bdag = [M.T.tocsr() for M in self.b]
 
     def realize(self, A: QuadraticOperator):
-        """Sparse matrix of sum X_jk b_j^dag b_k on the truncated space."""
-        out = sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        """Sparse matrix of sum X_jk b_j^dag b_k on the truncated space.
+
+        The term (r, c) takes state s to s - e_c + e_r with the entry
+        X_rc sqrt(n_r + 1) sqrt(n_c), read off the digits of s.  That is the
+        product of the two ladder entries, as b_r^dag b_c rounds it: on the
+        diagonal, sqrt(n) sqrt(n) rather than n.  Off-diagonal terms never
+        share an entry; diagonal ones add up per state in the order of A.X's
+        COO triplets, from a complex zero.
+        """
         coo = A.X.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            out = out + v * (self.bdag[r] @ self.b[c])
-        return out.tocsr()
+        moves = coo.row != coo.col
+        r, c = coo.row[moves], coo.col[moves]
+        n_r, n_c = self._occ[r], self._occ[c]
+        # source states hold a photon in mode c and room for one more in mode r
+        flat = np.flatnonzero((n_c > 0) & (n_r < self.n_max))
+        t, src = np.divmod(flat, self.dim)
+        vals = 0j + coo.data[moves][t] * (self._sqrt[n_r.ravel()[flat] + 1] * self._sqrt[n_c.ravel()[flat]])
+        dest = src + (self._stride[r] - self._stride[c])[t]
+        diag = np.zeros(self.dim, dtype=complex)
+        for j, v in zip(coo.row[~moves], coo.data[~moves]):
+            held = np.flatnonzero(self._occ[j])
+            root = self._sqrt[self._occ[j, held]]
+            diag[held] += v * (root * root)
+        on = np.flatnonzero(diag)
+        out = sp.csr_matrix((np.concatenate([vals, diag[on]]),
+                             (np.concatenate([dest, on]), np.concatenate([src, on]))),
+                            shape=(self.dim, self.dim), dtype=complex)
+        out.eliminate_zeros()
+        return out
 
     def occupancy_mask(self, limit):
         """Boolean mask of product states with every occupation <= limit."""
-        idx = np.arange(self.dim)
-        ok = np.ones(self.dim, dtype=bool)
-        for _ in range(self.lattice.dim):
-            idx, n = divmod(idx, self.n_max + 1)
-            ok &= n <= limit
-        return ok
+        return (self._occ <= limit).all(axis=0)

@@ -13,18 +13,22 @@ package, and the closed forms scipy does not provide.  Point functions
 ``scipy.special.cython_special`` and return a Python ``float``, which
 equals the ufunc's value bit for bit at about a quarter of its per-call
 cost and keeps NumPy-scalar arithmetic out of the per-point field path.  Grids
-(``bessel_j_outer``) and angle arrays go through the ufuncs.
+(``bessel_j_outer``) and angle arrays go through the ufuncs; a large grid's
+rows are split over the CPUs this process may use (``jv_table``).
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 from scipy.special import jv, sph_harm_y
 from scipy.special.cython_special import jv as jv_point, lpmv as lpmv_point
 
 MAX_ORDER = 200
+# below this many values a Bessel table is one jv call: a thread costs more than it saves
+_SPLIT_MIN = 4096
 # below this sin(theta), vsh_grid takes m Y_jm / sin(theta) from the ladder identity
 _POLE_SIN = 1e-8
 
@@ -85,13 +89,52 @@ def bessel_j_over_x(m, x):
     return sign * acc
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def jv_table(order, arg):
+    """jv(order, arg) for a 2-D `arg`, its rows split over the usable CPUs.
+
+    jv works element by element and releases the GIL, so the table equals
+    one jv call bit for bit at any split.  Each chunk is one
+    ``jv(order, arg[rows], out=table[rows])`` call; the calling thread fills
+    the first, short-lived threads the rest.  They are joined before the
+    table is returned, and a chunk's exception is raised here, so a table is
+    never returned unfilled.  Below _SPLIT_MIN values it is one call.
+    """
+    table = np.empty_like(arg)
+    n = min(_usable_cpus(), len(arg)) if arg.size >= _SPLIT_MIN else 1
+    chunks = [slice(len(arg) * i // n, len(arg) * (i + 1) // n) for i in range(n)]
+
+    def fill(rows):
+        jv(order, arg[rows], out=table[rows])
+
+    if n == 1:
+        fill(chunks[0])
+        return table
+    # imported here: commands that build no table skip its start-up cost
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n - 1) as pool:
+        done = [pool.submit(fill, rows) for rows in chunks[1:]]
+        fill(chunks[0])
+    for future in done:
+        future.result()
+    return table
+
+
 def bessel_j_outer(m, k, x, tables):
     """J_m(k_i x_j) on the outer product grid of scale factors and abscissas.
 
     Tables are memoized in the caller's dict `tables`, keyed on |m| and the
-    exact bytes of `k` and `x`.  Negative orders come from
-    J_{-m} = (-1)^m J_m, which matches ``jv(-m, .)`` bit for bit.  The
-    returned array is read-only.
+    exact bytes of `k` and `x`; `jv_table` computes a missing one.  Negative
+    orders come from J_{-m} = (-1)^m J_m, which matches ``jv(-m, .)`` bit
+    for bit.  The returned array is read-only.
     """
     m = int(m)
     if abs(m) > MAX_ORDER:
@@ -101,7 +144,7 @@ def bessel_j_outer(m, k, x, tables):
     key = (abs(m), k.tobytes(), x.tobytes())
     table = tables.get(key)
     if table is None:
-        table = tables[key] = jv(abs(m), np.outer(k, x))
+        table = tables[key] = jv_table(abs(m), np.outer(k, x))
         table.setflags(write=False)
     if m < 0 and m % 2:
         table = -table
@@ -173,12 +216,27 @@ def assoc_legendre_prime(j, m, x):
 
 
 def spherical_harmonic(j, m, theta, phi):
-    """Scalar Y_jm(theta, phi), orthonormal on the sphere, Condon-Shortley."""
-    j, m = int(j), int(m)
-    if abs(m) > j:
+    """Y_jm(theta, phi), orthonormal on the sphere, Condon-Shortley.
+
+    `j` is one degree or an integer array of them, broadcast against theta
+    and phi.
+    """
+    j, m = np.asarray(j, dtype=int), int(m)
+    if abs(m) > j.min():
         raise DomainError("spherical_harmonic requires |m| <= j")
-    _check_degree(j)
+    _check_degree(j.max())
     return sph_harm_y(j, m, theta, phi)
+
+
+def _product_as_scalars(a, b):
+    """a * b for complex arrays, each part rounded as numpy rounds the product
+    of two complex scalars: two products and a sum, never fused, as the
+    array loop may fuse them."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def vsh_grid(j, m, theta, phi):
@@ -188,23 +246,30 @@ def vsh_grid(j, m, theta, phi):
     and phi broadcast against each other.  The theta derivative comes from
     the ladder identity.  So does the m Y_jm / sin(theta) term where
     sin(theta) < _POLE_SIN, through m cot(theta) Y_jm; the values are finite
-    and exact on the poles too.  Returns two complex arrays shaped
-    broadcast(theta, phi).shape + (3,), Cartesian components.
+    and exact on the poles too.  `j` is one degree or an integer array of
+    them, whose axes lead the result's: each degree's values equal those of
+    its own call bit for bit.  Returns two complex arrays shaped
+    j.shape + broadcast(theta, phi).shape + (3,), Cartesian components.
     """
-    _check_degree(j)
+    j = np.asarray(j, dtype=int)
+    _check_degree(j.max())
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    j = j.reshape(j.shape + (1,) * theta.ndim)
     st, ct = np.sin(theta), np.cos(theta)
+    # one angle pair rounds the phase products as numpy complex scalars do, as one degree's call does
+    times = _product_as_scalars if theta.ndim == 0 else np.multiply
+
+    def ladder(step, rank, phase):
+        """0.5 sqrt(rank) Y_j,m+step e^(phase): a complex zero where m + step leaves degree j."""
+        inside = abs(m + step) <= j
+        term = times(0.5 * np.sqrt(np.where(inside, rank, 0)) * sph_harm_y(j, m + step, theta, phi),
+                     np.exp(phase))
+        return term if inside.all() else np.where(inside, term, 0.0)
+
     # dY/dtheta = up - dn and m cot(theta) Y_jm = -(up + dn)
-    up = dn = 0.0
-    if m + 1 <= j:
-        up = 0.5 * math.sqrt((j - m) * (j + m + 1)) * sph_harm_y(
-            j, m + 1, theta, phi
-        ) * np.exp(-1j * phi)
-    if m - 1 >= -j:
-        dn = 0.5 * math.sqrt((j + m) * (j - m + 1)) * sph_harm_y(
-            j, m - 1, theta, phi
-        ) * np.exp(1j * phi)
-    dth = np.zeros(theta.shape, dtype=complex) + up - dn
+    up = ladder(1, (j - m) * (j + m + 1), -1j * phi)
+    dn = ladder(-1, (j + m) * (j - m + 1), 1j * phi)
+    dth = np.zeros(up.shape, dtype=complex) + up - dn
     if m == 0:
         dphi_over_sin = np.zeros_like(dth)
     else:
@@ -216,7 +281,7 @@ def vsh_grid(j, m, theta, phi):
         )
     that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=-1)
     phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(theta)], axis=-1)
-    ye = (dth[..., None] * that + dphi_over_sin[..., None] * phat) / (j * (j + 1))
+    ye = (dth[..., None] * that + dphi_over_sin[..., None] * phat) / (j * (j + 1))[..., None]
     n_hat = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
     ym = np.cross(n_hat, ye)
     return ye, ym

@@ -292,12 +292,14 @@ def _fock_residual():
         ("S+", "L3"), ("S+", "L+"), ("S+", "L-"),
     ]
     realized = {n: oracle.realize(obs[n]) for n in sorted({n for pair in pairs for n in pair})}
+    rows = {n: M[keep] for n, M in realized.items()}
+    cols = {n: M[:, keep] for n, M in realized.items()}
     worst = 0.0
+    # on the kept block alone: a product's entry sums over the same states either way
     for na, nb in pairs:
-        lhs = oracle.realize(commutator(obs[na], obs[nb]))
-        rhs = realized[na] @ realized[nb] - realized[nb] @ realized[na]
-        diff = (lhs - rhs)[keep][:, keep]
-        worst = max(worst, float(abs(diff).max()))
+        lhs = oracle.realize(commutator(obs[na], obs[nb]))[keep][:, keep]
+        rhs = rows[na] @ cols[nb] - rows[nb] @ cols[na]
+        worst = max(worst, float(abs(lhs - rhs).max()))
     return worst
 
 
@@ -651,13 +653,15 @@ _FLIP = {"-": "+", "+": "-", "3": "3"}
 class _CylinderQuadrature:
     """Kernels on the finite cylinder: Gauss-Legendre radially, closed form axially.
 
-    The radial kernel's Bessel tables live in `tables` and die with the quadrature.
+    The radial kernel's Bessel tables live in `tables`, the axial kernels in
+    `axials`; both die with the quadrature.
     """
 
     def __init__(self, dom: QuadratureDomain):
         self.dom = dom
         self.rho, self.w_rho = _panels(0.0, dom.R, dom.n_radial)
         self.tables = {}
+        self.axials = {}
 
     def radial(self, F1, F2, o1, o2, p):
         """int_0^R J_o1(kp rho) J_o2(kp' rho) rho^(1+p) drho as a matrix."""
@@ -671,15 +675,21 @@ class _CylinderQuadrature:
 
         int_-1^1 P_n(t) e^{ixt} dt = 2 i^n j_n(x) (DLMF 10.54.2) gives 2Z j_0(kappa Z)
         for q = 0 and 2i Z^2 j_1(kappa Z) for q = 1.  scipy's spherical_jn stays
-        accurate as kappa Z -> 0, so no series branch is needed.
+        accurate as kappa Z -> 0, so no series branch is needed.  Kernels are
+        memoized in `axials` on the exact bytes of both k_z grids and q, and
+        returned read-only.
         """
-        Z = self.dom.Z
-        x = np.add.outer(F1.kz_nodes, F2.kz_nodes) * Z
-        if q == 0:
-            return 2 * Z * spherical_jn(0, x)
-        if q == 1:
-            return 2j * Z * Z * spherical_jn(1, x)
-        raise ValueError(f"the axial kernel is closed-form for z powers 0 and 1, got {q}")
+        if q not in (0, 1):
+            raise ValueError(f"the axial kernel is closed-form for z powers 0 and 1, got {q}")
+        key = (F1.kz_nodes.tobytes(), F2.kz_nodes.tobytes(), q)
+        kernel = self.axials.get(key)
+        if kernel is None:
+            Z = self.dom.Z
+            x = np.add.outer(F1.kz_nodes, F2.kz_nodes) * Z
+            kernel = 2 * Z * spherical_jn(0, x) if q == 0 else 2j * Z * Z * spherical_jn(1, x)
+            kernel.setflags(write=False)
+            self.axials[key] = kernel
+        return kernel
 
 
 @functools.lru_cache(maxsize=None)
@@ -1018,7 +1028,9 @@ def _spherical_wave_pair(j, m, omega, points, c=1.0):
         V^M_j = 4 pi i^j j_j(kr) Y^M_jm(n),
         V^E_j = 4 pi i^(j+3) [(j_j/kr) Y_jm(n) n + (j_j/kr + j_j') Y^E_jm(n)].
     `points` is one Cartesian point or an array of them, shaped (..., 3);
-    both returned arrays have that shape.
+    `j` is one degree or an integer array of them.  Both returned arrays are
+    shaped j.shape + points.shape, and each degree's values equal those of
+    its own call bit for bit.
     """
     points = np.asarray(points, dtype=float)
     # libm scalar calls per point keep r, theta, phi bit-identical however many points come
@@ -1028,11 +1040,18 @@ def _spherical_wave_pair(j, m, omega, points, c=1.0):
     ]).T.reshape((3,) + points.shape[:-1])
     kr = omega * r / c
     ye, ym = _vsh_grid(j, m, theta, phi)
+    j = np.asarray(j, dtype=int)
+    # 4 pi i^(j+3) and 4 pi i^j as Python's powers give them, degree by degree:
+    # from n = 101 on, 1j ** n is no longer exactly one of 1, i, -1, -i
+    degrees, shape = j.ravel().tolist(), j.shape + (1,) * points.ndim
+    phase_e = np.array([4 * math.pi * 1j ** (d + 3) for d in degrees]).reshape(shape)
+    phase_m = np.array([4 * math.pi * 1j**d for d in degrees]).reshape(shape)
+    j = j.reshape(j.shape + (1,) * r.ndim)
     jj, jp = spherical_jn(j, kr), spherical_jn(j, kr, derivative=True)
     n_hat = points / r[..., None]
     radial = ((jj / kr) * specfun.spherical_harmonic(j, m, theta, phi))[..., None]
-    ve = 4 * math.pi * 1j ** (j + 3) * (radial * n_hat + (jj / kr + jp)[..., None] * ye)
-    vm = 4 * math.pi * 1j**j * jj[..., None] * ym
+    ve = phase_e * (radial * n_hat + (jj / kr + jp)[..., None] * ye)
+    vm = phase_m * jj[..., None] * ym
     return ve, vm
 
 
@@ -1042,15 +1061,20 @@ def partial_sums(which, m, k_perp, k_z, points, j_max, c=1.0):
     `points` is one point (x, y, z) or an array of them, shaped (..., 3).
     Yields (j, alpha_E, alpha_M, sum of the terms of degree <= j) for
     j = max(1, |m|) .. j_max; the sum has the shape of `points`.  The
-    coefficients do not depend on the point, so each degree computes them once.
-    A bare point's sums may differ in the last bit from its sums inside an
-    array, since numpy rounds scalar and array complex products apart (README).
+    coefficients do not depend on the point, so each degree computes them
+    once, and one wave-pair call serves every degree.  The sum runs in degree
+    order.  A bare point's sums may differ in the last bit from its sums
+    inside an array, since numpy rounds scalar and array complex products
+    apart (README).
     """
     omega = c * math.hypot(k_perp, k_z)
+    degrees = range(max(1, abs(m)), j_max + 1)
+    if not degrees:
+        return
+    ves, vms = _spherical_wave_pair(np.array(degrees), m, omega, points, c=c)
     total = np.zeros(np.shape(points), dtype=complex)
-    for j in range(max(1, abs(m)), j_max + 1):
+    for j, ve, vm in zip(degrees, ves, vms):
         aE, aM = expansion_coefficients(which, m, k_perp, k_z, j, c)
-        ve, vm = _spherical_wave_pair(j, m, omega, points, c=c)
         total = total + aE * ve + aM * vm
         yield j, aE, aM, total
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from besselbeams.dynops import build_observables, zero_points
@@ -225,6 +226,43 @@ class TestFockOracle:
             sym = sum(0.5 * x * (oracle.bdag[j] @ oracle.b[j] + oracle.b[j] @ oracle.bdag[j])
                       for j, x in enumerate(X.diagonal()))
             assert z != 0 and sym[0, 0] == pytest.approx(z, rel=1e-14), name
+
+    @pytest.mark.parametrize("m_range, n_max", [((-1, 1), 3), ((0, 1), 2), ((0, 0), 6)])
+    def test_digits_equal_the_kron_chains_and_ladder_products_bitwise(self, m_range, n_max):
+        # the oracle reads every matrix off the occupation digits; the
+        # reference builds b_j as a kron chain and sums X_rc b_r^dag b_c term
+        # by term, in the order of the COO triplets
+        lat = build_lattice(m_range, [1.0], [2.0], c=2.9, hbar=0.37)
+        oracle = FockOracle(lat, n_max=n_max)
+        a1 = sp.diags(np.sqrt(np.arange(1, n_max + 1)), offsets=1)
+        eye = sp.identity(n_max + 1, format="csr")
+        ladders = []
+        for j in range(lat.dim):
+            M = a1 if j == 0 else eye
+            for i in range(1, lat.dim):
+                M = sp.kron(M, a1 if i == j else eye, format="csr")
+            ladders.append(M.tocsr())
+
+        def same(A, B):
+            A, B = A.tocsr(), B.tocsr()
+            assert A.dtype == B.dtype and A.shape == B.shape
+            assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+            assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64))
+
+        for j, M in enumerate(ladders):
+            same(oracle.b[j], M)
+            same(oracle.bdag[j], M.T)
+        obs = build_observables(lat)
+        rng = np.random.default_rng(7)
+        # random forms: entries 0, +-1, +-sqrt(2), so diagonal terms cancel exactly
+        X = rng.choice([0.0, 1.0, -1.0, math.sqrt(2), -math.sqrt(2)], size=(2, lat.dim, lat.dim))
+        ops = list(obs.values()) + [commutator(obs["L+"], obs["S-"]),
+                                    QuadraticOperator(lat, X[0] + 1j * X[1])]
+        for A in ops:
+            coo, want = A.X.tocoo(), sp.csr_matrix((oracle.dim, oracle.dim), dtype=complex)
+            for r, c, v in zip(coo.row, coo.col, coo.data):
+                want = want + v * (ladders[r].T.tocsr() @ ladders[c])
+            same(oracle.realize(A), want)
 
     def test_dimension_cap(self):
         lat = build_lattice((-4, 4), [1.0], [2.0])  # D = 18

@@ -1,6 +1,9 @@
 """Special-function oracles: closed forms against direct quadrature."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -184,6 +187,78 @@ class TestBessel:
         if x > 1e-3:
             assert val == pytest.approx(m * jv(m, x) / x, abs=1e-12)
         assert np.isfinite(val)
+
+
+def _table_grid():
+    """An odd number of rows, k = 0 and x = 0 included, above the split size."""
+    k = np.array([0.0, 0.37, 1.0, 2.5, 4.0, 7.25, 11.0])
+    x = np.linspace(0.0, 40.0, 1 + specfun._SPLIT_MIN // len(k))
+    assert len(k) % 2 and k.size * x.size >= specfun._SPLIT_MIN
+    return k, x
+
+
+class TestJvTable:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 16])  # 16: more workers than rows
+    def test_split_table_equals_one_jv_call_bitwise(self, monkeypatch, workers):
+        k, x = _table_grid()
+        arg = np.outer(k, x)
+        chunks = []
+        jv_rows = specfun.jv
+
+        def counted(order, rows, out):
+            chunks.append(len(rows))
+            return jv_rows(order, rows, out=out)
+
+        monkeypatch.setattr(specfun, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(specfun, "jv", counted)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for order in (0, 1, 7, 40):
+                chunks.clear()
+                got = specfun.jv_table(order, arg)
+                assert np.array_equal(_bits(got), _bits(jv(order, arg))), order
+                assert len(chunks) == min(workers, len(k)) and sum(chunks) == len(k)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+    def test_small_tables_take_one_call(self, monkeypatch):
+        calls = []
+        jv_rows = specfun.jv
+        monkeypatch.setattr(specfun, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(specfun, "jv", lambda order, rows, out: (calls.append(rows.shape),
+                                                                     jv_rows(order, rows, out=out))[1])
+        arg = np.outer(np.linspace(0.0, 3.0, 9), np.linspace(0.0, 10.0, 11))
+        assert np.array_equal(_bits(specfun.jv_table(2, arg)), _bits(jv(2, arg)))
+        assert calls == [arg.shape]
+
+    # of three chunks, rows 0..1 are the calling thread's and rows 4..6 a worker's
+    @pytest.mark.parametrize("first_row", [0, 4], ids=["calling-thread", "worker"])
+    def test_a_failing_chunk_raises_in_the_caller(self, monkeypatch, first_row):
+        k, x = _table_grid()
+        arg = np.outer(k, x)
+        jv_rows = specfun.jv
+
+        def failing_chunk(order, rows, out):
+            if rows[0, 1] == arg[first_row, 1]:
+                raise FloatingPointError("chunk failed")
+            return jv_rows(order, rows, out=out)
+
+        monkeypatch.setattr(specfun, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(specfun, "jv", failing_chunk)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="chunk failed"):
+            specfun.jv_table(3, arg)
+        assert threading.active_count() == threads
+        tables = {}
+        with pytest.raises(FloatingPointError):
+            bessel_j_outer(3, k, x, tables)
+        assert tables == {}  # no unfilled table is memoized
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+    def test_usable_cpus_reads_the_affinity_mask(self):
+        assert specfun._usable_cpus() == len(os.sched_getaffinity(0))
 
 
 def _bits(values):

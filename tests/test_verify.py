@@ -360,6 +360,19 @@ class TestAxialKernel:
         with pytest.raises(ValueError):
             self.quad().axial(F, F, 2)
 
+    def test_kernels_are_memoized_per_quadrature(self):
+        F1 = SimpleNamespace(kz_nodes=np.array([1.0, 2.0, 2.5]))
+        F2 = SimpleNamespace(kz_nodes=np.array([-1.5, 0.5]))
+        quad = self.quad()
+        first = {q: quad.axial(F1, F2, q) for q in (0, 1)}
+        for q, kernel in first.items():
+            assert not kernel.flags.writeable
+            # keyed on the grid bytes, not the field: an equal grid hits
+            assert quad.axial(SimpleNamespace(kz_nodes=F1.kz_nodes.copy()), F2, q) is kernel
+            assert np.array_equal(kernel, self.quad().axial(F1, F2, q))
+        assert quad.axial(F2, F1, 0) is not first[0] and len(quad.axials) == 3
+        assert self.quad().axials == {}  # nothing is shared between quadratures
+
 
 def _branching_volume_integral(F1, F2, quad, table, conjugate):
     """int F1 (table product) F2(*) dV as one loop that branches on `conjugate`
@@ -407,14 +420,14 @@ def recorded_suite():
     every test below.  Returns a namespace of: the results; the fields each
     pass smears, by (n_kp, n_kz); whether each coarse-pass coefficient array
     and Bessel table was alive when the fine pass smeared its first field;
-    the Bessel tables specfun.jv computed, as (phase, |m|, grid digest); the
+    the Bessel tables specfun.jv_table computed, as (phase, |m|, grid digest); the
     liveness of every table once the suite returned; and a copy of the
     fields and the domain of each volume_dot/volume_cross call; every radial
     kernel call, as (phase, domain, k_perp grids, orders, rho power); and the
     number of radial calls each suite contraction made, by its (field, field,
     product, conjugate).
     """
-    smear, jv, originals = verify.smear_mode, specfun.jv, (verify.volume_dot, verify.volume_cross)
+    smear, jv_table, originals = verify.smear_mode, specfun.jv_table, (verify.volume_dot, verify.volume_cross)
     radial, contract = _CylinderQuadrature.radial, verify._contract
     rec = SimpleNamespace(passes={}, coeffs_alive_at_fine=[], tables_alive_at_fine=[],
                           tables=[], contractions=[], radial=[], contraction_radial=[],
@@ -437,10 +450,9 @@ def recorded_suite():
         return F
 
     def computing(order, arg):
-        out = jv(order, arg)
-        if np.ndim(arg) == 2:  # a bessel_j_outer table
-            rec.tables.append((rec.phase, order, hash(arg.tobytes())))
-            table_refs.append(weakref.ref(out))
+        out = jv_table(order, arg)
+        rec.tables.append((rec.phase, order, hash(arg.tobytes())))
+        table_refs.append(weakref.ref(out))
         return out
 
     def recording(fn):
@@ -461,7 +473,7 @@ def recorded_suite():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "smear_mode", smearing)
-        mp.setattr(specfun, "jv", computing)
+        mp.setattr(specfun, "jv_table", computing)
         mp.setattr(_CylinderQuadrature, "radial", radial_recording)
         mp.setattr(verify, "_contract", contracting)
         for fn in originals:
@@ -753,6 +765,97 @@ class TestSphericalWaves:
             for theta in (0.0, math.pi):
                 waves = _closed_form_and_oracle(j, m, 1.3, j + 2.5, theta, 0.0)
                 assert max(np.abs(v).max() for pair in waves for v in pair) < 1e-14, (j, m, theta)
+
+
+def _vsh_one_degree(j, m, theta, phi):
+    """The one-degree vector spherical harmonics as specfun.vsh_grid computed
+    them before it took arrays of degrees: a bare angle pair goes through
+    numpy scalar arithmetic.  The reference for TestWavesByDegree."""
+    from scipy.special import sph_harm_y
+
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    st, ct = np.sin(theta), np.cos(theta)
+    up = dn = 0.0
+    if m + 1 <= j:
+        up = 0.5 * math.sqrt((j - m) * (j + m + 1)) * sph_harm_y(j, m + 1, theta, phi) * np.exp(-1j * phi)
+    if m - 1 >= -j:
+        dn = 0.5 * math.sqrt((j + m) * (j - m + 1)) * sph_harm_y(j, m - 1, theta, phi) * np.exp(1j * phi)
+    dth = np.zeros(theta.shape, dtype=complex) + up - dn
+    if m == 0:
+        dphi_over_sin = np.zeros_like(dth)
+    else:
+        pole = st < specfun._POLE_SIN
+        dphi_over_sin = np.where(pole, -1j * (up + dn) / np.where(pole, ct, 1.0),
+                                 1j * m * sph_harm_y(j, m, theta, phi) / np.where(pole, 1.0, st))
+    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=-1)
+    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(theta)], axis=-1)
+    ye = (dth[..., None] * that + dphi_over_sin[..., None] * phat) / (j * (j + 1))
+    n_hat = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
+    return ye, np.cross(n_hat, ye)
+
+
+def _wave_pair_one_degree(j, m, omega, points):
+    """_spherical_wave_pair for one degree as it was computed before it took
+    arrays of degrees (c = 1).  The reference for TestWavesByDegree."""
+    from scipy.special import sph_harm_y
+
+    points = np.asarray(points, dtype=float)
+    r, theta, phi = np.array([
+        (math.sqrt(x * x + y * y + z * z), math.atan2(math.hypot(x, y), z), math.atan2(y, x))
+        for x, y, z in points.reshape(-1, 3).tolist()
+    ]).T.reshape((3,) + points.shape[:-1])
+    kr = omega * r
+    ye, ym = _vsh_one_degree(j, m, theta, phi)
+    jj, jp = spherical_jn(j, kr), spherical_jn(j, kr, derivative=True)
+    radial = ((jj / kr) * sph_harm_y(j, m, theta, phi))[..., None]
+    ve = 4 * math.pi * 1j ** (j + 3) * (radial * (points / r[..., None]) + (jj / kr + jp)[..., None] * ye)
+    vm = 4 * math.pi * 1j**j * jj[..., None] * ym
+    return ve, vm
+
+
+def _bitwise(a, b):
+    """Equal shapes and equal bits, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestWavesByDegree:
+    # degrees where a ladder term leaves the degree, the poles, and a bare angle pair
+    THETA = np.array([0.0, 1e-9, 0.4, 1.3, math.pi - 1e-9, math.pi])
+    PHI = np.array([0.0, 2.1, -0.7, 0.3, 1.9, -2.8])
+
+    @pytest.mark.parametrize("m", [-3, -1, 0, 1, 2])
+    def test_vsh_grid_by_degree_equals_the_one_degree_formula(self, m):
+        degrees = np.arange(max(1, abs(m)), 13)
+        grids = ((self.THETA, self.PHI), (self.THETA[:, None], self.PHI[None, :]), (0.4, -0.7), (0.0, 1.2))
+        for th, ph in grids:
+            batch = specfun.vsh_grid(degrees, m, th, ph)
+            for i, j in enumerate(degrees):
+                want = _vsh_one_degree(int(j), m, th, ph)
+                for got, one, ref in zip(batch, specfun.vsh_grid(int(j), m, th, ph), want):
+                    assert _bitwise(got[i], ref) and _bitwise(one, ref), (m, j, np.shape(th))
+
+    @pytest.mark.parametrize("m", [-2, 0, 3])
+    def test_wave_pair_by_degree_equals_the_one_degree_formula(self, m):
+        # degrees past 97 take Python's inexact 1j ** (j + 3)
+        degrees = np.array(list(range(max(1, abs(m)), 9)) + [97, 98, 104, 150])
+        rng = np.random.default_rng(20261020)
+        points = rng.uniform(-2.0, 2.0, size=(2, 3, 3))
+        points[0, 1] = (0.0, 0.0, -0.9)  # on the axis
+        for pts in (points, points[1, 2], tuple(points[0, 0].tolist())):
+            batch = _spherical_wave_pair(degrees, m, 1.7, pts)
+            for i, j in enumerate(degrees):
+                for got, ref in zip(batch, _wave_pair_one_degree(int(j), m, 1.7, pts)):
+                    assert _bitwise(got[i], ref), (m, j, np.shape(pts))
+
+    def test_partial_sums_make_one_wave_call(self, monkeypatch):
+        calls = []
+        original = verify._spherical_wave_pair
+        monkeypatch.setattr(verify, "_spherical_wave_pair",
+                            lambda j, *args, **kw: calls.append(np.shape(j)) or original(j, *args, **kw))
+        assert [j for j, *_ in partial_sums("N", 2, 1.0, 2.0, (0.3, 0.2, 0.1), 9)] == list(range(2, 10))
+        assert calls == [(8,)]
+        assert list(partial_sums("N", 4, 1.0, 2.0, (0.3, 0.2, 0.1), 3)) == [] and len(calls) == 1
 
 
 class TestSharedCoefficients:
