@@ -38,7 +38,7 @@ for label, diff in checks:
     resid = abs(block.data).max() if block.nnz else 0.0
     print(f"{label:24s} residual {resid:.3e}")
 
-_, s1, s2, s3 = build_stokes(lat, 0, 0, 0)
+_, s1, s2, s3 = build_stokes(lat, 0, 0)
 print(f"stokes [s1,s2]-2i s3        residual "
       f"{(commutator(s1, s2) - 2j * s3).max_abs():.3e}")
 
@@ -46,7 +46,7 @@ print(f"stokes [s1,s2]-2i s3        residual "
 # equal amplitudes on neighboring m values tilt the beam: <P2> = 2 kp |a|^2
 a = 0.5
 alpha = np.zeros(lat.dim, dtype=complex)
-alpha[[lat.index(TM, 0, 0, 0), lat.index(TM, 1, 0, 0)]] = a
+alpha[[lat.index(TM, 0, 0), lat.index(TM, 1, 0)]] = a
 P1, P2, P3 = cartesian(obs, "P")
 print(f"<P1> = {coherent_expectation(P1, alpha).real:+.6f}")
 print(f"<P2> = {coherent_expectation(P2, alpha).real:+.6f}  (analytic {2 * 1.0 * a**2})")

@@ -474,7 +474,7 @@ def cmd_expect(args, cfg):
             raise UsageError(f"amplitude m={m} outside lattice range {cfg.m_range}")
         if not (0 <= ikp < len(cfg.k_perp)) or not (0 <= ikz < len(cfg.k_z)):
             raise UsageError(f"amplitude node ({ikp},{ikz}) outside the lattice")
-        alpha[lat.index(fam, m, ikp, ikz)] += val
+        alpha[lat.index(fam, m, ikp * len(cfg.k_z) + ikz)] += val
 
     obs = build_observables(lat)
     rows = [("energy", obs["energy"]), ("number", obs["number"])]
@@ -487,7 +487,7 @@ def cmd_expect(args, cfg):
         zero = zero_points(lat)  # + 0.0 on the other rows turns a -0.0 part into +0.0
         values = [(name, coherent_expectation(op, alpha) + complex(zero.get(name, 0.0)))
                   for name, op in rows]
-        sigma = stokes_expectations(lat, alpha)
+        sigma = stokes_expectations(lat, alpha).reshape(3, -1, len(cfg.k_perp), len(cfg.k_z))
     if not (all(cmath.isfinite(v) for _, v in values) and np.all(np.isfinite(sigma))):
         raise UsageError("amplitudes too large: an expectation value overflows")
     lines = ["observable,re,im"]

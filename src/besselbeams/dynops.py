@@ -110,38 +110,36 @@ PAIR_BETA = {"pm": (1.0, (0, 0, 0, 0, 0)), "R/L": (1.0, (0, 1, 0, 1, -1))}
 
 def node_factors(lat: ModeLattice, monomial):
     """q hbar^a c^b k_perp^d k_z^e w^f of `monomial` (q, (a, b, d, e, f)) at
-    every node, k_perp-major as in the index layout.  Python floats: q times
-    the positive powers in (hbar, c, k_perp, k_z, w) order, then divided by
-    the negative ones in that order; a power of +/-1 is the bare value and
-    any other x**n, so a factor rounds the same whatever the lattice size."""
+    every node, in node order.  Python floats: q times the positive powers
+    x**n in (hbar, c, k_perp, k_z, w) order, then divided by the negative
+    ones in that order, so a factor rounds the same whatever the lattice
+    size."""
     q, powers = monomial
     out = []
-    for kp in lat.k_perp_nodes:
-        for kz in lat.k_z_nodes:
-            node = (lat.hbar, lat.c, kp, kz, lat.c * math.hypot(kp, kz))
-            v = q
-            for x, n in zip(node, powers):
-                if n > 0:
-                    v *= x if n == 1 else x**n
-            for x, n in zip(node, powers):
-                if n < 0:
-                    v /= x if n == -1 else x**-n
-            out.append(v)
+    for kp, kz in lat.nodes:
+        node = (lat.hbar, lat.c, kp, kz, lat.c * math.hypot(kp, kz))
+        v = q
+        for x, n in zip(node, powers):
+            if n > 0:
+                v *= x**n
+        for x, n in zip(node, powers):
+            if n < 0:
+                v /= x**-n
+        out.append(v)
     return out
 
 
 def _triplets(lat: ModeLattice, name):
     """COO (rows, cols, values) of TERMS[name] summed over every node of `lat`."""
     m_min, m_max = lat.m_range
-    shape = (len(lat.k_perp_nodes), len(lat.k_z_nodes))
-    ip, iz = np.indices(shape)
+    node = np.arange(len(lat.nodes))
     rows, cols, vals = [], [], []
     for bilinear, factor in TERMS[name]:
-        F = np.array(node_factors(lat, factor)).reshape(shape)
+        F = np.array(node_factors(lat, factor))
         for row_fam, col_fam, shift, c0, c1 in bilinear:
-            m = np.arange(max(m_min, m_min - shift), min(m_max, m_max - shift) + 1)[:, None, None]
-            rows.append(lat.index(row_fam, m + shift, ip, iz).ravel())
-            cols.append(lat.index(col_fam, m, ip, iz).ravel())
+            m = np.arange(max(m_min, m_min - shift), min(m_max, m_max - shift) + 1)[:, None]
+            rows.append(lat.index(row_fam, m + shift, node).ravel())
+            cols.append(lat.index(col_fam, m, node).ravel())
             vals.append(((c0 + c1 * m) * F).ravel())
     # + 0.0 turns the -0.0 parts of the complex products into +0.0
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals) + 0.0
@@ -170,16 +168,16 @@ def zero_points(lat: ModeLattice):
     return zero
 
 
-def build_stokes(lat: ModeLattice, ip, iz, m):
+def build_stokes(lat: ModeLattice, node, m):
     """Quantum Stokes operators (sigma_0..sigma_3) on the (TM, TE) pair
-    at fixed (m, k_perp node, k_z node); no zero-point terms.
+    at fixed (m, node); no zero-point terms.
 
-    ip, iz and m may be integer arrays that broadcast together, as in
+    node and m may be integer arrays that broadcast together, as in
     `ModeLattice.index`.  Each operator is then the sum of the per-pair
-    operators over every broadcast (ip, iz, m): a label named twice counts
+    operators over every broadcast (node, m): a label named twice counts
     twice, so the result equals the sum of the scalar calls.
     """
-    idx = {f: np.ravel(lat.index(f, m, ip, iz)) for f in FAMILIES}
+    idx = {f: np.ravel(lat.index(f, m, node)) for f in FAMILIES}
     ops = []
     for rows in STOKES:
         row_fams, col_fams, _, vals, _ = zip(*rows)
@@ -190,7 +188,7 @@ def build_stokes(lat: ModeLattice, ip, iz, m):
 
 def stokes_expectations(lat: ModeLattice, alpha):
     """<sigma_1>, <sigma_2>, <sigma_3> of the coherent state `alpha` at every
-    (m, k_perp node, k_z node), as a (3, n_m, n_kp, n_kz) complex array.
+    (m, node), as a (3, n_m, n_nodes) complex array.
 
     Each value is conj(a) . (sigma a) on the pair a = (a_TM, a_TE), summed
     the way the coefficient-matrix expectation conj(v) . (X v) sums it: the
@@ -237,7 +235,7 @@ def _pair_blocks(lat: ModeLattice, beta):
     for b in node_factors(lat, beta):
         n = 1.0 / math.sqrt(1.0 + b**2)
         blocks.append(((n, 1j * (b * n)), (n, -1j * (b * n))))
-    shape = lat.pairs().shape + (2,)
+    shape = (len(lat.m_values), len(lat.nodes), 2, 2)
     # + 0.0 turns the -0.0 real parts of the +/-i entries into +0.0
     return np.broadcast_to(np.reshape(blocks, shape[1:]), shape) + 0.0
 

@@ -1,7 +1,7 @@
 """Discretized mode lattice and number-conserving quadratic operator algebra.
 
-The mode continuum (family, m, k_perp, k_z) is replaced by a finite grid
-of wavenumbers.  Continuum ladder operators map onto unit-normalized
+The mode continuum (family, m, k_perp, k_z) is replaced by a finite list
+of (k_perp, k_z) nodes.  Continuum ladder operators map onto unit-normalized
 discrete ones via
 
     delta(k - k') -> delta_jk / w_j,   int dk -> sum_j w_j,
@@ -18,8 +18,9 @@ realization for small lattices.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -44,15 +45,13 @@ class LatticeError(ValueError):
 class ModeLattice:
     """Finite discretization of the Bessel-mode continuum.
 
-    Index layout is family-major (`FAMILIES`), then m, then k_perp node,
-    then k_z node.
-    A node is a bare wavenumber; the module docstring says why no weight
-    is stored.
+    A node is one (k_perp, k_z) wavenumber pair; the module docstring says
+    why no weight is stored.  Index layout is family-major (`FAMILIES`),
+    then m, then node.
     """
 
     m_range: tuple          # (m_min, m_max), inclusive
-    k_perp_nodes: tuple     # (k_perp, ...)
-    k_z_nodes: tuple        # (k_z, ...)
+    nodes: tuple            # ((k_perp, k_z), ...)
     c: float = 1.0
     hbar: float = 1.0
 
@@ -60,19 +59,20 @@ class ModeLattice:
         m_min, m_max = self.m_range
         if m_min > m_max:
             raise LatticeError("empty m_range")
-        object.__setattr__(self, "k_perp_nodes", tuple(float(v) for v in self.k_perp_nodes))
-        object.__setattr__(self, "k_z_nodes", tuple(float(v) for v in self.k_z_nodes))
+        object.__setattr__(self, "nodes", tuple((float(kp), float(kz)) for kp, kz in self.nodes))
+        if not self.nodes:
+            raise LatticeError("empty node list: a lattice needs at least one (k_perp, k_z) node")
         lo, hi = NODE_RANGE
-        if not all(lo <= abs(v) <= hi for v in self.k_perp_nodes + self.k_z_nodes):
+        if not all(lo <= abs(v) <= hi for node in self.nodes for v in node):
             raise LatticeError(f"lattice nodes need |k| in [{lo:g}, {hi:g}]")
-        if any(v <= 0 for v in self.k_perp_nodes):
-            raise LatticeError("k_perp nodes need value > 0")
+        if any(kp <= 0 for kp, _ in self.nodes):
+            raise LatticeError("lattice nodes need k_perp > 0")
         for name, v in (("c", self.c), ("hbar", self.hbar)):
             if not (math.isfinite(v) and v > 0):
                 raise LatticeError(f"lattice {name} must be positive and finite, got {v}")
         # omega = c hypot(k_perp, k_z) divides throughout, so its smallest
         # value on the lattice must not underflow
-        if self.c * math.hypot(min(self.k_perp_nodes), min(map(abs, self.k_z_nodes))) == 0:
+        if min(self.c * math.hypot(kp, kz) for kp, kz in self.nodes) == 0:
             raise LatticeError("omega = c hypot(k_perp, k_z) underflows to 0 at a lattice node")
 
     @property
@@ -81,28 +81,22 @@ class ModeLattice:
 
     @property
     def dim(self):
-        return (
-            len(FAMILIES)
-            * (self.m_range[1] - self.m_range[0] + 1)
-            * len(self.k_perp_nodes)
-            * len(self.k_z_nodes)
-        )
+        return len(FAMILIES) * (self.m_range[1] - self.m_range[0] + 1) * len(self.nodes)
 
-    def index(self, family, m, ik_perp, ik_z):
-        """Flat single-particle index of (family, m, k_perp node, k_z node).
+    def index(self, family, m, node):
+        """Flat single-particle index of (family, m, node).
 
-        m and the node numbers may be integer arrays; they broadcast together.
-        The layout is the C-order ravel of (family, m, k_perp node, k_z node),
-        so numpy both computes and bounds-checks it.  A label outside the
-        lattice raises, naming the first offending value: unchecked, a node
-        number would alias another (m, node) index.
+        m and the node number may be integer arrays; they broadcast together.
+        The layout is the C-order ravel of (family, m, node), so numpy both
+        computes and bounds-checks it.  A label outside the lattice raises,
+        naming the first offending value: unchecked, a node number would
+        alias another (m, node) index.
         """
         m_min, m_max = self.m_range
-        labels = (("m", m, m_min, m_max), ("ik_perp", ik_perp, 0, len(self.k_perp_nodes) - 1),
-                  ("ik_z", ik_z, 0, len(self.k_z_nodes) - 1))
+        labels = (("m", m, m_min, m_max), ("node", node, 0, len(self.nodes) - 1))
         shape = (len(FAMILIES),) + tuple(hi - lo + 1 for *_, lo, hi in labels)
         try:
-            return np.ravel_multi_index((FAMILIES.index(family), m - m_min, ik_perp, ik_z), shape)
+            return np.ravel_multi_index((FAMILIES.index(family), m - m_min, node), shape)
         except ValueError:
             for name, v, lo, hi in labels:
                 bad = np.asarray((v < lo) | (v > hi))
@@ -113,16 +107,15 @@ class ModeLattice:
             raise
 
     def pairs(self):
-        """Flat (TM, TE) indices of every (m, k_perp node, k_z node), shaped
-        (n_m, n_kp, n_kz, 2)."""
-        m = np.array(self.m_values)[:, None, None]
-        ip = np.arange(len(self.k_perp_nodes))[:, None]
-        iz = np.arange(len(self.k_z_nodes))
-        return np.stack([self.index(f, m, ip, iz) for f in FAMILIES], axis=-1)
+        """Flat (TM, TE) indices of every (m, node), shaped (n_m, n_nodes, 2)."""
+        m = np.array(self.m_values)[:, None]
+        node = np.arange(len(self.nodes))
+        return np.stack([self.index(f, m, node) for f in FAMILIES], axis=-1)
 
 
-def build_lattice(m_range, k_perp_nodes, k_z_nodes, c=1.0, hbar=1.0):
-    return ModeLattice(tuple(m_range), tuple(k_perp_nodes), tuple(k_z_nodes), c, hbar)
+def build_lattice(m_range, k_perp, k_z, c=1.0, hbar=1.0):
+    """The product grid: one node per (k_perp, k_z) pair, k_perp-major."""
+    return ModeLattice(tuple(m_range), tuple(itertools.product(k_perp, k_z)), c, hbar)
 
 
 class QuadraticOperator:
@@ -178,28 +171,31 @@ def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
 @dataclass(frozen=True, eq=False)
 class BasisMap:
     """Invertible linear map b' = T b of the discrete ladder operators that
-    mixes only the (TM, TE) pair of each (m, k_perp node, k_z node).
+    mixes only the (TM, TE) pair of each (m, node).
 
-    `blocks` holds one 2 x 2 block per pair, shaped like `lattice.pairs()`
-    plus a last axis of 2: rows are new ladders and columns old ones, both
-    in `FAMILIES` order.  T, its inverse and its condition number all come
-    from the blocks.  Maps compare by identity.
+    `blocks` holds one 2 x 2 block per pair, shaped like `pairs`, the
+    read-only `lattice.pairs()`, plus a last axis of 2: rows are new ladders
+    and columns old ones, both in `FAMILIES` order.  T, its inverse and its
+    condition number all come from the blocks.  Maps compare by identity.
     """
 
     lattice: ModeLattice
     blocks: np.ndarray
+    pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         blocks = np.asarray(self.blocks, dtype=complex)
+        pairs = self.lattice.pairs()
+        pairs.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
-        if blocks.shape != self.lattice.pairs().shape + (2,):
+        object.__setattr__(self, "pairs", pairs)
+        if blocks.shape != pairs.shape + (2,):
             raise LatticeError("BasisMap needs one 2 x 2 block per (TM, TE) pair")
 
     def _scatter(self, blocks):
         """Sparse D x D matrix with `blocks` placed on the (TM, TE) pairs."""
-        pairs = self.lattice.pairs()
-        rows = np.broadcast_to(pairs[..., :, None], blocks.shape)
-        cols = np.broadcast_to(pairs[..., None, :], blocks.shape)
+        rows = np.broadcast_to(self.pairs[..., :, None], blocks.shape)
+        cols = np.broadcast_to(self.pairs[..., None, :], blocks.shape)
         D = self.lattice.dim
         return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(D, D))
 

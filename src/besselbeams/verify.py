@@ -236,14 +236,9 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     # corner (m, node) labels, built in one call, sit on disjoint pairs too,
     # and check the same algebra at full size.
     worst = _su2_residual(*(assemble(lat, name).X for name in ("sigma1", "sigma2", "sigma3")), 2j)
-    corners = {
-        (ip, iz, m)
-        for ip in (0, len(lat.k_perp_nodes) - 1)
-        for iz in (0, len(lat.k_z_nodes) - 1)
-        for m in lat.m_range
-    }
-    ip, iz, m = np.array(sorted(corners)).T
-    worst = max(worst, _su2_residual(*(s.X for s in build_stokes(lat, ip, iz, m)[1:]), 2j))
+    corners = {(node, m) for node in (0, len(lat.nodes) - 1) for m in lat.m_range}
+    node, m = np.array(sorted(corners)).T
+    worst = max(worst, _su2_residual(*(s.X for s in build_stokes(lat, node, m)[1:]), 2j))
     results.append(
         RelationResult(
             "commutator: stokes [sigma_i,sigma_j] = 2i eps_ijk sigma_k",
@@ -329,7 +324,7 @@ def _paraxial_offdiag(hbar, c):
     X = apply_basis(assemble(lat, "energy"), make_rl_map(lat)).X.tocoo()
     off = X.row != X.col
     mags = np.zeros(len(PARAXIAL_RATIOS))
-    # the layout puts k_perp node ip of a row at (row // n_kz) % n_kp, and n_kz = 1 here
+    # the layout puts the node of a row at row % n_nodes
     np.maximum.at(mags, X.row[off] % len(PARAXIAL_RATIOS), np.abs(X.data[off]))
     return mags
 
@@ -385,12 +380,12 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
             "max |T^dag T - I|; T is dimensionless, scale 1",
         )
     )
-    # (m, k_perp node, k_z node) grids; the (TM, TE) pair of each sits at
-    # pairs[..., 0] and pairs[..., 1]
-    pairs = lat.pairs()
-    m = np.array(lat.m_values)[:, None, None]
-    kz = np.array(lat.k_z_nodes)
-    w = np.array([[c * math.hypot(kp, v) for v in lat.k_z_nodes] for kp in lat.k_perp_nodes])
+    # (m, node) grids; the (TM, TE) pair of each sits at pairs[..., 0] and
+    # pairs[..., 1]
+    pairs = pm.pairs
+    m = np.array(lat.m_values)[:, None]
+    kz = np.array([kz for _, kz in lat.nodes])
+    w = np.array([c * math.hypot(kp, kz) for kp, kz in lat.nodes])
     off, diag = [], {}
     for name in quartet:
         A = obs[name]
@@ -653,15 +648,14 @@ _FLIP = {"-": "+", "+": "-", "3": "3"}
 class _CylinderQuadrature:
     """Kernels on the finite cylinder: Gauss-Legendre radially, closed form axially.
 
-    The radial kernel's Bessel tables live in `tables`, the axial kernels in
-    `axials`; both die with the quadrature.
+    The radial kernel's Bessel tables live in `tables` and die with the
+    quadrature; an axial kernel lives for one `_volume_integral` call.
     """
 
     def __init__(self, dom: QuadratureDomain):
         self.dom = dom
         self.rho, self.w_rho = _panels(0.0, dom.R, dom.n_radial)
         self.tables = {}
-        self.axials = {}
 
     def radial(self, F1, F2, o1, o2, p):
         """int_0^R J_o1(kp rho) J_o2(kp' rho) rho^(1+p) drho as a matrix."""
@@ -675,21 +669,13 @@ class _CylinderQuadrature:
 
         int_-1^1 P_n(t) e^{ixt} dt = 2 i^n j_n(x) (DLMF 10.54.2) gives 2Z j_0(kappa Z)
         for q = 0 and 2i Z^2 j_1(kappa Z) for q = 1.  scipy's spherical_jn stays
-        accurate as kappa Z -> 0, so no series branch is needed.  Kernels are
-        memoized in `axials` on the exact bytes of both k_z grids and q, and
-        returned read-only.
+        accurate as kappa Z -> 0, so no series branch is needed.
         """
         if q not in (0, 1):
             raise ValueError(f"the axial kernel is closed-form for z powers 0 and 1, got {q}")
-        key = (F1.kz_nodes.tobytes(), F2.kz_nodes.tobytes(), q)
-        kernel = self.axials.get(key)
-        if kernel is None:
-            Z = self.dom.Z
-            x = np.add.outer(F1.kz_nodes, F2.kz_nodes) * Z
-            kernel = 2 * Z * spherical_jn(0, x) if q == 0 else 2j * Z * Z * spherical_jn(1, x)
-            kernel.setflags(write=False)
-            self.axials[key] = kernel
-        return kernel
+        Z = self.dom.Z
+        x = np.add.outer(F1.kz_nodes, F2.kz_nodes) * Z
+        return 2 * Z * spherical_jn(0, x) if q == 0 else 2j * Z * Z * spherical_jn(1, x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -716,18 +702,26 @@ def _panels(a, b, n_total, per_panel=24):
 
 
 def _volume_integral(F1, F2, quad: _CylinderQuadrature, table):
-    """int F1 (table product) F2 dV as {e_pol: coefficient}; azimuthal integral exact."""
+    """int F1 (table product) F2 dV as {e_pol: coefficient}; azimuthal integral exact.
+
+    F1 and F2 fix the axial kernel up to its z power, so the terms go by
+    power: each power's kernel is computed once and dropped before the
+    next.  The terms then add up in component order."""
+    terms = [(c1, c2, table[c1.pol, c2.pol]) for c1 in F1.comps for c2 in F2.comps
+             if (c1.pol, c2.pol) in table and c1.azim + c2.azim == 0]
+    values = [0j] * len(terms)
+    for q in sorted({c1.z_pow + c2.z_pow for c1, c2, _ in terms}):
+        ax = quad.axial(F1, F2, q)
+        for i, (c1, c2, (_, factor)) in enumerate(terms):
+            if c1.z_pow + c2.z_pow == q:
+                rad = quad.radial(F1, F2, c1.order, c2.order, c1.rho_pow + c2.rho_pow)
+                G1 = c1.coeff * F1.kp_w[:, None] * F1.kz_w[None, :]
+                G2 = c2.coeff * F2.kp_w[:, None] * F2.kz_w[None, :]
+                values[i] = 2 * math.pi * factor * np.einsum("ab,cd,ac,bd->", G1, G2, rad, ax, optimize=True)
+        del ax
     out = {pol: 0.0 + 0.0j for pol, _ in table.values()}
-    for c1 in F1.comps:
-        for c2 in F2.comps:
-            pair = table.get((c1.pol, c2.pol))
-            if pair is None or c1.azim + c2.azim != 0:
-                continue
-            rad = quad.radial(F1, F2, c1.order, c2.order, c1.rho_pow + c2.rho_pow)
-            ax = quad.axial(F1, F2, c1.z_pow + c2.z_pow)
-            G1 = c1.coeff * F1.kp_w[:, None] * F1.kz_w[None, :]
-            G2 = c2.coeff * F2.kp_w[:, None] * F2.kz_w[None, :]
-            out[pair[0]] += 2 * math.pi * pair[1] * np.einsum("ab,cd,ac,bd->", G1, G2, rad, ax, optimize=True)
+    for (_, _, (pol, _)), v in zip(terms, values):
+        out[pol] += v
     return out
 
 
@@ -1041,11 +1035,11 @@ def _spherical_wave_pair(j, m, omega, points, c=1.0):
     kr = omega * r / c
     ye, ym = _vsh_grid(j, m, theta, phi)
     j = np.asarray(j, dtype=int)
-    # 4 pi i^(j+3) and 4 pi i^j as Python's powers give them, degree by degree:
-    # from n = 101 on, 1j ** n is no longer exactly one of 1, i, -1, -i
-    degrees, shape = j.ravel().tolist(), j.shape + (1,) * points.ndim
-    phase_e = np.array([4 * math.pi * 1j ** (d + 3) for d in degrees]).reshape(shape)
-    phase_m = np.array([4 * math.pi * 1j**d for d in degrees]).reshape(shape)
+    # 4 pi i^(j+3) and 4 pi i^j, exactly, from the four powers of i
+    i_pow = 4 * math.pi * np.array([1, 1j, -1, -1j])
+    shape = j.shape + (1,) * points.ndim
+    phase_e = i_pow[(j + 3) % 4].reshape(shape)
+    phase_m = i_pow[j % 4].reshape(shape)
     j = j.reshape(j.shape + (1,) * r.ndim)
     jj, jp = spherical_jn(j, kr), spherical_jn(j, kr, derivative=True)
     n_hat = points / r[..., None]

@@ -142,7 +142,7 @@ def test_04_stokes_and_spherical_su2():
     for ip in range(3):
         for iz in range(2):
             for m in lat.m_values:
-                _, s1, s2, s3 = build_stokes(lat, ip, iz, m)
+                _, s1, s2, s3 = build_stokes(lat, ip * 2 + iz, m)
                 worst = max(
                     worst,
                     (commutator(s1, s2) - 2j * s3).max_abs(),

@@ -7,6 +7,7 @@ import pytest
 
 from besselbeams.dynops import (
     STOKES,
+    TERMS,
     assemble,
     build_L_spherical,
     build_observables,
@@ -22,6 +23,7 @@ from besselbeams.lattice import (
     BasisMap,
     FockOracle,
     LatticeError,
+    ModeLattice,
     QuadraticOperator,
     apply_basis,
     build_lattice,
@@ -78,9 +80,9 @@ class TestElementaryFamilies:
         X = obs["P+"].X.toarray()
         # couples m-1 <- m with coefficient i, within each family only
         for fam in (TM, TE):
-            assert X[lat.index(fam, -1, 0, 0), lat.index(fam, 0, 0, 0)] == 1j
-        tm = [lat.index(TM, m, 0, 0) for m in lat.m_values]
-        te = [lat.index(TE, m, 0, 0) for m in lat.m_values]
+            assert X[lat.index(fam, -1, 0), lat.index(fam, 0, 0)] == 1j
+        tm = [lat.index(TM, m, 0) for m in lat.m_values]
+        te = [lat.index(TE, m, 0) for m in lat.m_values]
         assert np.abs(X[np.ix_(tm, te)]).max() == 0.0
         assert np.abs(X[np.ix_(te, tm)]).max() == 0.0
         assert (obs["P-"] - obs["P+"].dagger()).max_abs() == 0.0
@@ -90,11 +92,11 @@ class TestElementaryFamilies:
         X = build_observables(lat)["L3"].X.toarray()
         for fam in (TM, TE):
             for m in lat.m_values:
-                assert X[lat.index(fam, m, 0, 0), lat.index(fam, m, 0, 0)] == m
+                assert X[lat.index(fam, m, 0), lat.index(fam, m, 0)] == m
 
     def test_sigma_su2_per_node(self):
         lat = lattice_d6()
-        _, s1, s2, s3 = build_stokes(lat, 0, 0, 0)
+        _, s1, s2, s3 = build_stokes(lat, 0, 0)
         assert (commutator(s1, s2) - 2j * s3).max_abs() < 1e-14
         assert (commutator(s2, s3) - 2j * s1).max_abs() < 1e-14
         assert (commutator(s3, s1) - 2j * s2).max_abs() < 1e-14
@@ -110,23 +112,22 @@ def _from_triplets(lat, terms):
 def _omega(lat, idx):
     """c |k| of the node of flat index idx."""
     n_m = lat.m_range[1] - lat.m_range[0] + 1
-    _, _, ip, iz = np.unravel_index(idx, (2, n_m, len(lat.k_perp_nodes), len(lat.k_z_nodes)))
-    return lat.c * math.hypot(lat.k_perp_nodes[ip], lat.k_z_nodes[iz])
+    _, _, node = np.unravel_index(idx, (2, n_m, len(lat.nodes)))
+    return lat.c * math.hypot(*lat.nodes[node])
 
 
 def _per_node(lat):
-    for ip, kp in enumerate(lat.k_perp_nodes):
-        for iz, kz in enumerate(lat.k_z_nodes):
-            yield ip, iz, kp, kz, lat.c * math.hypot(kp, kz)
+    for node, (kp, kz) in enumerate(lat.nodes):
+        yield node, kp, kz, lat.c * math.hypot(kp, kz)
 
 
-def _elementary(lat, ip, iz):
+def _elementary(lat, node):
     """Per-node Pi and Lambda (per family) and Sigma operators {+, 3}."""
     m_lo, m_hi = lat.m_range
     shifted = range(m_lo + 1, m_hi + 1)
 
     def idx(fam, m):
-        return lat.index(fam, m, ip, iz)
+        return lat.index(fam, m, node)
 
     def op(terms):
         return _from_triplets(lat, terms)
@@ -165,8 +166,8 @@ def _reference_operators(lat):
     }
     sums = ("P+", "P3", "L+", "L3", "S+", "S3", "[L+,L-]", "[L+,P+]", "[S+,L3]", "[S+,L-] printed")
     ref.update((name, _empty(lat)) for name in sums)
-    for ip, iz, kp, kz, w in _per_node(lat):
-        el = _elementary(lat, ip, iz)
+    for node, kp, kz, w in _per_node(lat):
+        el = _elementary(lat, node)
         lam3 = _empty(lat)
         for f in FAMILIES:
             ref["P+"] = ref["P+"] + (hbar * kp) * el["Pi+", f]
@@ -178,14 +179,14 @@ def _reference_operators(lat):
         ref["S3"] = ref["S3"] + (hbar * c * kz / w) * el["Sigma3"]
         ref["[L+,L-]"] = ref["[L+,L-]"] + (2.0 * hbar**2 * kz**2 / kp**2) * lam3
         ref["[L+,P+]"] = ref["[L+,P+]"] + _from_triplets(lat, [
-            (lat.index(f, m - 1, ip, iz), lat.index(f, m + 1, ip, iz), hbar**2 * kz)
+            (lat.index(f, m - 1, node), lat.index(f, m + 1, node), hbar**2 * kz)
             for f in FAMILIES for m in range(m_lo + 1, m_hi)])
         ref["[S+,L3]"] = ref["[S+,L3]"] + (-(hbar**2) * c * kp / w) * el["Sigma+"]
         ref["[S+,L-] printed"] = ref["[S+,L-] printed"] + _from_triplets(lat, [
             t for m in range(m_lo + 1, m_hi) for t in (
-                (lat.index(TE, m + 1, ip, iz), lat.index(TM, m - 1, ip, iz),
+                (lat.index(TE, m + 1, node), lat.index(TM, m - 1, node),
                  -1j * hbar**2 * c * kz / w),
-                (lat.index(TM, m + 1, ip, iz), lat.index(TE, m - 1, ip, iz),
+                (lat.index(TM, m + 1, node), lat.index(TE, m - 1, node),
                  1j * hbar**2 * c * kz / w))])
     for v in "PLS":
         ref[f"{v}-"] = ref[f"{v}+"].dagger()
@@ -198,7 +199,7 @@ def _reference_zero_points(lat):
     added its scalar parts."""
     diag_E = _diag_E(lat)
     ref = {"energy": 0.5 * diag_E.sum(), "number": 0.5 * lat.dim, "P3": 0.0, "L3": 0.0}
-    for _, _, _, kz, _ in _per_node(lat):
+    for _, _, kz, _ in _per_node(lat):
         for _ in FAMILIES:
             ref["P3"] += (lat.hbar * kz) * (0.5 * len(lat.m_values))
             ref["L3"] += lat.hbar * (0.5 * sum(lat.m_values))
@@ -207,12 +208,12 @@ def _reference_zero_points(lat):
 
 def _reference_pair_block(lat, beta):
     T = np.zeros((lat.dim, lat.dim), dtype=complex)
-    for ip, iz, kp, kz, w in _per_node(lat):
+    for node, kp, kz, w in _per_node(lat):
         b = beta(kz, w)
         nrm = 1.0 / math.sqrt(1.0 + b**2)
         for m in lat.m_values:
-            i1 = lat.index(TM, m, ip, iz)
-            i2 = lat.index(TE, m, ip, iz)
+            i1 = lat.index(TM, m, node)
+            i2 = lat.index(TE, m, node)
             T[i1, i1], T[i1, i2] = nrm, 1j * b * nrm
             T[i2, i1], T[i2, i2] = nrm, -1j * b * nrm
     return T
@@ -271,6 +272,23 @@ class TestTermTableAssembly:
         zero = zero_points(lat)
         assert set(zero) == {"energy", "number", "P3", "L3"} and all(zero.values())
 
+    @pytest.mark.parametrize("name", list(TERMS))
+    def test_nodes_off_a_product_grid_act_one_by_one(self, name):
+        # three nodes on the shell |k| = 2, one with k_z < 0: no k_perp x k_z
+        # grid holds them.  Each TERMS operator couples no two nodes, and its
+        # block on a node is that node's one-node operator, bit for bit
+        nodes = ((1.2, 1.6), (2 * math.sin(0.3), 2 * math.cos(0.3)), (1.6, -1.2))
+        lat = ModeLattice((-3, 3), nodes, c=2.9, hbar=0.37)
+        X = assemble(lat, name).X
+        nnz = 0
+        for node in range(len(nodes)):
+            idx = np.sort(lat.pairs()[:, node].ravel())
+            block = X[idx][:, idx]
+            one = assemble(ModeLattice(lat.m_range, nodes[node:node + 1], c=2.9, hbar=0.37), name).X
+            assert block.toarray().tobytes() == one.toarray().tobytes(), node
+            nnz += block.nnz
+        assert nnz == X.nnz > 0
+
     @pytest.mark.parametrize("name", list(ASSEMBLY_LATTICES))
     def test_pair_blocks_bitwise_equal_to_per_node_fill(self, name):
         lat = ASSEMBLY_LATTICES[name]
@@ -288,7 +306,7 @@ class TestExpectations:
         obs = build_observables(lat)
         a = 0.6
         alpha = np.zeros(lat.dim, dtype=complex)
-        alpha[[lat.index(TM, 0, 0, 0), lat.index(TM, 1, 0, 0)]] = a
+        alpha[[lat.index(TM, 0, 0), lat.index(TM, 1, 0)]] = a
         P1, P2, P3 = cartesian(obs, "P")
         p1 = coherent_expectation(P1, alpha)
         p2 = coherent_expectation(P2, alpha)
@@ -301,7 +319,7 @@ class TestExpectations:
         oracle = FockOracle(small, n_max=8)
         obs_small = build_observables(small)
         alpha_small = np.zeros(small.dim, dtype=complex)
-        alpha_small[[small.index(TM, 0, 0, 0), small.index(TM, 1, 0, 0)]] = a
+        alpha_small[[small.index(TM, 0, 0), small.index(TM, 1, 0)]] = a
         _, P2s, _ = cartesian(obs_small, "P")
         assert fock_expectation(oracle, P2s, alpha_small).real == pytest.approx(
             2 * kp * a**2, abs=1e-6
@@ -323,7 +341,7 @@ class TestExpectations:
         lat = lattice_d6()
         obs = build_observables(lat)
         pm = make_pm_map(lat)
-        idx = lat.index(TM, 0, 0, 0)
+        idx = lat.index(TM, 0, 0)
         a_tm = np.zeros(lat.dim, dtype=complex)
         a_tm[idx] = 1.0
         # (+) coherent state: alpha' has support on the TM slot in the new
@@ -347,32 +365,31 @@ class TestStokes:
         for i in rng.choice(lat.dim, 12, replace=False):
             alpha[i] = complex(*rng.normal(size=2))
         sigma = stokes_expectations(lat, alpha)
-        assert sigma.shape == (3, 8, 2, 2)
+        assert sigma.shape == (3, 8, 4)
         for im, m in enumerate(lat.m_values):
             for ip in range(2):
                 for iz in range(2):
-                    ops = build_stokes(lat, ip, iz, m)[1:]
+                    ops = build_stokes(lat, ip * 2 + iz, m)[1:]
                     for k in range(3):
                         want = coherent_expectation(ops[k], alpha)
-                        assert sigma[k, im, ip, iz] == pytest.approx(want, rel=1e-15, abs=1e-15)
+                        assert sigma[k, im, ip * 2 + iz] == pytest.approx(want, rel=1e-15, abs=1e-15)
 
     def test_scalar_call_is_the_pair_rows(self):
         lat = ASSEMBLY_LATTICES["asymmetric"]
-        for ip, iz, m in ((0, 0, -2), (1, 0, 3), (1, 1, 5)):
-            i = {f: lat.index(f, m, ip, iz) for f in FAMILIES}
-            for op, rows in zip(build_stokes(lat, ip, iz, m), STOKES):
+        for node, m in ((0, -2), (2, 3), (3, 5)):
+            i = {f: lat.index(f, m, node) for f in FAMILIES}
+            for op, rows in zip(build_stokes(lat, node, m), STOKES):
                 ref = _from_triplets(lat, [(i[r], i[c], c0) for r, c, _, c0, _ in rows])
                 assert _bits(op) == _bits(ref)
 
     @pytest.mark.parametrize("lat", [ASSEMBLY_LATTICES["reference"], lattice_d6()],
                              ids=["default-corners", "one-node"])
     def test_array_call_is_the_sum_of_scalar_calls(self, lat):
-        # every corner label, repeats kept: on one node the four node corners coincide
-        corners = [(ip, iz, m) for ip in (0, len(lat.k_perp_nodes) - 1)
-                   for iz in (0, len(lat.k_z_nodes) - 1) for m in lat.m_range]
-        ip, iz, m = np.array(corners).T
+        # every corner label, repeats kept: on one node the node corners coincide
+        corners = [(node, m) for node in (0, len(lat.nodes) - 1) for m in lat.m_range]
+        node, m = np.array(corners).T
         summed = [sum(ops[1:], ops[0]) for ops in zip(*(build_stokes(lat, *c) for c in corners))]
-        for op, want in zip(build_stokes(lat, ip, iz, m), summed):
+        for op, want in zip(build_stokes(lat, node, m), summed):
             assert op.X.dtype == want.X.dtype == complex
             assert (op.X != want.X).nnz == 0
             assert op.X.nnz == want.X.nnz
@@ -409,7 +426,7 @@ class TestBasisMaps:
         lat = ASSEMBLY_LATTICES["negative-kz"]
         rl = make_rl_map(lat)
         betas = {round(lat.c * kz / (lat.c * math.hypot(kp, kz)), 12)
-                 for kp in lat.k_perp_nodes for kz in lat.k_z_nodes}
+                 for kp, kz in lat.nodes}
         assert len(betas) == 12
         assert rl.condition_number == pytest.approx(np.linalg.cond(rl.T.toarray()), rel=1e-12)
 

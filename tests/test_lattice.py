@@ -55,12 +55,13 @@ class TestLatticeIndexing:
         # independent decoder of the layout: family, then m, k_perp node, k_z node
         for idx in range(lat.dim):
             fi, mi, ip, iz = np.unravel_index(idx, (2, 6, 2, 2))
-            assert lat.index((TM, TE)[fi], -2 + mi, ip, iz) == idx
+            assert lat.index((TM, TE)[fi], -2 + mi, ip * 2 + iz) == idx
+            assert lat.nodes[ip * 2 + iz] == ((0.5, 1.5)[ip], (1.0, 2.0)[iz])
 
     def test_nodes_are_stored_as_float_values(self):
         lat = build_lattice((-1, 1), [3, 0.5], [-4])
-        assert (lat.k_perp_nodes, lat.k_z_nodes) == ((3.0, 0.5), (-4.0,))
-        assert all(type(v) is float for v in lat.k_perp_nodes + lat.k_z_nodes)
+        assert lat.nodes == ((3.0, -4.0), (0.5, -4.0))
+        assert all(type(v) is float for node in lat.nodes for v in node)
 
     def test_validation(self):
         with pytest.raises(LatticeError):
@@ -74,23 +75,25 @@ class TestLatticeIndexing:
                 build_lattice((-1, 1), [1.0], [bad])
             with pytest.raises(LatticeError):
                 build_lattice((-1, 1), [abs(bad)], [1.0])
+        with pytest.raises(LatticeError, match="empty node list"):
+            build_lattice((-1, 1), [], [1.0])
+        with pytest.raises(LatticeError, match="empty node list"):
+            ModeLattice((-1, 1), ())
         lat = small_lattice()
         with pytest.raises(LatticeError):
-            lat.index(TM, 5, 0, 0)
+            lat.index(TM, 5, 0)
 
     @pytest.mark.parametrize("args, message", [
-        ((5, 0, 0), "m=5"),
-        ((np.array([0, 1, -2]), 0, 0), "m=-2"),
-        ((0, 2, 0), "ik_perp=2"),
-        ((0, -1, 0), "ik_perp=-1"),
-        ((0, np.array([[0], [1], [3]]), 0), "ik_perp=3"),
-        ((0, 0, 1), "ik_z=1"),
-        ((0, 0, -1), "ik_z=-1"),
-        ((np.array([0, 1]), 0, np.array([0, -2])), "ik_z=-2"),
+        ((5, 0), "m=5"),
+        ((np.array([0, 1, -2]), 0), "m=-2"),
+        ((0, 2), "node=2"),
+        ((0, -1), "node=-1"),
+        ((0, np.array([[0], [1], [3]])), "node=3"),
+        ((np.array([0, 1]), np.array([0, -2])), "node=-2"),
     ])
     def test_labels_outside_the_lattice_are_refused(self, args, message):
-        # on a 2 x 1-node lattice an unchecked (TM, 0, ik_perp=2, 0) is 6,
-        # the index of (TM, 1, 0, 0); the error names the offending value
+        # on a 2-node lattice an unchecked (TM, 0, node=2) is 6, the index
+        # of (TM, 1, 0); the error names the offending value
         lat = build_lattice((-1, 1), [1.0, 2.0], [3.0])
         with pytest.raises(LatticeError, match=f"^{message} outside range"):
             lat.index(TM, *args)
@@ -288,10 +291,10 @@ class TestBasisMap:
     def test_pairs_are_the_tm_te_indices(self):
         lat = build_lattice((-2, 1), [1.0, 2.0], [1.5])
         pairs = lat.pairs()
-        assert pairs.shape == (4, 2, 1, 2)
+        assert pairs.shape == (4, 2, 2)
         for im in range(4):
             for ip in range(2):
-                decoded = [np.unravel_index(i, (2, 4, 2, 1)) for i in pairs[im, ip, 0]]
+                decoded = [np.unravel_index(i, (2, 4, 2, 1)) for i in pairs[im, ip]]
                 assert decoded == [(0, im, ip, 0), (1, im, ip, 0)]
 
     def test_maps_compare_by_identity(self):
@@ -362,14 +365,14 @@ class TestBasisMap:
 
     def test_shape_validation(self):
         lat = small_lattice()  # three (TM, TE) pairs
-        for shape in [(2, 2), (lat.dim, lat.dim), (2, 1, 1, 2, 2), (3, 1, 1, 2, 3)]:
+        for shape in [(2, 2), (lat.dim, lat.dim), (2, 1, 2, 2), (3, 1, 2, 3), (3, 1, 1, 2, 2)]:
             with pytest.raises(LatticeError):
                 BasisMap(lat, np.ones(shape))
 
     def test_singular_map_rejected(self):
         lat = small_lattice()
         blocks = np.zeros(lat.pairs().shape + (2,)) + np.eye(2)
-        blocks[1, 0, 0] = [[1.0, 2.0], [2.0, 4.0]]
+        blocks[1, 0] = [[1.0, 2.0], [2.0, 4.0]]
         with pytest.raises(LatticeError):
             apply_basis(random_op(lat, RNG), BasisMap(lat, blocks))
 
@@ -381,6 +384,6 @@ class TestBasisMap:
         R = np.array([[c, -s], [s, c]])
         blocks = np.stack([R @ np.diag(d) @ R.T for d in ([1.0, 2.0], [10.0, 20.0])])
         assert np.linalg.cond(blocks) == pytest.approx([2.0, 2.0], rel=1e-12)
-        bm = BasisMap(lat, blocks.reshape(2, 1, 1, 2, 2))
+        bm = BasisMap(lat, blocks.reshape(2, 1, 2, 2))
         assert bm.condition_number == pytest.approx(20.0, rel=1e-12)
         assert bm.condition_number == pytest.approx(np.linalg.cond(bm.T.toarray()), rel=1e-12)

@@ -183,7 +183,7 @@ def test_algebra_verdicts_do_not_depend_on_the_lattice(case):
 
 
 def stokes_matrices(lat, pair):
-    """Coefficient matrices of sigma_1..3 on one (ip, iz, m) pair."""
+    """Coefficient matrices of sigma_1..3 on one (node, m) pair."""
     return [s.X for s in build_stokes(lat, *pair)[1:]]
 
 
@@ -192,8 +192,7 @@ class TestStokesResidual:
 
     @staticmethod
     def pairs(lat):
-        return [(ip, iz, m) for ip in range(len(lat.k_perp_nodes))
-                for iz in range(len(lat.k_z_nodes)) for m in lat.m_values]
+        return [(node, m) for node in range(len(lat.nodes)) for m in lat.m_values]
 
     def test_suite_residual_is_the_per_pair_worst(self):
         lat = build_lattice((-3, 3), [0.5, 1.5], [1.0, -2.0])
@@ -360,18 +359,18 @@ class TestAxialKernel:
         with pytest.raises(ValueError):
             self.quad().axial(F, F, 2)
 
-    def test_kernels_are_memoized_per_quadrature(self):
-        F1 = SimpleNamespace(kz_nodes=np.array([1.0, 2.0, 2.5]))
-        F2 = SimpleNamespace(kz_nodes=np.array([-1.5, 0.5]))
-        quad = self.quad()
-        first = {q: quad.axial(F1, F2, q) for q in (0, 1)}
-        for q, kernel in first.items():
-            assert not kernel.flags.writeable
-            # keyed on the grid bytes, not the field: an equal grid hits
-            assert quad.axial(SimpleNamespace(kz_nodes=F1.kz_nodes.copy()), F2, q) is kernel
-            assert np.array_equal(kernel, self.quad().axial(F1, F2, q))
-        assert quad.axial(F2, F1, 0) is not first[0] and len(quad.axials) == 3
-        assert self.quad().axials == {}  # nothing is shared between quadratures
+    def test_one_kernel_per_z_power_per_contraction(self, recorded_suite):
+        # a contraction's fields fix both k_z grids, so each z power needs
+        # one kernel; one kernel is alive at a time, and none outlives its
+        # contraction
+        powers = recorded_suite.axial
+        assert len(powers) == len(recorded_suite.contractions) == 23
+        assert all(len(set(qs)) == len(qs) for qs in powers)
+        assert sum(map(len, powers)) == 25
+        overlap = recorded_suite.axial_overlap
+        assert len(overlap) == 4 and not any(overlap)
+        alive = recorded_suite.axial_alive
+        assert len(alive) == 25 and not any(alive)
 
 
 def _branching_volume_integral(F1, F2, quad, table, conjugate):
@@ -423,15 +422,19 @@ def recorded_suite():
     the Bessel tables specfun.jv_table computed, as (phase, |m|, grid digest); the
     liveness of every table once the suite returned; and a copy of the
     fields and the domain of each volume_dot/volume_cross call; every radial
-    kernel call, as (phase, domain, k_perp grids, orders, rho power); and the
+    kernel call, as (phase, domain, k_perp grids, orders, rho power); the
     number of radial calls each suite contraction made, by its (field, field,
-    product, conjugate).
+    product, conjugate); the z powers of each volume_dot/volume_cross call's
+    axial kernels; the liveness of that call's earlier kernels whenever it
+    asked for another; and the liveness of every axial kernel once its call
+    returned.
     """
     smear, jv_table, originals = verify.smear_mode, specfun.jv_table, (verify.volume_dot, verify.volume_cross)
-    radial, contract = _CylinderQuadrature.radial, verify._contract
+    radial, axial, contract = _CylinderQuadrature.radial, _CylinderQuadrature.axial, verify._contract
     rec = SimpleNamespace(passes={}, coeffs_alive_at_fine=[], tables_alive_at_fine=[],
                           tables=[], contractions=[], radial=[], contraction_radial=[],
-                          phase="coarse")
+                          axial=[], axial_overlap=[], axial_alive=[], phase="coarse")
+    axial_refs = []
     coarse_coeffs, table_refs = [], []
 
     def smearing(which, wp, n_kp, n_kz):
@@ -458,8 +461,19 @@ def recorded_suite():
     def recording(fn):
         def wrapped(F1, F2, quad, conjugate=True):
             rec.contractions.append((_copy_field(F1), _copy_field(F2), quad.dom))
-            return fn(F1, F2, quad, conjugate)
+            rec.axial.append([])
+            axial_refs.clear()
+            out = fn(F1, F2, quad, conjugate)
+            rec.axial_alive.extend(ref() is not None for ref in axial_refs)
+            return out
         return wrapped
+
+    def axial_recording(quad, F1, F2, q):
+        rec.axial_overlap.extend(ref() is not None for ref in axial_refs)
+        kernel = axial(quad, F1, F2, q)
+        rec.axial[-1].append(q)
+        axial_refs.append(weakref.ref(kernel))
+        return kernel
 
     def radial_recording(quad, F1, F2, o1, o2, p):
         rec.radial.append((rec.phase, quad.dom, F1.kp_nodes, F2.kp_nodes, o1, o2, p))
@@ -475,6 +489,7 @@ def recorded_suite():
         mp.setattr(verify, "smear_mode", smearing)
         mp.setattr(specfun, "jv_table", computing)
         mp.setattr(_CylinderQuadrature, "radial", radial_recording)
+        mp.setattr(_CylinderQuadrature, "axial", axial_recording)
         mp.setattr(verify, "_contract", contracting)
         for fn in originals:
             mp.setattr(verify, fn.__name__, recording(fn))
@@ -796,7 +811,8 @@ def _vsh_one_degree(j, m, theta, phi):
 
 def _wave_pair_one_degree(j, m, omega, points):
     """_spherical_wave_pair for one degree as it was computed before it took
-    arrays of degrees (c = 1).  The reference for TestWavesByDegree."""
+    arrays of degrees (c = 1), with exact powers of i.  The reference for
+    TestWavesByDegree."""
     from scipy.special import sph_harm_y
 
     points = np.asarray(points, dtype=float)
@@ -808,8 +824,9 @@ def _wave_pair_one_degree(j, m, omega, points):
     ye, ym = _vsh_one_degree(j, m, theta, phi)
     jj, jp = spherical_jn(j, kr), spherical_jn(j, kr, derivative=True)
     radial = ((jj / kr) * sph_harm_y(j, m, theta, phi))[..., None]
-    ve = 4 * math.pi * 1j ** (j + 3) * (radial * (points / r[..., None]) + (jj / kr + jp)[..., None] * ye)
-    vm = 4 * math.pi * 1j**j * jj[..., None] * ym
+    i_pow = (1, 1j, -1, -1j)
+    ve = 4 * math.pi * i_pow[(j + 3) % 4] * (radial * (points / r[..., None]) + (jj / kr + jp)[..., None] * ye)
+    vm = 4 * math.pi * i_pow[j % 4] * jj[..., None] * ym
     return ve, vm
 
 
@@ -837,7 +854,6 @@ class TestWavesByDegree:
 
     @pytest.mark.parametrize("m", [-2, 0, 3])
     def test_wave_pair_by_degree_equals_the_one_degree_formula(self, m):
-        # degrees past 97 take Python's inexact 1j ** (j + 3)
         degrees = np.array(list(range(max(1, abs(m)), 9)) + [97, 98, 104, 150])
         rng = np.random.default_rng(20261020)
         points = rng.uniform(-2.0, 2.0, size=(2, 3, 3))
@@ -847,6 +863,21 @@ class TestWavesByDegree:
             for i, j in enumerate(degrees):
                 for got, ref in zip(batch, _wave_pair_one_degree(int(j), m, 1.7, pts)):
                     assert _bitwise(got[i], ref), (m, j, np.shape(pts))
+
+    def test_phases_repeat_every_four_degrees(self, monkeypatch):
+        # with j_j = 1, j_j' = 0, Y_jm = 0, unit VSH and kr = 1, each wave is
+        # its phase 4 pi i^(j+3) or 4 pi i^j: degrees j and j + 4 agree bit for bit
+        monkeypatch.setattr(verify, "spherical_jn",
+                            lambda n, x, derivative=False: np.full(np.broadcast(n, x).shape, 1.0 - derivative))
+        monkeypatch.setattr(verify, "_vsh_grid",
+                            lambda j, m, th, ph: 2 * (np.ones(np.shape(j) + np.shape(th) + (3,)),))
+        monkeypatch.setattr(specfun, "spherical_harmonic",
+                            lambda j, m, th, ph: np.zeros(np.broadcast(j, th).shape))
+        ve, vm = _spherical_wave_pair(np.arange(205), 0, 1.0, (0.0, 0.0, 1.0))
+        for v in (ve, vm):
+            assert _bitwise(v[:-4], v[4:])
+        assert np.array_equal(vm[:4, 0], 4 * math.pi * np.array([1, 1j, -1, -1j]))
+        assert np.array_equal(ve[:4, 0], 4 * math.pi * np.array([-1j, 1, 1j, -1]))
 
     def test_partial_sums_make_one_wave_call(self, monkeypatch):
         calls = []
