@@ -49,7 +49,7 @@ import scipy.sparse as sp
 from .lattice import FAMILIES, BasisMap, LatticeError, ModeLattice, QuadraticOperator
 # Unused here: perfbench/tracing.py wraps dynops.commutator by name.
 from .lattice import commutator  # noqa: F401
-from .modes import TE, TM
+from .modes import TE, TM, omega
 
 
 # Per-node bilinears: rows (row family, column family, m shift, c0, c1), each
@@ -117,7 +117,7 @@ def node_factors(lat: ModeLattice, monomial):
     q, powers = monomial
     out = []
     for kp, kz in lat.nodes:
-        node = (lat.hbar, lat.c, kp, kz, lat.c * math.hypot(kp, kz))
+        node = (lat.hbar, lat.c, kp, kz, omega(lat.c, kp, kz))
         v = q
         for x, n in zip(node, powers):
             if n > 0:

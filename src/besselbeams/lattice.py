@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .modes import TE, TM
+from .modes import TE, TM, omega
 
 # Every lattice carries both mode families, TM before TE in the index layout.
 FAMILIES = (TM, TE)
@@ -72,7 +72,7 @@ class ModeLattice:
                 raise LatticeError(f"lattice {name} must be positive and finite, got {v}")
         # omega = c hypot(k_perp, k_z) divides throughout, so its smallest
         # value on the lattice must not underflow
-        if min(self.c * math.hypot(kp, kz) for kp, kz in self.nodes) == 0:
+        if min(omega(self.c, kp, kz) for kp, kz in self.nodes) == 0:
             raise LatticeError("omega = c hypot(k_perp, k_z) underflows to 0 at a lattice node")
 
     @property
@@ -266,12 +266,6 @@ class FockOracle:
         self._stride = (n_max + 1) ** np.arange(D - 1, -1, -1)
         self._occ = (np.arange(dim) // self._stride[:, None] % (n_max + 1)).astype(np.min_scalar_type(n_max))
         self._sqrt = np.sqrt(np.arange(n_max + 1))
-        # b_j has sqrt(n_j(s)) at (s - e_j, s)
-        self.b = []
-        for n, e in zip(self._occ, self._stride):
-            src = np.flatnonzero(n)
-            self.b.append(sp.csr_matrix((self._sqrt[n[src]], (src - e, src)), shape=(dim, dim)))
-        self.bdag = [M.T.tocsr() for M in self.b]
 
     def realize(self, A: QuadraticOperator):
         """Sparse matrix of sum X_jk b_j^dag b_k on the truncated space.

@@ -28,6 +28,21 @@ from .specfun import bessel_j_over_x, bessel_j_prime  # noqa: F401
 
 TM, TE = "TM", "TE"
 
+# i^n = I_POWERS[n % 4], exactly: a complex power such as (-1j)**150 drifts
+# in its last bits past |n| = 100
+I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def omega(c, k_perp, k_z):
+    """w = c hypot(k_perp, k_z), with math.hypot, which rounds correctly where
+    numpy's hypot may miss by an ulp: a Python float for numbers, and for
+    arrays the same value element by element, broadcast."""
+    if isinstance(k_perp, np.ndarray) or isinstance(k_z, np.ndarray):
+        kp, kz = np.broadcast_arrays(k_perp, k_z)
+        hyp = map(math.hypot, kp.ravel().tolist(), kz.ravel().tolist())
+        return c * np.fromiter(hyp, float, kp.size).reshape(kp.shape)
+    return c * math.hypot(k_perp, k_z)
+
 
 @dataclass(frozen=True)
 class ModeIndex:
@@ -49,7 +64,7 @@ class ModeIndex:
             raise ValueError("k_z = 0 is excluded (1/k_z factors in the mode functions)")
 
     def omega(self, c=1.0):
-        return c * math.hypot(self.k_perp, self.k_z)
+        return omega(c, self.k_perp, self.k_z)
 
 
 @dataclass(frozen=True)
@@ -92,7 +107,7 @@ class NormalizationConvention:
 
     def amplitude_grid(self, k_perp, k_z):
         """Vectorized amplitude over (k_perp, k_z) arrays."""
-        w = self.c * np.hypot(k_perp, k_z)
+        w = omega(self.c, k_perp, k_z)
         return k_z * self.c * np.sqrt(self.hbar * k_perp / (2.0 * math.pi * w))
 
 
@@ -128,9 +143,7 @@ def mode_terms(which, m, k_perp, k_z, c=1.0):
     Coefficients broadcast over k_perp, k_z arrays and are Python numbers for one node.
     """
     if which == "M":
-        # np.hypot: math.hypot differs from it in the last bit now and then
-        half = 0.5 * (c * np.hypot(k_perp, k_z)) / (c * k_z)
-        half = half if half.ndim else float(half)
+        half = 0.5 * omega(c, k_perp, k_z) / (c * k_z)
         return (("-", m + 1, half), ("+", m - 1, half))
     if which == "N":
         return (("-", m + 1, -0.5j), ("+", m - 1, 0.5j), ("3", m, k_perp / k_z))
@@ -138,7 +151,6 @@ def mode_terms(which, m, k_perp, k_z, c=1.0):
 
 
 def _eval_mode(which, m, k_perp, k_z, p: CylPoint, c):
-    omega = c * math.hypot(k_perp, k_z)
     x = k_perp * p.rho
     # Sum term * e_pol per Cartesian component in complex scalars.  Each
     # product with a component of e_pol is by exact 0 or +/-1, and the sums
@@ -156,7 +168,7 @@ def _eval_mode(which, m, k_perp, k_z, p: CylPoint, c):
     # sequence multiplies each row by its own phase, the same loop as the
     # one-z product, so row k equals the value at z_k bit for bit.
     profile = np.array((cx, cy, cz))
-    wt = omega * p.t
+    wt = omega(c, k_perp, k_z) * p.t
     # np.ndim of a Python float costs about as much as a bessel_j call, so
     # isinstance settles the common case first
     if isinstance(p.z, (float, int)) or np.ndim(p.z) == 0:
@@ -223,7 +235,7 @@ def scalar_angular_spectrum(m, k_perp, rho, phi):
     """((-i)^m / 2 pi) closed contour quadrature reproducing J_m(k_perp rho) e^(i m phi)."""
     phik = np.linspace(0.0, 2.0 * math.pi, _ring_nodes(m, k_perp, rho), endpoint=False)
     integrand = np.exp(1j * m * phik + 1j * k_perp * rho * np.cos(phi - phik))
-    return (-1j) ** m * np.mean(integrand)
+    return I_POWERS[-m % 4] * np.mean(integrand)
 
 
 def cone_density(which, m, k_perp, k_z, phi_k, c=1.0):
@@ -237,7 +249,7 @@ def cone_density(which, m, k_perp, k_z, phi_k, c=1.0):
     """
     phi_k = np.asarray(phi_k, dtype=float)[..., None]
     return sum(
-        coeff * ((-1j) ** order / (2.0 * math.pi)) * np.exp(1j * order * phi_k) * _POL[pol]
+        coeff * (I_POWERS[-order % 4] / (2.0 * math.pi)) * np.exp(1j * order * phi_k) * _POL[pol]
         for pol, order, coeff in mode_terms(which, m, k_perp, k_z, c)
     )
 
@@ -251,9 +263,8 @@ def angular_spectrum(which, m, k_perp, k_z, p: CylPoint, c=1.0):
     Returns (ComplexVec3, n_nodes), with the `_ring_nodes` count of nodes.
     """
     n_nodes = _ring_nodes(m, k_perp, p.rho)
-    omega = c * math.hypot(k_perp, k_z)
     phik = np.linspace(0.0, 2.0 * math.pi, n_nodes, endpoint=False)
     wave = np.exp(1j * k_perp * p.rho * np.cos(p.phi - phik))
     density = cone_density(which, m, k_perp, k_z, phik, c)
     comp = 2.0 * math.pi * (density * wave[:, None]).mean(axis=0)
-    return ComplexVec3(comp * np.exp(1j * (k_z * p.z - omega * p.t))), n_nodes
+    return ComplexVec3(comp * np.exp(1j * (k_z * p.z - omega(c, k_perp, k_z) * p.t))), n_nodes

@@ -228,17 +228,6 @@ def spherical_harmonic(j, m, theta, phi):
     return sph_harm_y(j, m, theta, phi)
 
 
-def _product_as_scalars(a, b):
-    """a * b for complex arrays, each part rounded as numpy rounds the product
-    of two complex scalars: two products and a sum, never fused, as the
-    array loop may fuse them."""
-    a, b = np.broadcast_arrays(a, b)
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def vsh_grid(j, m, theta, phi):
     """(Y^(E), Y^(M)) transverse vector spherical harmonics on angle grids.
 
@@ -248,7 +237,8 @@ def vsh_grid(j, m, theta, phi):
     sin(theta) < _POLE_SIN, through m cot(theta) Y_jm; the values are finite
     and exact on the poles too.  `j` is one degree or an integer array of
     them, whose axes lead the result's: each degree's values equal those of
-    its own call bit for bit.  Returns two complex arrays shaped
+    its own call bit for bit, and a bare angle pair's those at its place in
+    an array of angles.  Returns two complex arrays shaped
     j.shape + broadcast(theta, phi).shape + (3,), Cartesian components.
     """
     j = np.asarray(j, dtype=int)
@@ -256,14 +246,15 @@ def vsh_grid(j, m, theta, phi):
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     j = j.reshape(j.shape + (1,) * theta.ndim)
     st, ct = np.sin(theta), np.cos(theta)
-    # one angle pair rounds the phase products as numpy complex scalars do, as one degree's call does
-    times = _product_as_scalars if theta.ndim == 0 else np.multiply
 
     def ladder(step, rank, phase):
         """0.5 sqrt(rank) Y_j,m+step e^(phase): a complex zero where m + step leaves degree j."""
         inside = abs(m + step) <= j
-        term = times(0.5 * np.sqrt(np.where(inside, rank, 0)) * sph_harm_y(j, m + step, theta, phi),
-                     np.exp(phase))
+        # np.multiply, not *: numpy scalars would round the complex product
+        # apart from the array loop, so one angle pair or one degree would
+        # round apart from its place in an array
+        term = np.multiply(0.5 * np.sqrt(np.where(inside, rank, 0)) * sph_harm_y(j, m + step, theta, phi),
+                           np.exp(phase))
         return term if inside.all() else np.where(inside, term, 0.0)
 
     # dY/dtheta = up - dn and m cot(theta) Y_jm = -(up + dn)

@@ -59,6 +59,7 @@ from .modes import (
     FIELD_RULE,
     CylPoint,
     NormalizationConvention,
+    I_POWERS,
     TE,
     TM,
     angular_spectrum,
@@ -66,6 +67,7 @@ from .modes import (
     eval_M,
     eval_N,
     mode_terms,
+    omega,
     scalar_angular_spectrum,
 )
 
@@ -384,8 +386,8 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     # pairs[..., 1]
     pairs = pm.pairs
     m = np.array(lat.m_values)[:, None]
-    kz = np.array([kz for _, kz in lat.nodes])
-    w = np.array([c * math.hypot(kp, kz) for kp, kz in lat.nodes])
+    kp, kz = np.array(lat.nodes).T
+    w = omega(c, kp, kz)
     off, diag = [], {}
     for name in quartet:
         A = obs[name]
@@ -763,7 +765,7 @@ def _lplus_analytic(wp_m, wp_mp):
     """
     m = wp_m.m
     KP, KZ, wkp, wkz = _envelope_nodes(wp_m)
-    W = np.hypot(KP, KZ)
+    W = omega(1.0, KP, KZ)
     g = wp_m.envelope(KP, KZ)
     h = wp_mp.envelope(KP, KZ)
     # analytic partials of u = g w/(kp kz): Gaussian envelope derivatives
@@ -850,9 +852,9 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=QUAD_MARGIN):
     scalar_weight = lambda KP, KZ: (KP**2 + KZ**2) / (KP * KZ**2)
     ana_diag = (2 * math.pi) ** 2 * _pair_integral(wp1, scalar_weight)
     scale = abs(ana_diag)
-    vec_weight = lambda KP, KZ: np.hypot(KP, KZ) / KZ**2
+    vec_weight = lambda KP, KZ: omega(1.0, KP, KZ) / KZ**2
     ana_vec = (2 * math.pi) ** 2 * _pair_integral(wp1, vec_weight)
-    ana_vec3 = (2 * math.pi) ** 2 * _pair_integral(wp1, lambda KP, KZ: np.hypot(KP, KZ) / (KP * KZ))
+    ana_vec3 = (2 * math.pi) ** 2 * _pair_integral(wp1, lambda KP, KZ: omega(1.0, KP, KZ) / (KP * KZ))
     vscale = abs(ana_vec)
     ana_L = _lplus_analytic(wp1, wp_up)
     lscale = max(abs(ana_L), scale)
@@ -949,7 +951,7 @@ def energy_per_photon_check(margin=QUAD_MARGIN):
     F = _PassFields({"E": ("E", wp), "B": ("B", wp)}, _CylinderQuadrature(default_domain(wp)), margin)
     # a unit packet: the energy is divided by the envelope norm int |g|^2 dk
     nrm = _pair_integral(wp, lambda KP, KZ: np.ones_like(KP))
-    omega_bar = _pair_integral(wp, lambda KP, KZ: np.hypot(KP, KZ)) / nrm
+    omega_bar = _pair_integral(wp, lambda KP, KZ: omega(1.0, KP, KZ)) / nrm
     field_sq = _contract(F, "E", "E", "dot", True)[""] + _contract(F, "B", "B", "dot", True)[""]
     energy = field_sq.real / (4 * math.pi * abs(nrm))
     resid = abs(energy - omega_bar.real) / omega_bar.real
@@ -982,8 +984,7 @@ def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, m_j=None):
     m_j = m if m_j is None else m_j
     if j < max(1, abs(m_j)):
         return 0.0 + 0.0j, 0.0 + 0.0j
-    omega = c * math.hypot(k_perp, k_z)
-    theta0 = math.acos(c * k_z / omega)
+    theta0 = math.acos(c * k_z / omega(c, k_perp, k_z))
     n_phi = 8 * (abs(m) + j + 4)
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     ring = cone_density(which, m, k_perp, k_z, phis, c)
@@ -1002,29 +1003,29 @@ def printed_uv(m, k_perp, k_z, j, c=1.0):
     """
     if j < max(1, abs(m)):
         return 0.0 + 0.0j, 0.0 + 0.0j
-    omega = c * math.hypot(k_perp, k_z)
-    x = c * k_z / omega
+    w = omega(c, k_perp, k_z)
+    x = c * k_z / w
     norm = math.sqrt(
         (2 * j + 1) * math.factorial(j - abs(m)) / (4 * math.pi * math.factorial(j + abs(m)))
     )
-    phase = (-1.0) ** (m + (m + abs(m)) // 2) * (1j) ** (m + j)
-    pref = 4 * math.pi**2 * phase * norm * math.sqrt(c) * k_perp / (k_z * math.sqrt(omega))
-    u = -pref * (c / omega) * float(specfun.assoc_legendre_prime(j, abs(m), x))
-    v = pref * (1j * m * omega / (c * k_perp)) * float(specfun.assoc_legendre(j, abs(m), x))
+    phase = (-1.0) ** (m + (m + abs(m)) // 2) * I_POWERS[(m + j) % 4]
+    pref = 4 * math.pi**2 * phase * norm * math.sqrt(c) * k_perp / (k_z * math.sqrt(w))
+    u = -pref * (c / w) * float(specfun.assoc_legendre_prime(j, abs(m), x))
+    v = pref * (1j * m * w / (c * k_perp)) * float(specfun.assoc_legendre(j, abs(m), x))
     return u, v
 
 
-def _spherical_wave_pair(j, m, omega, points, c=1.0):
-    """(V^E_j, V^M_j)(r), V^(i)_j = int dOmega Y^(i)_jm(n) e^{i (omega/c) n . r}, closed form.
+def _spherical_wave_pair(j, m, w, points, c=1.0):
+    """(V^E_j, V^M_j)(r), V^(i)_j = int dOmega Y^(i)_jm(n) e^{i (w/c) n . r}, closed form.
 
     Rayleigh's plane-wave expansion (Jackson, Classical Electrodynamics,
-    ch. 9) gives, with k = omega/c, r > 0 and n = r/|r|,
+    ch. 9) gives, with k = w/c, r > 0 and n = r/|r|,
         V^M_j = 4 pi i^j j_j(kr) Y^M_jm(n),
         V^E_j = 4 pi i^(j+3) [(j_j/kr) Y_jm(n) n + (j_j/kr + j_j') Y^E_jm(n)].
     `points` is one Cartesian point or an array of them, shaped (..., 3);
     `j` is one degree or an integer array of them.  Both returned arrays are
     shaped j.shape + points.shape, and each degree's values equal those of
-    its own call bit for bit.
+    its own call bit for bit, as a bare point's equal its row's in an array.
     """
     points = np.asarray(points, dtype=float)
     # libm scalar calls per point keep r, theta, phi bit-identical however many points come
@@ -1032,11 +1033,11 @@ def _spherical_wave_pair(j, m, omega, points, c=1.0):
         (math.sqrt(x * x + y * y + z * z), math.atan2(math.hypot(x, y), z), math.atan2(y, x))
         for x, y, z in points.reshape(-1, 3).tolist()
     ]).T.reshape((3,) + points.shape[:-1])
-    kr = omega * r / c
+    kr = w * r / c
     ye, ym = _vsh_grid(j, m, theta, phi)
     j = np.asarray(j, dtype=int)
     # 4 pi i^(j+3) and 4 pi i^j, exactly, from the four powers of i
-    i_pow = 4 * math.pi * np.array([1, 1j, -1, -1j])
+    i_pow = 4 * math.pi * np.array(I_POWERS)
     shape = j.shape + (1,) * points.ndim
     phase_e = i_pow[(j + 3) % 4].reshape(shape)
     phase_m = i_pow[j % 4].reshape(shape)
@@ -1057,15 +1058,13 @@ def partial_sums(which, m, k_perp, k_z, points, j_max, c=1.0):
     j = max(1, |m|) .. j_max; the sum has the shape of `points`.  The
     coefficients do not depend on the point, so each degree computes them
     once, and one wave-pair call serves every degree.  The sum runs in degree
-    order.  A bare point's sums may differ in the last bit from its sums
-    inside an array, since numpy rounds scalar and array complex products
-    apart (README).
+    order.  A bare point's sums equal its row's sums inside an array bit for
+    bit (README).
     """
-    omega = c * math.hypot(k_perp, k_z)
     degrees = range(max(1, abs(m)), j_max + 1)
     if not degrees:
         return
-    ves, vms = _spherical_wave_pair(np.array(degrees), m, omega, points, c=c)
+    ves, vms = _spherical_wave_pair(np.array(degrees), m, omega(c, k_perp, k_z), points, c=c)
     total = np.zeros(np.shape(points), dtype=complex)
     for j, ve, vm in zip(degrees, ves, vms):
         aE, aM = expansion_coefficients(which, m, k_perp, k_z, j, c)
@@ -1154,7 +1153,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
         )
     )
     phase_u = np.array(ratio_u) / ratio_u[0]
-    drift = float(np.abs(phase_u[1:] * 1j ** np.arange(1, len(phase_u)) - 1.0).max())
+    drift = float(np.abs(phase_u[1:] * np.array(I_POWERS)[np.arange(1, len(phase_u)) % 4] - 1.0).max())
     flagged, companion = _flagged("spherical")
     results.append(
         RelationResult(

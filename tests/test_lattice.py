@@ -20,6 +20,7 @@ from besselbeams.lattice import (
     commutator,
 )
 from besselbeams.modes import TE, TM
+from fock import kron_ladders
 
 RNG = np.random.default_rng(42)
 
@@ -185,11 +186,12 @@ class TestFockOracle:
         oracle = FockOracle(lat, n_max=3)
         keep = np.flatnonzero(oracle.occupancy_mask(oracle.n_max - 1))
         eye = np.eye(oracle.dim)[np.ix_(keep, keep)]
+        b = kron_ladders(lat.dim, oracle.n_max)
         for j in range(lat.dim):
-            comm = (oracle.b[j] @ oracle.bdag[j] - oracle.bdag[j] @ oracle.b[j]).toarray()
+            comm = (b[j] @ b[j].T - b[j].T @ b[j]).toarray()
             assert np.abs(comm[np.ix_(keep, keep)] - eye).max() < 1e-13
         # different modes commute everywhere
-        c01 = (oracle.b[0] @ oracle.bdag[1] - oracle.bdag[1] @ oracle.b[0]).toarray()
+        c01 = (b[0] @ b[1].T - b[1].T @ b[0]).toarray()
         assert np.abs(c01).max() < 1e-14
 
     def test_commutator_identity_against_matrices(self):
@@ -218,7 +220,7 @@ class TestFockOracle:
         # diagonal one, sum_j X_jj (b_j^dag b_j + b_j b_j^dag) / 2, adds its
         # zero point, which the Fock vacuum reads
         lat = build_lattice((-1, 0), [0.7], [-1.3, 2.0], c=1.3, hbar=0.6)  # D = 8
-        oracle = FockOracle(lat, n_max=2)
+        b = kron_ladders(lat.dim, 2)
         obs, zero = build_observables(lat), zero_points(lat)
         assert set(zero) == {"energy", "number", "P3", "L3"}
         for name, op in obs.items():
@@ -226,8 +228,7 @@ class TestFockOracle:
         for name, z in zero.items():
             X = obs[name].X
             assert abs(X - X.diagonal() * np.eye(lat.dim)).max() == 0, name
-            sym = sum(0.5 * x * (oracle.bdag[j] @ oracle.b[j] + oracle.b[j] @ oracle.bdag[j])
-                      for j, x in enumerate(X.diagonal()))
+            sym = sum(0.5 * x * (b[j].T @ b[j] + b[j] @ b[j].T) for j, x in enumerate(X.diagonal()))
             assert z != 0 and sym[0, 0] == pytest.approx(z, rel=1e-14), name
 
     @pytest.mark.parametrize("m_range, n_max", [((-1, 1), 3), ((0, 1), 2), ((0, 0), 6)])
@@ -237,14 +238,7 @@ class TestFockOracle:
         # by term, in the order of the COO triplets
         lat = build_lattice(m_range, [1.0], [2.0], c=2.9, hbar=0.37)
         oracle = FockOracle(lat, n_max=n_max)
-        a1 = sp.diags(np.sqrt(np.arange(1, n_max + 1)), offsets=1)
-        eye = sp.identity(n_max + 1, format="csr")
-        ladders = []
-        for j in range(lat.dim):
-            M = a1 if j == 0 else eye
-            for i in range(1, lat.dim):
-                M = sp.kron(M, a1 if i == j else eye, format="csr")
-            ladders.append(M.tocsr())
+        ladders = kron_ladders(lat.dim, n_max)
 
         def same(A, B):
             A, B = A.tocsr(), B.tocsr()
@@ -252,9 +246,6 @@ class TestFockOracle:
             assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
             assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64))
 
-        for j, M in enumerate(ladders):
-            same(oracle.b[j], M)
-            same(oracle.bdag[j], M.T)
         obs = build_observables(lat)
         rng = np.random.default_rng(7)
         # random forms: entries 0, +-1, +-sqrt(2), so diagonal terms cancel exactly
@@ -339,15 +330,15 @@ class TestBasisMap:
         T = dense_map(lat, blocks)
         A = random_op(lat, rng, hermitian=True)
         Ap = apply_basis(A, bm)
-        oracle = FockOracle(lat, n_max=4)
+        b = kron_ladders(lat.dim, 4)
         # primed ladder matrices
-        bp = [sum(T[i, j] * oracle.b[j] for j in range(lat.dim)) for i in range(lat.dim)]
+        bp = [sum(T[i, j] * b[j] for j in range(lat.dim)) for i in range(lat.dim)]
         bpd = [M.conj().T for M in bp]
-        direct = np.zeros((oracle.dim, oracle.dim), dtype=complex)
+        direct = np.zeros(b[0].shape, dtype=complex)
         coo = A.X.tocoo()
         for r, c, v in zip(coo.row, coo.col, coo.data):
-            direct = direct + v * (oracle.bdag[r] @ oracle.b[c]).toarray()
-        primed = np.zeros((oracle.dim, oracle.dim), dtype=complex)
+            direct = direct + v * (b[r].T @ b[c]).toarray()
+        primed = np.zeros(b[0].shape, dtype=complex)
         coo = Ap.X.tocoo()
         for r, c, v in zip(coo.row, coo.col, coo.data):
             primed = primed + v * (bpd[r] @ bp[c]).toarray()

@@ -3,12 +3,15 @@
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
 from besselbeams import modes
+from besselbeams.dynops import node_factors
+from besselbeams.lattice import ModeLattice
 from besselbeams.modes import (
     _POL,
     CylPoint,
@@ -24,6 +27,7 @@ from besselbeams.modes import (
     eval_N,
     eval_potential,
     mode_terms,
+    omega,
     scalar_angular_spectrum,
 )
 from besselbeams.specfun import bessel_j
@@ -199,7 +203,7 @@ class TestPointPath:
         # coefficient as an np.float64 must give every field value the same bits
         def numpy_scalar_terms(which, m, k_perp, k_z, c=1.0):
             if which == "M":
-                half = 0.5 * (c * np.hypot(k_perp, k_z)) / (c * k_z)
+                half = 0.5 * np.float64(omega(c, k_perp, k_z)) / (c * k_z)
                 return (("-", m + 1, half), ("+", m - 1, half))
             return python_terms(which, m, k_perp, k_z, c)
 
@@ -393,3 +397,43 @@ class TestTypesAndFrames:
         a2 = NormalizationConvention(hbar=4.0).amplitude(K)
         assert a1 > 0
         assert a2 == pytest.approx(2.0 * a1, rel=1e-15)
+
+
+def _seeded_wavenumbers(n, seed):
+    """n seeded (k_perp, k_z) arrays, k_perp in [0.3, 2], |k_z| in [0.3, 3];
+    numpy's hypot misses math.hypot's rounding on about 0.7% of them on an
+    AVX-512 host."""
+    rng = np.random.default_rng(seed)
+    kz = rng.uniform(0.3, 3.0, n) * rng.choice((-1.0, 1.0), n)
+    return rng.uniform(0.3, 2.0, n), kz
+
+
+class TestOneOmega:
+    @pytest.mark.parametrize("c", [1.0, 2.9, 0.37])
+    def test_every_omega_equals_the_one_by_one_value_bitwise(self, c):
+        kp, kz = _seeded_wavenumbers(20000, 44)
+        want = np.array([omega(c, a, b) for a, b in zip(kp.tolist(), kz.tolist())])
+        assert all(type(w) is float for w in want.tolist()[:10])
+        assert same_bits(omega(c, kp, kz), want)
+        assert same_bits(omega(c, kp.reshape(100, 200), kz.reshape(100, 200)), want.reshape(100, 200))
+        assert same_bits(omega(c, kp, 2.0), np.array([omega(c, a, 2.0) for a in kp.tolist()]))
+        Ks = [ModeIndex(TM, 0, a, b) for a, b in zip(kp.tolist(), kz.tolist())]
+        assert same_bits(np.array([K.omega(c) for K in Ks]), want)
+        lat = ModeLattice((0, 0), tuple(zip(kp.tolist(), kz.tolist())), c=c)
+        assert same_bits(np.array(node_factors(lat, (1.0, (0, 0, 0, 0, 1)))), want)
+        # every quantity built on omega: the amplitude and the M coefficient
+        norm = NormalizationConvention(hbar=0.6, c=c)
+        assert same_bits(norm.amplitude_grid(kp, kz), np.array([norm.amplitude(K) for K in Ks]))
+        half = [mode_terms("M", 1, a, b, c)[0][2] for a, b in zip(kp.tolist(), kz.tolist())]
+        assert same_bits(mode_terms("M", 1, kp, kz, c)[0][2], np.array(half))
+
+    def test_omega_is_correctly_rounded(self):
+        # hypot(a, b) rounds to nearest iff a^2 + b^2 lies between the squares
+        # of the midpoints to its neighbouring floats, in exact arithmetic
+        kp, kz = _seeded_wavenumbers(10000, 45)
+        for a, b in zip(kp.tolist(), kz.tolist()):
+            w = omega(1.0, a, b)
+            s = Fraction(a) ** 2 + Fraction(b) ** 2
+            lo = (Fraction(w) + Fraction(math.nextafter(w, 0.0))) / 2
+            hi = (Fraction(w) + Fraction(math.nextafter(w, math.inf))) / 2
+            assert lo * lo <= s <= hi * hi, (a, b)

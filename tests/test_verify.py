@@ -784,17 +784,20 @@ class TestSphericalWaves:
 
 def _vsh_one_degree(j, m, theta, phi):
     """The one-degree vector spherical harmonics as specfun.vsh_grid computed
-    them before it took arrays of degrees: a bare angle pair goes through
-    numpy scalar arithmetic.  The reference for TestWavesByDegree."""
+    them before it took arrays of degrees, with each phase product a ufunc
+    call, so that a bare angle pair takes numpy's array loop as an array of
+    angles does.  The reference for TestWavesByDegree."""
     from scipy.special import sph_harm_y
 
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     st, ct = np.sin(theta), np.cos(theta)
     up = dn = 0.0
     if m + 1 <= j:
-        up = 0.5 * math.sqrt((j - m) * (j + m + 1)) * sph_harm_y(j, m + 1, theta, phi) * np.exp(-1j * phi)
+        up = np.multiply(0.5 * math.sqrt((j - m) * (j + m + 1)) * sph_harm_y(j, m + 1, theta, phi),
+                         np.exp(-1j * phi))
     if m - 1 >= -j:
-        dn = 0.5 * math.sqrt((j + m) * (j - m + 1)) * sph_harm_y(j, m - 1, theta, phi) * np.exp(1j * phi)
+        dn = np.multiply(0.5 * math.sqrt((j + m) * (j - m + 1)) * sph_harm_y(j, m - 1, theta, phi),
+                         np.exp(1j * phi))
     dth = np.zeros(theta.shape, dtype=complex) + up - dn
     if m == 0:
         dphi_over_sin = np.zeros_like(dth)
@@ -851,6 +854,10 @@ class TestWavesByDegree:
                 want = _vsh_one_degree(int(j), m, th, ph)
                 for got, one, ref in zip(batch, specfun.vsh_grid(int(j), m, th, ph), want):
                     assert _bitwise(got[i], ref) and _bitwise(one, ref), (m, j, np.shape(th))
+        # the bare pair (0.4, -0.7) is THETA[2], PHI[2]: its values are that entry's
+        rows = specfun.vsh_grid(degrees, m, self.THETA, self.PHI)
+        for bare, row in zip(specfun.vsh_grid(degrees, m, 0.4, -0.7), rows):
+            assert _bitwise(bare, row[:, 2]), m
 
     @pytest.mark.parametrize("m", [-2, 0, 3])
     def test_wave_pair_by_degree_equals_the_one_degree_formula(self, m):
@@ -863,6 +870,10 @@ class TestWavesByDegree:
             for i, j in enumerate(degrees):
                 for got, ref in zip(batch, _wave_pair_one_degree(int(j), m, 1.7, pts)):
                     assert _bitwise(got[i], ref), (m, j, np.shape(pts))
+        # a bare point's waves are its row's in the array
+        for bare, row in zip(_spherical_wave_pair(degrees, m, 1.7, tuple(points[1, 2].tolist())),
+                             _spherical_wave_pair(degrees, m, 1.7, points)):
+            assert _bitwise(bare, row[:, 1, 2]), m
 
     def test_phases_repeat_every_four_degrees(self, monkeypatch):
         # with j_j = 1, j_j' = 0, Y_jm = 0, unit VSH and kr = 1, each wave is
@@ -901,17 +912,11 @@ class TestSharedCoefficients:
         for idx in np.ndindex(3, 3):
             one = list(partial_sums(which, m, 1.0, 2.0, points[idx][None], 14))
             bare = list(partial_sums(which, m, 1.0, 2.0, tuple(points[idx].tolist()), 14))
-            coeff_sum = 0.0
             for (j, aE, aM, total), (j1, aE1, aM1, t1), (j2, aE2, aM2, t2) in zip(batch, one, bare):
                 assert j == j1 == j2 and aE == aE1 == aE2 and aM == aM1 == aM2
                 assert t1.shape == (1, 3) and t2.shape == (3,)
-                assert np.array_equal(total[idx], t1[0]), (idx, j)
-                # a bare point takes numpy's scalar complex products inside
-                # vsh_grid, which may round apart from the array loop (README);
-                # the terms are at most 4 pi (|aE| + |aM|) in size
-                coeff_sum += abs(aE) + abs(aM)
-                gap = np.abs(total[idx] - t2).max()
-                assert gap <= 4 * np.finfo(float).eps * coeff_sum, (idx, j)
+                # a bare point takes the array loop in vsh_grid too (README)
+                assert _bitwise(total[idx], t1[0]) and _bitwise(total[idx], t2), (idx, j)
 
     def test_one_coefficient_per_degree_in_the_suite(self, monkeypatch):
         calls = []
