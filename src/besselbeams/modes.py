@@ -39,8 +39,8 @@ def omega(c, k_perp, k_z):
     arrays the same value element by element, broadcast."""
     if isinstance(k_perp, np.ndarray) or isinstance(k_z, np.ndarray):
         kp, kz = np.broadcast_arrays(k_perp, k_z)
-        hyp = map(math.hypot, kp.ravel().tolist(), kz.ravel().tolist())
-        return c * np.fromiter(hyp, float, kp.size).reshape(kp.shape)
+        # flat iterators, not tolist(): no list of the grid's Python floats is built
+        return c * np.fromiter(map(math.hypot, kp.flat, kz.flat), float, kp.size).reshape(kp.shape)
     return c * math.hypot(k_perp, k_z)
 
 
@@ -105,9 +105,9 @@ class NormalizationConvention:
         w = K.omega(self.c)
         return K.k_z * self.c * math.sqrt(self.hbar * K.k_perp / (2.0 * math.pi * w))
 
-    def amplitude_grid(self, k_perp, k_z):
-        """Vectorized amplitude over (k_perp, k_z) arrays."""
-        w = omega(self.c, k_perp, k_z)
+    def amplitude_grid(self, k_perp, k_z, w=None):
+        """Vectorized amplitude over (k_perp, k_z) arrays; `w` is their omega if the caller has it."""
+        w = omega(self.c, k_perp, k_z) if w is None else w
         return k_z * self.c * np.sqrt(self.hbar * k_perp / (2.0 * math.pi * w))
 
 
@@ -131,7 +131,7 @@ _POL = {"-": E_MINUS, "+": E_PLUS, "3": E3}
 _POL_COMPLEX = {pol: tuple(complex(v) for v in vec) for pol, vec in _POL.items()}
 
 
-def mode_terms(which, m, k_perp, k_z, c=1.0):
+def mode_terms(which, m, k_perp, k_z, c=1.0, w=None):
     """Term table of M or N: (polarization, Bessel order, coefficient) triples.
 
     A table stands for  sum coeff J_order(k_perp rho) e^(i order phi) e_pol,
@@ -141,9 +141,10 @@ def mode_terms(which, m, k_perp, k_z, c=1.0):
     i.e. M = (w/(c k_z)) [(m/(k_perp rho)) J_m e_rho + i J'_m e_phi] and
     N = i J'_m e_rho - (m/(k_perp rho)) J_m e_phi + (k_perp/k_z) J_m e_z.
     Coefficients broadcast over k_perp, k_z arrays and are Python numbers for one node.
+    `w` is omega(c, k_perp, k_z) if the caller has it.
     """
     if which == "M":
-        half = 0.5 * omega(c, k_perp, k_z) / (c * k_z)
+        half = 0.5 * (omega(c, k_perp, k_z) if w is None else w) / (c * k_z)
         return (("-", m + 1, half), ("+", m - 1, half))
     if which == "N":
         return (("-", m + 1, -0.5j), ("+", m - 1, 0.5j), ("3", m, k_perp / k_z))

@@ -12,23 +12,23 @@ package, and the closed forms scipy does not provide.  Point functions
 (one x per call) go through the compiled scalar kernels of
 ``scipy.special.cython_special`` and return a Python ``float``, which
 equals the ufunc's value bit for bit at about a quarter of its per-call
-cost and keeps NumPy-scalar arithmetic out of the per-point field path.  Grids
-(``bessel_j_outer``) and angle arrays go through the ufuncs; a large grid's
-rows are split over the CPUs this process may use (``jv_table``).
+cost and keeps NumPy-scalar arithmetic out of the per-point field path.  Angle
+arrays go through the ufuncs.  A Bessel table (``_bessel_j_table``) is filled on
+the calling thread: above the turning point from ``j0``, ``j1`` and the upward
+recurrence, which agrees with ``jv`` to 4e-15 at orders up to 8 and x <= 500
+and to 5e-14 at any order and x <= 1200 (where ``jv``'s own error dominates);
+below it, and at x = 0, by ``jv`` itself.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-from scipy.special import jv, sph_harm_y
+from scipy.special import j0, j1, jv, sph_harm_y
 from scipy.special.cython_special import jv as jv_point, lpmv as lpmv_point
 
 MAX_ORDER = 200
-# below this many values a Bessel table is one jv call: a thread costs more than it saves
-_SPLIT_MIN = 4096
 # below this sin(theta), vsh_grid takes m Y_jm / sin(theta) from the ladder identity
 _POLE_SIN = 1e-8
 
@@ -89,42 +89,23 @@ def bessel_j_over_x(m, x):
     return sign * acc
 
 
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _bessel_j_table(order, arg):
+    """J_order(arg) for an array `arg` >= 0 and 0 <= order <= MAX_ORDER, on one thread.
 
-
-def jv_table(order, arg):
-    """jv(order, arg) for a 2-D `arg`, its rows split over the usable CPUs.
-
-    jv works element by element and releases the GIL, so the table equals
-    one jv call bit for bit at any split.  Each chunk is one
-    ``jv(order, arg[rows], out=table[rows])`` call; the calling thread fills
-    the first, short-lived threads the rest.  They are joined before the
-    table is returned, and a chunk's exception is raised here, so a table is
-    never returned unfilled.  Below _SPLIT_MIN values it is one call.
+    Entries with arg >= max(10, 2 order) come from ``j0``, ``j1`` and the
+    upward recurrence J_{n+1} = (2n/x) J_n - J_{n-1} (DLMF 10.6.1), stable
+    above the turning point; the rest, x = 0 among them, are one ``jv``
+    call's, bit for bit.  The module docstring states the accuracy.
     """
     table = np.empty_like(arg)
-    n = min(_usable_cpus(), len(arg)) if arg.size >= _SPLIT_MIN else 1
-    chunks = [slice(len(arg) * i // n, len(arg) * (i + 1) // n) for i in range(n)]
-
-    def fill(rows):
-        jv(order, arg[rows], out=table[rows])
-
-    if n == 1:
-        fill(chunks[0])
-        return table
-    # imported here: commands that build no table skip its start-up cost
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(n - 1) as pool:
-        done = [pool.submit(fill, rows) for rows in chunks[1:]]
-        fill(chunks[0])
-    for future in done:
-        future.result()
+    above = arg >= max(10.0, 2.0 * order)
+    table[~above] = jv(order, arg[~above])
+    x = arg[above]
+    prev, cur = (None, j0(x)) if order == 0 else (j0(x), j1(x))
+    for n in range(1, order):
+        np.subtract(2 * n * cur / x, prev, out=prev)  # J_{n+1}, into J_{n-1}'s buffer
+        prev, cur = cur, prev
+    table[above] = cur
     return table
 
 
@@ -132,8 +113,8 @@ def bessel_j_outer(m, k, x, tables):
     """J_m(k_i x_j) on the outer product grid of scale factors and abscissas.
 
     Tables are memoized in the caller's dict `tables`, keyed on |m| and the
-    exact bytes of `k` and `x`; `jv_table` computes a missing one.  Negative
-    orders come from J_{-m} = (-1)^m J_m, which matches ``jv(-m, .)`` bit
+    exact bytes of `k` and `x`; `_bessel_j_table` computes a missing one.
+    Negative orders are (-1)^m times the |m| table, J_{-m} = (-1)^m J_m, bit
     for bit.  The returned array is read-only.
     """
     m = int(m)
@@ -144,7 +125,7 @@ def bessel_j_outer(m, k, x, tables):
     key = (abs(m), k.tobytes(), x.tobytes())
     table = tables.get(key)
     if table is None:
-        table = tables[key] = jv_table(abs(m), np.outer(k, x))
+        table = tables[key] = _bessel_j_table(abs(m), np.outer(k, x))
         table.setflags(write=False)
     if m < 0 and m % 2:
         table = -table

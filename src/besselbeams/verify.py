@@ -574,29 +574,36 @@ class SmearedField(NamedTuple):
         return self._replace(kz_nodes=-self.kz_nodes, comps=comps)
 
 
-def smear_mode(which, wp: WavepacketSpec, n_kp, n_kz):
+def smear_mode(which, wp: WavepacketSpec, n_kp, n_kz, omegas=None):
     """Smeared M, N, E or B field of the carrier family/m of `wp`, c = hbar = 1.
 
     E and B carry the normalization amplitude; M and N are bare.
     The k-grids are composite Gauss-Legendre: when the field feeds a
     finite-volume integral the node counts must resolve the sin(dk R)/dk
-    structure of the truncated overlap kernels (see k_counts).
+    structure of the truncated overlap kernels (see k_counts).  The
+    caller's dict `omegas` keeps the omega of the last k-grid an M, E or B
+    field was smeared on, keyed on the grid's bytes (N's terms hold no omega).
     """
     kp_support, kz_support = wp.support()
     kp, wkp = _panels(*kp_support, n_kp)
     kz, wkz = _panels(*kz_support, n_kz)
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
+    omegas, key = {} if omegas is None else omegas, (kp.tobytes(), kz.tobytes())
+    if which != "N" and key not in omegas:
+        omegas.clear()  # one grid's omega at a time: a pass smears a grid's M, E, B fields in a row
+        omegas[key] = omega(1.0, KP, KZ)
+    w = omegas.get(key)
     g = wp.envelope(KP, KZ)
     if which in ("M", "N"):
         vector, pref = which, 1.0
     elif which in ("E", "B"):
         vector, sign = FIELD_RULE[which, wp.family]
-        pref = sign(NormalizationConvention().amplitude_grid(KP, KZ))
+        pref = sign(NormalizationConvention().amplitude_grid(KP, KZ, w))
     else:
         raise ValueError("which must be one of M, N, E, B")
     comps = tuple(
         _Component(pol, order, order, 0, 0, coeff * pref * g)
-        for pol, order, coeff in mode_terms(vector, wp.m, KP, KZ)
+        for pol, order, coeff in mode_terms(vector, wp.m, KP, KZ, w=w)
     )
     return SmearedField(kp, wkp, kz, wkz, comps)
 
@@ -784,19 +791,20 @@ class _PassFields(dict):
     """One pass's smeared fields by name, each smeared when first read.
 
     `packets` maps a name to the (which, packet) that smear_mode takes; "LM"
-    is L+ applied to this pass's "M1".  The k-grids resolve the domain of `quad`.
+    is L+ applied to this pass's "M1".  The k-grids resolve the domain of
+    `quad`; `omegas` is the pass's omega slot (smear_mode).
     """
 
     def __init__(self, packets, quad: _CylinderQuadrature, margin):
         super().__init__()
-        self.packets, self.quad, self.margin = packets, quad, margin
+        self.packets, self.quad, self.margin, self.omegas = packets, quad, margin, {}
 
     def __missing__(self, name):
         if name == "LM":
             field = apply_L_plus(self["M1"])
         else:
             which, wp = self.packets[name]
-            field = smear_mode(which, wp, *k_counts(wp, self.quad.dom, self.margin))
+            field = smear_mode(which, wp, *k_counts(wp, self.quad.dom, self.margin), self.omegas)
         self[name] = field
         return field
 
@@ -972,7 +980,17 @@ def energy_per_photon_check(margin=QUAD_MARGIN):
 _vsh_grid = specfun.vsh_grid
 
 
-def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, m_j=None):
+def _shared_vsh_grid(grids, j, m, theta, phi):
+    """_vsh_grid(j, m, theta, phi), kept in the caller's dict `grids` (None keeps nothing)."""
+    if grids is None:
+        return _vsh_grid(j, m, theta, phi)
+    key = (m,) + tuple((np.shape(a), np.asarray(a).tobytes()) for a in (j, theta, phi))
+    if key not in grids:
+        grids[key] = _vsh_grid(j, m, theta, phi)
+    return grids[key]
+
+
+def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, m_j=None, grids=None):
     """(alpha_E, alpha_M): coefficients of the spherical angular profiles.
 
     Defined by  F(r) = sum_j [alpha_E V^E_j + alpha_M V^M_j](r)  with
@@ -988,7 +1006,7 @@ def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, m_j=None):
     n_phi = 8 * (abs(m) + j + 4)
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     ring = cone_density(which, m, k_perp, k_z, phis, c)
-    ye, ym = _vsh_grid(j, m_j, np.full(n_phi, theta0), phis)
+    ye, ym = _shared_vsh_grid(grids, j, m_j, np.full(n_phi, theta0), phis)
     step = 2 * math.pi / n_phi
     accE = np.sum(ring * np.conj(ye))
     accM = np.sum(ring * np.conj(ym))
@@ -1015,7 +1033,7 @@ def printed_uv(m, k_perp, k_z, j, c=1.0):
     return u, v
 
 
-def _spherical_wave_pair(j, m, w, points, c=1.0):
+def _spherical_wave_pair(j, m, w, points, c=1.0, grids=None):
     """(V^E_j, V^M_j)(r), V^(i)_j = int dOmega Y^(i)_jm(n) e^{i (w/c) n . r}, closed form.
 
     Rayleigh's plane-wave expansion (Jackson, Classical Electrodynamics,
@@ -1034,7 +1052,7 @@ def _spherical_wave_pair(j, m, w, points, c=1.0):
         for x, y, z in points.reshape(-1, 3).tolist()
     ]).T.reshape((3,) + points.shape[:-1])
     kr = w * r / c
-    ye, ym = _vsh_grid(j, m, theta, phi)
+    ye, ym = _shared_vsh_grid(grids, j, m, theta, phi)
     j = np.asarray(j, dtype=int)
     # 4 pi i^(j+3) and 4 pi i^j, exactly, from the four powers of i
     i_pow = 4 * math.pi * np.array(I_POWERS)
@@ -1050,7 +1068,7 @@ def _spherical_wave_pair(j, m, w, points, c=1.0):
     return ve, vm
 
 
-def partial_sums(which, m, k_perp, k_z, points, j_max, c=1.0):
+def partial_sums(which, m, k_perp, k_z, points, j_max, c=1.0, grids=None):
     """Truncated spherical sums of M or N at Cartesian points.
 
     `points` is one point (x, y, z) or an array of them, shaped (..., 3).
@@ -1059,15 +1077,15 @@ def partial_sums(which, m, k_perp, k_z, points, j_max, c=1.0):
     coefficients do not depend on the point, so each degree computes them
     once, and one wave-pair call serves every degree.  The sum runs in degree
     order.  A bare point's sums equal its row's sums inside an array bit for
-    bit (README).
+    bit (README).  VSH grids are shared through `grids` (_shared_vsh_grid).
     """
     degrees = range(max(1, abs(m)), j_max + 1)
     if not degrees:
         return
-    ves, vms = _spherical_wave_pair(np.array(degrees), m, omega(c, k_perp, k_z), points, c=c)
+    ves, vms = _spherical_wave_pair(np.array(degrees), m, omega(c, k_perp, k_z), points, c, grids)
     total = np.zeros(np.shape(points), dtype=complex)
     for j, ve, vm in zip(degrees, ves, vms):
-        aE, aM = expansion_coefficients(which, m, k_perp, k_z, j, c)
+        aE, aM = expansion_coefficients(which, m, k_perp, k_z, j, c, grids=grids)
         total = total + aE * ve + aM * vm
         yield j, aE, aM, total
 
@@ -1084,7 +1102,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
     """
     c = 1.0
     j_max, m, k_perp, k_z = 60, 2, 1.0, 2.0
-    results = []
+    results, grids = [], {}  # every VSH grid once per call (_shared_vsh_grid)
 
     # (a) scalar identity
     worst = 0.0
@@ -1115,11 +1133,11 @@ def spherical_suite(tol=SPHERICAL_TOL):
     j_range = range(max(1, abs(m)), max(1, abs(m)) + 10)
     sel_worst = coeff_max = 0.0
     for j in j_range:
-        aE, aM = expansion_coefficients("N", m, k_perp, k_z, j, c)
+        aE, aM = expansion_coefficients("N", m, k_perp, k_z, j, c, grids=grids)
         u, v = printed_uv(m, k_perp, k_z, j, c)
         coeff_max = max(coeff_max, abs(aE), abs(aM))
         for mj in (m - 1, m + 1):
-            off_E, off_M = expansion_coefficients("N", m, k_perp, k_z, j, c, m_j=mj)
+            off_E, off_M = expansion_coefficients("N", m, k_perp, k_z, j, c, m_j=mj, grids=grids)
             sel_worst = max(sel_worst, abs(off_E), abs(off_M))
         if abs(u) > 1e-12:
             ratio_u.append(aE / u)
@@ -1185,7 +1203,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
     for which, evaluator in (("N", eval_N), ("M", eval_M)):
         partial = {
             j: total
-            for j, _, _, total in partial_sums(which, m, k_perp, k_z, points, j_max, c)
+            for j, _, _, total in partial_sums(which, m, k_perp, k_z, points, j_max, c, grids)
             if j in checkpoints
         }
         for i, (rho, phi, z) in enumerate(samples):

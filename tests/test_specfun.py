@@ -1,9 +1,8 @@
 """Special-function oracles: closed forms against direct quadrature."""
 
 import math
-import os
-import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -123,7 +122,8 @@ class TestBessel:
         tables = {}
         for m in range(-8, 9):
             out = bessel_j_outer(m, k, x, tables)
-            assert out.view(np.int64).tolist() == jv(m, np.outer(k, x)).view(np.int64).tolist(), m
+            table = bessel_j_outer(abs(m), k, x, tables)
+            assert _bits(out).tolist() == _bits((-1.0) ** m * table if m < 0 else table).tolist(), m
         assert len(tables) == 9
 
     def test_outer_tables_are_read_only(self):
@@ -189,76 +189,59 @@ class TestBessel:
         assert np.isfinite(val)
 
 
-def _table_grid():
-    """An odd number of rows, k = 0 and x = 0 included, above the split size."""
-    k = np.array([0.0, 0.37, 1.0, 2.5, 4.0, 7.25, 11.0])
-    x = np.linspace(0.0, 40.0, 1 + specfun._SPLIT_MIN // len(k))
-    assert len(k) % 2 and k.size * x.size >= specfun._SPLIT_MIN
-    return k, x
+class TestBesselJTable:
+    """The table function against jv, within the bound its docstring states."""
 
+    K = np.array([0.0, 0.37, 1.0, 2.5])  # k = 0: a row of x = 0
 
-class TestJvTable:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 16])  # 16: more workers than rows
-    def test_split_table_equals_one_jv_call_bitwise(self, monkeypatch, workers):
-        k, x = _table_grid()
-        arg = np.outer(k, x)
-        chunks = []
-        jv_rows = specfun.jv
+    def test_low_orders_within_the_bound_of_jv(self):
+        arg = np.outer(self.K, np.linspace(0.0, 200.0, 2001))
+        assert arg.min() == 0.0 and arg.max() == 500.0
+        for order in range(9):
+            got = specfun._bessel_j_table(order, arg)
+            assert np.abs(got - jv(order, arg)).max() <= 4e-15, order
 
-        def counted(order, rows, out):
-            chunks.append(len(rows))
-            return jv_rows(order, rows, out=out)
+    def test_orders_up_to_the_cap_within_the_bound_of_jv(self):
+        arg = np.outer(self.K, np.linspace(0.0, 480.0, 1201))
+        assert arg.max() == 1200.0
+        for order in (9, 17, 40, 99, 150, MAX_ORDER):
+            got = specfun._bessel_j_table(order, arg)
+            assert np.abs(got - jv(order, arg)).max() <= 5e-14, order
 
-        monkeypatch.setattr(specfun, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(specfun, "jv", counted)
-        threads, interval = threading.active_count(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
-        try:
-            for order in (0, 1, 7, 40):
-                chunks.clear()
-                got = specfun.jv_table(order, arg)
-                assert np.array_equal(_bits(got), _bits(jv(order, arg))), order
-                assert len(chunks) == min(workers, len(k)) and sum(chunks) == len(k)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
+    def test_entries_below_the_turning_point_are_jv_bitwise(self):
+        # x < max(10, 2 order), x = 0 among them, come from one jv call
+        arg = np.outer(self.K, np.linspace(0.0, 200.0, 2001))
+        for order in (0, 1, 4, 8, 40, MAX_ORDER):
+            below = arg < max(10.0, 2.0 * order)
+            got = specfun._bessel_j_table(order, arg)
+            assert np.array_equal(_bits(got[below]), _bits(jv(order, arg[below]))), order
 
-    def test_small_tables_take_one_call(self, monkeypatch):
-        calls = []
-        jv_rows = specfun.jv
-        monkeypatch.setattr(specfun, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(specfun, "jv", lambda order, rows, out: (calls.append(rows.shape),
-                                                                     jv_rows(order, rows, out=out))[1])
-        arg = np.outer(np.linspace(0.0, 3.0, 9), np.linspace(0.0, 10.0, 11))
-        assert np.array_equal(_bits(specfun.jv_table(2, arg)), _bits(jv(2, arg)))
-        assert calls == [arg.shape]
+    def test_one_thread_and_no_warning(self, monkeypatch):
+        # the recurrence never divides by x = 0 (a warning would fail this
+        # test), and the table is filled on the calling thread
+        arg = np.outer(self.K, np.linspace(0.0, 40.0, 301))
+        threads, started, real_start = threading.active_count(), [], threading.Thread.start
 
-    # of three chunks, rows 0..1 are the calling thread's and rows 4..6 a worker's
-    @pytest.mark.parametrize("first_row", [0, 4], ids=["calling-thread", "worker"])
-    def test_a_failing_chunk_raises_in_the_caller(self, monkeypatch, first_row):
-        k, x = _table_grid()
-        arg = np.outer(k, x)
-        jv_rows = specfun.jv
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
 
-        def failing_chunk(order, rows, out):
-            if rows[0, 1] == arg[first_row, 1]:
-                raise FloatingPointError("chunk failed")
-            return jv_rows(order, rows, out=out)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for order in (0, 1, 5, MAX_ORDER):
+                assert np.isfinite(specfun._bessel_j_table(order, arg)).all()
+        assert started == [] and threading.active_count() == threads
 
-        monkeypatch.setattr(specfun, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(specfun, "jv", failing_chunk)
-        threads = threading.active_count()
-        with pytest.raises(FloatingPointError, match="chunk failed"):
-            specfun.jv_table(3, arg)
-        assert threading.active_count() == threads
+    def test_a_failing_fill_memoizes_nothing(self, monkeypatch):
+        def failing(x):
+            raise FloatingPointError("seed failed")
+
+        monkeypatch.setattr(specfun, "j1", failing)
         tables = {}
-        with pytest.raises(FloatingPointError):
-            bessel_j_outer(3, k, x, tables)
-        assert tables == {}  # no unfilled table is memoized
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
-    def test_usable_cpus_reads_the_affinity_mask(self):
-        assert specfun._usable_cpus() == len(os.sched_getaffinity(0))
+        with pytest.raises(FloatingPointError, match="seed failed"):
+            bessel_j_outer(3, self.K, np.linspace(0.0, 40.0, 11), tables)
+        assert tables == {}
 
 
 def _bits(values):

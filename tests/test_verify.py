@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre, spherical_jn
 
-from besselbeams import cli, specfun, verify
+from besselbeams import cli, modes, specfun, verify
 from besselbeams.dynops import assemble, build_stokes, make_rl_map
 from besselbeams.lattice import apply_basis, build_lattice
 from besselbeams.modes import TM
@@ -419,25 +419,27 @@ def recorded_suite():
     every test below.  Returns a namespace of: the results; the fields each
     pass smears, by (n_kp, n_kz); whether each coarse-pass coefficient array
     and Bessel table was alive when the fine pass smeared its first field;
-    the Bessel tables specfun.jv_table computed, as (phase, |m|, grid digest); the
-    liveness of every table once the suite returned; and a copy of the
+    the Bessel tables specfun._bessel_j_table computed, as (phase, |m|, grid
+    digest); the liveness of every table once the suite returned; and a copy of the
     fields and the domain of each volume_dot/volume_cross call; every radial
     kernel call, as (phase, domain, k_perp grids, orders, rho power); the
     number of radial calls each suite contraction made, by its (field, field,
     product, conjugate); the z powers of each volume_dot/volume_cross call's
     axial kernels; the liveness of that call's earlier kernels whenever it
-    asked for another; and the liveness of every axial kernel once its call
-    returned.
+    asked for another; the liveness of every axial kernel once its call
+    returned; and every omega computed on a smear's k-grid, as (phase, grid
+    digest).
     """
-    smear, jv_table, originals = verify.smear_mode, specfun.jv_table, (verify.volume_dot, verify.volume_cross)
+    smear, table, originals = verify.smear_mode, specfun._bessel_j_table, (verify.volume_dot, verify.volume_cross)
+    omega = verify.omega
     radial, axial, contract = _CylinderQuadrature.radial, _CylinderQuadrature.axial, verify._contract
     rec = SimpleNamespace(passes={}, coeffs_alive_at_fine=[], tables_alive_at_fine=[],
                           tables=[], contractions=[], radial=[], contraction_radial=[],
-                          axial=[], axial_overlap=[], axial_alive=[], phase="coarse")
+                          axial=[], axial_overlap=[], axial_alive=[], omegas=[], phase="coarse")
     axial_refs = []
     coarse_coeffs, table_refs = [], []
 
-    def smearing(which, wp, n_kp, n_kz):
+    def smearing(which, wp, n_kp, n_kz, omegas):
         if which in ("M", "N"):  # E and B belong to the energy-per-photon packet
             if rec.passes and (n_kp, n_kz) not in rec.passes:  # the fine pass's first field
                 rec.phase = "fine"
@@ -446,14 +448,14 @@ def recorded_suite():
             rec.passes.setdefault((n_kp, n_kz), []).append((which, wp.m, wp.k_z_center))
         else:
             rec.phase = "energy"
-        F = smear(which, wp, n_kp, n_kz)
+        F = smear(which, wp, n_kp, n_kz, omegas)
         if len(rec.passes) == 1 and which in ("M", "N"):
             # a SmearedField is a tuple, which takes no weakref
             coarse_coeffs.extend(weakref.ref(c.coeff) for c in F.comps)
         return F
 
     def computing(order, arg):
-        out = jv_table(order, arg)
+        out = table(order, arg)
         rec.tables.append((rec.phase, order, hash(arg.tobytes())))
         table_refs.append(weakref.ref(out))
         return out
@@ -479,6 +481,12 @@ def recorded_suite():
         rec.radial.append((rec.phase, quad.dom, F1.kp_nodes, F2.kp_nodes, o1, o2, p))
         return radial(quad, F1, F2, o1, o2, p)
 
+    def omega_recording(c, k_perp, k_z):
+        # a smear's k-grid, not the 64 x 64 rule of the envelope integrals
+        if np.ndim(k_perp) == 2 and np.shape(k_perp) != (64, 64):
+            rec.omegas.append((rec.phase, hash(k_perp.tobytes() + k_z.tobytes())))
+        return omega(c, k_perp, k_z)
+
     def contracting(F, f1, f2, product, conjugate):
         before = len(rec.radial)
         out = contract(F, f1, f2, product, conjugate)
@@ -487,10 +495,12 @@ def recorded_suite():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "smear_mode", smearing)
-        mp.setattr(specfun, "jv_table", computing)
+        mp.setattr(specfun, "_bessel_j_table", computing)
         mp.setattr(_CylinderQuadrature, "radial", radial_recording)
         mp.setattr(_CylinderQuadrature, "axial", axial_recording)
         mp.setattr(verify, "_contract", contracting)
+        for module in (verify, modes):
+            mp.setattr(module, "omega", omega_recording)
         for fn in originals:
             mp.setattr(verify, fn.__name__, recording(fn))
         rec.results = verify.quadrature_suite(rel_tol=1e-14)
@@ -563,6 +573,28 @@ class TestQuadraturePasses:
         # the three quadratures' radial grids differ, so they share no table
         assert len(set(tables)) == len(tables) == 15
         assert [phase for phase, *_ in tables] == ["coarse"] * 6 + ["fine"] * 6 + ["energy"] * 3
+
+    def test_omega_once_per_k_grid(self, recorded_suite):
+        # a pass smears on three k-grids: the carrier packet's (M1, N1, M_up,
+        # M_dn, N_up), the kz-reflected one's (Mf, M_rev, N_rev) and Mp's; the
+        # energy packet's E and B share one
+        grids = recorded_suite.omegas
+        assert len(set(grids)) == len(grids) == 7
+        assert [phase for phase, _ in grids] == ["coarse"] * 3 + ["fine"] * 3 + ["energy"]
+
+    def test_a_shared_omega_keeps_every_bit(self):
+        # each coefficient as each smear computed it before omega was shared
+        wp = WavepacketSpec(TM, 1, 1.0, 0.02, 2.0, 0.04)
+        omegas = {}
+        for which, vector in (("M", "M"), ("N", "N"), ("E", "N"), ("B", "M")):
+            F = smear_mode(which, wp, 48, 72, omegas)
+            KP, KZ = np.meshgrid(F.kp_nodes, F.kz_nodes, indexing="ij")
+            pref = 1.0 if which == vector else modes.NormalizationConvention().amplitude_grid(KP, KZ)
+            want = [coeff * pref * wp.envelope(KP, KZ) for _, _, coeff in modes.mode_terms(vector, 1, KP, KZ)]
+            assert len(F.comps) == len(want) and all(_bitwise(c.coeff, w) for c, w in zip(F.comps, want)), which
+        assert len(omegas) == 1
+        smear_mode("M", replace(wp, k_perp_center=1.05), 48, 72, omegas)
+        assert len(omegas) == 1  # one grid's omega at a time: the slot holds the new grid's
 
     def test_coarse_tables_die_before_the_fine_pass_smears(self, recorded_suite):
         alive = recorded_suite.tables_alive_at_fine
@@ -932,3 +964,34 @@ class TestSharedCoefficients:
         # m + 1; 59 degrees (j = 2..60) for each of N and M, shared by the 3
         # sample points
         assert len(calls) == 3 * 10 + 2 * 59 == 148
+
+    def test_one_vsh_grid_per_distinct_grid_in_the_suite(self, monkeypatch):
+        keys = []
+        original = verify._vsh_grid
+
+        def counted(j, m, theta, phi):
+            keys.append((np.shape(j), np.asarray(j).tobytes(), m, np.shape(theta), theta.tobytes(), phi.tobytes()))
+            return original(j, m, theta, phi)
+
+        def bits(results):
+            return [(r.name, np.float64(r.residual).tobytes(), r.notes, r.passed) for r in results]
+
+        monkeypatch.setattr(verify, "_vsh_grid", counted)
+        shared = spherical_suite()
+        # the rings of j = 2..60 at m_j = m serve N, M and the printed u, v; 19
+        # more at m_j = m -/+ 1 (degree 2 has no m_j = 3); one wave-pair grid
+        # serves both sums
+        assert len(keys) == len(set(keys)) == 59 + 19 + 1
+        monkeypatch.setattr(verify, "_shared_vsh_grid", lambda grids, *args: counted(*args))
+        alone = spherical_suite()
+        assert len(keys) == 79 + 149
+        assert bits(shared) == bits(alone)
+
+    def test_without_a_dict_nothing_is_kept(self, monkeypatch):
+        # expand's path: every coefficient computes its own grid
+        calls = []
+        original = verify._vsh_grid
+        monkeypatch.setattr(verify, "_vsh_grid", lambda *args: calls.append(args[0]) or original(*args))
+        for _ in range(2):
+            list(partial_sums("N", 2, 1.0, 2.0, (0.3, 0.2, 0.1), 9))
+        assert len(calls) == 2 * (1 + 8)
