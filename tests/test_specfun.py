@@ -189,7 +189,7 @@ class TestBessel:
         assert np.isfinite(val)
 
 
-class TestBesselJTable:
+class TestJvTable:
     """The table function against jv, within the bound its docstring states."""
 
     K = np.array([0.0, 0.37, 1.0, 2.5])  # k = 0: a row of x = 0
@@ -233,15 +233,35 @@ class TestBesselJTable:
                 assert np.isfinite(specfun._bessel_j_table(order, arg)).all()
         assert started == [] and threading.active_count() == threads
 
-    def test_a_failing_fill_memoizes_nothing(self, monkeypatch):
-        def failing(x):
-            raise FloatingPointError("seed failed")
+    # the caller runs on the calling thread or on a worker thread it started;
+    # the chunk that fails is the jv call below the turning point or the j1
+    # seed of the recurrence above it
+    @pytest.mark.parametrize("on_worker", [False, True], ids=["calling-thread", "worker"])
+    def test_a_failing_chunk_raises_in_the_caller(self, monkeypatch, on_worker):
+        def fill(tables):
+            try:
+                bessel_j_outer(3, self.K, np.linspace(0.0, 40.0, 11), tables)
+            except FloatingPointError as exc:
+                return exc
+            return None
 
-        monkeypatch.setattr(specfun, "j1", failing)
-        tables = {}
-        with pytest.raises(FloatingPointError, match="seed failed"):
-            bessel_j_outer(3, self.K, np.linspace(0.0, 40.0, 11), tables)
-        assert tables == {}
+        for chunk in ("jv", "j1"):
+            def failing(*args, chunk=chunk):
+                raise FloatingPointError(f"{chunk} failed")
+
+            monkeypatch.setattr(specfun, chunk, failing)
+            tables, raised = {}, []
+            threads = threading.active_count()
+            if on_worker:
+                worker = threading.Thread(target=lambda: raised.append(fill(tables)))
+                worker.start()
+                worker.join()
+            else:
+                raised.append(fill(tables))
+            assert threading.active_count() == threads
+            assert str(raised[0]) == f"{chunk} failed", chunk
+            assert tables == {}, chunk  # no unfilled table is memoized
+            monkeypatch.undo()
 
 
 def _bits(values):
