@@ -14,10 +14,12 @@ package, and the closed forms scipy does not provide.  Point functions
 equals the ufunc's value bit for bit at about a quarter of its per-call
 cost and keeps NumPy-scalar arithmetic out of the per-point field path.  Angle
 arrays go through the ufuncs.  A Bessel table (``_bessel_j_table``) is filled on
-the calling thread: above the turning point from ``j0``, ``j1`` and the upward
-recurrence, which agrees with ``jv`` to 4e-15 at orders up to 8 and x <= 500
-and to 5e-14 at any order and x <= 1200 (where ``jv``'s own error dominates);
-below it, and at x = 0, by ``jv`` itself.
+the calling thread from one ``j0`` and one ``j1`` pass per (k, x) grid, kept in
+the caller's dict as the grid's tables of orders 0 and 1 (x = 0 included).  An
+order n >= 2 takes the upward recurrence from them at and above its turning
+point x = n, which agrees with ``jv`` to 4e-15 at orders up to 8 and x <= 500
+and to 5e-14 at any order and x <= 1200 (where ``jv``'s own error dominates),
+and ``jv`` itself below it.
 """
 
 from __future__ import annotations
@@ -89,19 +91,21 @@ def bessel_j_over_x(m, x):
     return sign * acc
 
 
-def _bessel_j_table(order, arg):
+def _bessel_j_table(order, arg, seeds):
     """J_order(arg) for an array `arg` >= 0 and 0 <= order <= MAX_ORDER, on one thread.
 
-    Entries with arg >= max(10, 2 order) come from ``j0``, ``j1`` and the
-    upward recurrence J_{n+1} = (2n/x) J_n - J_{n-1} (DLMF 10.6.1), stable
-    above the turning point; the rest, x = 0 among them, are one ``jv``
-    call's, bit for bit.  The module docstring states the accuracy.
+    `seeds` is (J_0(arg), J_1(arg)) from ``j0`` and ``j1``, the tables of orders 0 and 1.
+    From order 2, entries at or above the turning point, arg >= order, come from the
+    seeds and the upward recurrence J_{n+1} = (2n/x) J_n - J_{n-1} (DLMF 10.6.1), stable
+    there; the rest are one ``jv`` call's, bit for bit.  The module docstring states the accuracy.
     """
+    if order < 2:
+        return seeds[order]
     table = np.empty_like(arg)
-    above = arg >= max(10.0, 2.0 * order)
+    above = arg >= order
     table[~above] = jv(order, arg[~above])
     x = arg[above]
-    prev, cur = (None, j0(x)) if order == 0 else (j0(x), j1(x))
+    prev, cur = seeds[0][above], seeds[1][above]
     for n in range(1, order):
         np.subtract(2 * n * cur / x, prev, out=prev)  # J_{n+1}, into J_{n-1}'s buffer
         prev, cur = cur, prev
@@ -113,20 +117,26 @@ def bessel_j_outer(m, k, x, tables):
     """J_m(k_i x_j) on the outer product grid of scale factors and abscissas.
 
     Tables are memoized in the caller's dict `tables`, keyed on |m| and the
-    exact bytes of `k` and `x`; `_bessel_j_table` computes a missing one.
+    exact bytes of `k` and `x`; `_bessel_j_table` computes a missing one.  A
+    grid's first table also memoizes its orders 0 and 1, one ``j0`` and one
+    ``j1`` pass, as every other order's seeds; a failing fill memoizes nothing.
     Negative orders are (-1)^m times the |m| table, J_{-m} = (-1)^m J_m, bit
-    for bit.  The returned array is read-only.
+    for bit.  The returned arrays are read-only.
     """
     m = int(m)
     if abs(m) > MAX_ORDER:
         raise DomainError(f"Bessel order |m|={abs(m)} exceeds {MAX_ORDER}")
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
-    key = (abs(m), k.tobytes(), x.tobytes())
-    table = tables.get(key)
+    grid = (k.tobytes(), x.tobytes())
+    table = tables.get((abs(m),) + grid)
     if table is None:
-        table = tables[key] = _bessel_j_table(abs(m), np.outer(k, x))
-        table.setflags(write=False)
+        arg = np.outer(k, x)
+        seeds = (tables[(0,) + grid], tables[(1,) + grid]) if (0,) + grid in tables else (j0(arg), j1(arg))
+        table = _bessel_j_table(abs(m), arg, seeds)
+        for order, t in ((0, seeds[0]), (1, seeds[1]), (abs(m), table)):
+            t.setflags(write=False)
+            tables[(order,) + grid] = t
     if m < 0 and m % 2:
         table = -table
         table.setflags(write=False)

@@ -745,35 +745,33 @@ def volume_cross(F1, F2, quad: _CylinderQuadrature, conjugate=True):
     return _volume_integral(F1, F2.conj() if conjugate else F2, quad, _CROSS)
 
 
-def _envelope_nodes(wp):
-    """(KP, KZ, wkp, wkz): a 64 x 64 Gauss-Legendre grid over the support of `wp`."""
+def _envelope_rule(wp):
+    """(KP, KZ, wkp, wkz, g, W): a 64 x 64 Gauss-Legendre grid over the support
+    of `wp`, with the envelope g and omega W on its nodes; built once per packet."""
     kp_support, kz_support = wp.support()
     kp, wkp = _panels(*kp_support, 64, per_panel=64)
     kz, wkz = _panels(*kz_support, 64, per_panel=64)
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
-    return KP, KZ, wkp, wkz
+    return KP, KZ, wkp, wkz, wp.envelope(KP, KZ), omega(1.0, KP, KZ)
 
 
-def _pair_integral(wp, weight):
-    """int dkp dkz |g(k)|^2 weight(kp, kz) over the support of `wp`."""
-    KP, KZ, wkp, wkz = _envelope_nodes(wp)
-    g = wp.envelope(KP, KZ)
-    return np.einsum("a,b,ab->", wkp, wkz, g * np.conj(g) * weight(KP, KZ))
+def _pair_integral(rule, weight):
+    """int dkp dkz |g(k)|^2 weight(kp, kz, omega) over a packet's _envelope_rule."""
+    KP, KZ, wkp, wkz, g, W = rule
+    return np.einsum("a,b,ab->", wkp, wkz, g * np.conj(g) * weight(KP, KZ, W))
 
 
-def _lplus_analytic(wp_m, wp_mp):
+def _lplus_analytic(wp_m, wp_mp, rule):
     """Envelope form of the L+ matrix element int M'* . (L+ M) dV.
 
     The distributional identity (with m' = m+1)
         i (2pi)^2 (w w'/(kp kz kz')) [kp d_kz - kz d_kp - m kz/kp] delta delta
     is integrated by parts against the envelopes: with u = g w/(kp kz),
         I = i (2pi)^2 int dk conj(h) (w/kz) [ -d_kz(kp u) + d_kp(kz u) - m (kz/kp) u ]
-    over the support of `wp_m`.
+    over the support of `wp_m`, whose _envelope_rule is `rule`.
     """
     m = wp_m.m
-    KP, KZ, wkp, wkz = _envelope_nodes(wp_m)
-    W = omega(1.0, KP, KZ)
-    g = wp_m.envelope(KP, KZ)
+    KP, KZ, wkp, wkz, g, W = rule
     h = wp_mp.envelope(KP, KZ)
     # analytic partials of u = g w/(kp kz): Gaussian envelope derivatives
     dg_dkp = -(KP - wp_m.k_perp_center) / wp_m.k_perp_width**2 * g
@@ -857,14 +855,13 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=QUAD_MARGIN):
         "Mf": ("M", replace(wp1, m=-wp1.m - 1, k_z_center=-wp1.k_z_center)),
     }
 
-    scalar_weight = lambda KP, KZ: (KP**2 + KZ**2) / (KP * KZ**2)
-    ana_diag = (2 * math.pi) ** 2 * _pair_integral(wp1, scalar_weight)
+    rule = _envelope_rule(wp1)
+    ana_diag = (2 * math.pi) ** 2 * _pair_integral(rule, lambda KP, KZ, W: (KP**2 + KZ**2) / (KP * KZ**2))
     scale = abs(ana_diag)
-    vec_weight = lambda KP, KZ: omega(1.0, KP, KZ) / KZ**2
-    ana_vec = (2 * math.pi) ** 2 * _pair_integral(wp1, vec_weight)
-    ana_vec3 = (2 * math.pi) ** 2 * _pair_integral(wp1, lambda KP, KZ: omega(1.0, KP, KZ) / (KP * KZ))
+    ana_vec = (2 * math.pi) ** 2 * _pair_integral(rule, lambda KP, KZ, W: W / KZ**2)
+    ana_vec3 = (2 * math.pi) ** 2 * _pair_integral(rule, lambda KP, KZ, W: W / (KP * KZ))
     vscale = abs(ana_vec)
-    ana_L = _lplus_analytic(wp1, wp_up)
+    ana_L = _lplus_analytic(wp1, wp_up, rule)
     lscale = max(abs(ana_L), scale)
     flagged, companion = _flagged("quadrature")
     printed = flagged.removeprefix("quadrature: ")
@@ -937,7 +934,7 @@ def quadrature_suite(rel_tol=QUAD_REL_TOL, margin=QUAD_MARGIN):
     # computed companion: M*_{m,kz} = (-1)^m M_{-m,-kz} maps the
     # non-conjugated product onto the conjugated matrix element of the
     # kz-reflected partner packet.
-    ana_refl = (-1.0) ** (wp1.m + 1) * _lplus_analytic(wp1, up)
+    ana_refl = (-1.0) ** (wp1.m + 1) * _lplus_analytic(wp1, up, rule)
     results.append(
         RelationResult(
             companion,
@@ -958,8 +955,9 @@ def energy_per_photon_check(margin=QUAD_MARGIN):
     wp = WavepacketSpec(TM, 1, 1.0, 0.02, 2.0, 0.04)
     F = _PassFields({"E": ("E", wp), "B": ("B", wp)}, _CylinderQuadrature(default_domain(wp)), margin)
     # a unit packet: the energy is divided by the envelope norm int |g|^2 dk
-    nrm = _pair_integral(wp, lambda KP, KZ: np.ones_like(KP))
-    omega_bar = _pair_integral(wp, lambda KP, KZ: omega(1.0, KP, KZ)) / nrm
+    rule = _envelope_rule(wp)
+    nrm = _pair_integral(rule, lambda KP, KZ, W: np.ones_like(KP))
+    omega_bar = _pair_integral(rule, lambda KP, KZ, W: W) / nrm
     field_sq = _contract(F, "E", "E", "dot", True)[""] + _contract(F, "B", "B", "dot", True)[""]
     energy = field_sq.real / (4 * math.pi * abs(nrm))
     resid = abs(energy - omega_bar.real) / omega_bar.real
@@ -990,14 +988,26 @@ def _shared_vsh_grid(grids, j, m, theta, phi):
     return grids[key]
 
 
-def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, m_j=None, grids=None):
+def _turned(y0, m_j, phis):
+    """Y(theta0, phi_k) = e^(i m_j phi_k) R_z(phi_k) Y(theta0, 0) on the ring phis[k] = 2 pi k / n,
+    from harmonics y0 = Y(theta0, 0) of order m_j shaped (..., 3), by covariance under rotations
+    about z; the phase is e^(i phis[(m_j k) mod n]), so m_j phi_k is never rounded."""
+    cis, n = np.exp(1j * phis), len(phis)
+    x, y, z = (y0[..., i, None] for i in range(3))
+    ring = np.stack([cis.real * x - cis.imag * y, cis.imag * x + cis.real * y, np.repeat(z, n, -1)], axis=-1)
+    return cis[m_j * np.arange(n) % n, None] * ring
+
+
+def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, m_j=None, grids=None, j_max=None):
     """(alpha_E, alpha_M): coefficients of the spherical angular profiles.
 
     Defined by  F(r) = sum_j [alpha_E V^E_j + alpha_M V^M_j](r)  with
     V^(i)_j(r) = int dOmega Y^(i)_jm(n) e^{i k n . r}, obtained by
     projecting the plane-wave cone density of M or N onto the transverse
     harmonics of order m_j (default m; they are orthogonal with norm
-    1/(j(j+1))).  For m_j != m the projections vanish up to rounding.
+    1/(j(j+1))).  For m_j != m the projections vanish up to rounding.  The ring's
+    harmonics are _turned from phi = 0, where one vsh_grid call, kept in `grids`,
+    gives the degrees max(1, |m_j|)..j_max (default j alone) at this m_j and cone.
     """
     m_j = m if m_j is None else m_j
     if j < max(1, abs(m_j)):
@@ -1006,7 +1016,9 @@ def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, m_j=None, grids=None
     n_phi = 8 * (abs(m) + j + 4)
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     ring = cone_density(which, m, k_perp, k_z, phis, c)
-    ye, ym = _shared_vsh_grid(grids, j, m_j, np.full(n_phi, theta0), phis)
+    degrees = np.array([j]) if j_max is None else np.arange(max(1, abs(m_j)), j_max + 1)
+    at_zero = np.array(_shared_vsh_grid(grids, degrees, m_j, theta0, 0.0))  # (Y^E, Y^M) by degree
+    ye, ym = _turned(at_zero[:, j - degrees[0]], m_j, phis)
     step = 2 * math.pi / n_phi
     accE = np.sum(ring * np.conj(ye))
     accM = np.sum(ring * np.conj(ym))
@@ -1077,15 +1089,17 @@ def partial_sums(which, m, k_perp, k_z, points, j_max, c=1.0, grids=None):
     coefficients do not depend on the point, so each degree computes them
     once, and one wave-pair call serves every degree.  The sum runs in degree
     order.  A bare point's sums equal its row's sums inside an array bit for
-    bit (README).  VSH grids are shared through `grids` (_shared_vsh_grid).
+    bit (README).  VSH grids are shared through `grids` (_shared_vsh_grid), a
+    dict of its own by default: one ring call and one wave-pair call.
     """
     degrees = range(max(1, abs(m)), j_max + 1)
     if not degrees:
         return
+    grids = {} if grids is None else grids
     ves, vms = _spherical_wave_pair(np.array(degrees), m, omega(c, k_perp, k_z), points, c, grids)
     total = np.zeros(np.shape(points), dtype=complex)
     for j, ve, vm in zip(degrees, ves, vms):
-        aE, aM = expansion_coefficients(which, m, k_perp, k_z, j, c, grids=grids)
+        aE, aM = expansion_coefficients(which, m, k_perp, k_z, j, c, grids=grids, j_max=j_max)
         total = total + aE * ve + aM * vm
         yield j, aE, aM, total
 
@@ -1102,7 +1116,8 @@ def spherical_suite(tol=SPHERICAL_TOL):
     """
     c = 1.0
     j_max, m, k_perp, k_z = 60, 2, 1.0, 2.0
-    results, grids = [], {}  # every VSH grid once per call (_shared_vsh_grid)
+    # one wave-pair grid and one ring per (m_j, cone) per call: (b) and (c) share m_j = m's, to j_max
+    results, grids = [], {}
 
     # (a) scalar identity
     worst = 0.0
@@ -1133,11 +1148,11 @@ def spherical_suite(tol=SPHERICAL_TOL):
     j_range = range(max(1, abs(m)), max(1, abs(m)) + 10)
     sel_worst = coeff_max = 0.0
     for j in j_range:
-        aE, aM = expansion_coefficients("N", m, k_perp, k_z, j, c, grids=grids)
+        aE, aM = expansion_coefficients("N", m, k_perp, k_z, j, c, grids=grids, j_max=j_max)
         u, v = printed_uv(m, k_perp, k_z, j, c)
         coeff_max = max(coeff_max, abs(aE), abs(aM))
         for mj in (m - 1, m + 1):
-            off_E, off_M = expansion_coefficients("N", m, k_perp, k_z, j, c, m_j=mj, grids=grids)
+            off_E, off_M = expansion_coefficients("N", m, k_perp, k_z, j, c, mj, grids, j_range[-1])
             sel_worst = max(sel_worst, abs(off_E), abs(off_M))
         if abs(u) > 1e-12:
             ratio_u.append(aE / u)

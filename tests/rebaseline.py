@@ -3,7 +3,7 @@
     python tests/rebaseline.py OLD NEW
 
 OLD and NEW are two ``verify`` JSON reports or two CSV outputs of a golden
-run (``field``, ``expect``, ``expand``).  The comparison fails, and the
+run (``field``, ``expect``, ``expand``, whose leading ``#`` lines are text).  The comparison fails, and the
 command exits 1, when they differ in anything but numbers:
 
 - a report's metadata, its row names or their order, or a row's keys,
@@ -119,8 +119,17 @@ def compare_reports(old, new):
 
 
 def compare_csv(old_lines, new_lines):
-    """Comparison of two CSV outputs, given as lists of lines."""
+    """Comparison of two CSV outputs, given as lists of lines.  Leading "#"
+    comment lines, as ``expand`` writes them, are compared as text with numbers."""
     out = Comparison()
+    n_old, n_new = (next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+                    for lines in (old_lines, new_lines))
+    if n_old != n_new:
+        out.differences.append(f"comment lines: {n_old} -> {n_new}")
+        return out
+    for i, (a, b) in enumerate(zip(old_lines[:n_old], new_lines[:n_old]), start=1):
+        out.cell(f"comment {i}", "text", a, b)
+    old_lines, new_lines = old_lines[n_old:], new_lines[n_old:]
     old_rows, new_rows = list(csv.reader(old_lines)), list(csv.reader(new_lines))
     if old_rows[:1] != new_rows[:1]:
         out.differences.append(f"header: {old_rows[:1]} -> {new_rows[:1]}")

@@ -78,6 +78,16 @@ class TestCsv:
         assert compare_csv(CSV, CSV[:2]).differences == ["rows: 2 -> 1"]
         assert len(compare_csv(CSV, CSV[:2] + ["-6,-8,0.0037960456526610433"]).differences) == 1
 
+    def test_leading_comment_lines_are_text_with_numbers(self):
+        # expand writes "#" lines above its header
+        head = ["# mode N, m=2, k_perp=1, k_z=2", "# partial sums converge once j exceeds 3.3837848631377261"]
+        assert compare_csv(head + CSV, head + CSV).differences == []
+        out = compare_csv(head + CSV, [head[0], head[1].replace("3.38378", "3.38379")] + CSV)
+        assert out.differences == [] and [(row, old) for row, _, old, _ in out.changes] == [
+            ("comment 2", 3.3837848631377261)]
+        assert compare_csv(head + CSV, head[:1] + CSV).differences == ["comment lines: 2 -> 1"]
+        assert len(compare_csv(head + CSV, [head[0], "# mode M"] + CSV).differences) == 1
+
 
 def test_command_line_exit_codes(tmp_path, capsys):
     old, new, moved = tmp_path / "old.json", tmp_path / "new.json", tmp_path / "moved.json"

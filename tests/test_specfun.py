@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import jv, lpmv
+from scipy.special import j0, j1, jv, lpmv
 
 from besselbeams import specfun
 from besselbeams.specfun import (
@@ -139,8 +139,9 @@ class TestBessel:
         tables = {}
         first = bessel_j_outer(1, k, x, tables)
         key = (1, k.tobytes(), x.tobytes())
-        assert list(tables) == [key] and tables[key] is first
-        assert bessel_j_outer(-1, k, x, tables) is not first and len(tables) == 1
+        # the grid's seeds are its tables of orders 0 and 1
+        assert list(tables) == [(0,) + key[1:], key] and tables[key] is first
+        assert bessel_j_outer(-1, k, x, tables) is not first and len(tables) == 2
         assert bessel_j_outer(1, k, x, tables) is first
         assert bessel_j_outer(1, k + 1.0, x, tables) is not first  # keyed on the k bytes
         other = {}
@@ -194,27 +195,52 @@ class TestJvTable:
 
     K = np.array([0.0, 0.37, 1.0, 2.5])  # k = 0: a row of x = 0
 
+    @staticmethod
+    def table(order, arg):
+        return specfun._bessel_j_table(order, arg, (j0(arg), j1(arg)))
+
     def test_low_orders_within_the_bound_of_jv(self):
         arg = np.outer(self.K, np.linspace(0.0, 200.0, 2001))
         assert arg.min() == 0.0 and arg.max() == 500.0
         for order in range(9):
-            got = specfun._bessel_j_table(order, arg)
+            got = self.table(order, arg)
             assert np.abs(got - jv(order, arg)).max() <= 4e-15, order
 
     def test_orders_up_to_the_cap_within_the_bound_of_jv(self):
         arg = np.outer(self.K, np.linspace(0.0, 480.0, 1201))
         assert arg.max() == 1200.0
         for order in (9, 17, 40, 99, 150, MAX_ORDER):
-            got = specfun._bessel_j_table(order, arg)
+            got = self.table(order, arg)
             assert np.abs(got - jv(order, arg)).max() <= 5e-14, order
 
     def test_entries_below_the_turning_point_are_jv_bitwise(self):
-        # x < max(10, 2 order), x = 0 among them, come from one jv call
-        arg = np.outer(self.K, np.linspace(0.0, 200.0, 2001))
-        for order in (0, 1, 4, 8, 40, MAX_ORDER):
-            below = arg < max(10.0, 2.0 * order)
-            got = specfun._bessel_j_table(order, arg)
+        # from order 2, x < order comes from one jv call; orders 0 and 1 are
+        # j0 and j1 everywhere, x = 0 included
+        k, x = self.K, np.linspace(0.0, 200.0, 2001)
+        arg = np.outer(k, x)
+        for order in (2, 4, 8, 40, MAX_ORDER):
+            below = arg < order
+            assert below.any() and not below.all()
+            got = self.table(order, arg)
             assert np.array_equal(_bits(got[below]), _bits(jv(order, arg[below]))), order
+        tables = {}
+        for order, seed in ((0, j0), (1, j1)):
+            assert np.array_equal(_bits(self.table(order, arg)), _bits(seed(arg))), order
+            assert np.array_equal(_bits(bessel_j_outer(order, k, x, tables)), _bits(seed(arg))), order
+
+    def test_one_seed_pass_per_grid(self, monkeypatch):
+        # a grid's j0 and j1 run once, whichever order comes first, and serve
+        # every order after it; another grid takes its own
+        calls = []
+        for name in ("j0", "j1"):
+            seed = getattr(specfun, name)
+            monkeypatch.setattr(specfun, name, lambda a, name=name, seed=seed: calls.append(name) or seed(a))
+        x, tables = np.linspace(0.0, 40.0, 301), {}
+        for k in (self.K, self.K[::-1]):
+            for m in (3, 0, -5, 1, 8, -1, 2):
+                bessel_j_outer(m, k, x, tables)
+        assert calls == ["j0", "j1"] * 2
+        assert len(tables) == 2 * 6  # |m| = 0, 1, 2, 3, 5 and 8 on each grid
 
     def test_one_thread_and_no_warning(self, monkeypatch):
         # the recurrence never divides by x = 0 (a warning would fail this
@@ -230,27 +256,31 @@ class TestJvTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for order in (0, 1, 5, MAX_ORDER):
-                assert np.isfinite(specfun._bessel_j_table(order, arg)).all()
+                assert np.isfinite(self.table(order, arg)).all()
         assert started == [] and threading.active_count() == threads
 
     # the caller runs on the calling thread or on a worker thread it started;
-    # the chunk that fails is the jv call below the turning point or the j1
-    # seed of the recurrence above it
+    # the chunk that fails is a seed pass, j0 or j1, or the jv call below the
+    # turning point, on a fresh grid or on one whose seeds are memoized
     @pytest.mark.parametrize("on_worker", [False, True], ids=["calling-thread", "worker"])
     def test_a_failing_chunk_raises_in_the_caller(self, monkeypatch, on_worker):
+        x = np.linspace(0.0, 40.0, 11)
+
         def fill(tables):
             try:
-                bessel_j_outer(3, self.K, np.linspace(0.0, 40.0, 11), tables)
+                bessel_j_outer(3, self.K, x, tables)
             except FloatingPointError as exc:
                 return exc
             return None
 
-        for chunk in ("jv", "j1"):
+        seeded = {}
+        bessel_j_outer(1, self.K, x, seeded)
+        for chunk, start in (("j0", {}), ("j1", {}), ("jv", {}), ("jv", seeded)):
             def failing(*args, chunk=chunk):
                 raise FloatingPointError(f"{chunk} failed")
 
             monkeypatch.setattr(specfun, chunk, failing)
-            tables, raised = {}, []
+            tables, raised = dict(start), []
             threads = threading.active_count()
             if on_worker:
                 worker = threading.Thread(target=lambda: raised.append(fill(tables)))
@@ -260,7 +290,8 @@ class TestJvTable:
                 raised.append(fill(tables))
             assert threading.active_count() == threads
             assert str(raised[0]) == f"{chunk} failed", chunk
-            assert tables == {}, chunk  # no unfilled table is memoized
+            # neither an unfilled table nor its seeds are memoized
+            assert [(key, id(t)) for key, t in tables.items()] == [(key, id(t)) for key, t in start.items()], chunk
             monkeypatch.undo()
 
 

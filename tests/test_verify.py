@@ -418,24 +418,26 @@ def recorded_suite():
     The contractions and smears do not depend on rel_tol, so the run serves
     every test below.  Returns a namespace of: the results; the fields each
     pass smears, by (n_kp, n_kz); whether each coarse-pass coefficient array
-    and Bessel table was alive when the fine pass smeared its first field;
+    and Bessel table or seed was alive when the fine pass smeared its first field;
     the Bessel tables specfun._bessel_j_table computed, as (phase, |m|, grid
-    digest); the liveness of every table once the suite returned; and a copy of the
+    digest), and the seed passes, as (phase, "j0" or "j1", grid digest); the
+    liveness of every table and seed once the suite returned; and a copy of the
     fields and the domain of each volume_dot/volume_cross call; every radial
     kernel call, as (phase, domain, k_perp grids, orders, rho power); the
     number of radial calls each suite contraction made, by its (field, field,
     product, conjugate); the z powers of each volume_dot/volume_cross call's
     axial kernels; the liveness of that call's earlier kernels whenever it
     asked for another; the liveness of every axial kernel once its call
-    returned; and every omega computed on a smear's k-grid, as (phase, grid
-    digest).
+    returned; every omega computed on a smear's k-grid, as (phase, grid
+    digest); and the digest of every 64 x 64 envelope grid omega was computed on.
     """
     smear, table, originals = verify.smear_mode, specfun._bessel_j_table, (verify.volume_dot, verify.volume_cross)
     omega = verify.omega
     radial, axial, contract = _CylinderQuadrature.radial, _CylinderQuadrature.axial, verify._contract
     rec = SimpleNamespace(passes={}, coeffs_alive_at_fine=[], tables_alive_at_fine=[],
-                          tables=[], contractions=[], radial=[], contraction_radial=[],
-                          axial=[], axial_overlap=[], axial_alive=[], omegas=[], phase="coarse")
+                          tables=[], seeds=[], contractions=[], radial=[], contraction_radial=[],
+                          axial=[], axial_overlap=[], axial_alive=[], omegas=[], rule_omegas=[],
+                          phase="coarse")
     axial_refs = []
     coarse_coeffs, table_refs = [], []
 
@@ -454,11 +456,19 @@ def recorded_suite():
             coarse_coeffs.extend(weakref.ref(c.coeff) for c in F.comps)
         return F
 
-    def computing(order, arg):
-        out = table(order, arg)
+    def computing(order, arg, seeds):
+        out = table(order, arg, seeds)
         rec.tables.append((rec.phase, order, hash(arg.tobytes())))
         table_refs.append(weakref.ref(out))
         return out
+
+    def seeding(name, seed):
+        def seeded(arg):
+            out = seed(arg)
+            rec.seeds.append((rec.phase, name, hash(arg.tobytes())))
+            table_refs.append(weakref.ref(out))
+            return out
+        return seeded
 
     def recording(fn):
         def wrapped(F1, F2, quad, conjugate=True):
@@ -482,9 +492,13 @@ def recorded_suite():
         return radial(quad, F1, F2, o1, o2, p)
 
     def omega_recording(c, k_perp, k_z):
-        # a smear's k-grid, not the 64 x 64 rule of the envelope integrals
-        if np.ndim(k_perp) == 2 and np.shape(k_perp) != (64, 64):
-            rec.omegas.append((rec.phase, hash(k_perp.tobytes() + k_z.tobytes())))
+        # a smear's k-grid, or the 64 x 64 rule of the envelope integrals
+        if np.ndim(k_perp) == 2:
+            grid = hash(k_perp.tobytes() + k_z.tobytes())
+            if np.shape(k_perp) == (64, 64):
+                rec.rule_omegas.append(grid)
+            else:
+                rec.omegas.append((rec.phase, grid))
         return omega(c, k_perp, k_z)
 
     def contracting(F, f1, f2, product, conjugate):
@@ -496,6 +510,8 @@ def recorded_suite():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "smear_mode", smearing)
         mp.setattr(specfun, "_bessel_j_table", computing)
+        for name in ("j0", "j1"):
+            mp.setattr(specfun, name, seeding(name, getattr(specfun, name)))
         mp.setattr(_CylinderQuadrature, "radial", radial_recording)
         mp.setattr(_CylinderQuadrature, "axial", axial_recording)
         mp.setattr(verify, "_contract", contracting)
@@ -569,10 +585,21 @@ class TestQuadraturePasses:
         assert len(alive) > 0 and not any(alive)
 
     def test_each_bessel_table_is_computed_once(self, recorded_suite):
-        tables = recorded_suite.tables
+        # a pass reads 6 tables on two (k_perp, rho) grids, the carrier's and
+        # Mp's, and the energy check 3 on one: 15 tables on 5 grids.  Each grid
+        # makes one j0 and one j1 pass, its tables of orders 0 and 1, and every
+        # order >= 2 it reads is computed once from them
+        tables, seeds = recorded_suite.tables, recorded_suite.seeds
+        assert [(phase, name) for phase, name, _ in seeds] == (
+            [("coarse", "j0"), ("coarse", "j1")] * 2 + [("fine", "j0"), ("fine", "j1")] * 2
+            + [("energy", "j0"), ("energy", "j1")]
+        )
+        grids = [grid for _, _, grid in seeds]
+        assert grids[::2] == grids[1::2] and len(set(grids)) == 5
         # the three quadratures' radial grids differ, so they share no table
-        assert len(set(tables)) == len(tables) == 15
-        assert [phase for phase, *_ in tables] == ["coarse"] * 6 + ["fine"] * 6 + ["energy"] * 3
+        assert len(set(tables)) == len(tables) == 11 and all(order >= 2 for _, order, _ in tables)
+        assert {grid for *_, grid in tables} == set(grids)
+        assert [phase for phase, *_ in tables] == ["coarse"] * 5 + ["fine"] * 5 + ["energy"]
 
     def test_omega_once_per_k_grid(self, recorded_suite):
         # a pass smears on three k-grids: the carrier packet's (M1, N1, M_up,
@@ -581,6 +608,10 @@ class TestQuadraturePasses:
         grids = recorded_suite.omegas
         assert len(set(grids)) == len(grids) == 7
         assert [phase for phase, _ in grids] == ["coarse"] * 3 + ["fine"] * 3 + ["energy"]
+        # the envelope integrals read one 64 x 64 rule per packet: the carrier's
+        # (3 pair integrals, 2 L+ forms) and the energy packet's (2 pair integrals)
+        rules = recorded_suite.rule_omegas
+        assert len(set(rules)) == len(rules) == 2
 
     def test_a_shared_omega_keeps_every_bit(self):
         # each coefficient as each smear computed it before omega was shared
@@ -597,12 +628,13 @@ class TestQuadraturePasses:
         assert len(omegas) == 1  # one grid's omega at a time: the slot holds the new grid's
 
     def test_coarse_tables_die_before_the_fine_pass_smears(self, recorded_suite):
+        # 5 computed tables and the seeds of 2 grids
         alive = recorded_suite.tables_alive_at_fine
-        assert len(alive) == 6 and not any(alive)
+        assert len(alive) == 5 + 2 * 2 and not any(alive)
 
     def test_no_table_outlives_the_suite(self, recorded_suite):
         alive = recorded_suite.tables_alive_after
-        assert len(alive) == 15 and not any(alive)
+        assert len(alive) == 11 + 5 * 2 and not any(alive)
 
     def test_a_second_run_gives_the_same_results(self, recorded_suite, default_quadrature):
         # it computes every table afresh; rel_tol moves only the verdicts
@@ -932,6 +964,46 @@ class TestWavesByDegree:
         assert list(partial_sums("N", 4, 1.0, 2.0, (0.3, 0.2, 0.1), 3)) == [] and len(calls) == 1
 
 
+class TestTurnedRing:
+    """The harmonics on an expansion_coefficients ring, phi_k = 2 pi k / n with
+    n = 8 (|m| + j + 4), turned from phi = 0 against vsh_grid on every node."""
+
+    @staticmethod
+    def ring(m, j):
+        n = 8 * (abs(m) + j + 4)
+        return np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+
+    @staticmethod
+    def tolerance(m_j):
+        # vsh_grid on a node takes e^(i m_j phi_k) with m_j phi_k rounded, where
+        # |m_j phi_k| < 2 pi |m_j|; the turned ring's phase is reduced exactly
+        return 3e-15 + 2 * math.pi * abs(m_j) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("m", range(-8, 9))
+    def test_equals_vsh_grid_on_the_ring_nodes(self, m):
+        for m_j in (m - 1, m, m + 1):
+            degrees = np.arange(max(1, abs(m_j)), 13)
+            for theta0 in (0.3, 1.1, 2.6, 0.0, math.pi):  # 0 and pi take the pole branch
+                at_zero = specfun.vsh_grid(degrees, m_j, theta0, 0.0)
+                for i, j in enumerate(degrees):
+                    phis = self.ring(m, j)
+                    direct = specfun.vsh_grid(int(j), m_j, np.full(len(phis), theta0), phis)
+                    for which, y0, want in zip("EM", at_zero, direct):
+                        got = verify._turned(y0[i], m_j, phis)
+                        gap = np.abs(got - want).max()
+                        assert gap <= self.tolerance(m_j) * np.abs(want).max(), (m_j, theta0, j, which)
+
+    def test_phases_repeat_every_n_phi_orders(self):
+        m, j, theta0 = 150, 160, 1.1
+        phis = self.ring(m, j)
+        direct = specfun.vsh_grid(j, m, np.full(len(phis), theta0), phis)
+        for y0, want in zip(specfun.vsh_grid(j, m, theta0, 0.0), direct):
+            for m_j in (m - 1, m, m + 1):
+                assert _bitwise(verify._turned(y0, m_j, phis), verify._turned(y0, m_j + len(phis), phis))
+            gap = np.abs(verify._turned(y0, m, phis) - want).max()
+            assert gap <= self.tolerance(m) * np.abs(want).max()
+
+
 class TestSharedCoefficients:
     @pytest.mark.parametrize("which", ["M", "N"])
     @pytest.mark.parametrize("m", [-3, 0, 2])
@@ -970,7 +1042,8 @@ class TestSharedCoefficients:
         original = verify._vsh_grid
 
         def counted(j, m, theta, phi):
-            keys.append((np.shape(j), np.asarray(j).tobytes(), m, np.shape(theta), theta.tobytes(), phi.tobytes()))
+            keys.append((np.shape(j), np.asarray(j).tobytes(), m, np.shape(theta),
+                         np.asarray(theta).tobytes(), np.asarray(phi).tobytes()))
             return original(j, m, theta, phi)
 
         def bits(results):
@@ -978,20 +1051,27 @@ class TestSharedCoefficients:
 
         monkeypatch.setattr(verify, "_vsh_grid", counted)
         shared = spherical_suite()
-        # the rings of j = 2..60 at m_j = m serve N, M and the printed u, v; 19
-        # more at m_j = m -/+ 1 (degree 2 has no m_j = 3); one wave-pair grid
-        # serves both sums
-        assert len(keys) == len(set(keys)) == 59 + 19 + 1
+        # one ring per (m_j, cone) at phi = 0: degrees 2..60 at m_j = m serve N, M
+        # and the printed u, v, degrees 1..11 and 3..11 the m_j = m -/+ 1
+        # projections; one wave-pair grid serves both sums
+        rings = [(np.frombuffer(j, dtype=int).tolist(), m) for shape, j, m, th, *_ in keys if th == ()]
+        assert rings == [(list(range(2, 61)), 2), (list(range(1, 12)), 1), (list(range(3, 12)), 3)]
+        assert len(keys) == len(set(keys)) == 3 + 1
         monkeypatch.setattr(verify, "_shared_vsh_grid", lambda grids, *args: counted(*args))
         alone = spherical_suite()
-        assert len(keys) == 79 + 149
         assert bits(shared) == bits(alone)
 
-    def test_without_a_dict_nothing_is_kept(self, monkeypatch):
-        # expand's path: every coefficient computes its own grid
+    def test_without_a_dict_nothing_is_kept(self, monkeypatch, tmp_path):
+        # expand's path: partial_sums keeps a dict of its own, so a run makes one
+        # ring call and one wave-pair call, and the next run makes its own
         calls = []
         original = verify._vsh_grid
-        monkeypatch.setattr(verify, "_vsh_grid", lambda *args: calls.append(args[0]) or original(*args))
+        monkeypatch.setattr(verify, "_vsh_grid",
+                            lambda *args: calls.append((np.size(args[0]), np.shape(args[2]))) or original(*args))
         for _ in range(2):
             list(partial_sums("N", 2, 1.0, 2.0, (0.3, 0.2, 0.1), 9))
-        assert len(calls) == 2 * (1 + 8)
+        assert calls == [(8, ()), (8, ())] * 2  # the wave pair at one point, then the ring
+        calls.clear()
+        assert cli.main(["expand", "--m", "-3", "--which", "M", "--kperp", "1.0", "--kz", "-2.0",
+                         "--jmax", "12", "--out", str(tmp_path / "e.csv")]) == 0
+        assert calls == [(10, ()), (10, ())]
