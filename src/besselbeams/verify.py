@@ -978,16 +978,6 @@ def energy_per_photon_check(margin=QUAD_MARGIN):
 _vsh_grid = specfun.vsh_grid
 
 
-def _shared_vsh_grid(grids, j, m, theta, phi):
-    """_vsh_grid(j, m, theta, phi), kept in the caller's dict `grids` (None keeps nothing)."""
-    if grids is None:
-        return _vsh_grid(j, m, theta, phi)
-    key = (m,) + tuple((np.shape(a), np.asarray(a).tobytes()) for a in (j, theta, phi))
-    if key not in grids:
-        grids[key] = _vsh_grid(j, m, theta, phi)
-    return grids[key]
-
-
 def _turned(y0, m_j, phis):
     """Y(theta0, phi_k) = e^(i m_j phi_k) R_z(phi_k) Y(theta0, 0) on the ring phis[k] = 2 pi k / n,
     from harmonics y0 = Y(theta0, 0) of order m_j shaped (..., 3), by covariance under rotations
@@ -998,31 +988,37 @@ def _turned(y0, m_j, phis):
     return cis[m_j * np.arange(n) % n, None] * ring
 
 
-def expansion_coefficients(which, m, k_perp, k_z, j, c=1.0, m_j=None, grids=None, j_max=None):
-    """(alpha_E, alpha_M): coefficients of the spherical angular profiles.
+def expansion_coefficients(which, m, k_perp, k_z, degrees, c=1.0, m_j=None):
+    """(alpha_E, alpha_M): coefficients of the spherical angular profiles, one
+    complex array each, aligned with the range of degrees `degrees`.
 
     Defined by  F(r) = sum_j [alpha_E V^E_j + alpha_M V^M_j](r)  with
     V^(i)_j(r) = int dOmega Y^(i)_jm(n) e^{i k n . r}, obtained by
     projecting the plane-wave cone density of M or N onto the transverse
     harmonics of order m_j (default m; they are orthogonal with norm
-    1/(j(j+1))).  For m_j != m the projections vanish up to rounding.  The ring's
-    harmonics are _turned from phi = 0, where one vsh_grid call, kept in `grids`,
-    gives the degrees max(1, |m_j|)..j_max (default j alone) at this m_j and cone.
+    1/(j(j+1))).  For m_j != m the projections vanish up to rounding, and
+    below degree max(1, |m_j|) they are exact 0.  Each degree sums on a ring
+    of its own, whose harmonics are _turned from phi = 0, where one vsh_grid
+    call gives every degree of the range; a degree's values do not depend on
+    the range it comes in.
     """
     m_j = m if m_j is None else m_j
-    if j < max(1, abs(m_j)):
-        return 0.0 + 0.0j, 0.0 + 0.0j
+    alpha = np.zeros((2, len(degrees)), dtype=complex)
+    skip = max(0, max(1, abs(m_j)) - degrees.start)
+    if skip >= len(degrees):
+        return alpha[0], alpha[1]
     theta0 = math.acos(c * k_z / omega(c, k_perp, k_z))
-    n_phi = 8 * (abs(m) + j + 4)
-    phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
-    ring = cone_density(which, m, k_perp, k_z, phis, c)
-    degrees = np.array([j]) if j_max is None else np.arange(max(1, abs(m_j)), j_max + 1)
-    at_zero = np.array(_shared_vsh_grid(grids, degrees, m_j, theta0, 0.0))  # (Y^E, Y^M) by degree
-    ye, ym = _turned(at_zero[:, j - degrees[0]], m_j, phis)
-    step = 2 * math.pi / n_phi
-    accE = np.sum(ring * np.conj(ye))
-    accM = np.sum(ring * np.conj(ym))
-    return j * (j + 1) * accE * step, j * (j + 1) * accM * step
+    at_zero = np.array(_vsh_grid(np.array(degrees[skip:]), m_j, theta0, 0.0))  # (Y^E, Y^M) by degree
+    for i, j in enumerate(degrees[skip:]):
+        n_phi = 8 * (abs(m) + j + 4)
+        phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
+        ring = cone_density(which, m, k_perp, k_z, phis, c)
+        ye, ym = _turned(at_zero[:, i], m_j, phis)
+        step = 2 * math.pi / n_phi
+        accE = np.sum(ring * np.conj(ye))
+        accM = np.sum(ring * np.conj(ym))
+        alpha[:, skip + i] = j * (j + 1) * accE * step, j * (j + 1) * accM * step
+    return alpha[0], alpha[1]
 
 
 def printed_uv(m, k_perp, k_z, j, c=1.0):
@@ -1045,7 +1041,7 @@ def printed_uv(m, k_perp, k_z, j, c=1.0):
     return u, v
 
 
-def _spherical_wave_pair(j, m, w, points, c=1.0, grids=None):
+def _spherical_wave_pair(j, m, w, points, c=1.0):
     """(V^E_j, V^M_j)(r), V^(i)_j = int dOmega Y^(i)_jm(n) e^{i (w/c) n . r}, closed form.
 
     Rayleigh's plane-wave expansion (Jackson, Classical Electrodynamics,
@@ -1053,9 +1049,10 @@ def _spherical_wave_pair(j, m, w, points, c=1.0, grids=None):
         V^M_j = 4 pi i^j j_j(kr) Y^M_jm(n),
         V^E_j = 4 pi i^(j+3) [(j_j/kr) Y_jm(n) n + (j_j/kr + j_j') Y^E_jm(n)].
     `points` is one Cartesian point or an array of them, shaped (..., 3);
-    `j` is one degree or an integer array of them.  Both returned arrays are
-    shaped j.shape + points.shape, and each degree's values equal those of
-    its own call bit for bit, as a bare point's equal its row's in an array.
+    `j` is one degree or an integer array of them, served by one vsh_grid
+    call.  Both returned arrays are shaped j.shape + points.shape, and each
+    degree's values equal those of its own call bit for bit, as a bare
+    point's equal its row's in an array.
     """
     points = np.asarray(points, dtype=float)
     # libm scalar calls per point keep r, theta, phi bit-identical however many points come
@@ -1064,7 +1061,7 @@ def _spherical_wave_pair(j, m, w, points, c=1.0, grids=None):
         for x, y, z in points.reshape(-1, 3).tolist()
     ]).T.reshape((3,) + points.shape[:-1])
     kr = w * r / c
-    ye, ym = _shared_vsh_grid(grids, j, m, theta, phi)
+    ye, ym = _vsh_grid(j, m, theta, phi)
     j = np.asarray(j, dtype=int)
     # 4 pi i^(j+3) and 4 pi i^j, exactly, from the four powers of i
     i_pow = 4 * math.pi * np.array(I_POWERS)
@@ -1080,26 +1077,24 @@ def _spherical_wave_pair(j, m, w, points, c=1.0, grids=None):
     return ve, vm
 
 
-def partial_sums(which, m, k_perp, k_z, points, j_max, c=1.0, grids=None):
+def partial_sums(which, m, k_perp, k_z, points, j_max, c=1.0):
     """Truncated spherical sums of M or N at Cartesian points.
 
     `points` is one point (x, y, z) or an array of them, shaped (..., 3).
     Yields (j, alpha_E, alpha_M, sum of the terms of degree <= j) for
     j = max(1, |m|) .. j_max; the sum has the shape of `points`.  The
-    coefficients do not depend on the point, so each degree computes them
-    once, and one wave-pair call serves every degree.  The sum runs in degree
+    coefficients do not depend on the point: one expansion_coefficients call
+    and one wave-pair call serve every degree.  The sum runs in degree
     order.  A bare point's sums equal its row's sums inside an array bit for
-    bit (README).  VSH grids are shared through `grids` (_shared_vsh_grid), a
-    dict of its own by default: one ring call and one wave-pair call.
+    bit (README).
     """
     degrees = range(max(1, abs(m)), j_max + 1)
     if not degrees:
         return
-    grids = {} if grids is None else grids
-    ves, vms = _spherical_wave_pair(np.array(degrees), m, omega(c, k_perp, k_z), points, c, grids)
+    ves, vms = _spherical_wave_pair(np.array(degrees), m, omega(c, k_perp, k_z), points, c)
+    alphas = expansion_coefficients(which, m, k_perp, k_z, degrees, c)
     total = np.zeros(np.shape(points), dtype=complex)
-    for j, ve, vm in zip(degrees, ves, vms):
-        aE, aM = expansion_coefficients(which, m, k_perp, k_z, j, c, grids=grids, j_max=j_max)
+    for j, aE, aM, ve, vm in zip(degrees, *alphas, ves, vms):
         total = total + aE * ve + aM * vm
         yield j, aE, aM, total
 
@@ -1116,8 +1111,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
     """
     c = 1.0
     j_max, m, k_perp, k_z = 60, 2, 1.0, 2.0
-    # one wave-pair grid and one ring per (m_j, cone) per call: (b) and (c) share m_j = m's, to j_max
-    results, grids = [], {}
+    results = []
 
     # (a) scalar identity
     worst = 0.0
@@ -1146,14 +1140,13 @@ def spherical_suite(tol=SPHERICAL_TOL):
     # (b) printed u, v against projection coefficients
     ratio_u, ratio_v = [], []
     j_range = range(max(1, abs(m)), max(1, abs(m)) + 10)
-    sel_worst = coeff_max = 0.0
-    for j in j_range:
-        aE, aM = expansion_coefficients("N", m, k_perp, k_z, j, c, grids=grids, j_max=j_max)
+    alphas = expansion_coefficients("N", m, k_perp, k_z, j_range, c)
+    off = [expansion_coefficients("N", m, k_perp, k_z, j_range, c, mj) for mj in (m - 1, m + 1)]
+    # scalar abs: numpy's array loop for complex abs can differ from it in the last bit
+    coeff_max = max(abs(a) for a in np.ravel(alphas))
+    sel_worst = max(abs(a) for a in np.ravel(off))
+    for j, aE, aM in zip(j_range, *alphas):
         u, v = printed_uv(m, k_perp, k_z, j, c)
-        coeff_max = max(coeff_max, abs(aE), abs(aM))
-        for mj in (m - 1, m + 1):
-            off_E, off_M = expansion_coefficients("N", m, k_perp, k_z, j, c, mj, grids, j_range[-1])
-            sel_worst = max(sel_worst, abs(off_E), abs(off_M))
         if abs(u) > 1e-12:
             ratio_u.append(aE / u)
         if abs(v) > 1e-12:
@@ -1218,7 +1211,7 @@ def spherical_suite(tol=SPHERICAL_TOL):
     for which, evaluator in (("N", eval_N), ("M", eval_M)):
         partial = {
             j: total
-            for j, _, _, total in partial_sums(which, m, k_perp, k_z, points, j_max, c, grids)
+            for j, _, _, total in partial_sums(which, m, k_perp, k_z, points, j_max, c)
             if j in checkpoints
         }
         for i, (rho, phi, z) in enumerate(samples):

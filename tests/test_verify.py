@@ -760,12 +760,12 @@ class TestSphericalSuite:
         # projections onto m_j = m +/- 1 vanish to rounding, and there is no
         # Y_(2,3); printed magnitude tracks the projection magnitude with a
         # constant ratio
-        aE4, aM4 = expansion_coefficients("N", 2, 1.0, 2.0, 4)
+        (aE4, aE5), (aM4, aM5) = expansion_coefficients("N", 2, 1.0, 2.0, range(4, 6))
         for mj in (1, 3):
-            off_E, off_M = expansion_coefficients("N", 2, 1.0, 2.0, 4, m_j=mj)
-            assert max(abs(off_E), abs(off_M)) <= 1e-12 * max(abs(aE4), abs(aM4))
-        assert expansion_coefficients("N", 2, 1.0, 2.0, 2, m_j=3) == (0.0, 0.0)
-        aE5, aM5 = expansion_coefficients("N", 2, 1.0, 2.0, 5)
+            off_E, off_M = expansion_coefficients("N", 2, 1.0, 2.0, range(4, 6), m_j=mj)
+            assert max(abs(off_E[0]), abs(off_M[0])) <= 1e-12 * max(abs(aE4), abs(aM4))
+        off_E, off_M = expansion_coefficients("N", 2, 1.0, 2.0, range(2, 4), m_j=3)
+        assert off_E[0] == off_M[0] == 0.0 and off_E[1] != 0.0
         u4, v4 = printed_uv(2, 1.0, 2.0, 4)
         u5, v5 = printed_uv(2, 1.0, 2.0, 5)
         assert abs(aE4 / u4) == pytest.approx(abs(aE5 / u5), rel=1e-10)
@@ -1022,48 +1022,72 @@ class TestSharedCoefficients:
                 # a bare point takes the array loop in vsh_grid too (README)
                 assert _bitwise(total[idx], t1[0]) and _bitwise(total[idx], t2), (idx, j)
 
-    def test_one_coefficient_per_degree_in_the_suite(self, monkeypatch):
+    @pytest.mark.parametrize("which", ["M", "N"])
+    @pytest.mark.parametrize("m", [-3, 0, 2, 150])
+    def test_a_range_call_equals_its_one_degree_calls(self, which, m):
+        # each degree sums on its own ring, and vsh_grid gives it the same bits
+        # in any degree array, so a range's entries are the one-degree calls'
+        degrees = range(max(0, abs(m) - 2), abs(m) + 6)
+        for k_z in (2.0, -2.0):
+            for m_j in (m - 1, m, m + 1):
+                batch = expansion_coefficients(which, m, 1.0, k_z, degrees, m_j=m_j)
+                below = max(1, abs(m_j)) - degrees.start
+                for got in batch:
+                    assert got.dtype == complex and got.shape == (len(degrees),)
+                    assert _bitwise(got[:below], np.zeros(below, dtype=complex)) and got[below] != 0, m_j
+                for i, j in enumerate(degrees):
+                    one = expansion_coefficients(which, m, 1.0, k_z, range(j, j + 1), m_j=m_j)
+                    for got, ref in zip(batch, one):
+                        assert _bitwise(got[i:i + 1], ref), (m_j, k_z, j)
+                empty = expansion_coefficients(which, m, 1.0, k_z, range(degrees.stop, degrees.stop), m_j=m_j)
+                assert [a.shape for a in empty] == [(0,), (0,)]
+
+    def test_one_coefficient_call_per_ring_range(self, monkeypatch):
         calls = []
         original = verify.expansion_coefficients
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted(which, m, k_perp, k_z, degrees, c=1.0, m_j=None):
+            calls.append((which, m if m_j is None else m_j, degrees))
+            return original(which, m, k_perp, k_z, degrees, c, m_j)
 
         monkeypatch.setattr(verify, "expansion_coefficients", counted)
         spherical_suite()
-        # 10 degrees for the printed u, v, each projected at m_j = m, m - 1 and
-        # m + 1; 59 degrees (j = 2..60) for each of N and M, shared by the 3
-        # sample points
-        assert len(calls) == 3 * 10 + 2 * 59 == 148
+        # the printed u, v at m_j = m and the projections at m_j = m -/+ 1 over
+        # j = 2..11, then the sums of N and M over j = 2..60
+        assert calls == [("N", 2, range(2, 12)), ("N", 1, range(2, 12)), ("N", 3, range(2, 12)),
+                         ("N", 2, range(2, 61)), ("M", 2, range(2, 61))]
 
-    def test_one_vsh_grid_per_distinct_grid_in_the_suite(self, monkeypatch):
+    def test_five_rings_and_two_wave_pairs_in_the_suite(self, monkeypatch):
         keys = []
         original = verify._vsh_grid
 
         def counted(j, m, theta, phi):
-            keys.append((np.shape(j), np.asarray(j).tobytes(), m, np.shape(theta),
-                         np.asarray(theta).tobytes(), np.asarray(phi).tobytes()))
+            keys.append((np.asarray(j).tolist(), m, np.shape(theta)))
             return original(j, m, theta, phi)
 
         def bits(results):
             return [(r.name, np.float64(r.residual).tobytes(), r.notes, r.passed) for r in results]
 
         monkeypatch.setattr(verify, "_vsh_grid", counted)
-        shared = spherical_suite()
-        # one ring per (m_j, cone) at phi = 0: degrees 2..60 at m_j = m serve N, M
-        # and the printed u, v, degrees 1..11 and 3..11 the m_j = m -/+ 1
-        # projections; one wave-pair grid serves both sums
-        rings = [(np.frombuffer(j, dtype=int).tolist(), m) for shape, j, m, th, *_ in keys if th == ()]
-        assert rings == [(list(range(2, 61)), 2), (list(range(1, 12)), 1), (list(range(3, 12)), 3)]
-        assert len(keys) == len(set(keys)) == 3 + 1
-        monkeypatch.setattr(verify, "_shared_vsh_grid", lambda grids, *args: counted(*args))
-        alone = spherical_suite()
-        assert bits(shared) == bits(alone)
+        ranged = spherical_suite()
+        # one ring at phi = 0 per expansion_coefficients call, one wave-pair
+        # grid at the 3 sample points per partial_sums call (N, then M)
+        sums = [(list(range(2, 61)), 2, (3,)), (list(range(2, 61)), 2, ())]
+        assert keys == [(list(range(2, 12)), 2, ()), (list(range(2, 12)), 1, ()),
+                        (list(range(3, 12)), 3, ())] + sums * 2
+        # the report's bits do not depend on the degrees a ring call takes
+        coefficients = verify.expansion_coefficients
 
-    def test_without_a_dict_nothing_is_kept(self, monkeypatch, tmp_path):
-        # expand's path: partial_sums keeps a dict of its own, so a run makes one
-        # ring call and one wave-pair call, and the next run makes its own
+        def per_degree(which, m, k_perp, k_z, degrees, c=1.0, m_j=None):
+            ones = [coefficients(which, m, k_perp, k_z, range(j, j + 1), c, m_j) for j in degrees]
+            return tuple(np.concatenate(parts) for parts in zip(*ones))
+
+        monkeypatch.setattr(verify, "expansion_coefficients", per_degree)
+        assert bits(ranged) == bits(spherical_suite())
+
+    def test_one_ring_call_and_one_wave_pair_call_per_expand_run(self, monkeypatch, tmp_path):
+        # expand's path: partial_sums makes one wave-pair call and one ring
+        # call, and the next run makes its own
         calls = []
         original = verify._vsh_grid
         monkeypatch.setattr(verify, "_vsh_grid",
