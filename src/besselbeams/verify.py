@@ -978,14 +978,14 @@ def energy_per_photon_check(margin=QUAD_MARGIN):
 _vsh_grid = specfun.vsh_grid
 
 
-def _turned(y0, m_j, phis):
-    """Y(theta0, phi_k) = e^(i m_j phi_k) R_z(phi_k) Y(theta0, 0) on the ring phis[k] = 2 pi k / n,
-    from harmonics y0 = Y(theta0, 0) of order m_j shaped (..., 3), by covariance under rotations
-    about z; the phase is e^(i phis[(m_j k) mod n]), so m_j phi_k is never rounded."""
+def _turned_back(ring, m_j, phis):
+    """e^(-i m_j phi_k) R_z(-phi_k) ring[k] on phis[k] = 2 pi k / n: as Y(theta0, phi_k) = e^(i m_j phi_k)
+    R_z(phi_k) Y(theta0, 0) by covariance about z, ring[k] . conj(Y(theta0, phi_k)) is this vector's product
+    with conj(Y(theta0, 0)); the phase is e^(-i phis[(m_j k) mod n]), so m_j phi_k is never rounded."""
     cis, n = np.exp(1j * phis), len(phis)
-    x, y, z = (y0[..., i, None] for i in range(3))
-    ring = np.stack([cis.real * x - cis.imag * y, cis.imag * x + cis.real * y, np.repeat(z, n, -1)], axis=-1)
-    return cis[m_j * np.arange(n) % n, None] * ring
+    x, y, z = ring.T
+    back = np.stack([cis.real * x + cis.imag * y, cis.real * y - cis.imag * x, z], axis=-1)
+    return np.conj(cis[m_j * np.arange(n) % n, None]) * back
 
 
 def expansion_coefficients(which, m, k_perp, k_z, degrees, c=1.0, m_j=None):
@@ -997,27 +997,26 @@ def expansion_coefficients(which, m, k_perp, k_z, degrees, c=1.0, m_j=None):
     projecting the plane-wave cone density of M or N onto the transverse
     harmonics of order m_j (default m; they are orthogonal with norm
     1/(j(j+1))).  For m_j != m the projections vanish up to rounding, and
-    below degree max(1, |m_j|) they are exact 0.  Each degree sums on a ring
-    of its own, whose harmonics are _turned from phi = 0, where one vsh_grid
-    call gives every degree of the range; a degree's values do not depend on
-    the range it comes in.
+    below degree max(1, |m_j|) they are exact 0.  One ring serves every
+    degree: its density, _turned_back to phi = 0, sums to one vector D, and
+    each degree's projection is D against its harmonics at phi = 0, which one
+    vsh_grid call gives; a degree's values do not depend on the range.
     """
     m_j = m if m_j is None else m_j
-    alpha = np.zeros((2, len(degrees)), dtype=complex)
-    skip = max(0, max(1, abs(m_j)) - degrees.start)
-    if skip >= len(degrees):
+    js = np.array(degrees, dtype=int)
+    kept = js >= max(1, abs(m_j))
+    alpha = np.zeros((2, len(js)), dtype=complex)
+    if not kept.any():
         return alpha[0], alpha[1]
+    # turned back, the density is e^(i (m - m_j) phi) times one vector: any n_phi > |m - m_j| sums it exactly
+    n_phi = 8 * (abs(m - m_j) + 4)
+    phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
+    ring = cone_density(which, m, k_perp, k_z, phis, c)
+    D = np.sum(_turned_back(ring, m_j, phis), axis=0) * (2 * math.pi / n_phi)
     theta0 = math.acos(c * k_z / omega(c, k_perp, k_z))
-    at_zero = np.array(_vsh_grid(np.array(degrees[skip:]), m_j, theta0, 0.0))  # (Y^E, Y^M) by degree
-    for i, j in enumerate(degrees[skip:]):
-        n_phi = 8 * (abs(m) + j + 4)
-        phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
-        ring = cone_density(which, m, k_perp, k_z, phis, c)
-        ye, ym = _turned(at_zero[:, i], m_j, phis)
-        step = 2 * math.pi / n_phi
-        accE = np.sum(ring * np.conj(ye))
-        accM = np.sum(ring * np.conj(ym))
-        alpha[:, skip + i] = j * (j + 1) * accE * step, j * (j + 1) * accM * step
+    at_zero = np.array(_vsh_grid(js[kept], m_j, theta0, 0.0))  # (Y^E, Y^M) by degree
+    # elementwise products summed over the components, so no BLAS kernel rounds them
+    alpha[:, kept] = js[kept] * (js[kept] + 1) * np.sum(D * np.conj(at_zero), axis=-1)
     return alpha[0], alpha[1]
 
 

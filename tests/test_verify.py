@@ -965,43 +965,50 @@ class TestWavesByDegree:
 
 
 class TestTurnedRing:
-    """The harmonics on an expansion_coefficients ring, phi_k = 2 pi k / n with
-    n = 8 (|m| + j + 4), turned from phi = 0 against vsh_grid on every node."""
+    """expansion_coefficients, whose one ring is turned back to phi = 0, against
+    the per-node projection: for each degree a ring of n = 8 (|m| + j + 4)
+    nodes, with vsh_grid evaluated on every node."""
 
     @staticmethod
-    def ring(m, j):
-        n = 8 * (abs(m) + j + 4)
-        return np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    def per_node(which, m, k_z, degrees, m_j):
+        theta0 = math.acos(k_z / modes.omega(1.0, 1.0, k_z))
+        alpha = np.zeros((2, len(degrees)), dtype=complex)
+        for i, j in enumerate(degrees):
+            if j < max(1, abs(m_j)):
+                continue
+            n = 8 * (abs(m) + j + 4)
+            phis = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+            ring = modes.cone_density(which, m, 1.0, k_z, phis)
+            for row, y in zip(alpha, specfun.vsh_grid(j, m_j, np.full(n, theta0), phis)):
+                row[i] = j * (j + 1) * np.sum(ring * np.conj(y)) * (2 * math.pi / n)
+        return alpha
 
     @staticmethod
     def tolerance(m_j):
         # vsh_grid on a node takes e^(i m_j phi_k) with m_j phi_k rounded, where
-        # |m_j phi_k| < 2 pi |m_j|; the turned ring's phase is reduced exactly
+        # |m_j phi_k| < 2 pi |m_j|; the turned-back ring's phase is reduced exactly
         return 3e-15 + 2 * math.pi * abs(m_j) * np.finfo(float).eps
 
-    @pytest.mark.parametrize("m", range(-8, 9))
-    def test_equals_vsh_grid_on_the_ring_nodes(self, m):
-        for m_j in (m - 1, m, m + 1):
-            degrees = np.arange(max(1, abs(m_j)), 13)
-            for theta0 in (0.3, 1.1, 2.6, 0.0, math.pi):  # 0 and pi take the pole branch
-                at_zero = specfun.vsh_grid(degrees, m_j, theta0, 0.0)
-                for i, j in enumerate(degrees):
-                    phis = self.ring(m, j)
-                    direct = specfun.vsh_grid(int(j), m_j, np.full(len(phis), theta0), phis)
-                    for which, y0, want in zip("EM", at_zero, direct):
-                        got = verify._turned(y0[i], m_j, phis)
-                        gap = np.abs(got - want).max()
-                        assert gap <= self.tolerance(m_j) * np.abs(want).max(), (m_j, theta0, j, which)
+    @pytest.mark.parametrize("m", [*range(-8, 9), 150, -150])
+    def test_equals_the_per_node_projection(self, m):
+        degrees = range(max(0, abs(m) - 2), abs(m) + 9)
+        for which in "MN":
+            for k_z in (2.0, -2.0):
+                # the off-order projections vanish to rounding: the range's
+                # largest |alpha| at m_j = m sets the scale of all three
+                scale = np.abs(self.per_node(which, m, k_z, degrees, m)).max()
+                for m_j in (m - 1, m, m + 1):
+                    got = np.array(expansion_coefficients(which, m, 1.0, k_z, degrees, m_j=m_j))
+                    gap = np.abs(got - self.per_node(which, m, k_z, degrees, m_j)).max()
+                    assert gap <= self.tolerance(m_j) * scale, (which, k_z, m_j, gap / scale)
 
     def test_phases_repeat_every_n_phi_orders(self):
-        m, j, theta0 = 150, 160, 1.1
-        phis = self.ring(m, j)
-        direct = specfun.vsh_grid(j, m, np.full(len(phis), theta0), phis)
-        for y0, want in zip(specfun.vsh_grid(j, m, theta0, 0.0), direct):
-            for m_j in (m - 1, m, m + 1):
-                assert _bitwise(verify._turned(y0, m_j, phis), verify._turned(y0, m_j + len(phis), phis))
-            gap = np.abs(verify._turned(y0, m, phis) - want).max()
-            assert gap <= self.tolerance(m) * np.abs(want).max()
+        m = 150
+        for m_j in (m - 1, m, m + 1):
+            phis = np.linspace(0.0, 2 * math.pi, 8 * (abs(m - m_j) + 4), endpoint=False)
+            ring = modes.cone_density("N", m, 1.0, 2.0, phis)
+            assert _bitwise(verify._turned_back(ring, m_j, phis),
+                            verify._turned_back(ring, m_j + len(phis), phis)), m_j
 
 
 class TestSharedCoefficients:
@@ -1023,39 +1030,48 @@ class TestSharedCoefficients:
                 assert _bitwise(total[idx], t1[0]) and _bitwise(total[idx], t2), (idx, j)
 
     @pytest.mark.parametrize("which", ["M", "N"])
-    @pytest.mark.parametrize("m", [-3, 0, 2, 150])
+    @pytest.mark.parametrize("m", [-3, 0, 2, 3, 150])
     def test_a_range_call_equals_its_one_degree_calls(self, which, m):
-        # each degree sums on its own ring, and vsh_grid gives it the same bits
-        # in any degree array, so a range's entries are the one-degree calls'
-        degrees = range(max(0, abs(m) - 2), abs(m) + 6)
-        for k_z in (2.0, -2.0):
-            for m_j in (m - 1, m, m + 1):
-                batch = expansion_coefficients(which, m, 1.0, k_z, degrees, m_j=m_j)
-                below = max(1, abs(m_j)) - degrees.start
-                for got in batch:
-                    assert got.dtype == complex and got.shape == (len(degrees),)
-                    assert _bitwise(got[:below], np.zeros(below, dtype=complex)), m_j
-                for i, j in enumerate(degrees):
-                    one = expansion_coefficients(which, m, 1.0, k_z, range(j, j + 1), m_j=m_j)
-                    for got, ref in zip(batch, one):
-                        assert _bitwise(got[i:i + 1], ref), (m_j, k_z, j)
-                empty = expansion_coefficients(which, m, 1.0, k_z, range(degrees.stop, degrees.stop), m_j=m_j)
-                assert [a.shape for a in empty] == [(0,), (0,)]
+        # the ring does not depend on the degrees, and vsh_grid gives each degree
+        # the same bits in any degree array, so a range's entries are the
+        # one-degree calls', in a stepped or descending range too
+        for degrees in (range(max(0, abs(m) - 2), abs(m) + 6), range(max(0, abs(m) - 3), abs(m) + 7, 2),
+                        range(abs(m) + 3, -1, -1)):
+            for k_z in (2.0, -2.0):
+                for m_j in (m - 1, m, m + 1):
+                    batch = expansion_coefficients(which, m, 1.0, k_z, degrees, m_j=m_j)
+                    below = np.array(degrees) < max(1, abs(m_j))
+                    for got in batch:
+                        assert got.dtype == complex and got.shape == (len(degrees),)
+                        assert _bitwise(got[below], np.zeros(below.sum(), dtype=complex)), m_j
+                    for i, j in enumerate(degrees):
+                        one = expansion_coefficients(which, m, 1.0, k_z, range(j, j + 1), m_j=m_j)
+                        for got, ref in zip(batch, one):
+                            assert _bitwise(got[i:i + 1], ref), (degrees, m_j, k_z, j)
+        for m_j in (m - 1, m, m + 1):
+            empty = expansion_coefficients(which, m, 1.0, 2.0, range(3, 3), m_j=m_j)
+            assert [a.shape for a in empty] == [(0,), (0,)]
 
     def test_one_coefficient_call_per_ring_range(self, monkeypatch):
-        calls = []
+        calls, rings = [], []
         original = verify.expansion_coefficients
+        cone_density = verify.cone_density
 
         def counted(which, m, k_perp, k_z, degrees, c=1.0, m_j=None):
             calls.append((which, m if m_j is None else m_j, degrees))
             return original(which, m, k_perp, k_z, degrees, c, m_j)
 
         monkeypatch.setattr(verify, "expansion_coefficients", counted)
+        monkeypatch.setattr(verify, "cone_density",
+                            lambda *args: rings.append((len(calls), len(args[4]))) or cone_density(*args))
         spherical_suite()
         # the printed u, v at m_j = m and the projections at m_j = m -/+ 1 over
         # j = 2..11, then the sums of N and M over j = 2..60
         assert calls == [("N", 2, range(2, 12)), ("N", 1, range(2, 12)), ("N", 3, range(2, 12)),
                          ("N", 2, range(2, 61)), ("M", 2, range(2, 61))]
+        # one cone_density call per coefficient call, on a ring of 8 (|m - m_j| + 4)
+        # nodes whatever the degrees: 5 calls per suite, not one per degree
+        assert rings == [(1, 32), (2, 40), (3, 40), (4, 32), (5, 32)]
 
     def test_five_rings_and_two_wave_pairs_in_the_suite(self, monkeypatch):
         keys = []
