@@ -15,9 +15,10 @@ Conventions
   m-coefficient c0 + c1 m) times a node factor: a monomial
   q hbar^a c^b k_perp^d k_z^e w^f, stored as the numbers (q, (a, b, d, e, f))
   and evaluated by `node_factors` alone.  `TERMS` lists these sums, one
-  table for the observables, the summed Stokes operators and the
-  grid-factor right-hand sides of the commutator table; `assemble` turns an
-  entry into COO triplets and builds its operator in one construction.
+  table for the observables and the grid-factor right-hand sides of the
+  commutator table; `assemble` turns an entry into COO triplets and builds
+  its operator in one construction.  The Stokes operators have one builder,
+  `build_stokes`, which also sums them over any set of (m, node) pairs.
   Every builder hands `QuadraticOperator` its triplets as (vals, (rows, cols)).
 * Basis maps: the (+/-) and (R/L) maps mix only the (TM, TE) pair of one
   (m, node), so each is a `BasisMap` of per-pair 2 x 2 blocks, built
@@ -100,8 +101,6 @@ TERMS = {
     "[S+,L3]": ((SIGMA_PLUS, (-1.0, (2, 1, 1, 0, -1))),),
     # printed: -i hbar^2 sum (c k_z/w) sum_m (b2^dag_{m+1} b1_{m-1} - b1^dag_{m+1} b2_{m-1})
     "[S+,L-] printed": ((((TE, TM, 2, -1j, 0), (TM, TE, 2, 1j, 0)), (1.0, (2, 1, 0, 1, -1))),),
-    # Stokes sigma_1..3 summed over every (m, node); the pairs are disjoint
-    **{f"sigma{k}": ((STOKES[k], (1.0, (0, 0, 0, 0, 0))),) for k in (1, 2, 3)},
 }
 
 # the beta monomials of the (+/-) and (R/L) pair blocks: 1 and c k_z / w

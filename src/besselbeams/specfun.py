@@ -1,19 +1,20 @@
 """Special functions for cylindrical and spherical mode evaluation.
 
 Cylindrical Bessel functions J_m and derivatives, outer-product J_m tables
-memoized in a dict the caller owns, associated Legendre functions P_j^m
-(Condon-Shortley phase), transverse vector spherical harmonics, and the
-closed-form finite-radius Bessel overlap used as an independent
+memoized in a dict the caller owns, transverse vector spherical harmonics,
+and the closed-form finite-radius Bessel overlap used as an independent
 quadrature oracle.
 
 Evaluation is delegated to scipy.special; this module adds the domain
 checks, the negative-order/negative-m conventions used throughout the
-package, and the closed forms scipy does not provide.  Point functions
-(one x per call) go through the compiled scalar kernels of
-``scipy.special.cython_special`` and return a Python ``float``, which
-equals the ufunc's value bit for bit at about a quarter of its per-call
-cost and keeps NumPy-scalar arithmetic out of the per-point field path.  Angle
-arrays go through the ufuncs.  A Bessel table (``_bessel_j_table``) is filled on
+package, and the closed forms scipy does not provide.  Each function has one
+route.  The point Bessel functions (one x per call) go through the compiled
+scalar kernel ``scipy.special.cython_special.jv`` and return a Python
+``float``, which equals the ufunc's value bit for bit at about a quarter of
+its per-call cost and keeps NumPy-scalar arithmetic out of the per-point field
+path.  The harmonics go through the ``sph_harm_y`` ufunc on angle arrays; so
+does P_j^m, which callers take from ``scipy.special.lpmv`` directly.  A Bessel
+table (``_bessel_j_table``) is filled on
 the calling thread from one ``j0`` and one ``j1`` pass per (k, x) grid, kept in
 the caller's dict as the grid's tables of orders 0 and 1 (x = 0 included).  An
 order n >= 2 takes the upward recurrence from them at and above its turning
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 from scipy.special import j0, j1, jv, sph_harm_y
-from scipy.special.cython_special import jv as jv_point, lpmv as lpmv_point
+from scipy.special.cython_special import jv as jv_point
 
 MAX_ORDER = 200
 # below this sin(theta), vsh_grid takes m Y_jm / sin(theta) from the ladder identity
@@ -166,59 +167,6 @@ def lommel_overlap_equal(m, k, R):
     return 0.5 * R**2 * (bessel_j_prime(m, x) ** 2 + (1.0 - m**2 / x**2) * bessel_j(m, x) ** 2)
 
 
-def _check_degree(j):
-    """DomainError for a degree above MAX_ORDER; scipy's sph_harm_y returns
-    NaN from degree 646 on."""
-    if j > MAX_ORDER:
-        raise DomainError(f"degree j={j} exceeds {MAX_ORDER}")
-
-
-def _finite(value, name, *args):
-    """`value`, or DomainError where the kernel overflows to inf or NaN (P_j^m near m = j)."""
-    if not math.isfinite(value):
-        raise DomainError(f"{name}{args} is not finite: the kernel gives {value}")
-    return value
-
-
-def assoc_legendre(j, m, x):
-    """Associated Legendre P_j^m(x), Condon-Shortley phase, 0 <= m <= j, one real x."""
-    j, m, x = int(j), int(m), float(x)
-    if m < 0 or j < 0 or m > j:
-        raise DomainError("assoc_legendre requires 0 <= m <= j")
-    _check_degree(j)
-    if abs(x) > 1:
-        raise DomainError("assoc_legendre requires |x| <= 1")
-    return _finite(lpmv_point(m, j, x), "assoc_legendre", j, m, x)
-
-
-def assoc_legendre_prime(j, m, x):
-    """dP_j^m/dx at one real x in (-1, 1), via (x^2-1) P' = j x P_j^m - (j+m) P_{j-1}^m."""
-    j, m, x = int(j), int(m), float(x)
-    if m < 0 or m > j:
-        raise DomainError("assoc_legendre_prime requires 0 <= m <= j")
-    _check_degree(j)
-    if abs(x) >= 1:
-        raise DomainError("assoc_legendre_prime requires |x| < 1")
-    if j == 0:
-        return 0.0
-    pjm1 = lpmv_point(m, j - 1, x) if j - 1 >= m else 0.0
-    dp = (j * x * lpmv_point(m, j, x) - (j + m) * pjm1) / (x * x - 1.0)
-    return _finite(dp, "assoc_legendre_prime", j, m, x)
-
-
-def spherical_harmonic(j, m, theta, phi):
-    """Y_jm(theta, phi), orthonormal on the sphere, Condon-Shortley.
-
-    `j` is one degree or an integer array of them, broadcast against theta
-    and phi.
-    """
-    j, m = np.asarray(j, dtype=int), int(m)
-    if abs(m) > j.min():
-        raise DomainError("spherical_harmonic requires |m| <= j")
-    _check_degree(j.max())
-    return sph_harm_y(j, m, theta, phi)
-
-
 def vsh_grid(j, m, theta, phi):
     """(Y^(E), Y^(M)) transverse vector spherical harmonics on angle grids.
 
@@ -233,7 +181,8 @@ def vsh_grid(j, m, theta, phi):
     j.shape + broadcast(theta, phi).shape + (3,), Cartesian components.
     """
     j = np.asarray(j, dtype=int)
-    _check_degree(j.max())
+    if j.max() > MAX_ORDER:  # scipy's sph_harm_y returns NaN from degree 646 on
+        raise DomainError(f"degree j={j.max()} exceeds {MAX_ORDER}")
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     j = j.reshape(j.shape + (1,) * theta.ndim)
     st, ct = np.sin(theta), np.cos(theta)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import spherical_jn
+from scipy.special import lpmv, sph_harm_y, spherical_jn
 
 from . import specfun
 from .lattice import (
@@ -232,15 +232,11 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
         parts.append(f"residual relative to |A|max |B|max = {scale:.6g}")
         results.append(RelationResult("commutator: " + name, resid, tol, "; ".join(parts)))
 
-    # Stokes su(2) on every (TM, TE) pair at once: the summed operators sit
-    # on disjoint index pairs, so each summed residual's max-abs is the
-    # worst case over all (node, m).  The per-pair operators of the distinct
-    # corner (m, node) labels, built in one call, sit on disjoint pairs too,
-    # and check the same algebra at full size.
-    worst = _su2_residual(*(assemble(lat, name).X for name in ("sigma1", "sigma2", "sigma3")), 2j)
-    corners = {(node, m) for node in (0, len(lat.nodes) - 1) for m in lat.m_range}
-    node, m = np.array(sorted(corners)).T
-    worst = max(worst, _su2_residual(*(s.X for s in build_stokes(lat, node, m)[1:]), 2j))
+    # Stokes su(2) on every (TM, TE) pair at once: the operators summed over
+    # all (node, m) sit on disjoint index pairs, so the summed residual's
+    # max-abs is the worst case over all (node, m)
+    every_pair = build_stokes(lat, np.arange(len(lat.nodes)), np.array(lat.m_values)[:, None])
+    worst = _su2_residual(*(s.X for s in every_pair[1:]), 2j)
     results.append(
         RelationResult(
             "commutator: stokes [sigma_i,sigma_j] = 2i eps_ijk sigma_k",
@@ -1013,7 +1009,8 @@ def expansion_coefficients(which, m, k_perp, k_z, degrees, c=1.0, m_j=None):
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     ring = cone_density(which, m, k_perp, k_z, phis, c)
     D = np.sum(_turned_back(ring, m_j, phis), axis=0) * (2 * math.pi / n_phi)
-    theta0 = math.acos(c * k_z / omega(c, k_perp, k_z))
+    # atan2 keeps every digit of the cone angle as k_perp / k_z -> 0, where acos(c k_z / w) keeps half
+    theta0 = math.atan2(k_perp, k_z)
     at_zero = np.array(_vsh_grid(js[kept], m_j, theta0, 0.0))  # (Y^E, Y^M) by degree
     # elementwise products summed over the components, so no BLAS kernel rounds them
     alpha[:, kept] = js[kept] * (js[kept] + 1) * np.sum(D * np.conj(at_zero), axis=-1)
@@ -1035,8 +1032,11 @@ def printed_uv(m, k_perp, k_z, j, c=1.0):
     )
     phase = (-1.0) ** (m + (m + abs(m)) // 2) * I_POWERS[(m + j) % 4]
     pref = 4 * math.pi**2 * phase * norm * math.sqrt(c) * k_perp / (k_z * math.sqrt(w))
-    u = -pref * (c / w) * float(specfun.assoc_legendre_prime(j, abs(m), x))
-    v = pref * (1j * m * w / (c * k_perp)) * float(specfun.assoc_legendre(j, abs(m), x))
+    p = float(lpmv(abs(m), j, x))
+    below = float(lpmv(abs(m), j - 1, x)) if j - 1 >= abs(m) else 0.0
+    # dP_j^m/dx from (x^2 - 1) P' = j x P_j^m - (j + |m|) P_{j-1}^m (DLMF 14.10)
+    u = -pref * (c / w) * ((j * x * p - (j + abs(m)) * below) / (x * x - 1.0))
+    v = pref * (1j * m * w / (c * k_perp)) * p
     return u, v
 
 
@@ -1070,7 +1070,7 @@ def _spherical_wave_pair(j, m, w, points, c=1.0):
     j = j.reshape(j.shape + (1,) * r.ndim)
     jj, jp = spherical_jn(j, kr), spherical_jn(j, kr, derivative=True)
     n_hat = points / r[..., None]
-    radial = ((jj / kr) * specfun.spherical_harmonic(j, m, theta, phi))[..., None]
+    radial = ((jj / kr) * sph_harm_y(j, m, theta, phi))[..., None]
     ve = phase_e * (radial * n_hat + (jj / kr + jp)[..., None] * ye)
     vm = phase_m * jj[..., None] * ym
     return ve, vm

@@ -272,19 +272,26 @@ class TestTermTableAssembly:
         zero = zero_points(lat)
         assert set(zero) == {"energy", "number", "P3", "L3"} and all(zero.values())
 
-    @pytest.mark.parametrize("name", list(TERMS))
+    @pytest.mark.parametrize("name", [*TERMS, "sigma1", "sigma2", "sigma3"])
     def test_nodes_off_a_product_grid_act_one_by_one(self, name):
         # three nodes on the shell |k| = 2, one with k_z < 0: no k_perp x k_z
-        # grid holds them.  Each TERMS operator couples no two nodes, and its
-        # block on a node is that node's one-node operator, bit for bit
+        # grid holds them.  Each TERMS operator, and each Stokes operator
+        # summed over every (node, m), couples no two nodes, and its block on
+        # a node is that node's one-node operator, bit for bit
+        def build(lat):
+            if name in TERMS:
+                return assemble(lat, name).X
+            every_pair = build_stokes(lat, np.arange(len(lat.nodes)), np.array(lat.m_values)[:, None])
+            return every_pair[int(name[-1])].X
+
         nodes = ((1.2, 1.6), (2 * math.sin(0.3), 2 * math.cos(0.3)), (1.6, -1.2))
         lat = ModeLattice((-3, 3), nodes, c=2.9, hbar=0.37)
-        X = assemble(lat, name).X
+        X = build(lat)
         nnz = 0
         for node in range(len(nodes)):
             idx = np.sort(lat.pairs()[:, node].ravel())
             block = X[idx][:, idx]
-            one = assemble(ModeLattice(lat.m_range, nodes[node:node + 1], c=2.9, hbar=0.37), name).X
+            one = build(ModeLattice(lat.m_range, nodes[node:node + 1], c=2.9, hbar=0.37))
             assert block.toarray().tobytes() == one.toarray().tobytes(), node
             nnz += block.nnz
         assert nnz == X.nnz > 0

@@ -201,8 +201,8 @@ CENSUS_EDITS = {
 UNITS_LATTICE = build_lattice((-4, 4), [0.5, 1.0, 1.5], [1.0, 2.0], c=2.9, hbar=0.37)
 
 # Each census mutant as (table, key, mutated value, suite that must kill it):
-# every TERMS entry but energy, number and sigma1..3 through the commutator
-# suite, and the (+/-) and (R/L) beta monomials through the basis suite.
+# every TERMS entry but energy and number through the commutator suite, and
+# the (+/-) and (R/L) beta monomials through the basis suite.
 CENSUS = {
     **{f"{name} {label}": (dynops.TERMS, name, _factor(name, *edit), commutator_suite)
        for name in ("P+", "P3", "L+", "L3", "S+", "S3",
