@@ -16,10 +16,10 @@ Conventions
   q hbar^a c^b k_perp^d k_z^e w^f, stored as the numbers (q, (a, b, d, e, f))
   and evaluated by `node_factors` alone.  `TERMS` lists these sums, one
   table for the observables and the grid-factor right-hand sides of the
-  commutator table; `assemble` turns an entry into COO triplets and builds
-  its operator in one construction.  The Stokes operators have one builder,
-  `build_stokes`, which also sums them over any set of (m, node) pairs.
-  Every builder hands `QuadraticOperator` its triplets as (vals, (rows, cols)).
+  commutator table; `assemble` turns an entry into a `QuadraticOperator`,
+  one term array over (m, node) per bilinear row.  The Stokes operators
+  have one builder, `build_stokes`, which also sums them over any set of
+  (m, node) pairs.
 * Basis maps: the (+/-) and (R/L) maps mix only the (TM, TE) pair of one
   (m, node), so each is a `BasisMap` of per-pair 2 x 2 blocks, built
   node by node from a `PAIR_BETA` monomial.
@@ -47,7 +47,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import FAMILIES, BasisMap, LatticeError, ModeLattice, QuadraticOperator
+from .lattice import FAMILIES, BasisMap, LatticeError, ModeLattice, QuadraticOperator, term_span
 # Unused here: perfbench/tracing.py wraps dynops.commutator by name.
 from .lattice import commutator  # noqa: F401
 from .modes import TE, TM, omega
@@ -116,7 +116,8 @@ def node_factors(lat: ModeLattice, monomial):
     q, powers = monomial
     out = []
     for kp, kz in lat.nodes:
-        node = (lat.hbar, lat.c, kp, kz, omega(lat.c, kp, kz))
+        # omega, the costliest factor, only where the monomial has a power of it
+        node = (lat.hbar, lat.c, kp, kz, omega(lat.c, kp, kz) if powers[4] else None)
         v = q
         for x, n in zip(node, powers):
             if n > 0:
@@ -128,33 +129,27 @@ def node_factors(lat: ModeLattice, monomial):
     return out
 
 
-def _triplets(lat: ModeLattice, name):
-    """COO (rows, cols, values) of TERMS[name] summed over every node of `lat`."""
-    m_min, m_max = lat.m_range
-    node = np.arange(len(lat.nodes))
-    rows, cols, vals = [], [], []
+def assemble(lat: ModeLattice, name) -> QuadraticOperator:
+    """TERMS[name] summed over every node of `lat`, one term array per bilinear row."""
+    m = np.array(lat.m_values)[:, None]
+    terms = {}
     for bilinear, factor in TERMS[name]:
         F = np.array(node_factors(lat, factor))
         for row_fam, col_fam, shift, c0, c1 in bilinear:
-            m = np.arange(max(m_min, m_min - shift), min(m_max, m_max - shift) + 1)[:, None]
-            rows.append(lat.index(row_fam, m + shift, node).ravel())
-            cols.append(lat.index(col_fam, m, node).ravel())
-            vals.append(((c0 + c1 * m) * F).ravel())
-    # + 0.0 turns the -0.0 parts of the complex products into +0.0
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals) + 0.0
-
-
-def assemble(lat: ModeLattice, name) -> QuadraticOperator:
-    """TERMS[name] on `lat`, built from its COO triplets in one construction."""
-    rows, cols, vals = _triplets(lat, name)
-    return QuadraticOperator(lat, (vals, (rows, cols)))
+            v = np.zeros((len(m), len(F)), dtype=complex)
+            span = term_span(shift, len(m))
+            v[span] = (c0 + c1 * m[span]) * F
+            # 0.0 + turns the -0.0 parts of the complex products into +0.0
+            terms[row_fam, col_fam, shift] = terms.get((row_fam, col_fam, shift), 0.0) + v
+    return QuadraticOperator(lat, terms)
 
 
 def zero_points(lat: ModeLattice):
     """Zero points of energy, number, P3 and L3 by name (0 for the others);
     P3's and L3's are (1/2) sum_m of each TERMS row's coefficients, added
     node by node and row (family) by row."""
-    hbar_w = _triplets(lat, "energy")[2]  # the diagonal in index order
+    energy = assemble(lat, "energy").terms
+    hbar_w = np.concatenate([energy[f, f, 0].real.ravel() for f in FAMILIES])  # the diagonal in index order
     zero = {"energy": 0.5 * hbar_w.sum(), "number": 0.5 * lat.dim}
     ms = np.array(lat.m_values)
     for name in ("P3", "L3"):
@@ -176,13 +171,12 @@ def build_stokes(lat: ModeLattice, node, m):
     operators over every broadcast (node, m): a label named twice counts
     twice, so the result equals the sum of the scalar calls.
     """
-    idx = {f: np.ravel(lat.index(f, m, node)) for f in FAMILIES}
-    ops = []
-    for rows in STOKES:
-        row_fams, col_fams, _, vals, _ = zip(*rows)
-        ij = (np.concatenate([idx[f] for f in row_fams]), np.concatenate([idx[f] for f in col_fams]))
-        ops.append(QuadraticOperator(lat, (np.repeat(vals, idx[TM].size), ij)))
-    return tuple(ops)
+    lat.index(TM, m, node)  # refuses a label outside the lattice
+    count = np.zeros((len(lat.m_values), len(lat.nodes)), dtype=complex)
+    np.add.at(count, tuple(np.broadcast_arrays(np.subtract(m, lat.m_range[0]), node)), 1.0)
+    # + 0.0 turns the -0.0 parts of the complex products into +0.0
+    return tuple(QuadraticOperator(lat, {(r, c, 0): c0 * count + 0.0 for r, c, _, c0, _ in rows})
+                 for rows in STOKES)
 
 
 def stokes_expectations(lat: ModeLattice, alpha):

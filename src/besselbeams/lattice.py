@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -118,24 +118,58 @@ def build_lattice(m_range, k_perp, k_z, c=1.0, hbar=1.0):
     return ModeLattice(tuple(m_range), tuple(itertools.product(k_perp, k_z)), c, hbar)
 
 
+def term_span(shift, n_m):
+    """Columns m (0..n_m-1) of a term with this m shift whose row m + shift is on the lattice."""
+    return slice(max(0, -shift), n_m - max(0, shift))
+
+
+def _products(A, B):
+    """a * b for the complex arrays paired in A and B, flattened in turn, as scipy.sparse's
+    kernels form it: (ar br - ai bi) + i (ar bi + ai br) in separate real operations,
+    which numpy never fuses (its complex multiply may, by SIMD level)."""
+    a, b = np.concatenate(A, axis=None), np.concatenate(B, axis=None)
+    p = np.empty(a.shape, dtype=complex)
+    np.subtract(a.real * b.real, a.imag * b.imag, out=p.real)
+    np.add(a.real * b.imag, a.imag * b.real, out=p.imag)
+    return p
+
+
 class QuadraticOperator:
     """Normal-ordered O = sum_jk X_jk b_j^dag b_k on a fixed lattice.
 
-    X is a sparse complex D x D coefficient matrix over unit-normalized
-    discrete ladder operators.  X may be a matrix or COO triplets
-    (vals, (rows, cols)), whose duplicates add up.
-    Only exact zeros are dropped from X, so no coefficient is lost to its
-    size in the chosen units.
+    Lattice operators are node-local and shift m by a fixed amount per family
+    pair, so X is held as `terms`: {(row family, column family, m shift):
+    complex array over (m, node)}, whose entry at column m is the coefficient
+    of b^dag_{row family, m + shift} b_{column family, m}, and 0 where m + shift
+    leaves the lattice.  The constructor also decodes a D x D matrix or COO
+    triplets (vals, (rows, cols)), duplicates adding up; an entry that couples
+    two nodes raises LatticeError.  `X` is a CSR view of the terms, built on
+    first read.
     """
 
     def __init__(self, lattice: ModeLattice, X):
         self.lattice = lattice
-        D = lattice.dim
-        self.X = sp.csr_matrix(X, dtype=complex, shape=(D, D))
-        self.X.eliminate_zeros()
+        self.terms = X if isinstance(X, dict) else _decode(lattice, X)
+
+    @cached_property
+    def X(self):
+        """The D x D coefficient matrix in canonical CSR, exact zeros eliminated."""
+        lat = self.lattice
+        m, node = np.array(lat.m_values)[:, None], np.arange(len(lat.nodes))
+        coo = [(np.zeros(0, dtype=complex), np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
+        for (r, c, s), v in self.terms.items():
+            span = term_span(s, len(m))
+            coo.append((v[span], lat.index(r, m[span] + s, node), lat.index(c, m[span], node)))
+        vals, rows, cols = (np.concatenate(x, axis=None) for x in zip(*coo))
+        X = sp.csr_matrix((vals, (rows, cols)), shape=(lat.dim, lat.dim))
+        X.eliminate_zeros()
+        return X
 
     def dagger(self):
-        return QuadraticOperator(self.lattice, self.X.getH())
+        # column m of (c, r, -s) is row m of (r, c, s): a roll by s (by slices, cheaper than
+        # np.roll), which brings the zeros past the lattice edge round to the other end
+        return QuadraticOperator(self.lattice, {(c, r, -s): np.concatenate((v[-s:], v[:-s])).conj()
+                                                for (r, c, s), v in self.terms.items()})
 
     def _check(self, other):
         if self.lattice is not other.lattice and self.lattice != other.lattice:
@@ -145,7 +179,8 @@ class QuadraticOperator:
         if not isinstance(other, QuadraticOperator):
             return NotImplemented
         self._check(other)
-        return QuadraticOperator(self.lattice, self.X + other.X)
+        A, B = self.terms, other.terms  # a term that one side lacks reads 0 there
+        return QuadraticOperator(self.lattice, {k: A.get(k, 0.0) + B.get(k, 0.0) for k in {**A, **B}})
 
     __radd__ = __add__
 
@@ -153,19 +188,57 @@ class QuadraticOperator:
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        return QuadraticOperator(self.lattice, self.X * scalar)
+        return QuadraticOperator(self.lattice, {k: v * scalar for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
-    def max_abs(self):
-        """Max-abs over the coefficient entries."""
-        return abs(self.X.data).max() if self.X.nnz else 0.0
+    def __matmul__(self, other):
+        """The operator whose coefficient matrix is X_self X_other (not the operator
+        product): (r, f, s1) times (f, c, s2) gives (r, c, s1 + s2) with V[m] =
+        A[m + s2] B[m].  Each entry sums its `_products` from a complex zero in the
+        order of CSR's matmul, intermediate index ascending: family, then m."""
+        self._check(other)
+        n_m, n_nodes = len(self.lattice.m_values), len(self.lattice.nodes)
+        sums, A, B, out = [], [], [], {}
+        for (f, c, s2), b in sorted(other.terms.items(), key=lambda t: (FAMILIES.index(t[0][0]), t[0][2])):
+            for (r, _, s1), a in (t for t in self.terms.items() if t[0][1] == f):
+                # the columns m whose rows m + s2 and m + s1 + s2 stay on the lattice
+                lo, hi = max(0, -s2, -s1 - s2), n_m - max(0, s2, s1 + s2)
+                if lo < hi:
+                    sums.append(((r, c, s1 + s2), lo, hi))
+                    A.append(a[lo + s2:hi + s2])
+                    B.append(b[lo:hi])
+        # one batch of products: each pair's hi - lo rows (of n_nodes), in turn
+        p = _products(A, B).reshape(-1, n_nodes) if sums else None
+        for key, lo, hi in sums:
+            out.setdefault(key, np.zeros((n_m, n_nodes), dtype=complex))[lo:hi] += p[:hi - lo]
+            p = p[hi - lo:]
+        return QuadraticOperator(self.lattice, out)
+
+    def max_abs(self, margin=0):
+        """Max-abs over the coefficient entries whose row and column m both
+        lie at least `margin` inside the m window (0 for no entry)."""
+        n = len(self.lattice.m_values)
+        block = [v[max(margin, margin - s):n - max(margin, margin + s)] for (*_, s), v in self.terms.items()]
+        return np.abs(np.concatenate(block, axis=None)).max(initial=0.0) if block else 0.0
+
+
+def _decode(lat: ModeLattice, X):
+    """Terms of a D x D matrix or of COO triplets (vals, (rows, cols))."""
+    X = sp.coo_matrix(X, shape=(lat.dim, lat.dim), dtype=complex).tocsr().tocoo()  # duplicates summed
+    shape = (len(FAMILIES), len(lat.m_values), len(lat.nodes))
+    (fr, mr, nr), (fc, mc, nc) = np.unravel_index(X.row, shape), np.unravel_index(X.col, shape)
+    if np.any(nr != nc):
+        raise LatticeError("operator couples two lattice nodes: only node-local operators are held")
+    terms = {}
+    for f, g, s, m, node, v in zip(fr.tolist(), fc.tolist(), (mr - mc).tolist(), mc, nc, X.data):
+        terms.setdefault((FAMILIES[f], FAMILIES[g], s), np.zeros(shape[1:], dtype=complex))[m, node] += v
+    return terms
 
 
 def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
     """[A, B] via the quadratic-form identity [b*Xb, b*Yb] = b*(XY - YX)b."""
-    A._check(B)
-    return QuadraticOperator(A.lattice, (A.X @ B.X - B.X @ A.X).tocsr())
+    return A @ B - B @ A
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,73 +246,77 @@ class BasisMap:
     """Invertible linear map b' = T b of the discrete ladder operators that
     mixes only the (TM, TE) pair of each (m, node).
 
-    `blocks` holds one 2 x 2 block per pair, shaped like `pairs`, the
-    read-only `lattice.pairs()`, plus a last axis of 2: rows are new ladders
-    and columns old ones, both in `FAMILIES` order.  T, its inverse and its
-    condition number all come from the blocks.  Maps compare by identity.
+    `blocks` holds one 2 x 2 block per pair, shaped (n_m, n_nodes, 2, 2):
+    rows are new ladders and columns old ones, both in `FAMILIES` order.
+    T, T^-1 (operators of shift-0 family-mixing terms) and the condition
+    number all come from the blocks.  Maps compare by identity.
     """
 
     lattice: ModeLattice
     blocks: np.ndarray
-    pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=complex)
-        pairs = self.lattice.pairs()
-        pairs.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "pairs", pairs)
-        if blocks.shape != pairs.shape + (2,):
+        object.__setattr__(self, "blocks", np.asarray(self.blocks, dtype=complex))
+        if self.blocks.shape != (len(self.lattice.m_values), len(self.lattice.nodes), 2, 2):
             raise LatticeError("BasisMap needs one 2 x 2 block per (TM, TE) pair")
 
-    def _scatter(self, blocks):
-        """Sparse D x D matrix with `blocks` placed on the (TM, TE) pairs."""
-        rows = np.broadcast_to(self.pairs[..., :, None], blocks.shape)
-        cols = np.broadcast_to(self.pairs[..., None, :], blocks.shape)
-        D = self.lattice.dim
-        return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(D, D))
+    def _operator(self, blocks):
+        pairs = itertools.product(enumerate(FAMILIES), repeat=2)
+        return QuadraticOperator(self.lattice, {(f, g, 0): blocks[..., i, j] for (i, f), (j, g) in pairs})
 
     @cached_property
     def T(self):
-        return self._scatter(self.blocks)
+        return self._operator(self.blocks)
 
     @cached_property
     def inverse(self):
-        """T^-1 (sparse), every block inverted in one batch."""
+        """T^-1, every block inverted in one batch."""
         try:
             inv = np.linalg.inv(self.blocks)
         except np.linalg.LinAlgError as exc:
             raise LatticeError("singular basis map") from exc
         if not np.all(np.isfinite(inv)):
             raise LatticeError("singular basis map")
-        return self._scatter(inv)
+        return self._operator(inv)
 
     @property
     def condition_number(self):
-        """max / min singular value of T: the singular values of T are
-        those of all its blocks together (not the largest per-block ratio)."""
-        sv = np.linalg.svd(self.blocks, compute_uv=False)
-        return float(sv.max() / sv.min())
+        """max / min singular value of T, over all its blocks together (not the
+        largest per-block ratio).  A block's pair s1 >= s2 solves s1^2 + s2^2 =
+        |B|_F^2, s1 s2 = |det B| in closed form (the inner root, of (s1^2 - s2^2)^2,
+        clipped at 0 against rounding): LAPACK's SVD of many 2 x 2 blocks costs more."""
+        b = self.blocks
+        frob2 = (np.abs(b) ** 2).sum(axis=(-2, -1))
+        det = np.abs(b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0])
+        s1 = np.sqrt(0.5 * (frob2 + np.sqrt(np.maximum((frob2 - 2.0 * det) * (frob2 + 2.0 * det), 0.0))))
+        return float(s1.max() / (det / s1).min())
 
     @property
     def unitarity_residual(self):
         """max |T^dag T - I| over the entries."""
-        R = (self.T.getH() @ self.T - sp.identity(self.lattice.dim, format="csr")).tocsr()
-        return float(abs(R.data).max()) if R.nnz else 0.0
+        identity = self._operator(np.broadcast_to(np.eye(2), self.blocks.shape))
+        return float((self.T.dagger() @ self.T - identity).max_abs())
 
 
 def apply_basis(A: QuadraticOperator, bm: BasisMap) -> QuadraticOperator:
     """Re-express A in the mapped basis: X' = (T^-1)^dag X T^-1, same abstract operator."""
     if A.lattice != bm.lattice:
         raise LatticeError("basis map lattice mismatch")
-    Tinv = bm.inverse
-    return QuadraticOperator(A.lattice, Tinv.getH() @ A.X @ Tinv)
+    return bm.inverse.dagger() @ A @ bm.inverse
 
 
 def coherent_expectation(A: QuadraticOperator, alpha: np.ndarray) -> complex:
     """<alpha| A |alpha> = conj(alpha) . X . alpha, for a complex amplitude
-    vector alpha of length lattice.dim in the flat index layout."""
-    return complex(np.vdot(alpha, A.X @ alpha))
+    vector alpha of length lattice.dim in the flat index layout.  Each row of
+    X . alpha sums its entries of A diag(alpha) as CSR's matvec does: from a
+    complex zero, column index ascending (column family, then m)."""
+    x = np.reshape(alpha, (len(FAMILIES), len(A.lattice.m_values), len(A.lattice.nodes)))
+    y = np.zeros(x.shape, dtype=complex)
+    scaled = A @ QuadraticOperator(A.lattice, {(f, f, 0): x[i] for i, f in enumerate(FAMILIES)})
+    for (r, c, s), v in sorted(scaled.terms.items(), key=lambda t: (FAMILIES.index(t[0][1]), -t[0][2])):
+        span = term_span(s, len(v))
+        y[FAMILIES.index(r), span.start + s:span.stop + s] += v[span]
+    return complex(np.vdot(alpha, y.ravel()))
 
 
 class FockOracle:

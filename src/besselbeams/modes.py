@@ -152,32 +152,38 @@ def mode_terms(which, m, k_perp, k_z, c=1.0, w=None):
 
 
 def _eval_mode(which, m, k_perp, k_z, p: CylPoint, c):
-    x = k_perp * p.rho
+    x, w = k_perp * p.rho, omega(c, k_perp, k_z)
     # Sum term * e_pol per Cartesian component in complex scalars.  Each
     # product with a component of e_pol is by exact 0 or +/-1, and the sums
     # start from +0, so they equal elementwise array sums bit for bit.
     cx = cy = cz = 0j
-    for pol, order, coeff in mode_terms(which, m, k_perp, k_z, c):
+    for pol, order, coeff in mode_terms(which, m, k_perp, k_z, c, w):
         term = complex(coeff * bessel_j(order, x) * cmath.exp(1j * order * p.phi))
         ex, ey, ez = _POL_COMPLEX[pol]
         cx += term * ex
         cy += term * ey
         cz += term * ez
-    # The phase product stays an array operation: numpy's complex array
-    # multiply may round differently from a scalar one (an FMA in its SIMD
-    # loop), and field values are defined by the array product.  A z
-    # sequence multiplies each row by its own phase, the same loop as the
-    # one-z product, so row k equals the value at z_k bit for bit.
-    profile = np.array((cx, cy, cz))
-    wt = omega(c, k_perp, k_z) * p.t
+    # The phase product a e^(i psi) = (ar cos psi - ai sin psi) + i (ai cos psi + ar sin psi)
+    # takes separate real multiplies and adds, never fused (an FMA) as numpy's or a C
+    # compiler's complex multiply may be, so no SIMD level or build changes a field value.
+    # A z sequence adds (-ai) sin psi, the difference bit for bit: row k is the value at z_k.
+    wt = w * p.t
     # np.ndim of a Python float costs about as much as a bessel_j call, so
     # isinstance settles the common case first
     if isinstance(p.z, (float, int)) or np.ndim(p.z) == 0:
-        return profile * cmath.exp(1j * (k_z * p.z - wt))
+        phase = cmath.exp(1j * (k_z * p.z - wt))
+        pr, pi, xr, xi = phase.real, phase.imag, cx.real, cx.imag
+        yr, yi, zr, zi = cy.real, cy.imag, cz.real, cz.imag
+        return np.array((xr * pr - xi * pi, xi * pr + xr * pi, yr * pr - yi * pi, yi * pr + yr * pi,
+                         zr * pr - zi * pi, zi * pr + zr * pi)).view(complex)
     zs = np.asarray(p.z, dtype=float)
     if zs.ndim != 1:
         raise ValueError("z must be one value or a 1-D sequence")
-    return profile * np.array([cmath.exp(1j * (k_z * z - wt)) for z in zs.tolist()])[:, None]
+    phase = np.array([cmath.exp(1j * (k_z * z - wt)) for z in zs.tolist()])
+    # rows: (re, im) of each component a, then of i a; a e^(i psi) = a cos psi + (i a) sin psi
+    a, ia = np.array((cx.real, cx.imag, cy.real, cy.imag, cz.real, cz.imag,
+                      -cx.imag, cx.real, -cy.imag, cy.real, -cz.imag, cz.real)).reshape(2, 6, 1)
+    return (a * phase.real + ia * phase.imag).T.copy().view(complex)
 
 
 def eval_M(m, k_perp, k_z, p: CylPoint, c=1.0):

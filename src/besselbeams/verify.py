@@ -136,21 +136,11 @@ def _flagged(suite):
 # ---------------------------------------------------------------------------
 
 
-def _interior_indices(lat: ModeLattice):
-    """Indices whose m is at least 2 away from the truncation edge.
-
-    m-shifting bilinears develop O(1) boundary defects on a truncated
-    m-window; all operator relations hold exactly on the interior block.
-    Below width 7 that block holds no two m values 2 apart, so a relation
-    whose sides shift m by 2 would restrict to nothing and pass vacuously.
-    """
-    m_min, m_max = lat.m_range
-    if m_max - m_min + 1 < 7:
-        raise LatticeError(
-            f"commutators need an m_range at least 7 wide, got {m_min}..{m_max}: "
-            "a narrower interior block holds no two m values 2 apart"
-        )
-    return lat.pairs()[2:-2].ravel()
+# m-shifting bilinears develop O(1) boundary defects on a truncated m-window;
+# all operator relations hold exactly on the interior block, this far from
+# either edge.  Below width 7 that block holds no two m values 2 apart, so a
+# relation whose sides shift m by 2 would restrict to nothing and pass vacuously.
+INTERIOR_MARGIN = 2
 
 
 # Every printed [A, B] = RHS as (name, A, B, RHS, provenance, notes), with A
@@ -211,22 +201,21 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     A table row's residual is max|[A,B] - RHS| / (|A|max |B|max), so `tol`
     is relative there; the Stokes and Fock rows stay absolute.
     """
-    interior = _interior_indices(lat)
+    m_min, m_max = lat.m_range
+    if m_max - m_min + 1 < 7:
+        raise LatticeError(f"commutators need an m_range at least 7 wide, got {m_min}..{m_max}: "
+                           "a narrower interior block holds no two m values 2 apart")
     obs = build_observables(lat)
-    results = []
-    lhs = {}
+    results, lhs = [], {}
     for name, a, b, rhs, provenance, notes in COMMUTATOR_TABLE:
         A, B = obs[a], obs[b]
-        if (a, b) not in lhs:
-            lhs[a, b] = commutator(A, B)
-        diff = lhs[a, b]
+        diff = lhs[a, b] = lhs.get((a, b)) or commutator(A, B)
         if rhs is not None:
             x, term = rhs
             diff = diff - (x * lat.hbar * obs[term] if term in obs else x * assemble(lat, term))
         # entries of [A, B] grow like |A|max |B|max with the lattice size
         scale = A.max_abs() * B.max_abs()
-        block = diff.X[interior][:, interior]
-        resid = (abs(block.data).max() if block.nnz else 0.0) / scale
+        resid = diff.max_abs(INTERIOR_MARGIN) / scale
         # a canonical row says so in its notes, as reports always have
         parts = ([provenance] if provenance == "canonical" else []) + ([notes] if notes else [])
         parts.append(f"residual relative to |A|max |B|max = {scale:.6g}")
@@ -236,27 +225,22 @@ def commutator_suite(lat: ModeLattice, tol=ALG_TOL):
     # all (node, m) sit on disjoint index pairs, so the summed residual's
     # max-abs is the worst case over all (node, m)
     every_pair = build_stokes(lat, np.arange(len(lat.nodes)), np.array(lat.m_values)[:, None])
-    worst = _su2_residual(*(s.X for s in every_pair[1:]), 2j)
-    results.append(
-        RelationResult(
-            "commutator: stokes [sigma_i,sigma_j] = 2i eps_ijk sigma_k",
-            worst,
-            STOKES_TOL,
-            "worst case over all (node, m)",
-        )
-    )
+    results.append(RelationResult("commutator: stokes [sigma_i,sigma_j] = 2i eps_ijk sigma_k",
+                                  _su2_residual(*every_pair[1:], 2j), STOKES_TOL,
+                                  "worst case over all (node, m)"))
 
     results.append(_fock_cross_check(tol))
     return _sorted(results)
 
 
 def _su2_residual(X1, X2, X3, unit):
-    """max-abs of [X_i, X_j] - unit eps_ijk X_k over the three cyclic pairs
-    of sparse coefficient matrices: unit is 2i for the Stokes operators and
-    i (hbar = 1) for L.  [b^dag X b, b^dag Y b] = b^dag [X, Y] b, so this is
-    the residual of the quadratic forms too."""
+    """max-abs of [X_i, X_j] - unit eps_ijk X_k over the three cyclic pairs of
+    `QuadraticOperator`s or sparse coefficient matrices: unit is 2i for the
+    Stokes operators and i (hbar = 1) for L.  [b^dag X b, b^dag Y b] =
+    b^dag [X, Y] b, so this is the residual of the quadratic forms too."""
     cyclic = ((X1, X2, X3), (X2, X3, X1), (X3, X1, X2))
-    return max(abs(A @ B - B @ A - unit * C).max() for A, B, C in cyclic)
+    residuals = [A @ B - B @ A - unit * C for A, B, C in cyclic]
+    return max(R.max_abs() if isinstance(R, QuadraticOperator) else abs(R).max() for R in residuals)
 
 
 def _fock_cross_check(tol):
@@ -301,10 +285,9 @@ def _fock_residual():
 # ---------------------------------------------------------------------------
 
 
-def _offdiag_norm(A: QuadraticOperator):
-    X = A.X.tocoo()
-    off = np.abs(X.data[X.row != X.col])
-    return float(off.max()) if off.size else 0.0
+def _offdiag(A: QuadraticOperator):
+    """A's terms off the diagonal, those that shift m or mix families, as an operator."""
+    return QuadraticOperator(A.lattice, {key: v for key, v in A.terms.items() if key[0] != key[1] or key[2]})
 
 
 # k_perp / k_z of the paraxial law's nodes, two decades below 0.1
@@ -315,16 +298,11 @@ def _paraxial_offdiag(hbar, c):
     """Per-node max |off-diagonal entry| of the energy in the R/L basis, on
     one lattice whose k_perp nodes are PARAXIAL_RATIOS (k_z = 1, m -2..2).
 
-    The R/L map and the energy both act within each node, so every entry of
-    the mapped energy belongs to the node of its row index, and the numbers
-    are those of nine one-node lattices."""
+    The R/L map and the energy act within each node, so each node's column of
+    the mapped energy's terms holds the numbers of a one-node lattice."""
     lat = build_lattice((-2, 2), PARAXIAL_RATIOS, [1.0], c=c, hbar=hbar)
-    X = apply_basis(assemble(lat, "energy"), make_rl_map(lat)).X.tocoo()
-    off = X.row != X.col
-    mags = np.zeros(len(PARAXIAL_RATIOS))
-    # the layout puts the node of a row at row % n_nodes
-    np.maximum.at(mags, X.row[off] % len(PARAXIAL_RATIOS), np.abs(X.data[off]))
-    return mags
+    off = _offdiag(apply_basis(assemble(lat, "energy"), make_rl_map(lat)))
+    return np.max([np.abs(v).max(axis=0) for v in off.terms.values()], axis=0, initial=0.0)
 
 
 def _worst(ratios):
@@ -352,118 +330,63 @@ def basis_suite(lat: ModeLattice, tol=ALG_TOL):
     eps cond(T); one above `tol` but within that bound is inconclusive.
     """
     hbar, c = lat.hbar, lat.c
-    quartet = ("energy", "P3", "L3", "S3")
-    obs = {name: assemble(lat, name) for name in quartet}
-    results = []
-
-    worst = _worst([
-        np.divide(commutator(A, B).max_abs(), A.max_abs() * B.max_abs())
-        for A, B in itertools.combinations([obs[name] for name in quartet], 2)
-    ])
-    results.append(
-        RelationResult(
-            "basis: {E,P3,L3,S3} mutually commute",
-            worst,
-            tol,
-            "residual relative to |A|max |B|max of each pair",
-        )
-    )
+    obs = {name: assemble(lat, name) for name in ("energy", "P3", "L3", "S3")}
+    size = {name: A.max_abs() for name, A in obs.items()}
+    worst = _worst([np.divide(commutator(obs[a], obs[b]).max_abs(), size[a] * size[b])
+                    for a, b in itertools.combinations(obs, 2)])
+    results = [RelationResult("basis: {E,P3,L3,S3} mutually commute", worst, tol,
+                              "residual relative to |A|max |B|max of each pair")]
 
     pm = make_pm_map(lat)
-    results.append(
-        RelationResult(
-            "basis: (+/-) map is unitary",
-            pm.unitarity_residual,
-            tol,
-            "max |T^dag T - I|; T is dimensionless, scale 1",
-        )
-    )
-    # (m, node) grids; the (TM, TE) pair of each sits at pairs[..., 0] and
-    # pairs[..., 1]
-    pairs = pm.pairs
+    results.append(RelationResult("basis: (+/-) map is unitary", pm.unitarity_residual, tol,
+                                  "max |T^dag T - I|; T is dimensionless, scale 1"))
+    # (m, node) grids; the (+) combination sits in the TM slot, (-) in the TE slot
     m = np.array(lat.m_values)[:, None]
     kp, kz = np.array(lat.nodes).T
     w = omega(c, kp, kz)
-    off, diag = [], {}
-    for name in quartet:
-        A = obs[name]
+    expected = {"energy": (hbar * w,) * 2, "P3": (hbar * kz,) * 2, "L3": (hbar * m,) * 2,
+                "S3": (hbar * c * kz / w, -1.0 * hbar * c * kz / w)}
+    off, eig = [], []
+    for name, A in obs.items():
         Ap = apply_basis(A, pm)
-        off.append(np.divide(_offdiag_norm(Ap), A.max_abs()))
-        diag[name] = (np.real(Ap.X.diagonal()), A.max_abs())
-    eig = []
-    for fam, idx in zip(FAMILIES, np.moveaxis(pairs, -1, 0)):
-        hel = 1.0 if fam == TM else -1.0  # (+) combination sits in the TM slot
-        expected = {
-            "energy": hbar * w,
-            "P3": hbar * kz,
-            "L3": hbar * m,
-            "S3": hel * hbar * c * kz / w,
-        }
-        for name, want in expected.items():
-            values, scale = diag[name]
-            eig.append(np.divide(np.abs(values[idx] - want).max(), scale))
-    results.append(
-        RelationResult(
-            "basis: {E,P3,L3,S3} diagonal in (+/-) basis",
-            _worst(off),
-            tol,
-            "off-diagonal residual relative to |A|max of each operator",
-        )
-    )
-    results.append(
-        RelationResult(
-            "basis: (+/-) eigenvalues {hbar w, hbar kz, hbar m, +/-hbar c kz/w}",
-            _worst(eig),
-            tol,
-            "per-mode eigenvalue table; residual relative to |A|max of each operator",
-        )
-    )
+        off.append(np.divide(_offdiag(Ap).max_abs(), size[name]))
+        for fam, want in zip(FAMILIES, expected[name]):
+            eig.append(np.divide(np.abs(np.real(Ap.terms[fam, fam, 0]) - want).max(), size[name]))
+    results.append(RelationResult("basis: {E,P3,L3,S3} diagonal in (+/-) basis", _worst(off), tol,
+                                  "off-diagonal residual relative to |A|max of each operator"))
+    results.append(RelationResult("basis: (+/-) eigenvalues {hbar w, hbar kz, hbar m, +/-hbar c kz/w}",
+                                  _worst(eig), tol,
+                                  "per-mode eigenvalue table; residual relative to |A|max of each operator"))
 
-    rl = make_rl_map(lat)
-    S3_rl = apply_basis(obs["S3"], rl)
-    scale = obs["S3"].max_abs()
-    resid = float(np.divide(_offdiag_norm(S3_rl), scale))
-    notes = (f"map condition number {rl.condition_number:.6g} (non-unitary); "
-             f"residual relative to |S3|max = {scale:.6g}")
+    rl, scale = make_rl_map(lat), size["S3"]
+    resid = float(np.divide(_offdiag(apply_basis(obs["S3"], rl)).max_abs(), scale))
+    cond = rl.condition_number
+    notes = f"map condition number {cond:.6g} (non-unitary); residual relative to |S3|max = {scale:.6g}"
     # rounding in T^-1 can explain a residual up to eps cond(T)
-    rounding = np.finfo(float).eps * rl.condition_number
+    rounding = np.finfo(float).eps * cond
     inconclusive = bool(tol < resid <= rounding)
     if inconclusive:
         notes += f"; inconclusive: rounding in T^-1 allows up to eps cond(T) = {rounding:.3e}"
-    results.append(
-        RelationResult("basis: S3 diagonal under R/L map", resid, tol, notes, inconclusive)
-    )
+    results.append(RelationResult("basis: S3 diagonal under R/L map", resid, tol, notes, inconclusive))
 
     E_rl = apply_basis(obs["energy"], rl)
     scale = E_rl.max_abs()
-    E_rl = E_rl.X
     # in numpy floats, an underflowed beta^2 gives an infinite residual, not an exception
     beta2 = (c * kz / w) ** 2
     coeff = 0.25 * (1.0 + beta2) * (1.0 - 1.0 / beta2) * hbar * w
-    coeff = np.broadcast_to(coeff, (len(lat.m_values),) + coeff.shape).ravel()
-    i1, i2 = pairs.reshape(-1, 2).T
-    worst_cross = _worst([
-        np.abs(np.asarray(E_rl[a, b]).ravel() - coeff).max() for a, b in ((i1, i2), (i2, i1))
-    ])
-    results.append(
-        RelationResult(
-            "basis: R/L energy cross-term = (1/4)(1+beta^2)(1-1/beta^2) hbar w",
-            float(np.divide(worst_cross, scale)),
-            tol,
-            "beta = c kz/omega per node; symmetric (Hermitian) cross term; "
-            f"residual relative to |E in R/L|max = {scale:.6g}",
-        )
-    )
+    worst_cross = _worst([np.abs(E_rl.terms[key] - coeff).max() for key in ((TM, TE, 0), (TE, TM, 0))])
+    results.append(RelationResult(
+        "basis: R/L energy cross-term = (1/4)(1+beta^2)(1-1/beta^2) hbar w",
+        float(np.divide(worst_cross, scale)), tol,
+        "beta = c kz/omega per node; symmetric (Hermitian) cross term; "
+        f"residual relative to |E in R/L|max = {scale:.6g}",
+    ))
 
     slope = np.polyfit(np.log(PARAXIAL_RATIOS), np.log(_paraxial_offdiag(hbar, c)), 1)[0]
-    results.append(
-        RelationResult(
-            "basis: paraxial off-diagonal energy ~ (kp/kz)^2",
-            abs(slope - 2.0),
-            0.05,
-            f"log-log slope {slope:.6f} over kp/kz in [1e-3, 1e-1]; the slope is dimensionless",
-        )
-    )
+    results.append(RelationResult(
+        "basis: paraxial off-diagonal energy ~ (kp/kz)^2", abs(slope - 2.0), 0.05,
+        f"log-log slope {slope:.6f} over kp/kz in [1e-3, 1e-1]; the slope is dimensionless",
+    ))
     return _sorted(results)
 
 

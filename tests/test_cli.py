@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -686,6 +687,39 @@ def test_output_equals_its_golden_file_byte_for_byte(name, tmp_path):
     out = tmp_path / name
     assert cli.main(GOLDEN_RUNS[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# numpy's dispatched SIMD targets on x86-64 that carry an FMA: the numpy >= 2.4
+# names, then the older ones (numpy warns about names it does not dispatch).
+# With them disabled, numpy takes loops whose complex multiply has no FMA.
+FMA_TARGETS = ("AVX512_SPR AVX512_ICL X86_V4 X86_V3 AVX512_CNL AVX512_CLX AVX512_SKX "
+               "AVX512_KNM AVX512_KNL AVX512CD AVX512F AVX2 FMA3")
+# a child that finds one of them still on exits with this code, naming it
+TARGETS_STILL_ON = 77
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 SIMD levels")
+def test_field_golden_files_do_not_depend_on_numpy_simd_level(tmp_path):
+    # a field value rounds the same at every SIMD level: the field golden
+    # runs, rerun in a child process with numpy's FMA targets off, write the same bytes
+    runs = {str(tmp_path / name): argv for name, argv in GOLDEN_RUNS.items() if name.startswith("field")}
+    assert len(runs) == 5
+    child = ("import json, sys\n"
+             "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+             f"on = [t for t in __cpu_dispatch__ if t in {FMA_TARGETS.split()!r} and __cpu_features__.get(t)]\n"
+             f"if on:\n    print(*on)\n    sys.exit({TARGETS_STILL_ON})\n"
+             "from besselbeams import cli\n"
+             "for out, argv in json.loads(sys.argv[1]).items():\n"
+             "    assert cli.main(argv + ['--out', out]) == 0\n")
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "NPY_DISABLE_CPU_FEATURES": FMA_TARGETS}
+    done = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env, timeout=300,
+                          capture_output=True, text=True)
+    if done.returncode == TARGETS_STILL_ON:
+        pytest.skip(f"numpy keeps its FMA targets on: {done.stdout.strip()}")
+    assert done.returncode == 0, done.stderr
+    for out in runs:
+        assert Path(out).read_bytes() == (GOLDEN / Path(out).name).read_bytes(), out
 
 
 def test_one_parser_per_process_writes_what_fresh_processes_write(tmp_path, capsys):

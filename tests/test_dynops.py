@@ -268,7 +268,7 @@ class TestTermTableAssembly:
         empty = np.zeros(lat.dim, dtype=complex)
         vacuum = {key: coherent_expectation(op, empty) for key, op in obs.items()}
         assert vacuum == dict.fromkeys(obs, 0.0)
-        assert all(set(vars(op)) == {"lattice", "X"} for op in obs.values())
+        assert all(set(vars(op)) == {"lattice", "terms"} for op in obs.values())
         zero = zero_points(lat)
         assert set(zero) == {"energy", "number", "P3", "L3"} and all(zero.values())
 
@@ -301,8 +301,8 @@ class TestTermTableAssembly:
         lat = ASSEMBLY_LATTICES[name]
         pm = _reference_pair_block(lat, lambda kz, w: 1.0)
         rl = _reference_pair_block(lat, lambda kz, w: lat.c * kz / w)
-        assert make_pm_map(lat).T.toarray().tobytes() == pm.tobytes()
-        assert make_rl_map(lat).T.toarray().tobytes() == rl.tobytes()
+        assert make_pm_map(lat).T.X.toarray().tobytes() == pm.tobytes()
+        assert make_rl_map(lat).T.X.toarray().tobytes() == rl.tobytes()
 
 
 class TestExpectations:
@@ -353,7 +353,7 @@ class TestExpectations:
         a_tm[idx] = 1.0
         # (+) coherent state: alpha' has support on the TM slot in the new
         # basis; pull back to old-basis amplitudes via T^-1
-        a_plus = np.linalg.inv(pm.T.toarray()) @ a_tm
+        a_plus = np.linalg.inv(pm.T.X.toarray()) @ a_tm
         E1 = coherent_expectation(obs["energy"], a_tm)
         E2 = coherent_expectation(obs["energy"], a_plus)
         S1 = coherent_expectation(obs["S3"], a_tm)
@@ -426,8 +426,8 @@ class TestBasisMaps:
         lat = ASSEMBLY_LATTICES["negative-kz"]
         bm = make_map(lat)
         assert bm.blocks.shape == lat.pairs().shape + (2,)
-        dense = np.linalg.inv(bm.T.toarray())
-        assert np.abs(bm.inverse.toarray() - dense).max() <= 1e-12
+        dense = np.linalg.inv(bm.T.X.toarray())
+        assert np.abs(bm.inverse.X.toarray() - dense).max() <= 1e-12
 
     def test_rl_condition_number_over_distinct_betas(self):
         lat = ASSEMBLY_LATTICES["negative-kz"]
@@ -435,7 +435,7 @@ class TestBasisMaps:
         betas = {round(lat.c * kz / (lat.c * math.hypot(kp, kz)), 12)
                  for kp, kz in lat.nodes}
         assert len(betas) == 12
-        assert rl.condition_number == pytest.approx(np.linalg.cond(rl.T.toarray()), rel=1e-12)
+        assert rl.condition_number == pytest.approx(np.linalg.cond(rl.T.X.toarray()), rel=1e-12)
 
     def test_rl_needs_wide_m_range(self):
         narrow = build_lattice((0, 1), [1.0], [2.0])

@@ -168,7 +168,7 @@ class TestCommutatorAlgebra:
         # its vacuum value is exactly 0
         lat = small_lattice()
         C = commutator(random_op(lat, RNG), random_op(lat, RNG))
-        assert set(vars(C)) == {"lattice", "X"}
+        assert set(vars(C)) == {"lattice", "terms"}
         assert coherent_expectation(C, np.zeros(lat.dim, dtype=complex)) == 0
 
     def test_amplitude_of_another_length_refused(self):
@@ -302,7 +302,7 @@ class TestBasisMap:
         blocks = pair_blocks(lat, rng, eye=1.0, noise=0.3) + 1j * pair_blocks(lat, rng, noise=0.3)
         bm = BasisMap(lat, blocks)
         T = dense_map(lat, blocks)
-        assert bm.T.toarray().tobytes() == T.tobytes()
+        assert bm.T.X.toarray().tobytes() == T.tobytes()
 
     def test_unitary_map_preserves_expectations(self):
         lat = small_lattice()
@@ -377,4 +377,17 @@ class TestBasisMap:
         assert np.linalg.cond(blocks) == pytest.approx([2.0, 2.0], rel=1e-12)
         bm = BasisMap(lat, blocks.reshape(2, 1, 2, 2))
         assert bm.condition_number == pytest.approx(20.0, rel=1e-12)
-        assert bm.condition_number == pytest.approx(np.linalg.cond(bm.T.toarray()), rel=1e-12)
+        assert bm.condition_number == pytest.approx(np.linalg.cond(bm.T.X.toarray()), rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [1.0, 1e-4, 1e-8])
+    def test_condition_number_is_the_svd_one_within_rounding(self, gap):
+        # the closed form per block agrees with LAPACK's SVD within a few eps cond,
+        # the accuracy of the SVD itself, however nearly singular the blocks
+        lat = build_lattice((0, 2), [1.0], [1.0, 2.0])
+        rng = np.random.default_rng(7)
+        blocks = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
+        blocks[..., 1, :] = blocks[..., 0, :] + gap * blocks[..., 1, :]
+        sv = np.linalg.svd(blocks, compute_uv=False)
+        want = sv.max() / sv.min()
+        assert want > 0.1 / gap
+        assert BasisMap(lat, blocks).condition_number == pytest.approx(want, rel=4 * np.finfo(float).eps * want)

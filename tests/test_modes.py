@@ -103,14 +103,18 @@ class TestAxis:
 
 def sum_of_arrays(which, m, k_perp, k_z, p, c=1.0):
     """M or N at a point as a sum of term-times-e_pol arrays: the reference
-    the scalar term sums of the point path must match bit for bit."""
+    the scalar term sums of the point path must match bit for bit.  The
+    phase product of a field value is taken component by component in
+    separate Python float operations, which nothing fuses."""
     omega = c * math.hypot(k_perp, k_z)
     x = k_perp * p.rho
     comp = sum(
         coeff * bessel_j(order, x) * cmath.exp(1j * order * p.phi) * _POL[pol]
         for pol, order, coeff in mode_terms(which, m, k_perp, k_z, c)
     )
-    return comp * cmath.exp(1j * (k_z * p.z - omega * p.t))
+    phase = cmath.exp(1j * (k_z * p.z - omega * p.t))
+    pr, pi = phase.real, phase.imag
+    return np.array([complex(v.real * pr - v.imag * pi, v.imag * pr + v.real * pi) for v in comp.tolist()])
 
 
 def same_bits(a, b):
@@ -201,11 +205,11 @@ class TestPointPath:
     def test_python_coefficients_match_numpy_scalar_coefficients_bitwise(self, monkeypatch):
         # the M coefficient is a Python float for one node; the same
         # coefficient as an np.float64 must give every field value the same bits
-        def numpy_scalar_terms(which, m, k_perp, k_z, c=1.0):
+        def numpy_scalar_terms(which, m, k_perp, k_z, c=1.0, w=None):
             if which == "M":
                 half = 0.5 * np.float64(omega(c, k_perp, k_z)) / (c * k_z)
                 return (("-", m + 1, half), ("+", m - 1, half))
-            return python_terms(which, m, k_perp, k_z, c)
+            return python_terms(which, m, k_perp, k_z, c, w)
 
         python_terms = modes.mode_terms
         rng = np.random.default_rng(36)
