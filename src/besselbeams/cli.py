@@ -493,14 +493,12 @@ def cmd_expect(args, cfg):
     lines = ["observable,re,im"]
     for name, val in values:
         lines.append(f"{name},{_fmt(val.real)},{_fmt(val.imag)}")
-    for (im, m), ikp, ikz in itertools.product(
-        enumerate(lat.m_values), range(len(cfg.k_perp)), range(len(cfg.k_z))
-    ):
-        for k in range(3):
-            val = sigma[k, im, ikp, ikz]
-            lines.append(
-                f"sigma{k + 1}[m={m};ikp={ikp};ikz={ikz}],{_fmt(val.real)},{_fmt(val.imag)}"
-            )
+    # one label per Stokes value, in (m, ikp, ikz, k) order; the values go through one
+    # template, which renders a float as _fmt does
+    labels = (f"sigma{k + 1}[m={m};ikp={ikp};ikz={ikz}]," for m, ikp, ikz, k in itertools.product(
+        lat.m_values, range(len(cfg.k_perp)), range(len(cfg.k_z)), range(3)))
+    parts = np.moveaxis(sigma, 0, -1).ravel().view(float).reshape(-1, 2).tolist()
+    lines += [label + "%.17g,%.17g" % tuple(part) for label, part in zip(labels, parts)]
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -320,61 +320,75 @@ def coherent_expectation(A: QuadraticOperator, alpha: np.ndarray) -> complex:
 
 
 class FockOracle:
-    """Truncated-Fock realization of the lattice ladder algebra.
-
-    Modes are cut at occupation n_max; the state space has (n_max+1)^D
-    dimensions, and state s holds occupation n_j(s) in base-(n_max+1)
-    digit j of s, mode 0 the most significant (the order of the kron
-    chain b_j = 1 x .. x a x .. x 1).  Every matrix is read off those
-    digits and kept sparse.  Used only as an independent brute-force check;
-    the truncation makes [b, b^dag] = 1 fail on states touching level
-    n_max, so comparisons should be restricted with :meth:`occupancy_mask`.
-    """
+    """Truncated-Fock realization of the lattice ladder algebra, a brute-force check: modes
+    cut at occupation n_max, state s holding n_j(s) in base-(n_max+1) digit j of s, mode 0 the
+    most significant (the kron chain b_j = 1 x .. x a x .. x 1).  The states with every
+    occupation <= limit, ascending, are the base-(limit+1) numbers with the same digits.
+    The truncation makes [b, b^dag] = 1 fail on states touching n_max."""
 
     def __init__(self, lattice: ModeLattice, n_max=3):
-        D = lattice.dim
-        dim = (n_max + 1) ** D
-        if dim > 20000:
-            raise LatticeError(f"Fock space dimension {dim} exceeds 20000")
-        self.lattice = lattice
-        self.n_max = n_max
-        self.dim = dim
-        # stride[j] = e_j, the index step of one photon in mode j; occ[j, s] = n_j(s)
-        self._stride = (n_max + 1) ** np.arange(D - 1, -1, -1)
-        self._occ = (np.arange(dim) // self._stride[:, None] % (n_max + 1)).astype(np.min_scalar_type(n_max))
-        self._sqrt = np.sqrt(np.arange(n_max + 1))
+        self.lattice, self.n_max, self.dim = lattice, n_max, (n_max + 1) ** lattice.dim
+        if self.dim > 20000:
+            raise LatticeError(f"Fock space dimension {self.dim} exceeds 20000")
+        self._sqrt = np.sqrt(np.arange(n_max + 2))  # to n_max + 1, which masked-out entries read
 
     def realize(self, A: QuadraticOperator):
-        """Sparse matrix of sum X_jk b_j^dag b_k on the truncated space.
+        """Sparse matrix of sum X_jk b_j^dag b_k on the truncated space, in canonical CSR."""
+        return self.stack(coefficient_matrices([A]), [0], self.n_max, self.n_max, [0])
 
-        The term (r, c) takes state s to s - e_c + e_r with the entry
-        X_rc sqrt(n_r + 1) sqrt(n_c), read off the digits of s.  That is the
-        product of the two ladder entries, as b_r^dag b_c rounds it: on the
-        diagonal, sqrt(n) sqrt(n) rather than n.  Off-diagonal terms never
-        share an entry; diagonal ones add up per state in the order of A.X's
-        COO triplets, from a complex zero.
-        """
-        coo = A.X.tocoo()
-        moves = coo.row != coo.col
-        r, c = coo.row[moves], coo.col[moves]
-        n_r, n_c = self._occ[r], self._occ[c]
-        # source states hold a photon in mode c and room for one more in mode r
-        flat = np.flatnonzero((n_c > 0) & (n_r < self.n_max))
-        t, src = np.divmod(flat, self.dim)
-        vals = 0j + coo.data[moves][t] * (self._sqrt[n_r.ravel()[flat] + 1] * self._sqrt[n_c.ravel()[flat]])
-        dest = src + (self._stride[r] - self._stride[c])[t]
-        diag = np.zeros(self.dim, dtype=complex)
-        for j, v in zip(coo.row[~moves], coo.data[~moves]):
-            held = np.flatnonzero(self._occ[j])
-            root = self._sqrt[self._occ[j, held]]
-            diag[held] += v * (root * root)
-        on = np.flatnonzero(diag)
-        out = sp.csr_matrix((np.concatenate([vals, diag[on]]),
-                             (np.concatenate([dest, on]), np.concatenate([src, on]))),
-                            shape=(self.dim, self.dim), dtype=complex)
-        out.eliminate_zeros()
-        return out
+    def stack(self, C, blocks, limit, reach, places):
+        """The realized coefficient matrices C[blocks], each operator once, as one block-diagonal
+        CSR matrix: block i in column block places[i] of len(C), rows on the states with every
+        occupation <= limit, columns on those <= reach (>= limit).  The term (r, c) takes state s to
+        s - e_c + e_r with the entry X_rc sqrt(n_r(s) + 1) sqrt(n_c(s)), the ladder entries as
+        b_r^dag b_c rounds them (sqrt(n) sqrt(n) on the diagonal, whose terms add up per state,
+        mode ascending, from a complex zero); a row's entries come in column order, none 0."""
+        D, base = self.lattice.dim, (limit + 1) ** np.arange(self.lattice.dim - 1, -1, -1)
+        occ = (np.arange((limit + 1) ** D) // base[:, None] % (limit + 1)).astype(np.int8)
+        n, stride, root = occ.shape[1], (reach + 1) ** np.arange(D - 1, -1, -1), self._sqrt[occ]
+        # table rows: each off-diagonal term of any operator, by column step, with the rows it
+        # fills (a photon in mode r, room for one in c) and their ladder factors; then each
+        # operator's diagonal, summed per state
+        r, c = np.nonzero((C != 0).any(axis=0) & ~np.eye(D, dtype=bool))
+        r, c = (m[np.argsort(stride[c] - stride[r])] for m in (r, c))
+        sums = np.zeros((len(C), n), dtype=complex)
+        for j in range(D):
+            sums += C[:, j, j, None] * (root[j] * root[j])
+        ladder = root[r] * self._sqrt[occ[c] + 1]
+        ok = np.concatenate([(occ[r] > 0) & (occ[c] < reach), sums != 0])
+        tab = np.concatenate([ladder * (1 + 1j), sums])  # the factors (re, im) of each coefficient part
+        step = np.concatenate([stride[c] - stride[r], np.zeros(len(C), dtype=int)])
+        # each operator's table rows and coefficients (1 + 1j for its diagonal), nonzero ones first
+        at = np.searchsorted(step[:len(r)], 0)
+        rows = np.insert(np.tile(np.arange(len(r)), (len(C), 1)), at, len(r) + np.arange(len(C)), axis=1)
+        coef = np.insert(C[:, r, c] + 0.0, at, (1 + 1j) * np.diagonal(C, 0, 1, 2).any(axis=1), axis=1)
+        pick = np.argsort(coef == 0, axis=1, kind="stable")[:, :np.count_nonzero(coef, 1).max(initial=0)]
+        rows, coef = np.take_along_axis(rows, pick, axis=1), np.take_along_axis(coef, pick, axis=1)
+        keep = ok[rows] & (coef != 0)[..., None]
+        # each state's entries in turn: operator o, state s, ot = o * T + term
+        counts = keep.sum(axis=1, dtype=np.int32)
+        o = np.repeat(np.arange(len(C)), counts.sum(axis=1))
+        s = np.repeat(np.tile(np.arange(n), len(C)), counts.ravel())
+        ot = np.flatnonzero(keep.transpose(0, 2, 1)) - (o * (n - 1) + s) * rows.shape[1]
+        g = rows.take(ot)
+        data = (coef.take(ot).view(float) * tab.take(g * n + s).view(float)).view(complex)
+        cols = ((stride @ occ).take(s) + step.take(g)).astype(np.int32)
+        ends, n_other = np.r_[0, np.cumsum(counts.sum(axis=1))].tolist(), (reach + 1) ** D
+        cols = np.concatenate([cols[ends[o]:ends[o + 1]] + np.int32(k * n_other)
+                               for k, o in zip(places, blocks)])
+        indptr = np.r_[np.int32(0), np.cumsum(counts[blocks], axis=None, dtype=np.int32)]
+        return sp.csr_matrix((np.concatenate([data[ends[o]:ends[o + 1]] for o in blocks]), cols, indptr),
+                             shape=(len(blocks) * n, len(C) * n_other))
 
-    def occupancy_mask(self, limit):
-        """Boolean mask of product states with every occupation <= limit."""
-        return (self._occ <= limit).all(axis=0)
+
+def coefficient_matrices(ops):
+    """The D x D coefficient matrices of ops, stacked (n_ops, D, D), read off their terms."""
+    lat = ops[0].lattice
+    index = np.arange(lat.dim).reshape(len(FAMILIES), len(lat.m_values), len(lat.nodes))
+    C = np.zeros((len(ops), lat.dim, lat.dim), dtype=complex)
+    for o, A in enumerate(ops):
+        for (r, c, s), v in A.terms.items():
+            span = term_span(s, len(lat.m_values))
+            rows = index[FAMILIES.index(r), span.start + s:span.stop + s]
+            C[o, rows, index[FAMILIES.index(c), span]] = v[span]
+    return C

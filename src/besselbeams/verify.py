@@ -44,6 +44,7 @@ from .lattice import (
     QuadraticOperator,
     apply_basis,
     build_lattice,
+    coefficient_matrices,
     commutator,
 )
 from .dynops import (
@@ -255,29 +256,38 @@ def _fock_cross_check(tol):
                           tol, "element-wise on the occupation<=2 block of a D=6 lattice")
 
 
+# the commutators [A, B] that the Fock cross-check realizes
+FOCK_PAIRS = (("P+", "P-"), ("P+", "P3"), ("S+", "S-"), ("P+", "S+"), ("L3", "P3"), ("S3", "L+"),
+              ("L+", "L3"), ("L+", "L-"), ("L3", "P-"), ("L+", "P-"), ("L+", "P3"), ("L+", "P+"),
+              ("S+", "L3"), ("S+", "L+"), ("S+", "L-"))
+
+
 @functools.cache
 def _fock_residual():
     """The cross-check's worst element; it reads no input, so once per process."""
-    lat = build_lattice((-1, 1), [1.0], [2.0])
-    obs = build_observables(lat)
-    oracle = FockOracle(lat, n_max=3)
-    keep = np.flatnonzero(oracle.occupancy_mask(oracle.n_max - 1))
-    pairs = [
-        ("P+", "P-"), ("P+", "P3"), ("S+", "S-"), ("P+", "S+"),
-        ("L3", "P3"), ("S3", "L+"), ("L+", "L3"), ("L+", "L-"),
-        ("L3", "P-"), ("L+", "P-"), ("L+", "P3"), ("L+", "P+"),
-        ("S+", "L3"), ("S+", "L+"), ("S+", "L-"),
-    ]
-    realized = {n: oracle.realize(obs[n]) for n in sorted({n for pair in pairs for n in pair})}
-    rows = {n: M[keep] for n, M in realized.items()}
-    cols = {n: M[:, keep] for n, M in realized.items()}
-    worst = 0.0
-    # on the kept block alone: a product's entry sums over the same states either way
-    for na, nb in pairs:
-        lhs = oracle.realize(commutator(obs[na], obs[nb]))[keep][:, keep]
-        rhs = rows[na] @ cols[nb] - rows[nb] @ cols[na]
-        worst = max(worst, float(abs(lhs - rhs).max()))
-    return worst
+    lhs, rhs = _fock_blocks(build_lattice((-1, 1), [1.0], [2.0]))
+    return float(np.abs((lhs - rhs).data).max(initial=0.0))
+
+
+def _fock_blocks(lat: ModeLattice):
+    """Both sides of each FOCK_PAIRS [A, B] on the occupation <= 2 block of a cutoff-3 Fock
+    space, block-diagonal CSR with pair p in block p: the realized coefficient commutator,
+    and the commutator of the realized operators, whose products sum every intermediate
+    state (CSR's matmul): left factors realized on the kept rows, in the column block of
+    their right factor Y, each Y the transpose of the realized Y^T on the kept rows."""
+    obs, oracle = build_observables(lat), FockOracle(lat, n_max=3)
+    names = sorted({n for pair in FOCK_PAIRS for n in pair})
+    C = coefficient_matrices([obs[n] for n in names] + [commutator(obs[a], obs[b]) for a, b in FOCK_PAIRS])
+    a, b = (np.array([names.index(n) for n in side]) for side in zip(*FOCK_PAIRS))
+    k, m, n, kept = len(names), len(FOCK_PAIRS), 3 ** lat.dim, oracle.n_max - 1
+    lhs = oracle.stack(C[k:], range(m), kept, kept, range(m))
+    right = oracle.stack(C[:k].transpose(0, 2, 1), range(k), kept, oracle.n_max, range(k)).T
+    AB, BA = (oracle.stack(C[:k], x, kept, oracle.n_max, y) @ right for x, y in ((a, b), (b, a)))
+    # each product block to the column block of its pair
+    for M, y in ((AB, b), (BA, a)):
+        M.indices += np.repeat((np.arange(m) - y) * n, np.diff(M.indptr[::n])).astype(M.indices.dtype)
+        M.resize(m * n, m * n)
+    return lhs, AB - BA
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +304,18 @@ def _offdiag(A: QuadraticOperator):
 PARAXIAL_RATIOS = np.logspace(-3, -1, 9)
 
 
+@functools.cache
 def _paraxial_offdiag(hbar, c):
-    """Per-node max |off-diagonal entry| of the energy in the R/L basis, on
+    """Per-node max |off-diagonal entry| of the energy in the R/L basis, read-only, on
     one lattice whose k_perp nodes are PARAXIAL_RATIOS (k_z = 1, m -2..2).
 
     The R/L map and the energy act within each node, so each node's column of
     the mapped energy's terms holds the numbers of a one-node lattice."""
     lat = build_lattice((-2, 2), PARAXIAL_RATIOS, [1.0], c=c, hbar=hbar)
     off = _offdiag(apply_basis(assemble(lat, "energy"), make_rl_map(lat)))
-    return np.max([np.abs(v).max(axis=0) for v in off.terms.values()], axis=0, initial=0.0)
+    worst = np.max([np.abs(v).max(axis=0) for v in off.terms.values()], axis=0, initial=0.0)
+    worst.flags.writeable = False
+    return worst
 
 
 def _worst(ratios):

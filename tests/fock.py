@@ -18,3 +18,10 @@ def kron_ladders(n_modes, n_max):
             M = sp.kron(M, a1 if i == j else eye, format="csr")
         ladders.append(M.tocsr())
     return ladders
+
+
+def kept_states(n_modes, n_max, limit):
+    """Indices of the product states with every occupation <= limit, ascending,
+    mode 0 the most significant base-(n_max + 1) digit."""
+    digits = np.arange((n_max + 1) ** n_modes) // (n_max + 1) ** np.arange(n_modes - 1, -1, -1)[:, None]
+    return np.flatnonzero((digits % (n_max + 1) <= limit).all(axis=0))

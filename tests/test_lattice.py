@@ -20,7 +20,7 @@ from besselbeams.lattice import (
     commutator,
 )
 from besselbeams.modes import TE, TM
-from fock import kron_ladders
+from fock import kept_states, kron_ladders
 
 RNG = np.random.default_rng(42)
 
@@ -184,7 +184,7 @@ class TestFockOracle:
     def test_canonical_commutators_on_interior_block(self):
         lat = build_lattice((-1, 0), [1.0], [2.0])  # D = 4
         oracle = FockOracle(lat, n_max=3)
-        keep = np.flatnonzero(oracle.occupancy_mask(oracle.n_max - 1))
+        keep = kept_states(lat.dim, oracle.n_max, oracle.n_max - 1)
         eye = np.eye(oracle.dim)[np.ix_(keep, keep)]
         b = kron_ladders(lat.dim, oracle.n_max)
         for j in range(lat.dim):
@@ -197,7 +197,7 @@ class TestFockOracle:
     def test_commutator_identity_against_matrices(self):
         lat = small_lattice()
         oracle = FockOracle(lat, n_max=2)
-        keep = np.flatnonzero(oracle.occupancy_mask(oracle.n_max - 1))
+        keep = kept_states(lat.dim, oracle.n_max, oracle.n_max - 1)
         rng = np.random.default_rng(3)
         A, B = random_op(lat, rng), random_op(lat, rng)
         lhs = oracle.realize(commutator(A, B)).toarray()

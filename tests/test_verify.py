@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre, spherical_jn
 
+import csr_oracle as csr
 from besselbeams import cli, modes, specfun, verify
 from besselbeams.dynops import assemble, build_stokes, make_rl_map
 from besselbeams.lattice import apply_basis, build_lattice
@@ -138,6 +139,39 @@ class TestCommutatorSuite:
         assert len(built) == 1 and len(calls) == 2
         assert runs[0] == runs[1] and len(runs[0]) == 1
         assert runs[0][0].passed
+
+    @pytest.mark.parametrize("c, hbar", [(1.0, 1.0), (2.9, 0.37)], ids=["unit", "units-config"])
+    def test_fock_blocks_equal_the_full_matrix_cross_check_bitwise(self, c, hbar):
+        # each pair's realized commutator and commutator of the realized operators,
+        # element by element, signed zeros included, against every operator realized
+        # on the whole 4096-state space
+        lat = build_lattice((-1, 1), [1.0], [2.0], c=c, hbar=hbar)
+        lhs, rhs = verify._fock_blocks(lat)
+        n = 3 ** lat.dim
+        assert lhs.shape == rhs.shape == (n * len(verify.FOCK_PAIRS),) * 2
+        worst = 0.0
+        for p, blocks in enumerate(csr.fock_blocks(lat, verify.FOCK_PAIRS)):
+            block = slice(p * n, (p + 1) * n)
+            for got, want in zip((lhs, rhs), blocks):
+                assert np.array_equal(got[block, block].toarray().view(np.int64), want.view(np.int64)), p
+            worst = max(worst, np.abs(blocks[0] - blocks[1]).max())
+        assert np.abs((lhs - rhs).data).max() == worst
+
+    def test_fock_cross_check_fails_on_a_broken_ladder_factor(self, monkeypatch):
+        # every ladder factor sqrt(n) of the shared realization read as sqrt(n + 1)
+        class Broken(verify.FockOracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self._sqrt = np.sqrt(np.arange(len(self._sqrt)) + 1.0)
+
+        monkeypatch.setattr(verify, "FockOracle", Broken)
+        verify._fock_residual.cache_clear()
+        broken = verify._fock_cross_check(verify.ALG_TOL)
+        monkeypatch.undo()
+        verify._fock_residual.cache_clear()
+        restored = verify._fock_cross_check(verify.ALG_TOL)
+        assert broken.residual > broken.tolerance and not broken.passed
+        assert restored.passed and restored.residual == 2.0 ** -47
 
     def test_table_provenance_matches_the_flags(self):
         rows = {"commutator: " + row[0]: row for row in verify.COMMUTATOR_TABLE}
