@@ -169,8 +169,8 @@ class RunConfig:
         for key, value in (("units.hbar", self.hbar), ("units.c", self.c)):
             if not lo <= value <= hi:
                 raise UsageError(f"{key} must lie in [{lo:g}, {hi:g}], got {_fmt(value)}")
-        # `verify all` takes 1.0-1.1 s and 70 MB at the default 0.25, 10-14 s
-        # and 0.31 GB at 2, 48 s and 0.99 GB at 4 (one BLAS thread, 2-core host)
+        # the cost grows fast with the margin: `verify all` took 0.7-0.9 s and 72 MB at 0.25 and
+        # 7.0-9.4 s and 330 MB at 2 (fresh runs, one BLAS thread, 2-core host); at 4, unmeasured
         if self.quad_margin > 4.0:
             raise UsageError(f"quadrature.margin must be at most 4, got {_fmt(self.quad_margin)}")
 

@@ -172,7 +172,7 @@ def build_stokes(lat: ModeLattice, node, m):
     twice, so the result equals the sum of the scalar calls.
     """
     lat.index(TM, m, node)  # refuses a label outside the lattice
-    count = np.zeros((len(lat.m_values), len(lat.nodes)), dtype=complex)
+    count = np.zeros(lat.shape[1:], dtype=complex)
     np.add.at(count, tuple(np.broadcast_arrays(np.subtract(m, lat.m_range[0]), node)), 1.0)
     # + 0.0 turns the -0.0 parts of the complex products into +0.0
     return tuple(QuadraticOperator(lat, {(r, c, 0): c0 * count + 0.0 for r, c, _, c0, _ in rows})
@@ -187,7 +187,7 @@ def stokes_expectations(lat: ModeLattice, alpha):
     the way the coefficient-matrix expectation conj(v) . (X v) sums it: the
     real products xr yr, xi yi, xr yi and xi yr in four separate sums.
     """
-    x = np.moveaxis(alpha[lat.pairs()], -1, 0)  # x[i]: family FAMILIES[i]
+    x = np.reshape(alpha, lat.shape)  # x[i]: family FAMILIES[i]
     out = []
     for rows in STOKES[1:]:
         y = np.zeros_like(x)  # sigma_k a
@@ -228,7 +228,7 @@ def _pair_blocks(lat: ModeLattice, beta):
     for b in node_factors(lat, beta):
         n = 1.0 / math.sqrt(1.0 + b**2)
         blocks.append(((n, 1j * (b * n)), (n, -1j * (b * n))))
-    shape = (len(lat.m_values), len(lat.nodes), 2, 2)
+    shape = lat.shape[1:] + (2, 2)
     # + 0.0 turns the -0.0 real parts of the +/-i entries into +0.0
     return np.broadcast_to(np.reshape(blocks, shape[1:]), shape) + 0.0
 

@@ -12,8 +12,8 @@ bilinear, so a lattice node is its wavenumber alone, and every bilinear
 observable becomes an exact finite normal-ordered quadratic form
 O = sum_jk X_jk b_j^dag b_k (`dynops.zero_points` holds the c-numbers), and
 every commutator reduces to a matrix commutator of the coefficient matrices.
-A truncated-Fock dense oracle provides an independent brute-force
-realization for small lattices.
+A truncated-Fock oracle, sparse and reading each state's occupations as
+digits, provides an independent brute-force realization for small lattices.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ class ModeLattice:
     """Finite discretization of the Bessel-mode continuum.
 
     A node is one (k_perp, k_z) wavenumber pair; the module docstring says
-    why no weight is stored.  Index layout is family-major (`FAMILIES`),
-    then m, then node.
+    why no weight is stored.  The flat index layout is `shape`.
     """
 
     m_range: tuple          # (m_min, m_max), inclusive
@@ -80,8 +79,14 @@ class ModeLattice:
         return range(self.m_range[0], self.m_range[1] + 1)
 
     @property
+    def shape(self):
+        """(family, m, node) extents, whose C-order ravel is the flat index: family-major
+        (`FAMILIES`), then m, then node."""
+        return len(FAMILIES), self.m_range[1] - self.m_range[0] + 1, len(self.nodes)
+
+    @property
     def dim(self):
-        return len(FAMILIES) * (self.m_range[1] - self.m_range[0] + 1) * len(self.nodes)
+        return math.prod(self.shape)
 
     def index(self, family, m, node):
         """Flat single-particle index of (family, m, node).
@@ -94,9 +99,8 @@ class ModeLattice:
         """
         m_min, m_max = self.m_range
         labels = (("m", m, m_min, m_max), ("node", node, 0, len(self.nodes) - 1))
-        shape = (len(FAMILIES),) + tuple(hi - lo + 1 for *_, lo, hi in labels)
         try:
-            return np.ravel_multi_index((FAMILIES.index(family), m - m_min, node), shape)
+            return np.ravel_multi_index((FAMILIES.index(family), m - m_min, node), self.shape)
         except ValueError:
             for name, v, lo, hi in labels:
                 bad = np.asarray((v < lo) | (v > hi))
@@ -105,12 +109,6 @@ class ModeLattice:
                         f"{name}={np.asarray(v)[bad].flat[0]} outside range ({lo}, {hi})"
                     ) from None
             raise
-
-    def pairs(self):
-        """Flat (TM, TE) indices of every (m, node), shaped (n_m, n_nodes, 2)."""
-        m = np.array(self.m_values)[:, None]
-        node = np.arange(len(self.nodes))
-        return np.stack([self.index(f, m, node) for f in FAMILIES], axis=-1)
 
 
 def build_lattice(m_range, k_perp, k_z, c=1.0, hbar=1.0):
@@ -141,26 +139,19 @@ class QuadraticOperator:
     pair, so X is held as `terms`: {(row family, column family, m shift):
     complex array over (m, node)}, whose entry at column m is the coefficient
     of b^dag_{row family, m + shift} b_{column family, m}, and 0 where m + shift
-    leaves the lattice.  The constructor also decodes a D x D matrix or COO
-    triplets (vals, (rows, cols)), duplicates adding up; an entry that couples
-    two nodes raises LatticeError.  `X` is a CSR view of the terms, built on
-    first read.
+    leaves the lattice.  `X` is a CSR view of the terms, built on first read.
     """
 
-    def __init__(self, lattice: ModeLattice, X):
+    def __init__(self, lattice: ModeLattice, terms):
         self.lattice = lattice
-        self.terms = X if isinstance(X, dict) else _decode(lattice, X)
+        self.terms = terms
 
     @cached_property
     def X(self):
         """The D x D coefficient matrix in canonical CSR, exact zeros eliminated."""
         lat = self.lattice
-        m, node = np.array(lat.m_values)[:, None], np.arange(len(lat.nodes))
-        coo = [(np.zeros(0, dtype=complex), np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
-        for (r, c, s), v in self.terms.items():
-            span = term_span(s, len(m))
-            coo.append((v[span], lat.index(r, m[span] + s, node), lat.index(c, m[span], node)))
-        vals, rows, cols = (np.concatenate(x, axis=None) for x in zip(*coo))
+        empty = (np.zeros(0, dtype=complex), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        vals, rows, cols = (np.concatenate(x, axis=None) for x in zip(empty, *_entries(self)))
         X = sp.csr_matrix((vals, (rows, cols)), shape=(lat.dim, lat.dim))
         X.eliminate_zeros()
         return X
@@ -198,7 +189,7 @@ class QuadraticOperator:
         A[m + s2] B[m].  Each entry sums its `_products` from a complex zero in the
         order of CSR's matmul, intermediate index ascending: family, then m."""
         self._check(other)
-        n_m, n_nodes = len(self.lattice.m_values), len(self.lattice.nodes)
+        _, n_m, n_nodes = self.lattice.shape
         sums, A, B, out = [], [], [], {}
         for (f, c, s2), b in sorted(other.terms.items(), key=lambda t: (FAMILIES.index(t[0][0]), t[0][2])):
             for (r, _, s1), a in (t for t in self.terms.items() if t[0][1] == f):
@@ -218,22 +209,18 @@ class QuadraticOperator:
     def max_abs(self, margin=0):
         """Max-abs over the coefficient entries whose row and column m both
         lie at least `margin` inside the m window (0 for no entry)."""
-        n = len(self.lattice.m_values)
+        n = self.lattice.shape[1]
         block = [v[max(margin, margin - s):n - max(margin, margin + s)] for (*_, s), v in self.terms.items()]
         return np.abs(np.concatenate(block, axis=None)).max(initial=0.0) if block else 0.0
 
 
-def _decode(lat: ModeLattice, X):
-    """Terms of a D x D matrix or of COO triplets (vals, (rows, cols))."""
-    X = sp.coo_matrix(X, shape=(lat.dim, lat.dim), dtype=complex).tocsr().tocoo()  # duplicates summed
-    shape = (len(FAMILIES), len(lat.m_values), len(lat.nodes))
-    (fr, mr, nr), (fc, mc, nc) = np.unravel_index(X.row, shape), np.unravel_index(X.col, shape)
-    if np.any(nr != nc):
-        raise LatticeError("operator couples two lattice nodes: only node-local operators are held")
-    terms = {}
-    for f, g, s, m, node, v in zip(fr.tolist(), fc.tolist(), (mr - mc).tolist(), mc, nc, X.data):
-        terms.setdefault((FAMILIES[f], FAMILIES[g], s), np.zeros(shape[1:], dtype=complex))[m, node] += v
-    return terms
+def _entries(A: QuadraticOperator):
+    """(values, flat rows, flat columns) of each term of A, over the columns m whose row
+    m + shift is on the lattice, each shaped (m, node)."""
+    index = np.arange(A.lattice.dim).reshape(A.lattice.shape)
+    for (r, c, s), v in A.terms.items():
+        span = term_span(s, index.shape[1])
+        yield v[span], index[FAMILIES.index(r), span.start + s:span.stop + s], index[FAMILIES.index(c), span]
 
 
 def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
@@ -257,7 +244,7 @@ class BasisMap:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", np.asarray(self.blocks, dtype=complex))
-        if self.blocks.shape != (len(self.lattice.m_values), len(self.lattice.nodes), 2, 2):
+        if self.blocks.shape != self.lattice.shape[1:] + (2, 2):
             raise LatticeError("BasisMap needs one 2 x 2 block per (TM, TE) pair")
 
     def _operator(self, blocks):
@@ -308,14 +295,14 @@ def apply_basis(A: QuadraticOperator, bm: BasisMap) -> QuadraticOperator:
 def coherent_expectation(A: QuadraticOperator, alpha: np.ndarray) -> complex:
     """<alpha| A |alpha> = conj(alpha) . X . alpha, for a complex amplitude
     vector alpha of length lattice.dim in the flat index layout.  Each row of
-    X . alpha sums its entries of A diag(alpha) as CSR's matvec does: from a
+    X . alpha sums its products X_jk alpha_k as CSR's matvec does: from a
     complex zero, column index ascending (column family, then m)."""
-    x = np.reshape(alpha, (len(FAMILIES), len(A.lattice.m_values), len(A.lattice.nodes)))
+    x = np.reshape(alpha, A.lattice.shape)
     y = np.zeros(x.shape, dtype=complex)
-    scaled = A @ QuadraticOperator(A.lattice, {(f, f, 0): x[i] for i, f in enumerate(FAMILIES)})
-    for (r, c, s), v in sorted(scaled.terms.items(), key=lambda t: (FAMILIES.index(t[0][1]), -t[0][2])):
-        span = term_span(s, len(v))
-        y[FAMILIES.index(r), span.start + s:span.stop + s] += v[span]
+    for (r, c, s), v in sorted(A.terms.items(), key=lambda t: (FAMILIES.index(t[0][1]), -t[0][2])):
+        span = term_span(s, x.shape[1])
+        p = _products([v[span]], [x[FAMILIES.index(c), span]])
+        y[FAMILIES.index(r), span.start + s:span.stop + s] += p.reshape(-1, x.shape[2])
     return complex(np.vdot(alpha, y.ravel()))
 
 
@@ -383,12 +370,9 @@ class FockOracle:
 
 def coefficient_matrices(ops):
     """The D x D coefficient matrices of ops, stacked (n_ops, D, D), read off their terms."""
-    lat = ops[0].lattice
-    index = np.arange(lat.dim).reshape(len(FAMILIES), len(lat.m_values), len(lat.nodes))
-    C = np.zeros((len(ops), lat.dim, lat.dim), dtype=complex)
+    D = ops[0].lattice.dim
+    C = np.zeros((len(ops), D, D), dtype=complex)
     for o, A in enumerate(ops):
-        for (r, c, s), v in A.terms.items():
-            span = term_span(s, len(lat.m_values))
-            rows = index[FAMILIES.index(r), span.start + s:span.stop + s]
-            C[o, rows, index[FAMILIES.index(c), span]] = v[span]
+        for v, rows, cols in _entries(A):
+            C[o, rows, cols] = v
     return C

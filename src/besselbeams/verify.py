@@ -945,9 +945,13 @@ def expansion_coefficients(which, m, k_perp, k_z, degrees, c=1.0, m_j=None):
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     ring = cone_density(which, m, k_perp, k_z, phis, c)
     D = np.sum(_turned_back(ring, m_j, phis), axis=0) * (2 * math.pi / n_phi)
-    # atan2 keeps every digit of the cone angle as k_perp / k_z -> 0, where acos(c k_z / w) keeps half
-    theta0 = math.atan2(k_perp, k_z)
-    at_zero = np.array(_vsh_grid(js[kept], m_j, theta0, 0.0))  # (Y^E, Y^M) by degree
+    # atan2 keeps every digit of the cone angle as k_perp / k_z -> 0, where acos(c k_z / w) keeps half.
+    # A backward cone's angle pi - theta keeps few digits of a small theta, so its harmonics mirror
+    # (z -> -z) the forward cone's: Y_jm(pi - theta) = (-1)^(j+m) Y_jm(theta) gives Y^E the factor
+    # (-1)^(j+m) and Y^M, a pseudovector, -(-1)^(j+m), each with its z component negated
+    at_zero = np.array(_vsh_grid(js[kept], m_j, math.atan2(k_perp, abs(k_z)), 0.0))  # (Y^E, Y^M) by degree
+    if k_z < 0:
+        at_zero *= np.array([1, -1])[:, None, None] * (-1.0) ** (js[kept] + m_j)[:, None] * [1, 1, -1]
     # elementwise products summed over the components, so no BLAS kernel rounds them
     alpha[:, kept] = js[kept] * (js[kept] + 1) * np.sum(D * np.conj(at_zero), axis=-1)
     return alpha[0], alpha[1]

@@ -13,13 +13,13 @@ from besselbeams.lattice import (
     FockOracle,
     LatticeError,
     ModeLattice,
-    QuadraticOperator,
     apply_basis,
     build_lattice,
     coherent_expectation,
     commutator,
 )
 from besselbeams.modes import TE, TM
+from csr_oracle import operator, pairs
 from fock import kept_states, kron_ladders
 
 RNG = np.random.default_rng(42)
@@ -47,7 +47,7 @@ def random_op(lat, rng, hermitian=False):
     X = rng.normal(size=(lat.dim, lat.dim)) + 1j * rng.normal(size=(lat.dim, lat.dim))
     if hermitian:
         X = 0.5 * (X + X.conj().T)
-    return QuadraticOperator(lat, X)
+    return operator(lat, X)
 
 
 class TestLatticeIndexing:
@@ -58,6 +58,14 @@ class TestLatticeIndexing:
             fi, mi, ip, iz = np.unravel_index(idx, (2, 6, 2, 2))
             assert lat.index((TM, TE)[fi], -2 + mi, ip * 2 + iz) == idx
             assert lat.nodes[ip * 2 + iz] == ((0.5, 1.5)[ip], (1.0, 2.0)[iz])
+        # `shape` states the layout: its C-order ravel, here on nodes that are no product grid
+        lat = ModeLattice((-1, 2), ((0.5, 1.0), (1.5, -2.0), (0.7, 0.3)))
+        assert lat.shape == (2, 4, 3) and lat.dim == 24
+        flat = np.arange(lat.dim).reshape(lat.shape)
+        for i, family in enumerate((TM, TE)):
+            for m in lat.m_values:
+                for node in range(len(lat.nodes)):
+                    assert flat[i, m + 1, node] == lat.index(family, m, node)
 
     def test_nodes_are_stored_as_float_values(self):
         lat = build_lattice((-1, 1), [3, 0.5], [-4])
@@ -251,7 +259,7 @@ class TestFockOracle:
         # random forms: entries 0, +-1, +-sqrt(2), so diagonal terms cancel exactly
         X = rng.choice([0.0, 1.0, -1.0, math.sqrt(2), -math.sqrt(2)], size=(2, lat.dim, lat.dim))
         ops = list(obs.values()) + [commutator(obs["L+"], obs["S-"]),
-                                    QuadraticOperator(lat, X[0] + 1j * X[1])]
+                                    operator(lat, X[0] + 1j * X[1])]
         for A in ops:
             coo, want = A.X.tocoo(), sp.csr_matrix((oracle.dim, oracle.dim), dtype=complex)
             for r, c, v in zip(coo.row, coo.col, coo.data):
@@ -266,14 +274,14 @@ class TestFockOracle:
 
 def pair_blocks(lat, rng, noise=1.0, eye=0.0):
     """Random BasisMap blocks, eye * I + noise * (real normal noise)."""
-    shape = lat.pairs().shape + (2,)
+    shape = pairs(lat).shape + (2,)
     return eye * np.eye(2) + noise * rng.normal(size=shape)
 
 
 def dense_map(lat, blocks):
     """T as a dense D x D array, filled one (TM, TE) pair at a time."""
     T = np.zeros((lat.dim, lat.dim), dtype=complex)
-    for p, b in zip(lat.pairs().reshape(-1, 2), np.reshape(blocks, (-1, 2, 2))):
+    for p, b in zip(pairs(lat).reshape(-1, 2), np.reshape(blocks, (-1, 2, 2))):
         T[np.ix_(p, p)] = b
     return T
 
@@ -281,16 +289,16 @@ def dense_map(lat, blocks):
 class TestBasisMap:
     def test_pairs_are_the_tm_te_indices(self):
         lat = build_lattice((-2, 1), [1.0, 2.0], [1.5])
-        pairs = lat.pairs()
-        assert pairs.shape == (4, 2, 2)
+        flat = pairs(lat)
+        assert flat.shape == (4, 2, 2)
         for im in range(4):
             for ip in range(2):
-                decoded = [np.unravel_index(i, (2, 4, 2, 1)) for i in pairs[im, ip]]
+                decoded = [np.unravel_index(i, (2, 4, 2, 1)) for i in flat[im, ip]]
                 assert decoded == [(0, im, ip, 0), (1, im, ip, 0)]
 
     def test_maps_compare_by_identity(self):
         lat = small_lattice()
-        blocks = np.broadcast_to(np.eye(2), lat.pairs().shape + (2,))
+        blocks = np.broadcast_to(np.eye(2), pairs(lat).shape + (2,))
         bm = BasisMap(lat, blocks)
         assert bm == bm
         assert bm != BasisMap(lat, blocks)
@@ -362,7 +370,7 @@ class TestBasisMap:
 
     def test_singular_map_rejected(self):
         lat = small_lattice()
-        blocks = np.zeros(lat.pairs().shape + (2,)) + np.eye(2)
+        blocks = np.zeros(pairs(lat).shape + (2,)) + np.eye(2)
         blocks[1, 0] = [[1.0, 2.0], [2.0, 4.0]]
         with pytest.raises(LatticeError):
             apply_basis(random_op(lat, RNG), BasisMap(lat, blocks))

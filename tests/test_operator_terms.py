@@ -16,8 +16,6 @@ from besselbeams import cli, dynops, lattice, verify
 from besselbeams.dynops import assemble, build_observables, cartesian, make_pm_map, make_rl_map
 from besselbeams.lattice import (
     BasisMap,
-    LatticeError,
-    QuadraticOperator,
     apply_basis,
     build_lattice,
     coherent_expectation,
@@ -107,7 +105,7 @@ def test_random_node_local_operators_equal_csr():
     lat = build_lattice((-3, 3), [0.8], [1.7, -0.6])
     rng = np.random.default_rng(11)
     local = np.arange(lat.dim)[:, None] % 2 == np.arange(lat.dim) % 2  # the layout puts the node last
-    A, B = (QuadraticOperator(lat, local * (rng.normal(size=local.shape) + 1j * rng.normal(size=local.shape)))
+    A, B = (csr.operator(lat, local * (rng.normal(size=local.shape) + 1j * rng.normal(size=local.shape)))
             for _ in range(2))
     assert csr.same(commutator(A, B).X, csr.commutator(A.X, B.X))
     assert csr.same((A - B).X, csr.minus(A.X, B.X))
@@ -116,12 +114,6 @@ def test_random_node_local_operators_equal_csr():
     for alpha in _amplitudes(lat, rng):
         got, want = coherent_expectation(A, alpha), csr.expectation(A.X, alpha)
         assert np.array([got]).view(np.int64).tolist() == np.array([want]).view(np.int64).tolist()
-
-
-def test_an_operator_that_couples_two_nodes_is_refused():
-    lat = build_lattice((-1, 1), [0.8], [1.7, -0.6])
-    with pytest.raises(LatticeError, match="couples two lattice nodes"):
-        QuadraticOperator(lat, ([1.0], ([lat.index("TM", 0, 0)], [lat.index("TM", 0, 1)])))
 
 
 class _NoSparse:

@@ -821,16 +821,18 @@ class TestSphericalSuite:
         assert not rule.passed
         assert rule.residual > 1e-8
 
+    @pytest.mark.parametrize("k_z", [2.0, -2.0], ids=["forward", "backward"])
     @pytest.mark.parametrize("ratio", [1e-3, 1e-6, 1e-9])
-    def test_forward_cones_near_the_axis_reconstruct_to_rounding(self, ratio):
+    def test_near_axis_cones_reconstruct_to_rounding(self, ratio, k_z):
         # theta0 = acos(c k_z / w) kept half the digits as k_perp / k_z -> 0 and
-        # rounded to the pole at 1e-9, where every coefficient came out 0
+        # rounded to the pole at 1e-9, where every coefficient came out 0; a
+        # backward cone's angle pi - theta0 keeps few digits of theta0
         rho, phi, z = 1.0, 0.4, 0.2
         point = (rho * math.cos(phi), rho * math.sin(phi), z)
         for which, evaluator in (("M", modes.eval_M), ("N", modes.eval_N)):
             for m in (1, 2, -3):
-                direct = evaluator(m, 2.0 * ratio, 2.0, modes.CylPoint(rho, phi, z, 0.0))
-                *_, (_, _, _, total) = partial_sums(which, m, 2.0 * ratio, 2.0, point, 30)
+                direct = evaluator(m, 2.0 * ratio, k_z, modes.CylPoint(rho, phi, z, 0.0))
+                *_, (_, _, _, total) = partial_sums(which, m, 2.0 * ratio, k_z, point, 30)
                 err = np.abs(total - direct).max() / np.abs(direct).max()
                 assert err <= 1e-13, (which, m, err)
 
