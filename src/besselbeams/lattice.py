@@ -12,8 +12,8 @@ bilinear, so a lattice node is its wavenumber alone, and every bilinear
 observable becomes an exact finite normal-ordered quadratic form
 O = sum_jk X_jk b_j^dag b_k (`dynops.zero_points` holds the c-numbers), and
 every commutator reduces to a matrix commutator of the coefficient matrices.
-A truncated-Fock oracle, sparse and reading each state's occupations as
-digits, provides an independent brute-force realization for small lattices.
+A Fock oracle realizes each operator as dense matrices on the photon-number
+sectors, an independent brute-force check for small lattices.
 """
 
 from __future__ import annotations
@@ -307,72 +307,42 @@ def coherent_expectation(A: QuadraticOperator, alpha: np.ndarray) -> complex:
 
 
 class FockOracle:
-    """Truncated-Fock realization of the lattice ladder algebra, a brute-force check: modes
-    cut at occupation n_max, state s holding n_j(s) in base-(n_max+1) digit j of s, mode 0 the
-    most significant (the kron chain b_j = 1 x .. x a x .. x 1).  The states with every
-    occupation <= limit, ascending, are the base-(limit+1) numbers with the same digits.
-    The truncation makes [b, b^dag] = 1 fail on states touching n_max."""
+    """The lattice ladder algebra on photon-number sectors, a brute-force check: each b^dag X b
+    conserves the photon number, so it acts on each N-photon sector alone, exactly.  `sectors[N]`,
+    N = 1..n_max, lists the sector's occupations in descending lexicographic order (e_0, e_1, ..)."""
 
     def __init__(self, lattice: ModeLattice, n_max=3):
-        self.lattice, self.n_max, self.dim = lattice, n_max, (n_max + 1) ** lattice.dim
-        if self.dim > 20000:
-            raise LatticeError(f"Fock space dimension {self.dim} exceeds 20000")
-        self._sqrt = np.sqrt(np.arange(n_max + 2))  # to n_max + 1, which masked-out entries read
+        D, self.n_max = lattice.dim, n_max
+        if math.comb(D + n_max, n_max) - 1 > 20000:
+            raise LatticeError(f"the 1..{n_max}-photon sectors of {D} modes hold more than 20000 states")
+        self._sqrt, self.sectors, self._moves = np.sqrt(np.arange(n_max + 1)), {}, {}
+        for N in range(1, n_max + 1):
+            modes = itertools.combinations_with_replacement(range(D), N)
+            occ = self.sectors[N] = np.array([np.bincount(m, minlength=D) for m in modes])
+            rank = {n: i for i, n in enumerate(map(tuple, occ.tolist()))}
+            # each move of a photon from an occupied mode c of state s to another mode r: its flat
+            # entry (s - e_c + e_r, s), r, c, and the occupations n_r + 1, n_c its factors read
+            s, c, r = np.nonzero((occ[:, :, None] > 0) & ~np.eye(D, dtype=bool))
+            moved = occ[s] - (np.arange(D) == c[:, None]) + (np.arange(D) == r[:, None])
+            t = np.array([rank[n] for n in map(tuple, moved.tolist())], dtype=int)
+            self._moves[N] = t * len(occ) + s, r, c, occ[s, r] + 1, occ[s, c]
 
     def realize(self, A: QuadraticOperator):
-        """Sparse matrix of sum X_jk b_j^dag b_k on the truncated space, in canonical CSR."""
-        return self.stack(coefficient_matrices([A]), [0], self.n_max, self.n_max, [0])
-
-    def stack(self, C, blocks, limit, reach, places):
-        """The realized coefficient matrices C[blocks], each operator once, as one block-diagonal
-        CSR matrix: block i in column block places[i] of len(C), rows on the states with every
-        occupation <= limit, columns on those <= reach (>= limit).  The term (r, c) takes state s to
-        s - e_c + e_r with the entry X_rc sqrt(n_r(s) + 1) sqrt(n_c(s)), the ladder entries as
-        b_r^dag b_c rounds them (sqrt(n) sqrt(n) on the diagonal, whose terms add up per state,
-        mode ascending, from a complex zero); a row's entries come in column order, none 0."""
-        D, base = self.lattice.dim, (limit + 1) ** np.arange(self.lattice.dim - 1, -1, -1)
-        occ = (np.arange((limit + 1) ** D) // base[:, None] % (limit + 1)).astype(np.int8)
-        n, stride, root = occ.shape[1], (reach + 1) ** np.arange(D - 1, -1, -1), self._sqrt[occ]
-        # table rows: each off-diagonal term of any operator, by column step, with the rows it
-        # fills (a photon in mode r, room for one in c) and their ladder factors; then each
-        # operator's diagonal, summed per state
-        r, c = np.nonzero((C != 0).any(axis=0) & ~np.eye(D, dtype=bool))
-        r, c = (m[np.argsort(stride[c] - stride[r])] for m in (r, c))
-        sums = np.zeros((len(C), n), dtype=complex)
-        for j in range(D):
-            sums += C[:, j, j, None] * (root[j] * root[j])
-        ladder = root[r] * self._sqrt[occ[c] + 1]
-        ok = np.concatenate([(occ[r] > 0) & (occ[c] < reach), sums != 0])
-        tab = np.concatenate([ladder * (1 + 1j), sums])  # the factors (re, im) of each coefficient part
-        step = np.concatenate([stride[c] - stride[r], np.zeros(len(C), dtype=int)])
-        # each operator's table rows and coefficients (1 + 1j for its diagonal), nonzero ones first
-        at = np.searchsorted(step[:len(r)], 0)
-        rows = np.insert(np.tile(np.arange(len(r)), (len(C), 1)), at, len(r) + np.arange(len(C)), axis=1)
-        coef = np.insert(C[:, r, c] + 0.0, at, (1 + 1j) * np.diagonal(C, 0, 1, 2).any(axis=1), axis=1)
-        pick = np.argsort(coef == 0, axis=1, kind="stable")[:, :np.count_nonzero(coef, 1).max(initial=0)]
-        rows, coef = np.take_along_axis(rows, pick, axis=1), np.take_along_axis(coef, pick, axis=1)
-        keep = ok[rows] & (coef != 0)[..., None]
-        # each state's entries in turn: operator o, state s, ot = o * T + term
-        counts = keep.sum(axis=1, dtype=np.int32)
-        o = np.repeat(np.arange(len(C)), counts.sum(axis=1))
-        s = np.repeat(np.tile(np.arange(n), len(C)), counts.ravel())
-        ot = np.flatnonzero(keep.transpose(0, 2, 1)) - (o * (n - 1) + s) * rows.shape[1]
-        g = rows.take(ot)
-        data = (coef.take(ot).view(float) * tab.take(g * n + s).view(float)).view(complex)
-        cols = ((stride @ occ).take(s) + step.take(g)).astype(np.int32)
-        ends, n_other = np.r_[0, np.cumsum(counts.sum(axis=1))].tolist(), (reach + 1) ** D
-        cols = np.concatenate([cols[ends[o]:ends[o + 1]] + np.int32(k * n_other)
-                               for k, o in zip(places, blocks)])
-        indptr = np.r_[np.int32(0), np.cumsum(counts[blocks], axis=None, dtype=np.int32)]
-        return sp.csr_matrix((np.concatenate([data[ends[o]:ends[o + 1]] for o in blocks]), cols, indptr),
-                             shape=(len(blocks) * n, len(C) * n_other))
+        """{N: the dense matrix of sum X_jk b_j^dag b_k on sector N}.  A term X_rc, r != c, takes n
+        to n - e_c + e_r with X_rc sqrt(n_r + 1) sqrt(n_c), as b_r^dag b_c rounds it; X_jj adds
+        X_jj n_j.  Each entry sums its terms from a complex zero, mode ascending (cumsum is sequential)."""
+        X, out = coefficient_matrix(A), {}
+        for N, (entry, r, c, up, down) in self._moves.items():
+            occ = self.sectors[N]
+            M = out[N] = np.zeros((len(occ), len(occ)), dtype=complex)
+            M.reshape(-1)[entry] += X[r, c] * (self._sqrt[up] * self._sqrt[down])
+            M.reshape(-1)[::len(occ) + 1] += np.cumsum(np.diagonal(X) * occ, axis=1)[:, -1]
+        return out
 
 
-def coefficient_matrices(ops):
-    """The D x D coefficient matrices of ops, stacked (n_ops, D, D), read off their terms."""
-    D = ops[0].lattice.dim
-    C = np.zeros((len(ops), D, D), dtype=complex)
-    for o, A in enumerate(ops):
-        for v, rows, cols in _entries(A):
-            C[o, rows, cols] = v
-    return C
+def coefficient_matrix(A: QuadraticOperator):
+    """A's D x D coefficient matrix, read off its terms."""
+    X = np.zeros((A.lattice.dim,) * 2, dtype=complex)
+    for v, rows, cols in _entries(A):
+        X[rows, cols] = v
+    return X

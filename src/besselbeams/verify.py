@@ -4,7 +4,7 @@ Four suites, each returning a deterministic list of RelationResult:
 
 * commutator_suite -- the full table of commutators among P, L, S on a
   mode lattice, plus the per-node Stokes su(2) algebra, cross-checked
-  against a brute-force truncated-Fock realization.
+  against a brute-force realization on photon-number sectors.
 * basis_suite -- simultaneous diagonalization in the (+/-) basis, the
   circular (R/L) map, the energy cross-term coefficient, and the
   paraxial scaling of the off-diagonal energy.
@@ -44,7 +44,6 @@ from .lattice import (
     QuadraticOperator,
     apply_basis,
     build_lattice,
-    coefficient_matrices,
     commutator,
 )
 from .dynops import (
@@ -247,13 +246,13 @@ def _su2_residual(X1, X2, X3, unit):
 def _fock_cross_check(tol):
     """Brute-force check of the quadratic commutator identity on a D=6 lattice.
 
-    Every relation LHS is realized two ways on a truncated Fock space:
+    Every relation LHS is realized two ways on each photon-number sector:
     through the coefficient-matrix commutator and as the literal matrix
-    commutator of the realized observables.  Agreement is exact on the
-    subspace that never touches the truncation level.
+    commutator of the realized observables.  The forms conserve the photon
+    number, so each sector is exact, with no truncation.
     """
-    return RelationResult("commutator: fock-oracle cross-check (15 pairs, cutoff 3)", _fock_residual(),
-                          tol, "element-wise on the occupation<=2 block of a D=6 lattice")
+    return RelationResult("commutator: fock-oracle cross-check (15 pairs, 1-3 photons)", _fock_residual(),
+                          tol, "element-wise on every 1-, 2- and 3-photon state of a D=6 lattice")
 
 
 # the commutators [A, B] that the Fock cross-check realizes
@@ -265,29 +264,19 @@ FOCK_PAIRS = (("P+", "P-"), ("P+", "P3"), ("S+", "S-"), ("P+", "S+"), ("L3", "P3
 @functools.cache
 def _fock_residual():
     """The cross-check's worst element; it reads no input, so once per process."""
-    lhs, rhs = _fock_blocks(build_lattice((-1, 1), [1.0], [2.0]))
-    return float(np.abs((lhs - rhs).data).max(initial=0.0))
+    sides = _fock_sectors(build_lattice((-1, 1), [1.0], [2.0]))
+    return max(float(np.abs(lhs - rhs).max()) for lhs, rhs in sides)
 
 
-def _fock_blocks(lat: ModeLattice):
-    """Both sides of each FOCK_PAIRS [A, B] on the occupation <= 2 block of a cutoff-3 Fock
-    space, block-diagonal CSR with pair p in block p: the realized coefficient commutator,
-    and the commutator of the realized operators, whose products sum every intermediate
-    state (CSR's matmul): left factors realized on the kept rows, in the column block of
-    their right factor Y, each Y the transpose of the realized Y^T on the kept rows."""
+def _fock_sectors(lat: ModeLattice):
+    """Both sides of every FOCK_PAIRS [A, B] on each sector N = 1..3, pair by pair: the
+    realized coefficient commutator, and the commutator of the realized operators."""
     obs, oracle = build_observables(lat), FockOracle(lat, n_max=3)
-    names = sorted({n for pair in FOCK_PAIRS for n in pair})
-    C = coefficient_matrices([obs[n] for n in names] + [commutator(obs[a], obs[b]) for a, b in FOCK_PAIRS])
-    a, b = (np.array([names.index(n) for n in side]) for side in zip(*FOCK_PAIRS))
-    k, m, n, kept = len(names), len(FOCK_PAIRS), 3 ** lat.dim, oracle.n_max - 1
-    lhs = oracle.stack(C[k:], range(m), kept, kept, range(m))
-    right = oracle.stack(C[:k].transpose(0, 2, 1), range(k), kept, oracle.n_max, range(k)).T
-    AB, BA = (oracle.stack(C[:k], x, kept, oracle.n_max, y) @ right for x, y in ((a, b), (b, a)))
-    # each product block to the column block of its pair
-    for M, y in ((AB, b), (BA, a)):
-        M.indices += np.repeat((np.arange(m) - y) * n, np.diff(M.indptr[::n])).astype(M.indices.dtype)
-        M.resize(m * n, m * n)
-    return lhs, AB - BA
+    realized = {n: oracle.realize(obs[n]) for n in {n for pair in FOCK_PAIRS for n in pair}}
+    for a, b in FOCK_PAIRS:
+        lhs, A, B = oracle.realize(commutator(obs[a], obs[b])), realized[a], realized[b]
+        for N in oracle.sectors:
+            yield lhs[N], A[N] @ B[N] - B[N] @ A[N]
 
 
 # ---------------------------------------------------------------------------

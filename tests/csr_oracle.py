@@ -79,30 +79,3 @@ def same(X, Y):
             and np.array_equal(X.indptr, Y.indptr) and np.array_equal(X.indices, Y.indices)
             and np.array_equal(X.data.view(np.int64), Y.data.view(np.int64)))
 
-
-def fock_blocks(lat, pairs, n_max=3):
-    """Both sides of each pair's [A, B] on the occupation <= n_max - 1 block, as
-    the full-matrix Fock cross-check computes them: every operator realized on
-    the whole truncated space, sum X_rc b_r^dag b_c over its COO triplets with
-    kron-chain ladders, then sliced to the kept rows or columns; products are
-    CSR's matmul.  Yields (LHS, RHS) per pair as dense arrays."""
-    from besselbeams.dynops import build_observables
-    from besselbeams.lattice import commutator
-    from fock import kept_states, kron_ladders
-
-    ladders = kron_ladders(lat.dim, n_max)
-
-    def realize(A):
-        coo, out = A.X.tocoo(), sp.csr_matrix(ladders[0].shape, dtype=complex)
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            out = out + v * (ladders[r].T.tocsr() @ ladders[c])
-        return held(out)
-
-    obs = build_observables(lat)
-    keep = kept_states(lat.dim, n_max, n_max - 1)
-    realized = {n: realize(obs[n]) for n in {n for pair in pairs for n in pair}}
-    rows = {n: M[keep] for n, M in realized.items()}
-    cols = {n: M[:, keep] for n, M in realized.items()}
-    for a, b in pairs:
-        lhs = realize(commutator(obs[a], obs[b]))[keep][:, keep]
-        yield lhs.toarray(), (rows[a] @ cols[b] - rows[b] @ cols[a]).toarray()

@@ -744,6 +744,30 @@ def test_one_parser_per_process_writes_what_fresh_processes_write(tmp_path, caps
         assert here.read_bytes() == fresh.read_bytes(), name
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two CPUs")
+def test_verify_all_report_does_not_depend_on_cpu_affinity(tmp_path):
+    # one child pins only itself to one CPU before numpy loads, the other runs
+    # on every CPU it may use; both take one BLAS thread, since OpenBLAS sizes
+    # its pool from the affinity mask and its thread count moves GEMM bits
+    cpu = min(os.sched_getaffinity(0))
+    child = ("import os, sys\n"
+             "if sys.argv[2]:\n"
+             "    os.sched_setaffinity(0, {int(sys.argv[2])})\n"
+             "    assert os.sched_getaffinity(0) == {int(sys.argv[2])}\n"
+             "from besselbeams import cli\n"
+             "sys.exit(cli.main(['verify', 'all', '--out', sys.argv[1]]))\n")
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("BESSELBEAMS_CONFIG", None)
+    reports = []
+    for pin in (str(cpu), ""):
+        out = tmp_path / f"report{pin}.json"
+        subprocess.run([sys.executable, "-c", child, str(out), pin], check=True, env=env, timeout=300)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 class TestExpand:
     ARGS = ["expand", "--m", "2", "--kperp", "1.0", "--kz", "2.0", "--jmax", "12"]
 

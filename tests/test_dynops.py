@@ -322,9 +322,10 @@ class TestExpectations:
         assert abs(p1) < 1e-14
         assert p2.real == pytest.approx(2 * kp * a**2, rel=1e-14)
         assert abs(p2.imag) < 1e-14
-        # independent Fock-oracle value
+        # independent Fock-oracle value, on the sectors of up to 10 photons: the
+        # coherent state's N (Poisson, mean 2 a^2) rarely exceeds them
         small = build_lattice((0, 1), [1.3], [2.0])
-        oracle = FockOracle(small, n_max=8)
+        oracle = FockOracle(small, n_max=10)
         obs_small = build_observables(small)
         alpha_small = np.zeros(small.dim, dtype=complex)
         alpha_small[[small.index(TM, 0, 0), small.index(TM, 1, 0)]] = a

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.special import factorial
 
 from besselbeams.dynops import build_observables, zero_points
 from besselbeams.lattice import (
@@ -15,28 +15,28 @@ from besselbeams.lattice import (
     ModeLattice,
     apply_basis,
     build_lattice,
+    coefficient_matrix,
     coherent_expectation,
     commutator,
 )
 from besselbeams.modes import TE, TM
 from csr_oracle import operator, pairs
-from fock import kept_states, kron_ladders
+from fock import kron_index, kron_ladders, kron_realize
 
 RNG = np.random.default_rng(42)
 
 
 def fock_expectation(oracle, A, alpha):
-    """<alpha| A |alpha> on the oracle's truncated space: the brute-force
-    reference for coherent_expectation.  The coherent product state is cut
-    at n_max and normalized mode by mode."""
-    n = np.arange(oracle.n_max + 1)
-    fact = np.array([math.factorial(k) for k in n], dtype=float)
-    v = None
-    for a in alpha:
-        comp = a**n / np.sqrt(fact)
-        comp = comp / np.linalg.norm(comp)
-        v = comp if v is None else np.kron(v, comp)
-    return complex(np.vdot(v, oracle.realize(A) @ v))
+    """<alpha| A |alpha> on the oracle's sectors: the brute-force reference for
+    coherent_expectation.  The coherent product state is cut at n_max photons
+    and normalized; its vacuum part weighs 1, and A, normal-ordered, takes the
+    vacuum to 0."""
+    realized, norm, value = oracle.realize(A), 1.0, 0.0
+    for N, occ in oracle.sectors.items():
+        v = np.prod(alpha**occ / np.sqrt(factorial(occ)), axis=1)
+        norm += np.vdot(v, v).real
+        value += np.vdot(v, realized[N] @ v)
+    return complex(value / norm)
 
 
 def small_lattice():
@@ -190,11 +190,13 @@ class TestCommutatorAlgebra:
 
 class TestFockOracle:
     def test_canonical_commutators_on_interior_block(self):
+        # the kron-chain reference, cut one photon above the oracle's sectors,
+        # keeps [b, b^dag] = 1 on their states
         lat = build_lattice((-1, 0), [1.0], [2.0])  # D = 4
         oracle = FockOracle(lat, n_max=3)
-        keep = kept_states(lat.dim, oracle.n_max, oracle.n_max - 1)
-        eye = np.eye(oracle.dim)[np.ix_(keep, keep)]
-        b = kron_ladders(lat.dim, oracle.n_max)
+        b = kron_ladders(lat.dim, oracle.n_max + 1)
+        keep = np.concatenate([kron_index(occ, oracle.n_max + 1) for occ in oracle.sectors.values()])
+        eye = np.eye(len(keep))
         for j in range(lat.dim):
             comm = (b[j] @ b[j].T - b[j].T @ b[j]).toarray()
             assert np.abs(comm[np.ix_(keep, keep)] - eye).max() < 1e-13
@@ -205,14 +207,11 @@ class TestFockOracle:
     def test_commutator_identity_against_matrices(self):
         lat = small_lattice()
         oracle = FockOracle(lat, n_max=2)
-        keep = kept_states(lat.dim, oracle.n_max, oracle.n_max - 1)
         rng = np.random.default_rng(3)
         A, B = random_op(lat, rng), random_op(lat, rng)
-        lhs = oracle.realize(commutator(A, B)).toarray()
-        rhs = (
-            oracle.realize(A) @ oracle.realize(B) - oracle.realize(B) @ oracle.realize(A)
-        ).toarray()
-        assert np.abs((lhs - rhs)[np.ix_(keep, keep)]).max() < 1e-12
+        lhs, Am, Bm = oracle.realize(commutator(A, B)), oracle.realize(A), oracle.realize(B)
+        for N in oracle.sectors:
+            assert np.abs(lhs[N] - (Am[N] @ Bm[N] - Bm[N] @ Am[N])).max() < 1e-12
 
     def test_coherent_expectation_matches_oracle(self):
         lat = build_lattice((0, 0), [1.0], [2.0])  # D = 2
@@ -240,20 +239,17 @@ class TestFockOracle:
             assert z != 0 and sym[0, 0] == pytest.approx(z, rel=1e-14), name
 
     @pytest.mark.parametrize("m_range, n_max", [((-1, 1), 3), ((0, 1), 2), ((0, 0), 6)])
-    def test_digits_equal_the_kron_chains_and_ladder_products_bitwise(self, m_range, n_max):
-        # the oracle reads every matrix off the occupation digits; the
-        # reference builds b_j as a kron chain and sums X_rc b_r^dag b_c term
-        # by term, in the order of the COO triplets
+    def test_sectors_equal_the_kron_chains_bitwise(self, m_range, n_max):
+        # each sector block is the kron-chain sum on the whole cutoff-n_max space
+        # restricted to the sector's states, signed zeros included; sector 1 is
+        # the coefficient matrix itself, its entries summed from a complex zero
+        # (which leaves no -0), and the photon number is N on sector N
         lat = build_lattice(m_range, [1.0], [2.0], c=2.9, hbar=0.37)
         oracle = FockOracle(lat, n_max=n_max)
-        ladders = kron_ladders(lat.dim, n_max)
-
-        def same(A, B):
-            A, B = A.tocsr(), B.tocsr()
-            assert A.dtype == B.dtype and A.shape == B.shape
-            assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
-            assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64))
-
+        for N, occ in oracle.sectors.items():
+            states = list(map(tuple, occ.tolist()))
+            assert states == sorted(set(states), reverse=True) and len(states) == math.comb(lat.dim + N - 1, N)
+            assert (occ >= 0).all() and (occ.sum(axis=1) == N).all()
         obs = build_observables(lat)
         rng = np.random.default_rng(7)
         # random forms: entries 0, +-1, +-sqrt(2), so diagonal terms cancel exactly
@@ -261,15 +257,18 @@ class TestFockOracle:
         ops = list(obs.values()) + [commutator(obs["L+"], obs["S-"]),
                                     operator(lat, X[0] + 1j * X[1])]
         for A in ops:
-            coo, want = A.X.tocoo(), sp.csr_matrix((oracle.dim, oracle.dim), dtype=complex)
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                want = want + v * (ladders[r].T.tocsr() @ ladders[c])
-            same(oracle.realize(A), want)
+            realized, want = oracle.realize(A), kron_realize(A, n_max)
+            for N, occ in oracle.sectors.items():
+                i = kron_index(occ, n_max)
+                assert realized[N].tobytes() == want[i][:, i].toarray().tobytes(), N
+            assert realized[1].tobytes() == (coefficient_matrix(A) + 0.0).tobytes()
+        for N, M in oracle.realize(obs["number"]).items():
+            assert M.tobytes() == (N * np.eye(len(M), dtype=complex)).tobytes()
 
     def test_dimension_cap(self):
-        lat = build_lattice((-4, 4), [1.0], [2.0])  # D = 18
+        lat = build_lattice((-4, 4), [1.0], [2.0])  # D = 18: 33648 states of 1 to 5 photons
         with pytest.raises(LatticeError):
-            FockOracle(lat, n_max=3)
+            FockOracle(lat, n_max=5)
 
 
 def pair_blocks(lat, rng, noise=1.0, eye=0.0):

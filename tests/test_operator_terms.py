@@ -122,9 +122,8 @@ class _NoSparse:
 
 
 def test_verify_and_expect_use_no_scipy_sparse(monkeypatch, tmp_path):
-    # the Fock cross-check realizes operators as sparse matrices by design;
-    # it reads no input, so once warm it takes nothing from scipy.sparse
-    verify._fock_residual()
+    # a fresh Fock cross-check too: it realizes the operators as dense sectors
+    verify._fock_residual.cache_clear()
     monkeypatch.setattr(lattice, "sp", _NoSparse())
     monkeypatch.setattr(dynops, "sp", _NoSparse())
     out = tmp_path / "out"

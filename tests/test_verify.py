@@ -1,5 +1,6 @@
 """Verification-suite behavior: outcomes, flags, and result invariants."""
 
+import itertools
 import json
 import math
 import os
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre, spherical_jn
 
-import csr_oracle as csr
+from fock import kron_index, kron_realize
 from besselbeams import cli, modes, specfun, verify
-from besselbeams.dynops import assemble, build_stokes, make_rl_map
-from besselbeams.lattice import apply_basis, build_lattice
+from besselbeams.dynops import assemble, build_observables, build_stokes, make_rl_map
+from besselbeams.lattice import apply_basis, build_lattice, commutator
 from besselbeams.modes import TM
 from besselbeams.verify import (
     RelationResult,
@@ -141,24 +142,27 @@ class TestCommutatorSuite:
         assert runs[0][0].passed
 
     @pytest.mark.parametrize("c, hbar", [(1.0, 1.0), (2.9, 0.37)], ids=["unit", "units-config"])
-    def test_fock_blocks_equal_the_full_matrix_cross_check_bitwise(self, c, hbar):
-        # each pair's realized commutator and commutator of the realized operators,
-        # element by element, signed zeros included, against every operator realized
-        # on the whole 4096-state space
+    def test_fock_sectors_equal_the_kron_chains_bitwise(self, c, hbar):
+        # each pair's realized commutator, and the commutator of its realized
+        # operands, on each sector, signed zeros included: every realized block
+        # is the kron-chain sum on the whole 4096-state space restricted to the
+        # sector's states
         lat = build_lattice((-1, 1), [1.0], [2.0], c=c, hbar=hbar)
-        lhs, rhs = verify._fock_blocks(lat)
-        n = 3 ** lat.dim
-        assert lhs.shape == rhs.shape == (n * len(verify.FOCK_PAIRS),) * 2
-        worst = 0.0
-        for p, blocks in enumerate(csr.fock_blocks(lat, verify.FOCK_PAIRS)):
-            block = slice(p * n, (p + 1) * n)
-            for got, want in zip((lhs, rhs), blocks):
-                assert np.array_equal(got[block, block].toarray().view(np.int64), want.view(np.int64)), p
-            worst = max(worst, np.abs(blocks[0] - blocks[1]).max())
-        assert np.abs((lhs - rhs).data).max() == worst
+        obs = build_observables(lat)
+        states = [kron_index(occ, 3) for occ in verify.FockOracle(lat, n_max=3).sectors.values()]
+        chains = {n: kron_realize(obs[n], 3) for n in {n for pair in verify.FOCK_PAIRS for n in pair}}
+        chains.update({(a, b): kron_realize(commutator(obs[a], obs[b]), 3) for a, b in verify.FOCK_PAIRS})
+        sides = list(verify._fock_sectors(lat))
+        assert len(sides) == len(verify.FOCK_PAIRS) * len(states)
+        for (lhs, rhs), ((a, b), i) in zip(sides, itertools.product(verify.FOCK_PAIRS, states)):
+            A, B, C = (chains[key][i][:, i].toarray() for key in (a, b, (a, b)))
+            assert lhs.tobytes() == C.tobytes(), (a, b, len(i))
+            assert rhs.tobytes() == (A @ B - B @ A).tobytes(), (a, b, len(i))
+        if (c, hbar) == (1.0, 1.0):
+            assert max(np.abs(lhs - rhs).max() for lhs, rhs in sides) == verify._fock_residual()
 
     def test_fock_cross_check_fails_on_a_broken_ladder_factor(self, monkeypatch):
-        # every ladder factor sqrt(n) of the shared realization read as sqrt(n + 1)
+        # every ladder factor sqrt(n) of the realized operators read as sqrt(n + 1)
         class Broken(verify.FockOracle):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
@@ -171,7 +175,7 @@ class TestCommutatorSuite:
         verify._fock_residual.cache_clear()
         restored = verify._fock_cross_check(verify.ALG_TOL)
         assert broken.residual > broken.tolerance and not broken.passed
-        assert restored.passed and restored.residual == 2.0 ** -47
+        assert restored.passed and restored.residual == 3 * 2.0 ** -50
 
     def test_table_provenance_matches_the_flags(self):
         rows = {"commutator: " + row[0]: row for row in verify.COMMUTATOR_TABLE}
